@@ -83,6 +83,4 @@ from .syntax import (
     print_formula,
 )
 
-builtin_bao_from_frame = bao_from_frame
-
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import FiniteAlgebra, all_valuations, evaluate
+from .algebra import FiniteAlgebra, truth_vector
 from .semantics import Matrix, interderivable
 from .syntax import (
     Formula,
@@ -124,13 +124,7 @@ def check_pseudo_rich(agenda: Agenda, n: int) -> tuple[bool, tuple[Formula, ...]
 
 def is_strictly_contingent(formula: Formula, algebra: FiniteAlgebra) -> bool:
     """True iff the formula's evaluation image covers the whole carrier."""
-    names = variables_of(formula)
-    image = set()
-    for valuation in all_valuations(names, algebra):
-        image.add(evaluate(formula, valuation, algebra))
-        if len(image) == algebra.size:
-            return True
-    return len(image) == algebra.size
+    return len(set(truth_vector(formula, variables_of(formula), algebra))) == algebra.size
 
 
 def strictly_contingent_formulas(agenda: Agenda) -> tuple[Formula, ...]:

@@ -27,14 +27,15 @@ from .agenda import Agenda, check_pseudo_rich, is_strictly_contingent, pseudo_ri
 from .algebra import (
     FiniteAlgebra,
     all_valuations,
+    closure_vectors,
     evaluate,
     is_homomorphism,
     product_algebra,
-    product_element_coords,
     product_element_index,
+    truth_vectors,
 )
 from .errors import BudgetExceededError
-from .syntax import Formula, bounded_closure, formula_sort_key
+from .syntax import Formula, bounded_closure, formula_sort_key  # noqa: F401 (traced binding)
 
 INDEPENDENT = "independent"
 SYSTEMATIC = "systematic"
@@ -111,8 +112,11 @@ class DecisionCriterion:
     def __call__(self, coords: Sequence[int]) -> int:
         return self.values[product_element_index(self.algebra.size, coords)]
 
-    def tuple_of(self, index: int) -> tuple[int, ...]:
-        return product_element_coords(self.algebra.size, self.electorate, index)
+    def homomorphism_violation(self) -> Optional[tuple[str, tuple[int, ...]]]:
+        """The first failure of the homomorphism equation from the voter-power
+        algebra to the value algebra (see is_homomorphism), or None."""
+        power = product_algebra(self.algebra, self.electorate)
+        return is_homomorphism(self.values, power, self.algebra)[1]
 
 
 def projection_criterion(algebra: FiniteAlgebra, electorate: int, voter: int) -> DecisionCriterion:
@@ -167,12 +171,10 @@ def is_rational_attitude(
 def _rational_table(agenda: Agenda) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Distinct rational attitude value-tuples with the index (into valuation
     order) of their least witnessing valuation."""
+    vectors = truth_vectors(agenda.formulas, agenda.variables, agenda.algebra)
     rows: dict[tuple[int, ...], int] = {}
-    for w, valuation in enumerate(all_valuations(agenda.variables, agenda.algebra)):
-        values = tuple(
-            evaluate(f, valuation, agenda.algebra) for f in agenda.formulas
-        )
-        rows.setdefault(values, w)
+    for w in range(agenda.algebra.size ** len(agenda.variables)):
+        rows.setdefault(tuple(vec[w] for vec in vectors), w)
     return tuple(rows.items())
 
 
@@ -387,20 +389,19 @@ class SystematicityResult:
 def _fragment_and_vectors(
     agenda: Agenda, depth: int
 ) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]:
-    """The bounded closure of the agenda at ``depth`` (sorted), with each
-    fragment formula's value at every valuation of the agenda variables."""
-    fragment = tuple(
-        sorted(
-            bounded_closure(agenda.formulas, agenda.signature, depth),
-            key=formula_sort_key,
-        )
-    )
-    vectors = tuple(
-        tuple(evaluate(f, v, agenda.algebra) for v in
-              all_valuations(agenda.variables, agenda.algebra))
-        for f in fragment
-    )
-    return fragment, vectors
+    """The agenda formulas plus the least formula (in ``formula_sort_key``
+    order) of each distinct truth vector of the agenda's bounded closure at
+    ``depth``, sorted, with their truth vectors over the agenda variables.
+
+    A closure formula sharing its vector with an earlier one can only repeat
+    that formula's constraints, so the checks below skip it.
+    """
+    variables, algebra = agenda.variables, agenda.algebra
+    closure = closure_vectors(agenda.formulas, variables, algebra, depth)
+    vector_of = {formula: vector for vector, formula in closure.items()}
+    vector_of.update(zip(agenda.formulas, truth_vectors(agenda.formulas, variables, algebra)))
+    fragment = tuple(sorted(vector_of, key=formula_sort_key))
+    return fragment, tuple(vector_of[f] for f in fragment)
 
 
 def check_systematicity(
@@ -437,8 +438,8 @@ def check_systematicity(
             f"{len(profiles)} profiles x {len(fragment)} formulas exceed budget"
         )
 
-    agenda_positions = {f: agenda.index[f] for f in agenda.formulas}
-    constraints: dict[object, tuple[int, str]] = {}
+    # key -> (output value, profile number, formula) of its first occurrence
+    constraints: dict[object, tuple[int, int, Formula]] = {}
 
     for p_num, profile in enumerate(profiles):
         output = aggregator.apply(profile)
@@ -455,7 +456,7 @@ def check_systematicity(
             if out_w is not None:
                 out_vals = tuple(vec[out_w] for vec in vectors)
         for f_num, formula in enumerate(fragment):
-            pos = agenda_positions.get(formula)
+            pos = agenda.index.get(formula)
             if pos is not None:
                 attained = tuple(a.values[pos] for a in profile.attitudes)
                 out_value = output.values[pos]
@@ -465,18 +466,18 @@ def check_systematicity(
                 attained = tuple(vals[f_num] for vals in voter_vals)
                 out_value = out_vals[f_num]
             key = (attained, formula) if level == INDEPENDENT else attained
-            where = f"profile {p_num} at {formula_sort_key(formula)}"
             prior = constraints.get(key)
             if prior is None:
-                constraints[key] = (out_value, where)
+                constraints[key] = (out_value, p_num, formula)
             elif prior[0] != out_value:
                 conflict = (
-                    f"tuple {attained}: value {prior[0]} from {prior[1]} vs "
-                    f"value {out_value} from {where}"
+                    f"tuple {attained}: value {prior[0]} from profile {prior[1]} at "
+                    f"{formula_sort_key(prior[2])} vs value {out_value} from "
+                    f"profile {p_num} at {formula_sort_key(formula)}"
                 )
                 return SystematicityResult(False, level, depth, None, conflict)
 
-    criterion = {k: v for k, (v, _) in constraints.items()}
+    criterion = {k: v for k, (v, _, _) in constraints.items()}
     return SystematicityResult(True, level, depth, criterion, None)
 
 
@@ -532,12 +533,12 @@ def criterion_from_aggregator(
         if not is_strictly_contingent(via, algebra):
             raise ValueError("witness formula must be strictly contingent")
         attitude_for = {}
-        for valuation in all_valuations(agenda.variables, algebra):
-            b = evaluate(via, valuation, algebra)
+        via_vector, *vectors = truth_vectors(
+            (via, *agenda.formulas), agenda.variables, algebra
+        )
+        for w, b in enumerate(via_vector):
             if b not in attitude_for:
-                values = tuple(
-                    evaluate(f, valuation, algebra) for f in agenda.formulas
-                )
+                values = tuple(vec[w] for vec in vectors)
                 attitude_for[b] = AttitudeFunction(agenda, values)
         if len(attitude_for) != algebra.size:
             raise ValueError("witness formula must be strictly contingent")
@@ -547,15 +548,11 @@ def criterion_from_aggregator(
         profile = Profile(tuple(attitude_for[b] for b in coords))
         values.append(aggregator.apply(profile).value(delta))
     criterion = DecisionCriterion(algebra, n, tuple(values))
-
-    ok, violation = is_homomorphism(
-        criterion.values, product_algebra(algebra, n), algebra
-    )
-    if not ok:
-        symbol, args = violation
+    violation = criterion.homomorphism_violation()
+    if violation:
         raise ValueError(
             "extracted criterion is not a homomorphism "
-            f"(fails at {symbol} on {args}); the aggregator does not qualify"
+            f"(fails at {violation[0]} on {violation[1]}); the aggregator does not qualify"
         )
     return criterion
 
@@ -567,12 +564,8 @@ def aggregator_from_criterion(
     all rational profiles. Rejects non-homomorphic criteria."""
     if criterion.algebra != agenda.algebra:
         raise ValueError("criterion and agenda use different algebras")
-    ok, violation = is_homomorphism(
-        criterion.values,
-        product_algebra(criterion.algebra, criterion.electorate),
-        criterion.algebra,
-    )
-    if not ok:
+    violation = criterion.homomorphism_violation()
+    if violation:
         symbol, args = violation
         raise ValueError(f"criterion is not a homomorphism (fails at {symbol} on {args})")
     return CriterionAggregator(criterion, agenda)
@@ -658,41 +651,35 @@ def qualifying_criteria(
 
     table = _rational_table(agenda)
     valuation_of = {values: w for values, w in table}
-    fragment, vectors = _fragment_and_vectors(agenda, depth)
+    # the distinct truth vectors of the closure: equal vectors repeat a check
+    vectors = tuple(dict.fromkeys(_fragment_and_vectors(agenda, depth)[1]))
     n_profiles = len(table) ** electorate
-    if n_profiles * len(fragment) > budget:
+    if n_profiles * len(vectors) > budget:
         raise BudgetExceededError("profile x fragment space exceeds budget")
 
-    agenda_rows = [agenda.index[f] for f in agenda.formulas]
-    # per profile: product index of the voter tuple at every fragment formula
+    # per profile: product index of the voter tuple at every agenda formula
+    # and at every distinct vector
     profile_data = []
     for combo in product(table, repeat=electorate):
         ws = [w for _, w in combo]
-        frag_indices = tuple(
-            product_element_index(size, [vec[w] for w in ws]) for vec in vectors
-        )
-        agenda_values = [values for values, _ in combo]
-        agenda_indices = tuple(
-            product_element_index(size, [vals[i] for vals in agenda_values])
-            for i in agenda_rows
-        )
-        profile_data.append((agenda_indices, frag_indices))
+        agenda_columns = zip(*(values for values, _ in combo))
+        profile_data.append((
+            tuple(product_element_index(size, column) for column in agenda_columns),
+            tuple(product_element_index(size, [vec[w] for w in ws]) for vec in vectors),
+        ))
 
-    survivors = []
-    for candidate in product(range(size), repeat=n_tuples):
-        ok = True
+    def qualifies(candidate: tuple[int, ...]) -> bool:
         for agenda_indices, frag_indices in profile_data:
-            out = tuple(candidate[t] for t in agenda_indices)
-            w = valuation_of.get(out)
+            w = valuation_of.get(tuple(candidate[t] for t in agenda_indices))
             if w is None:
-                ok = False  # output not rational
-                break
+                return False  # output not rational
             for vec, t in zip(vectors, frag_indices):
                 if candidate[t] != vec[w]:
-                    ok = False  # extension disagrees with the criterion
-                    break
-            if not ok:
-                break
-        if ok:
-            survivors.append(DecisionCriterion(algebra, electorate, candidate))
-    return survivors
+                    return False  # extension disagrees with the criterion
+        return True
+
+    return [
+        DecisionCriterion(algebra, electorate, candidate)
+        for candidate in product(range(size), repeat=n_tuples)
+        if qualifies(candidate)
+    ]

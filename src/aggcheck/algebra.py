@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, EvaluationError
-from .syntax import Formula, Signature, Var
+from .syntax import App, Formula, Signature, Var, print_formula
 
 # Variable assignment into an algebra: variable name -> carrier index.
 Valuation = Mapping[str, int]
@@ -54,7 +54,7 @@ class FiniteAlgebra:
                     f"table for {symbol!r} has {len(table)} entries, "
                     f"expected {n**arity}"
                 )
-            if any(not (0 <= e < n) for e in table):
+            if min(table) < 0 or max(table) >= n:
                 raise ValueError(f"table for {symbol!r} has out-of-range entries")
         extra = set(tables) - set(self.signature.arities)
         if extra:
@@ -63,6 +63,7 @@ class FiniteAlgebra:
             self._check_partial_order(self.order, n)
 
     @staticmethod
+    @lru_cache(maxsize=16)  # frame algebras on one world count share one order
     def _check_partial_order(order: frozenset[tuple[int, int]], n: int) -> None:
         for a in range(n):
             if (a, a) not in order:
@@ -81,6 +82,18 @@ class FiniteAlgebra:
     @cached_property
     def tables(self) -> dict[str, tuple[int, ...]]:
         return dict(self.ops)
+
+    def op_on_vectors(
+        self, symbol: str, args: Sequence[tuple[int, ...]], width: int
+    ) -> tuple[int, ...]:
+        """The connective's table applied coordinatewise to argument vectors."""
+        table = self.tables[symbol]
+        if len(args) == 1:
+            return tuple([table[a] for a in args[0]])
+        index = args[0] if args else (0,) * width
+        for arg in args[1:]:  # row-major table index, coordinatewise
+            index = [i * self.size + a for i, a in zip(index, arg)]
+        return tuple([table[i] for i in index])
 
     def op(self, symbol: str, args: Sequence[int]) -> int:
         table = self.tables[symbol]
@@ -105,23 +118,12 @@ class FiniteAlgebra:
 
 def evaluate(formula: Formula, valuation: Valuation, algebra: FiniteAlgebra) -> int:
     """Value of a formula under a valuation, by structural recursion."""
-    cache: dict[Formula, int] = {}
-
-    def go(node: Formula) -> int:
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
-        if isinstance(node, Var):
-            try:
-                value = valuation[node.name]
-            except KeyError:
-                raise EvaluationError(f"unbound variable {node.name!r}") from None
-        else:
-            value = algebra.op(node.symbol, [go(a) for a in node.args])
-        cache[node] = value
-        return value
-
-    return go(formula)
+    if isinstance(formula, Var):
+        try:
+            return valuation[formula.name]
+        except KeyError:
+            raise EvaluationError(f"unbound variable {formula.name!r}") from None
+    return algebra.op(formula.symbol, [evaluate(a, valuation, algebra) for a in formula.args])
 
 
 def all_valuations(variables: Sequence[str], algebra: FiniteAlgebra):
@@ -131,13 +133,118 @@ def all_valuations(variables: Sequence[str], algebra: FiniteAlgebra):
         yield dict(zip(variables, values))
 
 
-def truth_vector(
-    formula: Formula, variables: Sequence[str], algebra: FiniteAlgebra
-) -> tuple[int, ...]:
+# A truth vector is a formula's value at every valuation of a fixed variable
+# list, in all_valuations order.
+Vector = tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _variable_vectors(size: int, count: int) -> tuple[Vector, ...]:
+    """Truth vectors of ``count`` variables over a carrier of ``size``."""
+    return tuple(zip(*product(range(size), repeat=count)))
+
+
+def vector_program(
+    formulas: Iterable[Formula], variables: Sequence[str]
+) -> Callable[[FiniteAlgebra], list[Vector]]:
+    """Compile formulas to a straight-line program over their distinct
+    subformulas; running it on an algebra gives each formula's truth vector
+    over ``variables``, bottom-up from the connective tables."""
+    formulas = list(formulas)  # keeps every node alive, so its id() is stable
+
+    def slot_key(node: Formula):  # identity, not structure: hashing recurses
+        return node.name if isinstance(node, Var) else id(node)
+
+    slots: dict = {name: i for i, name in enumerate(variables)}
+    steps: list[tuple[str, tuple[int, ...]]] = []
+    for formula in formulas:
+        stack = [formula]
+        while stack:  # iterative post-order, so deep formulas need no recursion
+            node = stack[-1]
+            if slot_key(node) in slots:
+                stack.pop()
+            elif isinstance(node, Var):
+                raise EvaluationError(f"unbound variable {node.name!r}")
+            else:
+                pending = [a for a in node.args if slot_key(a) not in slots]
+                if pending:
+                    stack.extend(pending)
+                else:
+                    stack.pop()
+                    slots[id(node)] = len(variables) + len(steps)
+                    steps.append((node.symbol, tuple(slots[slot_key(a)] for a in node.args)))
+    outputs = [slots[slot_key(f)] for f in formulas]
+
+    def run(algebra: FiniteAlgebra) -> list[Vector]:
+        width = algebra.size ** len(variables)
+        vectors = list(_variable_vectors(algebra.size, len(variables)))
+        for symbol, args in steps:
+            vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
+        return [vectors[i] for i in outputs]
+
+    return run
+
+
+def truth_vectors(
+    formulas: Iterable[Formula], variables: Sequence[str], algebra: FiniteAlgebra
+) -> list[Vector]:
+    """Each formula's truth vector over ``variables``."""
+    return vector_program(formulas, variables)(algebra)
+
+
+def truth_vector(formula: Formula, variables: Sequence[str], algebra: FiniteAlgebra) -> Vector:
     """Formula value at every valuation of ``variables``, in valuation order."""
-    return tuple(
-        evaluate(formula, v, algebra) for v in all_valuations(variables, algebra)
-    )
+    return truth_vectors([formula], variables, algebra)[0]
+
+
+def closure_vectors(
+    formulas: Iterable[Formula],
+    variables: Sequence[str],
+    algebra: FiniteAlgebra,
+    depth: int,
+    key: Callable[[str], object] = lambda text: text,
+    budget: Optional[int] = None,
+) -> dict[Vector, Formula]:
+    """The distinct truth vectors of ``bounded_closure(formulas, signature,
+    depth)``, each with its least formula under ``key`` of the printed form.
+
+    Each layer applies the connectives to the previous layer's
+    representatives only. That loses no representative, because for both
+    orders used here (printed text, and length then text) replacing an
+    argument by a smaller one with the same vector gives a smaller formula.
+    ``budget`` caps vector entries computed per layer. The result is ordered
+    by representative.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    signature = algebra.signature
+    width = algebra.size ** len(variables)
+    seeds = [*formulas, *(App(c, ()) for c in signature.constants)]
+    best: dict[Vector, tuple[object, str, Formula]] = {}
+    for formula, vector in zip(seeds, truth_vectors(seeds, variables, algebra)):
+        text = print_formula(formula)
+        rank = key(text)
+        if vector not in best or rank < best[vector][0]:
+            best[vector] = (rank, text, formula)
+    for _ in range(depth):
+        layer = [(vector, text, formula) for vector, (_, text, formula) in best.items()]
+        cost = width * sum(len(layer) ** a for _, a in signature.connectives if a)
+        if budget is not None and cost > budget:
+            raise BudgetExceededError(
+                f"closure layer of {cost // width} formulas x {width} valuations "
+                f"exceeds budget {budget}"
+            )
+        for symbol, arity in signature.connectives:
+            if arity == 0:
+                continue
+            for combo in product(layer, repeat=arity):
+                vector = algebra.op_on_vectors(symbol, [c[0] for c in combo], width)
+                text = f"({symbol} {' '.join(c[1] for c in combo)})"
+                rank = key(text)
+                if vector not in best or rank < best[vector][0]:
+                    best[vector] = (rank, text, App(symbol, tuple(c[2] for c in combo)))
+    ranked = sorted(best.items(), key=lambda item: item[1][0])
+    return {vector: formula for vector, (_, _, formula) in ranked}
 
 
 def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
@@ -159,9 +266,7 @@ def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
     for symbol, arity in algebra.signature.connectives:
         entries = []
         for args in product(range(len(elements)), repeat=arity):
-            coords = tuple(
-                algebra.op(symbol, [elements[a][i] for a in args]) for i in range(n)
-            )
+            coords = algebra.op_on_vectors(symbol, [elements[a] for a in args], n)
             entries.append(index_of[coords])
         ops.append((symbol, tuple(entries)))
     order = None
@@ -187,14 +292,6 @@ def product_element_index(base_size: int, coords: Sequence[int]) -> int:
     for c in coords:
         idx = idx * base_size + c
     return idx
-
-
-def product_element_coords(base_size: int, n: int, index: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(n):
-        index, c = divmod(index, base_size)
-        coords.append(c)
-    return tuple(reversed(coords))
 
 
 def is_homomorphism(
@@ -258,37 +355,37 @@ def enumerate_homomorphisms(
             "reduce the electorate or the algebra"
         )
 
-    # constraints[t] = op instances whose last-assigned element is t
-    constraints: list[list[tuple[str, tuple[int, ...], int]]] = [
-        [] for _ in range(source.size)
-    ]
+    # constraints[t]: (target table, arguments, result) of the op instances
+    # whose last-assigned element is t
+    constraints: list[list[tuple]] = [[] for _ in range(source.size)]
     for symbol, arity in source.signature.connectives:
         for args in product(range(source.size), repeat=arity):
             result = source.op(symbol, args)
-            last = max((*args, result))
-            constraints[last].append((symbol, args, result))
+            constraints[max((*args, result))].append((target.tables[symbol], args, result))
 
+    # Depth-first with an explicit stack: mapping[:k+1] is the partial map,
+    # and mapping[k] steps through the target values in increasing order.
     found: list[AlgebraHomomorphism] = []
-    mapping: list[int] = []
-
-    def extend(k: int) -> None:
-        if k == source.size:
-            found.append(
-                AlgebraHomomorphism(source, target, tuple(mapping))
-            )
-            return
-        for value in range(target.size):
-            mapping.append(value)
-            ok = True
-            for symbol, args, result in constraints[k]:
-                if mapping[result] != target.op(symbol, [mapping[a] for a in args]):
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1)
-            mapping.pop()
-
-    extend(0)
+    mapping = [-1] * source.size
+    k = 0
+    while k >= 0:
+        value = mapping[k] + 1
+        if value == target.size:
+            mapping[k] = -1
+            k -= 1
+            continue
+        mapping[k] = value
+        for table, args, result in constraints[k]:
+            index = 0
+            for a in args:
+                index = index * target.size + mapping[a]
+            if mapping[result] != table[index]:
+                break
+        else:
+            if k + 1 == source.size:
+                found.append(AlgebraHomomorphism(source, target, tuple(mapping)))
+            else:
+                k += 1
     return found
 
 
@@ -385,22 +482,17 @@ def builtin_distributive_lattice(
             if a != b and leq[a][b] and leq[b][a]:
                 raise ValueError("order not antisymmetric")
 
-    def meet(a: int, b: int) -> int:
-        lower = [c for c in range(n) if leq[c][a] and leq[c][b]]
-        greatest = [c for c in lower if all(leq[d][c] for d in lower)]
-        if len(greatest) != 1:
-            raise ValueError(f"no meet for {labels[a]!r}, {labels[b]!r}")
-        return greatest[0]
+    def bound(a: int, b: int, below: list[list[bool]], name: str) -> int:
+        """The greatest common lower bound of a and b under ``below``."""
+        common = [c for c in range(n) if below[c][a] and below[c][b]]
+        best = [c for c in common if all(below[d][c] for d in common)]
+        if len(best) != 1:
+            raise ValueError(f"no {name} for {labels[a]!r}, {labels[b]!r}")
+        return best[0]
 
-    def join(a: int, b: int) -> int:
-        upper = [c for c in range(n) if leq[a][c] and leq[b][c]]
-        least = [c for c in upper if all(leq[c][d] for d in upper)]
-        if len(least) != 1:
-            raise ValueError(f"no join for {labels[a]!r}, {labels[b]!r}")
-        return least[0]
-
-    meets = tuple(meet(a, b) for a in range(n) for b in range(n))
-    joins = tuple(join(a, b) for a in range(n) for b in range(n))
+    geq = [list(column) for column in zip(*leq)]
+    meets = tuple(bound(a, b, leq, "meet") for a in range(n) for b in range(n))
+    joins = tuple(bound(a, b, geq, "join") for a in range(n) for b in range(n))
     bottoms = [c for c in range(n) if all(leq[c][d] for d in range(n))]
     tops = [c for c in range(n) if all(leq[d][c] for d in range(n))]
     if len(bottoms) != 1 or len(tops) != 1:

@@ -3,7 +3,7 @@
 Each subcommand loads its inputs, runs the corresponding module checks, and
 emits a deterministic JSON report (to --out) plus a short human summary on
 stdout. Exit codes: 0 all checks pass, 1 a check failed, 2 input error,
-3 search budget exceeded.
+3 search budget exceeded, 4 internal error (a bug, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .aggregation import (
     enumerate_rational_profiles,
     qualifying_criteria,
 )
-from .algebra import enumerate_homomorphisms, is_homomorphism, product_algebra
+from .algebra import enumerate_homomorphisms, product_algebra
 from .errors import AggcheckError, BudgetExceededError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter
@@ -34,6 +34,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _tool_stamp(args: argparse.Namespace) -> dict:
@@ -160,11 +161,8 @@ def cmd_classify_dictators(args: argparse.Namespace) -> int:
     if algebra.size != 2:
         raise ValueError("dictator classification needs a two-element algebra")
     criterion = load_criterion(args.criterion, algebra)
-    hom, violation = is_homomorphism(
-        criterion.values,
-        product_algebra(algebra, criterion.electorate),
-        algebra,
-    )
+    violation = criterion.homomorphism_violation()
+    hom = violation is None
     view = decisive_coalitions(criterion)
     check = is_ultrafilter(view)
     dictator = classify_dictator(criterion)
@@ -369,6 +367,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (AggcheckError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # never let a crash pass for a verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -111,9 +111,6 @@ def _element_index(algebra: FiniteAlgebra, value) -> int:
     return algebra.carrier.index(str(value))
 
 
-BUILTIN_LOGICS = "boolean2, boolean2-degree, mvK, mvK-degree (K >= 2)"
-
-
 def load_matrix(spec: PathLike) -> Matrix:
     """Load a matrix from a JSON file, or build a named builtin:
     ``boolean2``, ``mv3``, ... with an optional ``-degree`` suffix."""

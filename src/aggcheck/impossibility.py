@@ -13,7 +13,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from .aggregation import DecisionCriterion
-from .algebra import is_homomorphism, product_algebra, product_element_index
+from .algebra import product_element_index
 
 
 @dataclass(frozen=True)
@@ -56,57 +56,32 @@ def is_ultrafilter(view: UltrafilterView) -> UltrafilterCheck:
     n = view.electorate
     everyone = frozenset(range(n))
     family = view.decisive
+    members = sorted(family, key=sorted)
     violations: list[tuple[str, str]] = []
-
+    # the first witness against each axiom, in a fixed order
     if frozenset() in family:
         violations.append(("properness", "the empty coalition is decisive"))
-    upward = True
-    for c in sorted(family, key=sorted):
-        for extra in range(n):
-            bigger = c | {extra}
-            if bigger not in family:
-                upward = False
-                violations.append(
-                    ("upward closure", f"{sorted(c)} decisive but {sorted(bigger)} is not")
-                )
-                break
-        if not upward:
-            break
-    intersect = True
-    for a, b in combinations(sorted(family, key=sorted), 2):
-        if a & b not in family:
-            intersect = False
-            violations.append(
-                (
-                    "intersection",
-                    f"{sorted(a)} ∩ {sorted(b)} = {sorted(a & b)} is not decisive",
-                )
-            )
-            break
-    maximal = True
-    for mask in range(1 << n):
-        c = frozenset(i for i in range(n) if mask >> i & 1)
-        inside = (c in family) + (everyone - c in family)
-        if inside != 1:
-            maximal = False
-            violations.append(
-                (
-                    "maximality",
-                    f"{'both' if inside == 2 else 'neither'} of {sorted(c)} and its "
-                    "complement are decisive",
-                )
-            )
-            break
+    upward = next(((c, c | {x}) for c in members for x in range(n) if c | {x} not in family), None)
+    if upward:
+        small, big = upward
+        violations.append(("upward closure", f"{sorted(small)} decisive but {sorted(big)} is not"))
+    meet = next(((a, b) for a, b in combinations(members, 2) if a & b not in family), None)
+    if meet:
+        a, b = meet
+        violations.append(
+            ("intersection", f"{sorted(a)} ∩ {sorted(b)} = {sorted(a & b)} is not decisive")
+        )
+    coalitions = (frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+    split = next(
+        ((c, k) for c in coalitions if (k := (c in family) + (everyone - c in family)) != 1), None
+    )
+    if split:
+        c, inside = split
+        both = "both" if inside == 2 else "neither"
+        violations.append(("maximality", f"{both} of {sorted(c)} and its complement are decisive"))
 
-    proper = frozenset() not in family and bool(family)
-    is_filter = proper and upward and intersect
-    oligarchs = None
-    if is_filter and not maximal:
-        members = sorted(family, key=sorted)
-        core = members[0]
-        for c in members[1:]:
-            core = core & c
-        oligarchs = frozenset(core)
+    is_filter = bool(family) and frozenset() not in family and not upward and not meet
+    oligarchs = frozenset.intersection(*members) if is_filter and split else None
     return UltrafilterCheck(
         is_ultrafilter=not violations,
         is_filter=is_filter,
@@ -121,12 +96,7 @@ def classify_dictator(criterion: DecisionCriterion) -> Optional[int]:
     if criterion.algebra.size != 2:
         raise ValueError("dictator classification is defined over a 2-element carrier")
     n = criterion.electorate
-    ok, _ = is_homomorphism(
-        criterion.values,
-        product_algebra(criterion.algebra, n),
-        criterion.algebra,
-    )
-    if not ok:
+    if criterion.homomorphism_violation():
         return None
     for voter in range(n):
         if all(

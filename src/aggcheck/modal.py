@@ -10,11 +10,13 @@ world as the satisfaction notion (local consequence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import compress, count
+from operator import and_
 from typing import Iterable, Optional
 
-from .algebra import FiniteAlgebra, evaluate
+from .algebra import FiniteAlgebra, truth_vectors, vector_program
+from .errors import BudgetExceededError
 from .syntax import App, Formula, Signature, Var, variables_of
 
 MODAL_SIGNATURE = Signature(
@@ -38,8 +40,26 @@ class KripkeFrame:
     def is_reflexive(self) -> bool:
         return all((w, w) in self.relation for w in range(self.worlds))
 
-    def successors(self, world: int) -> tuple[int, ...]:
-        return tuple(b for a, b in sorted(self.relation) if a == world)
+
+@lru_cache(maxsize=None)
+def _powerset_boolean_algebra(worlds: int) -> tuple[tuple[str, ...], tuple, frozenset]:
+    """Carrier labels, Boolean operation tables and inclusion order of the
+    powerset of ``worlds`` worlds, shared by every frame on them."""
+    size = 1 << worlds
+    full = size - 1
+
+    def subset_label(mask: int) -> str:
+        return "{" + ",".join(str(w) for w in range(worlds) if mask >> w & 1) + "}"
+
+    ops = (
+        ("not", tuple(full ^ a for a in range(size))),
+        ("or", tuple(a | b for a in range(size) for b in range(size))),
+        ("and", tuple(a & b for a in range(size) for b in range(size))),
+        ("bot", (0,)),
+        ("top", (full,)),
+    )
+    order = frozenset((a, b) for a in range(size) for b in range(size) if a & ~b == 0)
+    return tuple(subset_label(a) for a in range(size)), ops, order
 
 
 def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
@@ -62,24 +82,12 @@ def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
     def box(a: int) -> int:
         return sum(1 << w for w in range(n) if succ[w] & ~a == 0)
 
-    def subset_label(mask: int) -> str:
-        return "{" + ",".join(str(w) for w in range(n) if mask >> w & 1) + "}"
-
-    ops = (
-        ("not", tuple(full ^ a for a in range(size))),
-        ("or", tuple(a | b for a in range(size) for b in range(size))),
-        ("and", tuple(a & b for a in range(size) for b in range(size))),
-        ("bot", (0,)),
-        ("top", (full,)),
-        ("box", tuple(box(a) for a in range(size))),
-    )
+    carrier, boolean_ops, order = _powerset_boolean_algebra(n)
     algebra = FiniteAlgebra(
         signature=MODAL_SIGNATURE,
-        carrier=tuple(subset_label(a) for a in range(size)),
-        ops=tuple(ops),
-        order=frozenset(
-            (a, b) for a in range(size) for b in range(size) if a & ~b == 0
-        ),
+        carrier=carrier,
+        ops=(*boolean_ops, ("box", tuple(box(a) for a in range(size)))),
+        order=order,
         name=f"frame-algebra-{n}w",
     )
     boxt = algebra.tables["box"]
@@ -109,14 +117,22 @@ def reflexive_frames(worlds: int) -> list[KripkeFrame]:
     subsets of the off-diagonal pairs by binary counting over the pairs in
     lexicographic order."""
     diagonal = [(w, w) for w in range(worlds)]
-    off = [
-        (a, b) for a in range(worlds) for b in range(worlds) if a != b
+    off = [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
+    return [
+        KripkeFrame(worlds, frozenset(diagonal + [p for i, p in enumerate(off) if mask >> i & 1]))
+        for mask in range(1 << len(off))
     ]
-    frames = []
-    for mask in range(1 << len(off)):
-        chosen = [off[i] for i in range(len(off)) if mask >> i & 1]
-        frames.append(KripkeFrame(worlds, frozenset(diagonal + chosen)))
-    return frames
+
+
+# Reflexive frames on 5 worlds number 2^20; searches refuse that bound.
+MAX_FRAMES = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _frame_algebras(worlds: int) -> tuple[tuple[KripkeFrame, FiniteAlgebra], ...]:
+    """Every reflexive frame on the given world count with its algebra, in
+    reflexive_frames order; built once per world count."""
+    return tuple((frame, bao_from_frame(frame)) for frame in reflexive_frames(worlds))
 
 
 @dataclass(frozen=True)
@@ -140,15 +156,25 @@ def is_consistent(
         raise ValueError("max_worlds must be >= 1")
     formulas = tuple(formulas)
     names = sorted({v for f in formulas for v in variables_of(f)})
+    frames = 1 << (max_worlds * (max_worlds - 1))
+    if frames > MAX_FRAMES:
+        raise BudgetExceededError(
+            f"{frames} reflexive frames on {max_worlds} worlds exceed budget {MAX_FRAMES}"
+        )
+    program = vector_program(formulas, names)
     for n in range(1, max_worlds + 1):
-        for frame in reflexive_frames(n):
-            algebra = bao_from_frame(frame)
-            for values in product(range(algebra.size), repeat=len(names)):
-                valuation = dict(zip(names, values))
-                truths = [evaluate(f, valuation, algebra) for f in formulas]
-                for world in range(n):
-                    if all(t >> world & 1 for t in truths):
-                        return True, ConsistencyWitness(frame, valuation, world)
+        for frame, algebra in _frame_algebras(n):
+            vectors = program(algebra)
+            # per valuation, the worlds where every formula is true, as a bitmask
+            common = [(1 << n) - 1] * algebra.size ** len(names)
+            for vec in vectors:
+                common = list(map(and_, common, vec))
+            w = next(compress(count(), common), None)
+            if w is not None:
+                values = truth_vectors(map(Var, names), names, algebra)
+                valuation = {name: vec[w] for name, vec in zip(names, values)}
+                world = (common[w] & -common[w]).bit_length() - 1
+                return True, ConsistencyWitness(frame, valuation, world)
     return False, None
 
 
@@ -177,19 +203,14 @@ class SubjunctiveReport:
 def certify_implication_bottom(max_worlds: int) -> bool:
     """In every frame algebra up to the bound, the meet of box(not p or q),
     p and not q is bottom, pointwise over all element pairs."""
-    for n in range(1, max_worlds + 1):
-        for frame in reflexive_frames(n):
-            algebra = bao_from_frame(frame)
-            bot = algebra.constant("bot")
-            for p in range(algebra.size):
-                for q in range(algebra.size):
-                    impl = algebra.op("box", [algebra.op("or", [algebra.op("not", [p]), q])])
-                    meet = algebra.op(
-                        "and", [algebra.op("and", [impl, p]), algebra.op("not", [q])]
-                    )
-                    if meet != bot:
-                        return False
-    return True
+    p, q = Var("p"), Var("q")
+    meet = App("and", (App("and", (subjunctive_implication(p, q), p)), App("not", (q,))))
+    program = vector_program([meet], ["p", "q"])
+    return all(
+        set(program(algebra)[0]) == {algebra.constant("bot")}
+        for n in range(1, max_worlds + 1)
+        for _, algebra in _frame_algebras(n)
+    )
 
 
 def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
@@ -211,29 +232,17 @@ def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
     subj = subjunctive_implication(p, q)
     mat = material_implication(p, q)
 
-    condition_a = {}
-    condition_a["inconsistent with p,not q"] = not is_consistent(
-        [subj, p, nq], max_worlds
-    )[0]
+    def consistent(formula: Formula, label: str) -> bool:
+        return is_consistent([formula, *sides[label]], max_worlds)[0]
+
+    condition_a = {"inconsistent with p,not q": not consistent(subj, "p,not q")}
     for label in ("p,q", "not p,q", "not p,not q"):
-        condition_a[f"consistent with {label}"] = is_consistent(
-            [subj, *sides[label]], max_worlds
-        )[0]
-
-    neg_subj = App("not", (subj,))
+        condition_a[f"consistent with {label}"] = consistent(subj, label)
     condition_b = {
-        f"consistent with {label}": is_consistent(
-            [neg_subj, *sides[label]], max_worlds
-        )[0]
-        for label in sides
+        f"consistent with {label}": consistent(App("not", (subj,)), label) for label in sides
     }
-
-    neg_mat = App("not", (mat,))
     material_b = {
-        f"consistent with {label}": is_consistent(
-            [neg_mat, *sides[label]], max_worlds
-        )[0]
-        for label in sides
+        f"consistent with {label}": consistent(App("not", (mat,)), label) for label in sides
     }
 
     return SubjunctiveReport(

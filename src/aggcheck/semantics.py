@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, all_valuations, evaluate
+from .algebra import FiniteAlgebra, closure_vectors, truth_vectors
 from .errors import BudgetExceededError
 from .syntax import (
     App,
@@ -85,9 +85,9 @@ def entails(
     premises = tuple(premises)
     names = _collect_variables((*premises, conclusion))
     algebra = matrix.algebra
-    for valuation in all_valuations(names, algebra):
-        values = [evaluate(p, valuation, algebra) for p in premises]
-        c = evaluate(conclusion, valuation, algebra)
+    *vectors, conclusion_vector = truth_vectors((*premises, conclusion), names, algebra)
+    for w, c in enumerate(conclusion_vector):
+        values = [vec[w] for vec in vectors]
         if matrix.mode == FILTER_MODE:
             if all(v in matrix.designated for v in values) and c not in matrix.designated:
                 return False
@@ -118,24 +118,15 @@ def _holding_masks(matrix: Matrix, fragment: Sequence[Formula]) -> tuple[list[in
     """
     algebra = matrix.algebra
     names = _collect_variables(fragment)
-    masks = [0] * len(fragment)
-    width = 0
+    vectors = truth_vectors(fragment, names, algebra)
+    size = algebra.size
     if matrix.mode == FILTER_MODE:
-        for valuation in all_valuations(names, algebra):
-            for i, f in enumerate(fragment):
-                if evaluate(f, valuation, algebra) in matrix.designated:
-                    masks[i] |= 1 << width
-            width += 1
-    else:
-        downset = [
-            sum(1 << a for a in range(algebra.size) if algebra.leq(a, b))
-            for b in range(algebra.size)
-        ]
-        for valuation in all_valuations(names, algebra):
-            for i, f in enumerate(fragment):
-                masks[i] |= downset[evaluate(f, valuation, algebra)] << width
-            width += algebra.size
-    return masks, width
+        block, pattern = 1, [int(b in matrix.designated) for b in range(size)]
+    else:  # the downset of each value
+        block = size
+        pattern = [sum(1 << a for a in range(size) if algebra.leq(a, b)) for b in range(size)]
+    masks = [sum(pattern[v] << (w * block) for w, v in enumerate(vec)) for vec in vectors]
+    return masks, size ** len(names) * block
 
 
 @dataclass(frozen=True)
@@ -183,13 +174,6 @@ class BoundedConsequence:
                 out |= 1 << i
         return out
 
-    def entails_subset(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
-        index = {f: i for i, f in enumerate(self.fragment)}
-        mask = 0
-        for p in premises:
-            mask |= 1 << index[p]
-        return bool(self.closure_mask(mask) >> index[conclusion] & 1)
-
     @cached_property
     def relation(self) -> frozenset[tuple[frozenset[Formula], Formula]]:
         """All (premise set, conclusion) pairs over the fragment."""
@@ -226,23 +210,8 @@ class ClosureLawsReport:
 def check_closure_laws(bc: BoundedConsequence) -> ClosureLawsReport:
     """Verify extensivity, monotonicity and idempotence of the induced
     closure operator on every subset of the fragment."""
-    frag = bc.fragment
-    n = len(frag)
-    masks, width = bc._masks
-    full = (1 << width) - 1
-    # lower[m]: AND of holding-masks over the subset m, by dynamic programming
-    lower = [full] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        lower[m] = lower[m ^ low] & masks[low.bit_length() - 1]
-    closure = [0] * (1 << n)
-    for m in range(1 << n):
-        c = 0
-        lm = lower[m]
-        for i in range(n):
-            if lm & ~masks[i] == 0:
-                c |= 1 << i
-        closure[m] = c
+    n = len(bc.fragment)
+    closure = [bc.closure_mask(m) for m in range(1 << n)]
 
     extensive = monotone = idempotent = True
     violations = []
@@ -303,42 +272,24 @@ def check_selfextensionality(
     at this depth.
     """
     algebra = matrix.algebra
-    fragment = sorted(
-        bounded_closure([Var(v) for v in variables], algebra.signature, depth),
-        key=lambda f: (len(formula_sort_key(f)), formula_sort_key(f)),
-    )
     names = sorted(variables)
     n_valuations = algebra.size ** len(names)
-    if len(fragment) * n_valuations > budget:
-        raise BudgetExceededError(
-            f"{len(fragment)} formulas x {n_valuations} valuations exceed budget"
-        )
-
-    # representative formula per distinct truth vector, in fragment order
-    rep: dict[tuple[int, ...], Formula] = {}
-    valuations = list(all_valuations(names, algebra))
-    for f in fragment:
-        vec = tuple(evaluate(f, v, algebra) for v in valuations)
-        rep.setdefault(vec, f)
+    # least formula per distinct truth vector, shortest first, then by text
+    rep = closure_vectors(map(Var, variables), names, algebra, depth,
+                          key=lambda text: (len(text), text), budget=budget)
     vectors = list(rep)
 
-    if matrix.mode == FILTER_MODE:
-        def key(vec: tuple[int, ...]) -> tuple:
-            return tuple(v in matrix.designated for v in vec)
-    else:
-        # degree equivalence is identity of value at every valuation
-        def key(vec: tuple[int, ...]) -> tuple:
+    def key(vec: tuple[int, ...]) -> tuple:
+        """Holding pattern; degree equivalence is identity of value."""
+        if matrix.mode == DEGREE_MODE:
             return vec
+        return tuple(v in matrix.designated for v in vec)
 
     classes: dict[tuple, list[tuple[int, ...]]] = {}
     for vec in vectors:
         classes.setdefault(key(vec), []).append(vec)
 
-    pairs = [
-        (u, w)
-        for members in classes.values()
-        for u, w in combinations(members, 2)
-    ]
+    pairs = [pair for members in classes.values() for pair in combinations(members, 2)]
     if not pairs:
         return True, None
 
@@ -355,14 +306,8 @@ def check_selfextensionality(
                 for others in product(vectors, repeat=arity - 1):
                     args_u = others[:position] + (u,) + others[position:]
                     args_w = others[:position] + (w,) + others[position:]
-                    res_u = tuple(
-                        algebra.op(symbol, [a[i] for a in args_u])
-                        for i in range(len(valuations))
-                    )
-                    res_w = tuple(
-                        algebra.op(symbol, [a[i] for a in args_w])
-                        for i in range(len(valuations))
-                    )
+                    res_u = algebra.op_on_vectors(symbol, args_u, n_valuations)
+                    res_w = algebra.op_on_vectors(symbol, args_w, n_valuations)
                     if key(res_u) != key(res_w):
                         witness = CongruenceWitness(
                             connective=symbol,
@@ -413,10 +358,8 @@ def generate_sfilter(
     masks, width = _holding_masks(matrix, frag)
     full = (1 << width) - 1
     names = _collect_variables(frag)
-    h_values = [
-        [evaluate(f, valuation, algebra) for f in frag]
-        for valuation in all_valuations(names, algebra)
-    ]
+    # h_values[w][i]: value of fragment formula i at valuation w into ``algebra``
+    h_values = list(zip(*truth_vectors(frag, names, algebra)))
 
     current = set(seed)
     if any(not (0 <= e < algebra.size) for e in current):

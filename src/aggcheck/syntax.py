@@ -17,6 +17,10 @@ from .errors import FormulaSyntaxError
 VARNAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
 
+# Deeper nesting is rejected at parse time: printing, hashing and evaluating
+# formulas recurse once per level, far below Python's recursion limit here.
+MAX_FORMULA_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -121,7 +125,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     pos = 0
 
-    def parse_node() -> Formula:
+    def parse_node(level: int) -> Formula:
         nonlocal pos
         if pos >= len(tokens):
             raise FormulaSyntaxError("unexpected end of input", len(text))
@@ -130,6 +134,10 @@ def parse_formula(text: str, sig: Signature) -> Formula:
         if token == ")":
             raise FormulaSyntaxError("unexpected ')'", at)
         if token == "(":
+            if level == MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(
+                    f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at
+                )
             if pos >= len(tokens):
                 raise FormulaSyntaxError("unexpected end of input", len(text))
             head, head_at = tokens[pos]
@@ -145,7 +153,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
                 if tokens[pos][0] == ")":
                     pos += 1
                     break
-                args.append(parse_node())
+                args.append(parse_node(level + 1))
             if len(args) != sig.arity(head):
                 raise FormulaSyntaxError(
                     f"arity mismatch: {head!r} expects {sig.arity(head)} "
@@ -164,7 +172,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
             raise FormulaSyntaxError(f"invalid variable name {token!r}", at)
         return Var(token)
 
-    result = parse_node()
+    result = parse_node(0)
     if pos != len(tokens):
         raise FormulaSyntaxError("trailing input after formula", tokens[pos][1])
     return result

@@ -4,6 +4,7 @@ import pytest
 
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
+from aggcheck.syntax import MAX_FORMULA_DEPTH
 
 
 @pytest.fixture
@@ -204,3 +205,33 @@ class TestErrorPaths:
         path = tmp_path / "agenda.json"
         dump_json({"formulas": ["x1"]}, path)
         assert main(["check-agenda", "--logic", "nosuch", "--agenda", str(path)]) == 2
+
+    def test_over_deep_formula_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": ["(not " * 3000 + "x1" + ")" * 3000]}, path)
+        assert main(["check-agenda", "--logic", "boolean2",
+                     "--agenda", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nested deeper than" in err
+        assert "Traceback" not in err
+
+    def test_deepest_formula_is_checked(self, tmp_path):
+        path = tmp_path / "agenda.json"
+        deep = "(not " * MAX_FORMULA_DEPTH + "x1" + ")" * MAX_FORMULA_DEPTH
+        dump_json({"formulas": [deep, "x2"]}, path)
+        assert main(["verify-bijection", "--logic", "boolean2", "--agenda",
+                     str(path), "--electorate", "2"]) == 0
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def crash(bound):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr("aggcheck.cli.check_subjunctive_conditions", crash)
+        assert main(["check-subjunctive"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError('boom\\nsecond line')\n"
+        assert captured.out == ""
+
+    def test_frame_bound_budget_exit_code(self, capsys):
+        assert main(["check-subjunctive", "--frame-bound", "5"]) == 3
+        assert "reflexive frames" in capsys.readouterr().err

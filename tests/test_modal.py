@@ -1,5 +1,7 @@
 import pytest
 
+from aggcheck.errors import BudgetExceededError
+
 from aggcheck.modal import (
     KripkeFrame,
     MODAL_SIGNATURE,
@@ -130,6 +132,10 @@ class TestIsConsistent:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             is_consistent([Var("p")], 0)
+
+    def test_frame_budget_refuses_five_worlds_before_searching(self):
+        with pytest.raises(BudgetExceededError, match="1048576 reflexive frames"):
+            is_consistent([Var("p")], 5)
 
 
 class TestBottomCertification:

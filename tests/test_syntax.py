@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from aggcheck.errors import FormulaSyntaxError
 from aggcheck.syntax import (
+    MAX_FORMULA_DEPTH,
     App,
     Signature,
     Var,
@@ -82,6 +83,16 @@ class TestParse:
     def test_trailing_input_rejected(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("x1 x2", BOOL_SIG)
+
+    def test_nesting_limit(self):
+        def nested(depth):
+            return "(not " * depth + "x1" + ")" * depth
+
+        assert parse_formula(nested(MAX_FORMULA_DEPTH), BOOL_SIG)
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(nested(3000), BOOL_SIG)
+        assert "nested deeper than" in str(err.value)
+        assert err.value.position == len("(not ") * MAX_FORMULA_DEPTH
 
     @given(formulas())
     @settings(max_examples=60, deadline=None)
