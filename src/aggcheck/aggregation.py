@@ -32,6 +32,7 @@ from .algebra import (
     is_homomorphism,
     product_algebra,
     product_element_index,
+    search_tables,
     truth_vectors,
 )
 from .errors import BudgetExceededError
@@ -397,7 +398,8 @@ def _fragment_and_vectors(
     that formula's constraints, so the checks below skip it.
     """
     variables, algebra = agenda.variables, agenda.algebra
-    closure = closure_vectors(agenda.formulas, variables, algebra, depth)
+    closure = closure_vectors(agenda.formulas, variables, algebra, depth,
+                              budget=DEFAULT_CRITERION_BUDGET)
     vector_of = {formula: vector for vector, formula in closure.items()}
     vector_of.update(zip(agenda.formulas, truth_vectors(agenda.formulas, variables, algebra)))
     fragment = tuple(sorted(vector_of, key=formula_sort_key))
@@ -618,9 +620,16 @@ def check_pareto(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force census of qualifying aggregators (independent of the
-# homomorphism equation; used as the second route of the bijection check)
+# Census of qualifying aggregators (independent of the homomorphism
+# equation; used as the second route of the bijection check)
 # ---------------------------------------------------------------------------
+
+
+class _RationalLookup(dict):
+    """Census constraint table by rational attitude; others read -1."""
+
+    def __missing__(self, key: int) -> int:
+        return -1
 
 
 def qualifying_criteria(
@@ -630,56 +639,40 @@ def qualifying_criteria(
     budget: int = DEFAULT_CRITERION_BUDGET,
 ) -> list[DecisionCriterion]:
     """All total decision criteria whose induced aggregator is rational,
-    universal and strongly systematic, found by scanning every table.
+    universal and strongly systematic, found by a table search.
 
-    Universality and the existence of a criterion hold by construction for
-    criterion-induced aggregators; what is verified per candidate is (a)
-    rationality: every rational profile aggregates to a rational attitude,
-    and (b) the strong-systematicity identity on the depth-``depth`` closure:
-    the unique rational extension of each output agrees with the criterion
-    applied to the extended voter tuples. The homomorphism equation is never
-    consulted, so this census is an independent route to the same class.
+    Universality holds by construction for criterion-induced aggregators.
+    Each rational profile must aggregate to a rational attitude whose unique
+    rational extension on the depth-``depth`` closure agrees with the
+    criterion applied to the extended voter tuples. The homomorphism
+    equation is never consulted, so this census is an independent route to
+    the same class.
     """
-    algebra = agenda.algebra
-    size = algebra.size
-    n_tuples = size**electorate
-    n_candidates = size**n_tuples
-    if n_candidates > budget:
-        raise BudgetExceededError(
-            f"{n_candidates} candidate criteria exceed budget {budget}"
-        )
-
-    table = _rational_table(agenda)
-    valuation_of = {values: w for values, w in table}
-    # the distinct truth vectors of the closure: equal vectors repeat a check
-    vectors = tuple(dict.fromkeys(_fragment_and_vectors(agenda, depth)[1]))
-    n_profiles = len(table) ** electorate
-    if n_profiles * len(vectors) > budget:
-        raise BudgetExceededError("profile x fragment space exceeds budget")
-
-    # per profile: product index of the voter tuple at every agenda formula
-    # and at every distinct vector
-    profile_data = []
-    for combo in product(table, repeat=electorate):
-        ws = [w for _, w in combo]
-        agenda_columns = zip(*(values for values, _ in combo))
-        profile_data.append((
-            tuple(product_element_index(size, column) for column in agenda_columns),
-            tuple(product_element_index(size, [vec[w] for w in ws]) for vec in vectors),
-        ))
-
-    def qualifies(candidate: tuple[int, ...]) -> bool:
-        for agenda_indices, frag_indices in profile_data:
-            w = valuation_of.get(tuple(candidate[t] for t in agenda_indices))
-            if w is None:
-                return False  # output not rational
-            for vec, t in zip(vectors, frag_indices):
-                if candidate[t] != vec[w]:
-                    return False  # extension disagrees with the criterion
-        return True
-
+    size = agenda.algebra.size
+    constraints = _census_constraints(agenda, electorate, depth, budget)
     return [
-        DecisionCriterion(algebra, electorate, candidate)
-        for candidate in product(range(size), repeat=n_tuples)
-        if qualifies(candidate)
+        DecisionCriterion(agenda.algebra, electorate, values)
+        for values in search_tables(size**electorate, size, constraints, budget)
     ]
+
+
+def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int):
+    """Per rational profile and distinct closure vector v: the criterion at
+    the voters' tuple on v equals v at the least valuation witnessing the
+    output attitude, so that attitude must be rational (v ranges over the
+    agenda formulas' vectors too)."""
+    size = agenda.algebra.size
+    rational = _rational_table(agenda)
+    vectors = tuple(dict.fromkeys(_fragment_and_vectors(agenda, depth)[1]))
+    if len(rational) ** electorate * len(vectors) > budget:
+        raise BudgetExceededError("profile x fragment space exceeds budget")
+    tables = [
+        _RationalLookup({product_element_index(size, values): vec[w] for values, w in rational})
+        for vec in vectors
+    ]
+    for combo in product(rational, repeat=electorate):
+        ws = [w for _, w in combo]
+        # the output attitude is the criterion at each agenda formula's voter tuple
+        args = tuple(product_element_index(size, col) for col in zip(*(v for v, _ in combo)))
+        for vec, table in zip(vectors, tables):
+            yield table, args, product_element_index(size, [vec[w] for w in ws])

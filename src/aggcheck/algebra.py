@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, EvaluationError
@@ -247,19 +247,23 @@ def closure_vectors(
     return {vector: formula for vector, (_, _, formula) in ranked}
 
 
+def _power_size(size: int, n: int) -> int:
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    if size**n > 10_000:
+        raise ValueError(f"product carrier would have {size**n} elements")
+    return size**n
+
+
 def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
-    """Direct power with coordinatewise operations.
+    """Direct power with coordinatewise operations and no order.
 
     Element i of the product is the tuple of base indices given by the
     row-major rank i (first coordinate most significant); constants are
     constant tuples.
     """
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    size = algebra.size
-    if size**n > 10_000:
-        raise ValueError(f"product carrier would have {size**n} elements")
-    elements = list(product(range(size), repeat=n))
+    _power_size(algebra.size, n)
+    elements = list(product(range(algebra.size), repeat=n))
     index_of = {t: i for i, t in enumerate(elements)}
     carrier = tuple("(" + ",".join(algebra.carrier[c] for c in t) + ")" for t in elements)
     ops = []
@@ -269,19 +273,10 @@ def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
             coords = algebra.op_on_vectors(symbol, [elements[a] for a in args], n)
             entries.append(index_of[coords])
         ops.append((symbol, tuple(entries)))
-    order = None
-    if algebra.order is not None:
-        order = frozenset(
-            (i, j)
-            for i, ti in enumerate(elements)
-            for j, tj in enumerate(elements)
-            if all((a, b) in algebra.order for a, b in zip(ti, tj))
-        )
     return FiniteAlgebra(
         signature=algebra.signature,
         carrier=carrier,
         ops=tuple(ops),
-        order=order,
         name=f"{algebra.name or 'algebra'}^{n}",
     )
 
@@ -300,7 +295,9 @@ def is_homomorphism(
     """Check the homomorphism equation for every connective and argument tuple.
 
     Returns (True, None) or (False, (symbol, argument_tuple)) with the first
-    violation in signature order / row-major argument order.
+    violation in signature order / row-major argument order. Each row of
+    equations (one first argument) is checked at once, the target side by
+    applying its table coordinatewise.
     """
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
@@ -308,11 +305,18 @@ def is_homomorphism(
         raise ValueError("mapping must be total on the source carrier")
     if any(not (0 <= v < target.size) for v in mapping):
         raise ValueError("mapping has out-of-range values")
+    n = source.size
     for symbol, arity in source.signature.connectives:
-        for args in product(range(source.size), repeat=arity):
-            lhs = mapping[source.op(symbol, args)]
-            rhs = target.op(symbol, [mapping[a] for a in args])
-            if lhs != rhs:
+        table, width = source.tables[symbol], n ** max(arity - 1, 0)
+        later = [tuple([mapping[a] for a in column])  # mapped later arguments of a row
+                 for column in _variable_vectors(n, max(arity - 1, 0))]
+        for first in range(n if arity else 1):
+            head = [(mapping[first],) * width] if arity else []
+            image = target.op_on_vectors(symbol, head + later, width)
+            row = tuple([mapping[v] for v in table[first * width:(first + 1) * width]])
+            if row != image:
+                offset = next(i for i, (a, b) in enumerate(zip(row, image)) if a != b)
+                args = next(islice(product(range(n), repeat=arity), first * width + offset, None))
                 return False, (symbol, args)
     return True, None
 
@@ -335,58 +339,81 @@ class AlgebraHomomorphism:
         return self.mapping[element]
 
 
+def _check_candidates(slots: int, size: int, budget: int) -> None:
+    if size**slots > budget:
+        raise BudgetExceededError(
+            f"{size**slots} candidate maps exceed budget {budget}; "
+            "reduce the electorate or the algebra"
+        )
+
+
+def search_tables(
+    slots: int, size: int, constraints: Iterable[tuple], budget: int
+) -> list[tuple[int, ...]]:
+    """Every table t over ``range(size)`` with ``slots`` entries such that
+    ``t[result] == table[row-major index of (t[a] for a in args)]`` for each
+    constraint ``(table, args, result)``, in lexicographic order.
+
+    Depth-first with an explicit stack; each constraint is checked as soon as
+    its last slot is assigned. ``constraints`` is read only after the
+    ``size**slots`` candidates have passed the budget.
+    """
+    _check_candidates(slots, size, budget)
+    by_last: list[list[tuple]] = [[] for _ in range(slots)]
+    for constraint in constraints:
+        by_last[max((*constraint[1], constraint[2]))].append(constraint)
+
+    # t[:k+1] is the partial table, and t[k] steps through the values upwards
+    found: list[tuple[int, ...]] = []
+    t = [-1] * slots
+    k = 0
+    while k >= 0:
+        value = t[k] + 1
+        if value == size:
+            t[k] = -1
+            k -= 1
+            continue
+        t[k] = value
+        for table, args, result in by_last[k]:
+            index = 0
+            for a in args:
+                index = index * size + t[a]
+            if t[result] != table[index]:
+                break
+        else:
+            if k + 1 == slots:
+                found.append(tuple(t))
+            else:
+                k += 1
+    return found
+
+
 def enumerate_homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[AlgebraHomomorphism]:
-    """All homomorphisms source -> target, in lexicographic table order.
-
-    Depth-first assignment over source elements with pruning: a partial map is
-    abandoned as soon as some fully-assigned operation instance violates the
-    homomorphism equation.
-    """
+    """All homomorphisms source -> target, in lexicographic table order: the
+    table search over the homomorphism equations of the source operations."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
-    candidates = target.size**source.size
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"{candidates} candidate maps exceed budget {budget}; "
-            "reduce the electorate or the algebra"
-        )
+    equations = (
+        (target.tables[symbol], args, source.op(symbol, args))
+        for symbol, arity in source.signature.connectives
+        for args in product(range(source.size), repeat=arity)
+    )
+    return [
+        AlgebraHomomorphism(source, target, mapping)
+        for mapping in search_tables(source.size, target.size, equations, budget)
+    ]
 
-    # constraints[t]: (target table, arguments, result) of the op instances
-    # whose last-assigned element is t
-    constraints: list[list[tuple]] = [[] for _ in range(source.size)]
-    for symbol, arity in source.signature.connectives:
-        for args in product(range(source.size), repeat=arity):
-            result = source.op(symbol, args)
-            constraints[max((*args, result))].append((target.tables[symbol], args, result))
 
-    # Depth-first with an explicit stack: mapping[:k+1] is the partial map,
-    # and mapping[k] steps through the target values in increasing order.
-    found: list[AlgebraHomomorphism] = []
-    mapping = [-1] * source.size
-    k = 0
-    while k >= 0:
-        value = mapping[k] + 1
-        if value == target.size:
-            mapping[k] = -1
-            k -= 1
-            continue
-        mapping[k] = value
-        for table, args, result in constraints[k]:
-            index = 0
-            for a in args:
-                index = index * target.size + mapping[a]
-            if mapping[result] != table[index]:
-                break
-        else:
-            if k + 1 == source.size:
-                found.append(AlgebraHomomorphism(source, target, tuple(mapping)))
-            else:
-                k += 1
-    return found
+def power_homomorphisms(
+    algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> list[AlgebraHomomorphism]:
+    """All homomorphisms algebra^n -> algebra, refused before the power is built."""
+    _check_candidates(_power_size(algebra.size, n), algebra.size, budget)
+    return enumerate_homomorphisms(product_algebra(algebra, n), algebra, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .aggregation import (
     enumerate_rational_profiles,
     qualifying_criteria,
 )
-from .algebra import enumerate_homomorphisms, product_algebra
+from .algebra import power_homomorphisms
 from .errors import AggcheckError, BudgetExceededError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter
@@ -95,9 +95,7 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     agenda = load_agenda(args.agenda, matrix)
     algebra = agenda.algebra
     n = args.electorate
-    homs = enumerate_homomorphisms(
-        product_algebra(algebra, n), algebra, args.budget
-    )
+    homs = power_homomorphisms(algebra, n, args.budget)
     hom_tables = sorted(h.mapping for h in homs)
     qualifying = qualifying_criteria(agenda, n, args.depth, args.budget)
     qual_tables = sorted(c.values for c in qualifying)
@@ -271,9 +269,7 @@ def cmd_check_selfext(args: argparse.Namespace) -> int:
 def cmd_enumerate_homs(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.logic)
     algebra = matrix.algebra
-    homs = enumerate_homomorphisms(
-        product_algebra(algebra, args.electorate), algebra, args.budget
-    )
+    homs = power_homomorphisms(algebra, args.electorate, args.budget)
     report = {
         **_tool_stamp(args),
         "command": "enumerate-homs",

@@ -168,24 +168,6 @@ def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     return DecisionCriterion(algebra, n, values)
 
 
-def profiles_from_obj(obj: list, agenda: Agenda) -> list[list[int]]:
-    """A profile file is a list of attitude maps {formula text: value}."""
-    profiles = []
-    for row in obj:
-        values = [0] * len(agenda.formulas)
-        seen = set()
-        for text, value in row.items():
-            formula = parse_formula(text, agenda.signature)
-            if formula not in agenda.index:
-                raise ValueError(f"formula {text!r} is not in the agenda")
-            values[agenda.index[formula]] = _element_index(agenda.algebra, value)
-            seen.add(formula)
-        if len(seen) != len(agenda.formulas):
-            raise ValueError("attitude map must cover the whole agenda")
-        profiles.append(values)
-    return profiles
-
-
 def frame_to_obj(frame: KripkeFrame) -> dict:
     return {"worlds": frame.worlds, "relation": sorted([a, b] for a, b in frame.relation)}
 

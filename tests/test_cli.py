@@ -232,6 +232,34 @@ class TestErrorPaths:
         assert captured.err == "internal error: RuntimeError('boom\\nsecond line')\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["enumerate-homs", "verify-bijection"])
+    def test_candidate_budget_refuses_before_building_the_power(
+        self, command, bool_agenda_file, monkeypatch, capsys
+    ):
+        def unbuilt(algebra, n):
+            raise AssertionError("built the power before the budget check")
+
+        monkeypatch.setattr("aggcheck.algebra.product_algebra", unbuilt)
+        monkeypatch.setattr("aggcheck.cli.product_algebra", unbuilt, raising=False)
+        argv = [command, "--logic", "boolean2", "--electorate", "10"]
+        if command == "verify-bijection":
+            argv += ["--agenda", bool_agenda_file]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"budget exceeded: {2**1024} candidate maps exceed budget 100000000; "
+            "reduce the electorate or the algebra\n"
+        )
+
+    def test_closure_budget_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": ["x1", "x2", "(oplus x1 x2)"]}, path)
+        assert main(["verify-bijection", "--logic", "mv3", "--agenda", str(path),
+                     "--electorate", "1", "--depth", "4"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: closure layer of 12158520 formulas x 9 valuations "
+            "exceeds budget 100000000\n"
+        )
+
     def test_frame_bound_budget_exit_code(self, capsys):
         assert main(["check-subjunctive", "--frame-bound", "5"]) == 3
         assert "reflexive frames" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from aggcheck.fileio import (
     load_matrix,
     matrix_from_obj,
     matrix_to_obj,
-    profiles_from_obj,
 )
 from aggcheck.aggregation import majority_criterion
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain
@@ -107,24 +106,6 @@ class TestCriterionFormat:
         path = tmp_path / "crit.json"
         dump_json({"electorate": 1, "values": ["0", "1"]}, path)
         assert load_criterion(path, boolean2).values == (0, 1)
-
-
-class TestProfileFormat:
-    def test_attitude_maps(self, or_agenda):
-        rows = [
-            {"x1": 1, "x2": 0, "(or x1 x2)": 1},
-            {"x1": 0, "x2": 0, "(or x1 x2)": 0},
-        ]
-        values = profiles_from_obj(rows, or_agenda)
-        assert values == [[1, 0, 1], [0, 0, 0]]
-
-    def test_partial_map_rejected(self, or_agenda):
-        with pytest.raises(ValueError, match="cover"):
-            profiles_from_obj([{"x1": 1}], or_agenda)
-
-    def test_foreign_formula_rejected(self, or_agenda):
-        with pytest.raises(ValueError, match="not in the agenda"):
-            profiles_from_obj([{"(and x1 x2)": 1}], or_agenda)
 
 
 class TestFrameFormat:

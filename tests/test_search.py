@@ -1,0 +1,128 @@
+"""The shared table search, and the census that runs on it, against brute force."""
+
+from itertools import permutations, product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aggcheck import aggregation
+from aggcheck.agenda import agenda_over
+from aggcheck.aggregation import (
+    STRONGLY_SYSTEMATIC,
+    CriterionAggregator,
+    DecisionCriterion,
+    check_rational_universal,
+    check_systematicity,
+    projection_criterion,
+    qualifying_criteria,
+)
+from aggcheck.algebra import search_tables
+from aggcheck.errors import BudgetExceededError
+from aggcheck.syntax import parse_formula
+
+
+@st.composite
+def searches(draw):
+    """A small search: a table of -1..size-1 entries stands for a partial one."""
+    slots, size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    constraints = []
+    for _ in range(draw(st.integers(0, 4))):
+        args = tuple(draw(st.lists(st.integers(0, slots - 1), max_size=2)))
+        table = tuple(draw(st.lists(st.integers(-1, size - 1),
+                                    min_size=size ** len(args), max_size=size ** len(args))))
+        constraints.append((table, args, draw(st.integers(0, slots - 1))))
+    return slots, size, constraints
+
+
+def meets(t, constraint, size):
+    table, args, result = constraint
+    index = 0
+    for a in args:
+        index = index * size + t[a]
+    return t[result] == table[index]
+
+
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_search_equals_a_filter_of_every_table(search):
+    slots, size, constraints = search
+    brute = [
+        t for t in product(range(size), repeat=slots)
+        if all(meets(t, c, size) for c in constraints)
+    ]
+    assert search_tables(slots, size, constraints, size**slots) == brute
+
+
+def test_budget_refuses_before_reading_constraints():
+    def unread():
+        raise AssertionError("constraints read before the budget check")
+        yield
+
+    with pytest.raises(BudgetExceededError, match="^16 candidate maps exceed budget 15; "):
+        search_tables(4, 2, unread(), 15)
+
+
+def agenda(matrix, texts):
+    return agenda_over([parse_formula(t, matrix.algebra.signature) for t in texts], matrix)
+
+
+def definition_census(agenda, n, depth):
+    """Every criterion whose induced aggregator is universal, rational and
+    strongly systematic at ``depth``, checked one table at a time."""
+    size = agenda.algebra.size
+    found = []
+    for values in product(range(size), repeat=size**n):
+        aggregator = CriterionAggregator(DecisionCriterion(agenda.algebra, n, values), agenda)
+        if (check_rational_universal(aggregator).both and check_systematicity(
+                aggregator, STRONGLY_SYSTEMATIC, depth).holds):
+            found.append(values)
+    return found
+
+
+BOOLEAN = ["x1", "x2", "(or x1 x2)", "(not x1)"]
+OR = ["x1", "x2", "(or x1 x2)"]
+MV = ["x1", "x2", "(oplus x1 x2)"]
+CASES = [("classical", BOOLEAN, n, depth) for n in (1, 2, 3) for depth in (1, 2)]
+CASES += [("classical", OR, n, 1) for n in (1, 2)]
+CASES += [(logic, MV, 1, depth) for logic in ("luk3_filter", "luk3_degree") for depth in (1, 2)]
+
+
+@pytest.mark.parametrize("logic,texts,n,depth", CASES)
+def test_census_equals_the_definition(logic, texts, n, depth, request):
+    a = agenda(request.getfixturevalue(logic), texts)
+    census = [c.values for c in qualifying_criteria(a, n, depth)]
+    assert census == definition_census(a, n, depth)
+
+
+def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agenda):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census used the homomorphism route")
+
+    for name in ("is_homomorphism", "product_algebra", "enumerate_homomorphisms"):
+        monkeypatch.setattr(aggregation, name, forbidden, raising=False)
+    connective_tables = [id(t) for t in bool_agenda.algebra.tables.values()]
+    seen = []
+
+    def spy(slots, size, constraints, budget):
+        constraints = list(constraints)
+        seen.extend(id(table) for table, _, _ in constraints)
+        return search_tables(slots, size, constraints, budget)
+
+    monkeypatch.setattr(aggregation, "search_tables", spy)
+    census = [c.values for c in qualifying_criteria(bool_agenda, 2, depth=2)]
+    assert census == [projection_criterion(bool_agenda.algebra, 2, v).values for v in (0, 1)]
+    assert seen and not set(seen) & set(connective_tables)
+
+
+def test_census_of_a_24_formula_agenda(classical):
+    leaves = ["x1", "x2", "(not x1)", "(not x2)"]
+    pairs = [f"({c} {a} {b})" for c in ("or", "and") for a, b in permutations(leaves, 2)]
+    a = agenda(classical, (leaves + pairs)[:24])
+    assert len(a.formulas) == 24
+    census = [c.values for c in qualifying_criteria(a, 2)]
+    assert census == [projection_criterion(classical.algebra, 2, v).values for v in (0, 1)]
+
+
+def test_census_keeps_the_profile_budget(bool_agenda):
+    with pytest.raises(BudgetExceededError, match="profile x fragment"):
+        qualifying_criteria(bool_agenda, 3, budget=2**8)
