@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .agenda import Agenda, check_pseudo_rich, is_strictly_contingent, pseudo_richness
+from .agenda import Agenda, pseudo_richness
 from .algebra import (
     FiniteAlgebra,
     all_valuations,
@@ -33,10 +33,11 @@ from .algebra import (
     product_algebra,
     product_element_index,
     search_tables,
+    truth_vector,
     truth_vectors,
 )
 from .errors import BudgetExceededError
-from .syntax import Formula, bounded_closure, formula_sort_key  # noqa: F401 (traced binding)
+from .syntax import Formula, Var, bounded_closure, formula_sort_key  # noqa: F401 (traced binding)
 
 INDEPENDENT = "independent"
 SYSTEMATIC = "systematic"
@@ -74,8 +75,8 @@ class Profile:
     def __post_init__(self):
         if not self.attitudes:
             raise ValueError("empty profile")
-        agendas = {a.agenda for a in self.attitudes}
-        if len(agendas) != 1:
+        agenda = self.attitudes[0].agenda
+        if any(a.agenda != agenda for a in self.attitudes):
             raise ValueError("attitudes must share one agenda")
 
     @property
@@ -285,10 +286,9 @@ class CriterionAggregator:
     def apply(self, profile: Profile) -> AttitudeFunction:
         if profile.electorate != self.electorate:
             raise ValueError("profile has the wrong number of voters")
-        values = tuple(
-            self.criterion(profile.value_tuple(f)) for f in self.agenda.formulas
-        )
-        return AttitudeFunction(self.agenda, values)
+        # one voter tuple per agenda position
+        columns = zip(*(a.values for a in profile.attitudes))
+        return AttitudeFunction(self.agenda, tuple(map(self.criterion, columns)))
 
     def in_domain(self, profile: Profile) -> bool:
         rational = {v for v, _ in _rational_table(self.agenda)}
@@ -440,6 +440,7 @@ def check_systematicity(
             f"{len(profiles)} profiles x {len(fragment)} formulas exceed budget"
         )
 
+    positions = [agenda.index.get(formula) for formula in fragment]
     # key -> (output value, profile number, formula) of its first occurrence
     constraints: dict[object, tuple[int, int, Formula]] = {}
 
@@ -457,8 +458,7 @@ def check_systematicity(
                 ]
             if out_w is not None:
                 out_vals = tuple(vec[out_w] for vec in vectors)
-        for f_num, formula in enumerate(fragment):
-            pos = agenda.index.get(formula)
+        for f_num, (formula, pos) in enumerate(zip(fragment, positions)):
             if pos is not None:
                 attained = tuple(a.values[pos] for a in profile.attitudes)
                 out_value = output.values[pos]
@@ -488,6 +488,43 @@ def check_systematicity(
 # ---------------------------------------------------------------------------
 
 
+def witness_attitudes(
+    agenda: Agenda, via: Optional[Formula] = None
+) -> tuple[Formula, dict[int, AttitudeFunction]]:
+    """A witness formula and, for each carrier value b, the rational attitude
+    at the least valuation where the witness takes b.
+
+    The witness is the first pseudo-richness witness by default, which must
+    equal its variable at every valuation (so its attitude for b sets that
+    variable to b and every other to 0, as ``rational_attitude_with_values``
+    does), or any strictly contingent agenda formula passed as ``via``.
+    """
+    algebra = agenda.algebra
+    variable, variables = None, agenda.variables
+    if via is None:
+        level, witnesses = pseudo_richness(agenda)
+        if not level:
+            raise ValueError("agenda is not even 1-pseudo-rich")
+        via, variable = witnesses[0]
+        # on degenerate matrices the tracked variable may not occur in the agenda
+        variables = tuple(sorted({*variables, variable}))
+    elif via not in agenda.index:
+        raise ValueError("witness formula must belong to the agenda")
+    via_vector, *vectors = truth_vectors((via, *agenda.formulas), variables, algebra)
+    if variable is not None and via_vector != truth_vector(Var(variable), variables, algebra):
+        raise ValueError(
+            "pseudo-rich witness does not track its variable; "
+            "is the matrix a selfextensional presentation?"
+        )
+    attitude_for = {}
+    for w, b in enumerate(via_vector):
+        if b not in attitude_for:
+            attitude_for[b] = AttitudeFunction(agenda, tuple(vec[w] for vec in vectors))
+    if len(attitude_for) != algebra.size:
+        raise ValueError("witness formula must be strictly contingent")
+    return via, attitude_for
+
+
 def criterion_from_aggregator(
     aggregator: Aggregator,
     via: Optional[Formula] = None,
@@ -497,11 +534,10 @@ def criterion_from_aggregator(
     """Extract the total decision criterion of a rational, universal,
     strongly systematic aggregator, and verify it is a homomorphism.
 
-    Every voter tuple is attained on a single witness formula: the first
-    pseudo-richness witness by default, or any strictly contingent formula
-    passed as ``via``. The preconditions are verified, not assumed; the final
-    homomorphism assertion failing signals a non-qualifying aggregator (or a
-    bug) and raises.
+    Every voter tuple is attained on a single witness formula (see
+    ``witness_attitudes``). The preconditions are verified, not assumed; the
+    final homomorphism assertion failing signals a non-qualifying aggregator
+    (or a bug) and raises.
     """
     agenda = aggregator.agenda
     algebra = agenda.algebra
@@ -517,38 +553,12 @@ def criterion_from_aggregator(
     if not strong.holds:
         raise ValueError(f"aggregator is not strongly systematic: {strong.conflict}")
 
-    # one rational attitude per target value of the witness formula
-    if via is None:
-        ok, _ = check_pseudo_rich(agenda, 1)
-        if not ok:
-            raise ValueError("agenda is not even 1-pseudo-rich")
-        attitude_for = {}
-        for b in range(algebra.size):
-            # the witness formula is the same on every iteration: the first
-            # pseudo-richness witness of the agenda
-            (delta,), attitude = rational_attitude_with_values(agenda, [b])
-            attitude_for[b] = attitude
-    else:
-        delta = via
-        if via not in agenda.index:
-            raise ValueError("witness formula must belong to the agenda")
-        if not is_strictly_contingent(via, algebra):
-            raise ValueError("witness formula must be strictly contingent")
-        attitude_for = {}
-        via_vector, *vectors = truth_vectors(
-            (via, *agenda.formulas), agenda.variables, algebra
-        )
-        for w, b in enumerate(via_vector):
-            if b not in attitude_for:
-                values = tuple(vec[w] for vec in vectors)
-                attitude_for[b] = AttitudeFunction(agenda, values)
-        if len(attitude_for) != algebra.size:
-            raise ValueError("witness formula must be strictly contingent")
-
-    values = []
-    for coords in product(range(algebra.size), repeat=n):
-        profile = Profile(tuple(attitude_for[b] for b in coords))
-        values.append(aggregator.apply(profile).value(delta))
+    via, attitude_for = witness_attitudes(agenda, via)
+    position = agenda.index[via]
+    values = [
+        aggregator.apply(Profile(tuple(attitude_for[b] for b in coords))).values[position]
+        for coords in product(range(algebra.size), repeat=n)
+    ]
     criterion = DecisionCriterion(algebra, n, tuple(values))
     violation = criterion.homomorphism_violation()
     if violation:

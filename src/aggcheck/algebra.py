@@ -20,6 +20,7 @@ from .syntax import App, Formula, Signature, Var, print_formula
 Valuation = Mapping[str, int]
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
+MAX_POWER_SIZE = 10_000  # most elements of a power that product_algebra builds
 
 
 @dataclass(frozen=True)
@@ -250,8 +251,10 @@ def closure_vectors(
 def _power_size(size: int, n: int) -> int:
     if n < 1:
         raise ValueError("power must be >= 1")
-    if size**n > 10_000:
-        raise ValueError(f"product carrier would have {size**n} elements")
+    if size**n > MAX_POWER_SIZE:
+        raise BudgetExceededError(
+            f"product carrier would have {size**n} elements, over the limit of {MAX_POWER_SIZE}"
+        )
     return size**n
 
 
@@ -341,8 +344,12 @@ class AlgebraHomomorphism:
 
 def _check_candidates(slots: int, size: int, budget: int) -> None:
     if size**slots > budget:
+        try:
+            count = str(size**slots)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            count = f"{size}^{slots}"
         raise BudgetExceededError(
-            f"{size**slots} candidate maps exceed budget {budget}; "
+            f"{count} candidate maps exceed budget {budget}; "
             "reduce the electorate or the algebra"
         )
 

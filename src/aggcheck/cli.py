@@ -19,7 +19,6 @@ from .aggregation import (
     DecisionCriterion,
     aggregator_from_criterion,
     criterion_from_aggregator,
-    enumerate_rational_profiles,
     qualifying_criteria,
 )
 from .algebra import power_homomorphisms
@@ -100,24 +99,16 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     qualifying = qualifying_criteria(agenda, n, args.depth, args.budget)
     qual_tables = sorted(c.values for c in qualifying)
 
+    # homomorphism -> aggregator -> criterion must give the table back; the
+    # criterion fixes the aggregator, so equal tables close the round trip
     roundtrip_failures = []
-    rational_profiles = enumerate_rational_profiles(agenda, n, args.budget)
     for table in hom_tables:
-        criterion = DecisionCriterion(algebra, n, tuple(table))
-        aggregator = aggregator_from_criterion(criterion, agenda)
+        aggregator = aggregator_from_criterion(DecisionCriterion(algebra, n, table), agenda)
         extracted = criterion_from_aggregator(aggregator, depth=args.depth)
-        if extracted.values != criterion.values:
+        if extracted.values != table:
             roundtrip_failures.append(
                 {"criterion": list(table), "extracted": list(extracted.values)}
             )
-            continue
-        rebuilt = aggregator_from_criterion(extracted, agenda)
-        for profile in rational_profiles:
-            if rebuilt.apply(profile).values != aggregator.apply(profile).values:
-                roundtrip_failures.append(
-                    {"criterion": list(table), "disagrees_on_profile": True}
-                )
-                break
 
     counts_equal = len(hom_tables) == len(qual_tables)
     same_tables = hom_tables == qual_tables

@@ -1,5 +1,5 @@
-"""JSON file formats for signatures, algebras, matrices, agendas, profiles,
-criteria and frames.
+"""JSON file formats for signatures, algebras, matrices, agendas and
+criteria.
 
 Operation tables are stored row-major: arity 0 as a one-element list, arity
 m >= 1 as one row per first argument, each row the flat table over the
@@ -15,7 +15,6 @@ from typing import Any, Union
 from .agenda import Agenda
 from .aggregation import DecisionCriterion
 from .algebra import FiniteAlgebra, builtin_boolean2, builtin_mv_chain
-from .modal import KripkeFrame
 from .semantics import DEGREE_MODE, FILTER_MODE, Matrix
 from .syntax import Signature, parse_formula, print_formula
 
@@ -166,19 +165,6 @@ def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     n = int(obj["electorate"])
     values = tuple(_element_index(algebra, v) for v in obj["values"])
     return DecisionCriterion(algebra, n, values)
-
-
-def frame_to_obj(frame: KripkeFrame) -> dict:
-    return {"worlds": frame.worlds, "relation": sorted([a, b] for a, b in frame.relation)}
-
-
-def load_frame(path: PathLike) -> KripkeFrame:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return KripkeFrame(
-        int(obj["worlds"]),
-        frozenset((int(a), int(b)) for a, b in obj["relation"]),
-    )
 
 
 def dump_json(obj: dict, path: PathLike) -> None:

@@ -24,9 +24,11 @@ from aggcheck.aggregation import (
     qualifying_criteria,
     rational_attitude_with_values,
     rational_profile_with_values,
+    witness_attitudes,
 )
 from aggcheck.agenda import agenda_over
-from aggcheck.algebra import is_homomorphism, product_algebra
+from aggcheck.algebra import builtin_distributive_lattice, is_homomorphism, product_algebra
+from aggcheck.semantics import DEGREE_MODE, Matrix
 from aggcheck.syntax import parse_formula
 
 
@@ -108,6 +110,51 @@ class TestWitnessConstructions:
         deltas, profile = rational_profile_with_values(or_agenda, 3, targets)
         assert profile.value_tuple(deltas[0]) == (1, 0, 0)
         assert profile.value_tuple(deltas[1]) == (0, 1, 0)
+
+
+    @pytest.mark.parametrize("logic,texts", [
+        ("classical", ["x1", "x2", "(or x1 x2)", "(not x1)"]),
+        ("classical", ["(or x1 x2)", "(not (not x2))", "(not x1)"]),
+        ("classical", ["x1", "x2", "(or x1 x2)"]),
+        ("luk3_filter", ["x1", "x2", "(oplus x1 x2)"]),
+        ("luk3_filter", ["(odot x1 x2)", "(not (not x2))"]),
+        ("luk3_degree", ["x1", "x2", "(oplus x1 x2)"]),
+        ("luk3_degree", ["(oplus x1 x2)", "(not (not x2))", "x3"]),
+        ("diamond", ["x1", "x2", "(or x1 x2)"]),
+        ("diamond_degree", ["(or x1 x2)", "(and x2 x2)"]),
+    ])
+    def test_default_witness_attitudes_match_the_prescribed_values(
+        self, request, logic, texts
+    ):
+        # oracle: the per-value construction, which evaluates the agenda at
+        # the witness's variable set to b and every other variable to 0
+        if logic.startswith("diamond"):
+            lattice = builtin_distributive_lattice(
+                ["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)]
+            )
+            matrix = (Matrix(lattice, None, DEGREE_MODE) if logic == "diamond_degree"
+                      else Matrix(lattice, frozenset({3}), "filter"))
+        else:
+            matrix = request.getfixturevalue(logic)
+        agenda = agenda_over([f(t, matrix) for t in texts], matrix)
+        delta, attitude_for = witness_attitudes(agenda)
+        assert sorted(attitude_for) == list(range(agenda.algebra.size))
+        for b, attitude in attitude_for.items():
+            deltas, expected = rational_attitude_with_values(agenda, [b])
+            assert deltas == (delta,)
+            assert attitude == expected
+
+    def test_witness_of_a_variable_outside_the_agenda(self, luk3):
+        # with every value designated, the constant 1 is interderivable with a
+        # variable that occurs nowhere in the agenda, and does not track it
+        everything = Matrix(luk3, frozenset(range(3)), "filter")
+        ag = agenda_over([f("1", everything), f("x1", everything)], everything)
+        with pytest.raises(ValueError, match="does not track its variable"):
+            witness_attitudes(ag)
+
+    def test_via_outside_the_agenda_rejected(self, or_agenda):
+        with pytest.raises(ValueError, match="must belong to the agenda"):
+            witness_attitudes(or_agenda, via=f("(and x1 x2)", or_agenda.matrix))
 
 
 class TestCheckRationalUniversal:

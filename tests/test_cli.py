@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
 from aggcheck.syntax import MAX_FORMULA_DEPTH
@@ -97,6 +98,37 @@ class TestVerifyBijection:
              "--electorate", "3", "--budget", "5"]
         )
         assert code == 3
+
+    def test_untracked_witness_is_an_input_error(self, tmp_path, capsys):
+        # (odot x1 x1) is interderivable with x1 under designated {1} but
+        # takes other values, so it cannot carry the extraction
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": ["(odot x1 x1)", "x2"]}, path)
+        argv = ["verify-bijection", "--logic", "mv3", "--agenda", str(path),
+                "--electorate", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "input error: pseudo-rich witness does not track its variable; "
+            "is the matrix a selfextensional presentation?\n"
+        )
+
+    def test_round_trip_failure_is_reported(self, bool_agenda_file, tmp_path, monkeypatch):
+        def flipped(aggregator, depth):
+            criterion = aggregator.criterion
+            return DecisionCriterion(criterion.algebra, criterion.electorate,
+                                     tuple(1 - v for v in criterion.values))
+
+        monkeypatch.setattr("aggcheck.cli.criterion_from_aggregator", flipped)
+        out = tmp_path / "report.json"
+        code = main(
+            ["verify-bijection", "--logic", "boolean2", "--agenda", bool_agenda_file,
+             "--electorate", "1", "--out", str(out)]
+        )
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["roundtrips"] == "fail"
+        assert report["roundtrip_failures"] == [{"criterion": [0, 1], "extracted": [1, 0]}]
+        assert report["same_tables"] and not report["pass"]
 
     def test_byte_stable_reports(self, bool_agenda_file, tmp_path):
         out1 = tmp_path / "r1.json"
@@ -249,6 +281,29 @@ class TestErrorPaths:
             f"budget exceeded: {2**1024} candidate maps exceed budget 100000000; "
             "reduce the electorate or the algebra\n"
         )
+
+    @pytest.mark.parametrize("command", ["enumerate-homs", "verify-bijection"])
+    def test_power_size_refusal_is_a_budget_error(self, command, bool_agenda_file, capsys):
+        argv = [command, "--logic", "boolean2", "--electorate", "14"]
+        if command == "verify-bijection":
+            argv += ["--agenda", bool_agenda_file]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: product carrier would have 16384 elements, "
+            "over the limit of 10000\n"
+        )
+
+    def test_candidate_count_past_the_digit_limit_is_a_budget_error(self, capsys):
+        # 10^10000 has more decimal digits than Python converts by default
+        assert main(["enumerate-homs", "--logic", "mv10", "--electorate", "4"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: 10^10000 candidate maps exceed budget 100000000; "
+            "reduce the electorate or the algebra\n"
+        )
+
+    def test_empty_electorate_is_an_input_error(self, capsys):
+        assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "0"]) == 2
+        assert capsys.readouterr().err == "input error: power must be >= 1\n"
 
     def test_closure_budget_exit_code(self, tmp_path, capsys):
         path = tmp_path / "agenda.json"

@@ -8,17 +8,14 @@ from aggcheck.fileio import (
     algebra_to_obj,
     criterion_to_obj,
     dump_json,
-    frame_to_obj,
     load_agenda,
     load_criterion,
-    load_frame,
     load_matrix,
     matrix_from_obj,
     matrix_to_obj,
 )
 from aggcheck.aggregation import majority_criterion
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain
-from aggcheck.modal import KripkeFrame
 
 
 class TestAlgebraFormat:
@@ -106,14 +103,6 @@ class TestCriterionFormat:
         path = tmp_path / "crit.json"
         dump_json({"electorate": 1, "values": ["0", "1"]}, path)
         assert load_criterion(path, boolean2).values == (0, 1)
-
-
-class TestFrameFormat:
-    def test_roundtrip(self, tmp_path):
-        frame = KripkeFrame(2, frozenset({(0, 0), (1, 1), (0, 1)}))
-        path = tmp_path / "frame.json"
-        dump_json(frame_to_obj(frame), path)
-        assert load_frame(path) == frame
 
 
 class TestDumpDeterminism:
