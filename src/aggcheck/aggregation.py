@@ -290,9 +290,12 @@ class CriterionAggregator:
         columns = zip(*(a.values for a in profile.attitudes))
         return AttitudeFunction(self.agenda, tuple(map(self.criterion, columns)))
 
+    @cached_property
+    def _rational_values(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(v for v, _ in _rational_table(self.agenda))
+
     def in_domain(self, profile: Profile) -> bool:
-        rational = {v for v, _ in _rational_table(self.agenda)}
-        return all(a.values in rational for a in profile.attitudes)
+        return all(a.values in self._rational_values for a in profile.attitudes)
 
     def domain_profiles(self, budget: int = DEFAULT_PROFILE_BUDGET) -> tuple[Profile, ...]:
         return enumerate_rational_profiles(self.agenda, self.electorate, budget)

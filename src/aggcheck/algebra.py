@@ -263,19 +263,37 @@ def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
 
     Element i of the product is the tuple of base indices given by the
     row-major rank i (first coordinate most significant); constants are
-    constant tuples.
+    constant tuples. Each table is built one coordinate at a time, by index
+    arithmetic: with x = (x1..xm) and d a base element, x*size + d is the
+    element (x1..xm, d) of the next power, and the operation on such
+    elements is its value on the x's times size plus its value on the d's.
     """
     _power_size(algebra.size, n)
-    elements = list(product(range(algebra.size), repeat=n))
-    index_of = {t: i for i, t in enumerate(elements)}
-    carrier = tuple("(" + ",".join(algebra.carrier[c] for c in t) + ")" for t in elements)
+    size = algebra.size
+    carrier = tuple("(" + ",".join(algebra.carrier[c] for c in t) + ")"
+                    for t in product(range(size), repeat=n))
     ops = []
     for symbol, arity in algebra.signature.connectives:
-        entries = []
-        for args in product(range(len(elements)), repeat=arity):
-            coords = algebra.op_on_vectors(symbol, [elements[a] for a in args], n)
-            entries.append(index_of[coords])
-        ops.append((symbol, tuple(entries)))
+        base = table = algebra.tables[symbol]
+        for width in (size**m for m in range(1, n)):  # table is on the width-element power
+            if arity == 0:
+                table = [table[0] * size + base[0]]
+                continue
+            # each column (arguments after the first) of the next power, as
+            # its column on the width-element power and its base column
+            columns = [(0, 0)]
+            for _ in range(arity - 1):
+                columns = [(c * width + x, b * size + d) for c, b in columns
+                           for x in range(width) for d in range(size)]
+            row, base_row = width ** (arity - 1), size ** (arity - 1)
+            grown = []
+            for x in range(width):
+                old = table[x * row:(x + 1) * row]
+                for d in range(size):
+                    new = base[d * base_row:(d + 1) * base_row]
+                    grown += [old[c] * size + new[b] for c, b in columns]
+            table = grown
+        ops.append((symbol, tuple(table)))
     return FiniteAlgebra(
         signature=algebra.signature,
         carrier=carrier,
@@ -299,8 +317,9 @@ def is_homomorphism(
 
     Returns (True, None) or (False, (symbol, argument_tuple)) with the first
     violation in signature order / row-major argument order. Each row of
-    equations (one first argument) is checked at once, the target side by
-    applying its table coordinatewise.
+    equations (one first argument) is checked at once against the target
+    side, which is computed coordinatewise once per image of the first
+    argument.
     """
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
@@ -310,13 +329,17 @@ def is_homomorphism(
         raise ValueError("mapping has out-of-range values")
     n = source.size
     for symbol, arity in source.signature.connectives:
-        table, width = source.tables[symbol], n ** max(arity - 1, 0)
+        width = n ** max(arity - 1, 0)
+        mapped = [mapping[v] for v in source.tables[symbol]]
         later = [tuple([mapping[a] for a in column])  # mapped later arguments of a row
                  for column in _variable_vectors(n, max(arity - 1, 0))]
+        images: dict[int, list[int]] = {}  # target side of a row, by its first argument's image
         for first in range(n if arity else 1):
-            head = [(mapping[first],) * width] if arity else []
-            image = target.op_on_vectors(symbol, head + later, width)
-            row = tuple([mapping[v] for v in table[first * width:(first + 1) * width]])
+            head = mapping[first]
+            if head not in images:
+                args = [(head,) * width, *later] if arity else []
+                images[head] = list(target.op_on_vectors(symbol, args, width))
+            row, image = mapped[first * width:(first + 1) * width], images[head]
             if row != image:
                 offset = next(i for i, (a, b) in enumerate(zip(row, image)) if a != b)
                 args = next(islice(product(range(n), repeat=arity), first * width + offset, None))
@@ -405,9 +428,9 @@ def enumerate_homomorphisms(
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     equations = (
-        (target.tables[symbol], args, source.op(symbol, args))
+        (target.tables[symbol], args, value)
         for symbol, arity in source.signature.connectives
-        for args in product(range(source.size), repeat=arity)
+        for args, value in zip(product(range(source.size), repeat=arity), source.tables[symbol])
     )
     return [
         AlgebraHomomorphism(source, target, mapping)

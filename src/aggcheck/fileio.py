@@ -3,7 +3,9 @@ criteria.
 
 Operation tables are stored row-major: arity 0 as a one-element list, arity
 m >= 1 as one row per first argument, each row the flat table over the
-remaining arguments. Carrier values may be given as indices or labels.
+remaining arguments (a flat list is read the same way). Table entries,
+arities and order pairs are integer indices; designated values and criterion
+values may be given as indices or labels.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ def signature_to_obj(sig: Signature) -> dict:
 
 
 def signature_from_obj(obj: dict) -> Signature:
-    return Signature(
-        tuple((c["name"], int(c["arity"])) for c in obj["connectives"])
-    )
+    return Signature(tuple(
+        (c["name"], _integer(c["arity"], f"arity of connective {c['name']!r}"))
+        for c in obj["connectives"]
+    ))
+
+
+def _integer(value: Any, what: str) -> int:
+    """An integer read from a file; anything else is an input error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
 
 
 def _table_to_rows(table: tuple[int, ...], arity: int, size: int) -> list:
@@ -38,18 +48,17 @@ def _table_to_rows(table: tuple[int, ...], arity: int, size: int) -> list:
     return [list(table[i * row : (i + 1) * row]) for i in range(size)]
 
 
-def _table_from_rows(rows: Any, arity: int, size: int) -> tuple[int, ...]:
-    if arity == 0:
-        if isinstance(rows, list):
-            (value,) = rows
-            return (int(value),)
-        return (int(rows),)
-    if rows and isinstance(rows[0], list):
-        flat: list[int] = []
-        for row in rows:
-            flat.extend(int(v) for v in row)
-        return tuple(flat)
-    return tuple(int(v) for v in rows)
+def _table_from_rows(rows: Any, arity: int, symbol: str) -> tuple[int, ...]:
+    if arity == 0 and not isinstance(rows, list):
+        rows = [rows]
+    if not isinstance(rows, list):
+        raise ValueError(f"table of connective {symbol!r} must be a list")
+    if arity and rows and isinstance(rows[0], list):  # one row per first argument
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"table of connective {symbol!r} mixes rows and entries")
+        rows = [v for row in rows for v in row]
+    what = f"table entry of connective {symbol!r}"
+    return tuple(_integer(v, what) for v in rows)
 
 
 def algebra_to_obj(algebra: FiniteAlgebra) -> dict:
@@ -72,12 +81,17 @@ def algebra_from_obj(obj: dict) -> FiniteAlgebra:
     sig = signature_from_obj(obj["signature"])
     carrier = tuple(str(c) for c in obj["carrier"])
     ops = tuple(
-        (name, _table_from_rows(obj["ops"][name], arity, len(carrier)))
+        (name, _table_from_rows(obj["ops"][name], arity, name))
         for name, arity in sig.connectives
     )
     order = None
     if "order" in obj:
-        order = frozenset((int(a), int(b)) for a, b in obj["order"])
+        pairs = obj["order"]
+        if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+            raise ValueError("order must be a list of [a, b] pairs")
+        order = frozenset(
+            (_integer(a, "order pair entry"), _integer(b, "order pair entry")) for a, b in pairs
+        )
     return FiniteAlgebra(
         signature=sig,
         carrier=carrier,
@@ -162,7 +176,7 @@ def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     row-major order over voter tuples (voter 0 most significant)."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    n = int(obj["electorate"])
+    n = _integer(obj["electorate"], "criterion electorate")
     values = tuple(_element_index(algebra, v) for v in obj["values"])
     return DecisionCriterion(algebra, n, values)
 

@@ -1,9 +1,18 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from aggcheck.agenda import agenda_over
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain
 from aggcheck.semantics import DEGREE_MODE, Matrix
 from aggcheck.syntax import parse_formula
+
+# CI runs every property test on the same examples, with no per-example
+# deadline, so a slow runner cannot make it fail; local runs keep exploring.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

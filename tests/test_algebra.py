@@ -1,9 +1,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggcheck.algebra import (
     AlgebraHomomorphism,
+    FiniteAlgebra,
     builtin_boolean2,
     builtin_distributive_lattice,
     builtin_mv_chain,
@@ -16,7 +18,7 @@ from aggcheck.algebra import (
 )
 from aggcheck.errors import BudgetExceededError, EvaluationError
 from aggcheck.modal import KripkeFrame, bao_from_frame
-from aggcheck.syntax import parse_formula
+from aggcheck.syntax import Signature, parse_formula
 
 # Łukasiewicz 3-chain tables written out by hand from the defining clauses
 # (indices 0 -> 0, 1 -> 1/2, 2 -> 1), used as an independent oracle.
@@ -131,6 +133,75 @@ class TestProduct:
                     )
                     ok, witness = is_homomorphism(mapping, p, base)
                     assert ok, witness
+
+
+@st.composite
+def algebras(draw):
+    """A random algebra on 1-3 elements with connectives of arity 0-3."""
+    size = draw(st.integers(1, 3))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = [
+        tuple(draw(st.lists(st.integers(0, size - 1), min_size=size**a, max_size=size**a)))
+        for a in arities
+    ]
+    return FiniteAlgebra(
+        signature=Signature(tuple((f"c{i}", a) for i, a in enumerate(arities))),
+        carrier=tuple("abc"[:size]),
+        ops=tuple((f"c{i}", table) for i, table in enumerate(tables)),
+    )
+
+
+def power_by_definition(algebra, n):
+    """The power's tables entry by entry: apply the base table to each
+    coordinate of the argument tuples, then rank the result row-major."""
+    elements = list(product(range(algebra.size), repeat=n))
+    rank = {coords: i for i, coords in enumerate(elements)}
+    return {
+        symbol: tuple(
+            rank[tuple(
+                algebra.op(symbol, [elements[a][j] for a in args]) for j in range(n)
+            )]
+            for args in product(range(len(elements)), repeat=arity)
+        )
+        for symbol, arity in algebra.signature.connectives
+    }
+
+
+def first_violation(mapping, source, target):
+    """Brute-force scan in signature order and row-major argument order."""
+    for symbol, arity in source.signature.connectives:
+        for args in product(range(source.size), repeat=arity):
+            lhs = mapping[source.op(symbol, args)]
+            if lhs != target.op(symbol, [mapping[a] for a in args]):
+                return False, (symbol, args)
+    return True, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras(), st.integers(1, 3))
+def test_power_tables_equal_their_definition(algebra, n):
+    power = product_algebra(algebra, n)
+    assert power.tables == power_by_definition(algebra, n)
+    assert power.carrier == tuple(
+        "(" + ",".join(coords) + ")" for coords in product(algebra.carrier, repeat=n)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras(), st.integers(1, 3), st.data())
+def test_is_homomorphism_reports_the_first_violation(algebra, n, data):
+    power = product_algebra(algebra, n)
+    voter = data.draw(st.integers(0, n - 1))
+    projection = [coords[voter] for coords in product(range(algebra.size), repeat=n)]
+    near_miss = list(projection)
+    changed = data.draw(st.integers(0, power.size - 1))
+    near_miss[changed] = data.draw(st.integers(0, algebra.size - 1))
+    random_map = data.draw(
+        st.lists(st.integers(0, algebra.size - 1), min_size=power.size, max_size=power.size)
+    )
+    for mapping in (projection, near_miss, random_map):
+        expected = first_violation(mapping, power, algebra)
+        assert is_homomorphism(tuple(mapping), power, algebra) == expected
 
 
 class TestHomomorphisms:

@@ -216,6 +216,72 @@ class TestEnumerateHoms:
         assert len(report["tables"]) == 3
 
 
+def ternary_matrix():
+    """Boolean negation, a constant and the ternary majority, designated 1."""
+    return {
+        "algebra": {
+            "signature": {"connectives": [
+                {"name": "not", "arity": 1}, {"name": "k", "arity": 0},
+                {"name": "maj", "arity": 3},
+            ]},
+            "carrier": ["0", "1"],
+            "ops": {"not": [[1], [0]], "k": [0], "maj": [[0, 0, 0, 1], [0, 1, 1, 1]]},
+            "order": [[0, 0], [0, 1], [1, 1]],
+        },
+        "designated": [1],
+    }
+
+
+MALFORMED_MATRICES = [
+    pytest.param(lambda a: a["ops"].update(k=[None]),
+                 "table entry of connective 'k' must be an integer, got null", id="null-entry"),
+    pytest.param(lambda a: a["ops"].update(maj=[[[0, 0], [0, 1]], [[0, 1], [1, 1]]]),
+                 "table entry of connective 'maj' must be an integer, got [0, 0]",
+                 id="nested-ternary-rows"),
+    pytest.param(lambda a: a["ops"].update(maj=[[0, 0, 0, 1], 0, 1, 1, 1]),
+                 "table of connective 'maj' mixes rows and entries", id="mixed-rows"),
+    pytest.param(lambda a: a["ops"].update(maj=None),
+                 "table of connective 'maj' must be a list", id="null-table"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].update(arity=None),
+                 "arity of connective 'not' must be an integer, got null", id="null-arity"),
+    pytest.param(lambda a: a["order"].append([None, 1]),
+                 "order pair entry must be an integer, got null", id="null-order-entry"),
+    pytest.param(lambda a: a["order"].append(5),
+                 "order must be a list of [a, b] pairs",
+                 id="order-entry-not-a-pair"),
+]
+
+
+class TestMatrixFiles:
+    def test_ternary_connective(self, tmp_path, capsys):
+        matrix, agenda = tmp_path / "maj.json", tmp_path / "agenda.json"
+        dump_json(ternary_matrix(), matrix)
+        dump_json({"formulas": ["x1", "(maj x1 x2 (not x1))"]}, agenda)
+        assert main(["check-agenda", "--logic", str(matrix), "--agenda", str(agenda)]) == 0
+        assert main(["enumerate-homs", "--logic", str(matrix), "--electorate", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("homomorphisms B^2 -> B: 2\n")  # the two projections
+        assert err == ""
+
+    @pytest.mark.parametrize("malform, message", MALFORMED_MATRICES)
+    def test_malformed_matrix_is_an_input_error(self, malform, message, tmp_path, capsys):
+        obj = ternary_matrix()
+        malform(obj["algebra"])
+        matrix, agenda = tmp_path / "bad.json", tmp_path / "agenda.json"
+        dump_json(obj, matrix)
+        dump_json({"formulas": ["x1"]}, agenda)
+        assert main(["check-agenda", "--logic", str(matrix), "--agenda", str(agenda)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_null_criterion_electorate_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "criterion.json"
+        dump_json({"electorate": None, "values": [0, 1]}, path)
+        assert main(["classify-dictators", "--logic", "boolean2", "--criterion", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: criterion electorate must be an integer, got null\n"
+        )
+
+
 class TestErrorPaths:
     def test_missing_file(self):
         assert main(["check-agenda", "--logic", "boolean2",
