@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
 from .algebra import (
+    MAX_CONSTRAINTS,
     FiniteAlgebra,
     all_valuations,
     closure_vectors,
@@ -76,7 +77,7 @@ class Profile:
         if not self.attitudes:
             raise ValueError("empty profile")
         agenda = self.attitudes[0].agenda
-        if any(a.agenda != agenda for a in self.attitudes):
+        if any(a.agenda is not agenda and a.agenda != agenda for a in self.attitudes):
             raise ValueError("attitudes must share one agenda")
 
     @property
@@ -431,16 +432,21 @@ def check_systematicity(
     if level not in (INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC):
         raise ValueError(f"unknown level {level!r}")
     agenda = aggregator.agenda
-    rational_index = dict(_rational_table(agenda))
     profiles = aggregator.domain_profiles(budget)
 
+    closure_values: dict[tuple[int, ...], tuple[int, ...]] = {}
     if level == STRONGLY_SYSTEMATIC:
         fragment, vectors = _fragment_and_vectors(agenda, depth)
+        # each rational attitude's values on the fragment, its unique rational extension
+        closure_values = {
+            values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
+        }
     else:
-        fragment, vectors = agenda.formulas, None
+        fragment = agenda.formulas
     if len(profiles) * len(fragment) > budget:
         raise BudgetExceededError(
-            f"{len(profiles)} profiles x {len(fragment)} formulas exceed budget"
+            f"systematicity check: {len(profiles)} profiles x {len(fragment)} formulas "
+            f"= {len(profiles) * len(fragment)} exceed budget {budget}"
         )
 
     positions = [agenda.index.get(formula) for formula in fragment]
@@ -449,24 +455,16 @@ def check_systematicity(
 
     for p_num, profile in enumerate(profiles):
         output = aggregator.apply(profile)
-        # closure values exist only for rational attitudes
-        voter_vals = None
-        out_vals = None
-        if level == STRONGLY_SYSTEMATIC:
-            voter_ws = [rational_index.get(a.values) for a in profile.attitudes]
-            out_w = rational_index.get(output.values)
-            if all(w is not None for w in voter_ws):
-                voter_vals = [
-                    tuple(vec[w] for vec in vectors) for w in voter_ws
-                ]
-            if out_w is not None:
-                out_vals = tuple(vec[out_w] for vec in vectors)
+        # closure values exist only when every attitude involved is rational
+        voter_vals = [closure_values.get(a.values) for a in profile.attitudes]
+        out_vals = closure_values.get(output.values)
+        closed = out_vals is not None and None not in voter_vals
         for f_num, (formula, pos) in enumerate(zip(fragment, positions)):
             if pos is not None:
                 attained = tuple(a.values[pos] for a in profile.attitudes)
                 out_value = output.values[pos]
             else:
-                if voter_vals is None or out_vals is None:
+                if not closed:
                     continue
                 attained = tuple(vals[f_num] for vals in voter_vals)
                 out_value = out_vals[f_num]
@@ -661,11 +659,14 @@ def qualifying_criteria(
     equation is never consulted, so this census is an independent route to
     the same class.
     """
-    size = agenda.algebra.size
-    constraints = _census_constraints(agenda, electorate, depth, budget)
+    constraints, slot_of = _census_constraints(agenda, electorate, depth, budget)
+    try:
+        found = search_tables(len(slot_of), agenda.algebra.size, constraints, budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"census {exc}") from None
     return [
         DecisionCriterion(agenda.algebra, electorate, values)
-        for values in search_tables(size**electorate, size, constraints, budget)
+        for values in sorted(tuple(t[slot] for slot in slot_of) for t in found)
     ]
 
 
@@ -673,19 +674,38 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     """Per rational profile and distinct closure vector v: the criterion at
     the voters' tuple on v equals v at the least valuation witnessing the
     output attitude, so that attitude must be rational (v ranges over the
-    agenda formulas' vectors too)."""
+    agenda formulas' vectors too).
+
+    The search slots are the voter tuples numbered in the order they first
+    appear in this stream, so a profile's tuples get nearby slots and its
+    constraints are checked early in the search's index order. Returns the
+    constraints and the slot of each voter tuple, in row-major order.
+    """
     size = agenda.algebra.size
     rational = _rational_table(agenda)
     vectors = tuple(dict.fromkeys(_fragment_and_vectors(agenda, depth)[1]))
-    if len(rational) ** electorate * len(vectors) > budget:
-        raise BudgetExceededError("profile x fragment space exceeds budget")
+    profiles = len(rational) ** electorate
+    limit = min(budget, MAX_CONSTRAINTS)
+    if profiles * len(vectors) > limit:
+        raise BudgetExceededError(
+            f"profile x fragment space exceeds budget: census of {profiles} profiles "
+            f"x {len(vectors)} vectors = {profiles * len(vectors)} constraints, "
+            f"over the limit of {limit}"
+        )
     tables = [
         _RationalLookup({product_element_index(size, values): vec[w] for values, w in rational})
         for vec in vectors
     ]
+    slot: dict[int, int] = {}  # voter tuple -> search slot, by first appearance
+    constraints = []
     for combo in product(rational, repeat=electorate):
         ws = [w for _, w in combo]
         # the output attitude is the criterion at each agenda formula's voter tuple
-        args = tuple(product_element_index(size, col) for col in zip(*(v for v, _ in combo)))
+        args = tuple(slot.setdefault(product_element_index(size, col), len(slot))
+                     for col in zip(*(v for v, _ in combo)))
         for vec, table in zip(vectors, tables):
-            yield table, args, product_element_index(size, [vec[w] for w in ws])
+            result = product_element_index(size, [vec[w] for w in ws])
+            constraints.append((table, args, slot.setdefault(result, len(slot))))
+    for voters in range(size**electorate):  # tuples no profile attains
+        slot.setdefault(voters, len(slot))
+    return constraints, [slot[voters] for voters in range(size**electorate)]

@@ -19,8 +19,11 @@ from .syntax import App, Formula, Signature, Var, print_formula
 # Variable assignment into an algebra: variable name -> carrier index.
 Valuation = Mapping[str, int]
 
-DEFAULT_ENUMERATION_BUDGET = 10**8
+DEFAULT_ENUMERATION_BUDGET = 10**8  # work units a table search may charge
 MAX_POWER_SIZE = 10_000  # most elements of a power that product_algebra builds
+# Most constraints a table search is handed: each costs about 128 bytes once
+# bucketed, so the cap bounds the search's memory as the budget bounds its time.
+MAX_CONSTRAINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -251,11 +254,15 @@ def closure_vectors(
 def _power_size(size: int, n: int) -> int:
     if n < 1:
         raise ValueError("power must be >= 1")
-    if size**n > MAX_POWER_SIZE:
-        raise BudgetExceededError(
-            f"product carrier would have {size**n} elements, over the limit of {MAX_POWER_SIZE}"
-        )
-    return size**n
+    if size > 1 and n > MAX_POWER_SIZE.bit_length():  # too large to compute or print
+        count = f"{size}^{n}"
+    elif size**n <= MAX_POWER_SIZE:
+        return size**n
+    else:
+        count = str(size**n)
+    raise BudgetExceededError(
+        f"product carrier would have {count} elements, over the limit of {MAX_POWER_SIZE}"
+    )
 
 
 def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
@@ -365,33 +372,29 @@ class AlgebraHomomorphism:
         return self.mapping[element]
 
 
-def _check_candidates(slots: int, size: int, budget: int) -> None:
-    if size**slots > budget:
-        try:
-            count = str(size**slots)
-        except ValueError:  # past the interpreter's limit on decimal digits
-            count = f"{size}^{slots}"
-        raise BudgetExceededError(
-            f"{count} candidate maps exceed budget {budget}; "
-            "reduce the electorate or the algebra"
-        )
-
-
 def search_tables(
-    slots: int, size: int, constraints: Iterable[tuple], budget: int
+    slots: int,
+    size: int,
+    constraints: Iterable[tuple],
+    budget: int,
+    stage: str = "table search",
 ) -> list[tuple[int, ...]]:
     """Every table t over ``range(size)`` with ``slots`` entries such that
     ``t[result] == table[row-major index of (t[a] for a in args)]`` for each
     constraint ``(table, args, result)``, in lexicographic order.
 
-    Depth-first with an explicit stack; each constraint is checked as soon as
-    its last slot is assigned. ``constraints`` is read only after the
-    ``size**slots`` candidates have passed the budget.
+    Depth-first with an explicit stack, branching on the slots in index
+    order; each constraint is checked as soon as its last slot is assigned.
+    Entering a node (assigning a slot a value) charges one work unit plus
+    one per constraint whose last slot it is; once the charge passes
+    ``budget`` the search stops with a ``BudgetExceededError`` naming
+    ``stage``.
     """
-    _check_candidates(slots, size, budget)
     by_last: list[list[tuple]] = [[] for _ in range(slots)]
     for constraint in constraints:
         by_last[max((*constraint[1], constraint[2]))].append(constraint)
+    cost = [1 + len(bucket) for bucket in by_last]
+    units = 0
 
     # t[:k+1] is the partial table, and t[k] steps through the values upwards
     found: list[tuple[int, ...]] = []
@@ -404,6 +407,11 @@ def search_tables(
             k -= 1
             continue
         t[k] = value
+        units += cost[k]
+        if units > budget:
+            raise BudgetExceededError(
+                f"{stage} charged {units} work units, over budget {budget}"
+            )
         for table, args, result in by_last[k]:
             index = 0
             for a in args:
@@ -434,15 +442,24 @@ def enumerate_homomorphisms(
     )
     return [
         AlgebraHomomorphism(source, target, mapping)
-        for mapping in search_tables(source.size, target.size, equations, budget)
+        for mapping in search_tables(source.size, target.size, equations, budget,
+                                     stage="homomorphism search")
     ]
 
 
 def power_homomorphisms(
     algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> list[AlgebraHomomorphism]:
-    """All homomorphisms algebra^n -> algebra, refused before the power is built."""
-    _check_candidates(_power_size(algebra.size, n), algebra.size, budget)
+    """All homomorphisms algebra^n -> algebra. A power too large, or with
+    more homomorphism equations than ``MAX_CONSTRAINTS``, is refused before
+    it is built."""
+    power = _power_size(algebra.size, n)
+    equations = sum(power**arity for _, arity in algebra.signature.connectives)
+    if equations > MAX_CONSTRAINTS:
+        raise BudgetExceededError(
+            f"homomorphism search of {algebra.name or 'algebra'}^{n} would read "
+            f"{equations} equations, over the limit of {MAX_CONSTRAINTS}"
+        )
     return enumerate_homomorphisms(product_algebra(algebra, n), algebra, budget)
 
 

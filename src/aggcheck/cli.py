@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--electorate", type=int, required=True)
     p.add_argument("--depth", type=int, default=1,
                    help="closure depth for the strong-systematicity census")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=10**8,
+                   help="work units the table search may charge (default 10^8)")
     p.set_defaults(func=cmd_verify_bijection)
 
     p = sub.add_parser(
@@ -337,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-homs", help="all homomorphisms B^N -> B")
     common(p)
     p.add_argument("--electorate", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=10**8,
+                   help="work units the table search may charge (default 10^8)")
     p.set_defaults(func=cmd_enumerate_homs)
 
     return parser

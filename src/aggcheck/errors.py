@@ -18,4 +18,5 @@ class EvaluationError(AggcheckError):
 
 
 class BudgetExceededError(AggcheckError):
-    """Raised when an enumeration would exceed the configured search budget."""
+    """Raised when a check would exceed, or has used up, its work budget or a
+    size limit; the message names the stage, the count and the limit."""

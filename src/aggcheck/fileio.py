@@ -28,9 +28,12 @@ def signature_to_obj(sig: Signature) -> dict:
 
 
 def signature_from_obj(obj: dict) -> Signature:
+    obj = _expect(obj, dict, "signature")
+    connectives = [_expect(c, dict, "signature connective")
+                   for c in _expect(obj["connectives"], list, "signature connectives")]
     return Signature(tuple(
         (c["name"], _integer(c["arity"], f"arity of connective {c['name']!r}"))
-        for c in obj["connectives"]
+        for c in connectives
     ))
 
 
@@ -39,6 +42,18 @@ def _integer(value: Any, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value: Any, kind: type, what: str):
+    """A JSON object, list or string (``kind`` dict, list or str) read from a
+    file; anything else is an input error."""
+    if isinstance(value, kind):
+        return value
+    got = _KINDS.get(type(value)) or json.dumps(value)
+    raise ValueError(f"{what} must be {_KINDS[kind]}, got {got}")
 
 
 def _table_to_rows(table: tuple[int, ...], arity: int, size: int) -> list:
@@ -78,10 +93,12 @@ def algebra_to_obj(algebra: FiniteAlgebra) -> dict:
 
 
 def algebra_from_obj(obj: dict) -> FiniteAlgebra:
+    obj = _expect(obj, dict, "algebra")
     sig = signature_from_obj(obj["signature"])
-    carrier = tuple(str(c) for c in obj["carrier"])
+    carrier = tuple(str(c) for c in _expect(obj["carrier"], list, "algebra carrier"))
+    tables = _expect(obj["ops"], dict, "algebra ops")
     ops = tuple(
-        (name, _table_from_rows(obj["ops"][name], arity, name))
+        (name, _table_from_rows(tables[name], arity, name))
         for name, arity in sig.connectives
     )
     order = None
@@ -111,10 +128,11 @@ def matrix_to_obj(matrix: Matrix) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> Matrix:
-    algebra = algebra_from_obj(obj["algebra"])
+    algebra = algebra_from_obj(_expect(obj, dict, "matrix")["algebra"])
     if obj.get("mode") == DEGREE_MODE:
         return Matrix(algebra, None, DEGREE_MODE)
-    designated = frozenset(_element_index(algebra, d) for d in obj["designated"])
+    designated = _expect(obj["designated"], list, "matrix designated values")
+    designated = frozenset(_element_index(algebra, d) for d in designated)
     return Matrix(algebra, designated, FILTER_MODE)
 
 
@@ -149,7 +167,7 @@ def agenda_to_obj(agenda: Agenda) -> dict:
 
 def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _expect(json.load(fh), dict, "agenda")
     sig = matrix.algebra.signature
     if "signature_ref" in obj:
         ref = Path(path).parent / obj["signature_ref"]
@@ -159,7 +177,8 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
             raise ValueError(
                 f"agenda signature_ref {ref} does not match the logic's signature"
             )
-    formulas = tuple(parse_formula(text, sig) for text in obj["formulas"])
+    formulas = tuple(parse_formula(_expect(text, str, "agenda formula"), sig)
+                     for text in _expect(obj["formulas"], list, "agenda formulas"))
     return Agenda(formulas, sig, matrix, matrix.algebra)
 
 
@@ -175,9 +194,10 @@ def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     """Criterion table: {"electorate": N, "values": [...]} with values in
     row-major order over voter tuples (voter 0 most significant)."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _expect(json.load(fh), dict, "criterion")
     n = _integer(obj["electorate"], "criterion electorate")
-    values = tuple(_element_index(algebra, v) for v in obj["values"])
+    values = tuple(_element_index(algebra, v)
+                   for v in _expect(obj["values"], list, "criterion values"))
     return DecisionCriterion(algebra, n, values)
 
 

@@ -28,6 +28,7 @@ from aggcheck.aggregation import (
 )
 from aggcheck.agenda import agenda_over
 from aggcheck.algebra import builtin_distributive_lattice, is_homomorphism, product_algebra
+from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import DEGREE_MODE, Matrix
 from aggcheck.syntax import parse_formula
 
@@ -217,6 +218,14 @@ class TestSystematicity:
         result = check_systematicity(agg, SYSTEMATIC)
         assert not result.holds
         assert result.conflict is not None
+
+    def test_budget_names_the_stage_the_count_and_the_limit(self, or_agenda):
+        agg = CriterionAggregator(projection_criterion(or_agenda.algebra, 2, 0), or_agenda)
+        with pytest.raises(BudgetExceededError) as refused:
+            check_systematicity(agg, SYSTEMATIC, budget=20)
+        assert str(refused.value) == (
+            "systematicity check: 16 profiles x 3 formulas = 48 exceed budget 20"
+        )
 
     def test_induced_criterion_read_off(self, or_agenda):
         agg = CriterionAggregator(projection_criterion(or_agenda.algebra, 2, 0), or_agenda)

@@ -252,6 +252,43 @@ MALFORMED_MATRICES = [
 ]
 
 
+def replaced(*path, value):
+    """Malform a matrix object by setting the entry at ``path`` to ``value``."""
+    def malform(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+    return malform
+
+
+MISSHAPEN_MATRICES = [
+    pytest.param(lambda obj: [obj], "matrix must be an object, got a list", id="top-level-list"),
+    pytest.param(replaced("algebra", "signature", "connectives", value=[5]),
+                 "signature connective must be an object, got 5", id="connective-not-an-object"),
+    pytest.param(replaced("algebra", "carrier", value=None),
+                 "algebra carrier must be a list, got null", id="null-carrier"),
+    pytest.param(replaced("algebra", "ops", value=[[1, 0], [0], [0, 0, 0, 1]]),
+                 "algebra ops must be an object, got a list", id="ops-as-a-list"),
+    pytest.param(replaced("designated", value=None),
+                 "matrix designated values must be a list, got null", id="null-designated"),
+]
+
+MISSHAPEN_INPUTS = [
+    pytest.param("--agenda", [{"formulas": ["x1"]}], "agenda must be an object, got a list",
+                 id="agenda-list"),
+    pytest.param("--agenda", {"formulas": None}, "agenda formulas must be a list, got null",
+                 id="null-formulas"),
+    pytest.param("--agenda", {"formulas": ["x1", 5]}, "agenda formula must be a string, got 5",
+                 id="formula-not-a-string"),
+    pytest.param("--criterion", [1], "criterion must be an object, got a list",
+                 id="criterion-list"),
+    pytest.param("--criterion", {"electorate": 1, "values": None},
+                 "criterion values must be a list, got null", id="null-criterion-values"),
+]
+
+
 class TestMatrixFiles:
     def test_ternary_connective(self, tmp_path, capsys):
         matrix, agenda = tmp_path / "maj.json", tmp_path / "agenda.json"
@@ -271,6 +308,24 @@ class TestMatrixFiles:
         dump_json(obj, matrix)
         dump_json({"formulas": ["x1"]}, agenda)
         assert main(["check-agenda", "--logic", str(matrix), "--agenda", str(agenda)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("malform, message", MISSHAPEN_MATRICES)
+    def test_misshapen_matrix_is_an_input_error(self, malform, message, tmp_path, capsys):
+        matrix, agenda = tmp_path / "bad.json", tmp_path / "agenda.json"
+        dump_json(malform(ternary_matrix()), matrix)
+        dump_json({"formulas": ["x1"]}, agenda)
+        assert main(["check-agenda", "--logic", str(matrix), "--agenda", str(agenda)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("option, obj, message", MISSHAPEN_INPUTS)
+    def test_misshapen_agenda_or_criterion_is_an_input_error(
+        self, option, obj, message, tmp_path, capsys
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        command = "check-agenda" if option == "--agenda" else "classify-dictators"
+        assert main([command, "--logic", "boolean2", option, str(path)]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_null_criterion_electorate_is_an_input_error(self, tmp_path, capsys):
@@ -344,8 +399,8 @@ class TestErrorPaths:
             argv += ["--agenda", bool_agenda_file]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            f"budget exceeded: {2**1024} candidate maps exceed budget 100000000; "
-            "reduce the electorate or the algebra\n"
+            "budget exceeded: homomorphism search of boolean2^10 would read 2098178 "
+            "equations, over the limit of 2000000\n"
         )
 
     @pytest.mark.parametrize("command", ["enumerate-homs", "verify-bijection"])
@@ -360,11 +415,28 @@ class TestErrorPaths:
         )
 
     def test_candidate_count_past_the_digit_limit_is_a_budget_error(self, capsys):
-        # 10^10000 has more decimal digits than Python converts by default
+        # mv10^4 has 10^4 elements, so its maps into mv10 once numbered 10^10000
         assert main(["enumerate-homs", "--logic", "mv10", "--electorate", "4"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: 10^10000 candidate maps exceed budget 100000000; "
-            "reduce the electorate or the algebra\n"
+            "budget exceeded: homomorphism search of lukasiewicz10^4 would read "
+            "300010002 equations, over the limit of 2000000\n"
+        )
+
+    def test_power_size_past_the_digit_limit_is_a_budget_error(self, capsys):
+        # 2^100000 has more decimal digits than Python converts by default
+        assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "100000"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: product carrier would have 2^100000 elements, "
+            "over the limit of 10000\n"
+        )
+
+    def test_search_budget_is_charged_during_the_search(self, capsys):
+        # slot 0 carries bot, (and 0 0) and (or 0 0): 1 + 3 units; slot 1 the
+        # six and/or equations on elements 0 and 1: 1 + 6 more, past 5
+        assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "3",
+                     "--budget", "5"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: homomorphism search charged 11 work units, over budget 5\n"
         )
 
     def test_empty_electorate_is_an_input_error(self, capsys):

@@ -121,6 +121,8 @@ def _cases() -> dict[str, list[str]]:
             "enumerate-homs", "--logic", "boolean2", "--electorate", "4"],
         "enumerate-homs-mv3-n3-budget": [
             "enumerate-homs", "--logic", "mv3", "--electorate", "3"],
+        "enumerate-homs-boolean2-n3-budget": [
+            "enumerate-homs", "--logic", "boolean2", "--electorate", "3", "--budget", "5"],
         "classify-dictators-boolean2-majority": [
             "classify-dictators", "--criterion", "majority3.json"],
         "classify-dictators-boolean2-projection": [

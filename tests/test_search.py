@@ -16,7 +16,7 @@ from aggcheck.aggregation import (
     projection_criterion,
     qualifying_criteria,
 )
-from aggcheck.algebra import search_tables
+from aggcheck.algebra import power_homomorphisms, search_tables
 from aggcheck.errors import BudgetExceededError
 from aggcheck.syntax import parse_formula
 
@@ -50,16 +50,35 @@ def test_search_equals_a_filter_of_every_table(search):
         t for t in product(range(size), repeat=slots)
         if all(meets(t, c, size) for c in constraints)
     ]
-    assert search_tables(slots, size, constraints, size**slots) == brute
+    unbounded = slots * size**slots * (1 + len(constraints))  # every node, every constraint
+    assert search_tables(slots, size, constraints, unbounded) == brute
 
 
-def test_budget_refuses_before_reading_constraints():
-    def unread():
-        raise AssertionError("constraints read before the budget check")
-        yield
+def full_charge(slots, size, constraints):
+    """The work units of a whole search, from its definition: slot k is
+    entered with each value after every prefix that meets all constraints
+    whose last slot comes before k, and entering it charges 1 plus the
+    constraints whose last slot is k."""
+    last = [max((*args, result)) for _, args, result in constraints]
+    units = 0
+    for k in range(slots):
+        earlier = [c for c, end in zip(constraints, last) if end < k]
+        cost = 1 + last.count(k)
+        for prefix in product(range(size), repeat=k):
+            if all(meets(prefix, c, size) for c in earlier):
+                units += size * cost
+    return units
 
-    with pytest.raises(BudgetExceededError, match="^16 candidate maps exceed budget 15; "):
-        search_tables(4, 2, unread(), 15)
+
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_budget_is_the_work_a_full_search_charges(search):
+    slots, size, constraints = search
+    work = full_charge(slots, size, constraints)
+    search_tables(slots, size, constraints, work)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^table search charged {work} work units, over budget {work - 1}$"):
+        search_tables(slots, size, constraints, work - 1)
 
 
 def agenda(matrix, texts):
@@ -126,3 +145,22 @@ def test_census_of_a_24_formula_agenda(classical):
 def test_census_keeps_the_profile_budget(bool_agenda):
     with pytest.raises(BudgetExceededError, match="profile x fragment"):
         qualifying_criteria(bool_agenda, 3, budget=2**8)
+
+
+@pytest.mark.parametrize("n, budget, message", [
+    (3, 2**8, "profile x fragment space exceeds budget: census of 64 profiles x 11 vectors "
+              "= 704 constraints, over the limit of 256"),
+    (10, 10**8, "profile x fragment space exceeds budget: census of 1048576 profiles x 11 "
+                "vectors = 11534336 constraints, over the limit of 2000000"),
+    (2, 200, "census table search charged 225 work units, over budget 200"),
+])
+def test_census_refusals_name_the_stage_the_count_and_the_limit(bool_agenda, n, budget, message):
+    with pytest.raises(BudgetExceededError) as refused:
+        qualifying_criteria(bool_agenda, n, budget=budget)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_census_equals_the_homomorphisms(bool_agenda, n):
+    census = [c.values for c in qualifying_criteria(bool_agenda, n)]
+    assert census == [h.mapping for h in power_homomorphisms(bool_agenda.algebra, n)]
