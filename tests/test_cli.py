@@ -415,7 +415,7 @@ class TestErrorPaths:
         )
 
     def test_candidate_count_past_the_digit_limit_is_a_budget_error(self, capsys):
-        # mv10^4 has 10^4 elements, so its maps into mv10 once numbered 10^10000
+        # mv10^4 has 10^10000 maps into mv10; the equation cap refuses it unbuilt
         assert main(["enumerate-homs", "--logic", "mv10", "--electorate", "4"]) == 3
         assert capsys.readouterr().err == (
             "budget exceeded: homomorphism search of lukasiewicz10^4 would read "
