@@ -47,10 +47,7 @@ class Agenda:
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for f in self.formulas:
-            names.update(variables_of(f))
-        return tuple(sorted(names))
+        return variables_of(*self.formulas)
 
     def __len__(self) -> int:
         return len(self.formulas)

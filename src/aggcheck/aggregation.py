@@ -25,15 +25,16 @@ from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
 from .algebra import (
+    DEFAULT_BUDGET,
     MAX_CONSTRAINTS,
     FiniteAlgebra,
     all_valuations,
     closure_vectors,
     evaluate,
     is_homomorphism,
-    product_algebra,
     product_element_index,
     search_tables,
+    shared_power,
     truth_vector,
     truth_vectors,
 )
@@ -43,9 +44,6 @@ from .syntax import Formula, Var, bounded_closure, formula_sort_key  # noqa: F40
 INDEPENDENT = "independent"
 SYSTEMATIC = "systematic"
 STRONGLY_SYSTEMATIC = "strongly-systematic"
-
-DEFAULT_PROFILE_BUDGET = 10**6
-DEFAULT_CRITERION_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class DecisionCriterion:
     def homomorphism_violation(self) -> Optional[tuple[str, tuple[int, ...]]]:
         """The first failure of the homomorphism equation from the voter-power
         algebra to the value algebra (see is_homomorphism), or None."""
-        power = product_algebra(self.algebra, self.electorate)
+        power = shared_power(self.algebra, self.electorate)
         return is_homomorphism(self.values, power, self.algebra)[1]
 
 
@@ -190,13 +188,14 @@ def enumerate_rational_attitudes(agenda: Agenda) -> tuple[AttitudeFunction, ...]
 
 
 def enumerate_rational_profiles(
-    agenda: Agenda, electorate: int, budget: int = DEFAULT_PROFILE_BUDGET
+    agenda: Agenda, electorate: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[Profile, ...]:
     attitudes = enumerate_rational_attitudes(agenda)
     count = len(attitudes) ** electorate
-    if count > budget:
+    limit = min(budget, MAX_CONSTRAINTS)  # refused unbuilt: a profile takes about 200 bytes
+    if count > limit:
         raise BudgetExceededError(
-            f"{count} rational profiles exceed budget {budget}"
+            f"{count} rational profiles exceed the limit of {limit}"
         )
     return tuple(
         Profile(combo) for combo in product(attitudes, repeat=electorate)
@@ -298,7 +297,7 @@ class CriterionAggregator:
     def in_domain(self, profile: Profile) -> bool:
         return all(a.values in self._rational_values for a in profile.attitudes)
 
-    def domain_profiles(self, budget: int = DEFAULT_PROFILE_BUDGET) -> tuple[Profile, ...]:
+    def domain_profiles(self, budget: int = DEFAULT_BUDGET) -> tuple[Profile, ...]:
         return enumerate_rational_profiles(self.agenda, self.electorate, budget)
 
 
@@ -334,7 +333,7 @@ class ExtensionalAggregator:
     def in_domain(self, profile: Profile) -> bool:
         return profile in self._lookup
 
-    def domain_profiles(self, budget: int = DEFAULT_PROFILE_BUDGET) -> tuple[Profile, ...]:
+    def domain_profiles(self, budget: int = DEFAULT_BUDGET) -> tuple[Profile, ...]:
         return tuple(p for p, _ in self.table)
 
 
@@ -359,7 +358,7 @@ class RationalityReport:
 
 
 def check_rational_universal(
-    aggregator: Aggregator, budget: int = DEFAULT_PROFILE_BUDGET
+    aggregator: Aggregator, budget: int = DEFAULT_BUDGET
 ) -> RationalityReport:
     """Universality: every rational profile is in the domain. Rationality:
     every output on a rational domain profile is itself rational. Exhaustive
@@ -392,18 +391,18 @@ class SystematicityResult:
 
 @lru_cache(maxsize=None)
 def _fragment_and_vectors(
-    agenda: Agenda, depth: int
+    agenda: Agenda, depth: int, budget: int
 ) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]:
     """The agenda formulas plus the least formula (in ``formula_sort_key``
     order) of each distinct truth vector of the agenda's bounded closure at
     ``depth``, sorted, with their truth vectors over the agenda variables.
 
     A closure formula sharing its vector with an earlier one can only repeat
-    that formula's constraints, so the checks below skip it.
+    that formula's constraints, so the checks below skip it. ``budget`` caps
+    the vector entries of each closure layer.
     """
     variables, algebra = agenda.variables, agenda.algebra
-    closure = closure_vectors(agenda.formulas, variables, algebra, depth,
-                              budget=DEFAULT_CRITERION_BUDGET)
+    closure = closure_vectors(agenda.formulas, variables, algebra, depth, budget=budget)
     vector_of = {formula: vector for vector, formula in closure.items()}
     vector_of.update(zip(agenda.formulas, truth_vectors(agenda.formulas, variables, algebra)))
     fragment = tuple(sorted(vector_of, key=formula_sort_key))
@@ -414,7 +413,7 @@ def check_systematicity(
     aggregator: Aggregator,
     level: str = SYSTEMATIC,
     depth: int = 1,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> SystematicityResult:
     """Does a single decision criterion explain the aggregator?
 
@@ -436,7 +435,7 @@ def check_systematicity(
 
     closure_values: dict[tuple[int, ...], tuple[int, ...]] = {}
     if level == STRONGLY_SYSTEMATIC:
-        fragment, vectors = _fragment_and_vectors(agenda, depth)
+        fragment, vectors = _fragment_and_vectors(agenda, depth, budget)
         # each rational attitude's values on the fragment, its unique rational extension
         closure_values = {
             values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
@@ -530,7 +529,7 @@ def criterion_from_aggregator(
     aggregator: Aggregator,
     via: Optional[Formula] = None,
     depth: int = 1,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> DecisionCriterion:
     """Extract the total decision criterion of a rational, universal,
     strongly systematic aggregator, and verify it is a homomorphism.
@@ -592,7 +591,7 @@ class ParetoReport:
 
 
 def check_pareto(
-    aggregator: Aggregator, budget: int = DEFAULT_PROFILE_BUDGET
+    aggregator: Aggregator, budget: int = DEFAULT_BUDGET
 ) -> ParetoReport:
     """Unanimity on a constant's value forces that value in the output.
 
@@ -647,7 +646,7 @@ def qualifying_criteria(
     agenda: Agenda,
     electorate: int,
     depth: int = 1,
-    budget: int = DEFAULT_CRITERION_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[DecisionCriterion]:
     """All total decision criteria whose induced aggregator is rational,
     universal and strongly systematic, found by a table search.
@@ -660,10 +659,8 @@ def qualifying_criteria(
     the same class.
     """
     constraints, slot_of = _census_constraints(agenda, electorate, depth, budget)
-    try:
-        found = search_tables(len(slot_of), agenda.algebra.size, constraints, budget)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(f"census {exc}") from None
+    found = search_tables(len(slot_of), agenda.algebra.size, constraints, budget,
+                          stage="census table search")
     return [
         DecisionCriterion(agenda.algebra, electorate, values)
         for values in sorted(tuple(t[slot] for slot in slot_of) for t in found)
@@ -683,7 +680,7 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     """
     size = agenda.algebra.size
     rational = _rational_table(agenda)
-    vectors = tuple(dict.fromkeys(_fragment_and_vectors(agenda, depth)[1]))
+    vectors = tuple(dict.fromkeys(_fragment_and_vectors(agenda, depth, budget)[1]))
     profiles = len(rational) ** electorate
     limit = min(budget, MAX_CONSTRAINTS)
     if profiles * len(vectors) > limit:

@@ -19,7 +19,7 @@ from .syntax import App, Formula, Signature, Var, print_formula
 # Variable assignment into an algebra: variable name -> carrier index.
 Valuation = Mapping[str, int]
 
-DEFAULT_ENUMERATION_BUDGET = 10**8  # work units a table search may charge
+DEFAULT_BUDGET = 10**8  # the one default limit every budgeted stage compares its count with
 MAX_POWER_SIZE = 10_000  # most elements of a power that product_algebra builds
 # Most constraints a table search is handed: each costs about 128 bytes once
 # bucketed, so the cap bounds the search's memory as the budget bounds its time.
@@ -309,6 +309,13 @@ def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
     )
 
 
+@lru_cache(maxsize=4)
+def shared_power(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
+    """``product_algebra(algebra, n)``, built once and shared by every later
+    caller (the search and each homomorphism re-check of one command)."""
+    return product_algebra(algebra, n)
+
+
 def product_element_index(base_size: int, coords: Sequence[int]) -> int:
     """Rank of a coordinate tuple in the product carrier built above."""
     idx = 0
@@ -429,7 +436,7 @@ def search_tables(
 def enumerate_homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms source -> target, in lexicographic table order: the
     table search over the homomorphism equations of the source operations."""
@@ -448,7 +455,7 @@ def enumerate_homomorphisms(
 
 
 def power_homomorphisms(
-    algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
+    algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms algebra^n -> algebra. A power too large, or with
     more homomorphism equations than ``MAX_CONSTRAINTS``, is refused before
@@ -460,7 +467,7 @@ def power_homomorphisms(
             f"homomorphism search of {algebra.name or 'algebra'}^{n} would read "
             f"{equations} equations, over the limit of {MAX_CONSTRAINTS}"
         )
-    return enumerate_homomorphisms(product_algebra(algebra, n), algebra, budget)
+    return enumerate_homomorphisms(shared_power(algebra, n), algebra, budget)
 
 
 # ---------------------------------------------------------------------------

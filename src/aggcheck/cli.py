@@ -3,7 +3,7 @@
 Each subcommand loads its inputs, runs the corresponding module checks, and
 emits a deterministic JSON report (to --out) plus a short human summary on
 stdout. Exit codes: 0 all checks pass, 1 a check failed, 2 input error,
-3 search budget exceeded, 4 internal error (a bug, reported on one stderr line).
+3 budget exceeded, 4 internal error (a bug, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .aggregation import (
     criterion_from_aggregator,
     qualifying_criteria,
 )
-from .algebra import power_homomorphisms
+from .algebra import DEFAULT_BUDGET, power_homomorphisms
 from .errors import AggcheckError, BudgetExceededError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter
@@ -34,6 +34,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL_ERROR = 4
+
+COUNT_FLAGS = ("budget", "variables")  # counts of something, so never negative
+BUDGET_HELP = "work units any stage may charge (default 10^8)"
 
 
 def _tool_stamp(args: argparse.Namespace) -> dict:
@@ -104,7 +107,7 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     roundtrip_failures = []
     for table in hom_tables:
         aggregator = aggregator_from_criterion(DecisionCriterion(algebra, n, table), agenda)
-        extracted = criterion_from_aggregator(aggregator, depth=args.depth)
+        extracted = criterion_from_aggregator(aggregator, depth=args.depth, budget=args.budget)
         if extracted.values != table:
             roundtrip_failures.append(
                 {"criterion": list(table), "extracted": list(extracted.values)}
@@ -308,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--electorate", type=int, required=True)
     p.add_argument("--depth", type=int, default=1,
                    help="closure depth for the strong-systematicity census")
-    p.add_argument("--budget", type=int, default=10**8,
-                   help="work units the table search may charge (default 10^8)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=cmd_verify_bijection)
 
     p = sub.add_parser(
@@ -338,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-homs", help="all homomorphisms B^N -> B")
     common(p)
     p.add_argument("--electorate", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**8,
-                   help="work units the table search may charge (default 10^8)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=cmd_enumerate_homs)
 
     return parser
@@ -349,6 +350,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in COUNT_FLAGS:
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name} must be >= 0")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

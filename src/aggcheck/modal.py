@@ -155,7 +155,7 @@ def is_consistent(
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     formulas = tuple(formulas)
-    names = sorted({v for f in formulas for v in variables_of(f)})
+    names = variables_of(*formulas)
     frames = 1 << (max_worlds * (max_worlds - 1))
     if frames > MAX_FRAMES:
         raise BudgetExceededError(

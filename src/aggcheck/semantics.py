@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, closure_vectors, truth_vectors
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, truth_vectors
 from .errors import BudgetExceededError
 from .syntax import (
     App,
@@ -34,7 +34,6 @@ DEGREE_MODE = "degree"
 
 MAX_LAWS_FRAGMENT = 20
 MAX_RELATION_FRAGMENT = 12
-DEFAULT_CONGRUENCE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -70,20 +69,13 @@ class Matrix:
         return f"{self.algebra.name or 'algebra'}/degree-preserving"
 
 
-def _collect_variables(formulas: Iterable[Formula]) -> list[str]:
-    names: set[str] = set()
-    for f in formulas:
-        names.update(variables_of(f))
-    return sorted(names)
-
-
 def entails(
     matrix: Matrix, premises: Iterable[Formula], conclusion: Formula
 ) -> bool:
     """Semantic consequence over the matrix, quantifying over valuations of
     the variables that occur in the premises or the conclusion."""
     premises = tuple(premises)
-    names = _collect_variables((*premises, conclusion))
+    names = variables_of(*premises, conclusion)
     algebra = matrix.algebra
     *vectors, conclusion_vector = truth_vectors((*premises, conclusion), names, algebra)
     for w, c in enumerate(conclusion_vector):
@@ -117,7 +109,7 @@ def _holding_masks(matrix: Matrix, fragment: Sequence[Formula]) -> tuple[list[in
     bitwise arithmetic.
     """
     algebra = matrix.algebra
-    names = _collect_variables(fragment)
+    names = variables_of(*fragment)
     vectors = truth_vectors(fragment, names, algebra)
     size = algebra.size
     if matrix.mode == FILTER_MODE:
@@ -259,7 +251,7 @@ def check_selfextensionality(
     matrix: Matrix,
     variables: Sequence[str],
     depth: int,
-    budget: int = DEFAULT_CONGRUENCE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[bool, Optional[CongruenceWitness]]:
     """Search the depth-bounded fragment for a congruence violation.
 
@@ -357,7 +349,7 @@ def generate_sfilter(
     frag = tuple(sorted(set(fragment), key=formula_sort_key))
     masks, width = _holding_masks(matrix, frag)
     full = (1 << width) - 1
-    names = _collect_variables(frag)
+    names = variables_of(*frag)
     # h_values[w][i]: value of fragment formula i at valuation w into ``algebra``
     h_values = list(zip(*truth_vectors(frag, names, algebra)))
 

@@ -80,10 +80,10 @@ Formula = Union[Var, App]
 Substitution = Mapping[str, Formula]
 
 
-def variables_of(formula: Formula) -> tuple[str, ...]:
-    """All variable names occurring in the formula, sorted."""
+def variables_of(*formulas: Formula) -> tuple[str, ...]:
+    """All variable names occurring in the formulas, sorted."""
     names: set[str] = set()
-    stack = [formula]
+    stack = list(formulas)
     while stack:
         node = stack.pop()
         if isinstance(node, Var):

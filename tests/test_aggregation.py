@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from aggcheck import aggregation
 from aggcheck.aggregation import (
     AttitudeFunction,
     CriterionAggregator,
@@ -72,6 +73,15 @@ class TestRationality:
     def test_profile_count(self, or_agenda):
         profiles = enumerate_rational_profiles(or_agenda, 3)
         assert len(profiles) == 4**3
+
+    def test_profiles_past_the_cap_are_refused_unbuilt(self, or_agenda, monkeypatch):
+        def unbuilt(attitudes):
+            raise AssertionError("built a profile before the cap check")
+
+        monkeypatch.setattr(aggregation, "Profile", unbuilt)
+        with pytest.raises(BudgetExceededError) as refused:
+            enumerate_rational_profiles(or_agenda, 11, budget=10**12)
+        assert str(refused.value) == "4194304 rational profiles exceed the limit of 2000000"
 
 
 class TestWitnessConstructions:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aggcheck import algebra, cli
 from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
@@ -99,6 +100,41 @@ class TestVerifyBijection:
         )
         assert code == 3
 
+    def test_closure_is_refused_at_the_given_budget(self, bool_agenda_file, capsys):
+        # the search of boolean2^1 fits in 256 units, the first closure layer does not
+        assert main(["verify-bijection", "--logic", "boolean2", "--agenda", bool_agenda_file,
+                     "--electorate", "1", "--budget", "256"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: closure layer of 78 formulas x 4 valuations exceeds budget 256\n"
+        )
+
+    def test_round_trip_gets_the_given_budget(self, bool_agenda_file, monkeypatch):
+        seen = []
+
+        def spy(aggregator, depth, budget):
+            seen.append(budget)
+            return criterion_from_aggregator(aggregator, depth=depth, budget=budget)
+
+        criterion_from_aggregator = cli.criterion_from_aggregator
+        monkeypatch.setattr(cli, "criterion_from_aggregator", spy)
+        assert main(["verify-bijection", "--logic", "boolean2", "--agenda", bool_agenda_file,
+                     "--electorate", "2", "--budget", "5000"]) == 0
+        assert seen == [5000, 5000]
+
+    def test_power_is_built_once(self, bool_agenda_file, monkeypatch):
+        built = []
+
+        def spy(base, n):
+            built.append((base.name, n))
+            return product_algebra(base, n)
+
+        product_algebra = algebra.product_algebra
+        monkeypatch.setattr(algebra, "product_algebra", spy)
+        algebra.shared_power.cache_clear()
+        assert main(["verify-bijection", "--logic", "boolean2", "--agenda", bool_agenda_file,
+                     "--electorate", "3"]) == 0
+        assert built == [("boolean2", 3)]
+
     def test_untracked_witness_is_an_input_error(self, tmp_path, capsys):
         # (odot x1 x1) is interderivable with x1 under designated {1} but
         # takes other values, so it cannot carry the extraction
@@ -113,7 +149,7 @@ class TestVerifyBijection:
         )
 
     def test_round_trip_failure_is_reported(self, bool_agenda_file, tmp_path, monkeypatch):
-        def flipped(aggregator, depth):
+        def flipped(aggregator, depth, budget):
             criterion = aggregator.criterion
             return DecisionCriterion(criterion.algebra, criterion.electorate,
                                      tuple(1 - v for v in criterion.values))
@@ -437,6 +473,24 @@ class TestErrorPaths:
                      "--budget", "5"]) == 3
         assert capsys.readouterr().err == (
             "budget exceeded: homomorphism search charged 11 work units, over budget 5\n"
+        )
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["check-selfext", "--logic", "boolean2", "--variables", "-2"], "--variables"),
+        (["enumerate-homs", "--logic", "boolean2", "--electorate", "2", "--budget", "-1"],
+         "--budget"),
+        (["verify-bijection", "--logic", "boolean2", "--agenda", "unread.json",
+          "--electorate", "2", "--budget", "-1"], "--budget"),
+    ])
+    def test_negative_count_is_an_input_error(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {flag} must be >= 0\n"
+
+    def test_zero_budget_is_a_budget(self, capsys):
+        assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "2",
+                     "--budget", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: homomorphism search charged 4 work units, over budget 0\n"
         )
 
     def test_empty_electorate_is_an_input_error(self, capsys):

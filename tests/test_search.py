@@ -117,15 +117,16 @@ def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agend
     def forbidden(*args, **kwargs):
         raise AssertionError("the census used the homomorphism route")
 
-    for name in ("is_homomorphism", "product_algebra", "enumerate_homomorphisms"):
+    for name in ("is_homomorphism", "product_algebra", "shared_power",
+                 "enumerate_homomorphisms"):
         monkeypatch.setattr(aggregation, name, forbidden, raising=False)
     connective_tables = [id(t) for t in bool_agenda.algebra.tables.values()]
     seen = []
 
-    def spy(slots, size, constraints, budget):
+    def spy(slots, size, constraints, budget, stage):
         constraints = list(constraints)
         seen.extend(id(table) for table, _, _ in constraints)
-        return search_tables(slots, size, constraints, budget)
+        return search_tables(slots, size, constraints, budget, stage)
 
     monkeypatch.setattr(aggregation, "search_tables", spy)
     census = [c.values for c in qualifying_criteria(bool_agenda, 2, depth=2)]
@@ -144,15 +145,16 @@ def test_census_of_a_24_formula_agenda(classical):
 
 def test_census_keeps_the_profile_budget(bool_agenda):
     with pytest.raises(BudgetExceededError, match="profile x fragment"):
-        qualifying_criteria(bool_agenda, 3, budget=2**8)
+        qualifying_criteria(bool_agenda, 3, budget=2**9)
 
 
 @pytest.mark.parametrize("n, budget, message", [
-    (3, 2**8, "profile x fragment space exceeds budget: census of 64 profiles x 11 vectors "
-              "= 704 constraints, over the limit of 256"),
+    (1, 2**8, "closure layer of 78 formulas x 4 valuations exceeds budget 256"),
+    (3, 2**9, "profile x fragment space exceeds budget: census of 64 profiles x 11 vectors "
+              "= 704 constraints, over the limit of 512"),
     (10, 10**8, "profile x fragment space exceeds budget: census of 1048576 profiles x 11 "
                 "vectors = 11534336 constraints, over the limit of 2000000"),
-    (2, 200, "census table search charged 225 work units, over budget 200"),
+    (2, 400, "census table search charged 473 work units, over budget 400"),
 ])
 def test_census_refusals_name_the_stage_the_count_and_the_limit(bool_agenda, n, budget, message):
     with pytest.raises(BudgetExceededError) as refused:
