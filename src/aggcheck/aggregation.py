@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import eq
 from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
@@ -187,19 +188,30 @@ def enumerate_rational_attitudes(agenda: Agenda) -> tuple[AttitudeFunction, ...]
     )
 
 
-def enumerate_rational_profiles(
-    agenda: Agenda, electorate: int, budget: int = DEFAULT_BUDGET
-) -> tuple[Profile, ...]:
-    attitudes = enumerate_rational_attitudes(agenda)
-    count = len(attitudes) ** electorate
+def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) -> None:
+    count = len(_rational_table(agenda)) ** electorate
     limit = min(budget, MAX_CONSTRAINTS)  # refused unbuilt: a profile takes about 200 bytes
     if count > limit:
         raise BudgetExceededError(
             f"{count} rational profiles exceed the limit of {limit}"
         )
+
+
+@lru_cache(maxsize=4)
+def _rational_profiles(agenda: Agenda, electorate: int) -> tuple[Profile, ...]:
+    attitudes = enumerate_rational_attitudes(agenda)
     return tuple(
         Profile(combo) for combo in product(attitudes, repeat=electorate)
     )
+
+
+def enumerate_rational_profiles(
+    agenda: Agenda, electorate: int, budget: int = DEFAULT_BUDGET
+) -> tuple[Profile, ...]:
+    """All rational profiles, voter 0's attitude most significant; built
+    once and shared by every later check of the same agenda and electorate."""
+    _refuse_profiles_past_the_cap(agenda, electorate, budget)
+    return _rational_profiles(agenda, electorate)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +300,13 @@ class CriterionAggregator:
             raise ValueError("profile has the wrong number of voters")
         # one voter tuple per agenda position
         columns = zip(*(a.values for a in profile.attitudes))
-        return AttitudeFunction(self.agenda, tuple(map(self.criterion, columns)))
+        return AttitudeFunction(self.agenda, tuple(map(self._criterion_at.__getitem__, columns)))
+
+    @cached_property
+    def _criterion_at(self) -> dict[tuple[int, ...], int]:
+        """The criterion keyed by voter tuple, so ``apply`` does no arithmetic."""
+        voters = product(range(self.agenda.algebra.size), repeat=self.electorate)
+        return dict(zip(voters, self.criterion.values))
 
     @cached_property
     def _rational_values(self) -> frozenset[tuple[int, ...]]:
@@ -341,7 +359,7 @@ Aggregator = Union[CriterionAggregator, ExtensionalAggregator]
 
 
 # ---------------------------------------------------------------------------
-# Property checks
+# Property checks: one pass over the aggregator's domain
 # ---------------------------------------------------------------------------
 
 
@@ -357,29 +375,6 @@ class RationalityReport:
         return self.universal and self.rational
 
 
-def check_rational_universal(
-    aggregator: Aggregator, budget: int = DEFAULT_BUDGET
-) -> RationalityReport:
-    """Universality: every rational profile is in the domain. Rationality:
-    every output on a rational domain profile is itself rational. Exhaustive
-    over the rational profiles of the agenda."""
-    agenda = aggregator.agenda
-    rational_values = {v for v, _ in _rational_table(agenda)}
-    universal = True
-    rational = True
-    missing = None
-    witness = None
-    for profile in enumerate_rational_profiles(agenda, aggregator.electorate, budget):
-        if not aggregator.in_domain(profile):
-            if universal:
-                universal, missing = False, profile
-            continue
-        output = aggregator.apply(profile)
-        if rational and output.values not in rational_values:
-            rational, witness = False, (profile, output)
-    return RationalityReport(universal, rational, missing, witness)
-
-
 @dataclass(frozen=True)
 class SystematicityResult:
     holds: bool
@@ -387,6 +382,13 @@ class SystematicityResult:
     depth: int
     criterion: Optional[dict[tuple[int, ...], int]]
     conflict: Optional[str]
+
+
+@dataclass(frozen=True)
+class ParetoReport:
+    holds: bool
+    checked_profiles: int
+    witness: Optional[str]
 
 
 @lru_cache(maxsize=None)
@@ -409,6 +411,208 @@ def _fragment_and_vectors(
     return fragment, tuple(vector_of[f] for f in fragment)
 
 
+@lru_cache(maxsize=4)
+def _voter_ranks(
+    size: int, electorate: int, extensions: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """For each profile of the attitudes whose fragment values are
+    ``extensions``, in product order (voter 0 most significant), the rank in
+    B^N of the voters' tuple at each fragment formula."""
+    ranks = [(0,) * len(extensions[0])]
+    for _ in range(electorate):
+        ranks = [tuple(r * size + v for r, v in zip(prefix, ext))
+                 for prefix in ranks for ext in extensions]
+    return tuple(ranks)
+
+
+def _ranked_rows(profiles, extension, positions, size):
+    """(profile, its number among the rational profiles, its voters' tuple
+    rank at each fragment formula) for profiles of an explicit domain. A
+    profile with an irrational voter has no number and no rank at closure
+    formulas (None)."""
+    number_of = {values: i for i, values in enumerate(extension)}
+    for profile in profiles:
+        voters = [a.values for a in profile.attitudes]
+        extended = [extension.get(values) for values in voters]
+        if None in extended:
+            yield profile, None, [
+                None if pos is None else product_element_index(size, [v[pos] for v in voters])
+                for pos in positions
+            ]
+        else:
+            number = product_element_index(len(extension), [number_of[v] for v in voters])
+            yield profile, number, [product_element_index(size, col) for col in zip(*extended)]
+
+
+class _Constraints:
+    """The systematicity constraints met so far. A key is the voters' tuple
+    rank, paired with the fragment number at the independent level; each
+    keeps its output value and the profile and fragment number where it
+    first occurs."""
+
+    def __init__(self, level: str, fragment: Sequence[Formula], positions, size: int,
+                 electorate: int):
+        self.level, self.fragment, self.size, self.electorate = level, fragment, size, electorate
+        self.agenda_slots = [(f_num, pos) for f_num, pos in enumerate(positions)
+                             if pos is not None]
+        self.value_of: dict[object, int] = {}
+        self.origin: dict[object, tuple[int, int]] = {}
+
+    def meet(self, p_num: int, attained, output: AttitudeFunction,
+             closure: Optional[tuple[int, ...]]) -> Optional[str]:
+        """Add profile ``p_num``'s constraints, in fragment order: all of
+        them given the output's closure values, else the agenda part only.
+        Returns the first conflict with an earlier constraint, or None."""
+        if closure is not None:
+            nums, voters, values = range(len(self.fragment)), attained, closure
+        else:
+            nums = [f_num for f_num, _ in self.agenda_slots]
+            voters = [attained[f_num] for f_num in nums]
+            values = [output.values[pos] for _, pos in self.agenda_slots]
+        keys = voters if self.level != INDEPENDENT else list(zip(voters, nums))
+        if all(map(eq, map(self.value_of.get, keys), values)):
+            return None  # every constraint already met
+        for f_num, rank, key, value in zip(nums, voters, keys, values):
+            prior = self.value_of.setdefault(key, value)
+            if prior == value:
+                self.origin.setdefault(key, (p_num, f_num))
+                continue
+            first_profile, first_num = self.origin[key]
+            return (
+                f"tuple {self._voter_tuple(rank)}: value {prior} from profile {first_profile} "
+                f"at {formula_sort_key(self.fragment[first_num])} vs value {value} from "
+                f"profile {p_num} at {formula_sort_key(self.fragment[f_num])}"
+            )
+        return None
+
+    def criterion(self) -> dict:
+        """The constraints as a criterion on voter tuples (paired with the
+        formula at the independent level), in first-occurrence order."""
+        if self.level == INDEPENDENT:
+            return {(self._voter_tuple(rank), self.fragment[f_num]): value
+                    for (rank, f_num), value in self.value_of.items()}
+        return {self._voter_tuple(rank): value for rank, value in self.value_of.items()}
+
+    def _voter_tuple(self, rank: int) -> tuple[int, ...]:
+        n = self.electorate
+        return tuple(rank // self.size ** (n - 1 - i) % self.size for i in range(n))
+
+
+@dataclass(frozen=True)
+class _Pass:
+    rationality: Optional[RationalityReport]
+    systematicity: Optional[SystematicityResult]
+    pareto: Optional[ParetoReport]
+
+
+def _one_pass(
+    aggregator: Aggregator,
+    budget: int,
+    level: Optional[str] = None,
+    depth: int = 1,
+    rationality: bool = True,
+    pareto: bool = False,
+) -> _Pass:
+    """Aggregate each profile of the aggregator's domain once, in domain
+    order, and feed the output to every check asked for: universality and
+    rationality over the rational profiles (``rationality``), systematicity
+    at ``level`` over the whole domain (None skips it), and the Pareto scan
+    over the rational profiles (``pareto``).
+
+    Every refusal comes before the first profile is aggregated: the
+    rational-profile cap, the domain's own, the closure layers, then the
+    systematicity budget. A rational profile's voters' tuple ranks come
+    from a table shared by every pass over the same profiles and fragment.
+    """
+    agenda, n = aggregator.agenda, aggregator.electorate
+    size = agenda.algebra.size
+    if rationality:
+        _refuse_profiles_past_the_cap(agenda, n, budget)
+    profiles = aggregator.domain_profiles(budget)
+    if level == STRONGLY_SYSTEMATIC:
+        fragment, vectors = _fragment_and_vectors(agenda, depth, budget)
+    else:
+        fragment = agenda.formulas
+        vectors = truth_vectors(fragment, agenda.variables, agenda.algebra)
+    if level is not None and len(profiles) * len(fragment) > budget:
+        raise BudgetExceededError(
+            f"systematicity check: {len(profiles)} profiles x {len(fragment)} formulas "
+            f"= {len(profiles) * len(fragment)} exceed budget {budget}"
+        )
+    # each rational attitude's values on the fragment, its unique rational extension
+    extension = {
+        values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
+    }
+    positions = [agenda.index.get(formula) for formula in fragment]
+    if isinstance(aggregator, CriterionAggregator):  # its domain: the rational profiles
+        ranks = _voter_ranks(size, n, tuple(extension.values()))
+        rows = zip(profiles, range(len(profiles)), ranks)
+    else:
+        rows = _ranked_rows(profiles, extension, positions, size)
+    # the agenda formulas' fragment numbers, in agenda order
+    agenda_order = sorted((pos, f_num) for f_num, pos in enumerate(positions) if pos is not None)
+    # rank of each unanimous voters' tuple on a constant -> that constant
+    unanimous = {
+        c * product_element_index(size, (1,) * n): c
+        for c in (agenda.algebra.constant(name) for name in agenda.signature.constants)
+    }
+
+    constraints = None if level is None else _Constraints(level, fragment, positions, size, n)
+    conflict = None
+    rational_rows = 0
+    irrational = None  # (number, profile, output): the least rational profile aggregated irrationally
+    unfair = None  # (number, text): the least rational profile breaking unanimity on a constant
+    for p_num, (profile, number, attained) in enumerate(rows):
+        output = aggregator.apply(profile)
+        closure = extension.get(output.values)
+        if number is not None:
+            rational_rows += 1
+            if closure is None and (irrational is None or number < irrational[0]):
+                irrational = (number, profile, output)
+            if pareto and (unfair is None or number < unfair[0]):
+                for pos, f_num in agenda_order:
+                    value = unanimous.get(attained[f_num])
+                    if value is not None and output.values[pos] != value:
+                        label = agenda.algebra.label
+                        unfair = (number, f"unanimous {label(value)} on "
+                                          f"{formula_sort_key(fragment[f_num])} aggregated to "
+                                          f"{label(output.values[pos])}")
+                        break
+        if constraints is not None and not conflict:
+            # closure values exist only when every attitude involved is rational
+            closed = closure if number is not None else None
+            conflict = constraints.meet(p_num, attained, output, closed)
+            if conflict and not (rationality or pareto):
+                break
+
+    report = strong = fair = None
+    if rationality:
+        universal = rational_rows == len(extension) ** n
+        missing = None if universal else next(
+            p for p in enumerate_rational_profiles(agenda, n, budget)
+            if not aggregator.in_domain(p)
+        )
+        witness = None if irrational is None else irrational[1:]
+        report = RationalityReport(universal, irrational is None, missing, witness)
+    if constraints is not None:
+        strong = (SystematicityResult(False, level, depth, None, conflict) if conflict
+                  else SystematicityResult(True, level, depth, constraints.criterion(), None))
+    if pareto:
+        fair = (ParetoReport(True, rational_rows, None) if unfair is None
+                else ParetoReport(False, unfair[0] + 1, unfair[1]))
+    return _Pass(report, strong, fair)
+
+
+def check_rational_universal(
+    aggregator: Aggregator, budget: int = DEFAULT_BUDGET
+) -> RationalityReport:
+    """Universality: every rational profile is in the domain. Rationality:
+    every output on a rational domain profile is itself rational. Exhaustive
+    over the rational profiles of the agenda; the missing profile and the
+    irrational witness are the first in rational-profile order."""
+    return _one_pass(aggregator, budget).rationality
+
+
 def check_systematicity(
     aggregator: Aggregator,
     level: str = SYSTEMATIC,
@@ -426,61 +630,12 @@ def check_systematicity(
                   attitude is not rational contribute only their agenda part.
 
     Returns the induced (partial) criterion on the attained tuples when the
-    level holds, and a human-readable conflict otherwise.
+    level holds, and a human-readable conflict otherwise (the first one met
+    over the domain profiles in order, each over the fragment in order).
     """
     if level not in (INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC):
         raise ValueError(f"unknown level {level!r}")
-    agenda = aggregator.agenda
-    profiles = aggregator.domain_profiles(budget)
-
-    closure_values: dict[tuple[int, ...], tuple[int, ...]] = {}
-    if level == STRONGLY_SYSTEMATIC:
-        fragment, vectors = _fragment_and_vectors(agenda, depth, budget)
-        # each rational attitude's values on the fragment, its unique rational extension
-        closure_values = {
-            values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
-        }
-    else:
-        fragment = agenda.formulas
-    if len(profiles) * len(fragment) > budget:
-        raise BudgetExceededError(
-            f"systematicity check: {len(profiles)} profiles x {len(fragment)} formulas "
-            f"= {len(profiles) * len(fragment)} exceed budget {budget}"
-        )
-
-    positions = [agenda.index.get(formula) for formula in fragment]
-    # key -> (output value, profile number, formula) of its first occurrence
-    constraints: dict[object, tuple[int, int, Formula]] = {}
-
-    for p_num, profile in enumerate(profiles):
-        output = aggregator.apply(profile)
-        # closure values exist only when every attitude involved is rational
-        voter_vals = [closure_values.get(a.values) for a in profile.attitudes]
-        out_vals = closure_values.get(output.values)
-        closed = out_vals is not None and None not in voter_vals
-        for f_num, (formula, pos) in enumerate(zip(fragment, positions)):
-            if pos is not None:
-                attained = tuple(a.values[pos] for a in profile.attitudes)
-                out_value = output.values[pos]
-            else:
-                if not closed:
-                    continue
-                attained = tuple(vals[f_num] for vals in voter_vals)
-                out_value = out_vals[f_num]
-            key = (attained, formula) if level == INDEPENDENT else attained
-            prior = constraints.get(key)
-            if prior is None:
-                constraints[key] = (out_value, p_num, formula)
-            elif prior[0] != out_value:
-                conflict = (
-                    f"tuple {attained}: value {prior[0]} from profile {prior[1]} at "
-                    f"{formula_sort_key(prior[2])} vs value {out_value} from "
-                    f"profile {p_num} at {formula_sort_key(formula)}"
-                )
-                return SystematicityResult(False, level, depth, None, conflict)
-
-    criterion = {k: v for k, (v, _, _) in constraints.items()}
-    return SystematicityResult(True, level, depth, criterion, None)
+    return _one_pass(aggregator, budget, level, depth, rationality=False).systematicity
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +698,13 @@ def criterion_from_aggregator(
     algebra = agenda.algebra
     n = aggregator.electorate
 
-    report = check_rational_universal(aggregator, budget)
+    checked = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, depth)
+    report, strong = checked.rationality, checked.systematicity
     if not report.both:
         raise ValueError(
             "aggregator is not universal+rational: "
             f"universal={report.universal} rational={report.rational}"
         )
-    strong = check_systematicity(aggregator, STRONGLY_SYSTEMATIC, depth, budget)
     if not strong.holds:
         raise ValueError(f"aggregator is not strongly systematic: {strong.conflict}")
 
@@ -583,50 +738,23 @@ def aggregator_from_criterion(
     return CriterionAggregator(criterion, agenda)
 
 
-@dataclass(frozen=True)
-class ParetoReport:
-    holds: bool
-    checked_profiles: int
-    witness: Optional[str]
-
-
 def check_pareto(
     aggregator: Aggregator, budget: int = DEFAULT_BUDGET
 ) -> ParetoReport:
     """Unanimity on a constant's value forces that value in the output.
 
     Preconditions (universal, rational, strongly systematic) are verified
-    first; the scan then covers every rational profile, agenda formula and
-    constant of the signature.
+    on the same pass; the scan covers every rational profile, agenda formula
+    and constant of the signature, and reports the first failure in
+    rational-profile order with the number of profiles checked up to it.
     """
-    agenda = aggregator.agenda
-    report = check_rational_universal(aggregator, budget)
-    strong = check_systematicity(aggregator, STRONGLY_SYSTEMATIC, 1, budget)
-    if not (report.both and strong.holds):
+    checked = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, 1, pareto=True)
+    if not (checked.rationality.both and checked.systematicity.holds):
         raise ValueError(
             "Pareto check requires a universal, rational, strongly "
             "systematic aggregator"
         )
-    constant_values = {
-        agenda.algebra.constant(c) for c in agenda.signature.constants
-    }
-    checked = 0
-    for profile in enumerate_rational_profiles(agenda, aggregator.electorate, budget):
-        output = aggregator.apply(profile)
-        checked += 1
-        for i, formula in enumerate(agenda.formulas):
-            tuple_values = set(a.values[i] for a in profile.attitudes)
-            if len(tuple_values) == 1:
-                (value,) = tuple_values
-                if value in constant_values and output.values[i] != value:
-                    return ParetoReport(
-                        False,
-                        checked,
-                        f"unanimous {agenda.algebra.label(value)} on "
-                        f"{formula_sort_key(formula)} aggregated to "
-                        f"{agenda.algebra.label(output.values[i])}",
-                    )
-    return ParetoReport(True, checked, None)
+    return checked.pareto
 
 
 # ---------------------------------------------------------------------------

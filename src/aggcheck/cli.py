@@ -225,7 +225,7 @@ def cmd_check_subjunctive(args: argparse.Namespace) -> int:
 def cmd_check_selfext(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.logic)
     names = [f"x{i+1}" for i in range(args.variables)]
-    ok, witness = check_selfextensionality(matrix, names, args.depth)
+    ok, witness = check_selfextensionality(matrix, names, args.depth, args.budget)
     report = {
         **_tool_stamp(args),
         "command": "check-selfext",
@@ -335,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--variables", type=int, default=2)
     p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=cmd_check_selfext)
 
     p = sub.add_parser("enumerate-homs", help="all homomorphisms B^N -> B")

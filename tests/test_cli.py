@@ -240,6 +240,15 @@ class TestCheckSelfext:
         assert main(["check-selfext", "--logic", "mv3-degree", "--variables", "1",
                      "--depth", "2"]) == 0
 
+    def test_closure_is_refused_at_the_given_budget(self, capsys):
+        # passes at the default budget, after some 30 s
+        assert main(["check-selfext", "--logic", "mv3-degree", "--variables", "2",
+                     "--depth", "4", "--budget", "10000000"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: closure layer of 5722864 formulas x 9 valuations "
+            "exceeds budget 10000000\n"
+        )
+
 
 class TestEnumerateHoms:
     def test_count(self, tmp_path):
