@@ -105,9 +105,11 @@ class DecisionCriterion:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        expected = self.algebra.size**self.electorate
-        if len(self.values) != expected:
-            raise ValueError(f"criterion table needs {expected} entries")
+        size, n, count = self.algebra.size, self.electorate, len(self.values)
+        if n < 1:
+            raise ValueError(f"criterion electorate must be >= 1, got {n}")
+        if (size > 1 and n > count.bit_length()) or count != size**n:  # no size**n past count
+            raise ValueError(f"criterion table needs {size}^{n} entries, got {count}")
         if any(not (0 <= v < self.algebra.size) for v in self.values):
             raise ValueError("criterion values outside the carrier")
 
@@ -132,9 +134,7 @@ def projection_criterion(algebra: FiniteAlgebra, electorate: int, voter: int) ->
 
 
 def constant_criterion(algebra: FiniteAlgebra, electorate: int, value: int) -> DecisionCriterion:
-    return DecisionCriterion(
-        algebra, electorate, (value,) * (algebra.size**electorate)
-    )
+    return DecisionCriterion(algebra, electorate, (value,) * algebra.size**electorate)
 
 
 def majority_criterion(algebra: FiniteAlgebra, electorate: int) -> DecisionCriterion:
@@ -808,29 +808,29 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     """
     size = agenda.algebra.size
     rational = _rational_table(agenda)
-    vectors = tuple(dict.fromkeys(_fragment_and_vectors(agenda, depth, budget)[1]))
+    fragment, fragment_vectors = _fragment_and_vectors(agenda, depth, budget)
+    first_column = {vec: fragment_vectors.index(vec) for vec in dict.fromkeys(fragment_vectors)}
     profiles = len(rational) ** electorate
     limit = min(budget, MAX_CONSTRAINTS)
-    if profiles * len(vectors) > limit:
+    if profiles * len(first_column) > limit:
         raise BudgetExceededError(
             f"profile x fragment space exceeds budget: census of {profiles} profiles "
-            f"x {len(vectors)} vectors = {profiles * len(vectors)} constraints, "
+            f"x {len(first_column)} vectors = {profiles * len(first_column)} constraints, "
             f"over the limit of {limit}"
         )
     tables = [
         _RationalLookup({product_element_index(size, values): vec[w] for values, w in rational})
-        for vec in vectors
+        for vec in first_column
     ]
+    agenda_columns = [fragment.index(formula) for formula in agenda.formulas]
     slot: dict[int, int] = {}  # voter tuple -> search slot, by first appearance
     constraints = []
-    for combo in product(rational, repeat=electorate):
-        ws = [w for _, w in combo]
+    extensions = tuple(tuple(vec[w] for vec in fragment_vectors) for _, w in rational)
+    for ranks in _voter_ranks(size, electorate, extensions):  # the round trips' table
         # the output attitude is the criterion at each agenda formula's voter tuple
-        args = tuple(slot.setdefault(product_element_index(size, col), len(slot))
-                     for col in zip(*(v for v, _ in combo)))
-        for vec, table in zip(vectors, tables):
-            result = product_element_index(size, [vec[w] for w in ws])
-            constraints.append((table, args, slot.setdefault(result, len(slot))))
+        args = tuple(slot.setdefault(ranks[c], len(slot)) for c in agenda_columns)
+        for c, table in zip(first_column.values(), tables):
+            constraints.append((table, args, slot.setdefault(ranks[c], len(slot))))
     for voters in range(size**electorate):  # tuples no profile attains
         slot.setdefault(voters, len(slot))
     return constraints, [slot[voters] for voters in range(size**electorate)]

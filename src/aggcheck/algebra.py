@@ -216,14 +216,27 @@ def closure_vectors(
     representatives only. That loses no representative, because for both
     orders used here (printed text, and length then text) replacing an
     argument by a smaller one with the same vector gives a smaller formula.
-    ``budget`` caps vector entries computed per layer. The result is ordered
-    by representative.
+    ``budget`` caps vector entries computed per layer, the seeds' included.
+    The result is ordered by representative.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     signature = algebra.signature
     width = algebra.size ** len(variables)
     seeds = [*formulas, *(App(c, ()) for c in signature.constants)]
+
+    def charge(count: int) -> None:
+        if budget is not None and count * width > budget:
+            try:
+                valuations = str(width)
+            except ValueError:  # more digits than the interpreter prints
+                valuations = f"{algebra.size}^{len(variables)}"
+            raise BudgetExceededError(
+                f"closure layer of {count} formulas x {valuations} valuations "
+                f"exceeds budget {budget}"
+            )
+
+    charge(len(seeds))
     best: dict[Vector, tuple[object, str, Formula]] = {}
     for formula, vector in zip(seeds, truth_vectors(seeds, variables, algebra)):
         text = print_formula(formula)
@@ -232,12 +245,7 @@ def closure_vectors(
             best[vector] = (rank, text, formula)
     for _ in range(depth):
         layer = [(vector, text, formula) for vector, (_, text, formula) in best.items()]
-        cost = width * sum(len(layer) ** a for _, a in signature.connectives if a)
-        if budget is not None and cost > budget:
-            raise BudgetExceededError(
-                f"closure layer of {cost // width} formulas x {width} valuations "
-                f"exceeds budget {budget}"
-            )
+        charge(sum(len(layer) ** a for _, a in signature.connectives if a))
         for symbol, arity in signature.connectives:
             if arity == 0:
                 continue

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aggcheck import algebra, cli
+from aggcheck import aggregation, algebra, cli
 from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
@@ -121,6 +121,16 @@ class TestVerifyBijection:
                      "--electorate", "2", "--budget", "5000"]) == 0
         assert seen == [5000, 5000]
 
+    def test_rank_table_is_built_once(self, bool_agenda_file, tmp_path):
+        # the census builds the rational-profile rank table; each round trip reuses it
+        out = tmp_path / "report.json"
+        aggregation._voter_ranks.cache_clear()
+        assert main(["verify-bijection", "--logic", "boolean2", "--agenda", bool_agenda_file,
+                     "--electorate", "4", "--out", str(out)]) == 0
+        homs = json.loads(out.read_text())["homs"]
+        info = aggregation._voter_ranks.cache_info()
+        assert (homs, info.misses, info.hits) == (4, 1, homs)
+
     def test_power_is_built_once(self, bool_agenda_file, monkeypatch):
         built = []
 
@@ -201,6 +211,17 @@ class TestClassifyDictators:
         assert report["dictator"] == 1
         assert report["ultrafilter"] is True
 
+    @pytest.mark.parametrize("electorate, values, message", [
+        (-1, [0], "criterion electorate must be >= 1, got -1"),
+        (0, [0], "criterion electorate must be >= 1, got 0"),
+        (100000, [0, 1], "criterion table needs 2^100000 entries, got 2"),
+    ])
+    def test_electorate_is_checked(self, tmp_path, capsys, electorate, values, message):
+        path = tmp_path / "criterion.json"
+        dump_json({"electorate": electorate, "values": values}, path)
+        assert main(["classify-dictators", "--criterion", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
 
 class TestCheckSubjunctive:
     def test_default_bound(self, tmp_path):
@@ -247,6 +268,27 @@ class TestCheckSelfext:
         assert capsys.readouterr().err == (
             "budget exceeded: closure layer of 5722864 formulas x 9 valuations "
             "exceeds budget 10000000\n"
+        )
+
+    def test_seed_layer_is_charged(self, capsys):
+        # 16 variables and 2 constants, 2^16 valuations each
+        assert main(["check-selfext", "--logic", "boolean2", "--variables", "16",
+                     "--depth", "0", "--budget", "1000"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: closure layer of 18 formulas x 65536 valuations "
+            "exceeds budget 1000\n"
+        )
+
+    def test_seed_layer_is_refused_before_any_vector(self, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("a seed vector was computed")
+
+        monkeypatch.setattr(algebra, "_variable_vectors", forbidden)
+        assert main(["check-selfext", "--logic", "boolean2", "--variables", "100000",
+                     "--depth", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: closure layer of 100002 formulas x 2^100000 valuations "
+            "exceeds budget 100000000\n"
         )
 
 

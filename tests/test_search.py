@@ -16,8 +16,14 @@ from aggcheck.aggregation import (
     projection_criterion,
     qualifying_criteria,
 )
-from aggcheck.algebra import power_homomorphisms, search_tables
+from aggcheck.algebra import (
+    builtin_distributive_lattice,
+    power_homomorphisms,
+    product_element_index,
+    search_tables,
+)
 from aggcheck.errors import BudgetExceededError
+from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula
 
 
@@ -160,6 +166,62 @@ def test_census_refusals_name_the_stage_the_count_and_the_limit(bool_agenda, n, 
     with pytest.raises(BudgetExceededError) as refused:
         qualifying_criteria(bool_agenda, n, budget=budget)
     assert str(refused.value) == message
+
+
+def test_census_refuses_before_the_rank_table_is_built(bool_agenda, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the rank table was built before the refusal")
+
+    monkeypatch.setattr(aggregation, "_voter_ranks", forbidden)
+    for n, budget, message in [
+        (10, 10**8, "census of 1048576 profiles x 11 vectors = 11534336 constraints, "
+                    "over the limit of 2000000"),
+        (3, 2**9, "census of 64 profiles x 11 vectors = 704 constraints, over the limit of 512"),
+    ]:
+        with pytest.raises(BudgetExceededError) as refused:
+            qualifying_criteria(bool_agenda, n, budget=budget)
+        assert str(refused.value) == f"profile x fragment space exceeds budget: {message}"
+
+
+def reference_census_constraints(agenda, electorate, depth, budget):
+    """The census constraints built one rational profile at a time, ranking
+    each voters' tuple on its own, with slots numbered by first appearance."""
+    size = agenda.algebra.size
+    rational = aggregation._rational_table(agenda)
+    vectors = tuple(dict.fromkeys(aggregation._fragment_and_vectors(agenda, depth, budget)[1]))
+    tables = [{product_element_index(size, values): vec[w] for values, w in rational}
+              for vec in vectors]
+    slot = {}
+    constraints = []
+    for combo in product(rational, repeat=electorate):
+        ws = [w for _, w in combo]
+        args = tuple(slot.setdefault(product_element_index(size, col), len(slot))
+                     for col in zip(*(v for v, _ in combo)))
+        for vec, table in zip(vectors, tables):
+            result = product_element_index(size, [vec[w] for w in ws])
+            constraints.append((table, args, slot.setdefault(result, len(slot))))
+    for voters in range(size**electorate):
+        slot.setdefault(voters, len(slot))
+    return constraints, [slot[voters] for voters in range(size**electorate)]
+
+
+def diamond_matrix():
+    lattice = builtin_distributive_lattice(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    return Matrix(lattice, frozenset({3}), "filter")
+
+
+TABLE_CASES = [("classical", BOOLEAN, n, depth) for n in (1, 2, 3, 4) for depth in (1, 2)]
+TABLE_CASES += [("classical", ["(not x1)", "(or x1 x2)", "x2"], n, 1) for n in (1, 2)]
+TABLE_CASES += [(logic, MV, n, 1) for logic in ("luk3_filter", "luk3_degree") for n in (1, 2, 3)]
+TABLE_CASES += [("diamond", ["x1", "x2", "(or x1 x2)"], n, 1) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("logic,texts,n,depth", TABLE_CASES)
+def test_census_constraints_equal_the_per_profile_reference(logic, texts, n, depth, request):
+    matrix = diamond_matrix() if logic == "diamond" else request.getfixturevalue(logic)
+    a = agenda(matrix, texts)
+    constraints, slots = aggregation._census_constraints(a, n, depth, 10**8)
+    assert (constraints, slots) == reference_census_constraints(a, n, depth, 10**8)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
