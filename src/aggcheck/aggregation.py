@@ -197,21 +197,15 @@ def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) 
         )
 
 
-@lru_cache(maxsize=4)
-def _rational_profiles(agenda: Agenda, electorate: int) -> tuple[Profile, ...]:
-    attitudes = enumerate_rational_attitudes(agenda)
-    return tuple(
-        Profile(combo) for combo in product(attitudes, repeat=electorate)
-    )
-
-
 def enumerate_rational_profiles(
     agenda: Agenda, electorate: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[Profile, ...]:
-    """All rational profiles, voter 0's attitude most significant; built
-    once and shared by every later check of the same agenda and electorate."""
+    """All rational profiles, voter 0's attitude most significant. The checks
+    below build none for a criterion aggregator: they read its outputs off
+    the rational profiles' rank table."""
     _refuse_profiles_past_the_cap(agenda, electorate, budget)
-    return _rational_profiles(agenda, electorate)
+    attitudes = enumerate_rational_attitudes(agenda)
+    return tuple(Profile(combo) for combo in product(attitudes, repeat=electorate))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +294,11 @@ class CriterionAggregator:
             raise ValueError("profile has the wrong number of voters")
         # one voter tuple per agenda position
         columns = zip(*(a.values for a in profile.attitudes))
-        return AttitudeFunction(self.agenda, tuple(map(self._criterion_at.__getitem__, columns)))
-
-    @cached_property
-    def _criterion_at(self) -> dict[tuple[int, ...], int]:
-        """The criterion keyed by voter tuple, so ``apply`` does no arithmetic."""
-        voters = product(range(self.agenda.algebra.size), repeat=self.electorate)
-        return dict(zip(voters, self.criterion.values))
-
-    @cached_property
-    def _rational_values(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(v for v, _ in _rational_table(self.agenda))
+        return AttitudeFunction(self.agenda, tuple(map(self.criterion, columns)))
 
     def in_domain(self, profile: Profile) -> bool:
-        return all(a.values in self._rational_values for a in profile.attitudes)
+        rational = dict(_rational_table(self.agenda))
+        return all(a.values in rational for a in profile.attitudes)
 
     def domain_profiles(self, budget: int = DEFAULT_BUDGET) -> tuple[Profile, ...]:
         return enumerate_rational_profiles(self.agenda, self.electorate, budget)
@@ -425,23 +410,24 @@ def _voter_ranks(
     return tuple(ranks)
 
 
-def _ranked_rows(profiles, extension, positions, size):
+def _ranked_rows(aggregator, extension, positions, size):
     """(profile, its number among the rational profiles, its voters' tuple
-    rank at each fragment formula) for profiles of an explicit domain. A
-    profile with an irrational voter has no number and no rank at closure
-    formulas (None)."""
+    rank at each fragment formula, output values) for each row of an
+    extensional aggregator's table. A profile with an irrational voter has
+    no number and no rank at closure formulas (None)."""
     number_of = {values: i for i, values in enumerate(extension)}
-    for profile in profiles:
+    for profile, output in aggregator.table:
         voters = [a.values for a in profile.attitudes]
         extended = [extension.get(values) for values in voters]
         if None in extended:
-            yield profile, None, [
+            number, attained = None, [
                 None if pos is None else product_element_index(size, [v[pos] for v in voters])
                 for pos in positions
             ]
         else:
             number = product_element_index(len(extension), [number_of[v] for v in voters])
-            yield profile, number, [product_element_index(size, col) for col in zip(*extended)]
+            attained = [product_element_index(size, col) for col in zip(*extended)]
+        yield profile, number, attained, output.values
 
 
 class _Constraints:
@@ -458,7 +444,7 @@ class _Constraints:
         self.value_of: dict[object, int] = {}
         self.origin: dict[object, tuple[int, int]] = {}
 
-    def meet(self, p_num: int, attained, output: AttitudeFunction,
+    def meet(self, p_num: int, attained, output: tuple[int, ...],
              closure: Optional[tuple[int, ...]]) -> Optional[str]:
         """Add profile ``p_num``'s constraints, in fragment order: all of
         them given the output's closure values, else the agenda part only.
@@ -468,7 +454,7 @@ class _Constraints:
         else:
             nums = [f_num for f_num, _ in self.agenda_slots]
             voters = [attained[f_num] for f_num in nums]
-            values = [output.values[pos] for _, pos in self.agenda_slots]
+            values = [output[pos] for _, pos in self.agenda_slots]
         keys = voters if self.level != INDEPENDENT else list(zip(voters, nums))
         if all(map(eq, map(self.value_of.get, keys), values)):
             return None  # every constraint already met
@@ -513,44 +499,48 @@ def _one_pass(
     rationality: bool = True,
     pareto: bool = False,
 ) -> _Pass:
-    """Aggregate each profile of the aggregator's domain once, in domain
-    order, and feed the output to every check asked for: universality and
+    """Read the aggregator's output on each profile of its domain once, in
+    domain order, and feed it to every check asked for: universality and
     rationality over the rational profiles (``rationality``), systematicity
     at ``level`` over the whole domain (None skips it), and the Pareto scan
     over the rational profiles (``pareto``).
 
-    Every refusal comes before the first profile is aggregated: the
-    rational-profile cap, the domain's own, the closure layers, then the
-    systematicity budget. A rational profile's voters' tuple ranks come
-    from a table shared by every pass over the same profiles and fragment.
+    Every refusal comes before the first output is read: the
+    rational-profile cap (for a criterion aggregator, its domain's), the
+    closure layers, then the systematicity budget. A rational profile's
+    voters' tuple ranks come from a table shared by every pass over the same
+    profiles and fragment; a criterion aggregator's outputs are read off
+    that table, and a profile is built only for a reported irrational witness.
     """
     agenda, n = aggregator.agenda, aggregator.electorate
     size = agenda.algebra.size
-    if rationality:
+    induced = isinstance(aggregator, CriterionAggregator)  # its domain: the rational profiles
+    if rationality or induced:
         _refuse_profiles_past_the_cap(agenda, n, budget)
-    profiles = aggregator.domain_profiles(budget)
+    domain = len(_rational_table(agenda)) ** n if induced else len(aggregator.table)
     if level == STRONGLY_SYSTEMATIC:
         fragment, vectors = _fragment_and_vectors(agenda, depth, budget)
     else:
         fragment = agenda.formulas
         vectors = truth_vectors(fragment, agenda.variables, agenda.algebra)
-    if level is not None and len(profiles) * len(fragment) > budget:
+    if level is not None and domain * len(fragment) > budget:
         raise BudgetExceededError(
-            f"systematicity check: {len(profiles)} profiles x {len(fragment)} formulas "
-            f"= {len(profiles) * len(fragment)} exceed budget {budget}"
+            f"systematicity check: {domain} profiles x {len(fragment)} formulas "
+            f"= {domain * len(fragment)} exceed budget {budget}"
         )
     # each rational attitude's values on the fragment, its unique rational extension
     extension = {
         values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
     }
     positions = [agenda.index.get(formula) for formula in fragment]
-    if isinstance(aggregator, CriterionAggregator):  # its domain: the rational profiles
-        ranks = _voter_ranks(size, n, tuple(extension.values()))
-        rows = zip(profiles, range(len(profiles)), ranks)
-    else:
-        rows = _ranked_rows(profiles, extension, positions, size)
     # the agenda formulas' fragment numbers, in agenda order
     agenda_order = sorted((pos, f_num) for f_num, pos in enumerate(positions) if pos is not None)
+    if induced:  # its output at an agenda formula: the criterion at that formula's rank
+        table, columns = aggregator.criterion.values, [f_num for _, f_num in agenda_order]
+        rows = ((None, number, attained, tuple([table[attained[c]] for c in columns]))
+                for number, attained in enumerate(_voter_ranks(size, n, tuple(extension.values()))))
+    else:
+        rows = _ranked_rows(aggregator, extension, positions, size)
     # rank of each unanimous voters' tuple on a constant -> that constant
     unanimous = {
         c * product_element_index(size, (1,) * n): c
@@ -562,9 +552,8 @@ def _one_pass(
     rational_rows = 0
     irrational = None  # (number, profile, output): the least rational profile aggregated irrationally
     unfair = None  # (number, text): the least rational profile breaking unanimity on a constant
-    for p_num, (profile, number, attained) in enumerate(rows):
-        output = aggregator.apply(profile)
-        closure = extension.get(output.values)
+    for p_num, (profile, number, attained, output) in enumerate(rows):
+        closure = extension.get(output)
         if number is not None:
             rational_rows += 1
             if closure is None and (irrational is None or number < irrational[0]):
@@ -572,11 +561,11 @@ def _one_pass(
             if pareto and (unfair is None or number < unfair[0]):
                 for pos, f_num in agenda_order:
                     value = unanimous.get(attained[f_num])
-                    if value is not None and output.values[pos] != value:
+                    if value is not None and output[pos] != value:
                         label = agenda.algebra.label
                         unfair = (number, f"unanimous {label(value)} on "
                                           f"{formula_sort_key(fragment[f_num])} aggregated to "
-                                          f"{label(output.values[pos])}")
+                                          f"{label(output[pos])}")
                         break
         if constraints is not None and not conflict:
             # closure values exist only when every attitude involved is rational
@@ -592,7 +581,9 @@ def _one_pass(
             p for p in enumerate_rational_profiles(agenda, n, budget)
             if not aggregator.in_domain(p)
         )
-        witness = None if irrational is None else irrational[1:]
+        witness = None if irrational is None else (
+            irrational[1] or enumerate_rational_profiles(agenda, n, budget)[irrational[0]],
+            AttitudeFunction(agenda, irrational[2]))
         report = RationalityReport(universal, irrational is None, missing, witness)
     if constraints is not None:
         strong = (SystematicityResult(False, level, depth, None, conflict) if conflict

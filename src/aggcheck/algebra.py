@@ -207,7 +207,7 @@ def closure_vectors(
     algebra: FiniteAlgebra,
     depth: int,
     key: Callable[[str], object] = lambda text: text,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> dict[Vector, Formula]:
     """The distinct truth vectors of ``bounded_closure(formulas, signature,
     depth)``, each with its least formula under ``key`` of the printed form.
@@ -226,7 +226,7 @@ def closure_vectors(
     seeds = [*formulas, *(App(c, ()) for c in signature.constants)]
 
     def charge(count: int) -> None:
-        if budget is not None and count * width > budget:
+        if count * width > budget:
             try:
                 valuations = str(width)
             except ValueError:  # more digits than the interpreter prints

@@ -31,9 +31,10 @@ def signature_from_obj(obj: dict) -> Signature:
     obj = _expect(obj, dict, "signature")
     connectives = [_expect(c, dict, "signature connective")
                    for c in _expect(obj["connectives"], list, "signature connectives")]
+    names = [_expect(c.get("name"), str, "signature connective name") for c in connectives]
     return Signature(tuple(
-        (c["name"], _integer(c["arity"], f"arity of connective {c['name']!r}"))
-        for c in connectives
+        (name, _integer(c.get("arity"), f"arity of connective {name!r}"))
+        for name, c in zip(names, connectives)
     ))
 
 
@@ -132,14 +133,20 @@ def matrix_from_obj(obj: dict) -> Matrix:
     if obj.get("mode") == DEGREE_MODE:
         return Matrix(algebra, None, DEGREE_MODE)
     designated = _expect(obj["designated"], list, "matrix designated values")
-    designated = frozenset(_element_index(algebra, d) for d in designated)
+    designated = frozenset(_element_index(algebra, d, "matrix designated value")
+                           for d in designated)
     return Matrix(algebra, designated, FILTER_MODE)
 
 
-def _element_index(algebra: FiniteAlgebra, value) -> int:
-    if isinstance(value, int):
-        return value
-    return algebra.carrier.index(str(value))
+def _element_index(algebra: FiniteAlgebra, value: Any, what: str) -> int:
+    """A carrier element read from a file, as an integer index or a label;
+    anything else is an input error."""
+    if not isinstance(value, str):
+        return _integer(value, what)
+    if value not in algebra.carrier:
+        raise ValueError(f"{what} {json.dumps(value)} is not a carrier label "
+                         f"(carrier {json.dumps(list(algebra.carrier))})")
+    return algebra.carrier.index(value)
 
 
 def load_matrix(spec: PathLike) -> Matrix:
@@ -196,7 +203,7 @@ def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     with open(path, "r", encoding="utf-8") as fh:
         obj = _expect(json.load(fh), dict, "criterion")
     n = _integer(obj["electorate"], "criterion electorate")
-    values = tuple(_element_index(algebra, v)
+    values = tuple(_element_index(algebra, v, "criterion value")
                    for v in _expect(obj["values"], list, "criterion values"))
     return DecisionCriterion(algebra, n, values)
 

@@ -331,6 +331,12 @@ MALFORMED_MATRICES = [
                  "table of connective 'maj' must be a list", id="null-table"),
     pytest.param(lambda a: a["signature"]["connectives"][0].update(arity=None),
                  "arity of connective 'not' must be an integer, got null", id="null-arity"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].pop("arity"),
+                 "arity of connective 'not' must be an integer, got null", id="missing-arity"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].update(name=5),
+                 "signature connective name must be a string, got 5", id="name-not-a-string"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].pop("name"),
+                 "signature connective name must be a string, got null", id="missing-name"),
     pytest.param(lambda a: a["order"].append([None, 1]),
                  "order pair entry must be an integer, got null", id="null-order-entry"),
     pytest.param(lambda a: a["order"].append(5),
@@ -360,6 +366,11 @@ MISSHAPEN_MATRICES = [
                  "algebra ops must be an object, got a list", id="ops-as-a-list"),
     pytest.param(replaced("designated", value=None),
                  "matrix designated values must be a list, got null", id="null-designated"),
+    pytest.param(replaced("designated", value=[True]),
+                 "matrix designated value must be an integer, got true", id="designated-true"),
+    pytest.param(replaced("designated", value=["2"]),
+                 'matrix designated value "2" is not a carrier label (carrier ["0", "1"])',
+                 id="designated-unknown-label"),
 ]
 
 MISSHAPEN_INPUTS = [
@@ -373,6 +384,13 @@ MISSHAPEN_INPUTS = [
                  id="criterion-list"),
     pytest.param("--criterion", {"electorate": 1, "values": None},
                  "criterion values must be a list, got null", id="null-criterion-values"),
+    pytest.param("--criterion", {"electorate": 1, "values": [0, True]},
+                 "criterion value must be an integer, got true", id="criterion-value-true"),
+    pytest.param("--criterion", {"electorate": 1, "values": [0, "x"]},
+                 'criterion value "x" is not a carrier label (carrier ["0", "1"])',
+                 id="criterion-unknown-label"),
+    pytest.param("--criterion", {"electorate": 1, "values": [0, 1.0]},
+                 "criterion value must be an integer, got 1.0", id="criterion-value-float"),
 ]
 
 

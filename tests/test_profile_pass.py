@@ -277,18 +277,20 @@ def applied(monkeypatch):
 
 @pytest.mark.parametrize("agenda, n", [(BOOLEAN, 3), (MV_DEGREE, 2)])
 def test_round_trip_aggregates_each_profile_once(agenda, n, applied):
+    """The checks read the outputs off the criterion; only the |B|^N witness
+    profiles of the extraction are aggregated, each once."""
     aggregator = aggregator_from_criterion(projection_criterion(agenda.algebra, n, 0), agenda)
     criterion_from_aggregator(aggregator, depth=2)
-    profiles = enumerate_rational_profiles(agenda, n)
     _, attitude_for = witness_attitudes(agenda)
     witnesses = Counter(Profile(tuple(attitude_for[b] for b in coords))
                         for coords in product(range(agenda.algebra.size), repeat=n))
-    # each witness profile is a rational profile too, so it is counted twice
-    assert applied == Counter(profiles) + witnesses
-    assert sum(applied.values()) == len(profiles) + agenda.algebra.size**n
+    assert applied == witnesses
+    assert sum(applied.values()) == agenda.algebra.size**n
 
 
 def test_pareto_aggregates_each_profile_once(applied):
+    """The Pareto scan reads the outputs off the criterion and aggregates no
+    profile."""
     aggregator = aggregator_from_criterion(projection_criterion(BOOLEAN.algebra, 3, 2), BOOLEAN)
     assert check_pareto(aggregator).holds
-    assert applied == Counter(enumerate_rational_profiles(BOOLEAN, 3))
+    assert not applied
