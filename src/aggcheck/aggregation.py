@@ -18,10 +18,12 @@ directions are implemented and checked exhaustively at desk scale:
 
 from __future__ import annotations
 
+import gc
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import eq
+from operator import add, eq, itemgetter
 from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
@@ -405,8 +407,8 @@ def _voter_ranks(
     B^N of the voters' tuple at each fragment formula."""
     ranks = [(0,) * len(extensions[0])]
     for _ in range(electorate):
-        ranks = [tuple(r * size + v for r, v in zip(prefix, ext))
-                 for prefix in ranks for ext in extensions]
+        shifted = [tuple([r * size for r in prefix]) for prefix in ranks]
+        ranks = [tuple(map(add, prefix, ext)) for prefix in shifted for ext in extensions]
     return tuple(ranks)
 
 
@@ -442,6 +444,7 @@ class _Constraints:
         self.agenda_slots = [(f_num, pos) for f_num, pos in enumerate(positions)
                              if pos is not None]
         self.value_of: dict[object, int] = {}
+        self.known: dict[object, Optional[int]] = defaultdict(lambda: None)  # value_of, None if unset
         self.origin: dict[object, tuple[int, int]] = {}
 
     def meet(self, p_num: int, attained, output: tuple[int, ...],
@@ -459,7 +462,7 @@ class _Constraints:
         if all(map(eq, map(self.value_of.get, keys), values)):
             return None  # every constraint already met
         for f_num, rank, key, value in zip(nums, voters, keys, values):
-            prior = self.value_of.setdefault(key, value)
+            prior = self.known[key] = self.value_of.setdefault(key, value)
             if prior == value:
                 self.origin.setdefault(key, (p_num, f_num))
                 continue
@@ -568,11 +571,12 @@ def _one_pass(
                                           f"{label(output[pos])}")
                         break
         if constraints is not None and not conflict:
-            # closure values exist only when every attitude involved is rational
+            # closure values need every attitude rational; a row held at its ranks adds nothing
             closed = closure if number is not None else None
-            conflict = constraints.meet(p_num, attained, output, closed)
-            if conflict and not (rationality or pareto):
-                break
+            if closed is None or itemgetter(*attained)(constraints.known) != closed:
+                conflict = constraints.meet(p_num, attained, output, closed)
+                if conflict and not (rationality or pareto):
+                    break
 
     report = strong = fair = None
     if rationality:
@@ -754,13 +758,6 @@ def check_pareto(
 # ---------------------------------------------------------------------------
 
 
-class _RationalLookup(dict):
-    """Census constraint table by rational attitude; others read -1."""
-
-    def __missing__(self, key: int) -> int:
-        return -1
-
-
 def qualifying_criteria(
     agenda: Agenda,
     electorate: int,
@@ -809,19 +806,23 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
             f"x {len(first_column)} vectors = {profiles * len(first_column)} constraints, "
             f"over the limit of {limit}"
         )
-    tables = [
-        _RationalLookup({product_element_index(size, values): vec[w] for values, w in rational})
-        for vec in first_column
-    ]
+    tables = [defaultdict(lambda: -1, {product_element_index(size, values): vec[w]  # -1: irrational
+                                       for values, w in rational}) for vec in first_column]
     agenda_columns = [fragment.index(formula) for formula in agenda.formulas]
     slot: dict[int, int] = {}  # voter tuple -> search slot, by first appearance
     constraints = []
     extensions = tuple(tuple(vec[w] for vec in fragment_vectors) for _, w in rational)
-    for ranks in _voter_ranks(size, electorate, extensions):  # the round trips' table
-        # the output attitude is the criterion at each agenda formula's voter tuple
-        args = tuple(slot.setdefault(ranks[c], len(slot)) for c in agenda_columns)
-        for c, table in zip(first_column.values(), tables):
-            constraints.append((table, args, slot.setdefault(ranks[c], len(slot))))
+    collecting = gc.isenabled()  # each constraint holds a dict, so stays tracked: full
+    gc.disable()  # collections as they pile up would free nothing (no cycle is made)
+    try:
+        for ranks in _voter_ranks(size, electorate, extensions):  # the round trips' table
+            # the output attitude is the criterion at each agenda formula's voter tuple
+            args = tuple(slot.setdefault(ranks[c], len(slot)) for c in agenda_columns)
+            for c, table in zip(first_column.values(), tables):
+                constraints.append((table, args, slot.setdefault(ranks[c], len(slot))))
+    finally:
+        if collecting:
+            gc.enable()
     for voters in range(size**electorate):  # tuples no profile attains
         slot.setdefault(voters, len(slot))
     return constraints, [slot[voters] for voters in range(size**electorate)]

@@ -398,12 +398,11 @@ def search_tables(
     ``t[result] == table[row-major index of (t[a] for a in args)]`` for each
     constraint ``(table, args, result)``, in lexicographic order.
 
-    Depth-first with an explicit stack, branching on the slots in index
-    order; each constraint is checked as soon as its last slot is assigned.
-    Entering a node (assigning a slot a value) charges one work unit plus
-    one per constraint whose last slot it is; once the charge passes
-    ``budget`` the search stops with a ``BudgetExceededError`` naming
-    ``stage``.
+    Depth-first with an explicit stack, branching on the slots in index order;
+    each constraint is checked once its last slot is assigned, a run on one
+    ``args`` object sharing one index. Entering a node (giving a slot a value)
+    charges one work unit plus one per constraint whose last slot it is; past
+    ``budget`` the search stops with a ``BudgetExceededError`` naming ``stage``.
     """
     by_last: list[list[tuple]] = [[] for _ in range(slots)]
     for constraint in constraints:
@@ -413,8 +412,7 @@ def search_tables(
 
     # t[:k+1] is the partial table, and t[k] steps through the values upwards
     found: list[tuple[int, ...]] = []
-    t = [-1] * slots
-    k = 0
+    t, k = [-1] * slots, 0
     while k >= 0:
         value = t[k] + 1
         if value == size:
@@ -424,13 +422,13 @@ def search_tables(
         t[k] = value
         units += cost[k]
         if units > budget:
-            raise BudgetExceededError(
-                f"{stage} charged {units} work units, over budget {budget}"
-            )
+            raise BudgetExceededError(f"{stage} charged {units} work units, over budget {budget}")
+        shared = None  # the args whose index was worked out last, at this node
         for table, args, result in by_last[k]:
-            index = 0
-            for a in args:
-                index = index * size + t[a]
+            if args is not shared:
+                shared, index = args, 0
+                for a in args:
+                    index = index * size + t[a]
             if t[result] != table[index]:
                 break
         else:
@@ -446,15 +444,16 @@ def enumerate_homomorphisms(
     target: FiniteAlgebra,
     budget: int = DEFAULT_BUDGET,
 ) -> list[AlgebraHomomorphism]:
-    """All homomorphisms source -> target, in lexicographic table order: the
-    table search over the homomorphism equations of the source operations."""
+    """All homomorphisms source -> target, in lexicographic table order: the table
+    search over the source operations' equations, argument tuple by argument tuple."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
-    equations = (
-        (target.tables[symbol], args, value)
-        for symbol, arity in source.signature.connectives
-        for args, value in zip(product(range(source.size), repeat=arity), source.tables[symbol])
-    )
+    by_arity: dict[int, list[tuple]] = {}  # arity -> (target, source) tables of its connectives
+    for symbol, arity in source.signature.connectives:
+        by_arity.setdefault(arity, []).append((target.tables[symbol], source.tables[symbol]))
+    equations = ((table, args, values[row]) for arity, pairs in by_arity.items()
+                 for row, args in enumerate(product(range(source.size), repeat=arity))
+                 for table, values in pairs)
     return [
         AlgebraHomomorphism(source, target, mapping)
         for mapping in search_tables(source.size, target.size, equations, budget,

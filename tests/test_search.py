@@ -1,5 +1,6 @@
 """The shared table search, and the census that runs on it, against brute force."""
 
+import gc
 from itertools import permutations, product
 
 import pytest
@@ -87,6 +88,20 @@ def test_budget_is_the_work_a_full_search_charges(search):
         search_tables(slots, size, constraints, work - 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_runs_of_constraints_on_one_args_object_change_nothing(search):
+    """Constraints sharing one args object, in runs: the same tables and charge."""
+    slots, size, constraints = search
+    canonical = {}
+    shared = sorted(((table, canonical.setdefault(args, args), result)
+                     for table, args, result in constraints), key=lambda c: c[1])
+    work = full_charge(slots, size, constraints)
+    assert search_tables(slots, size, shared, work) == search_tables(slots, size, constraints, work)
+    with pytest.raises(BudgetExceededError, match=f"^table search charged {work} work units"):
+        search_tables(slots, size, shared, work - 1)
+
+
 def agenda(matrix, texts):
     return agenda_over([parse_formula(t, matrix.algebra.signature) for t in texts], matrix)
 
@@ -138,6 +153,18 @@ def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agend
     census = [c.values for c in qualifying_criteria(bool_agenda, 2, depth=2)]
     assert census == [projection_criterion(bool_agenda.algebra, 2, v).values for v in (0, 1)]
     assert seen and not set(seen) & set(connective_tables)
+
+
+def test_census_leaves_the_garbage_collector_as_it_found_it(bool_agenda):
+    assert gc.isenabled()
+    qualifying_criteria(bool_agenda, 2)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        qualifying_criteria(bool_agenda, 2)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_census_of_a_24_formula_agenda(classical):
