@@ -210,6 +210,17 @@ def enumerate_rational_profiles(
     return tuple(Profile(combo) for combo in product(attitudes, repeat=electorate))
 
 
+def _rational_profile(agenda: Agenda, electorate: int, number: int) -> Profile:
+    """The rational profile at ``number`` in enumerate_rational_profiles
+    order: voter i's attitude is the number's i-th base-|rational| digit,
+    voter 0 most significant."""
+    attitudes = enumerate_rational_attitudes(agenda)
+    base = len(attitudes)
+    return Profile(tuple(
+        attitudes[number // base ** (electorate - 1 - i) % base] for i in range(electorate)
+    ))
+
+
 # ---------------------------------------------------------------------------
 # Witness constructions for prescribed values
 # ---------------------------------------------------------------------------
@@ -586,7 +597,7 @@ def _one_pass(
             if not aggregator.in_domain(p)
         )
         witness = None if irrational is None else (
-            irrational[1] or enumerate_rational_profiles(agenda, n, budget)[irrational[0]],
+            irrational[1] or _rational_profile(agenda, n, irrational[0]),
             AttitudeFunction(agenda, irrational[2]))
         report = RationalityReport(universal, irrational is None, missing, witness)
     if constraints is not None:

@@ -148,12 +148,13 @@ def _variable_vectors(size: int, count: int) -> tuple[Vector, ...]:
     return tuple(zip(*product(range(size), repeat=count)))
 
 
-def vector_program(
+def _program_steps(
     formulas: Iterable[Formula], variables: Sequence[str]
-) -> Callable[[FiniteAlgebra], list[Vector]]:
-    """Compile formulas to a straight-line program over their distinct
-    subformulas; running it on an algebra gives each formula's truth vector
-    over ``variables``, bottom-up from the connective tables."""
+) -> tuple[list[tuple[str, tuple[int, ...]]], list[int]]:
+    """Formulas as a straight-line program over their distinct subformulas,
+    in post-order: slot i < len(variables) holds variable i, each step
+    ``(connective, argument slots)`` fills the next slot, and the second
+    list gives each formula's slot."""
     formulas = list(formulas)  # keeps every node alive, so its id() is stable
 
     def slot_key(node: Formula):  # identity, not structure: hashing recurses
@@ -177,7 +178,16 @@ def vector_program(
                     stack.pop()
                     slots[id(node)] = len(variables) + len(steps)
                     steps.append((node.symbol, tuple(slots[slot_key(a)] for a in node.args)))
-    outputs = [slots[slot_key(f)] for f in formulas]
+    return steps, [slots[slot_key(f)] for f in formulas]
+
+
+def vector_program(
+    formulas: Iterable[Formula], variables: Sequence[str]
+) -> Callable[[FiniteAlgebra], list[Vector]]:
+    """Compile formulas to a straight-line program over their distinct
+    subformulas; running it on an algebra gives each formula's truth vector
+    over ``variables``, bottom-up from the connective tables."""
+    steps, outputs = _program_steps(formulas, variables)
 
     def run(algebra: FiniteAlgebra) -> list[Vector]:
         width = algebra.size ** len(variables)

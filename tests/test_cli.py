@@ -577,5 +577,5 @@ class TestErrorPaths:
         )
 
     def test_frame_bound_budget_exit_code(self, capsys):
-        assert main(["check-subjunctive", "--frame-bound", "5"]) == 3
-        assert "reflexive frames" in capsys.readouterr().err
+        assert main(["check-subjunctive", "--frame-bound", "6"]) == 3
+        assert "1073741824 reflexive frames" in capsys.readouterr().err

@@ -133,6 +133,8 @@ def _cases() -> dict[str, list[str]]:
         "check-subjunctive-k1": ["check-subjunctive", "--frame-bound", "1"],
         "check-subjunctive-k2": ["check-subjunctive", "--frame-bound", "2"],
         "check-subjunctive-k3": ["check-subjunctive", "--frame-bound", "3"],
+        "check-subjunctive-k4": ["check-subjunctive", "--frame-bound", "4"],
+        "check-subjunctive-k5": ["check-subjunctive", "--frame-bound", "5"],
         "check-selfext-boolean2-v2-d2": [
             "check-selfext", "--logic", "boolean2", "--variables", "2", "--depth", "2"],
         "check-selfext-boolean2-v3-d2": [

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from aggcheck.errors import BudgetExceededError
@@ -12,6 +14,10 @@ from aggcheck.modal import (
     material_implication,
     reflexive_frames,
     subjunctive_implication,
+    _class_successors,
+    _frame_classes,
+    _frame_from_mask,
+    _sliced_program,
 )
 from aggcheck.syntax import App, Var, parse_formula
 
@@ -133,9 +139,54 @@ class TestIsConsistent:
         with pytest.raises(ValueError):
             is_consistent([Var("p")], 0)
 
-    def test_frame_budget_refuses_five_worlds_before_searching(self):
-        with pytest.raises(BudgetExceededError, match="1048576 reflexive frames"):
-            is_consistent([Var("p")], 5)
+    def test_frame_budget_refuses_six_worlds_before_searching(self, monkeypatch):
+        from aggcheck import modal
+
+        calls = []
+        monkeypatch.setattr(modal, "_frame_classes", lambda n: calls.append(n))
+        monkeypatch.setattr(modal, "_class_successors", lambda n: calls.append(n))
+        with pytest.raises(BudgetExceededError, match="1073741824 reflexive frames"):
+            is_consistent([Var("p")], 6)
+        assert calls == []  # refused before any orbit pass
+
+
+def brute_orbit_minima(worlds):
+    """Each labelled mask's least image over all world permutations."""
+    off = [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
+    bit = {pair: i for i, pair in enumerate(off)}
+    masks = 1 << len(off)
+    minima = list(range(masks))
+    for pi in permutations(range(worlds)):
+        moved = [1 << bit[pi[a], pi[b]] for a, b in off]
+        image = [0] * masks
+        for mask in range(1, masks):
+            lowest = mask & -mask
+            image[mask] = image[mask ^ lowest] | moved[lowest.bit_length() - 1]
+        minima = list(map(min, minima, image))
+    return minima
+
+
+class TestFrameClasses:
+    def test_class_counts(self):
+        # unlabelled loop-free digraphs, OEIS A000273
+        assert [len(_frame_classes(k)) for k in range(1, 6)] == [1, 3, 16, 218, 9608]
+
+    @pytest.mark.parametrize("worlds", [1, 2, 3, 4])
+    def test_representatives_are_the_orbit_minima(self, worlds):
+        minima = brute_orbit_minima(worlds)
+        expected = tuple(m for m, least in enumerate(minima) if least == m)
+        assert _frame_classes(worlds) == expected
+
+    def test_sliced_box_matches_frame_algebra(self):
+        box = _sliced_program([mf("(box p)")], ["p"])
+        for worlds in (1, 2, 3, 4):
+            for mask, succ in _class_successors(worlds):
+                table = bao_from_frame(_frame_from_mask(worlds, mask)).tables["box"]
+                (at_world,) = box(worlds, succ)
+                for p in range(1 << worlds):  # valuation number p gives p the subset p
+                    assert table[p] == sum(
+                        1 << w for w in range(worlds) if at_world[w] >> p & 1
+                    )
 
 
 class TestBottomCertification:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aggcheck.aggregation
 from aggcheck.agenda import agenda_over
 from aggcheck.aggregation import (
     INDEPENDENT,
@@ -34,6 +35,7 @@ from aggcheck.aggregation import (
     criterion_from_aggregator,
     enumerate_rational_profiles,
     is_rational_attitude,
+    majority_criterion,
     projection_criterion,
     witness_attitudes,
 )
@@ -294,3 +296,23 @@ def test_pareto_aggregates_each_profile_once(applied):
     aggregator = aggregator_from_criterion(projection_criterion(BOOLEAN.algebra, 3, 2), BOOLEAN)
     assert check_pareto(aggregator).holds
     assert not applied
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_irrational_witness_is_built_from_its_number(n, monkeypatch):
+    """Majority on the boolean agenda: the reported witness is the first
+    rational profile aggregated irrationally, built without enumerating the
+    rational profiles."""
+    aggregator = CriterionAggregator(majority_criterion(BOOLEAN.algebra, n), BOOLEAN)
+    expected = next(
+        (p for p in enumerate_rational_profiles(BOOLEAN, n)
+         if not is_rational_attitude(aggregator.apply(p))[0]),
+        None,
+    )
+    assert (expected is None) == (n == 1)
+    called = []
+    monkeypatch.setattr(aggcheck.aggregation, "enumerate_rational_profiles",
+                        lambda *args: called.append(args))
+    witness = check_rational_universal(aggregator).irrational_witness
+    assert (witness and witness[0]) == expected
+    assert not called

@@ -15,7 +15,13 @@ from aggcheck.algebra import (
     truth_vectors,
 )
 from aggcheck.errors import BudgetExceededError, EvaluationError
-from aggcheck.modal import bao_from_frame, is_consistent, reflexive_frames
+from aggcheck.modal import (
+    bao_from_frame,
+    is_consistent,
+    material_implication,
+    reflexive_frames,
+    subjunctive_implication,
+)
 from aggcheck.syntax import App, Var, bounded_closure, print_formula, variables_of
 
 ALGEBRAS = {
@@ -143,9 +149,35 @@ def test_consistency_witness_matches_brute_force(texts):
     from aggcheck.modal import MODAL_SIGNATURE
     from aggcheck.syntax import parse_formula
 
-    fs = [parse_formula(t, MODAL_SIGNATURE) for t in texts]
-    ok, witness = is_consistent(fs, 3)
-    expected = brute_consistency(fs, 3)
+    assert_consistency_matches([parse_formula(t, MODAL_SIGNATURE) for t in texts], 3)
+
+
+def assert_consistency_matches(fs, max_worlds):
+    ok, witness = is_consistent(fs, max_worlds)
+    expected = brute_consistency(fs, max_worlds)
     assert ok == (expected is not None)
     if ok:
         assert (witness.frame, witness.valuation, witness.world) == expected
+
+
+def subjunctive_condition_sets():
+    """The twelve formula sets check_subjunctive_conditions decides."""
+    p, q = Var("p"), Var("q")
+    np_, nq = App("not", (p,)), App("not", (q,))
+    subj = subjunctive_implication(p, q)
+    heads = [subj, App("not", (subj,)), App("not", (material_implication(p, q),))]
+    return [[head, *side] for head in heads for side in [(p, q), (p, nq), (np_, q), (np_, nq)]]
+
+
+@pytest.mark.parametrize("fs", subjunctive_condition_sets(), ids=lambda fs: " ".join(
+    print_formula(f) for f in fs))
+def test_subjunctive_condition_witnesses_match_brute_force(fs):
+    assert_consistency_matches(fs, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_drawn_modal_formulas_match_brute_force(data):
+    frame_algebra = bao_from_frame(reflexive_frames(1)[0])  # for its signature
+    fs = data.draw(st.lists(formulas(frame_algebra, ["p", "q"], 5), min_size=1, max_size=3))
+    assert_consistency_matches(fs, data.draw(st.integers(1, 2)))
