@@ -31,8 +31,10 @@ from .algebra import (
     DEFAULT_BUDGET,
     MAX_CONSTRAINTS,
     FiniteAlgebra,
+    _power_over,
     all_valuations,
     closure_vectors,
+    element_coordinates,
     evaluate,
     is_homomorphism,
     product_element_index,
@@ -191,12 +193,9 @@ def enumerate_rational_attitudes(agenda: Agenda) -> tuple[AttitudeFunction, ...]
 
 
 def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) -> None:
-    count = len(_rational_table(agenda)) ** electorate
     limit = min(budget, MAX_CONSTRAINTS)  # refused unbuilt: a profile takes about 200 bytes
-    if count > limit:
-        raise BudgetExceededError(
-            f"{count} rational profiles exceed the limit of {limit}"
-        )
+    if count := _power_over(len(_rational_table(agenda)), electorate, limit):
+        raise BudgetExceededError(f"{count} rational profiles exceed the limit of {limit}")
 
 
 def enumerate_rational_profiles(
@@ -215,10 +214,8 @@ def _rational_profile(agenda: Agenda, electorate: int, number: int) -> Profile:
     order: voter i's attitude is the number's i-th base-|rational| digit,
     voter 0 most significant."""
     attitudes = enumerate_rational_attitudes(agenda)
-    base = len(attitudes)
-    return Profile(tuple(
-        attitudes[number // base ** (electorate - 1 - i) % base] for i in range(electorate)
-    ))
+    coords = element_coordinates(len(attitudes), electorate, number)
+    return Profile(tuple(attitudes[i] for i in coords))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +475,9 @@ class _Constraints:
                 self.origin.setdefault(key, (p_num, f_num))
                 continue
             first_profile, first_num = self.origin[key]
+            voters = element_coordinates(self.size, self.electorate, rank)
             return (
-                f"tuple {self._voter_tuple(rank)}: value {prior} from profile {first_profile} "
+                f"tuple {voters}: value {prior} from profile {first_profile} "
                 f"at {formula_sort_key(self.fragment[first_num])} vs value {value} from "
                 f"profile {p_num} at {formula_sort_key(self.fragment[f_num])}"
             )
@@ -488,14 +486,11 @@ class _Constraints:
     def criterion(self) -> dict:
         """The constraints as a criterion on voter tuples (paired with the
         formula at the independent level), in first-occurrence order."""
+        size, n = self.size, self.electorate
         if self.level == INDEPENDENT:
-            return {(self._voter_tuple(rank), self.fragment[f_num]): value
+            return {(element_coordinates(size, n, rank), self.fragment[f_num]): value
                     for (rank, f_num), value in self.value_of.items()}
-        return {self._voter_tuple(rank): value for rank, value in self.value_of.items()}
-
-    def _voter_tuple(self, rank: int) -> tuple[int, ...]:
-        n = self.electorate
-        return tuple(rank // self.size ** (n - 1 - i) % self.size for i in range(n))
+        return {element_coordinates(size, n, rank): value for rank, value in self.value_of.items()}
 
 
 @dataclass(frozen=True)
@@ -809,6 +804,7 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     rational = _rational_table(agenda)
     fragment, fragment_vectors = _fragment_and_vectors(agenda, depth, budget)
     first_column = {vec: fragment_vectors.index(vec) for vec in dict.fromkeys(fragment_vectors)}
+    _refuse_profiles_past_the_cap(agenda, electorate, budget)
     profiles = len(rational) ** electorate
     limit = min(budget, MAX_CONSTRAINTS)
     if profiles * len(first_column) > limit:

@@ -7,10 +7,12 @@ computation is exact integer table lookup.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, EvaluationError
@@ -63,21 +65,16 @@ class FiniteAlgebra:
         extra = set(tables) - set(self.signature.arities)
         if extra:
             raise ValueError(f"tables for unknown connectives: {sorted(extra)}")
-        if self.order is not None:
-            self._check_partial_order(self.order, n)
-
-    @staticmethod
-    @lru_cache(maxsize=16)  # frame algebras on one world count share one order
-    def _check_partial_order(order: frozenset[tuple[int, int]], n: int) -> None:
-        for a in range(n):
-            if (a, a) not in order:
-                raise ValueError("order not reflexive")
-        for a, b in order:
-            if (b, a) in order and a != b:
-                raise ValueError("order not antisymmetric")
-            for c in range(n):
-                if (b, c) in order and (a, c) not in order:
-                    raise ValueError("order not transitive")
+        if (order := self.order) is not None:
+            for a in range(n):
+                if (a, a) not in order:
+                    raise ValueError("order not reflexive")
+            for a, b in order:
+                if (b, a) in order and a != b:
+                    raise ValueError("order not antisymmetric")
+                for c in range(n):
+                    if (b, c) in order and (a, c) not in order:
+                        raise ValueError("order not transitive")
 
     @cached_property
     def size(self) -> int:
@@ -181,29 +178,16 @@ def _program_steps(
     return steps, [slots[slot_key(f)] for f in formulas]
 
 
-def vector_program(
-    formulas: Iterable[Formula], variables: Sequence[str]
-) -> Callable[[FiniteAlgebra], list[Vector]]:
-    """Compile formulas to a straight-line program over their distinct
-    subformulas; running it on an algebra gives each formula's truth vector
-    over ``variables``, bottom-up from the connective tables."""
-    steps, outputs = _program_steps(formulas, variables)
-
-    def run(algebra: FiniteAlgebra) -> list[Vector]:
-        width = algebra.size ** len(variables)
-        vectors = list(_variable_vectors(algebra.size, len(variables)))
-        for symbol, args in steps:
-            vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
-        return [vectors[i] for i in outputs]
-
-    return run
-
-
 def truth_vectors(
     formulas: Iterable[Formula], variables: Sequence[str], algebra: FiniteAlgebra
 ) -> list[Vector]:
-    """Each formula's truth vector over ``variables``."""
-    return vector_program(formulas, variables)(algebra)
+    """Each formula's truth vector over ``variables``, bottom-up over their distinct subformulas."""
+    steps, outputs = _program_steps(formulas, variables)
+    width = algebra.size ** len(variables)
+    vectors = list(_variable_vectors(algebra.size, len(variables)))
+    for symbol, args in steps:
+        vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
+    return [vectors[i] for i in outputs]
 
 
 def truth_vector(formula: Formula, variables: Sequence[str], algebra: FiniteAlgebra) -> Vector:
@@ -235,12 +219,8 @@ def closure_vectors(
     width = algebra.size ** len(variables)
     seeds = [*formulas, *(App(c, ()) for c in signature.constants)]
 
-    def charge(count: int) -> None:
-        if count * width > budget:
-            try:
-                valuations = str(width)
-            except ValueError:  # more digits than the interpreter prints
-                valuations = f"{algebra.size}^{len(variables)}"
+    def charge(count: int) -> None:  # count * width > budget, as width > budget // count
+        if valuations := count and _power_over(algebra.size, len(variables), budget // count):
             raise BudgetExceededError(
                 f"closure layer of {count} formulas x {valuations} valuations "
                 f"exceeds budget {budget}"
@@ -269,18 +249,24 @@ def closure_vectors(
     return {vector: formula for vector, (_, _, formula) in ranked}
 
 
+def _power_over(base: int, exponent: int, limit: int) -> Optional[str]:
+    """None if ``base**exponent`` is at most ``limit``, else that count as text: decimal
+    while the interpreter prints it, ``base^exponent`` (never computed) past that."""
+    if base < 2 or exponent <= limit.bit_length():  # else 2^exponent alone is past the limit
+        return None if base**exponent <= limit else str(base**exponent)
+    if exponent >= (sys.get_int_max_str_digits() - 1) / math.log10(base):
+        return f"{base}^{exponent}"
+    return str(base**exponent)
+
+
 def _power_size(size: int, n: int) -> int:
     if n < 1:
         raise ValueError("power must be >= 1")
-    if size > 1 and n > MAX_POWER_SIZE.bit_length():  # too large to compute or print
-        count = f"{size}^{n}"
-    elif size**n <= MAX_POWER_SIZE:
-        return size**n
-    else:
-        count = str(size**n)
-    raise BudgetExceededError(
-        f"product carrier would have {count} elements, over the limit of {MAX_POWER_SIZE}"
-    )
+    if count := _power_over(size, n, MAX_POWER_SIZE):
+        raise BudgetExceededError(
+            f"product carrier would have {count} elements, over the limit of {MAX_POWER_SIZE}"
+        )
+    return size**n
 
 
 def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
@@ -342,6 +328,12 @@ def product_element_index(base_size: int, coords: Sequence[int]) -> int:
     return idx
 
 
+def element_coordinates(base_size: int, count: int, rank: int) -> tuple[int, ...]:
+    """The ``count`` coordinates of the element at ``rank``: the inverse of
+    product_element_index, first coordinate most significant."""
+    return tuple(rank // base_size ** (count - 1 - i) % base_size for i in range(count))
+
+
 def is_homomorphism(
     mapping: Sequence[int], source: FiniteAlgebra, target: FiniteAlgebra
 ) -> tuple[bool, Optional[tuple[str, tuple[int, ...]]]]:
@@ -374,8 +366,7 @@ def is_homomorphism(
             row, image = mapped[first * width:(first + 1) * width], images[head]
             if row != image:
                 offset = next(i for i, (a, b) in enumerate(zip(row, image)) if a != b)
-                args = next(islice(product(range(n), repeat=arity), first * width + offset, None))
-                return False, (symbol, args)
+                return False, (symbol, element_coordinates(n, arity, first * width + offset))
     return True, None
 
 

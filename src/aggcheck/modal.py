@@ -6,11 +6,11 @@ accessible worlds rather than the actual one. Consistency of finite formula
 sets is decided by bounded search over reflexive frames, with truth at a
 world as the satisfaction notion (local consequence).
 
-The search visits one frame per isomorphism class (1, 3, 16, 218 and 9,608
-classes on 1 to 5 worlds) and evaluates every valuation at once: a
-formula's value is one int per world, bit i set where it is true under
-valuation i. Frame bound 5 runs; bound 6 (2^30 labelled frames) is refused
-before any search.
+The search, and the certificate in the frames' algebras, visit one frame per
+isomorphism class (1, 3, 16, 218 and 9,608 classes on 1 to 5 worlds). The
+search evaluates every valuation at once (a formula's value is one int per
+world, bit i set where it holds under valuation i), charging that work before
+each world count. Bound 5 runs; bound 6 (2^30 labelled frames) is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from itertools import permutations
 from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, _program_steps, _variable_vectors, vector_program
+from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _power_over, _program_steps,
+                      _variable_vectors, truth_vector)
 from .errors import BudgetExceededError
 from .syntax import App, Formula, Signature, Var, variables_of
 
@@ -47,27 +48,6 @@ class KripkeFrame:
         return all((w, w) in self.relation for w in range(self.worlds))
 
 
-@lru_cache(maxsize=None)
-def _powerset_boolean_algebra(worlds: int) -> tuple[tuple[str, ...], tuple, frozenset]:
-    """Carrier labels, Boolean operation tables and inclusion order of the
-    powerset of ``worlds`` worlds, shared by every frame on them."""
-    size = 1 << worlds
-    full = size - 1
-
-    def subset_label(mask: int) -> str:
-        return "{" + ",".join(str(w) for w in range(worlds) if mask >> w & 1) + "}"
-
-    ops = (
-        ("not", tuple(full ^ a for a in range(size))),
-        ("or", tuple(a | b for a in range(size) for b in range(size))),
-        ("and", tuple(a & b for a in range(size) for b in range(size))),
-        ("bot", (0,)),
-        ("top", (full,)),
-    )
-    order = frozenset((a, b) for a in range(size) for b in range(size) if a & ~b == 0)
-    return tuple(subset_label(a) for a in range(size)), ops, order
-
-
 def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
     """The powerset algebra of a reflexive frame with box as the
     all-successors operator.
@@ -88,12 +68,21 @@ def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
     def box(a: int) -> int:
         return sum(1 << w for w in range(n) if succ[w] & ~a == 0)
 
-    carrier, boolean_ops, order = _powerset_boolean_algebra(n)
+    def subset_label(mask: int) -> str:
+        return "{" + ",".join(str(w) for w in range(n) if mask >> w & 1) + "}"
+
     algebra = FiniteAlgebra(
         signature=MODAL_SIGNATURE,
-        carrier=carrier,
-        ops=(*boolean_ops, ("box", tuple(box(a) for a in range(size)))),
-        order=order,
+        carrier=tuple(subset_label(a) for a in range(size)),
+        ops=(
+            ("not", tuple(full ^ a for a in range(size))),
+            ("or", tuple(a | b for a in range(size) for b in range(size))),
+            ("and", tuple(a & b for a in range(size) for b in range(size))),
+            ("bot", (0,)),
+            ("top", (full,)),
+            ("box", tuple(box(a) for a in range(size))),
+        ),
+        order=frozenset((a, b) for a in range(size) for b in range(size) if a & ~b == 0),
         name=f"frame-algebra-{n}w",
     )
     boxt = algebra.tables["box"]
@@ -198,13 +187,6 @@ def _class_successors(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ..
 
 
 @lru_cache(maxsize=None)
-def _frame_algebras(worlds: int) -> tuple[tuple[KripkeFrame, FiniteAlgebra], ...]:
-    """Every reflexive frame on the given world count with its algebra, in
-    reflexive_frames order; built once per world count."""
-    return tuple((frame, bao_from_frame(frame)) for frame in reflexive_frames(worlds))
-
-
-@lru_cache(maxsize=None)
 def _variable_worlds(worlds: int, count: int) -> tuple[tuple[int, ...], ...]:
     """Per variable and world, the valuations (bit i: the i-th in
     all_valuations order over the frame algebra) whose value for the
@@ -277,15 +259,20 @@ def is_consistent(
         raise ValueError("max_worlds must be >= 1")
     formulas = tuple(formulas)
     names = variables_of(*formulas)
-    frames = 1 << (max_worlds * (max_worlds - 1))
-    if frames > MAX_FRAMES:
+    if frames := _power_over(2, max_worlds * (max_worlds - 1), MAX_FRAMES):
         raise BudgetExceededError(
             f"{frames} reflexive frames on {max_worlds} worlds exceed budget {MAX_FRAMES}"
         )
     program = _sliced_program(formulas, names)
     for n in range(1, max_worlds + 1):
+        classes = _class_successors(n)
+        # charged before any value is built: per class, n ints of 2^(n * variables) bits
+        words = _power_over(2, max(n * len(names) - 6, 0), DEFAULT_BUDGET // (len(classes) * n))
+        if words:
+            raise BudgetExceededError(f"consistency search of {len(classes)} frame classes x {n} "
+                                      f"worlds x {words} words exceeds budget {DEFAULT_BUDGET}")
         everywhere = (1 << (1 << n * len(names))) - 1
-        for mask, succ in _class_successors(n):
+        for mask, succ in classes:
             # per world, the valuations where every formula is true there
             common = [everywhere] * n
             for value in program(n, succ):
@@ -324,15 +311,14 @@ class SubjunctiveReport:
 
 def certify_implication_bottom(max_worlds: int) -> bool:
     """In every frame algebra up to the bound, the meet of box(not p or q),
-    p and not q is bottom, pointwise over all element pairs."""
+    p and not q is bottom, pointwise over all element pairs. One frame per
+    isomorphism class is enough, as isomorphic frames have isomorphic
+    algebras; each is built and evaluated by its tables, not bit-sliced."""
     p, q = Var("p"), Var("q")
     meet = App("and", (App("and", (subjunctive_implication(p, q), p)), App("not", (q,))))
-    program = vector_program([meet], ["p", "q"])
-    return all(
-        set(program(algebra)[0]) == {algebra.constant("bot")}
-        for n in range(1, max_worlds + 1)
-        for _, algebra in _frame_algebras(n)
-    )
+    algebras = (bao_from_frame(_frame_from_mask(n, mask))
+                for n in range(1, max_worlds + 1) for mask in _frame_classes(n))
+    return all(set(truth_vector(meet, ["p", "q"], a)) == {a.constant("bot")} for a in algebras)
 
 
 def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:

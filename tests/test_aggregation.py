@@ -83,6 +83,13 @@ class TestRationality:
             enumerate_rational_profiles(or_agenda, 11, budget=10**12)
         assert str(refused.value) == "4194304 rational profiles exceed the limit of 2000000"
 
+    @pytest.mark.parametrize("refuse", [enumerate_rational_profiles, qualifying_criteria])
+    def test_profile_count_past_the_digit_limit_is_a_budget_error(self, or_agenda, refuse):
+        # 4^10000 has more decimal digits than Python converts by default
+        with pytest.raises(BudgetExceededError) as refused:
+            refuse(or_agenda, 10_000)
+        assert str(refused.value) == "4^10000 rational profiles exceed the limit of 2000000"
+
 
 class TestWitnessConstructions:
     def test_prescribed_values_boolean(self, or_agenda):

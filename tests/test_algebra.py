@@ -9,6 +9,7 @@ from aggcheck.algebra import (
     builtin_boolean2,
     builtin_distributive_lattice,
     builtin_mv_chain,
+    element_coordinates,
     enumerate_homomorphisms,
     evaluate,
     is_homomorphism,
@@ -110,6 +111,14 @@ class TestProduct:
         e01 = product_element_index(2, (0, 1))
         e11 = product_element_index(2, (1, 1))
         assert p.op("or", [e10, e01]) == e11
+
+    def test_element_coordinates_invert_the_rank(self):
+        for base in range(1, 5):
+            for count in range(5):
+                tuples = [element_coordinates(base, count, r) for r in range(base**count)]
+                assert tuples == list(product(range(base), repeat=count))  # carrier order
+                for rank, coords in enumerate(tuples):
+                    assert product_element_index(base, coords) == rank
 
     def test_constants_are_constant_tuples(self, boolean2):
         p = product_algebra(boolean2, 3)

@@ -576,6 +576,7 @@ class TestErrorPaths:
             "exceeds budget 100000000\n"
         )
 
-    def test_frame_bound_budget_exit_code(self, capsys):
-        assert main(["check-subjunctive", "--frame-bound", "6"]) == 3
-        assert "1073741824 reflexive frames" in capsys.readouterr().err
+    @pytest.mark.parametrize("bound, frames", [("6", "1073741824"), ("200", "2^39800")])
+    def test_frame_bound_budget_exit_code(self, bound, frames, capsys):
+        assert main(["check-subjunctive", "--frame-bound", bound]) == 3
+        assert f"{frames} reflexive frames" in capsys.readouterr().err

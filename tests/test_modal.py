@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from aggcheck.algebra import evaluate
 from aggcheck.errors import BudgetExceededError
 
 from aggcheck.modal import (
@@ -149,6 +150,42 @@ class TestIsConsistent:
             is_consistent([Var("p")], 6)
         assert calls == []  # refused before any orbit pass
 
+    def test_frame_count_past_the_digit_limit_is_refused_unprinted(self):
+        # 2^39800 has more decimal digits than Python converts by default
+        with pytest.raises(BudgetExceededError) as refused:
+            is_consistent([Var("p")], 200)
+        assert str(refused.value) == (
+            "2^39800 reflexive frames on 200 worlds exceed budget 1048576"
+        )
+
+    def test_valuation_words_are_charged_before_the_values_are_built(self, monkeypatch):
+        from aggcheck import modal
+
+        built = []
+        original = modal._variable_worlds
+        monkeypatch.setattr(modal, "_variable_worlds",
+                            lambda worlds, count: built.append(worlds) or original(worlds, count))
+        names = [Var(f"v{i}") for i in range(4)]
+        formulas = [App("box", (v,)) for v in names] + [App("not", (names[0],))]
+        with pytest.raises(BudgetExceededError) as refused:
+            is_consistent(formulas, 5)
+        assert str(refused.value) == (
+            "consistency search of 9608 frame classes x 5 worlds x 16384 words "
+            "exceeds budget 100000000"
+        )
+        assert 5 not in built
+
+    def test_a_witness_below_the_charged_world_count_is_unchanged(self):
+        names = [Var(f"v{i}") for i in range(4)]
+        ok, witness = is_consistent(names, 5)  # four variables: five worlds would be refused
+        assert ok and witness.frame.worlds == 1
+        assert witness.valuation == {f"v{i}": 1 for i in range(4)} and witness.world == 0
+
+    def test_three_variables_still_run_at_five_worlds(self):
+        names = [Var(f"v{i}") for i in range(3)]
+        formulas = [App("box", (v,)) for v in names] + [App("not", (names[0],))]
+        assert is_consistent(formulas, 5) == (False, None)
+
 
 def brute_orbit_minima(worlds):
     """Each labelled mask's least image over all world permutations."""
@@ -192,6 +229,31 @@ class TestFrameClasses:
 class TestBottomCertification:
     def test_pointwise_bottom_up_to_three_worlds(self):
         assert certify_implication_bottom(3)
+
+    @pytest.mark.parametrize("worlds", [1, 2, 3])
+    def test_every_labelled_frame_algebra_by_brute_force(self, worlds):
+        # the reference the class representatives stand for: all 1 + 4 + 64 labelled frames
+        p, q = Var("p"), Var("q")
+        meet = App("and", (App("and", (subjunctive_implication(p, q), p)), App("not", (q,))))
+        for frame in reflexive_frames(worlds):
+            algebra = bao_from_frame(frame)
+            bottom = algebra.constant("bot")
+            for a in range(algebra.size):
+                for b in range(algebra.size):
+                    assert evaluate(meet, {"p": a, "q": b}, algebra) == bottom
+
+    def test_one_frame_algebra_per_class(self, monkeypatch):
+        from aggcheck import modal
+
+        built = []
+
+        def counting(frame):
+            built.append(frame)
+            return bao_from_frame(frame)
+
+        monkeypatch.setattr(modal, "bao_from_frame", counting)
+        assert certify_implication_bottom(3)
+        assert len(built) == 1 + 3 + 16  # not the 1 + 4 + 64 labelled frames
 
 
 class TestConditions:
