@@ -802,9 +802,9 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     """
     size = agenda.algebra.size
     rational = _rational_table(agenda)
+    _refuse_profiles_past_the_cap(agenda, electorate, budget)
     fragment, fragment_vectors = _fragment_and_vectors(agenda, depth, budget)
     first_column = {vec: fragment_vectors.index(vec) for vec in dict.fromkeys(fragment_vectors)}
-    _refuse_profiles_past_the_cap(agenda, electorate, budget)
     profiles = len(rational) ** electorate
     limit = min(budget, MAX_CONSTRAINTS)
     if profiles * len(first_column) > limit:

@@ -462,12 +462,9 @@ def enumerate_homomorphisms(
     ]
 
 
-def power_homomorphisms(
-    algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_BUDGET
-) -> list[AlgebraHomomorphism]:
-    """All homomorphisms algebra^n -> algebra. A power too large, or with
-    more homomorphism equations than ``MAX_CONSTRAINTS``, is refused before
-    it is built."""
+def refuse_power_past_the_caps(algebra: FiniteAlgebra, n: int) -> None:
+    """Refuse algebra^n unbuilt when it is too large, or has more
+    homomorphism equations than ``MAX_CONSTRAINTS``."""
     power = _power_size(algebra.size, n)
     equations = sum(power**arity for _, arity in algebra.signature.connectives)
     if equations > MAX_CONSTRAINTS:
@@ -475,6 +472,13 @@ def power_homomorphisms(
             f"homomorphism search of {algebra.name or 'algebra'}^{n} would read "
             f"{equations} equations, over the limit of {MAX_CONSTRAINTS}"
         )
+
+
+def power_homomorphisms(
+    algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_BUDGET
+) -> list[AlgebraHomomorphism]:
+    """All homomorphisms algebra^n -> algebra, refused unbuilt past the caps."""
+    refuse_power_past_the_caps(algebra, n)
     return enumerate_homomorphisms(shared_power(algebra, n), algebra, budget)
 
 

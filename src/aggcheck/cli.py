@@ -21,7 +21,7 @@ from .aggregation import (
     criterion_from_aggregator,
     qualifying_criteria,
 )
-from .algebra import DEFAULT_BUDGET, power_homomorphisms
+from .algebra import DEFAULT_BUDGET, power_homomorphisms, refuse_power_past_the_caps
 from .errors import AggcheckError, BudgetExceededError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter
@@ -48,12 +48,15 @@ def _tool_stamp(args: argparse.Namespace) -> dict:
     return {"tool": {"name": "aggcheck", "version": __version__}, "config": config}
 
 
-def _emit(report: dict, args: argparse.Namespace, summary_lines: list[str]) -> None:
+def _emit(report: dict, args: argparse.Namespace, summary_lines: list[str]) -> int:
+    """Stamp, print and write the report; its ``pass`` field picks the exit code."""
+    report.update(_tool_stamp(args), command=args.command)
     for line in summary_lines:
         print(line)
-    if getattr(args, "out", None):
+    if args.out:
         dump_json(report, args.out)
         print(f"report written to {args.out}")
+    return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
 
 
 def cmd_check_agenda(args: argparse.Namespace) -> int:
@@ -71,8 +74,6 @@ def cmd_check_agenda(args: argparse.Namespace) -> int:
             f"{agenda.signature.max_arity}; connective-wise checks may be limited"
         )
     report = {
-        **_tool_stamp(args),
-        "command": "check-agenda",
         "pseudo_rich": level,
         "pseudo_rich_witnesses": [
             [print_formula(f), v] for f, v in witnesses
@@ -88,8 +89,7 @@ def cmd_check_agenda(args: argparse.Namespace) -> int:
         f"strictly contingent: {', '.join(print_formula(f) for f in contingent) or 'none'}",
         *(f"warning: {w}" for w in warnings),
     ]
-    _emit(report, args, lines)
-    return EXIT_PASS
+    return _emit(report, args, lines)
 
 
 def cmd_verify_bijection(args: argparse.Namespace) -> int:
@@ -97,10 +97,10 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     agenda = load_agenda(args.agenda, matrix)
     algebra = agenda.algebra
     n = args.electorate
-    homs = power_homomorphisms(algebra, n, args.budget)
-    hom_tables = sorted(h.mapping for h in homs)
+    refuse_power_past_the_caps(algebra, n)  # every cap refuses before either route searches
     qualifying = qualifying_criteria(agenda, n, args.depth, args.budget)
     qual_tables = sorted(c.values for c in qualifying)
+    hom_tables = sorted(h.mapping for h in power_homomorphisms(algebra, n, args.budget))
 
     # homomorphism -> aggregator -> criterion must give the table back; the
     # criterion fixes the aggregator, so equal tables close the round trip
@@ -124,8 +124,6 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
             f"{agenda.signature.max_arity}"
         )
     report = {
-        **_tool_stamp(args),
-        "command": "verify-bijection",
         "homs": len(hom_tables),
         "aggregators": len(qual_tables),
         "hom_tables": [list(t) for t in hom_tables],
@@ -143,8 +141,7 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
         f"round trips: {'pass' if not roundtrip_failures else 'FAIL'}",
         f"bijection: {'verified' if passed else 'FAILED'}",
     ]
-    _emit(report, args, lines)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return _emit(report, args, lines)
 
 
 def cmd_classify_dictators(args: argparse.Namespace) -> int:
@@ -160,8 +157,6 @@ def cmd_classify_dictators(args: argparse.Namespace) -> int:
     dictator = classify_dictator(criterion)
     agree = hom == check.is_ultrafilter == (dictator is not None)
     report = {
-        **_tool_stamp(args),
-        "command": "classify-dictators",
         "homomorphism": hom,
         "homomorphism_violation": (
             [violation[0], list(violation[1])] if violation else None
@@ -184,8 +179,7 @@ def cmd_classify_dictators(args: argparse.Namespace) -> int:
             f"decisive family is a filter but not an ultrafilter; "
             f"oligarchs: {sorted(check.oligarchs)}"
         )
-    _emit(report, args, lines)
-    return EXIT_PASS if agree else EXIT_CHECK_FAILED
+    return _emit(report, args, lines)
 
 
 def cmd_check_subjunctive(args: argparse.Namespace) -> int:
@@ -197,8 +191,6 @@ def cmd_check_subjunctive(args: argparse.Namespace) -> int:
         and result.bottom_certified
     )
     report = {
-        **_tool_stamp(args),
-        "command": "check-subjunctive",
         "a": "pass" if result.a_holds else "fail",
         "b": "pass" if result.b_holds else "fail",
         "material_b": "fail" if result.material_b_fails else "pass",
@@ -218,8 +210,7 @@ def cmd_check_subjunctive(args: argparse.Namespace) -> int:
     ]
     if result.insufficient_bound:
         lines.append("warning: frame bound too small to exhibit condition b")
-    _emit(report, args, lines)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return _emit(report, args, lines)
 
 
 def cmd_check_selfext(args: argparse.Namespace) -> int:
@@ -227,8 +218,6 @@ def cmd_check_selfext(args: argparse.Namespace) -> int:
     names = [f"x{i+1}" for i in range(args.variables)]
     ok, witness = check_selfextensionality(matrix, names, args.depth, args.budget)
     report = {
-        **_tool_stamp(args),
-        "command": "check-selfext",
         "selfextensional": ok,
         "witness": (
             None
@@ -256,8 +245,7 @@ def cmd_check_selfext(args: argparse.Namespace) -> int:
             f"{witness.connective}"
         )
     ]
-    _emit(report, args, lines)
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _emit(report, args, lines)
 
 
 def cmd_enumerate_homs(args: argparse.Namespace) -> int:
@@ -265,8 +253,6 @@ def cmd_enumerate_homs(args: argparse.Namespace) -> int:
     algebra = matrix.algebra
     homs = power_homomorphisms(algebra, args.electorate, args.budget)
     report = {
-        **_tool_stamp(args),
-        "command": "enumerate-homs",
         "count": len(homs),
         "tables": [list(h.mapping) for h in homs],
         "pass": True,
@@ -275,8 +261,7 @@ def cmd_enumerate_homs(args: argparse.Namespace) -> int:
         f"homomorphisms {algebra.name or 'B'}^{args.electorate} -> "
         f"{algebra.name or 'B'}: {len(homs)}"
     ]
-    _emit(report, args, lines)
-    return EXIT_PASS
+    return _emit(report, args, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,11 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, logic=True, out=True):
+    def common(p, logic=True):
         if logic:
             p.add_argument("--logic", required=True, help="matrix JSON file or builtin name")
-        if out:
-            p.add_argument("--out", help="write the JSON report here")
+        p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("check-agenda", help="pseudo-richness and contingency report")
     common(p)
@@ -318,17 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
         "classify-dictators",
         help="homomorphism / ultrafilter / dictator classification of a criterion",
     )
+    common(p, logic=False)
     p.add_argument("--logic", default="boolean2", help="two-element matrix (default boolean2)")
     p.add_argument("--criterion", required=True)
-    p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_classify_dictators)
 
     p = sub.add_parser(
         "check-subjunctive",
         help="consistency conditions for the boxed reading of implication",
     )
+    common(p, logic=False)
     p.add_argument("--frame-bound", type=int, default=3)
-    p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_check_subjunctive)
 
     p = sub.add_parser("check-selfext", help="bounded congruence-property search")

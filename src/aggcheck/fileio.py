@@ -30,7 +30,7 @@ def signature_to_obj(sig: Signature) -> dict:
 def signature_from_obj(obj: dict) -> Signature:
     obj = _expect(obj, dict, "signature")
     connectives = [_expect(c, dict, "signature connective")
-                   for c in _expect(obj["connectives"], list, "signature connectives")]
+                   for c in _expect(obj.get("connectives"), list, "signature connectives")]
     names = [_expect(c.get("name"), str, "signature connective name") for c in connectives]
     return Signature(tuple(
         (name, _integer(c.get("arity"), f"arity of connective {name!r}"))
@@ -95,11 +95,11 @@ def algebra_to_obj(algebra: FiniteAlgebra) -> dict:
 
 def algebra_from_obj(obj: dict) -> FiniteAlgebra:
     obj = _expect(obj, dict, "algebra")
-    sig = signature_from_obj(obj["signature"])
-    carrier = tuple(str(c) for c in _expect(obj["carrier"], list, "algebra carrier"))
-    tables = _expect(obj["ops"], dict, "algebra ops")
+    sig = signature_from_obj(obj.get("signature"))
+    carrier = tuple(str(c) for c in _expect(obj.get("carrier"), list, "algebra carrier"))
+    tables = _expect(obj.get("ops"), dict, "algebra ops")
     ops = tuple(
-        (name, _table_from_rows(tables[name], arity, name))
+        (name, _table_from_rows(tables.get(name), arity, name))
         for name, arity in sig.connectives
     )
     order = None
@@ -129,10 +129,10 @@ def matrix_to_obj(matrix: Matrix) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> Matrix:
-    algebra = algebra_from_obj(_expect(obj, dict, "matrix")["algebra"])
+    algebra = algebra_from_obj(_expect(obj, dict, "matrix").get("algebra"))
     if obj.get("mode") == DEGREE_MODE:
         return Matrix(algebra, None, DEGREE_MODE)
-    designated = _expect(obj["designated"], list, "matrix designated values")
+    designated = _expect(obj.get("designated"), list, "matrix designated values")
     designated = frozenset(_element_index(algebra, d, "matrix designated value")
                            for d in designated)
     return Matrix(algebra, designated, FILTER_MODE)
@@ -177,7 +177,7 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
         obj = _expect(json.load(fh), dict, "agenda")
     sig = matrix.algebra.signature
     if "signature_ref" in obj:
-        ref = Path(path).parent / obj["signature_ref"]
+        ref = Path(path).parent / _expect(obj["signature_ref"], str, "agenda signature_ref")
         with open(ref, "r", encoding="utf-8") as fh:
             declared = signature_from_obj(json.load(fh))
         if declared != sig:
@@ -185,7 +185,7 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
                 f"agenda signature_ref {ref} does not match the logic's signature"
             )
     formulas = tuple(parse_formula(_expect(text, str, "agenda formula"), sig)
-                     for text in _expect(obj["formulas"], list, "agenda formulas"))
+                     for text in _expect(obj.get("formulas"), list, "agenda formulas"))
     return Agenda(formulas, sig, matrix, matrix.algebra)
 
 
@@ -202,9 +202,9 @@ def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     row-major order over voter tuples (voter 0 most significant)."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = _expect(json.load(fh), dict, "criterion")
-    n = _integer(obj["electorate"], "criterion electorate")
+    n = _integer(obj.get("electorate"), "criterion electorate")
     values = tuple(_element_index(algebra, v, "criterion value")
-                   for v in _expect(obj["values"], list, "criterion values"))
+                   for v in _expect(obj.get("values"), list, "criterion values"))
     return DecisionCriterion(algebra, n, values)
 
 

@@ -9,11 +9,11 @@ i.e. generated by one voter — the dictator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
-from .aggregation import DecisionCriterion
-from .algebra import product_element_index
+from .aggregation import DecisionCriterion, projection_criterion
+from .algebra import element_coordinates
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,10 @@ def decisive_coalitions(criterion: DecisionCriterion) -> UltrafilterView:
     if criterion.algebra.size != 2:
         raise ValueError("decisive coalitions are defined over a 2-element carrier")
     n = criterion.electorate
-    family = set()
-    for mask in range(1 << n):
-        coalition = frozenset(i for i in range(n) if mask >> i & 1)
-        coords = [1 if i in coalition else 0 for i in range(n)]
-        if criterion(coords) == 1:
-            family.add(coalition)
-    return UltrafilterView(n, frozenset(family))
+    return UltrafilterView(n, frozenset(
+        frozenset(i for i, c in enumerate(element_coordinates(2, n, rank)) if c)
+        for rank, value in enumerate(criterion.values) if value == 1
+    ))
 
 
 @dataclass(frozen=True)
@@ -91,17 +88,11 @@ def is_ultrafilter(view: UltrafilterView) -> UltrafilterCheck:
 
 
 def classify_dictator(criterion: DecisionCriterion) -> Optional[int]:
-    """The unique voter the criterion projects onto, if it is a homomorphism;
-    None otherwise."""
+    """The first voter the criterion projects onto, None if there is none.
+    Every projection is a homomorphism; over the Boolean signature every
+    homomorphism is a projection, onto exactly one voter."""
     if criterion.algebra.size != 2:
         raise ValueError("dictator classification is defined over a 2-element carrier")
     n = criterion.electorate
-    if criterion.homomorphism_violation():
-        return None
-    for voter in range(n):
-        if all(
-            criterion.values[product_element_index(2, coords)] == coords[voter]
-            for coords in product((0, 1), repeat=n)
-        ):
-            return voter
-    return None
+    return next((voter for voter in range(n) if criterion.values
+                 == projection_criterion(criterion.algebra, n, voter).values), None)

@@ -22,7 +22,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _power_over, _program_steps,
-                      _variable_vectors, truth_vector)
+                      element_coordinates, truth_vector)
 from .errors import BudgetExceededError
 from .syntax import App, Formula, Signature, Var, variables_of
 
@@ -190,15 +190,18 @@ def _class_successors(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ..
 def _variable_worlds(worlds: int, count: int) -> tuple[tuple[int, ...], ...]:
     """Per variable and world, the valuations (bit i: the i-th in
     all_valuations order over the frame algebra) whose value for the
-    variable contains the world."""
+    variable contains the world. For variable v and world w those are the i
+    with bit b = worlds·(count−1−v) + w set: 2^b clear bits then 2^b set
+    bits, repeated over all 2^(worlds·count) valuations."""
+    def bits(b: int) -> int:
+        half = 1 << b
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << worlds * count:  # doubling the copies each time
+            pattern, width = pattern | pattern << width, 2 * width
+        return pattern
 
-    def bits(vector: tuple[int, ...], w: int) -> int:
-        return int("".join("1" if value >> w & 1 else "0" for value in reversed(vector)), 2)
-
-    return tuple(
-        tuple(bits(vector, w) for w in range(worlds))
-        for vector in _variable_vectors(1 << worlds, count)
-    )
+    return tuple(tuple(bits(worlds * (count - 1 - v) + w) for w in range(worlds))
+                 for v in range(count))
 
 
 # Bit-sliced connectives: a value is one int per world, bit i set where the
@@ -280,8 +283,7 @@ def is_consistent(
             models = reduce(or_, common)
             if models:
                 i = (models & -models).bit_length() - 1
-                valuation = {name: vec[i] for name, vec in
-                             zip(names, _variable_vectors(1 << n, len(names)))}
+                valuation = dict(zip(names, element_coordinates(1 << n, len(names), i)))
                 world = next(w for w, c in enumerate(common) if c >> i & 1)
                 return True, ConsistencyWitness(_frame_from_mask(n, mask), valuation, world)
     return False, None

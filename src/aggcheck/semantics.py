@@ -99,26 +99,35 @@ def interderivable(matrix: Matrix, left: Formula, right: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _holding_masks(matrix: Matrix, fragment: Sequence[Formula]) -> tuple[list[int], int]:
-    """Per-formula bitmask encoding of "where the formula holds".
-
-    Filter mode: one bit per valuation (designated there or not). Degree
-    mode: per valuation, a block of carrier bits encoding the downset of the
-    formula's value. In both cases Γ ⊢ φ iff AND of the premise masks is
-    contained in the conclusion mask, so closure computations reduce to
-    bitwise arithmetic.
-    """
-    algebra = matrix.algebra
-    names = variables_of(*fragment)
-    vectors = truth_vectors(fragment, names, algebra)
-    size = algebra.size
+def _holding_pattern(matrix: Matrix) -> tuple[int, list[int]]:
+    """Bits per valuation, and the bits each value sets there: filter mode
+    one bit (designated or not), degree mode a block of carrier bits
+    encoding the value's downset."""
+    algebra, size = matrix.algebra, matrix.algebra.size
     if matrix.mode == FILTER_MODE:
-        block, pattern = 1, [int(b in matrix.designated) for b in range(size)]
-    else:  # the downset of each value
-        block = size
-        pattern = [sum(1 << a for a in range(size) if algebra.leq(a, b)) for b in range(size)]
+        return 1, [int(b in matrix.designated) for b in range(size)]
+    return size, [sum(1 << a for a in range(size) if algebra.leq(a, b)) for b in range(size)]
+
+
+def _holding_masks(matrix: Matrix, fragment: Sequence[Formula]) -> tuple[list[int], int]:
+    """Per-formula bitmask of "where the formula holds": the holding
+    pattern of its value at each valuation. Γ ⊢ φ iff the AND of the premise
+    masks is contained in the conclusion mask, so closure computations
+    reduce to bitwise arithmetic."""
+    names = variables_of(*fragment)
+    block, pattern = _holding_pattern(matrix)
+    vectors = truth_vectors(fragment, names, matrix.algebra)
     masks = [sum(pattern[v] << (w * block) for w, v in enumerate(vec)) for vec in vectors]
-    return masks, size ** len(names) * block
+    return masks, matrix.algebra.size ** len(names) * block
+
+
+def _entailed(masks: Sequence[int], width: int, premises: Iterable[int]) -> list[int]:
+    """The formulas (by index) whose holding mask contains the AND of the
+    premises' masks: those the premises entail."""
+    lower = (1 << width) - 1
+    for i in premises:
+        lower &= masks[i]
+    return [i for i, m in enumerate(masks) if lower & ~m == 0]
 
 
 @dataclass(frozen=True)
@@ -153,18 +162,8 @@ class BoundedConsequence:
     def closure_mask(self, subset_mask: int) -> int:
         """Bitmask of the fragment formulas entailed by the given subset."""
         masks, width = self._masks
-        full = (1 << width) - 1
-        lower = full
-        rest = subset_mask
-        while rest:
-            low = rest & -rest
-            lower &= masks[low.bit_length() - 1]
-            rest ^= low
-        out = 0
-        for i, m in enumerate(masks):
-            if lower & ~m == 0:
-                out |= 1 << i
-        return out
+        premises = (i for i in range(len(masks)) if subset_mask >> i & 1)
+        return sum(1 << i for i in _entailed(masks, width, premises))
 
     @cached_property
     def relation(self) -> frozenset[tuple[frozenset[Formula], Formula]]:
@@ -271,11 +270,11 @@ def check_selfextensionality(
                           key=lambda text: (len(text), text), budget=budget)
     vectors = list(rep)
 
+    _, pattern = _holding_pattern(matrix)
+
     def key(vec: tuple[int, ...]) -> tuple:
-        """Holding pattern; degree equivalence is identity of value."""
-        if matrix.mode == DEGREE_MODE:
-            return vec
-        return tuple(v in matrix.designated for v in vec)
+        """Holding pattern; downsets are distinct, so in degree mode it is the value."""
+        return tuple(map(pattern.__getitem__, vec))
 
     classes: dict[tuple, list[tuple[int, ...]]] = {}
     for vec in vectors:
@@ -348,7 +347,6 @@ def generate_sfilter(
         raise ValueError("matrix and target algebra must share a signature")
     frag = tuple(sorted(set(fragment), key=formula_sort_key))
     masks, width = _holding_masks(matrix, frag)
-    full = (1 << width) - 1
     names = variables_of(*frag)
     # h_values[w][i]: value of fragment formula i at valuation w into ``algebra``
     h_values = list(zip(*truth_vectors(frag, names, algebra)))
@@ -360,14 +358,11 @@ def generate_sfilter(
     while changed:
         changed = False
         for values in h_values:
-            lower = full
-            for i, value in enumerate(values):
-                if value in current:
-                    lower &= masks[i]
-            for i, m in enumerate(masks):
-                if lower & ~m == 0 and values[i] not in current:
-                    current.add(values[i])
-                    changed = True
+            premises = (i for i, value in enumerate(values) if value in current)
+            added = {values[i] for i in _entailed(masks, width, premises)} - current
+            if added:
+                current |= added
+                changed = True
     return SFilter(
         algebra=algebra,
         elements=frozenset(current),

@@ -176,6 +176,32 @@ class TestVerifyBijection:
         assert report["roundtrip_failures"] == [{"criterion": [0, 1], "extracted": [1, 0]}]
         assert report["same_tables"] and not report["pass"]
 
+    @pytest.mark.parametrize("logic, formulas, electorate", [
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 9),  # census constraints
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 10),  # homomorphism equations
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 14),  # power size
+        ("mv3-degree", ["x1", "x2", "(oplus x1 x2)"], 6),  # census constraints
+    ])
+    def test_refusals_come_before_either_route_searches(
+        self, logic, formulas, electorate, tmp_path, monkeypatch
+    ):
+        searched = []
+
+        def spy(name):
+            def refused(*args, **kwargs):
+                searched.append(name)
+                raise AssertionError(f"{name} ran before the refusal")
+            return refused
+
+        for module, name in ((algebra, "shared_power"), (algebra, "search_tables"),
+                             (aggregation, "search_tables"), (aggregation, "_voter_ranks")):
+            monkeypatch.setattr(module, name, spy(name))
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": formulas}, path)
+        assert main(["verify-bijection", "--logic", logic, "--agenda", str(path),
+                     "--electorate", str(electorate)]) == 3
+        assert searched == []
+
     def test_byte_stable_reports(self, bool_agenda_file, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -380,6 +406,10 @@ MISSHAPEN_INPUTS = [
                  id="null-formulas"),
     pytest.param("--agenda", {"formulas": ["x1", 5]}, "agenda formula must be a string, got 5",
                  id="formula-not-a-string"),
+    pytest.param("--agenda", {"other": ["x1"]}, "agenda formulas must be a list, got null",
+                 id="missing-formulas"),
+    pytest.param("--agenda", {"signature_ref": 5, "formulas": ["x1"]},
+                 "agenda signature_ref must be a string, got 5", id="signature-ref-not-a-string"),
     pytest.param("--criterion", [1], "criterion must be an object, got a list",
                  id="criterion-list"),
     pytest.param("--criterion", {"electorate": 1, "values": None},

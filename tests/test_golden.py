@@ -196,6 +196,15 @@ def test_golden(name, tmp_path):
     assert actual["report"] == expected["report"]
 
 
+def test_exit_code_agrees_with_pass():
+    for path in sorted(GOLDEN.glob("*.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if record["exit"] in (0, 1):
+            assert record["exit"] == (0 if json.loads(record["report"])["pass"] else 1), path.stem
+        else:
+            assert record["report"] is None, path.stem
+
+
 MAJORITY_CONFLICTS = {
     1: "tuple (0, 1, 0): value 0 from profile 4 at (and (not x1) (or x1 x2)) vs "
        "value 1 from profile 7 at (and (not x1) (or x1 x2))",

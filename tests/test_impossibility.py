@@ -107,3 +107,14 @@ class TestExhaustiveEquivalence:
                 dictators.append(dictator)
         # the impossibility count: exactly one qualifying criterion per voter
         assert sorted(dictators) == list(range(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reads_equal_their_definitions(self, boolean2, n):
+        tuples = list(product((0, 1), repeat=n))
+        for values in product((0, 1), repeat=2**n):
+            criterion = DecisionCriterion(boolean2, n, values)
+            # C is decisive iff the criterion maps C's characteristic tuple to 1
+            decisive = {frozenset(i for i in range(n) if t[i]) for t in tuples if criterion(t) == 1}
+            assert decisive_coalitions(criterion).decisive == decisive
+            first = next((v for v in range(n) if all(criterion(t) == t[v] for t in tuples)), None)
+            assert classify_dictator(criterion) == first

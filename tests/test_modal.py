@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from aggcheck.algebra import evaluate
+from aggcheck.algebra import _variable_vectors, evaluate
 from aggcheck.errors import BudgetExceededError
 
 from aggcheck.modal import (
@@ -19,6 +19,7 @@ from aggcheck.modal import (
     _frame_classes,
     _frame_from_mask,
     _sliced_program,
+    _variable_worlds,
 )
 from aggcheck.syntax import App, Var, parse_formula
 
@@ -185,6 +186,17 @@ class TestIsConsistent:
         names = [Var(f"v{i}") for i in range(3)]
         formulas = [App("box", (v,)) for v in names] + [App("not", (names[0],))]
         assert is_consistent(formulas, 5) == (False, None)
+
+    @pytest.mark.parametrize("worlds", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_variable_bitsets_match_the_valuation_vectors(self, worlds, count):
+        # reference: bit i set where variable v's value under valuation i contains the world
+        def bits(vector, w):
+            return int("".join("1" if value >> w & 1 else "0" for value in reversed(vector)), 2)
+
+        expected = tuple(tuple(bits(vector, w) for w in range(worlds))
+                         for vector in _variable_vectors(1 << worlds, count))
+        assert _variable_worlds(worlds, count) == expected
 
 
 def brute_orbit_minima(worlds):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggcheck.algebra import evaluate
 from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import (
     BoundedConsequence,
@@ -218,6 +219,25 @@ class TestSFilter:
             luk3_filter, luk3_filter.algebra, out.elements, fragment
         )
         assert again.elements == out.elements
+
+    @pytest.mark.parametrize("logic", ["classical", "luk3_filter"])
+    def test_equals_the_least_fixpoint_of_entails(self, logic, request):
+        matrix = request.getfixturevalue(logic)
+        algebra = matrix.algebra
+        fragment = bounded_closure({Var("x1")}, algebra.signature, 1)
+        for seed in range(1 << algebra.size):
+            current = {a for a in range(algebra.size) if seed >> a & 1}
+            expected = set(current)
+            while True:  # add each valuation's value of what the formulas valued in the set entail
+                added = set()
+                for a in range(algebra.size):
+                    values = {phi: evaluate(phi, {"x1": a}, algebra) for phi in fragment}
+                    premises = [phi for phi in fragment if values[phi] in expected]
+                    added |= {values[phi] for phi in fragment if entails(matrix, premises, phi)}
+                if added <= expected:
+                    break
+                expected |= added
+            assert generate_sfilter(matrix, algebra, current, fragment).elements == expected
 
     def test_provenance_mentions_fragment(self, classical):
         out = generate_sfilter(classical, classical.algebra, {1}, [Var("x1")])
