@@ -40,7 +40,6 @@ from .algebra import (
     product_element_index,
     search_tables,
     shared_power,
-    truth_vector,
     truth_vectors,
 )
 from .errors import BudgetExceededError
@@ -112,7 +111,7 @@ class DecisionCriterion:
         size, n, count = self.algebra.size, self.electorate, len(self.values)
         if n < 1:
             raise ValueError(f"criterion electorate must be >= 1, got {n}")
-        if (size > 1 and n > count.bit_length()) or count != size**n:  # no size**n past count
+        if _power_over(size, n, count) or count != size**n:  # no size**n past count
             raise ValueError(f"criterion table needs {size}^{n} entries, got {count}")
         if any(not (0 <= v < self.algebra.size) for v in self.values):
             raise ValueError("criterion values outside the carrier")
@@ -231,8 +230,9 @@ def rational_attitude_with_values(
     For targets (a_1,...,a_m) over an m-pseudo-rich agenda, picks the witness
     formulas delta_j (each interderivable with its own variable x_j), sets
     x_j to a_j and every other agenda variable to the least carrier element,
-    and evaluates the whole agenda. The construction is checked: the returned
-    attitude takes value a_j on delta_j.
+    and evaluates the whole agenda. Each witness is checked to equal its
+    variable at every valuation, so the returned attitude takes value a_j on
+    delta_j.
     """
     m = len(targets)
     level, witnesses = pseudo_richness(agenda)
@@ -242,20 +242,31 @@ def rational_attitude_with_values(
     if any(not (0 <= t < size) for t in targets):
         raise ValueError("targets outside the carrier")
     chosen = witnesses[:m]
+    _tracking_variables(agenda, chosen)
     valuation = {name: 0 for name in agenda.variables}
     for (_, var), target in zip(chosen, targets):
         valuation[var] = target
     values = tuple(
         evaluate(f, valuation, agenda.algebra) for f in agenda.formulas
     )
-    attitude = AttitudeFunction(agenda, values)
-    for (delta, _), target in zip(chosen, targets):
-        if attitude.value(delta) != target:
-            raise ValueError(
-                "pseudo-rich witness does not track its variable; "
-                "is the matrix a selfextensional presentation?"
-            )
-    return tuple(delta for delta, _ in chosen), attitude
+    return tuple(delta for delta, _ in chosen), AttitudeFunction(agenda, values)
+
+
+def _tracking_variables(
+    agenda: Agenda, witnesses: Sequence[tuple[Formula, str]]
+) -> tuple[str, ...]:
+    """The agenda's variables and the witnesses' (on degenerate matrices not
+    always in the agenda), sorted, once each witness formula is checked to equal
+    its variable at every valuation, as selfextensionality makes it in Alg S."""
+    variables = tuple(sorted({*agenda.variables, *(var for _, var in witnesses)}))
+    pairs = [g for delta, var in witnesses for g in (delta, Var(var))]
+    vectors = truth_vectors(pairs, variables, agenda.algebra)
+    if vectors[0::2] != vectors[1::2]:
+        raise ValueError(
+            "pseudo-rich witness does not track its variable; "
+            "is the matrix a selfextensional presentation?"
+        )
+    return variables
 
 
 def rational_profile_with_values(
@@ -656,22 +667,16 @@ def witness_attitudes(
     does), or any strictly contingent agenda formula passed as ``via``.
     """
     algebra = agenda.algebra
-    variable, variables = None, agenda.variables
+    variables = agenda.variables
     if via is None:
         level, witnesses = pseudo_richness(agenda)
         if not level:
             raise ValueError("agenda is not even 1-pseudo-rich")
-        via, variable = witnesses[0]
-        # on degenerate matrices the tracked variable may not occur in the agenda
-        variables = tuple(sorted({*variables, variable}))
+        via = witnesses[0][0]
+        variables = _tracking_variables(agenda, witnesses[:1])
     elif via not in agenda.index:
         raise ValueError("witness formula must belong to the agenda")
     via_vector, *vectors = truth_vectors((via, *agenda.formulas), variables, algebra)
-    if variable is not None and via_vector != truth_vector(Var(variable), variables, algebra):
-        raise ValueError(
-            "pseudo-rich witness does not track its variable; "
-            "is the matrix a selfextensional presentation?"
-        )
     attitude_for = {}
     for w, b in enumerate(via_vector):
         if b not in attitude_for:

@@ -55,10 +55,11 @@ class FiniteAlgebra:
             if symbol not in tables:
                 raise ValueError(f"missing table for connective {symbol!r}")
             table = tables[symbol]
-            if len(table) != n**arity:
+            # n**arity only once it is known to be at most len(table): arities come from files
+            if (expected := _power_over(n, arity, len(table))) or n**arity != len(table):
                 raise ValueError(
                     f"table for {symbol!r} has {len(table)} entries, "
-                    f"expected {n**arity}"
+                    f"expected {expected or n**arity}"
                 )
             if min(table) < 0 or max(table) >= n:
                 raise ValueError(f"table for {symbol!r} has out-of-range entries")
@@ -216,17 +217,9 @@ def closure_vectors(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     signature = algebra.signature
-    width = algebra.size ** len(variables)
     seeds = [*formulas, *(App(c, ()) for c in signature.constants)]
-
-    def charge(count: int) -> None:  # count * width > budget, as width > budget // count
-        if valuations := count and _power_over(algebra.size, len(variables), budget // count):
-            raise BudgetExceededError(
-                f"closure layer of {count} formulas x {valuations} valuations "
-                f"exceeds budget {budget}"
-            )
-
-    charge(len(seeds))
+    charge_closure_layer(len(seeds), len(variables), algebra, budget)
+    width = algebra.size ** len(variables)
     best: dict[Vector, tuple[object, str, Formula]] = {}
     for formula, vector in zip(seeds, truth_vectors(seeds, variables, algebra)):
         text = print_formula(formula)
@@ -235,7 +228,8 @@ def closure_vectors(
             best[vector] = (rank, text, formula)
     for _ in range(depth):
         layer = [(vector, text, formula) for vector, (_, text, formula) in best.items()]
-        charge(sum(len(layer) ** a for _, a in signature.connectives if a))
+        charge_closure_layer(sum(len(layer) ** a for _, a in signature.connectives if a),
+                             len(variables), algebra, budget)
         for symbol, arity in signature.connectives:
             if arity == 0:
                 continue
@@ -247,6 +241,17 @@ def closure_vectors(
                     best[vector] = (rank, text, App(symbol, tuple(c[2] for c in combo)))
     ranked = sorted(best.items(), key=lambda item: item[1][0])
     return {vector: formula for vector, (_, _, formula) in ranked}
+
+
+def charge_closure_layer(count: int, variables: int, algebra: FiniteAlgebra, budget: int) -> None:
+    """Refuse a closure layer of ``count`` formulas whose truth vectors span
+    the valuations of ``variables`` variables, when its entries exceed ``budget``."""
+    # count * size**variables > budget, as size**variables > budget // count
+    if valuations := count and _power_over(algebra.size, variables, budget // count):
+        raise BudgetExceededError(
+            f"closure layer of {count} formulas x {valuations} valuations "
+            f"exceeds budget {budget}"
+        )
 
 
 def _power_over(base: int, exponent: int, limit: int) -> Optional[str]:
@@ -516,31 +521,22 @@ def builtin_mv_chain(k: int) -> FiniteAlgebra:
     """The k-element Łukasiewicz chain on {0, 1/(k-1), ..., 1}.
 
     not x = 1-x, x oplus y = min(1, x+y), x odot y = max(0, x+y-1),
-    x impl y = min(1, 1-x+y); all table entries computed in exact rationals.
+    x impl y = min(1, 1-x+y); the tables compute these on the indices
+    0..k-1 of the elements, scaled by k-1.
     """
     if k < 2:
         raise ValueError("chain needs at least 2 elements")
-    values = [Fraction(i, k - 1) for i in range(k)]
-    index = {v: i for i, v in enumerate(values)}
-    one = Fraction(1)
-    zero = Fraction(0)
-
-    def tab1(fn):
-        return tuple(index[fn(a)] for a in values)
-
-    def tab2(fn):
-        return tuple(index[fn(a, b)] for a in values for b in values)
-
+    top, values = k - 1, range(k)
     return FiniteAlgebra(
         signature=MV_SIGNATURE,
-        carrier=tuple(str(v) for v in values),
+        carrier=tuple(str(Fraction(i, top)) for i in values),
         ops=(
-            ("not", tab1(lambda a: one - a)),
-            ("oplus", tab2(lambda a, b: min(one, a + b))),
-            ("odot", tab2(lambda a, b: max(zero, a + b - 1))),
-            ("impl", tab2(lambda a, b: min(one, one - a + b))),
+            ("not", tuple(top - a for a in values)),
+            ("oplus", tuple(min(top, a + b) for a in values for b in values)),
+            ("odot", tuple(max(0, a + b - top) for a in values for b in values)),
+            ("impl", tuple(min(top, top - a + b) for a in values for b in values)),
             ("0", (0,)),
-            ("1", (k - 1,)),
+            ("1", (top,)),
         ),
         order=frozenset((i, j) for i in range(k) for j in range(k) if i <= j),
         name=f"lukasiewicz{k}",

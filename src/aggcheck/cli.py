@@ -21,7 +21,8 @@ from .aggregation import (
     criterion_from_aggregator,
     qualifying_criteria,
 )
-from .algebra import DEFAULT_BUDGET, power_homomorphisms, refuse_power_past_the_caps
+from .algebra import (DEFAULT_BUDGET, charge_closure_layer, power_homomorphisms,
+                      refuse_power_past_the_caps)
 from .errors import AggcheckError, BudgetExceededError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter
@@ -215,6 +216,9 @@ def cmd_check_subjunctive(args: argparse.Namespace) -> int:
 
 def cmd_check_selfext(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.logic)
+    # the closure's seed layer, a formula per variable and per constant, refused from its counts
+    charge_closure_layer(args.variables + len(matrix.algebra.signature.constants),
+                         args.variables, matrix.algebra, args.budget)
     names = [f"x{i+1}" for i in range(args.variables)]
     ok, witness = check_selfextensionality(matrix, names, args.depth, args.budget)
     report = {

@@ -1,11 +1,12 @@
-"""JSON file formats for signatures, algebras, matrices, agendas and
-criteria.
+"""Readers for the JSON file formats of matrices, agendas and criteria, and
+the writer of the JSON reports.
 
 Operation tables are stored row-major: arity 0 as a one-element list, arity
 m >= 1 as one row per first argument, each row the flat table over the
 remaining arguments (a flat list is read the same way). Table entries,
 arities and order pairs are integer indices; designated values and criterion
-values may be given as indices or labels.
+values may be given as indices or labels. Every value read is checked for
+its shape, so a malformed file is an input error that names what was wrong.
 """
 
 from __future__ import annotations
@@ -18,13 +19,22 @@ from .agenda import Agenda
 from .aggregation import DecisionCriterion
 from .algebra import FiniteAlgebra, builtin_boolean2, builtin_mv_chain
 from .semantics import DEGREE_MODE, FILTER_MODE, Matrix
-from .syntax import Signature, parse_formula, print_formula
+from .syntax import Signature, parse_formula
 
 PathLike = Union[str, Path]
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
-def signature_to_obj(sig: Signature) -> dict:
-    return {"connectives": [{"name": n, "arity": a} for n, a in sig.connectives]}
+
+def _expect(value: Any, kind: type, what: str):
+    """A JSON object, list, string or integer (``kind`` dict, list, str or
+    int; a boolean is never an integer) read from a file; anything else is an
+    input error naming a wrong container by its kind and showing any other
+    wrong value as JSON."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    got = _KINDS[type(value)] if type(value) in (dict, list) else json.dumps(value)
+    raise ValueError(f"{what} must be {_KINDS[kind]}, got {got}")
 
 
 def signature_from_obj(obj: dict) -> Signature:
@@ -33,35 +43,9 @@ def signature_from_obj(obj: dict) -> Signature:
                    for c in _expect(obj.get("connectives"), list, "signature connectives")]
     names = [_expect(c.get("name"), str, "signature connective name") for c in connectives]
     return Signature(tuple(
-        (name, _integer(c.get("arity"), f"arity of connective {name!r}"))
+        (name, _expect(c.get("arity"), int, f"arity of connective {name!r}"))
         for name, c in zip(names, connectives)
     ))
-
-
-def _integer(value: Any, what: str) -> int:
-    """An integer read from a file; anything else is an input error."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
-
-
-_KINDS = {dict: "an object", list: "a list", str: "a string"}
-
-
-def _expect(value: Any, kind: type, what: str):
-    """A JSON object, list or string (``kind`` dict, list or str) read from a
-    file; anything else is an input error."""
-    if isinstance(value, kind):
-        return value
-    got = _KINDS.get(type(value)) or json.dumps(value)
-    raise ValueError(f"{what} must be {_KINDS[kind]}, got {got}")
-
-
-def _table_to_rows(table: tuple[int, ...], arity: int, size: int) -> list:
-    if arity == 0:
-        return list(table)
-    row = size ** (arity - 1)
-    return [list(table[i * row : (i + 1) * row]) for i in range(size)]
 
 
 def _table_from_rows(rows: Any, arity: int, symbol: str) -> tuple[int, ...]:
@@ -74,23 +58,7 @@ def _table_from_rows(rows: Any, arity: int, symbol: str) -> tuple[int, ...]:
             raise ValueError(f"table of connective {symbol!r} mixes rows and entries")
         rows = [v for row in rows for v in row]
     what = f"table entry of connective {symbol!r}"
-    return tuple(_integer(v, what) for v in rows)
-
-
-def algebra_to_obj(algebra: FiniteAlgebra) -> dict:
-    obj = {
-        "signature": signature_to_obj(algebra.signature),
-        "carrier": list(algebra.carrier),
-        "ops": {
-            name: _table_to_rows(table, algebra.signature.arity(name), algebra.size)
-            for name, table in algebra.ops
-        },
-    }
-    if algebra.order is not None:
-        obj["order"] = sorted([a, b] for a, b in algebra.order)
-    if algebra.name:
-        obj["name"] = algebra.name
-    return obj
+    return tuple(_expect(v, int, what) for v in rows)
 
 
 def algebra_from_obj(obj: dict) -> FiniteAlgebra:
@@ -108,7 +76,8 @@ def algebra_from_obj(obj: dict) -> FiniteAlgebra:
         if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
             raise ValueError("order must be a list of [a, b] pairs")
         order = frozenset(
-            (_integer(a, "order pair entry"), _integer(b, "order pair entry")) for a, b in pairs
+            (_expect(a, int, "order pair entry"), _expect(b, int, "order pair entry"))
+            for a, b in pairs
         )
     return FiniteAlgebra(
         signature=sig,
@@ -119,22 +88,12 @@ def algebra_from_obj(obj: dict) -> FiniteAlgebra:
     )
 
 
-def matrix_to_obj(matrix: Matrix) -> dict:
-    obj = {"algebra": algebra_to_obj(matrix.algebra)}
-    if matrix.mode == FILTER_MODE:
-        obj["designated"] = sorted(matrix.designated)
-    else:
-        obj["mode"] = DEGREE_MODE
-    return obj
-
-
 def matrix_from_obj(obj: dict) -> Matrix:
     algebra = algebra_from_obj(_expect(obj, dict, "matrix").get("algebra"))
     if obj.get("mode") == DEGREE_MODE:
         return Matrix(algebra, None, DEGREE_MODE)
-    designated = _expect(obj.get("designated"), list, "matrix designated values")
     designated = frozenset(_element_index(algebra, d, "matrix designated value")
-                           for d in designated)
+                           for d in _expect(obj.get("designated"), list, "matrix designated values"))
     return Matrix(algebra, designated, FILTER_MODE)
 
 
@@ -142,7 +101,7 @@ def _element_index(algebra: FiniteAlgebra, value: Any, what: str) -> int:
     """A carrier element read from a file, as an integer index or a label;
     anything else is an input error."""
     if not isinstance(value, str):
-        return _integer(value, what)
+        return _expect(value, int, what)
     if value not in algebra.carrier:
         raise ValueError(f"{what} {json.dumps(value)} is not a carrier label "
                          f"(carrier {json.dumps(list(algebra.carrier))})")
@@ -168,10 +127,6 @@ def load_matrix(spec: PathLike) -> Matrix:
         return matrix_from_obj(json.load(fh))
 
 
-def agenda_to_obj(agenda: Agenda) -> dict:
-    return {"formulas": [print_formula(f) for f in agenda.formulas]}
-
-
 def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
     with open(path, "r", encoding="utf-8") as fh:
         obj = _expect(json.load(fh), dict, "agenda")
@@ -189,20 +144,12 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
     return Agenda(formulas, sig, matrix, matrix.algebra)
 
 
-def criterion_to_obj(criterion: DecisionCriterion) -> dict:
-    return {
-        "electorate": criterion.electorate,
-        "values": list(criterion.values),
-        "carrier": list(criterion.algebra.carrier),
-    }
-
-
 def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     """Criterion table: {"electorate": N, "values": [...]} with values in
     row-major order over voter tuples (voter 0 most significant)."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = _expect(json.load(fh), dict, "criterion")
-    n = _integer(obj.get("electorate"), "criterion electorate")
+    n = _expect(obj.get("electorate"), int, "criterion electorate")
     values = tuple(_element_index(algebra, v, "criterion value")
                    for v in _expect(obj.get("values"), list, "criterion values"))
     return DecisionCriterion(algebra, n, values)

@@ -170,6 +170,18 @@ class TestWitnessConstructions:
         with pytest.raises(ValueError, match="does not track its variable"):
             witness_attitudes(ag)
 
+    @pytest.mark.parametrize("construct", [
+        lambda agenda: rational_attitude_with_values(agenda, [1]),
+        witness_attitudes,
+    ], ids=["prescribed-values", "witness-attitudes"])
+    def test_witness_is_checked_at_every_valuation(self, luk3_filter, construct):
+        # interderivable with x1 over the filter {1}, and equal to it where x2
+        # is 0, but 0 where x1 is 1/2 and x2 is 1
+        texts = ["(odot x1 (oplus x1 (not x2)))", "x2"]
+        ag = agenda_over([f(t, luk3_filter) for t in texts], luk3_filter)
+        with pytest.raises(ValueError, match="does not track its variable"):
+            construct(ag)
+
     def test_via_outside_the_agenda_rejected(self, or_agenda):
         with pytest.raises(ValueError, match="must belong to the agenda"):
             witness_attitudes(or_agenda, via=f("(and x1 x2)", or_agenda.matrix))

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -44,6 +45,25 @@ class TestBuiltins:
         assert l3.tables["odot"] == L3_ODOT
         assert l3.tables["impl"] == L3_IMPL
         assert l3.carrier == ("0", "1/2", "1")
+
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_mv_chain_matches_the_rational_definition(self, k):
+        # reference: the defining clauses in exact rationals on {0, 1/(k-1), ..., 1}
+        values = [Fraction(i, k - 1) for i in range(k)]
+        index = {v: i for i, v in enumerate(values)}
+        one = Fraction(1)
+        clauses = {
+            "oplus": lambda a, b: min(one, a + b),
+            "odot": lambda a, b: max(Fraction(0), a + b - 1),
+            "impl": lambda a, b: min(one, one - a + b),
+        }
+        chain = builtin_mv_chain(k)
+        assert chain.carrier == tuple(str(v) for v in values)
+        assert chain.tables["not"] == tuple(index[one - a] for a in values)
+        for symbol, clause in clauses.items():
+            assert chain.tables[symbol] == tuple(
+                index[clause(a, b)] for a in values for b in values
+            ), symbol
 
     def test_mv3_half_odot_half_is_zero(self):
         l3 = builtin_mv_chain(3)

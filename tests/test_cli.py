@@ -305,16 +305,18 @@ class TestCheckSelfext:
             "exceeds budget 1000\n"
         )
 
-    def test_seed_layer_is_refused_before_any_vector(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("variables", [100_000, 10_000_000])
+    def test_seed_layer_is_refused_before_any_vector(self, monkeypatch, capsys, variables):
         def forbidden(*args):
-            raise AssertionError("a seed vector was computed")
+            raise AssertionError("a variable name or seed vector was built")
 
         monkeypatch.setattr(algebra, "_variable_vectors", forbidden)
-        assert main(["check-selfext", "--logic", "boolean2", "--variables", "100000",
+        monkeypatch.setattr(cli, "check_selfextensionality", forbidden)  # takes the names
+        assert main(["check-selfext", "--logic", "boolean2", "--variables", str(variables),
                      "--depth", "0"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: closure layer of 100002 formulas x 2^100000 valuations "
-            "exceeds budget 100000000\n"
+            f"budget exceeded: closure layer of {variables + 2} formulas x 2^{variables} "
+            "valuations exceeds budget 100000000\n"
         )
 
 
@@ -349,7 +351,7 @@ MALFORMED_MATRICES = [
     pytest.param(lambda a: a["ops"].update(k=[None]),
                  "table entry of connective 'k' must be an integer, got null", id="null-entry"),
     pytest.param(lambda a: a["ops"].update(maj=[[[0, 0], [0, 1]], [[0, 1], [1, 1]]]),
-                 "table entry of connective 'maj' must be an integer, got [0, 0]",
+                 "table entry of connective 'maj' must be an integer, got a list",
                  id="nested-ternary-rows"),
     pytest.param(lambda a: a["ops"].update(maj=[[0, 0, 0, 1], 0, 1, 1, 1]),
                  "table of connective 'maj' mixes rows and entries", id="mixed-rows"),
@@ -357,6 +359,10 @@ MALFORMED_MATRICES = [
                  "table of connective 'maj' must be a list", id="null-table"),
     pytest.param(lambda a: a["signature"]["connectives"][0].update(arity=None),
                  "arity of connective 'not' must be an integer, got null", id="null-arity"),
+    pytest.param(lambda a: a["signature"]["connectives"][2].update(arity=100_000),
+                 "table for 'maj' has 8 entries, expected 2^100000", id="arity-past-int-text"),
+    pytest.param(lambda a: a["signature"]["connectives"][2].update(arity=2**40),
+                 "table for 'maj' has 8 entries, expected 2^1099511627776", id="arity-2^40"),
     pytest.param(lambda a: a["signature"]["connectives"][0].pop("arity"),
                  "arity of connective 'not' must be an integer, got null", id="missing-arity"),
     pytest.param(lambda a: a["signature"]["connectives"][0].update(name=5),

@@ -3,19 +3,47 @@ import json
 import pytest
 
 from aggcheck.fileio import (
-    agenda_to_obj,
     algebra_from_obj,
-    algebra_to_obj,
-    criterion_to_obj,
     dump_json,
     load_agenda,
     load_criterion,
     load_matrix,
     matrix_from_obj,
-    matrix_to_obj,
 )
 from aggcheck.aggregation import majority_criterion
-from aggcheck.algebra import builtin_boolean2, builtin_mv_chain
+
+
+BOOLEAN2 = {
+    "signature": {"connectives": [
+        {"name": "not", "arity": 1}, {"name": "or", "arity": 2},
+        {"name": "and", "arity": 2}, {"name": "bot", "arity": 0}, {"name": "top", "arity": 0},
+    ]},
+    "carrier": ["0", "1"],
+    "ops": {"not": [1, 0], "or": [[0, 1], [1, 1]], "and": [[0, 0], [0, 1]],
+            "bot": [0], "top": [1]},
+    "order": [[0, 0], [0, 1], [1, 1]],
+    "name": "boolean2",
+}
+
+MV_SIGNATURE = {"connectives": [
+    {"name": "not", "arity": 1}, {"name": "oplus", "arity": 2}, {"name": "odot", "arity": 2},
+    {"name": "impl", "arity": 2}, {"name": "0", "arity": 0}, {"name": "1", "arity": 0},
+]}
+
+MV3 = {
+    "signature": MV_SIGNATURE,
+    "carrier": ["0", "1/2", "1"],
+    "ops": {
+        "not": [2, 1, 0],
+        "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+        "odot": [[0, 0, 0], [0, 0, 1], [0, 1, 2]],
+        "impl": [[2, 2, 2], [1, 2, 2], [0, 1, 2]],
+        "0": [0],
+        "1": [2],
+    },
+    "order": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]],
+    "name": "lukasiewicz3",
+}
 
 
 class TestAlgebraFormat:
@@ -33,28 +61,20 @@ class TestAlgebraFormat:
         assert algebra.tables["not"] == (1, 0)
         assert algebra.tables["or"] == (0, 1, 1, 1)
 
-    def test_roundtrip_boolean(self):
-        b = builtin_boolean2()
-        assert algebra_from_obj(algebra_to_obj(b)) == b
-
-    def test_roundtrip_mv(self):
-        l4 = builtin_mv_chain(4)
-        assert algebra_from_obj(algebra_to_obj(l4)) == l4
-
 
 class TestMatrixFormat:
-    def test_filter_roundtrip(self, classical):
-        assert matrix_from_obj(matrix_to_obj(classical)) == classical
+    def test_filter_file(self, tmp_path, classical):
+        path = tmp_path / "logic.json"
+        dump_json({"algebra": BOOLEAN2, "designated": [1]}, path)
+        assert load_matrix(path) == classical
 
-    def test_degree_roundtrip(self, luk3_degree):
-        assert matrix_from_obj(matrix_to_obj(luk3_degree)) == luk3_degree
+    def test_degree_file(self, tmp_path, luk3_degree):
+        path = tmp_path / "logic.json"
+        dump_json({"algebra": MV3, "mode": "degree"}, path)
+        assert load_matrix(path) == luk3_degree
 
     def test_designated_by_label(self):
-        obj = matrix_to_obj(
-            load_matrix("mv3")
-        )
-        obj["designated"] = ["1"]
-        matrix = matrix_from_obj(obj)
+        matrix = matrix_from_obj({"algebra": MV3, "designated": ["1"]})
         assert matrix.designated == frozenset({2})
 
     def test_builtin_names(self):
@@ -63,29 +83,15 @@ class TestMatrixFormat:
         assert load_matrix("mv3-degree").mode == "degree"
         assert load_matrix("mv3").designated == frozenset({2})
 
-    def test_file_loading(self, tmp_path, classical):
-        path = tmp_path / "logic.json"
-        dump_json(matrix_to_obj(classical), path)
-        assert load_matrix(path) == classical
-
 
 class TestAgendaFormat:
-    def test_load(self, tmp_path, classical):
+    def test_load(self, tmp_path, bool_agenda, classical):
         path = tmp_path / "agenda.json"
-        dump_json({"formulas": ["x1", "(or x1 x2)"]}, path)
-        agenda = load_agenda(path, classical)
-        assert len(agenda) == 2
-
-    def test_roundtrip(self, tmp_path, bool_agenda, classical):
-        path = tmp_path / "agenda.json"
-        dump_json(agenda_to_obj(bool_agenda), path)
+        dump_json({"formulas": ["x1", "x2", "(or x1 x2)", "(not x1)"]}, path)
         assert load_agenda(path, classical) == bool_agenda
 
-    def test_signature_ref_mismatch(self, tmp_path, classical, luk3_filter):
-        from aggcheck.fileio import signature_to_obj
-
-        sig_path = tmp_path / "sig.json"
-        dump_json(signature_to_obj(luk3_filter.algebra.signature), sig_path)
+    def test_signature_ref_mismatch(self, tmp_path, classical):
+        dump_json(MV_SIGNATURE, tmp_path / "sig.json")
         path = tmp_path / "agenda.json"
         dump_json({"signature_ref": "sig.json", "formulas": ["x1"]}, path)
         with pytest.raises(ValueError, match="signature_ref"):
@@ -93,11 +99,10 @@ class TestAgendaFormat:
 
 
 class TestCriterionFormat:
-    def test_roundtrip(self, tmp_path, boolean2):
-        crit = majority_criterion(boolean2, 3)
+    def test_load(self, tmp_path, boolean2):
         path = tmp_path / "crit.json"
-        dump_json(criterion_to_obj(crit), path)
-        assert load_criterion(path, boolean2).values == crit.values
+        dump_json({"electorate": 3, "values": [0, 0, 0, 1, 0, 1, 1, 1]}, path)
+        assert load_criterion(path, boolean2).values == majority_criterion(boolean2, 3).values
 
     def test_labels_accepted(self, tmp_path, boolean2):
         path = tmp_path / "crit.json"

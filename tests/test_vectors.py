@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggcheck import algebra
 from aggcheck.algebra import (
     all_valuations,
     builtin_boolean2,
@@ -120,6 +121,17 @@ def test_closure_budget_counts_one_layer():
     closure_vectors(seeds, ["x1", "x2"], b, 1, budget=4 * (4 + 2 * 16))
     with pytest.raises(BudgetExceededError):
         closure_vectors(seeds, ["x1", "x2"], b, 1, budget=4 * (4 + 2 * 16) - 1)
+
+
+def test_closure_charges_the_seeds_before_any_vector(monkeypatch):
+    # the library route to the seed charge, which check-selfext refuses from its counts
+    def forbidden(*args):
+        raise AssertionError("a seed vector was computed")
+
+    monkeypatch.setattr(algebra, "_variable_vectors", forbidden)
+    seeds = [Var("x1"), Var("x2")]  # and the constants bot and top, 4 valuations each
+    with pytest.raises(BudgetExceededError, match="closure layer of 4 formulas x 4 valuations"):
+        closure_vectors(seeds, ["x1", "x2"], builtin_boolean2(), 0, budget=15)
 
 
 def brute_consistency(formulas, max_worlds):
