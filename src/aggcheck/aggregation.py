@@ -38,11 +38,12 @@ from .algebra import (
     evaluate,
     is_homomorphism,
     product_element_index,
+    refuse,
     search_tables,
     shared_power,
     truth_vectors,
 )
-from .errors import BudgetExceededError
+from .errors import NotQualifyingError
 from .syntax import Formula, Var, bounded_closure, formula_sort_key  # noqa: F401 (traced binding)
 
 INDEPENDENT = "independent"
@@ -172,7 +173,7 @@ def is_rational_attitude(
     return False, None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _rational_table(agenda: Agenda) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Distinct rational attitude value-tuples with the index (into valuation
     order) of their least witnessing valuation."""
@@ -192,9 +193,8 @@ def enumerate_rational_attitudes(agenda: Agenda) -> tuple[AttitudeFunction, ...]
 
 
 def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) -> None:
-    limit = min(budget, MAX_CONSTRAINTS)  # refused unbuilt: a profile takes about 200 bytes
-    if count := _power_over(len(_rational_table(agenda)), electorate, limit):
-        raise BudgetExceededError(f"{count} rational profiles exceed the limit of {limit}")
+    refuse(min(budget, MAX_CONSTRAINTS), "profile enumeration",  # unbuilt: about 200 bytes each
+           ((len(_rational_table(agenda)), electorate), "rational profiles"))
 
 
 def enumerate_rational_profiles(
@@ -397,7 +397,7 @@ class ParetoReport:
     witness: Optional[str]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _fragment_and_vectors(
     agenda: Agenda, depth: int, budget: int
 ) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]:
@@ -543,11 +543,8 @@ def _one_pass(
     else:
         fragment = agenda.formulas
         vectors = truth_vectors(fragment, agenda.variables, agenda.algebra)
-    if level is not None and domain * len(fragment) > budget:
-        raise BudgetExceededError(
-            f"systematicity check: {domain} profiles x {len(fragment)} formulas "
-            f"= {domain * len(fragment)} exceed budget {budget}"
-        )
+    if level is not None:
+        refuse(budget, "systematicity check", (domain, "profiles"), (len(fragment), "formulas"))
     # each rational attitude's values on the fragment, its unique rational extension
     extension = {
         values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
@@ -707,12 +704,10 @@ def criterion_from_aggregator(
     checked = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, depth)
     report, strong = checked.rationality, checked.systematicity
     if not report.both:
-        raise ValueError(
-            "aggregator is not universal+rational: "
-            f"universal={report.universal} rational={report.rational}"
-        )
+        raise NotQualifyingError("aggregator is not universal+rational: "
+                                 f"universal={report.universal} rational={report.rational}")
     if not strong.holds:
-        raise ValueError(f"aggregator is not strongly systematic: {strong.conflict}")
+        raise NotQualifyingError(f"aggregator is not strongly systematic: {strong.conflict}")
 
     via, attitude_for = witness_attitudes(agenda, via)
     position = agenda.index[via]
@@ -723,10 +718,9 @@ def criterion_from_aggregator(
     criterion = DecisionCriterion(algebra, n, tuple(values))
     violation = criterion.homomorphism_violation()
     if violation:
-        raise ValueError(
-            "extracted criterion is not a homomorphism "
-            f"(fails at {violation[0]} on {violation[1]}); the aggregator does not qualify"
-        )
+        symbol, args = violation
+        raise NotQualifyingError(f"extracted criterion is not a homomorphism (fails at {symbol} "
+                                 f"on {args}); the aggregator does not qualify")
     return criterion
 
 
@@ -810,14 +804,8 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     _refuse_profiles_past_the_cap(agenda, electorate, budget)
     fragment, fragment_vectors = _fragment_and_vectors(agenda, depth, budget)
     first_column = {vec: fragment_vectors.index(vec) for vec in dict.fromkeys(fragment_vectors)}
-    profiles = len(rational) ** electorate
-    limit = min(budget, MAX_CONSTRAINTS)
-    if profiles * len(first_column) > limit:
-        raise BudgetExceededError(
-            f"profile x fragment space exceeds budget: census of {profiles} profiles "
-            f"x {len(first_column)} vectors = {profiles * len(first_column)} constraints, "
-            f"over the limit of {limit}"
-        )
+    refuse(min(budget, MAX_CONSTRAINTS), "census constraints",
+           ((len(rational), electorate), "profiles"), (len(first_column), "vectors"))
     tables = [defaultdict(lambda: -1, {product_element_index(size, values): vec[w]  # -1: irrational
                                        for values, w in rational}) for vec in first_column]
     agenda_columns = [fragment.index(formula) for formula in agenda.formulas]

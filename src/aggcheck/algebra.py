@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, EvaluationError
 from .syntax import App, Formula, Signature, Var, print_formula
@@ -218,7 +219,8 @@ def closure_vectors(
         raise ValueError("depth must be nonnegative")
     signature = algebra.signature
     seeds = [*formulas, *(App(c, ()) for c in signature.constants)]
-    charge_closure_layer(len(seeds), len(variables), algebra, budget)
+    valuations = ((algebra.size, len(variables)), "valuations")  # each formula's vector entries
+    refuse(budget, "closure seed", (len(seeds), "formulas"), valuations)
     width = algebra.size ** len(variables)
     best: dict[Vector, tuple[object, str, Formula]] = {}
     for formula, vector in zip(seeds, truth_vectors(seeds, variables, algebra)):
@@ -228,8 +230,8 @@ def closure_vectors(
             best[vector] = (rank, text, formula)
     for _ in range(depth):
         layer = [(vector, text, formula) for vector, (_, text, formula) in best.items()]
-        charge_closure_layer(sum(len(layer) ** a for _, a in signature.connectives if a),
-                             len(variables), algebra, budget)
+        count = sum(len(layer) ** a for _, a in signature.connectives if a)
+        refuse(budget, "closure layer", (count, "formulas"), valuations)
         for symbol, arity in signature.connectives:
             if arity == 0:
                 continue
@@ -243,17 +245,6 @@ def closure_vectors(
     return {vector: formula for vector, (_, _, formula) in ranked}
 
 
-def charge_closure_layer(count: int, variables: int, algebra: FiniteAlgebra, budget: int) -> None:
-    """Refuse a closure layer of ``count`` formulas whose truth vectors span
-    the valuations of ``variables`` variables, when its entries exceed ``budget``."""
-    # count * size**variables > budget, as size**variables > budget // count
-    if valuations := count and _power_over(algebra.size, variables, budget // count):
-        raise BudgetExceededError(
-            f"closure layer of {count} formulas x {valuations} valuations "
-            f"exceeds budget {budget}"
-        )
-
-
 def _power_over(base: int, exponent: int, limit: int) -> Optional[str]:
     """None if ``base**exponent`` is at most ``limit``, else that count as text: decimal
     while the interpreter prints it, ``base^exponent`` (never computed) past that."""
@@ -264,13 +255,29 @@ def _power_over(base: int, exponent: int, limit: int) -> Optional[str]:
     return str(base**exponent)
 
 
+def refuse(limit: int, stage: str, *factors: tuple[Union[int, tuple[int, int]], str]) -> None:
+    """The one budget refusal: ``{stage}: {count} {unit} x ... exceed the limit of {limit}``,
+    raised when the counts' product exceeds ``limit``, with `` = {total}`` after two or more
+    counts that all print in decimal. A count is an int or a ``(base, exponent)`` power,
+    printed by ``_power_over`` and never computed past the limit; a zero count refuses nothing."""
+    powers = [count if isinstance(count, tuple) else (count, 1) for count, _ in factors]
+    if any(base == 0 < exponent for base, exponent in powers):
+        return
+    past = [_power_over(base, exponent, limit) for base, exponent in powers]  # None: within it
+    if not any(past) and math.prod(base**exponent for base, exponent in powers) <= limit:
+        return
+    texts = [text or str(base**exponent) for text, (base, exponent) in zip(past, powers)]
+    message = " x ".join(f"{text} {unit}" for text, (_, unit) in zip(texts, factors))
+    if len(texts) > 1 and all(map(str.isdigit, texts)):
+        with suppress(ValueError):  # a total past the interpreter's digit limit goes unprinted
+            message += f" = {math.prod(map(int, texts))}"
+    raise BudgetExceededError(f"{stage}: {message} exceed the limit of {limit}")
+
+
 def _power_size(size: int, n: int) -> int:
     if n < 1:
         raise ValueError("power must be >= 1")
-    if count := _power_over(size, n, MAX_POWER_SIZE):
-        raise BudgetExceededError(
-            f"product carrier would have {count} elements, over the limit of {MAX_POWER_SIZE}"
-        )
+    refuse(MAX_POWER_SIZE, "product carrier", ((size, n), "elements"))
     return size**n
 
 
@@ -428,7 +435,7 @@ def search_tables(
         t[k] = value
         units += cost[k]
         if units > budget:
-            raise BudgetExceededError(f"{stage} charged {units} work units, over budget {budget}")
+            refuse(budget, stage, (units, "work units"))
         shared = None  # the args whose index was worked out last, at this node
         for table, args, result in by_last[k]:
             if args is not shared:
@@ -472,11 +479,8 @@ def refuse_power_past_the_caps(algebra: FiniteAlgebra, n: int) -> None:
     homomorphism equations than ``MAX_CONSTRAINTS``."""
     power = _power_size(algebra.size, n)
     equations = sum(power**arity for _, arity in algebra.signature.connectives)
-    if equations > MAX_CONSTRAINTS:
-        raise BudgetExceededError(
-            f"homomorphism search of {algebra.name or 'algebra'}^{n} would read "
-            f"{equations} equations, over the limit of {MAX_CONSTRAINTS}"
-        )
+    refuse(MAX_CONSTRAINTS, f"homomorphism search of {algebra.name or 'algebra'}^{n}",
+           (equations, "equations"))
 
 
 def power_homomorphisms(

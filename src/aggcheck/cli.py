@@ -21,9 +21,8 @@ from .aggregation import (
     criterion_from_aggregator,
     qualifying_criteria,
 )
-from .algebra import (DEFAULT_BUDGET, charge_closure_layer, power_homomorphisms,
-                      refuse_power_past_the_caps)
-from .errors import AggcheckError, BudgetExceededError
+from .algebra import DEFAULT_BUDGET, power_homomorphisms, refuse, refuse_power_past_the_caps
+from .errors import AggcheckError, BudgetExceededError, NotQualifyingError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter
 from .modal import check_subjunctive_conditions
@@ -108,11 +107,13 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     roundtrip_failures = []
     for table in hom_tables:
         aggregator = aggregator_from_criterion(DecisionCriterion(algebra, n, table), agenda)
-        extracted = criterion_from_aggregator(aggregator, depth=args.depth, budget=args.budget)
-        if extracted.values != table:
-            roundtrip_failures.append(
-                {"criterion": list(table), "extracted": list(extracted.values)}
-            )
+        try:  # a homomorphism's aggregator qualifies, so a refusal fails the round trip
+            extracted = list(criterion_from_aggregator(aggregator, depth=args.depth,
+                                                       budget=args.budget).values)
+        except NotQualifyingError as exc:
+            extracted = str(exc)
+        if extracted != list(table):
+            roundtrip_failures.append({"criterion": list(table), "extracted": extracted})
 
     counts_equal = len(hom_tables) == len(qual_tables)
     same_tables = hom_tables == qual_tables
@@ -217,8 +218,9 @@ def cmd_check_subjunctive(args: argparse.Namespace) -> int:
 def cmd_check_selfext(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.logic)
     # the closure's seed layer, a formula per variable and per constant, refused from its counts
-    charge_closure_layer(args.variables + len(matrix.algebra.signature.constants),
-                         args.variables, matrix.algebra, args.budget)
+    seeds = args.variables + len(matrix.algebra.signature.constants)
+    refuse(args.budget, "closure seed", (seeds, "formulas"),
+           ((matrix.algebra.size, args.variables), "valuations"))
     names = [f"x{i+1}" for i in range(args.variables)]
     ok, witness = check_selfextensionality(matrix, names, args.depth, args.budget)
     report = {

@@ -17,6 +17,10 @@ class EvaluationError(AggcheckError):
     """Raised when a formula cannot be evaluated (e.g. unbound variable)."""
 
 
+class NotQualifyingError(AggcheckError, ValueError):
+    """Raised when an aggregator lacks a property its criterion's extraction needs."""
+
+
 class BudgetExceededError(AggcheckError):
     """Raised when a check would exceed, or has used up, its work budget or a
     size limit; the message names the stage, the count and the limit."""

@@ -12,6 +12,8 @@ its shape, so a malformed file is an input error that names what was wrong.
 from __future__ import annotations
 
 import json
+import sys
+from decimal import Decimal
 from pathlib import Path
 from typing import Any, Union
 
@@ -29,12 +31,23 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 def _expect(value: Any, kind: type, what: str):
     """A JSON object, list, string or integer (``kind`` dict, list, str or
     int; a boolean is never an integer) read from a file; anything else is an
-    input error naming a wrong container by its kind and showing any other
-    wrong value as JSON."""
+    input error naming a wrong container by its kind, an integer literal past
+    the interpreter's digit limit by its digits, and any other value as JSON."""
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
+    if isinstance(value, Decimal):  # an integer literal too long to convert (see _read)
+        limit = f" of at most {sys.get_int_max_str_digits()} digits" if kind is int else ""
+        raise ValueError(f"{what} must be {_KINDS[kind]}{limit}, got {value.adjusted() + 1} digits")
     got = _KINDS[type(value)] if type(value) in (dict, list) else json.dumps(value)
     raise ValueError(f"{what} must be {_KINDS[kind]}, got {got}")
+
+
+def _read(path: PathLike) -> Any:
+    """The JSON value in a file; an integer literal too long for ``int`` is a ``Decimal``."""
+    limit = sys.get_int_max_str_digits()  # int() refuses longer literals; 0: no limit
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_int=lambda text: (
+            Decimal(text) if 0 < limit < len(text.lstrip("-")) else int(text)))
 
 
 def signature_from_obj(obj: dict) -> Signature:
@@ -123,22 +136,16 @@ def load_matrix(spec: PathLike) -> Matrix:
         if degree:
             return Matrix(algebra, None, DEGREE_MODE)
         return Matrix(algebra, frozenset({algebra.size - 1}), FILTER_MODE)
-    with open(spec, "r", encoding="utf-8") as fh:
-        return matrix_from_obj(json.load(fh))
+    return matrix_from_obj(_read(spec))
 
 
 def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = _expect(json.load(fh), dict, "agenda")
+    obj = _expect(_read(path), dict, "agenda")
     sig = matrix.algebra.signature
     if "signature_ref" in obj:
         ref = Path(path).parent / _expect(obj["signature_ref"], str, "agenda signature_ref")
-        with open(ref, "r", encoding="utf-8") as fh:
-            declared = signature_from_obj(json.load(fh))
-        if declared != sig:
-            raise ValueError(
-                f"agenda signature_ref {ref} does not match the logic's signature"
-            )
+        if signature_from_obj(_read(ref)) != sig:
+            raise ValueError(f"agenda signature_ref {ref} does not match the logic's signature")
     formulas = tuple(parse_formula(_expect(text, str, "agenda formula"), sig)
                      for text in _expect(obj.get("formulas"), list, "agenda formulas"))
     return Agenda(formulas, sig, matrix, matrix.algebra)
@@ -147,8 +154,7 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
 def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
     """Criterion table: {"electorate": N, "values": [...]} with values in
     row-major order over voter tuples (voter 0 most significant)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = _expect(json.load(fh), dict, "criterion")
+    obj = _expect(_read(path), dict, "criterion")
     n = _expect(obj.get("electorate"), int, "criterion electorate")
     values = tuple(_element_index(algebra, v, "criterion value")
                    for v in _expect(obj.get("values"), list, "criterion values"))

@@ -21,9 +21,8 @@ from itertools import permutations
 from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _power_over, _program_steps,
-                      element_coordinates, truth_vector)
-from .errors import BudgetExceededError
+from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _program_steps, element_coordinates, refuse,
+                      truth_vector)
 from .syntax import App, Formula, Signature, Var, variables_of
 
 MODAL_SIGNATURE = Signature(
@@ -262,18 +261,14 @@ def is_consistent(
         raise ValueError("max_worlds must be >= 1")
     formulas = tuple(formulas)
     names = variables_of(*formulas)
-    if frames := _power_over(2, max_worlds * (max_worlds - 1), MAX_FRAMES):
-        raise BudgetExceededError(
-            f"{frames} reflexive frames on {max_worlds} worlds exceed budget {MAX_FRAMES}"
-        )
+    refuse(MAX_FRAMES, "consistency search",
+           ((2, max_worlds * (max_worlds - 1)), f"reflexive frames on {max_worlds} worlds"))
     program = _sliced_program(formulas, names)
     for n in range(1, max_worlds + 1):
         classes = _class_successors(n)
         # charged before any value is built: per class, n ints of 2^(n * variables) bits
-        words = _power_over(2, max(n * len(names) - 6, 0), DEFAULT_BUDGET // (len(classes) * n))
-        if words:
-            raise BudgetExceededError(f"consistency search of {len(classes)} frame classes x {n} "
-                                      f"worlds x {words} words exceeds budget {DEFAULT_BUDGET}")
+        refuse(DEFAULT_BUDGET, "consistency search", (len(classes), "frame classes"),
+               (n, "worlds"), ((2, max(n * len(names) - 6, 0)), "words"))
         everywhere = (1 << (1 << n * len(names))) - 1
         for mask, succ in classes:
             # per world, the valuations where every formula is true there

@@ -18,8 +18,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, truth_vectors
-from .errors import BudgetExceededError
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, refuse, truth_vectors
 from .syntax import (
     App,
     Formula,
@@ -148,11 +147,7 @@ class BoundedConsequence:
     def fragment(self) -> tuple[Formula, ...]:
         closed = bounded_closure(self.base, self.matrix.algebra.signature, self.depth)
         frag = tuple(sorted(closed, key=formula_sort_key))
-        if len(frag) > MAX_LAWS_FRAGMENT:
-            raise BudgetExceededError(
-                f"fragment has {len(frag)} formulas "
-                f"(limit {MAX_LAWS_FRAGMENT}); shrink the base or the depth"
-            )
+        refuse(MAX_LAWS_FRAGMENT, "bounded consequence", (len(frag), "fragment formulas"))
         return frag
 
     @cached_property
@@ -169,11 +164,7 @@ class BoundedConsequence:
     def relation(self) -> frozenset[tuple[frozenset[Formula], Formula]]:
         """All (premise set, conclusion) pairs over the fragment."""
         frag = self.fragment
-        if len(frag) > MAX_RELATION_FRAGMENT:
-            raise BudgetExceededError(
-                f"refusing to materialize the relation over {len(frag)} formulas "
-                f"(limit {MAX_RELATION_FRAGMENT})"
-            )
+        refuse(MAX_RELATION_FRAGMENT, "consequence relation", (len(frag), "fragment formulas"))
         pairs = []
         for subset_mask in range(1 << len(frag)):
             premises = frozenset(
@@ -287,11 +278,8 @@ def check_selfextensionality(
     for symbol, arity in algebra.signature.connectives:
         if arity == 0:
             continue
-        cost = len(pairs) * arity * len(vectors) ** (arity - 1)
-        if cost > budget:
-            raise BudgetExceededError(
-                f"congruence check for {symbol!r} needs {cost} combinations"
-            )
+        refuse(budget, f"congruence check of {symbol!r}", (len(pairs), "vector pairs"),
+               (arity, "positions"), ((len(vectors), arity - 1), "other arguments"))
         for u, w in pairs:
             for position in range(arity):
                 for others in product(vectors, repeat=arity - 1):

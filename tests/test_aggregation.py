@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -81,14 +83,16 @@ class TestRationality:
         monkeypatch.setattr(aggregation, "Profile", unbuilt)
         with pytest.raises(BudgetExceededError) as refused:
             enumerate_rational_profiles(or_agenda, 11, budget=10**12)
-        assert str(refused.value) == "4194304 rational profiles exceed the limit of 2000000"
+        assert str(refused.value) == (
+            "profile enumeration: 4194304 rational profiles exceed the limit of 2000000")
 
     @pytest.mark.parametrize("refuse", [enumerate_rational_profiles, qualifying_criteria])
     def test_profile_count_past_the_digit_limit_is_a_budget_error(self, or_agenda, refuse):
         # 4^10000 has more decimal digits than Python converts by default
         with pytest.raises(BudgetExceededError) as refused:
             refuse(or_agenda, 10_000)
-        assert str(refused.value) == "4^10000 rational profiles exceed the limit of 2000000"
+        assert str(refused.value) == (
+            "profile enumeration: 4^10000 rational profiles exceed the limit of 2000000")
 
 
 class TestWitnessConstructions:
@@ -253,8 +257,24 @@ class TestSystematicity:
         with pytest.raises(BudgetExceededError) as refused:
             check_systematicity(agg, SYSTEMATIC, budget=20)
         assert str(refused.value) == (
-            "systematicity check: 16 profiles x 3 formulas = 48 exceed budget 20"
+            "systematicity check: 16 profiles x 3 formulas = 48 exceed the limit of 20"
         )
+
+    def test_caches_let_an_agenda_go_once_five_others_are_checked(self, luk3_filter):
+        """The caches keyed by agenda keep a few recent agendas, not every one."""
+        projection = projection_criterion(luk3_filter.algebra, 2, 0)
+
+        def checked(text):
+            agenda = agenda_over([f(t, luk3_filter) for t in ("x1", "x2", text)], luk3_filter)
+            check_systematicity(CriterionAggregator(projection, agenda), STRONGLY_SYSTEMATIC,
+                                depth=2)
+            return weakref.ref(agenda)
+
+        first = checked("(oplus x1 x2)")
+        for text in ["(odot x1 x2)", "(impl x1 x2)", "(not x1)", "(oplus x1 x1)", "(odot x2 x2)"]:
+            checked(text)
+        gc.collect()
+        assert first() is None
 
     def test_induced_criterion_read_off(self, or_agenda):
         agg = CriterionAggregator(projection_criterion(or_agenda.algebra, 2, 0), or_agenda)

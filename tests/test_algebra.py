@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +18,7 @@ from aggcheck.algebra import (
     is_homomorphism,
     product_algebra,
     product_element_index,
+    refuse,
     truth_vector,
 )
 from aggcheck.errors import BudgetExceededError, EvaluationError
@@ -299,6 +302,47 @@ class TestHomomorphisms:
         p = product_algebra(boolean2, 3)
         with pytest.raises(BudgetExceededError):
             enumerate_homomorphisms(p, boolean2, budget=10)
+
+
+counts = st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 9), st.integers(0, 4)))
+
+
+class TestRefuse:
+    """The one budget refusal, against the product of its counts computed outright."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(counts, min_size=1, max_size=3), st.integers(0, 3000))
+    def test_refuses_exactly_past_the_limit_in_the_one_form(self, raw, limit):
+        values = [c if isinstance(c, int) else c[0] ** c[1] for c in raw]
+        factors = [(count, f"unit{i}") for i, count in enumerate(raw)]
+        if math.prod(values) <= limit or 0 in values:
+            assert refuse(limit, "stage", *factors) is None
+            return
+        with pytest.raises(BudgetExceededError) as refused:
+            refuse(limit, "stage", *factors)
+        total = f" = {math.prod(values)}" if len(values) > 1 else ""
+        assert str(refused.value) == (
+            "stage: " + " x ".join(f"{v} unit{i}" for i, v in enumerate(values))
+            + f"{total} exceed the limit of {limit}"
+        )
+
+    def test_a_zero_count_refuses_nothing(self):
+        assert refuse(-1, "stage", (0, "a"), ((2, 10**12), "b")) is None
+        assert refuse(5, "stage", (7, "a"), ((0, 3), "b")) is None
+
+    def test_a_power_past_the_digit_limit_is_never_computed(self):
+        # 2^(10^12) would take 125 GB; its text comes from base and exponent alone
+        with pytest.raises(BudgetExceededError) as refused:
+            refuse(10, "stage", (3, "a"), ((2, 10**12), "b"))
+        assert str(refused.value) == "stage: 3 a x 2^1000000000000 b exceed the limit of 10"
+
+    def test_a_total_past_the_digit_limit_goes_unprinted(self):
+        digits = sys.get_int_max_str_digits()  # 10^(digits - 2) prints, 1000 times it does not
+        with pytest.raises(BudgetExceededError) as refused:
+            refuse(10, "stage", (1000, "a"), ((10, digits - 2), "b"))
+        assert str(refused.value) == (
+            f"stage: 1000 a x 1{'0' * (digits - 2)} b exceed the limit of 10"
+        )
 
 
 class TestLatticeLaws:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -105,7 +106,8 @@ class TestVerifyBijection:
         assert main(["verify-bijection", "--logic", "boolean2", "--agenda", bool_agenda_file,
                      "--electorate", "1", "--budget", "256"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: closure layer of 78 formulas x 4 valuations exceeds budget 256\n"
+            "budget exceeded: closure layer: 78 formulas x 4 valuations = 312 "
+            "exceed the limit of 256\n"
         )
 
     def test_round_trip_gets_the_given_budget(self, bool_agenda_file, monkeypatch):
@@ -292,8 +294,8 @@ class TestCheckSelfext:
         assert main(["check-selfext", "--logic", "mv3-degree", "--variables", "2",
                      "--depth", "4", "--budget", "10000000"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: closure layer of 5722864 formulas x 9 valuations "
-            "exceeds budget 10000000\n"
+            "budget exceeded: closure layer: 5722864 formulas x 9 valuations = 51505776 "
+            "exceed the limit of 10000000\n"
         )
 
     def test_seed_layer_is_charged(self, capsys):
@@ -301,8 +303,8 @@ class TestCheckSelfext:
         assert main(["check-selfext", "--logic", "boolean2", "--variables", "16",
                      "--depth", "0", "--budget", "1000"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: closure layer of 18 formulas x 65536 valuations "
-            "exceeds budget 1000\n"
+            "budget exceeded: closure seed: 18 formulas x 65536 valuations = 1179648 "
+            "exceed the limit of 1000\n"
         )
 
     @pytest.mark.parametrize("variables", [100_000, 10_000_000])
@@ -315,8 +317,8 @@ class TestCheckSelfext:
         assert main(["check-selfext", "--logic", "boolean2", "--variables", str(variables),
                      "--depth", "0"]) == 3
         assert capsys.readouterr().err == (
-            f"budget exceeded: closure layer of {variables + 2} formulas x 2^{variables} "
-            "valuations exceeds budget 100000000\n"
+            f"budget exceeded: closure seed: {variables + 2} formulas x 2^{variables} "
+            "valuations exceed the limit of 100000000\n"
         )
 
 
@@ -477,6 +479,51 @@ class TestMatrixFiles:
             "input error: criterion electorate must be an integer, got null\n"
         )
 
+    @pytest.mark.parametrize("files, argv, message", [
+        pytest.param({"c.json": {"electorate": "LONG", "values": [0, 1]}},
+                     ["classify-dictators", "--criterion", "c.json"],
+                     "criterion electorate must be an integer{limit}, got 5001 digits",
+                     id="criterion-electorate"),
+        pytest.param({"c.json": {"electorate": 1, "values": [0, "-LONG"]}},
+                     ["classify-dictators", "--criterion", "c.json"],
+                     "criterion value must be an integer{limit}, got 5001 digits",
+                     id="negative-criterion-value"),
+        pytest.param({"a.json": {"formulas": ["x1", "LONG"]}},
+                     ["check-agenda", "--logic", "boolean2", "--agenda", "a.json"],
+                     "agenda formula must be a string, got 5001 digits", id="agenda-formula"),
+        pytest.param({"m.json": "ARITY", "a.json": {"formulas": ["x1"]}},
+                     ["check-agenda", "--logic", "m.json", "--agenda", "a.json"],
+                     "arity of connective 'not' must be an integer{limit}, got 5001 digits",
+                     id="matrix-arity"),
+        pytest.param({"s.json": "ARITY", "a.json": {"signature_ref": "s.json", "formulas": ["x1"]}},
+                     ["check-agenda", "--logic", "boolean2", "--agenda", "a.json"],
+                     "arity of connective 'not' must be an integer{limit}, got 5001 digits",
+                     id="signature-ref-arity"),
+    ])
+    def test_integer_literal_past_the_digit_limit_names_its_field(
+        self, files, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        # 5001 digits: past the interpreter's default limit of 4300 for int("...")
+        long_arity = ternary_matrix()
+        long_arity["algebra"]["signature"]["connectives"][0]["arity"] = "LONG"
+        for name, obj in files.items():
+            if obj == "ARITY":
+                obj = long_arity if name == "m.json" else long_arity["algebra"]["signature"]
+            text = json.dumps(obj).replace('"LONG"', "9" * 5001)
+            (tmp_path / name).write_text(text.replace('"-LONG"', "-" + "9" * 5001))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        limit = f" of at most {sys.get_int_max_str_digits()} digits"
+        assert capsys.readouterr().err == f"input error: {message.format(limit=limit)}\n"
+
+    def test_integer_literal_past_the_digit_limit_is_a_carrier_label(self, tmp_path, capsys):
+        obj = ternary_matrix()
+        obj["algebra"]["carrier"][1] = "LONG"
+        (tmp_path / "m.json").write_text(json.dumps(obj).replace('"LONG"', "9" * 5001))
+        dump_json({"formulas": ["x1"]}, tmp_path / "a.json")
+        assert main(["check-agenda", "--logic", str(tmp_path / "m.json"),
+                     "--agenda", str(tmp_path / "a.json")]) == 0
+
 
 class TestErrorPaths:
     def test_missing_file(self):
@@ -540,8 +587,8 @@ class TestErrorPaths:
             argv += ["--agenda", bool_agenda_file]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: homomorphism search of boolean2^10 would read 2098178 "
-            "equations, over the limit of 2000000\n"
+            "budget exceeded: homomorphism search of boolean2^10: 2098178 equations "
+            "exceed the limit of 2000000\n"
         )
 
     @pytest.mark.parametrize("command", ["enumerate-homs", "verify-bijection"])
@@ -551,24 +598,22 @@ class TestErrorPaths:
             argv += ["--agenda", bool_agenda_file]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: product carrier would have 16384 elements, "
-            "over the limit of 10000\n"
+            "budget exceeded: product carrier: 16384 elements exceed the limit of 10000\n"
         )
 
     def test_candidate_count_past_the_digit_limit_is_a_budget_error(self, capsys):
         # mv10^4 has 10^10000 maps into mv10; the equation cap refuses it unbuilt
         assert main(["enumerate-homs", "--logic", "mv10", "--electorate", "4"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: homomorphism search of lukasiewicz10^4 would read "
-            "300010002 equations, over the limit of 2000000\n"
+            "budget exceeded: homomorphism search of lukasiewicz10^4: 300010002 equations "
+            "exceed the limit of 2000000\n"
         )
 
     def test_power_size_past_the_digit_limit_is_a_budget_error(self, capsys):
         # 2^100000 has more decimal digits than Python converts by default
         assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "100000"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: product carrier would have 2^100000 elements, "
-            "over the limit of 10000\n"
+            "budget exceeded: product carrier: 2^100000 elements exceed the limit of 10000\n"
         )
 
     def test_search_budget_is_charged_during_the_search(self, capsys):
@@ -577,7 +622,7 @@ class TestErrorPaths:
         assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "3",
                      "--budget", "5"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: homomorphism search charged 11 work units, over budget 5\n"
+            "budget exceeded: homomorphism search: 11 work units exceed the limit of 5\n"
         )
 
     @pytest.mark.parametrize("argv, flag", [
@@ -595,7 +640,7 @@ class TestErrorPaths:
         assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "2",
                      "--budget", "0"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: homomorphism search charged 4 work units, over budget 0\n"
+            "budget exceeded: homomorphism search: 4 work units exceed the limit of 0\n"
         )
 
     def test_empty_electorate_is_an_input_error(self, capsys):
@@ -608,8 +653,8 @@ class TestErrorPaths:
         assert main(["verify-bijection", "--logic", "mv3", "--agenda", str(path),
                      "--electorate", "1", "--depth", "4"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: closure layer of 12158520 formulas x 9 valuations "
-            "exceeds budget 100000000\n"
+            "budget exceeded: closure layer: 12158520 formulas x 9 valuations = 109426680 "
+            "exceed the limit of 100000000\n"
         )
 
     @pytest.mark.parametrize("bound, frames", [("6", "1073741824"), ("200", "2^39800")])

@@ -156,7 +156,7 @@ class TestIsConsistent:
         with pytest.raises(BudgetExceededError) as refused:
             is_consistent([Var("p")], 200)
         assert str(refused.value) == (
-            "2^39800 reflexive frames on 200 worlds exceed budget 1048576"
+            "consistency search: 2^39800 reflexive frames on 200 worlds exceed the limit of 1048576"
         )
 
     def test_valuation_words_are_charged_before_the_values_are_built(self, monkeypatch):
@@ -171,8 +171,8 @@ class TestIsConsistent:
         with pytest.raises(BudgetExceededError) as refused:
             is_consistent(formulas, 5)
         assert str(refused.value) == (
-            "consistency search of 9608 frame classes x 5 worlds x 16384 words "
-            "exceeds budget 100000000"
+            "consistency search: 9608 frame classes x 5 worlds x 16384 words = 787087360 "
+            "exceed the limit of 100000000"
         )
         assert 5 not in built
 

@@ -130,8 +130,11 @@ def test_closure_charges_the_seeds_before_any_vector(monkeypatch):
 
     monkeypatch.setattr(algebra, "_variable_vectors", forbidden)
     seeds = [Var("x1"), Var("x2")]  # and the constants bot and top, 4 valuations each
-    with pytest.raises(BudgetExceededError, match="closure layer of 4 formulas x 4 valuations"):
+    with pytest.raises(BudgetExceededError) as refused:
         closure_vectors(seeds, ["x1", "x2"], builtin_boolean2(), 0, budget=15)
+    assert str(refused.value) == (
+        "closure seed: 4 formulas x 4 valuations = 16 exceed the limit of 15"
+    )
 
 
 def brute_consistency(formulas, max_worlds):
