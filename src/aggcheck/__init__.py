@@ -12,7 +12,6 @@ from .agenda import (
 from .aggregation import (
     AttitudeFunction,
     CriterionAggregator,
-    DecisionCriterion,
     ExtensionalAggregator,
     Profile,
     aggregator_from_criterion,
@@ -26,12 +25,12 @@ from .aggregation import (
     is_rational_attitude,
     majority_criterion,
     projection_criterion,
-    qualifying_criteria,
     rational_attitude_with_values,
     rational_profile_with_values,
 )
 from .algebra import (
     AlgebraHomomorphism,
+    DecisionCriterion,
     FiniteAlgebra,
     builtin_boolean2,
     builtin_distributive_lattice,
@@ -42,6 +41,7 @@ from .algebra import (
     product_algebra,
     truth_vector,
 )
+from .census import qualifying_criteria
 from .errors import (
     AggcheckError,
     BudgetExceededError,

@@ -18,30 +18,31 @@ directions are implemented and checked exhaustively at desk scale:
 
 from __future__ import annotations
 
-import gc
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
-from operator import add, eq, itemgetter
+from operator import eq, itemgetter
 from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
 from .algebra import (
     DEFAULT_BUDGET,
-    MAX_CONSTRAINTS,
+    DecisionCriterion,
     FiniteAlgebra,
-    _power_over,
     all_valuations,
-    closure_vectors,
     element_coordinates,
     evaluate,
-    is_homomorphism,
     product_element_index,
     refuse,
-    search_tables,
-    shared_power,
     truth_vectors,
+)
+from .census import _census_constraints, qualifying_criteria  # noqa: F401 (re-exported)
+from .census import (
+    _fragment_and_vectors,
+    _rational_table,
+    _refuse_profiles_past_the_cap,
+    _voter_ranks,
 )
 from .errors import NotQualifyingError
 from .syntax import Formula, Var, bounded_closure, formula_sort_key  # noqa: F401 (traced binding)
@@ -96,37 +97,6 @@ class Profile:
         return tuple(a.values[i] for a in self.attitudes)
 
 
-@dataclass(frozen=True)
-class DecisionCriterion:
-    """A total map from voter-value tuples into the value algebra.
-
-    ``values`` is indexed by the row-major rank of the voter tuple (voter 0
-    most significant), matching the product-algebra carrier order.
-    """
-
-    algebra: FiniteAlgebra
-    electorate: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        size, n, count = self.algebra.size, self.electorate, len(self.values)
-        if n < 1:
-            raise ValueError(f"criterion electorate must be >= 1, got {n}")
-        if _power_over(size, n, count) or count != size**n:  # no size**n past count
-            raise ValueError(f"criterion table needs {size}^{n} entries, got {count}")
-        if any(not (0 <= v < self.algebra.size) for v in self.values):
-            raise ValueError("criterion values outside the carrier")
-
-    def __call__(self, coords: Sequence[int]) -> int:
-        return self.values[product_element_index(self.algebra.size, coords)]
-
-    def homomorphism_violation(self) -> Optional[tuple[str, tuple[int, ...]]]:
-        """The first failure of the homomorphism equation from the voter-power
-        algebra to the value algebra (see is_homomorphism), or None."""
-        power = shared_power(self.algebra, self.electorate)
-        return is_homomorphism(self.values, power, self.algebra)[1]
-
-
 def projection_criterion(algebra: FiniteAlgebra, electorate: int, voter: int) -> DecisionCriterion:
     if not 0 <= voter < electorate:
         raise ValueError("voter index out of range")
@@ -173,28 +143,12 @@ def is_rational_attitude(
     return False, None
 
 
-@lru_cache(maxsize=4)
-def _rational_table(agenda: Agenda) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Distinct rational attitude value-tuples with the index (into valuation
-    order) of their least witnessing valuation."""
-    vectors = truth_vectors(agenda.formulas, agenda.variables, agenda.algebra)
-    rows: dict[tuple[int, ...], int] = {}
-    for w in range(agenda.algebra.size ** len(agenda.variables)):
-        rows.setdefault(tuple(vec[w] for vec in vectors), w)
-    return tuple(rows.items())
-
-
 def enumerate_rational_attitudes(agenda: Agenda) -> tuple[AttitudeFunction, ...]:
     """All distinct rational attitude functions, in order of their least
     witnessing valuation."""
     return tuple(
         AttitudeFunction(agenda, values) for values, _ in _rational_table(agenda)
     )
-
-
-def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) -> None:
-    refuse(min(budget, MAX_CONSTRAINTS), "profile enumeration",  # unbuilt: about 200 bytes each
-           ((len(_rational_table(agenda)), electorate), "rational profiles"))
 
 
 def enumerate_rational_profiles(
@@ -395,40 +349,6 @@ class ParetoReport:
     holds: bool
     checked_profiles: int
     witness: Optional[str]
-
-
-@lru_cache(maxsize=4)
-def _fragment_and_vectors(
-    agenda: Agenda, depth: int, budget: int
-) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]:
-    """The agenda formulas plus the least formula (in ``formula_sort_key``
-    order) of each distinct truth vector of the agenda's bounded closure at
-    ``depth``, sorted, with their truth vectors over the agenda variables.
-
-    A closure formula sharing its vector with an earlier one can only repeat
-    that formula's constraints, so the checks below skip it. ``budget`` caps
-    the vector entries of each closure layer.
-    """
-    variables, algebra = agenda.variables, agenda.algebra
-    closure = closure_vectors(agenda.formulas, variables, algebra, depth, budget=budget)
-    vector_of = {formula: vector for vector, formula in closure.items()}
-    vector_of.update(zip(agenda.formulas, truth_vectors(agenda.formulas, variables, algebra)))
-    fragment = tuple(sorted(vector_of, key=formula_sort_key))
-    return fragment, tuple(vector_of[f] for f in fragment)
-
-
-@lru_cache(maxsize=4)
-def _voter_ranks(
-    size: int, electorate: int, extensions: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """For each profile of the attitudes whose fragment values are
-    ``extensions``, in product order (voter 0 most significant), the rank in
-    B^N of the voters' tuple at each fragment formula."""
-    ranks = [(0,) * len(extensions[0])]
-    for _ in range(electorate):
-        shifted = [tuple([r * size for r in prefix]) for prefix in ranks]
-        ranks = [tuple(map(add, prefix, ext)) for prefix in shifted for ext in extensions]
-    return tuple(ranks)
 
 
 def _ranked_rows(aggregator, extension, positions, size):
@@ -755,74 +675,3 @@ def check_pareto(
             "systematic aggregator"
         )
     return checked.pareto
-
-
-# ---------------------------------------------------------------------------
-# Census of qualifying aggregators (independent of the homomorphism
-# equation; used as the second route of the bijection check)
-# ---------------------------------------------------------------------------
-
-
-def qualifying_criteria(
-    agenda: Agenda,
-    electorate: int,
-    depth: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> list[DecisionCriterion]:
-    """All total decision criteria whose induced aggregator is rational,
-    universal and strongly systematic, found by a table search.
-
-    Universality holds by construction for criterion-induced aggregators.
-    Each rational profile must aggregate to a rational attitude whose unique
-    rational extension on the depth-``depth`` closure agrees with the
-    criterion applied to the extended voter tuples. The homomorphism
-    equation is never consulted, so this census is an independent route to
-    the same class.
-    """
-    constraints, slot_of = _census_constraints(agenda, electorate, depth, budget)
-    found = search_tables(len(slot_of), agenda.algebra.size, constraints, budget,
-                          stage="census table search")
-    return [
-        DecisionCriterion(agenda.algebra, electorate, values)
-        for values in sorted(tuple(t[slot] for slot in slot_of) for t in found)
-    ]
-
-
-def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int):
-    """Per rational profile and distinct closure vector v: the criterion at
-    the voters' tuple on v equals v at the least valuation witnessing the
-    output attitude, so that attitude must be rational (v ranges over the
-    agenda formulas' vectors too).
-
-    The search slots are the voter tuples numbered in the order they first
-    appear in this stream, so a profile's tuples get nearby slots and its
-    constraints are checked early in the search's index order. Returns the
-    constraints and the slot of each voter tuple, in row-major order.
-    """
-    size = agenda.algebra.size
-    rational = _rational_table(agenda)
-    _refuse_profiles_past_the_cap(agenda, electorate, budget)
-    fragment, fragment_vectors = _fragment_and_vectors(agenda, depth, budget)
-    first_column = {vec: fragment_vectors.index(vec) for vec in dict.fromkeys(fragment_vectors)}
-    refuse(min(budget, MAX_CONSTRAINTS), "census constraints",
-           ((len(rational), electorate), "profiles"), (len(first_column), "vectors"))
-    tables = [defaultdict(lambda: -1, {product_element_index(size, values): vec[w]  # -1: irrational
-                                       for values, w in rational}) for vec in first_column]
-    agenda_columns = [fragment.index(formula) for formula in agenda.formulas]
-    slot: dict[int, int] = {}  # voter tuple -> search slot, by first appearance
-    constraints = []
-    extensions = tuple(tuple(vec[w] for vec in fragment_vectors) for _, w in rational)
-    collecting = gc.isenabled()  # each constraint holds a dict, so stays tracked: full
-    gc.disable()  # collections as they pile up would free nothing (no cycle is made)
-    try:
-        for ranks in _voter_ranks(size, electorate, extensions):  # the round trips' table
-            # the output attitude is the criterion at each agenda formula's voter tuple
-            args = tuple(slot.setdefault(ranks[c], len(slot)) for c in agenda_columns)
-            for c, table in zip(first_column.values(), tables):
-                constraints.append((table, args, slot.setdefault(ranks[c], len(slot))))
-    finally:
-        if collecting:
-            gc.enable()
-    for voters in range(size**electorate):  # tuples no profile attains
-        slot.setdefault(voters, len(slot))
-    return constraints, [slot[voters] for voters in range(size**electorate)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, EvaluationError
@@ -400,12 +401,70 @@ class AlgebraHomomorphism:
         return self.mapping[element]
 
 
+@dataclass(frozen=True)
+class DecisionCriterion:
+    """A total map from voter-value tuples into the value algebra.
+
+    ``values`` is indexed by the row-major rank of the voter tuple (voter 0
+    most significant), matching the product-algebra carrier order.
+    """
+
+    algebra: FiniteAlgebra
+    electorate: int
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        size, n, count = self.algebra.size, self.electorate, len(self.values)
+        if n < 1:
+            raise ValueError(f"criterion electorate must be >= 1, got {n}")
+        if _power_over(size, n, count) or count != size**n:  # no size**n past count
+            raise ValueError(f"criterion table needs {size}^{n} entries, got {count}")
+        if any(not (0 <= v < self.algebra.size) for v in self.values):
+            raise ValueError("criterion values outside the carrier")
+
+    def __call__(self, coords: Sequence[int]) -> int:
+        return self.values[product_element_index(self.algebra.size, coords)]
+
+    def homomorphism_violation(self) -> Optional[tuple[str, tuple[int, ...]]]:
+        """The first failure of the homomorphism equation from the voter-power
+        algebra to the value algebra (see is_homomorphism), or None."""
+        power = shared_power(self.algebra, self.electorate)
+        return is_homomorphism(self.values, power, self.algebra)[1]
+
+
+def _lex_comparisons(perm: Sequence[int], slots: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The slots where ``t`` and ``t∘perm`` may differ, in order, each as ``(p, perm[p])``,
+    and the depth at which each comparison is decided (its later slot), ending in
+    ``slots`` (never). A slot whose image comes before it and maps back to it repeats
+    a comparison already found equal, so it is left out. The identity compares nothing."""
+    pairs = [(p, q) for p, q in enumerate(perm) if q > p or (q < p and perm[q] != p)]
+    return pairs, [max(pair) for pair in pairs] + [slots]
+
+
+def _close_under(
+    tables: Iterable[tuple[int, ...]], symmetries: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """``tables`` closed under ``t -> t∘perm`` (``t[perm[i]]`` at slot i) for each of
+    the permutations (none the identity), without repeats, in lexicographic order."""
+    seen = dict.fromkeys(tables)
+    queue = list(seen)
+    images = [itemgetter(*perm) for perm in symmetries]
+    for table in queue:  # grows as new images turn up
+        for image in images:
+            permuted = image(table)
+            if permuted not in seen:
+                seen[permuted] = None
+                queue.append(permuted)
+    return sorted(seen)
+
+
 def search_tables(
     slots: int,
     size: int,
     constraints: Iterable[tuple],
     budget: int,
     stage: str = "table search",
+    symmetries: Iterable[Sequence[int]] = (),
 ) -> list[tuple[int, ...]]:
     """Every table t over ``range(size)`` with ``slots`` entries such that
     ``t[result] == table[row-major index of (t[a] for a in args)]`` for each
@@ -416,12 +475,27 @@ def search_tables(
     ``args`` object sharing one index. Entering a node (giving a slot a value)
     charges one work unit plus one per constraint whose last slot it is; past
     ``budget`` the search stops with a ``BudgetExceededError`` naming ``stage``.
+
+    ``symmetries`` are slot permutations that map solutions to solutions: with
+    t, ``t∘perm`` (``t[perm[i]]`` at slot i) is one. The search then keeps lex-leaders
+    only: a node is pruned, after its charge, as soon as the assigned slots make t
+    greater than ``t∘perm`` for some permutation, and the tables found are closed
+    under the permutations at the end. The least table of each orbit is a
+    lex-leader, so the list is the one the plain search finds.
     """
     by_last: list[list[tuple]] = [[] for _ in range(slots)]
     for constraint in constraints:
         by_last[max((*constraint[1], constraint[2]))].append(constraint)
     cost = [1 + len(bucket) for bucket in by_last]
     units = 0
+    perms = [tuple(perm) for perm in symmetries]
+    if any(sorted(perm) != list(range(slots)) for perm in perms):
+        raise ValueError("a symmetry must be a permutation of the table's slots")
+    perms = [perm for perm in perms if perm != tuple(range(slots))]
+    comparisons = [_lex_comparisons(perm, slots) for perm in perms]
+    # fronts[k][g]: the first comparison of t with t∘perms[g] not yet decided equal, once
+    # slots below k are assigned; len(pairs) once t is known to be the lesser
+    fronts = [[0] * len(perms) for _ in range(slots + 1)]
 
     # t[:k+1] is the partial table, and t[k] steps through the values upwards
     found: list[tuple[int, ...]] = []
@@ -436,6 +510,21 @@ def search_tables(
         units += cost[k]
         if units > budget:
             refuse(budget, stage, (units, "work units"))
+        leader = True  # t <= t∘perm on the slots assigned, for every permutation
+        before, after = fronts[k], fronts[k + 1]
+        for g, (pairs, decided) in enumerate(comparisons):
+            j = before[g]
+            while decided[j] <= k:
+                p, q = pairs[j]
+                if t[p] != t[q]:
+                    leader, j = t[p] < t[q], len(pairs)
+                    break
+                j += 1
+            if not leader:
+                break
+            after[g] = j
+        if not leader:
+            continue
         shared = None  # the args whose index was worked out last, at this node
         for table, args, result in by_last[k]:
             if args is not shared:
@@ -449,16 +538,20 @@ def search_tables(
                 found.append(tuple(t))
             else:
                 k += 1
-    return found
+    return _close_under(found, perms) if perms else found
 
 
 def enumerate_homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
     budget: int = DEFAULT_BUDGET,
+    symmetries: Iterable[Sequence[int]] = (),
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms source -> target, in lexicographic table order: the table
-    search over the source operations' equations, argument tuple by argument tuple."""
+    search over the source operations' equations, argument tuple by argument tuple.
+    ``symmetries`` are automorphisms of ``source`` (as tables of its elements' images),
+    which map homomorphisms to homomorphisms; the search keeps one table per orbit
+    and expands the orbits, and every table found is re-checked."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     by_arity: dict[int, list[tuple]] = {}  # arity -> (target, source) tables of its connectives
@@ -470,7 +563,7 @@ def enumerate_homomorphisms(
     return [
         AlgebraHomomorphism(source, target, mapping)
         for mapping in search_tables(source.size, target.size, equations, budget,
-                                     stage="homomorphism search")
+                                     stage="homomorphism search", symmetries=symmetries)
     ]
 
 
@@ -483,12 +576,26 @@ def refuse_power_past_the_caps(algebra: FiniteAlgebra, n: int) -> None:
            (equations, "equations"))
 
 
+def _coordinate_swaps(size: int, n: int) -> list[list[int]]:
+    """For each i < n-1, the automorphism of a size-element algebra's n-th power that
+    swaps coordinates i and i+1, on ranks: with c and d those coordinates of rank r
+    and w the weight of coordinate i+1, r moves by (d - c)·(size - 1)·w."""
+    swaps = []
+    for i in range(n - 1):
+        w = size ** (n - 2 - i)
+        swaps.append([r + (r // w % size - r // (w * size) % size) * (size - 1) * w
+                      for r in range(size**n)])
+    return swaps
+
+
 def power_homomorphisms(
     algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[AlgebraHomomorphism]:
-    """All homomorphisms algebra^n -> algebra, refused unbuilt past the caps."""
+    """All homomorphisms algebra^n -> algebra, refused unbuilt past the caps, searched
+    up to the coordinate swaps of algebra^n."""
     refuse_power_past_the_caps(algebra, n)
-    return enumerate_homomorphisms(shared_power(algebra, n), algebra, budget)
+    return enumerate_homomorphisms(shared_power(algebra, n), algebra, budget,
+                                   symmetries=_coordinate_swaps(algebra.size, n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,15 @@ from typing import Optional
 
 from . import __version__
 from .agenda import equivalent_variable, pseudo_richness, strictly_contingent_formulas
-from .aggregation import (
+from .aggregation import aggregator_from_criterion, criterion_from_aggregator
+from .algebra import (
+    DEFAULT_BUDGET,
     DecisionCriterion,
-    aggregator_from_criterion,
-    criterion_from_aggregator,
-    qualifying_criteria,
+    power_homomorphisms,
+    refuse,
+    refuse_power_past_the_caps,
 )
-from .algebra import DEFAULT_BUDGET, power_homomorphisms, refuse, refuse_power_past_the_caps
+from .census import qualifying_criteria
 from .errors import AggcheckError, BudgetExceededError, NotQualifyingError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter

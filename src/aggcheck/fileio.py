@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from .agenda import Agenda
-from .aggregation import DecisionCriterion
-from .algebra import FiniteAlgebra, builtin_boolean2, builtin_mv_chain
+from .algebra import DecisionCriterion, FiniteAlgebra, builtin_boolean2, builtin_mv_chain
 from .semantics import DEGREE_MODE, FILTER_MODE, Matrix
 from .syntax import Signature, parse_formula
 
@@ -43,11 +42,15 @@ def _expect(value: Any, kind: type, what: str):
 
 
 def _read(path: PathLike) -> Any:
-    """The JSON value in a file; an integer literal too long for ``int`` is a ``Decimal``."""
+    """The JSON value in a file; an integer literal too long for ``int`` is a ``Decimal``.
+    A file that is not UTF-8 JSON is an input error that names it."""
     limit = sys.get_int_max_str_digits()  # int() refuses longer literals; 0: no limit
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=lambda text: (
-            Decimal(text) if 0 < limit < len(text.lstrip("-")) else int(text)))
+        try:
+            return json.load(fh, parse_int=lambda text: (
+                Decimal(text) if 0 < limit < len(text.lstrip("-")) else int(text)))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def signature_from_obj(obj: dict) -> Signature:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from aggcheck import aggregation, algebra, cli
+from aggcheck import aggregation, algebra, census, cli
 from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
@@ -196,7 +196,7 @@ class TestVerifyBijection:
             return refused
 
         for module, name in ((algebra, "shared_power"), (algebra, "search_tables"),
-                             (aggregation, "search_tables"), (aggregation, "_voter_ranks")):
+                             (census, "search_tables"), (census, "_voter_ranks")):
             monkeypatch.setattr(module, name, spy(name))
         path = tmp_path / "agenda.json"
         dump_json({"formulas": formulas}, path)
@@ -530,11 +530,15 @@ class TestErrorPaths:
         assert main(["check-agenda", "--logic", "boolean2",
                      "--agenda", "/nonexistent.json"]) == 2
 
-    def test_bad_json(self, tmp_path):
+    def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        assert main(["check-agenda", "--logic", "boolean2",
-                     "--agenda", str(path)]) == 2
+        dump_json({"formulas": ["x1"]}, tmp_path / "agenda.json")
+        for logic, agenda in ((path, tmp_path / "agenda.json"), ("boolean2", path)):
+            assert main(["check-agenda", "--logic", str(logic), "--agenda", str(agenda)]) == 2
+            assert capsys.readouterr().err == (
+                f"input error: {path}: Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)\n")
 
     def test_bad_formula(self, tmp_path):
         path = tmp_path / "agenda.json"

@@ -1,12 +1,14 @@
 """The shared table search, and the census that runs on it, against brute force."""
 
+import ast
 import gc
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggcheck import aggregation
+from aggcheck import aggregation, census as census_module
 from aggcheck.agenda import agenda_over
 from aggcheck.aggregation import (
     STRONGLY_SYSTEMATIC,
@@ -19,9 +21,11 @@ from aggcheck.aggregation import (
 )
 from aggcheck.algebra import (
     builtin_distributive_lattice,
+    enumerate_homomorphisms,
     power_homomorphisms,
     product_element_index,
     search_tables,
+    shared_power,
 )
 from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import Matrix
@@ -61,18 +65,65 @@ def test_search_equals_a_filter_of_every_table(search):
     assert search_tables(slots, size, constraints, unbounded) == brute
 
 
-def full_charge(slots, size, constraints):
+@st.composite
+def symmetric_searches(draw):
+    """A small search whose constraints are closed under one or two slot
+    permutations: with ``(table, args, result)`` comes ``(table, perm[args], perm[result])``,
+    so with every solution t, t∘perm is one."""
+    slots, size, constraints = draw(searches())
+    perms = draw(st.lists(st.permutations(range(slots)), min_size=1, max_size=2))
+    closed, pending = set(), [(tuple(table), args, result) for table, args, result in constraints]
+    while pending:
+        constraint = pending.pop()
+        if constraint not in closed:
+            closed.add(constraint)
+            table, args, result = constraint
+            pending += [(table, tuple(perm[a] for a in args), perm[result]) for perm in perms]
+    return slots, size, sorted(closed), perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_searches())
+def test_symmetric_search_equals_the_plain_search_and_a_filter(search):
+    slots, size, constraints, perms = search
+    brute = [
+        t for t in product(range(size), repeat=slots)
+        if all(meets(t, c, size) for c in constraints)
+    ]
+    unbounded = slots * size**slots * (1 + len(constraints))
+    assert search_tables(slots, size, constraints, unbounded, symmetries=perms) == brute
+    assert search_tables(slots, size, constraints, unbounded) == brute
+
+
+def greater_than_an_image(prefix, perms):
+    """The assigned ``prefix`` already makes t greater than t∘perm for some
+    permutation: at the first slot where they differ, with both that slot and
+    its image assigned."""
+    for perm in perms:
+        for p, q in enumerate(perm):
+            if max(p, q) >= len(prefix):
+                break
+            if prefix[p] != prefix[q]:
+                if prefix[p] > prefix[q]:
+                    return True
+                break
+    return False
+
+
+def full_charge(slots, size, constraints, perms=()):
     """The work units of a whole search, from its definition: slot k is
     entered with each value after every prefix that meets all constraints
-    whose last slot comes before k, and entering it charges 1 plus the
-    constraints whose last slot is k."""
+    whose last slot comes before k (and is greater than none of its images
+    under ``perms``), and entering it charges 1 plus the constraints whose
+    last slot is k."""
     last = [max((*args, result)) for _, args, result in constraints]
     units = 0
     for k in range(slots):
         earlier = [c for c, end in zip(constraints, last) if end < k]
         cost = 1 + last.count(k)
         for prefix in product(range(size), repeat=k):
-            if all(meets(prefix, c, size) for c in earlier):
+            if (all(meets(prefix, c, size) for c in earlier)
+                    and not greater_than_an_image(prefix, perms)):
                 units += size * cost
     return units
 
@@ -86,6 +137,18 @@ def test_budget_is_the_work_a_full_search_charges(search):
     with pytest.raises(BudgetExceededError,
                        match=f"^table search: {work} work units exceed the limit of {work - 1}$"):
         search_tables(slots, size, constraints, work - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_searches())
+def test_budget_of_a_symmetric_search_charges_its_pruned_nodes(search):
+    """A node pruned as greater than its image is entered and charged, and goes no deeper."""
+    slots, size, constraints, perms = search
+    work = full_charge(slots, size, constraints, perms)
+    search_tables(slots, size, constraints, work, symmetries=perms)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^table search: {work} work units exceed the limit of {work - 1}$"):
+        search_tables(slots, size, constraints, work - 1, symmetries=perms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,19 +203,29 @@ def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agend
 
     for name in ("is_homomorphism", "product_algebra", "shared_power",
                  "enumerate_homomorphisms"):
-        monkeypatch.setattr(aggregation, name, forbidden, raising=False)
+        monkeypatch.setattr(census_module, name, forbidden, raising=False)
     connective_tables = [id(t) for t in bool_agenda.algebra.tables.values()]
     seen = []
 
-    def spy(slots, size, constraints, budget, stage):
+    def spy(slots, size, constraints, budget, stage, symmetries=()):
         constraints = list(constraints)
         seen.extend(id(table) for table, _, _ in constraints)
-        return search_tables(slots, size, constraints, budget, stage)
+        return search_tables(slots, size, constraints, budget, stage, symmetries=symmetries)
 
-    monkeypatch.setattr(aggregation, "search_tables", spy)
+    monkeypatch.setattr(census_module, "search_tables", spy)
     census = [c.values for c in qualifying_criteria(bool_agenda, 2, depth=2)]
     assert census == [projection_criterion(bool_agenda.algebra, 2, v).values for v in (0, 1)]
     assert seen and not set(seen) & set(connective_tables)
+
+
+def test_census_imports_nothing_of_the_homomorphism_route():
+    tree = ast.parse(Path(census_module.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"is_homomorphism", "product_algebra", "shared_power",
+                           "enumerate_homomorphisms", "_coordinate_swaps"}
+    assert "aggregation" not in modules
 
 
 def test_census_leaves_the_garbage_collector_as_it_found_it(bool_agenda):
@@ -198,7 +271,7 @@ def test_census_refuses_before_the_rank_table_is_built(bool_agenda, monkeypatch)
     def forbidden(*args):
         raise AssertionError("the rank table was built before the refusal")
 
-    monkeypatch.setattr(aggregation, "_voter_ranks", forbidden)
+    monkeypatch.setattr(census_module, "_voter_ranks", forbidden)
     for n, budget, message in [
         (10, 10**8, "1048576 profiles x 11 vectors = 11534336 exceed the limit of 2000000"),
         (3, 2**9, "64 profiles x 11 vectors = 704 exceed the limit of 512"),
@@ -253,3 +326,43 @@ def test_census_constraints_equal_the_per_profile_reference(logic, texts, n, dep
 def test_census_equals_the_homomorphisms(bool_agenda, n):
     census = [c.values for c in qualifying_criteria(bool_agenda, n)]
     assert census == [h.mapping for h in power_homomorphisms(bool_agenda.algebra, n)]
+
+
+GOLDEN_INPUTS = [("classical", BOOLEAN), ("classical", OR), ("luk3_filter", MV),
+                 ("luk3_degree", MV), ("diamond", ["x1", "x2", "(or x1 x2)"])]
+# past this many work units a census search counts as refused; the plain search
+# enters every node the symmetric one does, so it must refuse too
+CENSUS_WORK = 10**7
+
+
+@pytest.mark.parametrize("logic,texts", GOLDEN_INPUTS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_census_finds_the_same_tables_with_and_without_voter_swaps(logic, texts, n, request):
+    matrix = diamond_matrix() if logic == "diamond" else request.getfixturevalue(logic)
+    a, size = agenda(matrix, texts), matrix.algebra.size
+    try:
+        constraints, slot_of = census_module._census_constraints(a, n, 1, 10**8)
+    except BudgetExceededError:
+        return  # refused before either search, so both refuse alike
+    swaps = census_module._voter_swaps(size, n, slot_of)
+    assert len(swaps) == n - 1
+    try:
+        symmetric = search_tables(len(slot_of), size, constraints, CENSUS_WORK, symmetries=swaps)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            search_tables(len(slot_of), size, constraints, CENSUS_WORK)
+        return
+    assert symmetric == search_tables(len(slot_of), size, constraints, 10**8)
+
+
+@pytest.mark.parametrize("logic", ["classical", "luk3_filter", "diamond"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_homomorphisms_are_the_same_with_and_without_coordinate_swaps(logic, n, request):
+    matrix = diamond_matrix() if logic == "diamond" else request.getfixturevalue(logic)
+    algebra = matrix.algebra
+    try:
+        symmetric = [h.mapping for h in power_homomorphisms(algebra, n)]
+    except BudgetExceededError:
+        return  # refused unbuilt, before either search
+    plain = [h.mapping for h in enumerate_homomorphisms(shared_power(algebra, n), algebra)]
+    assert symmetric == plain

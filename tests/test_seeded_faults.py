@@ -16,7 +16,7 @@ from itertools import count
 import pytest
 
 import test_search
-from aggcheck import aggregation, algebra
+from aggcheck import aggregation, algebra, census
 from aggcheck.algebra import FiniteAlgebra, product_algebra
 from aggcheck.cli import main
 
@@ -38,9 +38,9 @@ def wrong_power_entry(monkeypatch):
 
 def census_without_closure(monkeypatch):
     """The census constrains the agenda formulas and constants only (depth 0)."""
-    census = aggregation._census_constraints
-    monkeypatch.setattr(aggregation, "_census_constraints",
-                        lambda agenda, n, depth, budget: census(agenda, n, 0, budget))
+    constraints = census._census_constraints
+    monkeypatch.setattr(census, "_census_constraints",
+                        lambda agenda, n, depth, budget: constraints(agenda, n, 0, budget))
 
 
 def census_accepting_an_irrational_output(monkeypatch):
@@ -52,7 +52,7 @@ def census_accepting_an_irrational_output(monkeypatch):
         rows[next(rank for rank in count() if rank not in rows)] = 0
         return defaultdict(default, rows)
 
-    monkeypatch.setattr(aggregation, "defaultdict", table)
+    monkeypatch.setattr(census, "defaultdict", table)
 
 
 def extraction_off_the_witness(monkeypatch):
@@ -73,8 +73,35 @@ def search_stopping_after_one_table(monkeypatch):
     def first(*args, **kwargs):
         return search(*args, **kwargs)[:1]
 
-    for module in (algebra, aggregation, test_search):
+    for module in (algebra, census, test_search):
         monkeypatch.setattr(module, "search_tables", first)
+
+
+def census_symmetry_negating_every_voter(monkeypatch):
+    """The census searches up to negating every voter's value, which permutes
+    the voter tuples but comes from no permutation of the voters."""
+    def negation(size, n, slot_of):
+        perm = [0] * len(slot_of)
+        for rank, slot in enumerate(slot_of):
+            perm[slot] = slot_of[size**n - 1 - rank]
+        return [perm]
+
+    monkeypatch.setattr(census, "_voter_swaps", negation)
+
+
+def orbit_expansion_skipping_a_generator(monkeypatch):
+    """The shared search closes its tables under all but the last symmetry, in both routes."""
+    close = algebra._close_under
+    monkeypatch.setattr(algebra, "_close_under", lambda tables, perms: close(tables, perms[:-1]))
+
+
+# plants that move both routes alike: the count both then report, and the
+# brute-force test that fails on the faulty search
+CAUGHT_BY_BRUTE_FORCE = {
+    search_stopping_after_one_table: (1, test_search.test_search_equals_a_filter_of_every_table),
+    orbit_expansion_skipping_a_generator: (
+        2, test_search.test_symmetric_search_equals_the_plain_search_and_a_filter),
+}
 
 
 def verify(logic, n, tmp_path):
@@ -91,6 +118,8 @@ def verify(logic, n, tmp_path):
     (census_accepting_an_irrational_output, "boolean2", 2, "aggregators"),
     (extraction_off_the_witness, "boolean2", 2, "roundtrips"),
     (search_stopping_after_one_table, "boolean2", 3, None),
+    (census_symmetry_negating_every_voter, "boolean2", 2, "aggregators"),
+    (orbit_expansion_skipping_a_generator, "boolean2", 3, None),
 ])
 def test_a_planted_fault_is_caught(plant, logic, n, field, tmp_path, monkeypatch, capsys):
     code, clean = verify(logic, n, tmp_path)
@@ -101,7 +130,8 @@ def test_a_planted_fault_is_caught(plant, logic, n, field, tmp_path, monkeypatch
     if field is not None:
         assert code == 1 and not faulty["pass"]
         assert faulty[field] != clean[field]
-    else:  # both routes find the same first table, so only the brute-force check sees it
-        assert code == 0 and faulty["homs"] == faulty["aggregators"] == 1
+    else:  # both routes find the same tables, so only a brute-force check sees it
+        count, brute_force_test = CAUGHT_BY_BRUTE_FORCE[plant]
+        assert code == 0 and faulty["homs"] == faulty["aggregators"] == count
         with pytest.raises(AssertionError):
-            test_search.test_search_equals_a_filter_of_every_table()
+            brute_force_test()
