@@ -13,7 +13,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -557,9 +557,12 @@ def enumerate_homomorphisms(
     by_arity: dict[int, list[tuple]] = {}  # arity -> (target, source) tables of its connectives
     for symbol, arity in source.signature.connectives:
         by_arity.setdefault(arity, []).append((target.tables[symbol], source.tables[symbol]))
-    equations = ((table, args, values[row]) for arity, pairs in by_arity.items()
-                 for row, args in enumerate(product(range(source.size), repeat=arity))
-                 for table, values in pairs)
+    runs = []  # each argument tuple's equations together, one per connective of its arity
+    for arity, pairs in by_arity.items():
+        rows = list(product(range(source.size), repeat=arity))
+        runs.append(chain.from_iterable(zip(*(zip(repeat(table), rows, values)
+                                              for table, values in pairs))))
+    equations = chain.from_iterable(runs)
     return [
         AlgebraHomomorphism(source, target, mapping)
         for mapping in search_tables(source.size, target.size, equations, budget,

@@ -58,8 +58,8 @@ def _fragment_and_vectors(
     ``depth``, sorted, with their truth vectors over the agenda variables.
 
     A closure formula sharing its vector with an earlier one can only repeat
-    that formula's constraints, so the census and the aggregator checks skip it. ``budget`` caps
-    the vector entries of each closure layer.
+    that formula's constraints, so the census and the aggregator checks skip
+    it. ``budget`` caps the vector entries of each closure layer.
     """
     variables, algebra = agenda.variables, agenda.algebra
     closure = closure_vectors(agenda.formulas, variables, algebra, depth, budget=budget)
