@@ -3,7 +3,6 @@
 from .agenda import (
     Agenda,
     agenda_over,
-    check_pseudo_rich,
     equivalent_variable,
     is_strictly_contingent,
     pseudo_richness,
@@ -15,10 +14,8 @@ from .aggregation import (
     ExtensionalAggregator,
     Profile,
     aggregator_from_criterion,
-    check_pareto,
     check_rational_universal,
     check_systematicity,
-    constant_criterion,
     criterion_from_aggregator,
     enumerate_rational_attitudes,
     enumerate_rational_profiles,
@@ -62,22 +59,12 @@ from .modal import (
     material_implication,
     subjunctive_implication,
 )
-from .semantics import (
-    BoundedConsequence,
-    Matrix,
-    SFilter,
-    check_closure_laws,
-    check_selfextensionality,
-    entails,
-    generate_sfilter,
-    interderivable,
-)
+from .semantics import Matrix, check_selfextensionality, entails, interderivable
 from .syntax import (
     App,
     Formula,
     Signature,
     Var,
-    apply_substitution,
     bounded_closure,
     parse_formula,
     print_formula,

@@ -108,17 +108,6 @@ def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...
     return len(witnesses), tuple(witnesses)
 
 
-def check_pseudo_rich(agenda: Agenda, n: int) -> tuple[bool, tuple[Formula, ...]]:
-    """Does the agenda contain n formulas interderivable with n pairwise
-    distinct variables? Returns the first n witness formulas when it does."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    level, witnesses = pseudo_richness(agenda)
-    if level >= n:
-        return True, tuple(f for f, _ in witnesses[:n])
-    return False, ()
-
-
 def is_strictly_contingent(formula: Formula, algebra: FiniteAlgebra) -> bool:
     """True iff the formula's evaluation image covers the whole carrier."""
     return len(set(truth_vector(formula, variables_of(formula), algebra))) == algebra.size

@@ -37,7 +37,6 @@ from .algebra import (
     refuse,
     truth_vectors,
 )
-from .census import _census_constraints, qualifying_criteria  # noqa: F401 (re-exported)
 from .census import (
     _fragment_and_vectors,
     _rational_table,
@@ -45,7 +44,8 @@ from .census import (
     _voter_ranks,
 )
 from .errors import NotQualifyingError
-from .syntax import Formula, Var, bounded_closure, formula_sort_key  # noqa: F401 (traced binding)
+from .syntax import Formula, Var, formula_sort_key
+from .syntax import bounded_closure  # noqa: F401 (traced binding)
 
 INDEPENDENT = "independent"
 SYSTEMATIC = "systematic"
@@ -105,10 +105,6 @@ def projection_criterion(algebra: FiniteAlgebra, electorate: int, voter: int) ->
         for coords in product(range(algebra.size), repeat=electorate)
     )
     return DecisionCriterion(algebra, electorate, values)
-
-
-def constant_criterion(algebra: FiniteAlgebra, electorate: int, value: int) -> DecisionCriterion:
-    return DecisionCriterion(algebra, electorate, (value,) * algebra.size**electorate)
 
 
 def majority_criterion(algebra: FiniteAlgebra, electorate: int) -> DecisionCriterion:
@@ -344,13 +340,6 @@ class SystematicityResult:
     conflict: Optional[str]
 
 
-@dataclass(frozen=True)
-class ParetoReport:
-    holds: bool
-    checked_profiles: int
-    witness: Optional[str]
-
-
 def _ranked_rows(aggregator, extension, positions, size):
     """(profile, its number among the rational profiles, its voters' tuple
     rank at each fragment formula, output values) for each row of an
@@ -428,7 +417,6 @@ class _Constraints:
 class _Pass:
     rationality: Optional[RationalityReport]
     systematicity: Optional[SystematicityResult]
-    pareto: Optional[ParetoReport]
 
 
 def _one_pass(
@@ -437,13 +425,11 @@ def _one_pass(
     level: Optional[str] = None,
     depth: int = 1,
     rationality: bool = True,
-    pareto: bool = False,
 ) -> _Pass:
     """Read the aggregator's output on each profile of its domain once, in
     domain order, and feed it to every check asked for: universality and
-    rationality over the rational profiles (``rationality``), systematicity
-    at ``level`` over the whole domain (None skips it), and the Pareto scan
-    over the rational profiles (``pareto``).
+    rationality over the rational profiles (``rationality``), and
+    systematicity at ``level`` over the whole domain (None skips it).
 
     Every refusal comes before the first output is read: the
     rational-profile cap (for a criterion aggregator, its domain's), the
@@ -470,49 +456,35 @@ def _one_pass(
         values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
     }
     positions = [agenda.index.get(formula) for formula in fragment]
-    # the agenda formulas' fragment numbers, in agenda order
-    agenda_order = sorted((pos, f_num) for f_num, pos in enumerate(positions) if pos is not None)
     if induced:  # its output at an agenda formula: the criterion at that formula's rank
-        table, columns = aggregator.criterion.values, [f_num for _, f_num in agenda_order]
+        table = aggregator.criterion.values
+        # the agenda formulas' fragment numbers, in agenda order
+        columns = [f_num for _, f_num in sorted(
+            (pos, f_num) for f_num, pos in enumerate(positions) if pos is not None)]
         rows = ((None, number, attained, tuple([table[attained[c]] for c in columns]))
                 for number, attained in enumerate(_voter_ranks(size, n, tuple(extension.values()))))
     else:
         rows = _ranked_rows(aggregator, extension, positions, size)
-    # rank of each unanimous voters' tuple on a constant -> that constant
-    unanimous = {
-        c * product_element_index(size, (1,) * n): c
-        for c in (agenda.algebra.constant(name) for name in agenda.signature.constants)
-    }
 
     constraints = None if level is None else _Constraints(level, fragment, positions, size, n)
     conflict = None
     rational_rows = 0
     irrational = None  # (number, profile, output): the least rational profile aggregated irrationally
-    unfair = None  # (number, text): the least rational profile breaking unanimity on a constant
     for p_num, (profile, number, attained, output) in enumerate(rows):
         closure = extension.get(output)
         if number is not None:
             rational_rows += 1
             if closure is None and (irrational is None or number < irrational[0]):
                 irrational = (number, profile, output)
-            if pareto and (unfair is None or number < unfair[0]):
-                for pos, f_num in agenda_order:
-                    value = unanimous.get(attained[f_num])
-                    if value is not None and output[pos] != value:
-                        label = agenda.algebra.label
-                        unfair = (number, f"unanimous {label(value)} on "
-                                          f"{formula_sort_key(fragment[f_num])} aggregated to "
-                                          f"{label(output[pos])}")
-                        break
         if constraints is not None and not conflict:
             # closure values need every attitude rational; a row held at its ranks adds nothing
             closed = closure if number is not None else None
             if closed is None or itemgetter(*attained)(constraints.known) != closed:
                 conflict = constraints.meet(p_num, attained, output, closed)
-                if conflict and not (rationality or pareto):
+                if conflict and not rationality:
                     break
 
-    report = strong = fair = None
+    report = strong = None
     if rationality:
         universal = rational_rows == len(extension) ** n
         missing = None if universal else next(
@@ -526,10 +498,7 @@ def _one_pass(
     if constraints is not None:
         strong = (SystematicityResult(False, level, depth, None, conflict) if conflict
                   else SystematicityResult(True, level, depth, constraints.criterion(), None))
-    if pareto:
-        fair = (ParetoReport(True, rational_rows, None) if unfair is None
-                else ParetoReport(False, unfair[0] + 1, unfair[1]))
-    return _Pass(report, strong, fair)
+    return _Pass(report, strong)
 
 
 def check_rational_universal(
@@ -656,22 +625,3 @@ def aggregator_from_criterion(
         symbol, args = violation
         raise ValueError(f"criterion is not a homomorphism (fails at {symbol} on {args})")
     return CriterionAggregator(criterion, agenda)
-
-
-def check_pareto(
-    aggregator: Aggregator, budget: int = DEFAULT_BUDGET
-) -> ParetoReport:
-    """Unanimity on a constant's value forces that value in the output.
-
-    Preconditions (universal, rational, strongly systematic) are verified
-    on the same pass; the scan covers every rational profile, agenda formula
-    and constant of the signature, and reports the first failure in
-    rational-profile order with the number of profiles checked up to it.
-    """
-    checked = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, 1, pareto=True)
-    if not (checked.rationality.both and checked.systematicity.holds):
-        raise ValueError(
-            "Pareto check requires a universal, rational, strongly "
-            "systematic aggregator"
-        )
-    return checked.pareto

@@ -1,4 +1,4 @@
-"""Signatures, formulas, s-expression parsing/printing, substitution, closure.
+"""Signatures, formulas, s-expression parsing/printing, bounded closure.
 
 Formulas are free terms over a signature of connectives-with-arities.
 Equality is syntactic tree equality; any semantic identification happens in
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import FormulaSyntaxError
 
@@ -74,10 +74,6 @@ class App:
 
 
 Formula = Union[Var, App]
-
-# A substitution is a plain mapping from variable names to formulas;
-# unmapped variables stay fixed.
-Substitution = Mapping[str, Formula]
 
 
 def variables_of(*formulas: Formula) -> tuple[str, ...]:
@@ -186,13 +182,6 @@ def print_formula(formula: Formula) -> str:
         return formula.symbol
     inner = " ".join(print_formula(a) for a in formula.args)
     return f"({formula.symbol} {inner})"
-
-
-def apply_substitution(formula: Formula, subst: Substitution) -> Formula:
-    """Homomorphic replacement of variables by formulas."""
-    if isinstance(formula, Var):
-        return subst.get(formula.name, formula)
-    return App(formula.symbol, tuple(apply_substitution(a, subst) for a in formula.args))
 
 
 def bounded_closure(

@@ -17,7 +17,6 @@ from aggcheck.aggregation import (
     enumerate_rational_profiles,
     is_rational_attitude,
     majority_criterion,
-    qualifying_criteria,
     rational_attitude_with_values,
     rational_profile_with_values,
 )
@@ -29,6 +28,7 @@ from aggcheck.algebra import (
     is_homomorphism,
     product_algebra,
 )
+from aggcheck.census import qualifying_criteria
 from aggcheck.impossibility import (
     classify_dictator,
     decisive_coalitions,

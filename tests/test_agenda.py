@@ -1,8 +1,5 @@
-import pytest
-
 from aggcheck.agenda import (
     agenda_over,
-    check_pseudo_rich,
     equivalent_variable,
     is_strictly_contingent,
     pseudo_richness,
@@ -37,37 +34,25 @@ class TestPseudoRichness:
         ag = agenda_over(
             [f(t, classical) for t in ("x1", "x2", "(or x1 x2)")], classical
         )
-        ok, witnesses = check_pseudo_rich(ag, 2)
-        assert ok
-        assert {equivalent_variable(w, ag) for w in witnesses} == {"x1", "x2"}
+        level, witnesses = pseudo_richness(ag)
+        assert level == 2
+        assert {equivalent_variable(w, ag) for w, _ in witnesses} == {"x1", "x2"}
 
     def test_disguised_variable(self, classical):
         ag = agenda_over(
             [f("x1", classical), f("(not (not x2))", classical)], classical
         )
-        ok, witnesses = check_pseudo_rich(ag, 2)
-        assert ok
-        assert f("(not (not x2))", classical) in witnesses
+        level, witnesses = pseudo_richness(ag)
+        assert level == 2
+        assert (f("(not (not x2))", classical), "x2") in witnesses
 
     def test_same_variable_twice_is_level_one(self, classical):
         ag = agenda_over(
             [f("x1", classical), f("(or x1 x1)", classical)], classical
         )
-        level, _ = pseudo_richness(ag)
+        level, witnesses = pseudo_richness(ag)
         assert level == 1
-        ok, _ = check_pseudo_rich(ag, 2)
-        assert not ok
-
-    def test_monotone_in_n(self, bool_agenda):
-        level, _ = pseudo_richness(bool_agenda)
-        assert level == 2
-        for n in range(1, level + 1):
-            ok, witnesses = check_pseudo_rich(bool_agenda, n)
-            assert ok and len(witnesses) == n
-
-    def test_n_must_be_positive(self, bool_agenda):
-        with pytest.raises(ValueError):
-            check_pseudo_rich(bool_agenda, 0)
+        assert [var for _, var in witnesses] == ["x1"]
 
     def test_luk_square_not_a_variable(self, luk3_filter):
         ag = agenda_over(

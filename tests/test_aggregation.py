@@ -14,23 +14,21 @@ from aggcheck.aggregation import (
     STRONGLY_SYSTEMATIC,
     SYSTEMATIC,
     aggregator_from_criterion,
-    check_pareto,
     check_rational_universal,
     check_systematicity,
-    constant_criterion,
     criterion_from_aggregator,
     enumerate_rational_attitudes,
     enumerate_rational_profiles,
     is_rational_attitude,
     majority_criterion,
     projection_criterion,
-    qualifying_criteria,
     rational_attitude_with_values,
     rational_profile_with_values,
     witness_attitudes,
 )
 from aggcheck.agenda import agenda_over
 from aggcheck.algebra import builtin_distributive_lattice, is_homomorphism, product_algebra
+from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import DEGREE_MODE, Matrix
 from aggcheck.syntax import parse_formula
@@ -401,27 +399,5 @@ class TestRoundTrips:
         # constant criteria survive output-rationality on this agenda but
         # fail constant preservation in the closure census
         tables = {c.values for c in qualifying_criteria(or_agenda, 2)}
-        assert constant_criterion(or_agenda.algebra, 2, 1).values not in tables
-        assert constant_criterion(or_agenda.algebra, 2, 0).values not in tables
-
-
-class TestPareto:
-    def test_unanimous_constants_boolean(self, classical):
-        ag = agenda_over(
-            [f(t, classical) for t in ("x1", "x2", "(or x1 (not x1))", "(and x1 (not x1))")],
-            classical,
-        )
-        agg = aggregator_from_criterion(projection_criterion(ag.algebra, 2, 0), ag)
-        report = check_pareto(agg)
-        assert report.holds and report.checked_profiles == 4**2
-
-    def test_unanimity_on_mv_constants(self, mv_agenda):
-        agg = aggregator_from_criterion(
-            projection_criterion(mv_agenda.algebra, 2, 1), mv_agenda
-        )
-        assert check_pareto(agg).holds
-
-    def test_precondition_enforced(self, or_agenda):
-        agg = CriterionAggregator(majority_criterion(or_agenda.algebra, 3), or_agenda)
-        with pytest.raises(ValueError):
-            check_pareto(agg)
+        for value in (0, 1):
+            assert DecisionCriterion(or_agenda.algebra, 2, (value,) * 2**2).values not in tables

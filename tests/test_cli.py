@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from aggcheck import aggregation, algebra, census, cli
+from aggcheck import algebra, census, cli
 from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
@@ -126,11 +126,11 @@ class TestVerifyBijection:
     def test_rank_table_is_built_once(self, bool_agenda_file, tmp_path):
         # the census builds the rational-profile rank table; each round trip reuses it
         out = tmp_path / "report.json"
-        aggregation._voter_ranks.cache_clear()
+        census._voter_ranks.cache_clear()
         assert main(["verify-bijection", "--logic", "boolean2", "--agenda", bool_agenda_file,
                      "--electorate", "4", "--out", str(out)]) == 0
         homs = json.loads(out.read_text())["homs"]
-        info = aggregation._voter_ranks.cache_info()
+        info = census._voter_ranks.cache_info()
         assert (homs, info.misses, info.hits) == (4, 1, homs)
 
     def test_power_is_built_once(self, bool_agenda_file, monkeypatch):

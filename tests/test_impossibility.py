@@ -4,7 +4,6 @@ import pytest
 
 from aggcheck.aggregation import (
     DecisionCriterion,
-    constant_criterion,
     majority_criterion,
     projection_criterion,
 )
@@ -23,7 +22,7 @@ class TestDecisiveCoalitions:
         assert view.decisive == {frozenset({0}), frozenset({0, 1})}
 
     def test_constant_one_contains_empty(self, boolean2):
-        view = decisive_coalitions(constant_criterion(boolean2, 2, 1))
+        view = decisive_coalitions(DecisionCriterion(boolean2, 2, (1,) * 2**2))
         assert frozenset() in view.decisive
         assert not is_ultrafilter(view).is_ultrafilter
 

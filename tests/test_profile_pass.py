@@ -1,5 +1,5 @@
-"""The one pass behind the rationality, systematicity and Pareto checks,
-against plain per-profile loops kept here as the reference.
+"""The one pass behind the rationality and systematicity checks, against
+plain per-profile loops kept here as the reference.
 
 The references restate the definitions directly: every rational profile is
 enumerated, every domain profile is aggregated by ``apply``, rationality is
@@ -29,7 +29,6 @@ from aggcheck.aggregation import (
     ExtensionalAggregator,
     Profile,
     aggregator_from_criterion,
-    check_pareto,
     check_rational_universal,
     check_systematicity,
     criterion_from_aggregator,
@@ -135,23 +134,6 @@ def reference_extraction_error(aggregator, depth):
     return None
 
 
-def reference_pareto(aggregator):
-    agenda = aggregator.agenda
-    constants = {agenda.algebra.constant(c) for c in agenda.signature.constants}
-    checked = 0
-    for profile in enumerate_rational_profiles(agenda, aggregator.electorate):
-        output = aggregator.apply(profile)
-        checked += 1
-        for i, formula in enumerate(agenda.formulas):
-            values = {a.values[i] for a in profile.attitudes}
-            if len(values) == 1 and values <= constants and output.values[i] not in values:
-                label = agenda.algebra.label
-                return False, checked, (f"unanimous {label(min(values))} on "
-                                        f"{formula_sort_key(formula)} aggregated to "
-                                        f"{label(output.values[i])}")
-    return True, checked, None
-
-
 # ---------------------------------------------------------------------------
 # Random aggregators
 # ---------------------------------------------------------------------------
@@ -245,19 +227,6 @@ def test_extraction_errors_equal_the_reference(aggregator, depth):
         assert expected is None
 
 
-@settings(max_examples=40, deadline=None)
-@given(aggregators())
-def test_pareto_equals_the_reference(aggregator):
-    expected_error = reference_extraction_error(aggregator, 1)
-    if expected_error is not None:
-        with pytest.raises(ValueError, match="Pareto check requires"):
-            check_pareto(aggregator)
-        return
-    report = check_pareto(aggregator)
-    assert (report.holds, report.checked_profiles, report.witness) == reference_pareto(
-        aggregator)
-
-
 # ---------------------------------------------------------------------------
 # Each profile is aggregated once
 # ---------------------------------------------------------------------------
@@ -288,14 +257,6 @@ def test_round_trip_aggregates_each_profile_once(agenda, n, applied):
                         for coords in product(range(agenda.algebra.size), repeat=n))
     assert applied == witnesses
     assert sum(applied.values()) == agenda.algebra.size**n
-
-
-def test_pareto_aggregates_each_profile_once(applied):
-    """The Pareto scan reads the outputs off the criterion and aggregates no
-    profile."""
-    aggregator = aggregator_from_criterion(projection_criterion(BOOLEAN.algebra, 3, 2), BOOLEAN)
-    assert check_pareto(aggregator).holds
-    assert not applied
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggcheck import aggregation, census as census_module
+from aggcheck import census as census_module
 from aggcheck.agenda import agenda_over
 from aggcheck.aggregation import (
     STRONGLY_SYSTEMATIC,
@@ -17,7 +17,6 @@ from aggcheck.aggregation import (
     check_rational_universal,
     check_systematicity,
     projection_criterion,
-    qualifying_criteria,
 )
 from aggcheck.algebra import (
     builtin_distributive_lattice,
@@ -27,6 +26,7 @@ from aggcheck.algebra import (
     search_tables,
     shared_power,
 )
+from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula
@@ -285,8 +285,8 @@ def reference_census_constraints(agenda, electorate, depth, budget):
     """The census constraints built one rational profile at a time, ranking
     each voters' tuple on its own, with slots numbered by first appearance."""
     size = agenda.algebra.size
-    rational = aggregation._rational_table(agenda)
-    vectors = tuple(dict.fromkeys(aggregation._fragment_and_vectors(agenda, depth, budget)[1]))
+    rational = census_module._rational_table(agenda)
+    vectors = tuple(dict.fromkeys(census_module._fragment_and_vectors(agenda, depth, budget)[1]))
     tables = [{product_element_index(size, values): vec[w] for values, w in rational}
               for vec in vectors]
     slot = {}
@@ -318,7 +318,7 @@ TABLE_CASES += [("diamond", ["x1", "x2", "(or x1 x2)"], n, 1) for n in (1, 2)]
 def test_census_constraints_equal_the_per_profile_reference(logic, texts, n, depth, request):
     matrix = diamond_matrix() if logic == "diamond" else request.getfixturevalue(logic)
     a = agenda(matrix, texts)
-    constraints, slots = aggregation._census_constraints(a, n, depth, 10**8)
+    constraints, slots = census_module._census_constraints(a, n, depth, 10**8)
     assert (constraints, slots) == reference_census_constraints(a, n, depth, 10**8)
 
 

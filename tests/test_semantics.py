@@ -1,17 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggcheck.algebra import evaluate
-from aggcheck.errors import BudgetExceededError
-from aggcheck.semantics import (
-    BoundedConsequence,
-    Matrix,
-    check_closure_laws,
-    check_selfextensionality,
-    entails,
-    generate_sfilter,
-    interderivable,
-)
+from aggcheck.semantics import Matrix, check_selfextensionality, entails, interderivable
 from aggcheck.syntax import Var, bounded_closure, parse_formula
 
 
@@ -102,63 +92,6 @@ class TestInterderivable:
                     assert (a, c) in equiv
 
 
-class TestClosureLaws:
-    def test_classical_small_fragment(self, classical):
-        bc = BoundedConsequence(
-            classical, (f("x1", classical), f("(not x1)", classical)), 0
-        )
-        report = check_closure_laws(bc)
-        assert report.all_hold, report.violations
-
-    def test_empty_fragment_base(self, classical):
-        # depth 0 still brings in the constants; laws hold vacuously-or-not
-        bc = BoundedConsequence(classical, (), 0)
-        assert check_closure_laws(bc).all_hold
-
-    def test_luk_degree_fragment(self, luk3_degree):
-        bc = BoundedConsequence(
-            luk3_degree, (f("x1", luk3_degree), f("(oplus x1 x1)", luk3_degree)), 0
-        )
-        report = check_closure_laws(bc)
-        assert report.all_hold, report.violations
-
-    def test_oversized_fragment_rejected(self, classical):
-        bc = BoundedConsequence(classical, (f("x1", classical), f("x2", classical)), 2)
-        with pytest.raises(BudgetExceededError):
-            _ = bc.fragment
-
-    def test_closure_against_direct_entailment(self, classical):
-        # oracle: closure membership must coincide with one-by-one entails calls
-        base = (
-            f("x1", classical),
-            f("x2", classical),
-            f("(or x1 x2)", classical),
-            f("(not x1)", classical),
-        )
-        bc = BoundedConsequence(classical, base, 0)
-        frag = bc.fragment
-        for mask in (0, 1, 3, 7):
-            premises = [frag[i] for i in range(len(frag)) if mask >> i & 1]
-            cmask = bc.closure_mask(mask)
-            for i, conclusion in enumerate(frag):
-                assert bool(cmask >> i & 1) == entails(classical, premises, conclusion)
-
-    def test_relation_is_reflexive_and_monotone(self, classical):
-        bc = BoundedConsequence(
-            classical, (f("x1", classical), f("(not x1)", classical)), 0
-        )
-        relation = bc.relation
-        frag = set(bc.fragment)
-        for premises, conclusion in relation:
-            assert conclusion in frag
-        for phi in frag:
-            assert (frozenset({phi}), phi) in relation
-        # monotone: anything entailed by a set is entailed by its supersets
-        for premises, conclusion in relation:
-            for extra in frag:
-                assert (premises | {extra}, conclusion) in relation
-
-
 class TestSelfextensionality:
     def test_classical_no_counterexample(self, classical):
         ok, witness = check_selfextensionality(classical, ["x1", "x2"], 2)
@@ -190,58 +123,6 @@ class TestSelfextensionality:
     def test_luk_degree_no_counterexample(self, luk3_degree):
         ok, witness = check_selfextensionality(luk3_degree, ["x1"], 2)
         assert ok and witness is None
-
-
-class TestSFilter:
-    def test_designated_set_is_closed(self, classical):
-        fragment = bounded_closure(
-            {Var("x1"), Var("x2")}, classical.algebra.signature, 1
-        )
-        out = generate_sfilter(classical, classical.algebra, {1}, fragment)
-        assert out.elements == frozenset({1})
-
-    def test_zero_seed_explodes(self, classical):
-        fragment = bounded_closure(
-            {Var("x1"), Var("x2")}, classical.algebra.signature, 1
-        )
-        out = generate_sfilter(classical, classical.algebra, {0}, fragment)
-        assert out.elements == frozenset({0, 1})
-
-    def test_luk_designated_seed(self, luk3_filter):
-        fragment = bounded_closure({Var("x1")}, luk3_filter.algebra.signature, 1)
-        out = generate_sfilter(luk3_filter, luk3_filter.algebra, {2}, fragment)
-        assert out.elements == frozenset({2})
-
-    def test_result_is_fixpoint(self, luk3_filter):
-        fragment = bounded_closure({Var("x1")}, luk3_filter.algebra.signature, 1)
-        out = generate_sfilter(luk3_filter, luk3_filter.algebra, {1}, fragment)
-        again = generate_sfilter(
-            luk3_filter, luk3_filter.algebra, out.elements, fragment
-        )
-        assert again.elements == out.elements
-
-    @pytest.mark.parametrize("logic", ["classical", "luk3_filter"])
-    def test_equals_the_least_fixpoint_of_entails(self, logic, request):
-        matrix = request.getfixturevalue(logic)
-        algebra = matrix.algebra
-        fragment = bounded_closure({Var("x1")}, algebra.signature, 1)
-        for seed in range(1 << algebra.size):
-            current = {a for a in range(algebra.size) if seed >> a & 1}
-            expected = set(current)
-            while True:  # add each valuation's value of what the formulas valued in the set entail
-                added = set()
-                for a in range(algebra.size):
-                    values = {phi: evaluate(phi, {"x1": a}, algebra) for phi in fragment}
-                    premises = [phi for phi in fragment if values[phi] in expected]
-                    added |= {values[phi] for phi in fragment if entails(matrix, premises, phi)}
-                if added <= expected:
-                    break
-                expected |= added
-            assert generate_sfilter(matrix, algebra, current, fragment).elements == expected
-
-    def test_provenance_mentions_fragment(self, classical):
-        out = generate_sfilter(classical, classical.algebra, {1}, [Var("x1")])
-        assert "fragment" in out.provenance
 
 
 @st.composite

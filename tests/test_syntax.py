@@ -7,7 +7,6 @@ from aggcheck.syntax import (
     App,
     Signature,
     Var,
-    apply_substitution,
     bounded_closure,
     parse_formula,
     print_formula,
@@ -98,32 +97,6 @@ class TestParse:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, f):
         assert parse_formula(print_formula(f), BOOL_SIG) == f
-
-
-class TestSubstitution:
-    def test_variable_replaced(self):
-        f = apply_substitution(Var("x1"), {"x1": App("not", (Var("x2"),))})
-        assert f == App("not", (Var("x2"),))
-
-    def test_shared_variable(self):
-        f = parse_formula("(or x1 x1)", BOOL_SIG)
-        assert apply_substitution(f, {"x1": Var("x2")}) == parse_formula(
-            "(or x2 x2)", BOOL_SIG
-        )
-
-    def test_constant_untouched(self):
-        c = App("top", ())
-        assert apply_substitution(c, {"x1": Var("x2")}) == c
-
-    @given(formulas(), formulas(), formulas())
-    @settings(max_examples=40, deadline=None)
-    def test_composition(self, f, g, h):
-        s1 = {"x1": g}
-        s2 = {"x2": h}
-        composed = {"x1": apply_substitution(g, s2), "x2": h}
-        assert apply_substitution(apply_substitution(f, s1), s2) == apply_substitution(
-            f, composed
-        )
 
 
 class TestBoundedClosure:
