@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import eq, itemgetter
+from itertools import count, product
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
@@ -151,8 +151,8 @@ def enumerate_rational_profiles(
     agenda: Agenda, electorate: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[Profile, ...]:
     """All rational profiles, voter 0's attitude most significant. The checks
-    below build none for a criterion aggregator: they read its outputs off
-    the rational profiles' rank table."""
+    below build none: they number the rational profiles and read a criterion
+    aggregator's outputs off their rank table."""
     _refuse_profiles_past_the_cap(agenda, electorate, budget)
     attitudes = enumerate_rational_attitudes(agenda)
     return tuple(Profile(combo) for combo in product(attitudes, repeat=electorate))
@@ -341,7 +341,7 @@ class SystematicityResult:
 
 
 def _ranked_rows(aggregator, extension, positions, size):
-    """(profile, its number among the rational profiles, its voters' tuple
+    """(its profile's number among the rational profiles, its voters' tuple
     rank at each fragment formula, output values) for each row of an
     extensional aggregator's table. A profile with an irrational voter has
     no number and no rank at closure formulas (None)."""
@@ -357,66 +357,7 @@ def _ranked_rows(aggregator, extension, positions, size):
         else:
             number = product_element_index(len(extension), [number_of[v] for v in voters])
             attained = [product_element_index(size, col) for col in zip(*extended)]
-        yield profile, number, attained, output.values
-
-
-class _Constraints:
-    """The systematicity constraints met so far. A key is the voters' tuple
-    rank, paired with the fragment number at the independent level; each
-    keeps its output value and the profile and fragment number where it
-    first occurs."""
-
-    def __init__(self, level: str, fragment: Sequence[Formula], positions, size: int,
-                 electorate: int):
-        self.level, self.fragment, self.size, self.electorate = level, fragment, size, electorate
-        self.agenda_slots = [(f_num, pos) for f_num, pos in enumerate(positions)
-                             if pos is not None]
-        self.value_of: dict[object, int] = {}
-        self.known: dict[object, Optional[int]] = defaultdict(lambda: None)  # value_of, None if unset
-        self.origin: dict[object, tuple[int, int]] = {}
-
-    def meet(self, p_num: int, attained, output: tuple[int, ...],
-             closure: Optional[tuple[int, ...]]) -> Optional[str]:
-        """Add profile ``p_num``'s constraints, in fragment order: all of
-        them given the output's closure values, else the agenda part only.
-        Returns the first conflict with an earlier constraint, or None."""
-        if closure is not None:
-            nums, voters, values = range(len(self.fragment)), attained, closure
-        else:
-            nums = [f_num for f_num, _ in self.agenda_slots]
-            voters = [attained[f_num] for f_num in nums]
-            values = [output[pos] for _, pos in self.agenda_slots]
-        keys = voters if self.level != INDEPENDENT else list(zip(voters, nums))
-        if all(map(eq, map(self.value_of.get, keys), values)):
-            return None  # every constraint already met
-        for f_num, rank, key, value in zip(nums, voters, keys, values):
-            prior = self.known[key] = self.value_of.setdefault(key, value)
-            if prior == value:
-                self.origin.setdefault(key, (p_num, f_num))
-                continue
-            first_profile, first_num = self.origin[key]
-            voters = element_coordinates(self.size, self.electorate, rank)
-            return (
-                f"tuple {voters}: value {prior} from profile {first_profile} "
-                f"at {formula_sort_key(self.fragment[first_num])} vs value {value} from "
-                f"profile {p_num} at {formula_sort_key(self.fragment[f_num])}"
-            )
-        return None
-
-    def criterion(self) -> dict:
-        """The constraints as a criterion on voter tuples (paired with the
-        formula at the independent level), in first-occurrence order."""
-        size, n = self.size, self.electorate
-        if self.level == INDEPENDENT:
-            return {(element_coordinates(size, n, rank), self.fragment[f_num]): value
-                    for (rank, f_num), value in self.value_of.items()}
-        return {element_coordinates(size, n, rank): value for rank, value in self.value_of.items()}
-
-
-@dataclass(frozen=True)
-class _Pass:
-    rationality: Optional[RationalityReport]
-    systematicity: Optional[SystematicityResult]
+        yield number, attained, output.values
 
 
 def _one_pass(
@@ -425,7 +366,7 @@ def _one_pass(
     level: Optional[str] = None,
     depth: int = 1,
     rationality: bool = True,
-) -> _Pass:
+) -> tuple[Optional[RationalityReport], Optional[SystematicityResult]]:
     """Read the aggregator's output on each profile of its domain once, in
     domain order, and feed it to every check asked for: universality and
     rationality over the rational profiles (``rationality``), and
@@ -436,69 +377,94 @@ def _one_pass(
     closure layers, then the systematicity budget. A rational profile's
     voters' tuple ranks come from a table shared by every pass over the same
     profiles and fragment; a criterion aggregator's outputs are read off
-    that table, and a profile is built only for a reported irrational witness.
+    that table. Each row carries its rational profile's number, and a
+    profile is built from its number only to report an irrational witness or
+    a missing profile.
+
+    The systematicity constraints met so far are one ledger: ``value_of``
+    maps a voters' tuple rank (paired with the fragment number at the
+    independent level) to its output value, None if unset, and ``origin``
+    maps it to the profile and fragment number where it first occurs.
     """
     agenda, n = aggregator.agenda, aggregator.electorate
     size = agenda.algebra.size
     induced = isinstance(aggregator, CriterionAggregator)  # its domain: the rational profiles
     if rationality or induced:
         _refuse_profiles_past_the_cap(agenda, n, budget)
-    domain = len(_rational_table(agenda)) ** n if induced else len(aggregator.table)
+    rational = tuple(values for values, _ in _rational_table(agenda))
+    domain = len(rational) ** n if induced else len(aggregator.table)
     if level == STRONGLY_SYSTEMATIC:
-        fragment, vectors = _fragment_and_vectors(agenda, depth, budget)
-    else:
-        fragment = agenda.formulas
-        vectors = truth_vectors(fragment, agenda.variables, agenda.algebra)
+        fragment, _, extensions = _fragment_and_vectors(agenda, depth, budget)
+    else:  # on the agenda, a rational attitude is its own extension
+        fragment, extensions = agenda.formulas, rational
     if level is not None:
         refuse(budget, "systematicity check", (domain, "profiles"), (len(fragment), "formulas"))
-    # each rational attitude's values on the fragment, its unique rational extension
-    extension = {
-        values: tuple(vec[w] for vec in vectors) for values, w in _rational_table(agenda)
-    }
+    extension = dict(zip(rational, extensions))  # each rational attitude's fragment values
     positions = [agenda.index.get(formula) for formula in fragment]
     if induced:  # its output at an agenda formula: the criterion at that formula's rank
         table = aggregator.criterion.values
-        # the agenda formulas' fragment numbers, in agenda order
-        columns = [f_num for _, f_num in sorted(
-            (pos, f_num) for f_num, pos in enumerate(positions) if pos is not None)]
-        rows = ((None, number, attained, tuple([table[attained[c]] for c in columns]))
-                for number, attained in enumerate(_voter_ranks(size, n, tuple(extension.values()))))
+        columns = [fragment.index(formula) for formula in agenda.formulas]
+        rows = ((number, attained, tuple([table[attained[c]] for c in columns]))
+                for number, attained in enumerate(_voter_ranks(size, n, extensions)))
     else:
         rows = _ranked_rows(aggregator, extension, positions, size)
 
-    constraints = None if level is None else _Constraints(level, fragment, positions, size, n)
+    agenda_nums = [f_num for f_num, pos in enumerate(positions) if pos is not None]
+    independent = level == INDEPENDENT
+    value_of = defaultdict(lambda: None)
+    origin = {}
     conflict = None
     rational_rows = 0
-    irrational = None  # (number, profile, output): the least rational profile aggregated irrationally
-    for p_num, (profile, number, attained, output) in enumerate(rows):
+    irrational = None  # (number, output): the least rational profile aggregated irrationally
+    for p_num, (number, attained, output) in enumerate(rows):
         closure = extension.get(output)
         if number is not None:
             rational_rows += 1
             if closure is None and (irrational is None or number < irrational[0]):
-                irrational = (number, profile, output)
-        if constraints is not None and not conflict:
-            # closure values need every attitude rational; a row held at its ranks adds nothing
-            closed = closure if number is not None else None
-            if closed is None or itemgetter(*attained)(constraints.known) != closed:
-                conflict = constraints.meet(p_num, attained, output, closed)
-                if conflict and not rationality:
-                    break
+                irrational = (number, output)
+        if level is None or conflict:
+            continue
+        # closure values need every attitude rational, else the agenda part only
+        if number is not None and closure is not None:
+            if not independent and itemgetter(*attained)(value_of) == closure:
+                continue  # a row held at its ranks adds nothing
+            nums, values = range(len(fragment)), closure
+        else:
+            nums, values = agenda_nums, [output[positions[f_num]] for f_num in agenda_nums]
+        for f_num, value in zip(nums, values):
+            key = (attained[f_num], f_num) if independent else attained[f_num]
+            prior = value_of[key]
+            if prior is None:
+                value_of[key], origin[key] = value, (p_num, f_num)
+            elif prior != value:
+                first_profile, first_num = origin[key]
+                conflict = (
+                    f"tuple {element_coordinates(size, n, attained[f_num])}: value {prior} "
+                    f"from profile {first_profile} at {formula_sort_key(fragment[first_num])} "
+                    f"vs value {value} from profile {p_num} at "
+                    f"{formula_sort_key(fragment[f_num])}"
+                )
+                break
+        if conflict and not rationality:
+            break
 
     report = strong = None
     if rationality:
-        universal = rational_rows == len(extension) ** n
-        missing = None if universal else next(
-            p for p in enumerate_rational_profiles(agenda, n, budget)
-            if not aggregator.in_domain(p)
-        )
+        universal = rational_rows == len(rational) ** n  # an explicit table repeats no profile
+        missing = None
+        if not universal:  # only an explicit table misses one: its least absent number
+            numbers = {row[0] for row in _ranked_rows(aggregator, extension, positions, size)}
+            missing = _rational_profile(agenda, n, next(i for i in count() if i not in numbers))
         witness = None if irrational is None else (
-            irrational[1] or _rational_profile(agenda, n, irrational[0]),
-            AttitudeFunction(agenda, irrational[2]))
+            _rational_profile(agenda, n, irrational[0]), AttitudeFunction(agenda, irrational[1]))
         report = RationalityReport(universal, irrational is None, missing, witness)
-    if constraints is not None:
-        strong = (SystematicityResult(False, level, depth, None, conflict) if conflict
-                  else SystematicityResult(True, level, depth, constraints.criterion(), None))
-    return _Pass(report, strong)
+    if conflict:
+        strong = SystematicityResult(False, level, depth, None, conflict)
+    elif level is not None:  # the constraints as a criterion, in first-occurrence order
+        strong = SystematicityResult(True, level, depth, {
+            (element_coordinates(size, n, key[0]), fragment[key[1]]) if independent
+            else element_coordinates(size, n, key): value_of[key] for key in origin}, None)
+    return report, strong
 
 
 def check_rational_universal(
@@ -508,7 +474,7 @@ def check_rational_universal(
     every output on a rational domain profile is itself rational. Exhaustive
     over the rational profiles of the agenda; the missing profile and the
     irrational witness are the first in rational-profile order."""
-    return _one_pass(aggregator, budget).rationality
+    return _one_pass(aggregator, budget)[0]
 
 
 def check_systematicity(
@@ -533,7 +499,7 @@ def check_systematicity(
     """
     if level not in (INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC):
         raise ValueError(f"unknown level {level!r}")
-    return _one_pass(aggregator, budget, level, depth, rationality=False).systematicity
+    return _one_pass(aggregator, budget, level, depth, rationality=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +556,7 @@ def criterion_from_aggregator(
     algebra = agenda.algebra
     n = aggregator.electorate
 
-    checked = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, depth)
-    report, strong = checked.rationality, checked.systematicity
+    report, strong = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, depth)
     if not report.both:
         raise NotQualifyingError("aggregator is not universal+rational: "
                                  f"universal={report.universal} rational={report.rational}")

@@ -50,6 +50,8 @@ class FiniteAlgebra:
         n = len(self.carrier)
         if n == 0:
             raise ValueError("carrier must be nonempty")
+        if len(set(self.carrier)) != n:
+            raise ValueError("carrier labels must be distinct")
         tables = dict(self.ops)
         if len(tables) != len(self.ops):
             raise ValueError("duplicate operation name")
@@ -294,8 +296,9 @@ def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
     """
     _power_size(algebra.size, n)
     size = algebra.size
-    carrier = tuple("(" + ",".join(algebra.carrier[c] for c in t) + ")"
-                    for t in product(range(size), repeat=n))
+    # a label with a comma or quote is quoted, so that no two tuples' labels coincide
+    labels = [repr(c) if {",", "'", '"'} & set(c) else c for c in algebra.carrier]
+    carrier = tuple("(" + ",".join(t) + ")" for t in product(labels, repeat=n))
     ops = []
     for symbol, arity in algebra.signature.connectives:
         base = table = algebra.tables[symbol]
@@ -640,6 +643,7 @@ def builtin_mv_chain(k: int) -> FiniteAlgebra:
     """
     if k < 2:
         raise ValueError("chain needs at least 2 elements")
+    refuse(MAX_POWER_SIZE, "builtin chain", ((k, 2), "table entries"))  # per binary table
     top, values = k - 1, range(k)
     return FiniteAlgebra(
         signature=MV_SIGNATURE,

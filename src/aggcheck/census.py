@@ -52,10 +52,12 @@ def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) 
 @lru_cache(maxsize=4)
 def _fragment_and_vectors(
     agenda: Agenda, depth: int, budget: int
-) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The agenda formulas plus the least formula (in ``formula_sort_key``
     order) of each distinct truth vector of the agenda's bounded closure at
-    ``depth``, sorted, with their truth vectors over the agenda variables.
+    ``depth``, sorted, with their truth vectors over the agenda variables and
+    each rational attitude's values on them (its extension), in
+    ``_rational_table`` order: the key of the shared rank table ``_voter_ranks``.
 
     A closure formula sharing its vector with an earlier one can only repeat
     that formula's constraints, so the census and the aggregator checks skip
@@ -66,7 +68,9 @@ def _fragment_and_vectors(
     vector_of = {formula: vector for vector, formula in closure.items()}
     vector_of.update(zip(agenda.formulas, truth_vectors(agenda.formulas, variables, algebra)))
     fragment = tuple(sorted(vector_of, key=formula_sort_key))
-    return fragment, tuple(vector_of[f] for f in fragment)
+    vectors = tuple(vector_of[f] for f in fragment)
+    return fragment, vectors, tuple(tuple(vec[w] for vec in vectors)
+                                    for _, w in _rational_table(agenda))
 
 
 @lru_cache(maxsize=4)
@@ -123,7 +127,7 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     size = agenda.algebra.size
     rational = _rational_table(agenda)
     _refuse_profiles_past_the_cap(agenda, electorate, budget)
-    fragment, fragment_vectors = _fragment_and_vectors(agenda, depth, budget)
+    fragment, fragment_vectors, extensions = _fragment_and_vectors(agenda, depth, budget)
     first_column = {vec: fragment_vectors.index(vec) for vec in dict.fromkeys(fragment_vectors)}
     refuse(min(budget, MAX_CONSTRAINTS), "census constraints",
            ((len(rational), electorate), "profiles"), (len(first_column), "vectors"))
@@ -132,7 +136,6 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     agenda_columns = [fragment.index(formula) for formula in agenda.formulas]
     slot: dict[int, int] = {}  # voter tuple -> search slot, by first appearance
     constraints = []
-    extensions = tuple(tuple(vec[w] for vec in fragment_vectors) for _, w in rational)
     collecting = gc.isenabled()  # each constraint holds a dict, so stays tracked: full
     gc.disable()  # collections as they pile up would free nothing (no cycle is made)
     try:

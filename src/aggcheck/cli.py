@@ -9,7 +9,6 @@ stdout. Exit codes: 0 all checks pass, 1 a check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -350,7 +349,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (AggcheckError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (AggcheckError, ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # never let a crash pass for a verdict

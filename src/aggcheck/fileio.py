@@ -24,14 +24,15 @@ from .syntax import Signature, parse_formula
 
 PathLike = Union[str, Path]
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          (str, int): "a string or an integer"}
 
 
-def _expect(value: Any, kind: type, what: str):
-    """A JSON object, list, string or integer (``kind`` dict, list, str or
-    int; a boolean is never an integer) read from a file; anything else is an
-    input error naming a wrong container by its kind, an integer literal past
-    the interpreter's digit limit by its digits, and any other value as JSON."""
+def _expect(value: Any, kind: Union[type, tuple[type, type]], what: str):
+    """A JSON object, list, string or integer (``kind`` dict, list, str, int or
+    (str, int); a boolean is never an integer) read from a file; anything else
+    is an input error naming a wrong container by its kind, an integer literal
+    past the interpreter's digit limit by its digits, and any other value as JSON."""
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
     if isinstance(value, Decimal):  # an integer literal too long to convert (see _read)
@@ -80,7 +81,8 @@ def _table_from_rows(rows: Any, arity: int, symbol: str) -> tuple[int, ...]:
 def algebra_from_obj(obj: dict) -> FiniteAlgebra:
     obj = _expect(obj, dict, "algebra")
     sig = signature_from_obj(obj.get("signature"))
-    carrier = tuple(str(c) for c in _expect(obj.get("carrier"), list, "algebra carrier"))
+    carrier = tuple(str(c if isinstance(c, Decimal) else _expect(c, (str, int), "carrier label"))
+                    for c in _expect(obj.get("carrier"), list, "algebra carrier"))
     tables = _expect(obj.get("ops"), dict, "algebra ops")
     ops = tuple(
         (name, _table_from_rows(tables.get(name), arity, name))

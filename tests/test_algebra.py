@@ -219,6 +219,14 @@ def test_power_tables_equal_their_definition(algebra, n):
     )
 
 
+def test_power_labels_stay_distinct_when_base_labels_hold_commas_or_quotes():
+    # joined plainly, ("a", "a,a") and ("a,a", "a") would both read "(a,a,a)"
+    base = FiniteAlgebra(Signature((("c0", 1),)), ("a", "a,a", "'a'"), (("c0", (0, 1, 2)),))
+    power = product_algebra(base, 2)
+    assert power.carrier[:4] == ("(a,a)", "(a,'a,a')", "(a,\"'a'\")", "('a,a',a)")
+    assert len(set(power.carrier)) == 9
+
+
 @settings(max_examples=80, deadline=None)
 @given(algebras(), st.integers(1, 3), st.data())
 def test_is_homomorphism_reports_the_first_violation(algebra, n, data):

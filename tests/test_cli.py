@@ -396,6 +396,14 @@ MISSHAPEN_MATRICES = [
                  "signature connective must be an object, got 5", id="connective-not-an-object"),
     pytest.param(replaced("algebra", "carrier", value=None),
                  "algebra carrier must be a list, got null", id="null-carrier"),
+    pytest.param(replaced("algebra", "carrier", value=[None, {"a": 1}]),
+                 "carrier label must be a string or an integer, got null", id="null-carrier-label"),
+    pytest.param(replaced("algebra", "carrier", value=["0", 1.5]),
+                 "carrier label must be a string or an integer, got 1.5", id="float-carrier-label"),
+    pytest.param(replaced("algebra", "carrier", value=["0", "0"]),
+                 "carrier labels must be distinct", id="duplicate-carrier-labels"),
+    pytest.param(replaced("algebra", "carrier", value=["0", 0]),
+                 "carrier labels must be distinct", id="label-equal-to-an-integer-label"),
     pytest.param(replaced("algebra", "ops", value=[[1, 0], [0], [0, 0, 0, 1]]),
                  "algebra ops must be an object, got a list", id="ops-as-a-list"),
     pytest.param(replaced("designated", value=None),
@@ -612,6 +620,17 @@ class TestErrorPaths:
             "budget exceeded: homomorphism search of lukasiewicz10^4: 300010002 equations "
             "exceed the limit of 2000000\n"
         )
+
+    def test_oversized_builtin_chain_is_refused_unbuilt(self, tmp_path, capsys):
+        # mv100000 would build three 10^10-entry tables; mv100 is the largest chain built
+        dump_json({"formulas": ["x1"]}, tmp_path / "a.json")
+        argv = ["check-agenda", "--agenda", str(tmp_path / "a.json"), "--logic"]
+        assert main([*argv, "mv100000"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: builtin chain: 10000000000 table entries exceed the limit of 10000\n"
+        )
+        assert main([*argv, "mv101"]) == 3
+        assert main([*argv, "mv100"]) == 0
 
     def test_power_size_past_the_digit_limit_is_a_budget_error(self, capsys):
         # 2^100000 has more decimal digits than Python converts by default

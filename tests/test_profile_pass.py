@@ -277,3 +277,22 @@ def test_irrational_witness_is_built_from_its_number(n, monkeypatch):
     witness = check_rational_universal(aggregator).irrational_witness
     assert (witness and witness[0]) == expected
     assert not called
+
+
+@pytest.mark.parametrize("n, left_out", [(1, 0), (2, 5), (3, -1)])
+def test_missing_profile_is_built_from_its_number(n, left_out, monkeypatch):
+    """An explicit table of every rational profile but one, in reverse order:
+    the reported missing profile is the reference's, built without
+    enumerating the rational profiles."""
+    induced = CriterionAggregator(projection_criterion(BOOLEAN.algebra, n, 0), BOOLEAN)
+    rational = enumerate_rational_profiles(BOOLEAN, n)
+    table = tuple((p, induced.apply(p)) for p in reversed(rational) if p != rational[left_out])
+    aggregator = ExtensionalAggregator(BOOLEAN, n, table)
+    expected = reference_rational_universal(aggregator)[2]
+    assert expected == rational[left_out]
+    called = []
+    monkeypatch.setattr(aggcheck.aggregation, "enumerate_rational_profiles",
+                        lambda *args: called.append(args))
+    report = check_rational_universal(aggregator)
+    assert not report.universal and report.missing_profile == expected
+    assert not called
