@@ -7,7 +7,7 @@ together with its ambient logic (a matrix) and truth-value algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .algebra import FiniteAlgebra, truth_vector
@@ -91,6 +91,7 @@ def equivalent_variable(formula: Formula, agenda: Agenda) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=4)
 def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...]]:
     """Largest n such that the agenda is n-pseudo-rich, with witnesses.
 

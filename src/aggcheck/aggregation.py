@@ -202,12 +202,10 @@ def rational_attitude_with_values(
     return tuple(delta for delta, _ in chosen), AttitudeFunction(agenda, values)
 
 
-def _tracking_variables(
-    agenda: Agenda, witnesses: Sequence[tuple[Formula, str]]
-) -> tuple[str, ...]:
-    """The agenda's variables and the witnesses' (on degenerate matrices not
-    always in the agenda), sorted, once each witness formula is checked to equal
-    its variable at every valuation, as selfextensionality makes it in Alg S."""
+def _tracking_variables(agenda: Agenda, witnesses: Sequence[tuple[Formula, str]]) -> None:
+    """Check that each witness formula equals its variable at every valuation
+    of the agenda's variables and the witnesses' (on degenerate matrices not
+    always in the agenda), as selfextensionality makes it in Alg S."""
     variables = tuple(sorted({*agenda.variables, *(var for _, var in witnesses)}))
     pairs = [g for delta, var in witnesses for g in (delta, Var(var))]
     vectors = truth_vectors(pairs, variables, agenda.algebra)
@@ -216,7 +214,6 @@ def _tracking_variables(
             "pseudo-rich witness does not track its variable; "
             "is the matrix a selfextensional presentation?"
         )
-    return variables
 
 
 def rational_profile_with_values(
@@ -271,8 +268,8 @@ class CriterionAggregator:
         rational = dict(_rational_table(self.agenda))
         return all(a.values in rational for a in profile.attitudes)
 
-    def domain_profiles(self, budget: int = DEFAULT_BUDGET) -> tuple[Profile, ...]:
-        return enumerate_rational_profiles(self.agenda, self.electorate, budget)
+    def domain_profiles(self) -> tuple[Profile, ...]:
+        return enumerate_rational_profiles(self.agenda, self.electorate)
 
 
 @dataclass(frozen=True)
@@ -307,7 +304,7 @@ class ExtensionalAggregator:
     def in_domain(self, profile: Profile) -> bool:
         return profile in self._lookup
 
-    def domain_profiles(self, budget: int = DEFAULT_BUDGET) -> tuple[Profile, ...]:
+    def domain_profiles(self) -> tuple[Profile, ...]:
         return tuple(p for p, _ in self.table)
 
 
@@ -507,42 +504,19 @@ def check_systematicity(
 # ---------------------------------------------------------------------------
 
 
-def witness_attitudes(
-    agenda: Agenda, via: Optional[Formula] = None
-) -> tuple[Formula, dict[int, AttitudeFunction]]:
-    """A witness formula and, for each carrier value b, the rational attitude
-    at the least valuation where the witness takes b.
-
-    The witness is the first pseudo-richness witness by default, which must
-    equal its variable at every valuation (so its attitude for b sets that
-    variable to b and every other to 0, as ``rational_attitude_with_values``
-    does), or any strictly contingent agenda formula passed as ``via``.
-    """
-    algebra = agenda.algebra
-    variables = agenda.variables
-    if via is None:
-        level, witnesses = pseudo_richness(agenda)
-        if not level:
-            raise ValueError("agenda is not even 1-pseudo-rich")
-        via = witnesses[0][0]
-        variables = _tracking_variables(agenda, witnesses[:1])
-    elif via not in agenda.index:
-        raise ValueError("witness formula must belong to the agenda")
-    via_vector, *vectors = truth_vectors((via, *agenda.formulas), variables, algebra)
-    attitude_for = {}
-    for w, b in enumerate(via_vector):
-        if b not in attitude_for:
-            attitude_for[b] = AttitudeFunction(agenda, tuple(vec[w] for vec in vectors))
-    if len(attitude_for) != algebra.size:
-        raise ValueError("witness formula must be strictly contingent")
-    return via, attitude_for
+def witness_attitudes(agenda: Agenda) -> tuple[Formula, dict[int, AttitudeFunction]]:
+    """The first pseudo-richness witness and, for each carrier value b, the
+    rational attitude that sets the witness's variable to b and every other
+    variable to 0 (``rational_attitude_with_values``)."""
+    level, witnesses = pseudo_richness(agenda)
+    if not level:
+        raise ValueError("agenda is not even 1-pseudo-rich")
+    return witnesses[0][0], {
+        b: rational_attitude_with_values(agenda, [b])[1] for b in range(agenda.algebra.size)}
 
 
 def criterion_from_aggregator(
-    aggregator: Aggregator,
-    via: Optional[Formula] = None,
-    depth: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    aggregator: Aggregator, depth: int = 1, budget: int = DEFAULT_BUDGET
 ) -> DecisionCriterion:
     """Extract the total decision criterion of a rational, universal,
     strongly systematic aggregator, and verify it is a homomorphism.
@@ -563,8 +537,8 @@ def criterion_from_aggregator(
     if not strong.holds:
         raise NotQualifyingError(f"aggregator is not strongly systematic: {strong.conflict}")
 
-    via, attitude_for = witness_attitudes(agenda, via)
-    position = agenda.index[via]
+    witness, attitude_for = witness_attitudes(agenda)
+    position = agenda.index[witness]
     values = [
         aggregator.apply(Profile(tuple(attitude_for[b] for b in coords))).values[position]
         for coords in product(range(algebra.size), repeat=n)

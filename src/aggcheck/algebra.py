@@ -400,9 +400,6 @@ class AlgebraHomomorphism:
             symbol, args = witness
             raise ValueError(f"not a homomorphism: fails at {symbol} on {args}")
 
-    def __call__(self, element: int) -> int:
-        return self.mapping[element]
-
 
 @dataclass(frozen=True)
 class DecisionCriterion:

@@ -35,21 +35,25 @@ def _expect(value: Any, kind: Union[type, tuple[type, type]], what: str):
     past the interpreter's digit limit by its digits, and any other value as JSON."""
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
-    if isinstance(value, Decimal):  # an integer literal too long to convert (see _read)
+    if isinstance(value, Decimal):  # an integer literal too long to convert (see _integer)
         limit = f" of at most {sys.get_int_max_str_digits()} digits" if kind is int else ""
         raise ValueError(f"{what} must be {_KINDS[kind]}{limit}, got {value.adjusted() + 1} digits")
     got = _KINDS[type(value)] if type(value) in (dict, list) else json.dumps(value)
     raise ValueError(f"{what} must be {_KINDS[kind]}, got {got}")
 
 
-def _read(path: PathLike) -> Any:
-    """The JSON value in a file; an integer literal too long for ``int`` is a ``Decimal``.
-    A file that is not UTF-8 JSON is an input error that names it."""
+def _integer(text: str) -> Union[int, Decimal]:
+    """An integer literal; one too long for ``int`` is a ``Decimal``."""
     limit = sys.get_int_max_str_digits()  # int() refuses longer literals; 0: no limit
+    return Decimal(text) if 0 < limit < len(text.lstrip("-")) else int(text)
+
+
+def _read(path: PathLike) -> Any:
+    """The JSON value in a file, its integer literals read by ``_integer``.
+    A file that is not UTF-8 JSON is an input error that names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_int=lambda text: (
-                Decimal(text) if 0 < limit < len(text.lstrip("-")) else int(text)))
+            return json.load(fh, parse_int=_integer)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -128,15 +132,15 @@ def _element_index(algebra: FiniteAlgebra, value: Any, what: str) -> int:
 
 def load_matrix(spec: PathLike) -> Matrix:
     """Load a matrix from a JSON file, or build a named builtin:
-    ``boolean2``, ``mv3``, ... with an optional ``-degree`` suffix."""
+    ``boolean2``, ``mv3``, ... (ASCII digits only) with an optional ``-degree`` suffix."""
     text = str(spec)
     name = text[: -len("-degree")] if text.endswith("-degree") else text
     degree = text.endswith("-degree")
     algebra = None
     if name == "boolean2":
         algebra = builtin_boolean2()
-    elif name.startswith("mv") and name[2:].isdigit():
-        algebra = builtin_mv_chain(int(name[2:]))
+    elif name.startswith("mv") and name[2:].isascii() and name[2:].isdigit():
+        algebra = builtin_mv_chain(_expect(_integer(name[2:]), int, "--logic chain size"))
     if algebra is not None:
         if degree:
             return Matrix(algebra, None, DEGREE_MODE)

@@ -291,7 +291,6 @@ class SubjunctiveReport:
     material_b: dict[str, bool]
     bottom_certified: bool
     insufficient_bound: bool
-    max_worlds: int
 
     @property
     def a_holds(self) -> bool:
@@ -356,5 +355,4 @@ def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
         material_b=material_b,
         bottom_certified=certify_implication_bottom(3),
         insufficient_bound=max_worlds < 2 and not all(condition_b.values()),
-        max_worlds=max_worlds,
     )

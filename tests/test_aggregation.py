@@ -27,7 +27,12 @@ from aggcheck.aggregation import (
     witness_attitudes,
 )
 from aggcheck.agenda import agenda_over
-from aggcheck.algebra import builtin_distributive_lattice, is_homomorphism, product_algebra
+from aggcheck.algebra import (
+    builtin_distributive_lattice,
+    is_homomorphism,
+    power_homomorphisms,
+    product_algebra,
+)
 from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import DEGREE_MODE, Matrix
@@ -183,10 +188,6 @@ class TestWitnessConstructions:
         ag = agenda_over([f(t, luk3_filter) for t in texts], luk3_filter)
         with pytest.raises(ValueError, match="does not track its variable"):
             construct(ag)
-
-    def test_via_outside_the_agenda_rejected(self, or_agenda):
-        with pytest.raises(ValueError, match="must belong to the agenda"):
-            witness_attitudes(or_agenda, via=f("(and x1 x2)", or_agenda.matrix))
 
 
 class TestCheckRationalUniversal:
@@ -344,25 +345,17 @@ class TestCharacterization:
         deltas, profile = rational_profile_with_values(mv_agenda, 2, [(1, 2)])
         assert agg.apply(profile).value(deltas[0]) == 1  # index of 1/2
 
-    def test_extraction_via_strictly_contingent_formula(self, or_agenda):
-        # uniqueness of the decision criterion: any strictly contingent
-        # witness yields the same table
-        join = f("(or x1 x2)", or_agenda.matrix)
+    def test_extraction_equals_the_systematicity_criterion(self, or_agenda):
+        # uniqueness of the decision criterion: the table read off the witness
+        # is the one map every fragment formula factors through
         for voter in range(2):
             criterion = projection_criterion(or_agenda.algebra, 2, voter)
             agg = aggregator_from_criterion(criterion, or_agenda)
-            via_default = criterion_from_aggregator(agg)
-            via_join = criterion_from_aggregator(agg, via=join)
-            assert via_default.values == via_join.values == criterion.values
-
-    def test_extraction_rejects_non_contingent_via(self, classical, boolean2):
-        ag = agenda_over(
-            [f(t, classical) for t in ("x1", "x2", "(or x1 (not x1))")], classical
-        )
-        criterion = projection_criterion(boolean2, 2, 0)
-        agg = aggregator_from_criterion(criterion, ag)
-        with pytest.raises(ValueError, match="strictly contingent"):
-            criterion_from_aggregator(agg, via=f("(or x1 (not x1))", classical))
+            extracted = criterion_from_aggregator(agg)
+            strong = check_systematicity(agg, STRONGLY_SYSTEMATIC).criterion
+            assert sorted(strong) == list(product(range(2), repeat=2))
+            assert {coords: extracted(coords) for coords in strong} == strong
+            assert extracted.values == criterion.values
 
 
 class TestRoundTrips:
@@ -385,6 +378,19 @@ class TestRoundTrips:
                 rebuilt = aggregator_from_criterion(extracted, bool_agenda)
                 for profile in profiles:
                     assert rebuilt.apply(profile).values == agg.apply(profile).values
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_values_in_another_algebra_of_the_class(self, bool_agenda, classical, boolean2, n):
+        # truth values in B4 = B2^2, an algebra of the classical matrix's class
+        # other than its own: B4^n -> B4 has (2n)^2 homomorphisms, pairs of projections
+        b4 = product_algebra(boolean2, 2)
+        agenda = agenda_over(bool_agenda.formulas, classical, b4)
+        homs = sorted(h.mapping for h in power_homomorphisms(b4, n))
+        assert len(homs) == (2 * n) ** 2
+        assert sorted(c.values for c in qualifying_criteria(agenda, n)) == homs
+        for table in homs:
+            aggregator = aggregator_from_criterion(DecisionCriterion(b4, n, table), agenda)
+            assert criterion_from_aggregator(aggregator).values == table
 
     def test_census_equals_homomorphisms(self, or_agenda):
         algebra = or_agenda.algebra

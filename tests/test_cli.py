@@ -507,6 +507,19 @@ class TestMatrixFiles:
                      ["check-agenda", "--logic", "boolean2", "--agenda", "a.json"],
                      "arity of connective 'not' must be an integer{limit}, got 5001 digits",
                      id="signature-ref-arity"),
+        pytest.param({"a.json": {"formulas": ["x1"]}},
+                     ["check-agenda", "--logic", "mv" + "9" * 5001, "--agenda", "a.json"],
+                     "--logic chain size must be an integer{limit}, got 5001 digits",
+                     id="logic-chain-size"),
+        # a chain size in other than ASCII digits names a file, read as any other
+        pytest.param({"mv\u00b2": "ARITY", "a.json": {"formulas": ["x1"]}},
+                     ["check-agenda", "--logic", "mv\u00b2", "--agenda", "a.json"],
+                     "arity of connective 'not' must be an integer{limit}, got 5001 digits",
+                     id="logic-superscript-two"),
+        pytest.param({"mv\u0663": "ARITY", "a.json": {"formulas": ["x1"]}},
+                     ["check-agenda", "--logic", "mv\u0663", "--agenda", "a.json"],
+                     "arity of connective 'not' must be an integer{limit}, got 5001 digits",
+                     id="logic-arabic-indic-three"),
     ])
     def test_integer_literal_past_the_digit_limit_names_its_field(
         self, files, argv, message, tmp_path, monkeypatch, capsys
@@ -516,7 +529,7 @@ class TestMatrixFiles:
         long_arity["algebra"]["signature"]["connectives"][0]["arity"] = "LONG"
         for name, obj in files.items():
             if obj == "ARITY":
-                obj = long_arity if name == "m.json" else long_arity["algebra"]["signature"]
+                obj = long_arity if name != "s.json" else long_arity["algebra"]["signature"]
             text = json.dumps(obj).replace('"LONG"', "9" * 5001)
             (tmp_path / name).write_text(text.replace('"-LONG"', "-" + "9" * 5001))
         monkeypatch.chdir(tmp_path)

@@ -59,8 +59,8 @@ def extraction_off_the_witness(monkeypatch):
     """The extraction reads the last agenda formula other than the witness."""
     witness_attitudes = aggregation.witness_attitudes
 
-    def misread(agenda, via=None):
-        witness, attitudes = witness_attitudes(agenda, via)
+    def misread(agenda):
+        witness, attitudes = witness_attitudes(agenda)
         return [f for f in agenda.formulas if f != witness][-1], attitudes
 
     monkeypatch.setattr(aggregation, "witness_attitudes", misread)
