@@ -184,22 +184,31 @@ def rational_attitude_with_values(
     variable at every valuation, so the returned attitude takes value a_j on
     delta_j.
     """
-    m = len(targets)
+    deltas, (attitude,) = _attitudes_with_values(agenda, len(targets), [targets])
+    return deltas, attitude
+
+
+def _attitudes_with_values(
+    agenda: Agenda, m: int, target_rows: Sequence[Sequence[int]]
+) -> tuple[tuple[Formula, ...], list[AttitudeFunction]]:
+    """The first m witnesses, checked once to track their variables, and per
+    row of m targets the attitude ``rational_attitude_with_values`` builds."""
     level, witnesses = pseudo_richness(agenda)
     if level < m:
         raise ValueError(f"agenda is only {level}-pseudo-rich, need {m}")
     size = agenda.algebra.size
-    if any(not (0 <= t < size) for t in targets):
+    if any(not (0 <= t < size) for targets in target_rows for t in targets):
         raise ValueError("targets outside the carrier")
     chosen = witnesses[:m]
     _tracking_variables(agenda, chosen)
-    valuation = {name: 0 for name in agenda.variables}
-    for (_, var), target in zip(chosen, targets):
-        valuation[var] = target
-    values = tuple(
-        evaluate(f, valuation, agenda.algebra) for f in agenda.formulas
-    )
-    return tuple(delta for delta, _ in chosen), AttitudeFunction(agenda, values)
+    attitudes = []
+    for targets in target_rows:
+        valuation = {name: 0 for name in agenda.variables}
+        for (_, var), target in zip(chosen, targets):
+            valuation[var] = target
+        values = tuple(evaluate(f, valuation, agenda.algebra) for f in agenda.formulas)
+        attitudes.append(AttitudeFunction(agenda, values))
+    return tuple(delta for delta, _ in chosen), attitudes
 
 
 def _tracking_variables(agenda: Agenda, witnesses: Sequence[tuple[Formula, str]]) -> None:
@@ -226,13 +235,8 @@ def rational_profile_with_values(
     for t in target_tuples:
         if len(t) != electorate:
             raise ValueError("each target tuple needs one entry per voter")
-    deltas: tuple[Formula, ...] = ()
-    attitudes = []
-    for voter in range(electorate):
-        deltas, attitude = rational_attitude_with_values(
-            agenda, [t[voter] for t in target_tuples]
-        )
-        attitudes.append(attitude)
+    rows = [[t[voter] for t in target_tuples] for voter in range(electorate)]
+    deltas, attitudes = _attitudes_with_values(agenda, len(target_tuples), rows)
     return deltas, Profile(tuple(attitudes))
 
 
@@ -508,11 +512,11 @@ def witness_attitudes(agenda: Agenda) -> tuple[Formula, dict[int, AttitudeFuncti
     """The first pseudo-richness witness and, for each carrier value b, the
     rational attitude that sets the witness's variable to b and every other
     variable to 0 (``rational_attitude_with_values``)."""
-    level, witnesses = pseudo_richness(agenda)
-    if not level:
+    if not pseudo_richness(agenda)[0]:
         raise ValueError("agenda is not even 1-pseudo-rich")
-    return witnesses[0][0], {
-        b: rational_attitude_with_values(agenda, [b])[1] for b in range(agenda.algebra.size)}
+    (witness,), attitudes = _attitudes_with_values(
+        agenda, 1, [[b] for b in range(agenda.algebra.size)])
+    return witness, dict(enumerate(attitudes))
 
 
 def criterion_from_aggregator(

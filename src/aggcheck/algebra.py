@@ -472,7 +472,9 @@ def search_tables(
 
     Depth-first with an explicit stack, branching on the slots in index order;
     each constraint is checked once its last slot is assigned, a run on one
-    ``args`` object sharing one index. Entering a node (giving a slot a value)
+    ``args`` object sharing one index. That last slot is found once per run of
+    constraints sharing one ``args`` object, too: ``args``'s largest slot, or
+    the constraint's ``result`` if greater. Entering a node (giving a slot a value)
     charges one work unit plus one per constraint whose last slot it is; past
     ``budget`` the search stops with a ``BudgetExceededError`` naming ``stage``.
 
@@ -484,8 +486,15 @@ def search_tables(
     lex-leader, so the list is the one the plain search finds.
     """
     by_last: list[list[tuple]] = [[] for _ in range(slots)]
+    shared, top = None, -1  # the args of the run being bucketed, and its largest slot
     for constraint in constraints:
-        by_last[max((*constraint[1], constraint[2]))].append(constraint)
+        _, args, result = constraint
+        if args is not shared:
+            shared, top = args, -1
+            for a in args:
+                if a > top:
+                    top = a
+        by_last[result if result > top else top].append(constraint)
     cost = [1 + len(bucket) for bucket in by_last]
     units = 0
     perms = [tuple(perm) for perm in symmetries]

@@ -169,6 +169,19 @@ class TestWitnessConstructions:
             assert deltas == (delta,)
             assert attitude == expected
 
+    @pytest.mark.parametrize("construct", [
+        witness_attitudes,
+        lambda agenda: rational_profile_with_values(agenda, 3, [(1, 2, 0), (0, 1, 2)]),
+    ], ids=["witness-attitudes", "profile-of-three"])
+    def test_witnesses_are_checked_once_per_construction(self, mv_agenda, monkeypatch, construct):
+        checks = []
+        track = aggregation._tracking_variables
+        monkeypatch.setattr(aggregation, "_tracking_variables",
+                            lambda *args: checks.append(track(*args)))
+        assert mv_agenda.algebra.size == 3
+        construct(mv_agenda)
+        assert len(checks) == 1
+
     def test_witness_of_a_variable_outside_the_agenda(self, luk3):
         # with every value designated, the constant 1 is interderivable with a
         # variable that occurs nowhere in the agenda, and does not track it

@@ -6,12 +6,14 @@ a key or list entry dropped, a value replaced by one of another type, by
 JSON text cut short. Every command that reads the file runs in process on
 it. Whatever the input, the exit code is 0, 1, 2 (input error) or 3 (budget
 exceeded), a refusal is one stderr line, and nothing prints a traceback or
-reports an internal error.
+reports an internal error. Agenda formulas nested around the parser's depth
+limit keep the same contract.
 """
 
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -153,6 +155,52 @@ def test_malformed_files_keep_the_exit_code_contract(directory, case):
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, text, err)
     assert "Traceback" not in err + stdout.getvalue(), (argv, text, err)
     assert "internal error" not in err, (argv, text, err)
+
+
+LEAVES = ["x1", "x2", "x3", "top", "bot", "(not x2)"]
+DEEP_COMMANDS = [["check-agenda"], ["verify-bijection", "--electorate", "1"]]
+
+
+@st.composite
+def deep_formulas(draw):
+    """A formula text nested 195 to 205 connectives deep, around the parser's
+    limit of 200 (a ``(not x2)`` leaf at the bottom adds one more): each layer
+    a ``not``, or an ``or``/``and`` with a leaf on either side, picked by a
+    drawn seed so that one example is a few draws. A third of the texts then
+    lose a character, repeat one or are cut short."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    text = rng.choice(LEAVES)
+    for _ in range(draw(st.integers(195, 205))):
+        layer = rng.choice(["not", "or", "and"])
+        if layer == "not":
+            text = f"(not {text})"
+        elif rng.random() < 0.5:
+            text = f"({layer} {text} {rng.choice(LEAVES)})"
+        else:
+            text = f"({layer} {rng.choice(LEAVES)} {text})"
+    kind = draw(st.sampled_from(["whole", "whole", "whole", "whole", "drop", "double", "cut"]))
+    if kind != "whole":
+        at = draw(st.integers(0, len(text) - 1))
+        text = {"drop": text[:at] + text[at + 1:], "double": text[:at + 1] + text[at:],
+                "cut": text[:at]}[kind]
+    return text
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(deep_formulas())
+def test_formulas_nested_around_the_depth_limit_keep_the_exit_code_contract(directory, text):
+    agenda = directory / "deep-agenda.json"
+    agenda.write_text(json.dumps({"formulas": ["x1", "x2", text]}))
+    for command in DEEP_COMMANDS:
+        argv = [*command, "--logic", "boolean2", "--agenda", str(agenda)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, text, err)
+        if code == 2:
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, text, err)
+        assert "Traceback" not in err + stdout.getvalue(), (argv, text, err)
 
 
 def test_mutations_change_a_copy_of_the_document():

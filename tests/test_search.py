@@ -6,7 +6,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aggcheck import census as census_module
 from aggcheck.agenda import agenda_over
@@ -20,6 +20,7 @@ from aggcheck.aggregation import (
 )
 from aggcheck.algebra import (
     builtin_distributive_lattice,
+    element_coordinates,
     enumerate_homomorphisms,
     power_homomorphisms,
     product_element_index,
@@ -163,6 +164,62 @@ def test_runs_of_constraints_on_one_args_object_change_nothing(search):
     assert search_tables(slots, size, shared, work) == search_tables(slots, size, constraints, work)
     with pytest.raises(BudgetExceededError, match=f"^table search: {work} work units exceed"):
         search_tables(slots, size, shared, work - 1)
+
+
+@st.composite
+def interrupted_runs(draw):
+    """A search, plain or closed under permutations, whose constraints use one
+    args object A apart (A, B, A) and then an equal tuple built separately.
+    The extra constraints repeat drawn ones, so the solutions stay the same."""
+    if draw(st.booleans()):
+        slots, size, constraints, perms = draw(symmetric_searches())
+    else:
+        (slots, size, constraints), perms = draw(searches()), []
+    assume(constraints)
+    first, other = draw(st.sampled_from(constraints)), draw(st.sampled_from(constraints))
+    table, args, result = first
+    shared = [(t, args if a == args else a, r) for t, a, r in constraints]
+    return slots, size, shared + [first, other, first, (table, tuple(list(args)), result)], perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(interrupted_runs())
+@example((2, 2, [((1,), (), 0), ((0, 1), (0,), 1), ((1,), (), 0), ((1,), (), 0)], []))
+def test_interrupted_runs_and_equal_args_objects_change_nothing(search):
+    """A run on one args object broken by another, and equal args that are
+    separate objects: the tables of a filter and the charge of a full search."""
+    slots, size, constraints, perms = search
+    brute = [
+        t for t in product(range(size), repeat=slots)
+        if all(meets(t, c, size) for c in constraints)
+    ]
+    for symmetries in ([], perms) if perms else ([],):
+        work = full_charge(slots, size, constraints, symmetries)
+        assert search_tables(slots, size, constraints, work, symmetries=symmetries) == brute
+        with pytest.raises(BudgetExceededError, match=f"^table search: {work} work units "
+                                                      f"exceed the limit of {work - 1}$"):
+            search_tables(slots, size, constraints, work - 1, symmetries=symmetries)
+
+
+@pytest.mark.parametrize("n, work", [(7, 82_814), (8, 329_470)])
+def test_power_homomorphism_search_charges_its_pinned_work(boolean2, n, work):
+    projections = sorted(tuple(element_coordinates(2, n, r)[i] for r in range(2**n))
+                         for i in range(n))
+    assert [h.mapping for h in power_homomorphisms(boolean2, n, budget=work)] == projections
+    with pytest.raises(BudgetExceededError) as refused:
+        power_homomorphisms(boolean2, n, budget=work - 1)
+    assert str(refused.value) == (
+        f"homomorphism search: {work} work units exceed the limit of {work - 1}")
+
+
+def test_census_search_charges_its_pinned_work(bool_agenda):
+    work = 11_286
+    census = [c.values for c in qualifying_criteria(bool_agenda, 4, budget=work)]
+    assert census == [projection_criterion(bool_agenda.algebra, 4, v).values for v in range(4)]
+    with pytest.raises(BudgetExceededError) as refused:
+        qualifying_criteria(bool_agenda, 4, budget=work - 1)
+    assert str(refused.value) == (
+        f"census table search: {work} work units exceed the limit of {work - 1}")
 
 
 def agenda(matrix, texts):
