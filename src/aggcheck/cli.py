@@ -186,6 +186,8 @@ def cmd_classify_dictators(args: argparse.Namespace) -> int:
 
 
 def cmd_check_subjunctive(args: argparse.Namespace) -> int:
+    if args.frame_bound < 1:
+        raise ValueError("--frame-bound must be >= 1")
     result = check_subjunctive_conditions(args.frame_bound)
     passed = (
         result.a_holds

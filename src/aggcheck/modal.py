@@ -10,7 +10,10 @@ The search, and the certificate in the frames' algebras, visit one frame per
 isomorphism class (1, 3, 16, 218 and 9,608 classes on 1 to 5 worlds). The
 search evaluates every valuation at once (a formula's value is one int per
 world, bit i set where it holds under valuation i), charging that work before
-each world count. Bound 5 runs; bound 6 (2^30 labelled frames) is refused.
+each world count. It runs up to 5 worlds; 6 (2^30 labelled frames) are
+refused. The subjunctive checks search only up to min(K, K₀), where K₀ is
+small_model_bound of the formula set (at most 2 for every set they check),
+so any frame bound K runs, at the cost of bound 2.
 """
 
 from __future__ import annotations
@@ -256,6 +259,10 @@ def is_consistent(
     Only the least frame of each isomorphism class is visited. That finds
     the same first witness: isomorphic frames satisfy the same formulas, so
     the first frame with a model is the least of its class.
+
+    The search is exhaustive up to max_worlds, with no small-model cut: it
+    is the oracle small_model_bound is checked against, and refuses
+    6 worlds or more (MAX_FRAMES).
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
@@ -282,6 +289,44 @@ def is_consistent(
                 world = next(w for w, c in enumerate(common) if c >> i & 1)
                 return True, ConsistencyWitness(_frame_from_mask(n, mask), valuation, world)
     return False, None
+
+
+def small_model_bound(formulas: Iterable[Formula]) -> int:
+    """K₀ = 1 + b + … + b^d: the formulas hold together at a world of some
+    reflexive model iff they do in one of at most K₀ worlds, where b is the
+    number of distinct box subformulas (up to syntactic equality) and d the
+    modal depth.
+
+    This is selective filtration (Blackburn, de Rijke and Venema, *Modal
+    Logic*, CUP 2001, ch. 2). Unravel the model into a tree, each node with
+    its loop, so a node's successors are itself and its children. Keep the
+    root; at each kept node keep, for every box subformula false there, one
+    child where its body fails; stop at depth d. Every node at depth i keeps
+    the truth of each subformula of modal depth at most d - i, so the
+    formulas still hold at the root, and the kept tree has at most b
+    children per node. As is_consistent scans world counts upwards, its
+    verdict and first witness at bound K and at min(K, K₀) agree.
+
+    Boxes nested inside other boxes count in b: a root can need witnesses
+    for them through its own loop.
+    """
+    formulas = tuple(formulas)
+    names = variables_of(*formulas)
+    steps, _ = _program_steps(formulas, names)
+    classes: dict = {}  # (connective, argument classes) -> class: equal subformulas share one
+    slot_class = list(range(len(names)))  # a program slot's class; a variable is its own
+    slot_depth = [0] * len(names)  # a program slot's modal depth
+    boxes = 0
+    for symbol, args in steps:
+        structure = (symbol, *[slot_class[a] for a in args])
+        boxed = symbol == "box"
+        if structure not in classes:
+            classes[structure] = len(names) + len(classes)
+            boxes += boxed
+        slot_class.append(classes[structure])
+        slot_depth.append(max([slot_depth[a] for a in args], default=0) + boxed)
+    depth = max(slot_depth, default=0)
+    return sum(boxes ** i for i in range(depth + 1))
 
 
 @dataclass(frozen=True)
@@ -327,9 +372,12 @@ def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
     consistent with all four sign patterns. With one world, box collapses to
     the identity and condition b cannot be exhibited; the report flags the
     bound as insufficient in that case.
+
+    Each set is searched up to min(max_worlds, small_model_bound(set)),
+    which gives the verdicts of the search up to max_worlds. Every set here
+    has at most one box, at modal depth 1, so no search goes past 2 worlds
+    and any bound runs.
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be >= 1")
     p, q = Var("p"), Var("q")
     np_, nq = App("not", (p,)), App("not", (q,))
     sides = {"p,q": (p, q), "p,not q": (p, nq), "not p,q": (np_, q), "not p,not q": (np_, nq)}
@@ -337,7 +385,8 @@ def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
     mat = material_implication(p, q)
 
     def consistent(formula: Formula, label: str) -> bool:
-        return is_consistent([formula, *sides[label]], max_worlds)[0]
+        formulas = [formula, *sides[label]]
+        return is_consistent(formulas, min(max_worlds, small_model_bound(formulas)))[0]
 
     condition_a = {"inconsistent with p,not q": not consistent(subj, "p,not q")}
     for label in ("p,q", "not p,q", "not p,not q"):

@@ -270,6 +270,18 @@ class TestCheckSubjunctive:
         assert report["b"] == "fail"
         assert report["insufficient_bound"] is True
 
+    @pytest.mark.parametrize("bound", ["6", "200"])
+    def test_bounds_past_the_frame_cap_give_bound_five_verdicts(self, tmp_path, bound):
+        # the searches stop at the small-model bound, so MAX_FRAMES is never reached
+        def verdicts(k):
+            out = tmp_path / f"k{k}.json"
+            assert main(["check-subjunctive", "--frame-bound", k, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            del report["config"]
+            return report
+
+        assert verdicts(bound) == verdicts("5")
+
 
 class TestCheckSelfext:
     def test_classical_passes(self):
@@ -693,7 +705,7 @@ class TestErrorPaths:
             "exceed the limit of 100000000\n"
         )
 
-    @pytest.mark.parametrize("bound, frames", [("6", "1073741824"), ("200", "2^39800")])
-    def test_frame_bound_budget_exit_code(self, bound, frames, capsys):
-        assert main(["check-subjunctive", "--frame-bound", bound]) == 3
-        assert f"{frames} reflexive frames" in capsys.readouterr().err
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_frame_bound_below_one_names_the_option(self, bound, capsys):
+        assert main(["check-subjunctive", "--frame-bound", bound]) == 2
+        assert capsys.readouterr().err == "input error: --frame-bound must be >= 1\n"

@@ -135,6 +135,8 @@ def _cases() -> dict[str, list[str]]:
         "check-subjunctive-k3": ["check-subjunctive", "--frame-bound", "3"],
         "check-subjunctive-k4": ["check-subjunctive", "--frame-bound", "4"],
         "check-subjunctive-k5": ["check-subjunctive", "--frame-bound", "5"],
+        "check-subjunctive-k6": ["check-subjunctive", "--frame-bound", "6"],
+        "check-subjunctive-k1000": ["check-subjunctive", "--frame-bound", "1000"],
         "check-selfext-boolean2-v2-d2": [
             "check-selfext", "--logic", "boolean2", "--variables", "2", "--depth", "2"],
         "check-selfext-boolean2-v3-d2": [

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -14,6 +15,7 @@ from aggcheck.modal import (
     is_consistent,
     material_implication,
     reflexive_frames,
+    small_model_bound,
     subjunctive_implication,
     _class_successors,
     _frame_classes,
@@ -199,6 +201,64 @@ class TestIsConsistent:
         assert _variable_worlds(worlds, count) == expected
 
 
+def random_modal_formula(rng, depth):
+    """A formula over p and q with at most ``depth`` nested connectives."""
+    if depth == 0 or rng.random() < 0.3:
+        return Var(rng.choice("pq"))
+    symbol = rng.choice(["not", "box", "box", "or", "and"])
+    arity = 2 if symbol in ("or", "and") else 1
+    return App(symbol, tuple(random_modal_formula(rng, depth - 1) for _ in range(arity)))
+
+
+class TestSmallModelBound:
+    @pytest.mark.parametrize("texts, bound", [
+        ([], 1),
+        (["p", "(not (or p q))"], 1),  # no box: one world decides it
+        (["(box p)"], 2),
+        (["(box (box p))"], 1 + 2 + 4),  # b = 2 (box p counts too), d = 2
+        (["(box p)", "(not (box q))"], 3),  # two distinct boxes at depth 1
+        (["(box p)", "(not (box p))", "(or q (box p))"], 2),  # one box, counted once
+    ])
+    def test_hand_cases(self, texts, bound):
+        assert small_model_bound([mf(t) for t in texts]) == bound
+
+    def test_nested_boxes_count_although_one_box_is_outermost(self):
+        # one outermost box at depth 2, yet the least model has 4 worlds: the
+        # witness for the outer box needs a successor for each of not p and
+        # not q, and box (or p q) keeps the root out of its successors. A bound
+        # that counted outermost boxes only (1 + 1 + 1 = 3) would be unsound.
+        body = "(or (not p) (or (not q) (or (box p) (or (box q) (not (box (or p q)))))))"
+        formulas = [mf("(not p)"), mf("(not q)"), mf(f"(not (box {body}))")]
+        assert is_consistent(formulas, 3) == (False, None)
+        ok, witness = is_consistent(formulas, 4)
+        assert ok and witness.frame.worlds == 4
+        assert small_model_bound(formulas) == 1 + 4 + 16
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        chain = Var("p")
+        for _ in range(1500):
+            chain = App("box", (chain,))
+        assert small_model_bound([chain]) == sum(1500 ** i for i in range(1501))
+
+    def test_subjunctive_condition_sets_need_two_worlds_at_most(self):
+        p, q = Var("p"), Var("q")
+        subj = subjunctive_implication(p, q)
+        assert small_model_bound([subj, p, App("not", (q,))]) == 2
+        assert small_model_bound([App("not", (subj,)), p, q]) == 2
+        assert small_model_bound([App("not", (material_implication(p, q),)), p, q]) == 1
+
+    def test_the_bound_keeps_verdict_and_witness_on_random_sets(self):
+        rng = random.Random(21)
+        cut = 0
+        for _ in range(300):
+            formulas = [random_modal_formula(rng, 3) for _ in range(rng.randint(1, 3))]
+            bound = rng.randint(1, 4)
+            small = min(bound, small_model_bound(formulas))
+            cut += small < bound
+            assert is_consistent(formulas, bound) == is_consistent(formulas, small), formulas
+        assert cut == 110  # the cases where the bound is below the search's
+
+
 def brute_orbit_minima(worlds):
     """Each labelled mask's least image over all world permutations."""
     off = [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
@@ -302,6 +362,10 @@ class TestConditions:
         assert not mat_consistent(0, 0, (True, True))
         assert not mat_consistent(0, 0, (False, True))
         assert not mat_consistent(0, 0, (False, False))
+
+    def test_bound_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_worlds must be >= 1"):
+            check_subjunctive_conditions(0)
 
     def test_bound_one_flags_insufficient(self):
         report = check_subjunctive_conditions(1)
