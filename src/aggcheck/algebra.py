@@ -94,8 +94,6 @@ class FiniteAlgebra:
     ) -> tuple[int, ...]:
         """The connective's table applied coordinatewise to argument vectors."""
         table = self.tables[symbol]
-        if len(args) == 1:
-            return tuple([table[a] for a in args[0]])
         index = args[0] if args else (0,) * width
         for arg in args[1:]:  # row-major table index, coordinatewise
             index = [i * self.size + a for i, a in zip(index, arg)]

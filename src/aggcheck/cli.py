@@ -36,7 +36,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL_ERROR = 4
 
-COUNT_FLAGS = ("budget", "variables")  # counts of something, so never negative
+# each count option's least value, checked before any file is read
+COUNT_MINIMUMS = {"budget": 0, "variables": 0, "depth": 0, "electorate": 1, "frame_bound": 1}
 BUDGET_HELP = "work units any stage may charge (default 10^8)"
 
 
@@ -186,8 +187,6 @@ def cmd_classify_dictators(args: argparse.Namespace) -> int:
 
 
 def cmd_check_subjunctive(args: argparse.Namespace) -> int:
-    if args.frame_bound < 1:
-        raise ValueError("--frame-bound must be >= 1")
     result = check_subjunctive_conditions(args.frame_bound)
     passed = (
         result.a_holds
@@ -344,9 +343,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in COUNT_FLAGS:
-            if getattr(args, name, 0) < 0:
-                raise ValueError(f"--{name} must be >= 0")
+        for name, least in COUNT_MINIMUMS.items():
+            if getattr(args, name, least) < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

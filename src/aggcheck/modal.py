@@ -24,8 +24,8 @@ from itertools import permutations
 from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _program_steps, element_coordinates, refuse,
-                      truth_vector)
+from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _program_steps, _variable_vectors,
+                      element_coordinates, refuse, truth_vector)
 from .syntax import App, Formula, Signature, Var, variables_of
 
 MODAL_SIGNATURE = Signature(
@@ -174,16 +174,10 @@ def _frame_classes(worlds: int) -> tuple[int, ...]:
 def _class_successors(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """Each class representative's mask with every world's successors
     (itself included), in _frame_classes order."""
-    width = worlds - 1  # bits w*width .. (w+1)*width - 1 of a mask: the pairs (w, b)
-    # per world, each value of its bits -> its successors
-    tables = []
-    for w in range(worlds):
-        others = [b for b in range(worlds) if b != w]
-        tables.append([(w, *(b for j, b in enumerate(others) if bits >> j & 1))
-                       for bits in range(1 << width)])
-    ones = (1 << width) - 1
+    off = _off_diagonal(worlds)
     return tuple(
-        (mask, tuple(table[mask >> w * width & ones] for w, table in enumerate(tables)))
+        (mask, tuple((w, *[b for i, (a, b) in enumerate(off) if a == w and mask >> i & 1])
+                     for w in range(worlds)))
         for mask in _frame_classes(worlds)
     )
 
@@ -192,18 +186,12 @@ def _class_successors(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ..
 def _variable_worlds(worlds: int, count: int) -> tuple[tuple[int, ...], ...]:
     """Per variable and world, the valuations (bit i: the i-th in
     all_valuations order over the frame algebra) whose value for the
-    variable contains the world. For variable v and world w those are the i
-    with bit b = worlds·(count−1−v) + w set: 2^b clear bits then 2^b set
-    bits, repeated over all 2^(worlds·count) valuations."""
-    def bits(b: int) -> int:
-        half = 1 << b
-        pattern, width = ((1 << half) - 1) << half, 2 * half
-        while width < 1 << worlds * count:  # doubling the copies each time
-            pattern, width = pattern | pattern << width, 2 * width
-        return pattern
-
-    return tuple(tuple(bits(worlds * (count - 1 - v) + w) for w in range(worlds))
-                 for v in range(count))
+    variable contains the world."""
+    return tuple(
+        tuple(int("".join("01"[value >> w & 1] for value in reversed(vector)), 2)
+              for w in range(worlds))
+        for vector in _variable_vectors(1 << worlds, count)
+    )
 
 
 # Bit-sliced connectives: a value is one int per world, bit i set where the

@@ -425,6 +425,21 @@ MISSHAPEN_MATRICES = [
     pytest.param(replaced("designated", value=["2"]),
                  'matrix designated value "2" is not a carrier label (carrier ["0", "1"])',
                  id="designated-unknown-label"),
+    pytest.param(replaced("designated", value=[2]),
+                 "designated values outside the carrier", id="designated-index-outside"),
+    pytest.param(replaced("algebra", "carrier", value=[]),
+                 "carrier must be nonempty", id="empty-carrier"),
+    pytest.param(replaced("algebra", "order", value=[[0, 1], [1, 1]]),
+                 "order not reflexive", id="order-not-reflexive"),
+    pytest.param(replaced("algebra", "order", value=[[0, 0], [0, 1], [1, 0], [1, 1]]),
+                 "order not antisymmetric", id="order-not-antisymmetric"),
+    # two elements cannot break transitivity alone: a three-element chain missing 0 <= 2
+    pytest.param(replaced("algebra", value={
+        "signature": {"connectives": [{"name": "not", "arity": 1}]},
+        "carrier": ["0", "1", "2"],
+        "ops": {"not": [2, 1, 0]},
+        "order": [[0, 0], [1, 1], [2, 2], [0, 1], [1, 2]],
+    }), "order not transitive", id="order-not-transitive"),
 ]
 
 MISSHAPEN_INPUTS = [
@@ -438,6 +453,14 @@ MISSHAPEN_INPUTS = [
                  id="missing-formulas"),
     pytest.param("--agenda", {"signature_ref": 5, "formulas": ["x1"]},
                  "agenda signature_ref must be a string, got 5", id="signature-ref-not-a-string"),
+    pytest.param("--agenda", {"formulas": [""]}, "unexpected end of input (at position 0)",
+                 id="empty-formula"),
+    pytest.param("--agenda", {"formulas": [")"]}, "unexpected ')' (at position 0)",
+                 id="formula-closing-paren"),
+    pytest.param("--agenda", {"formulas": ["(("]}, "expected connective symbol (at position 1)",
+                 id="formula-no-connective"),
+    pytest.param("--agenda", {"formulas": ["1x"]}, "invalid variable name '1x' (at position 0)",
+                 id="formula-bad-variable"),
     pytest.param("--criterion", [1], "criterion must be an object, got a list",
                  id="criterion-list"),
     pytest.param("--criterion", {"electorate": 1, "values": None},
@@ -673,16 +696,23 @@ class TestErrorPaths:
             "budget exceeded: homomorphism search: 11 work units exceed the limit of 5\n"
         )
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["check-selfext", "--logic", "boolean2", "--variables", "-2"], "--variables"),
+    @pytest.mark.parametrize("argv, message", [
+        (["check-selfext", "--logic", "boolean2", "--variables", "-2"], "--variables must be >= 0"),
         (["enumerate-homs", "--logic", "boolean2", "--electorate", "2", "--budget", "-1"],
-         "--budget"),
+         "--budget must be >= 0"),
         (["verify-bijection", "--logic", "boolean2", "--agenda", "unread.json",
-          "--electorate", "2", "--budget", "-1"], "--budget"),
+          "--electorate", "2", "--budget", "-1"], "--budget must be >= 0"),
+        (["check-selfext", "--logic", "boolean2", "--depth", "-1"], "--depth must be >= 0"),
+        (["verify-bijection", "--logic", "boolean2", "--agenda", "unread.json",
+          "--electorate", "2", "--depth", "-1"], "--depth must be >= 0"),
+        (["enumerate-homs", "--logic", "boolean2", "--electorate", "-1"],
+         "--electorate must be >= 1"),
+        (["verify-bijection", "--logic", "boolean2", "--agenda", "unread.json",
+          "--electorate", "0"], "--electorate must be >= 1"),
     ])
-    def test_negative_count_is_an_input_error(self, argv, flag, capsys):
+    def test_negative_count_is_an_input_error(self, argv, message, capsys):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"input error: {flag} must be >= 0\n"
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_zero_budget_is_a_budget(self, capsys):
         assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "2",
@@ -693,7 +723,7 @@ class TestErrorPaths:
 
     def test_empty_electorate_is_an_input_error(self, capsys):
         assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "0"]) == 2
-        assert capsys.readouterr().err == "input error: power must be >= 1\n"
+        assert capsys.readouterr().err == "input error: --electorate must be >= 1\n"
 
     def test_closure_budget_exit_code(self, tmp_path, capsys):
         path = tmp_path / "agenda.json"

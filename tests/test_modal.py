@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from aggcheck.algebra import _variable_vectors, evaluate
+from aggcheck.algebra import element_coordinates, evaluate
 from aggcheck.errors import BudgetExceededError
 
 from aggcheck.modal import (
@@ -193,11 +193,13 @@ class TestIsConsistent:
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_variable_bitsets_match_the_valuation_vectors(self, worlds, count):
         # reference: bit i set where variable v's value under valuation i contains the world
-        def bits(vector, w):
-            return int("".join("1" if value >> w & 1 else "0" for value in reversed(vector)), 2)
-
-        expected = tuple(tuple(bits(vector, w) for w in range(worlds))
-                         for vector in _variable_vectors(1 << worlds, count))
+        size = 1 << worlds
+        valuations = [element_coordinates(size, count, i) for i in range(size**count)]
+        expected = tuple(
+            tuple(sum(1 << i for i, values in enumerate(valuations) if values[v] >> w & 1)
+                  for w in range(worlds))
+            for v in range(count)
+        )
         assert _variable_worlds(worlds, count) == expected
 
 
@@ -259,9 +261,14 @@ class TestSmallModelBound:
         assert cut == 110  # the cases where the bound is below the search's
 
 
+def mask_pairs(worlds):
+    """The pairs of distinct worlds, bit i of a mask standing for the i-th."""
+    return [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
+
+
 def brute_orbit_minima(worlds):
     """Each labelled mask's least image over all world permutations."""
-    off = [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
+    off = mask_pairs(worlds)
     bit = {pair: i for i, pair in enumerate(off)}
     masks = 1 << len(off)
     minima = list(range(masks))
@@ -285,6 +292,16 @@ class TestFrameClasses:
         minima = brute_orbit_minima(worlds)
         expected = tuple(m for m, least in enumerate(minima) if least == m)
         assert _frame_classes(worlds) == expected
+
+    @pytest.mark.parametrize("worlds", [1, 2, 3, 4, 5])
+    def test_class_successors_read_the_mask_pairs(self, worlds):
+        off = mask_pairs(worlds)
+        expected = []
+        for mask in _frame_classes(worlds):
+            relation = {pair for i, pair in enumerate(off) if mask >> i & 1}
+            expected.append((mask, tuple((w, *sorted(b for a, b in relation if a == w))
+                                         for w in range(worlds))))
+        assert _class_successors(worlds) == tuple(expected)
 
     def test_sliced_box_matches_frame_algebra(self):
         box = _sliced_program([mf("(box p)")], ["p"])
