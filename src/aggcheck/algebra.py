@@ -7,13 +7,14 @@ computation is exact integer table lookup.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, combinations_with_replacement, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -28,6 +29,20 @@ MAX_POWER_SIZE = 10_000  # most elements of a power that product_algebra builds
 # Most constraints a table search is handed: each costs about 128 bytes once
 # bucketed, so the cap bounds the search's memory as the budget bounds its time.
 MAX_CONSTRAINTS = 2_000_000
+
+
+@contextmanager
+def paused_collector():
+    """Pause the cyclic garbage collector for the block, then leave it as it was.
+    A search's constraints are tuples that stay tracked and make no cycle, so full
+    collections as they pile up would free nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -548,6 +563,13 @@ def search_tables(
     return _close_under(found, perms) if perms else found
 
 
+def _commutative(table: Sequence[int], size: int, arity: int) -> bool:
+    """Whether a connective's table on ``size`` elements is binary and gives the
+    arguments (a, b) and (b, a) one value: row a equals column a, for every a."""
+    return arity == 2 and all(table[a::size] == table[a * size:(a + 1) * size]
+                              for a in range(size))
+
+
 def enumerate_homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
@@ -556,32 +578,44 @@ def enumerate_homomorphisms(
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms source -> target, in lexicographic table order: the table
     search over the source operations' equations, argument tuple by argument tuple.
+    A binary connective commutative in both algebras has the same equation at (a, b)
+    and (b, a) (one result slot, one target entry), so only a <= b is handed on.
     ``symmetries`` are automorphisms of ``source`` (as tables of its elements' images),
     which map homomorphisms to homomorphisms; the search keeps one table per orbit
     and expands the orbits, and every table found is re-checked."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
-    by_arity: dict[int, list[tuple]] = {}  # arity -> (target, source) tables of its connectives
+    n = source.size
+    # (arity, commutative in both) -> the (target, source) tables of its connectives
+    groups: dict[tuple[int, bool], list[tuple]] = {}
     for symbol, arity in source.signature.connectives:
-        by_arity.setdefault(arity, []).append((target.tables[symbol], source.tables[symbol]))
-    runs = []  # each argument tuple's equations together, one per connective of its arity
-    for arity, pairs in by_arity.items():
-        rows = list(product(range(source.size), repeat=arity))
-        runs.append(chain.from_iterable(zip(*(zip(repeat(table), rows, values)
-                                              for table, values in pairs))))
-    equations = chain.from_iterable(runs)
-    return [
-        AlgebraHomomorphism(source, target, mapping)
-        for mapping in search_tables(source.size, target.size, equations, budget,
-                                     stage="homomorphism search", symmetries=symmetries)
-    ]
+        image, table = target.tables[symbol], source.tables[symbol]
+        commutative = _commutative(image, target.size, arity) and _commutative(table, n, arity)
+        groups.setdefault((arity, commutative), []).append((image, table))
+    runs = []  # each argument tuple's equations together, one per connective of its group
+    for (arity, commutative), pairs in groups.items():
+        if commutative:
+            rows = list(combinations_with_replacement(range(n), 2))
+            pairs = [(image, [table[a * n + b] for a, b in rows]) for image, table in pairs]
+        else:
+            rows = list(product(range(n), repeat=arity))
+        runs.append(chain.from_iterable(zip(*(zip(repeat(image), rows, values)
+                                              for image, values in pairs))))
+    with paused_collector():
+        found = search_tables(n, target.size, chain.from_iterable(runs), budget,
+                              stage="homomorphism search", symmetries=symmetries)
+    return [AlgebraHomomorphism(source, target, mapping) for mapping in found]
 
 
 def refuse_power_past_the_caps(algebra: FiniteAlgebra, n: int) -> None:
-    """Refuse algebra^n unbuilt when it is too large, or has more
-    homomorphism equations than ``MAX_CONSTRAINTS``."""
+    """Refuse algebra^n unbuilt when it is too large, or has more homomorphism
+    equations than ``MAX_CONSTRAINTS``: those ``enumerate_homomorphisms`` hands the
+    search, one per unordered argument pair of a commutative binary connective (a
+    connective of the power is commutative exactly when the base's is)."""
     power = _power_size(algebra.size, n)
-    equations = sum(power**arity for _, arity in algebra.signature.connectives)
+    equations = sum(
+        power * (power + 1) // 2 if _commutative(algebra.tables[symbol], algebra.size, arity)
+        else power**arity for symbol, arity in algebra.signature.connectives)
     refuse(MAX_CONSTRAINTS, f"homomorphism search of {algebra.name or 'algebra'}^{n}",
            (equations, "equations"))
 

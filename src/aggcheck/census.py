@@ -13,7 +13,6 @@ built here and shared with the aggregator checks in ``aggregation``.
 
 from __future__ import annotations
 
-import gc
 from collections import defaultdict
 from functools import lru_cache
 from itertools import product
@@ -25,6 +24,7 @@ from .algebra import (
     MAX_CONSTRAINTS,
     DecisionCriterion,
     closure_vectors,
+    paused_collector,
     product_element_index,
     refuse,
     search_tables,
@@ -136,17 +136,12 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     agenda_columns = [fragment.index(formula) for formula in agenda.formulas]
     slot: dict[int, int] = {}  # voter tuple -> search slot, by first appearance
     constraints = []
-    collecting = gc.isenabled()  # each constraint holds a dict, so stays tracked: full
-    gc.disable()  # collections as they pile up would free nothing (no cycle is made)
-    try:
+    with paused_collector():  # each constraint holds a dict, so stays tracked
         for ranks in _voter_ranks(size, electorate, extensions):  # the round trips' table
             # the output attitude is the criterion at each agenda formula's voter tuple
             args = tuple(slot.setdefault(ranks[c], len(slot)) for c in agenda_columns)
             for c, table in zip(first_column.values(), tables):
                 constraints.append((table, args, slot.setdefault(ranks[c], len(slot))))
-    finally:
-        if collecting:
-            gc.enable()
     for voters in range(size**electorate):  # tuples no profile attains
         slot.setdefault(voters, len(slot))
     return constraints, [slot[voters] for voters in range(size**electorate)]

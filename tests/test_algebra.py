@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggcheck.algebra import (
     AlgebraHomomorphism,
@@ -310,6 +310,58 @@ class TestHomomorphisms:
         p = product_algebra(boolean2, 3)
         with pytest.raises(BudgetExceededError):
             enumerate_homomorphisms(p, boolean2, budget=10)
+
+
+HALVING_SIGNATURE = Signature((("f", 1), ("g", 2), ("h", 2)))
+
+
+def binary_algebra(f, g, h):
+    """An algebra over one unary and two binary connectives, on as many elements as ``f`` has."""
+    return FiniteAlgebra(HALVING_SIGNATURE, tuple("abc"[:len(f)]),
+                         (("f", tuple(f)), ("g", tuple(g)), ("h", tuple(h))))
+
+
+@st.composite
+def binary_tables(draw, size):
+    """A binary table drawn commutative, or made not commutative at (0, 1) and (1, 0)."""
+    cells = draw(st.lists(st.integers(0, size - 1), min_size=size**2, max_size=size**2))
+    if draw(st.booleans()):
+        return [cells[min(a, b) * size + max(a, b)] for a in range(size) for b in range(size)]
+    if cells[1] == cells[size]:
+        cells[1] = (cells[size] + 1) % size
+    return cells
+
+
+@st.composite
+def binary_algebras(draw):
+    size = draw(st.integers(2, 3))
+    f = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    return binary_algebra(f, draw(binary_tables(size)), draw(binary_tables(size)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(binary_algebras(), binary_algebras())
+@example(binary_algebra([0, 0], [0, 1, 1, 1], [0, 1, 1, 0]),  # g commutative in the source only
+         binary_algebra([0, 0], [0, 1, 0, 1], [0, 1, 1, 0]))
+@example(binary_algebra([0, 1], [1, 1, 0, 1], [1, 0, 1, 1]),  # g commutative in the target only
+         binary_algebra([0, 1], [1, 1, 1, 1], [1, 0, 1, 1]))
+def test_homomorphisms_equal_a_filter_of_every_map(source, target):
+    """Every map that meets each equation at every argument tuple, commutative or not."""
+    brute = []
+    for mapping in product(range(target.size), repeat=source.size):
+        holds = True
+        for symbol, arity in source.signature.connectives:
+            table, image = source.tables[symbol], target.tables[symbol]
+            for args in product(range(source.size), repeat=arity):
+                index = image_index = 0
+                for a in args:
+                    index = index * source.size + a
+                    image_index = image_index * target.size + mapping[a]
+                if mapping[table[index]] != image[image_index]:
+                    holds = False
+        if holds:
+            brute.append(mapping)
+    assert [h.mapping for h in enumerate_homomorphisms(source, target)] == brute
 
 
 counts = st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 9), st.integers(0, 4)))

@@ -180,7 +180,7 @@ class TestVerifyBijection:
 
     @pytest.mark.parametrize("logic, formulas, electorate", [
         ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 9),  # census constraints
-        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 10),  # homomorphism equations
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 11),  # homomorphism equations
         ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 14),  # power size
         ("mv3-degree", ["x1", "x2", "(oplus x1 x2)"], 6),  # census constraints
     ])
@@ -642,12 +642,12 @@ class TestErrorPaths:
 
         monkeypatch.setattr("aggcheck.algebra.product_algebra", unbuilt)
         monkeypatch.setattr("aggcheck.cli.product_algebra", unbuilt, raising=False)
-        argv = [command, "--logic", "boolean2", "--electorate", "10"]
+        argv = [command, "--logic", "boolean2", "--electorate", "11"]
         if command == "verify-bijection":
             argv += ["--agenda", bool_agenda_file]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: homomorphism search of boolean2^10: 2098178 equations "
+            "budget exceeded: homomorphism search of boolean2^11: 4198402 equations "
             "exceed the limit of 2000000\n"
         )
 
@@ -665,7 +665,7 @@ class TestErrorPaths:
         # mv10^4 has 10^10000 maps into mv10; the equation cap refuses it unbuilt
         assert main(["enumerate-homs", "--logic", "mv10", "--electorate", "4"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: homomorphism search of lukasiewicz10^4: 300010002 equations "
+            "budget exceeded: homomorphism search of lukasiewicz10^4: 200020002 equations "
             "exceed the limit of 2000000\n"
         )
 
@@ -689,11 +689,11 @@ class TestErrorPaths:
 
     def test_search_budget_is_charged_during_the_search(self, capsys):
         # slot 0 carries bot, (and 0 0) and (or 0 0): 1 + 3 units; slot 1 the
-        # six and/or equations on elements 0 and 1: 1 + 6 more, past 5
+        # four and/or equations on elements 0 and 1: 1 + 4 more, past 5
         assert main(["enumerate-homs", "--logic", "boolean2", "--electorate", "3",
                      "--budget", "5"]) == 3
         assert capsys.readouterr().err == (
-            "budget exceeded: homomorphism search: 11 work units exceed the limit of 5\n"
+            "budget exceeded: homomorphism search: 9 work units exceed the limit of 5\n"
         )
 
     @pytest.mark.parametrize("argv, message", [

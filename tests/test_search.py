@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from aggcheck import algebra as algebra_module
 from aggcheck import census as census_module
 from aggcheck.agenda import agenda_over
 from aggcheck.aggregation import (
@@ -201,7 +202,7 @@ def test_interrupted_runs_and_equal_args_objects_change_nothing(search):
             search_tables(slots, size, constraints, work - 1, symmetries=symmetries)
 
 
-@pytest.mark.parametrize("n, work", [(7, 82_814), (8, 329_470)])
+@pytest.mark.parametrize("n, work", [(7, 42_112), (8, 166_144)])
 def test_power_homomorphism_search_charges_its_pinned_work(boolean2, n, work):
     projections = sorted(tuple(element_coordinates(2, n, r)[i] for r in range(2**n))
                          for i in range(n))
@@ -295,6 +296,51 @@ def test_census_leaves_the_garbage_collector_as_it_found_it(bool_agenda):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def spy_on_the_homomorphism_search(monkeypatch):
+    """Each later homomorphism search's (collector enabled, constraints handed), in a list."""
+    calls = []
+
+    def spy(slots, size, constraints, budget, stage, symmetries=()):
+        constraints = list(constraints)
+        calls.append((gc.isenabled(), len(constraints)))
+        return search_tables(slots, size, constraints, budget, stage, symmetries=symmetries)
+
+    monkeypatch.setattr(algebra_module, "search_tables", spy)
+    return calls
+
+
+def test_homomorphism_search_leaves_the_garbage_collector_as_it_found_it(boolean2, monkeypatch):
+    calls = spy_on_the_homomorphism_search(monkeypatch)
+    assert gc.isenabled()
+    power_homomorphisms(boolean2, 2)
+    assert gc.isenabled()
+    with pytest.raises(BudgetExceededError):
+        power_homomorphisms(boolean2, 2, budget=0)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        power_homomorphisms(boolean2, 2)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert [collecting for collecting, _ in calls] == [False] * 3  # paused while searching
+
+
+@pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4)]
+                         + [(logic, n) for logic in ("luk3", "diamond") for n in (1, 2, 3)])
+def test_the_equation_cap_counts_the_equations_the_search_is_handed(logic, n, monkeypatch,
+                                                                     request):
+    algebra = diamond_matrix().algebra if logic == "diamond" else request.getfixturevalue(logic)
+    calls = spy_on_the_homomorphism_search(monkeypatch)
+    power_homomorphisms(algebra, n)
+    monkeypatch.setattr(algebra_module, "MAX_CONSTRAINTS", 0)  # the cap's count, in its refusal
+    with pytest.raises(BudgetExceededError) as refused:
+        power_homomorphisms(algebra, n)
+    [(_, handed)] = calls
+    assert str(refused.value) == (f"homomorphism search of {algebra.name}^{n}: "
+                                  f"{handed} equations exceed the limit of 0")
 
 
 def test_census_of_a_24_formula_agenda(classical):
@@ -412,14 +458,22 @@ def test_census_finds_the_same_tables_with_and_without_voter_swaps(logic, texts,
     assert symmetric == search_tables(len(slot_of), size, constraints, 10**8)
 
 
+# past this many work units a homomorphism search counts as refused (the diamond's
+# fifth power, whose symmetric search takes seconds); the plain search enters every
+# node the symmetric one does, so it must refuse too
+HOMS_WORK = 5 * 10**6
+
+
 @pytest.mark.parametrize("logic", ["classical", "luk3_filter", "diamond"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_homomorphisms_are_the_same_with_and_without_coordinate_swaps(logic, n, request):
     matrix = diamond_matrix() if logic == "diamond" else request.getfixturevalue(logic)
     algebra = matrix.algebra
     try:
-        symmetric = [h.mapping for h in power_homomorphisms(algebra, n)]
+        symmetric = [h.mapping for h in power_homomorphisms(algebra, n, budget=HOMS_WORK)]
     except BudgetExceededError:
-        return  # refused unbuilt, before either search
+        with pytest.raises(BudgetExceededError):
+            enumerate_homomorphisms(shared_power(algebra, n), algebra, budget=HOMS_WORK)
+        return
     plain = [h.mapping for h in enumerate_homomorphisms(shared_power(algebra, n), algebra)]
     assert symmetric == plain
