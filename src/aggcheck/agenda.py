@@ -24,10 +24,9 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Agenda:
-    """A finite set of well-formed formulas over a shared signature."""
+    """A finite set of well-formed formulas over its matrix's signature."""
 
     formulas: tuple[Formula, ...]
-    signature: Signature
     matrix: Matrix
     algebra: FiniteAlgebra
 
@@ -36,10 +35,12 @@ class Agenda:
             raise ValueError("agenda formulas must be distinct")
         for f in self.formulas:
             validate_formula(f, self.signature)
-        if self.matrix.algebra.signature != self.signature:
-            raise ValueError("matrix signature differs from the agenda's")
         if self.algebra.signature != self.signature:
             raise ValueError("algebra signature differs from the agenda's")
+
+    @property
+    def signature(self) -> Signature:
+        return self.matrix.algebra.signature
 
     @cached_property
     def index(self) -> dict[Formula, int]:
@@ -56,11 +57,9 @@ class Agenda:
 def agenda_over(
     formulas, matrix: Matrix, algebra: Optional[FiniteAlgebra] = None
 ) -> Agenda:
-    """Convenience constructor: signature and truth-value algebra default to
-    the matrix's."""
+    """Convenience constructor: the truth-value algebra defaults to the matrix's."""
     return Agenda(
         formulas=tuple(formulas),
-        signature=matrix.algebra.signature,
         matrix=matrix,
         algebra=algebra if algebra is not None else matrix.algebra,
     )

@@ -201,6 +201,8 @@ def truth_vectors(
 ) -> list[Vector]:
     """Each formula's truth vector over ``variables``, bottom-up over their distinct subformulas."""
     steps, outputs = _program_steps(formulas, variables)
+    refuse(DEFAULT_BUDGET, "truth vectors", (len(variables) + len(steps), "vectors"),
+           ((algebra.size, len(variables)), "valuations"))  # a memory bound: no caller's budget
     width = algebra.size ** len(variables)
     vectors = list(_variable_vectors(algebra.size, len(variables)))
     for symbol, args in steps:
@@ -440,7 +442,9 @@ class DecisionCriterion:
 
     def homomorphism_violation(self) -> Optional[tuple[str, tuple[int, ...]]]:
         """The first failure of the homomorphism equation from the voter-power
-        algebra to the value algebra (see is_homomorphism), or None."""
+        algebra to the value algebra (see is_homomorphism), or None. The power
+        is refused unbuilt past the caps of the homomorphism search."""
+        refuse_power_past_the_caps(self.algebra, self.electorate)
         power = shared_power(self.algebra, self.electorate)
         return is_homomorphism(self.values, power, self.algebra)[1]
 

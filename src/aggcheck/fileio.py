@@ -19,7 +19,7 @@ from typing import Any, Union
 
 from .agenda import Agenda
 from .algebra import DecisionCriterion, FiniteAlgebra, builtin_boolean2, builtin_mv_chain
-from .semantics import DEGREE_MODE, FILTER_MODE, Matrix
+from .semantics import Matrix
 from .syntax import Signature, parse_formula
 
 PathLike = Union[str, Path]
@@ -112,11 +112,11 @@ def algebra_from_obj(obj: dict) -> FiniteAlgebra:
 
 def matrix_from_obj(obj: dict) -> Matrix:
     algebra = algebra_from_obj(_expect(obj, dict, "matrix").get("algebra"))
-    if obj.get("mode") == DEGREE_MODE:
-        return Matrix(algebra, None, DEGREE_MODE)
+    if obj.get("mode") == "degree":
+        return Matrix(algebra)
     designated = frozenset(_element_index(algebra, d, "matrix designated value")
                            for d in _expect(obj.get("designated"), list, "matrix designated values"))
-    return Matrix(algebra, designated, FILTER_MODE)
+    return Matrix(algebra, designated)
 
 
 def _element_index(algebra: FiniteAlgebra, value: Any, what: str) -> int:
@@ -142,9 +142,7 @@ def load_matrix(spec: PathLike) -> Matrix:
     elif name.startswith("mv") and name[2:].isascii() and name[2:].isdigit():
         algebra = builtin_mv_chain(_expect(_integer(name[2:]), int, "--logic chain size"))
     if algebra is not None:
-        if degree:
-            return Matrix(algebra, None, DEGREE_MODE)
-        return Matrix(algebra, frozenset({algebra.size - 1}), FILTER_MODE)
+        return Matrix(algebra) if degree else Matrix(algebra, frozenset({algebra.size - 1}))
     return matrix_from_obj(_read(spec))
 
 
@@ -157,7 +155,7 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
             raise ValueError(f"agenda signature_ref {ref} does not match the logic's signature")
     formulas = tuple(parse_formula(_expect(text, str, "agenda formula"), sig)
                      for text in _expect(obj.get("formulas"), list, "agenda formulas"))
-    return Agenda(formulas, sig, matrix, matrix.algebra)
+    return Agenda(formulas, matrix, matrix.algebra)
 
 
 def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:

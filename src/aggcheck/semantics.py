@@ -2,8 +2,9 @@
 
 A logic is given here as a finite matrix: an algebra of truth values plus
 either a set of designated values ("filter" mode: premises designated force
-the conclusion designated) or the algebra's partial order ("degree" mode:
-every lower bound of the premises is a lower bound of the conclusion).
+the conclusion designated) or none, and then the algebra's partial order
+("degree" mode: every lower bound of the premises is a lower bound of the
+conclusion).
 Entailment, interderivability and the congruence property are decided by
 exhaustive quantification over valuations of the occurring variables, so
 every verdict is exact on the fragment it inspects: failures are
@@ -20,41 +21,31 @@ from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, refuse, tru
 from .syntax import App, Formula, Var, variables_of
 from .syntax import bounded_closure  # noqa: F401 (traced binding)
 
-FILTER_MODE = "filter"
-DEGREE_MODE = "degree"
-
 
 @dataclass(frozen=True)
 class Matrix:
-    """A finite algebra together with a notion of "holding".
-
-    mode="filter": a nonempty designated subset of the carrier.
-    mode="degree": the algebra's partial order (which must be present).
+    """A finite algebra together with a notion of "holding": a nonempty
+    designated subset of the carrier (filter mode), or with ``designated``
+    None the algebra's partial order, which must be present (degree mode).
     """
 
     algebra: FiniteAlgebra
     designated: Optional[frozenset[int]] = None
-    mode: str = FILTER_MODE
 
     def __post_init__(self):
-        if self.mode == FILTER_MODE:
-            if not self.designated:
-                raise ValueError("filter mode needs a nonempty designated set")
-            if any(not (0 <= d < self.algebra.size) for d in self.designated):
-                raise ValueError("designated values outside the carrier")
-        elif self.mode == DEGREE_MODE:
+        if self.designated is None:
             if self.algebra.order is None:
-                raise ValueError(
-                    "degree mode requires an algebra with a lattice order"
-                )
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+                raise ValueError("degree mode requires an algebra with a lattice order")
+        elif not self.designated:
+            raise ValueError("filter mode needs a nonempty designated set")
+        elif any(not (0 <= d < self.algebra.size) for d in self.designated):
+            raise ValueError("designated values outside the carrier")
 
     def describe(self) -> str:
-        if self.mode == FILTER_MODE:
-            labels = sorted(self.algebra.label(d) for d in self.designated)
-            return f"{self.algebra.name or 'algebra'}/designated {labels}"
-        return f"{self.algebra.name or 'algebra'}/degree-preserving"
+        if self.designated is None:
+            return f"{self.algebra.name or 'algebra'}/degree-preserving"
+        labels = sorted(self.algebra.label(d) for d in self.designated)
+        return f"{self.algebra.name or 'algebra'}/designated {labels}"
 
 
 def entails(
@@ -68,13 +59,12 @@ def entails(
     *vectors, conclusion_vector = truth_vectors((*premises, conclusion), names, algebra)
     for w, c in enumerate(conclusion_vector):
         values = [vec[w] for vec in vectors]
-        if matrix.mode == FILTER_MODE:
-            if all(v in matrix.designated for v in values) and c not in matrix.designated:
-                return False
-        else:
+        if matrix.designated is None:
             for a in range(algebra.size):
                 if all(algebra.leq(a, v) for v in values) and not algebra.leq(a, c):
                     return False
+        elif all(v in matrix.designated for v in values) and c not in matrix.designated:
+            return False
     return True
 
 
@@ -89,11 +79,11 @@ def interderivable(matrix: Matrix, left: Formula, right: Formula) -> bool:
 
 def _holding_pattern(matrix: Matrix) -> list[int]:
     """What "holding" records of each value: filter mode one bit (designated
-    or not), degree mode a bitmask of the value's downset."""
-    algebra, size = matrix.algebra, matrix.algebra.size
-    if matrix.mode == FILTER_MODE:
-        return [int(b in matrix.designated) for b in range(size)]
-    return [sum(1 << a for a in range(size) if algebra.leq(a, b)) for b in range(size)]
+    or not), degree mode the value itself (in a partial order, two values
+    with the same lower bounds are equal)."""
+    if matrix.designated is None:
+        return list(range(matrix.algebra.size))
+    return [int(b in matrix.designated) for b in range(matrix.algebra.size)]
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,7 @@ def check_selfextensionality(
     pattern = _holding_pattern(matrix)
 
     def key(vec: tuple[int, ...]) -> tuple:
-        """Holding pattern; downsets are distinct, so in degree mode it is the value."""
+        """Holding pattern; in degree mode it is the vector itself."""
         return tuple(map(pattern.__getitem__, vec))
 
     classes: dict[tuple, list[tuple[int, ...]]] = {}

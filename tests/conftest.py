@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from aggcheck.agenda import agenda_over
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain
-from aggcheck.semantics import DEGREE_MODE, Matrix
+from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula
 
 # CI runs every property test on the same examples, with no per-example
@@ -27,17 +27,17 @@ def luk3():
 
 @pytest.fixture(scope="session")
 def classical(boolean2):
-    return Matrix(boolean2, frozenset({1}), "filter")
+    return Matrix(boolean2, frozenset({1}))
 
 
 @pytest.fixture(scope="session")
 def luk3_filter(luk3):
-    return Matrix(luk3, frozenset({2}), "filter")
+    return Matrix(luk3, frozenset({2}))
 
 
 @pytest.fixture(scope="session")
 def luk3_degree(luk3):
-    return Matrix(luk3, None, DEGREE_MODE)
+    return Matrix(luk3)
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,6 @@ from aggcheck.modal import (
     check_subjunctive_conditions,
 )
 from aggcheck.semantics import (
-    DEGREE_MODE,
     Matrix,
     check_selfextensionality,
     interderivable,
@@ -64,7 +63,7 @@ def test_criterion_1_boolean_bijection():
     qualifying aggregator; both round trips are identities."""
     start = time.time()
     algebra = builtin_boolean2()
-    matrix = Matrix(algebra, frozenset({1}), "filter")
+    matrix = Matrix(algebra, frozenset({1}))
     agenda = build_agenda(matrix, ["x1", "x2", "(or x1 x2)", "(not x1)"])
     ok = True
     detail = []
@@ -103,7 +102,7 @@ def test_criterion_2_mv_bijection():
     (all 3^9 criteria) matches the brute-force homomorphism filter."""
     start = time.time()
     algebra = builtin_mv_chain(3)
-    matrix = Matrix(algebra, None, DEGREE_MODE)
+    matrix = Matrix(algebra)
     agenda = build_agenda(matrix, ["x1", "x2", "(oplus x1 x2)"])
     power = product_algebra(algebra, 2)
     # oracle: filter all 3^9 maps through the homomorphism equation
@@ -184,10 +183,10 @@ def test_criterion_5_selfextensionality_suite():
     The 1-preserving chain logic: counterexample found, with the canonical
     pair verified independently. The degree-preserving chain logic: none."""
     start = time.time()
-    boolean = Matrix(builtin_boolean2(), frozenset({1}), "filter")
+    boolean = Matrix(builtin_boolean2(), frozenset({1}))
     luk = builtin_mv_chain(3)
-    luk_filter = Matrix(luk, frozenset({2}), "filter")
-    luk_degree = Matrix(luk, None, DEGREE_MODE)
+    luk_filter = Matrix(luk, frozenset({2}))
+    luk_degree = Matrix(luk)
 
     classical_ok, _ = check_selfextensionality(boolean, ["x1", "x2", "x3"], 2)
     filter_ok, witness = check_selfextensionality(luk_filter, ["x1"], 2)
@@ -217,11 +216,11 @@ def test_criterion_6_pareto():
     start = time.time()
     ok = True
     cases = []
-    boolean = Matrix(builtin_boolean2(), frozenset({1}), "filter")
+    boolean = Matrix(builtin_boolean2(), frozenset({1}))
     bool_agenda = build_agenda(boolean, ["x1", "x2", "(or x1 x2)", "(not x1)"])
     for n in (1, 2, 3):
         cases.append((bool_agenda, n))
-    luk_degree = Matrix(builtin_mv_chain(3), None, DEGREE_MODE)
+    luk_degree = Matrix(builtin_mv_chain(3))
     mv_agenda = build_agenda(luk_degree, ["x1", "x2", "(oplus x1 x2)"])
     cases.append((mv_agenda, 2))
 
@@ -258,13 +257,13 @@ def test_criterion_7_witness_constructions():
     attitudes and profiles hit their prescribed values and are rational."""
     start = time.time()
     rng = random.Random(20260809)
-    boolean = Matrix(builtin_boolean2(), frozenset({1}), "filter")
-    luk3_degree = Matrix(builtin_mv_chain(3), None, DEGREE_MODE)
-    luk4_degree = Matrix(builtin_mv_chain(4), None, DEGREE_MODE)
+    boolean = Matrix(builtin_boolean2(), frozenset({1}))
+    luk3_degree = Matrix(builtin_mv_chain(3))
+    luk4_degree = Matrix(builtin_mv_chain(4))
     diamond = builtin_distributive_lattice(
         ["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)]
     )
-    diamond_degree = Matrix(diamond, None, DEGREE_MODE)
+    diamond_degree = Matrix(diamond)
 
     cases = [
         (boolean, ["x1", "(not (not x2))", "(or x1 x2)"]),
@@ -299,7 +298,7 @@ def test_criterion_8_majority_dilemma():
     """The majority aggregator over 2, N=3, agenda {x1,x2,x1 or x2} is not
     rational: exhaustive search produces an explicit dilemma profile."""
     start = time.time()
-    boolean = Matrix(builtin_boolean2(), frozenset({1}), "filter")
+    boolean = Matrix(builtin_boolean2(), frozenset({1}))
     agenda = build_agenda(boolean, ["x1", "x2", "(or x1 x2)"])
     aggregator = CriterionAggregator(majority_criterion(agenda.algebra, 3), agenda)
     rep = check_rational_universal(aggregator)

@@ -35,7 +35,7 @@ from aggcheck.algebra import (
 )
 from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
-from aggcheck.semantics import DEGREE_MODE, Matrix
+from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula
 
 
@@ -157,8 +157,8 @@ class TestWitnessConstructions:
             lattice = builtin_distributive_lattice(
                 ["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)]
             )
-            matrix = (Matrix(lattice, None, DEGREE_MODE) if logic == "diamond_degree"
-                      else Matrix(lattice, frozenset({3}), "filter"))
+            matrix = (Matrix(lattice) if logic == "diamond_degree"
+                      else Matrix(lattice, frozenset({3})))
         else:
             matrix = request.getfixturevalue(logic)
         agenda = agenda_over([f(t, matrix) for t in texts], matrix)
@@ -185,7 +185,7 @@ class TestWitnessConstructions:
     def test_witness_of_a_variable_outside_the_agenda(self, luk3):
         # with every value designated, the constant 1 is interderivable with a
         # variable that occurs nowhere in the agenda, and does not track it
-        everything = Matrix(luk3, frozenset(range(3)), "filter")
+        everything = Matrix(luk3, frozenset(range(3)))
         ag = agenda_over([f("1", everything), f("x1", everything)], everything)
         with pytest.raises(ValueError, match="does not track its variable"):
             witness_attitudes(ag)

@@ -364,6 +364,35 @@ def test_homomorphisms_equal_a_filter_of_every_map(source, target):
     assert [h.mapping for h in enumerate_homomorphisms(source, target)] == brute
 
 
+@st.composite
+def one_cell_apart(draw):
+    """A source and target that differ only in whether ``g`` commutes: both share
+    ``f``, ``h`` and a commutative ``g``, then one side gets a new value at one
+    (b, a) with a < b. The identity map meets every equation but that one."""
+    size = draw(st.integers(2, 3))
+    f = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    cells = draw(st.lists(st.integers(0, size - 1), min_size=size**2, max_size=size**2))
+    g = [cells[min(a, b) * size + max(a, b)] for a in range(size) for b in range(size)]
+    h = draw(binary_tables(size))
+    a = draw(st.integers(0, size - 2))
+    b = draw(st.integers(a + 1, size - 1))
+    apart = list(g)
+    apart[b * size + a] = draw(st.integers(0, size - 1).filter(lambda v: v != g[a * size + b]))
+    pair = [binary_algebra(f, g, h), binary_algebra(f, apart, h)]
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(one_cell_apart())
+def test_an_equation_is_dropped_only_where_both_tables_commute(algebras):
+    """The (b, a) equation of a connective commutative on one side only is kept."""
+    source, target = algebras
+    brute = [mapping for mapping in product(range(target.size), repeat=source.size)
+             if is_homomorphism(mapping, source, target)[0]]
+    assert tuple(range(source.size)) not in brute
+    assert [h.mapping for h in enumerate_homomorphisms(source, target)] == brute
+
+
 counts = st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 9), st.integers(0, 4)))
 
 

@@ -633,6 +633,15 @@ class TestErrorPaths:
         assert captured.err == "internal error: RuntimeError('boom\\nsecond line')\n"
         assert captured.out == ""
 
+    def test_key_error_is_an_internal_error(self, monkeypatch, capsys):
+        # no input path raises KeyError, so one is a bug, not a malformed file
+        def crash(bound):
+            raise KeyError("x")
+
+        monkeypatch.setattr("aggcheck.cli.check_subjunctive_conditions", crash)
+        assert main(["check-subjunctive"]) == 4
+        assert capsys.readouterr().err == "internal error: KeyError('x')\n"
+
     @pytest.mark.parametrize("command", ["enumerate-homs", "verify-bijection"])
     def test_candidate_budget_refuses_before_building_the_power(
         self, command, bool_agenda_file, monkeypatch, capsys
@@ -649,6 +658,48 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (
             "budget exceeded: homomorphism search of boolean2^11: 4198402 equations "
             "exceed the limit of 2000000\n"
+        )
+
+    def test_criterion_check_refuses_before_building_the_power(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def unbuilt(algebra, n):
+            raise AssertionError("built the power before the equation cap")
+
+        path = tmp_path / "criterion.json"
+        dump_json({"electorate": 11, "values": [0] * 2**11}, path)
+        monkeypatch.setattr("aggcheck.algebra.product_algebra", unbuilt)
+        algebra.shared_power.cache_clear()
+        assert main(["classify-dictators", "--criterion", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: homomorphism search of boolean2^11: 4198402 equations "
+            "exceed the limit of 2000000\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check-agenda", "verify-bijection"])
+    def test_valuation_space_is_refused_before_any_vector(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # x1 and an or-chain over x1..x24: 24 variable vectors and 23 steps of 2^24 entries
+        def small(size, count):
+            assert size**count <= 2**12, "built the valuations before the refusal"
+            return variable_vectors(size, count)
+
+        variable_vectors = algebra._variable_vectors
+
+        chain = "x1"
+        for i in range(2, 25):
+            chain = f"(or {chain} x{i})"
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": ["x1", chain]}, path)
+        monkeypatch.setattr(algebra, "_variable_vectors", small)
+        argv = [command, "--logic", "boolean2", "--agenda", str(path)]
+        if command == "verify-bijection":
+            argv += ["--electorate", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: truth vectors: 47 vectors x 16777216 valuations = 788529152 "
+            "exceed the limit of 100000000\n"
         )
 
     @pytest.mark.parametrize("command", ["enumerate-homs", "verify-bijection"])

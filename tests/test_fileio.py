@@ -80,7 +80,7 @@ class TestMatrixFormat:
     def test_builtin_names(self):
         assert load_matrix("boolean2").algebra.size == 2
         assert load_matrix("mv4").algebra.size == 4
-        assert load_matrix("mv3-degree").mode == "degree"
+        assert load_matrix("mv3-degree").designated is None
         assert load_matrix("mv3").designated == frozenset({2})
 
 

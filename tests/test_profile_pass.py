@@ -39,7 +39,7 @@ from aggcheck.aggregation import (
     witness_attitudes,
 )
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain, closure_vectors, evaluate
-from aggcheck.semantics import DEGREE_MODE, Matrix
+from aggcheck.semantics import Matrix
 from aggcheck.syntax import formula_sort_key, parse_formula
 
 
@@ -50,8 +50,7 @@ def _agenda(matrix, texts):
 BOOLEAN = _agenda(Matrix(builtin_boolean2(), frozenset({1})),
                   ["x1", "x2", "(or x1 x2)", "(not x1)"])
 MV_FILTER = _agenda(Matrix(builtin_mv_chain(3), frozenset({2})), ["x1", "x2", "(oplus x1 x2)"])
-MV_DEGREE = _agenda(Matrix(builtin_mv_chain(3), None, DEGREE_MODE),
-                    ["x1", "x2", "(oplus x1 x2)"])
+MV_DEGREE = _agenda(Matrix(builtin_mv_chain(3)), ["x1", "x2", "(oplus x1 x2)"])
 SETTINGS = [(BOOLEAN, n) for n in (1, 2, 3)] + [(a, n) for a in (MV_FILTER, MV_DEGREE)
                                                 for n in (1, 2)]
 LEVELS = [INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC]

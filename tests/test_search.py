@@ -408,7 +408,7 @@ def reference_census_constraints(agenda, electorate, depth, budget):
 
 def diamond_matrix():
     lattice = builtin_distributive_lattice(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
-    return Matrix(lattice, frozenset({3}), "filter")
+    return Matrix(lattice, frozenset({3}))
 
 
 TABLE_CASES = [("classical", BOOLEAN, n, depth) for n in (1, 2, 3, 4) for depth in (1, 2)]

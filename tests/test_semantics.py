@@ -1,6 +1,10 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggcheck.algebra import FiniteAlgebra, builtin_mv_chain, closure_vectors
 from aggcheck.semantics import Matrix, check_selfextensionality, entails, interderivable
 from aggcheck.syntax import Var, bounded_closure, parse_formula
 
@@ -12,7 +16,7 @@ def f(text, matrix):
 class TestMatrix:
     def test_filter_needs_designated(self, boolean2):
         with pytest.raises(ValueError):
-            Matrix(boolean2, frozenset(), "filter")
+            Matrix(boolean2, frozenset())
 
     def test_degree_needs_order(self, boolean2):
         bare = boolean2.__class__(
@@ -22,7 +26,7 @@ class TestMatrix:
             order=None,
         )
         with pytest.raises(ValueError, match="order"):
-            Matrix(bare, None, "degree")
+            Matrix(bare)
 
 
 class TestEntails:
@@ -124,6 +128,25 @@ class TestSelfextensionality:
         ok, witness = check_selfextensionality(luk3_degree, ["x1"], 2)
         assert ok and witness is None
 
+    @pytest.mark.parametrize("variables, depth", [(["x1"], 1), (["x1"], 2), (["x1", "x2"], 1)])
+    def test_unreduced_classical_matrix_passes(self, variables, depth):
+        # Ł2 x Ł3 with the filter {1} x Ł3: a formula holds iff its Ł2 coordinate
+        # is 1, so the logic is classical, yet interderivable formulas may differ
+        # in the Ł3 coordinate and the holding classes are not singletons
+        left, right = builtin_mv_chain(2), builtin_mv_chain(3)
+        pairs = list(product(range(left.size), range(right.size)))
+        ops = tuple(
+            (symbol, tuple(left.op(symbol, [a for a, _ in args]) * right.size
+                           + right.op(symbol, [b for _, b in args])
+                           for args in product(pairs, repeat=arity)))
+            for symbol, arity in left.signature.connectives)
+        algebra = FiniteAlgebra(left.signature, tuple(f"{a}{b}" for a, b in pairs), ops)
+        matrix = Matrix(algebra, frozenset({3, 4, 5}))
+        vectors = closure_vectors(map(Var, variables), variables, algebra, depth)
+        classes = Counter(tuple(v in matrix.designated for v in vector) for vector in vectors)
+        assert max(classes.values()) >= 2
+        assert check_selfextensionality(matrix, variables, depth) == (True, None)
+
 
 @st.composite
 def small_formula_sets(draw):
@@ -139,7 +162,7 @@ class TestEntailsProperties:
     def test_reflexive_and_monotone(self, data):
         from aggcheck.algebra import builtin_boolean2
 
-        matrix = Matrix(builtin_boolean2(), frozenset({1}), "filter")
+        matrix = Matrix(builtin_boolean2(), frozenset({1}))
         texts, conclusion_text = data
         premises = [f(t, matrix) for t in texts]
         conclusion = f(conclusion_text, matrix)
