@@ -6,11 +6,11 @@ together with its ambient logic (a matrix) and truth-value algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
 from .algebra import FiniteAlgebra, truth_vector
+from .record import frozen
 from .semantics import Matrix, interderivable
 from .syntax import (
     Formula,
@@ -22,7 +22,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Agenda:
     """A finite set of well-formed formulas over its matrix's signature."""
 
@@ -49,6 +49,11 @@ class Agenda:
     @cached_property
     def variables(self) -> tuple[str, ...]:
         return variables_of(*self.formulas)
+
+    @cached_property
+    def equivalent_variables(self) -> dict[Formula, Optional[str]]:
+        """Each formula's equivalent_variable, in agenda order, decided once."""
+        return {f: equivalent_variable(f, self) for f in self.formulas}
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -101,7 +106,7 @@ def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...
     witnesses: list[tuple[Formula, str]] = []
     used: set[str] = set()
     for f in sorted(agenda.formulas, key=formula_sort_key):
-        name = equivalent_variable(f, agenda)
+        name = agenda.equivalent_variables[f]
         if name is not None and name not in used:
             used.add(name)
             witnesses.append((f, name))

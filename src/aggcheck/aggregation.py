@@ -19,7 +19,6 @@ directions are implemented and checked exhaustively at desk scale:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, product
 from operator import itemgetter
@@ -44,6 +43,7 @@ from .census import (
     _voter_ranks,
 )
 from .errors import NotQualifyingError
+from .record import frozen
 from .syntax import Formula, Var, formula_sort_key
 from .syntax import bounded_closure  # noqa: F401 (traced binding)
 
@@ -52,7 +52,7 @@ SYSTEMATIC = "systematic"
 STRONGLY_SYSTEMATIC = "strongly-systematic"
 
 
-@dataclass(frozen=True)
+@frozen
 class AttitudeFunction:
     """A total assignment of truth values to the agenda formulas, stored as
     carrier indices aligned with the agenda's formula order."""
@@ -71,7 +71,7 @@ class AttitudeFunction:
         return self.values[self.agenda.index[formula]]
 
 
-@dataclass(frozen=True)
+@frozen
 class Profile:
     """One attitude function per voter, all over the same agenda."""
 
@@ -245,7 +245,7 @@ def rational_profile_with_values(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CriterionAggregator:
     """Aggregator induced pointwise by a decision criterion; its domain is
     the set of all rational profiles."""
@@ -276,7 +276,7 @@ class CriterionAggregator:
         return enumerate_rational_profiles(self.agenda, self.electorate)
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtensionalAggregator:
     """Aggregator given by an explicit table on an explicit domain."""
 
@@ -320,7 +320,7 @@ Aggregator = Union[CriterionAggregator, ExtensionalAggregator]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class RationalityReport:
     universal: bool
     rational: bool
@@ -332,7 +332,7 @@ class RationalityReport:
         return self.universal and self.rational
 
 
-@dataclass(frozen=True)
+@frozen
 class SystematicityResult:
     holds: bool
     level: str

@@ -11,14 +11,13 @@ import gc
 import math
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, EvaluationError
+from .record import frozen
 from .syntax import App, Formula, Signature, Var, print_formula
 
 # Variable assignment into an algebra: variable name -> carrier index.
@@ -45,7 +44,7 @@ def paused_collector():
             gc.enable()
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteAlgebra:
     """A total algebra over a signature, given by flat row-major tables.
 
@@ -401,7 +400,7 @@ def is_homomorphism(
     return True, None
 
 
-@dataclass(frozen=True)
+@frozen
 class AlgebraHomomorphism:
     """A checked structure-preserving map between algebras of one signature."""
 
@@ -416,7 +415,7 @@ class AlgebraHomomorphism:
             raise ValueError(f"not a homomorphism: fails at {symbol} on {args}")
 
 
-@dataclass(frozen=True)
+@frozen
 class DecisionCriterion:
     """A total map from voter-value tuples into the value algebra.
 
@@ -676,6 +675,13 @@ def builtin_boolean2() -> FiniteAlgebra:
     )
 
 
+def _fraction_label(numerator: int, denominator: int) -> str:
+    """The fraction in lowest terms, written as str(Fraction) writes it."""
+    common = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // common, denominator // common
+    return f"{numerator}/{denominator}" if denominator > 1 else str(numerator)
+
+
 def builtin_mv_chain(k: int) -> FiniteAlgebra:
     """The k-element Łukasiewicz chain on {0, 1/(k-1), ..., 1}.
 
@@ -689,7 +695,7 @@ def builtin_mv_chain(k: int) -> FiniteAlgebra:
     top, values = k - 1, range(k)
     return FiniteAlgebra(
         signature=MV_SIGNATURE,
-        carrier=tuple(str(Fraction(i, top)) for i in values),
+        carrier=tuple(_fraction_label(i, top) for i in values),
         ops=(
             ("not", tuple(top - a for a in values)),
             ("oplus", tuple(min(top, a + b) for a in values for b in values)),

@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .agenda import equivalent_variable, pseudo_richness, strictly_contingent_formulas
+from .agenda import pseudo_richness, strictly_contingent_formulas
 from .aggregation import aggregator_from_criterion, criterion_from_aggregator
 from .algebra import (
     DEFAULT_BUDGET,
@@ -66,9 +66,7 @@ def cmd_check_agenda(args: argparse.Namespace) -> int:
     agenda = load_agenda(args.agenda, matrix)
     level, witnesses = pseudo_richness(agenda)
     contingent = strictly_contingent_formulas(agenda)
-    per_formula = {
-        print_formula(f): equivalent_variable(f, agenda) for f in agenda.formulas
-    }
+    per_formula = {print_formula(f): v for f, v in agenda.equivalent_variables.items()}
     warnings = []
     if level < agenda.signature.max_arity:
         warnings.append(

@@ -8,15 +8,15 @@ i.e. generated by one voter — the dictator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .aggregation import DecisionCriterion, projection_criterion
 from .algebra import element_coordinates
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class UltrafilterView:
     """The decisive-coalition family of a two-valued decision criterion."""
 
@@ -35,7 +35,7 @@ def decisive_coalitions(criterion: DecisionCriterion) -> UltrafilterView:
     ))
 
 
-@dataclass(frozen=True)
+@frozen
 class UltrafilterCheck:
     is_ultrafilter: bool
     is_filter: bool

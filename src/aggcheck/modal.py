@@ -18,7 +18,6 @@ so any frame bound K runs, at the cost of bound 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations
 from operator import and_, or_
@@ -26,6 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _program_steps, _variable_vectors,
                       element_coordinates, refuse, truth_vector)
+from .record import frozen
 from .syntax import App, Formula, Signature, Var, variables_of
 
 MODAL_SIGNATURE = Signature(
@@ -33,7 +33,7 @@ MODAL_SIGNATURE = Signature(
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class KripkeFrame:
     """A finite set of worlds 0..n-1 with an accessibility relation."""
 
@@ -227,7 +227,7 @@ def _sliced_program(
     return run
 
 
-@dataclass(frozen=True)
+@frozen
 class ConsistencyWitness:
     frame: KripkeFrame
     valuation: dict[str, int]
@@ -317,7 +317,7 @@ def small_model_bound(formulas: Iterable[Formula]) -> int:
     return sum(boxes ** i for i in range(depth + 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class SubjunctiveReport:
     condition_a: dict[str, bool]
     condition_b: dict[str, bool]

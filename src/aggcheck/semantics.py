@@ -13,16 +13,16 @@ conclusive, successes are "no counterexample within the bound".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, refuse, truth_vectors
+from .record import frozen
 from .syntax import App, Formula, Var, variables_of
 from .syntax import bounded_closure  # noqa: F401 (traced binding)
 
 
-@dataclass(frozen=True)
+@frozen
 class Matrix:
     """A finite algebra together with a notion of "holding": a nonempty
     designated subset of the carrier (filter mode), or with ``designated``
@@ -86,7 +86,7 @@ def _holding_pattern(matrix: Matrix) -> list[int]:
     return [int(b in matrix.designated) for b in range(matrix.algebra.size)]
 
 
-@dataclass(frozen=True)
+@frozen
 class CongruenceWitness:
     """A connective application that breaks the congruence property:
     the two argument lists are componentwise interderivable, the results

@@ -8,11 +8,11 @@ the semantics layer, never here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import FormulaSyntaxError
+from .record import frozen
 
 VARNAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
@@ -22,7 +22,7 @@ _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
 MAX_FORMULA_DEPTH = 200
 
 
-@dataclass(frozen=True)
+@frozen
 class Signature:
     """A finite set of connective symbols with fixed arities.
 
@@ -62,15 +62,43 @@ class Signature:
             raise KeyError(f"unknown connective {symbol!r}") from None
 
 
-@dataclass(frozen=True)
+# Var and App are built, hashed and compared in bulk, so they spell out the
+# methods frozen would otherwise generate.
+_set_field = object.__setattr__
+
+
+@frozen
 class Var:
     name: str
 
+    def __init__(self, name: str):
+        _set_field(self, "name", name)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+
+@frozen
 class App:
     symbol: str
     args: tuple["Formula", ...] = ()
+
+    def __init__(self, symbol: str, args: tuple["Formula", ...] = ()):
+        _set_field(self, "symbol", symbol)
+        _set_field(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbol == other.symbol and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.symbol, self.args))
 
 
 Formula = Union[Var, App]

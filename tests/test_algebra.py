@@ -22,6 +22,7 @@ from aggcheck.algebra import (
     truth_vector,
 )
 from aggcheck.errors import BudgetExceededError, EvaluationError
+from aggcheck.fileio import load_matrix
 from aggcheck.modal import KripkeFrame, bao_from_frame
 from aggcheck.syntax import Signature, parse_formula
 
@@ -67,6 +68,11 @@ class TestBuiltins:
             assert chain.tables[symbol] == tuple(
                 index[clause(a, b)] for a in values for b in values
             ), symbol
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_mv_chain_labels_are_the_fractions_in_lowest_terms(self, k):
+        assert load_matrix(f"mv{k}").algebra.carrier == tuple(
+            str(Fraction(i, k - 1)) for i in range(k))
 
     def test_mv3_half_odot_half_is_zero(self):
         l3 = builtin_mv_chain(3)

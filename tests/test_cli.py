@@ -3,11 +3,12 @@ import sys
 
 import pytest
 
+from aggcheck import agenda as agenda_layer
 from aggcheck import algebra, census, cli
 from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
-from aggcheck.syntax import MAX_FORMULA_DEPTH
+from aggcheck.syntax import MAX_FORMULA_DEPTH, print_formula
 
 
 @pytest.fixture
@@ -65,6 +66,23 @@ class TestCheckAgenda:
         )
         assert code == 0
         assert json.loads(out.read_text())["pseudo_rich"] == 1
+
+    def test_each_formula_is_matched_to_a_variable_once(self, bool_agenda_file, tmp_path,
+                                                        monkeypatch):
+        calls = []
+
+        def spy(formula, owner):
+            calls.append(print_formula(formula))
+            return equivalent_variable(formula, owner)
+
+        equivalent_variable = agenda_layer.equivalent_variable
+        monkeypatch.setattr(agenda_layer, "equivalent_variable", spy)
+        out = tmp_path / "report.json"
+        assert main(["check-agenda", "--logic", "boolean2", "--agenda", bool_agenda_file,
+                     "--out", str(out)]) == 0
+        assert sorted(calls) == ["(not x1)", "(or x1 x2)", "x1", "x2"]
+        assert json.loads(out.read_text())["equivalent_variable"] == {
+            "(not x1)": None, "(or x1 x2)": None, "x1": "x1", "x2": "x2"}
 
 
 class TestVerifyBijection:
