@@ -6,12 +6,12 @@ together with its ambient logic (a matrix) and truth-value algebra.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
-from .algebra import FiniteAlgebra, truth_vector
+from .algebra import FiniteAlgebra, truth_vector, truth_vectors
 from .record import frozen
-from .semantics import Matrix, interderivable
+from .semantics import Matrix
 from .syntax import (
     Formula,
     Signature,
@@ -70,38 +70,37 @@ def agenda_over(
     )
 
 
-def _fresh_variable(taken: set[str], sig: Signature) -> str:
-    base = "x_fresh"
-    name = base
+def _fresh_variable(sig: Signature) -> str:
     k = 0
-    while name in taken or name in sig:
+    while (name := f"x_fresh{k or ''}") in sig:
         k += 1
-        name = f"{base}{k}"
     return name
 
 
 def equivalent_variable(formula: Formula, agenda: Agenda) -> Optional[str]:
-    """A variable the formula is interderivable with, if any.
-
-    Only the formula's own variables plus one fresh variable need testing: a
-    formula equivalent to a variable it does not contain would have to take
-    one value everywhere, which a variable only does on one-element carriers.
-    """
-    candidates = list(variables_of(formula))
-    candidates.append(_fresh_variable(set(candidates), agenda.signature))
-    for name in candidates:
-        if interderivable(agenda.matrix, formula, Var(name)):
+    """A variable equivalent to the formula: the first of its own variables whose
+    values hold as its values do at every valuation, else a fresh variable if that
+    qualifies, else None. A fresh variable takes every value at every valuation,
+    so it qualifies exactly when every value holds alike (a filter matrix
+    designating its whole carrier, or a one-element carrier)."""
+    matrix = agenda.matrix
+    names = variables_of(formula)
+    vector, *others = truth_vectors([formula, *map(Var, names)], names, matrix.algebra)
+    pattern = matrix.pattern(vector)
+    for name, other in zip(names, others):
+        if matrix.pattern(other) == pattern:
             return name
+    if len(set(matrix.holding)) == 1:  # only a variable-free formula gets here then
+        return _fresh_variable(agenda.signature)
     return None
 
 
-@lru_cache(maxsize=4)
 def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...]]:
     """Largest n such that the agenda is n-pseudo-rich, with witnesses.
 
     Greedy selection in lexicographic formula order is maximal because each
-    formula is interderivable with at most one variable (on carriers of size
-    at least two).
+    formula is equivalent to at most one variable unless every value holds
+    alike (``Matrix.holding`` takes one value).
     """
     witnesses: list[tuple[Formula, str]] = []
     used: set[str] = set()

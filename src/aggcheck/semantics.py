@@ -5,14 +5,16 @@ either a set of designated values ("filter" mode: premises designated force
 the conclusion designated) or none, and then the algebra's partial order
 ("degree" mode: every lower bound of the premises is a lower bound of the
 conclusion).
-Entailment, interderivability and the congruence property are decided by
-exhaustive quantification over valuations of the occurring variables, so
-every verdict is exact on the fragment it inspects: failures are
-conclusive, successes are "no counterexample within the bound".
+Every verdict quantifies over all valuations of the occurring variables, so it
+is exact on the fragment it inspects: failures are conclusive, successes are
+"no counterexample within the bound". Interderivability is decided by holding
+patterns (``Matrix.holding``), and the brute-force loops ``entails`` and
+``interderivable`` are kept only as the oracles that decision is tested against.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -40,6 +42,19 @@ class Matrix:
             raise ValueError("filter mode needs a nonempty designated set")
         elif any(not (0 <= d < self.algebra.size) for d in self.designated):
             raise ValueError("designated values outside the carrier")
+
+    @cached_property
+    def holding(self) -> tuple[int, ...]:
+        """What "holding" records of each value: filter mode one bit (designated
+        or not), degree mode the value itself (in a partial order, two values
+        with the same lower bounds are equal)."""
+        if self.designated is None:
+            return tuple(range(self.algebra.size))
+        return tuple(int(b in self.designated) for b in range(self.algebra.size))
+
+    def pattern(self, vector: Sequence[int]) -> tuple[int, ...]:
+        """A truth vector's holding pattern: what holding records at each valuation."""
+        return tuple(map(self.holding.__getitem__, vector))
 
     def describe(self) -> str:
         if self.designated is None:
@@ -77,20 +92,10 @@ def interderivable(matrix: Matrix, left: Formula, right: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _holding_pattern(matrix: Matrix) -> list[int]:
-    """What "holding" records of each value: filter mode one bit (designated
-    or not), degree mode the value itself (in a partial order, two values
-    with the same lower bounds are equal)."""
-    if matrix.designated is None:
-        return list(range(matrix.algebra.size))
-    return [int(b in matrix.designated) for b in range(matrix.algebra.size)]
-
-
 @frozen
 class CongruenceWitness:
     """A connective application that breaks the congruence property:
-    the two argument lists are componentwise interderivable, the results
-    are not."""
+    the two argument lists hold alike componentwise, the results do not."""
 
     connective: str
     left_args: tuple[Formula, ...]
@@ -129,15 +134,9 @@ def check_selfextensionality(
                           key=lambda text: (len(text), text), budget=budget)
     vectors = list(rep)
 
-    pattern = _holding_pattern(matrix)
-
-    def key(vec: tuple[int, ...]) -> tuple:
-        """Holding pattern; in degree mode it is the vector itself."""
-        return tuple(map(pattern.__getitem__, vec))
-
     classes: dict[tuple, list[tuple[int, ...]]] = {}
     for vec in vectors:
-        classes.setdefault(key(vec), []).append(vec)
+        classes.setdefault(matrix.pattern(vec), []).append(vec)
 
     pairs = [pair for members in classes.values() for pair in combinations(members, 2)]
     if not pairs:
@@ -155,7 +154,7 @@ def check_selfextensionality(
                     args_w = others[:position] + (w,) + others[position:]
                     res_u = algebra.op_on_vectors(symbol, args_u, n_valuations)
                     res_w = algebra.op_on_vectors(symbol, args_w, n_valuations)
-                    if key(res_u) != key(res_w):
+                    if matrix.pattern(res_u) != matrix.pattern(res_w):
                         witness = CongruenceWitness(
                             connective=symbol,
                             left_args=tuple(rep[a] for a in args_u),

@@ -1,11 +1,43 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from aggcheck.agenda import (
+    _fresh_variable,
     agenda_over,
     equivalent_variable,
     is_strictly_contingent,
     pseudo_richness,
     strictly_contingent_formulas,
 )
-from aggcheck.syntax import parse_formula
+from aggcheck.algebra import (
+    FiniteAlgebra,
+    builtin_boolean2,
+    builtin_distributive_lattice,
+    builtin_mv_chain,
+    product_algebra,
+)
+from aggcheck.semantics import Matrix, interderivable
+from aggcheck.syntax import Var, parse_formula, variables_of
+from test_vectors import formulas
+
+_B2, _MV3 = builtin_boolean2(), builtin_mv_chain(3)
+_DIAMOND = builtin_distributive_lattice(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+_POINT = FiniteAlgebra(_B2.signature, ("0",), tuple((s, (0,)) for s, _ in _B2.signature.connectives),
+                       order=frozenset({(0, 0)}))
+
+# (matrix, the agenda's truth-value algebra, or None for the matrix's own)
+LOGICS = {
+    "boolean2": (Matrix(_B2, frozenset({1})), None),
+    "boolean2-degree": (Matrix(_B2), None),
+    "boolean2-all-designated": (Matrix(_B2, frozenset({0, 1})), None),
+    "boolean2-values-in-b4": (Matrix(_B2, frozenset({1})), product_algebra(_B2, 2)),
+    "mv3": (Matrix(_MV3, frozenset({2})), None),
+    "mv3-degree": (Matrix(_MV3), None),
+    "mv3-all-designated": (Matrix(_MV3, frozenset({0, 1, 2})), None),
+    "diamond-degree": (Matrix(_DIAMOND), None),
+    "diamond-filter": (Matrix(_DIAMOND, frozenset({1, 3})), None),
+    "point-degree": (Matrix(_POINT), None),
+}
 
 
 def f(text, matrix):
@@ -27,6 +59,25 @@ class TestEquivalentVariable:
     def test_constant_has_none(self, classical):
         ag = agenda_over([f("top", classical)], classical)
         assert equivalent_variable(f("top", classical), ag) is None
+
+    def test_constant_is_a_fresh_variable_when_every_value_holds(self, boolean2):
+        everything = Matrix(boolean2, frozenset({0, 1}))
+        ag = agenda_over([f("bot", everything)], everything)
+        assert equivalent_variable(f("bot", everything), ag) == "x_fresh"
+
+    @pytest.mark.parametrize("logic", sorted(LOGICS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_interderivable_candidate(self, logic, data):
+        # the brute-force oracle: own variables in order, then the fresh one
+        matrix, algebra = LOGICS[logic]
+        formula = data.draw(formulas(matrix.algebra, ["x1", "x2", "x3"], 6))  # constants too
+        agenda = agenda_over([formula], matrix, algebra)
+        own = variables_of(formula)
+        candidates = [*own, _fresh_variable(agenda.signature)]  # own names are x1..x3
+        expected = next(
+            (name for name in candidates if interderivable(matrix, formula, Var(name))), None)
+        assert equivalent_variable(formula, agenda) == expected
 
 
 class TestPseudoRichness:

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from aggcheck import agenda as agenda_layer
-from aggcheck import algebra, census, cli
+from aggcheck import algebra, census, cli, semantics
 from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
@@ -83,6 +83,24 @@ class TestCheckAgenda:
         assert sorted(calls) == ["(not x1)", "(or x1 x2)", "x1", "x2"]
         assert json.loads(out.read_text())["equivalent_variable"] == {
             "(not x1)": None, "(or x1 x2)": None, "x1": "x1", "x2": "x2"}
+
+    @pytest.mark.parametrize("logic", ["boolean2", "boolean2-degree", "mv3", "mv3-degree"])
+    def test_never_consults_entailment(self, logic, tmp_path, monkeypatch):
+        # interderivability is decided by holding patterns; entails is the oracle only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check-agenda called entails")
+
+        entails = semantics.entails
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "aggcheck" and getattr(module, "entails", 0) is entails:
+                monkeypatch.setattr(module, "entails", forbidden)
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": ["x1", "x2", "(not (not x1))"]}, path)
+        out = tmp_path / "report.json"
+        assert main(["check-agenda", "--logic", logic, "--agenda", str(path),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["equivalent_variable"] == {
+            "(not (not x1))": "x1", "x1": "x1", "x2": "x2"}
 
 
 class TestVerifyBijection:
