@@ -51,9 +51,16 @@ class Agenda:
         return variables_of(*self.formulas)
 
     @cached_property
+    def variables_and_image_sizes(self) -> dict[Formula, tuple[Optional[str], int]]:
+        """Each formula's equivalent_variable and the count of distinct values it
+        takes in the matrix's algebra, in agenda order, from one truth-vector
+        program per formula."""
+        return {f: _variable_and_image_size(f, self) for f in self.formulas}
+
+    @cached_property
     def equivalent_variables(self) -> dict[Formula, Optional[str]]:
         """Each formula's equivalent_variable, in agenda order, decided once."""
-        return {f: equivalent_variable(f, self) for f in self.formulas}
+        return {f: name for f, (name, _) in self.variables_and_image_sizes.items()}
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -83,16 +90,23 @@ def equivalent_variable(formula: Formula, agenda: Agenda) -> Optional[str]:
     qualifies, else None. A fresh variable takes every value at every valuation,
     so it qualifies exactly when every value holds alike (a filter matrix
     designating its whole carrier, or a one-element carrier)."""
+    return _variable_and_image_size(formula, agenda)[0]
+
+
+def _variable_and_image_size(formula: Formula, agenda: Agenda) -> tuple[Optional[str], int]:
+    """The formula's equivalent_variable, and how many distinct values its truth
+    vector over its own variables takes in the matrix's algebra."""
     matrix = agenda.matrix
     names = variables_of(formula)
     vector, *others = truth_vectors([formula, *map(Var, names)], names, matrix.algebra)
+    image_size = len(set(vector))
     pattern = matrix.pattern(vector)
     for name, other in zip(names, others):
         if matrix.pattern(other) == pattern:
-            return name
+            return name, image_size
     if len(set(matrix.holding)) == 1:  # only a variable-free formula gets here then
-        return _fresh_variable(agenda.signature)
-    return None
+        return _fresh_variable(agenda.signature), image_size
+    return None, image_size
 
 
 def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...]]:
@@ -118,8 +132,11 @@ def is_strictly_contingent(formula: Formula, algebra: FiniteAlgebra) -> bool:
 
 
 def strictly_contingent_formulas(agenda: Agenda) -> tuple[Formula, ...]:
-    return tuple(
-        f
-        for f in sorted(agenda.formulas, key=formula_sort_key)
-        if is_strictly_contingent(f, agenda.algebra)
-    )
+    """The agenda's strictly contingent formulas in its truth-value algebra, in
+    formula order."""
+    algebra = agenda.algebra
+    ordered = sorted(agenda.formulas, key=formula_sort_key)
+    if algebra == agenda.matrix.algebra:  # each image was counted with its equivalent variable
+        sizes = agenda.variables_and_image_sizes
+        return tuple(f for f in ordered if sizes[f][1] == algebra.size)
+    return tuple(f for f in ordered if is_strictly_contingent(f, algebra))

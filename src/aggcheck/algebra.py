@@ -44,6 +44,17 @@ def paused_collector():
             gc.enable()
 
 
+def _within(table: Sequence[int], n: int) -> bool:
+    """Whether every entry of the table is in range(n): for n <= 256, by packing it
+    into bytes (entries 0..255 only) and deleting every byte below n."""
+    if n > 256:
+        return min(table) >= 0 and max(table) < n
+    try:
+        return not bytes(table).translate(None, bytes(range(n)))
+    except ValueError:
+        return False
+
+
 @frozen
 class FiniteAlgebra:
     """A total algebra over a signature, given by flat row-major tables.
@@ -79,7 +90,7 @@ class FiniteAlgebra:
                     f"table for {symbol!r} has {len(table)} entries, "
                     f"expected {expected or n**arity}"
                 )
-            if min(table) < 0 or max(table) >= n:
+            if not _within(table, n):
                 raise ValueError(f"table for {symbol!r} has out-of-range entries")
         extra = set(tables) - set(self.signature.arities)
         if extra:
@@ -102,6 +113,12 @@ class FiniteAlgebra:
     @cached_property
     def tables(self) -> dict[str, tuple[int, ...]]:
         return dict(self.ops)
+
+    @cached_property
+    def byte_tables(self) -> Optional[dict[str, bytes]]:
+        """Each table as bytes, one byte per entry, while the carrier has at most
+        256 elements; None past that."""
+        return {symbol: bytes(table) for symbol, table in self.ops} if self.size <= 256 else None
 
     def op_on_vectors(
         self, symbol: str, args: Sequence[tuple[int, ...]], width: int
@@ -158,8 +175,11 @@ Vector = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _variable_vectors(size: int, count: int) -> tuple[Vector, ...]:
-    """Truth vectors of ``count`` variables over a carrier of ``size``."""
-    return tuple(zip(*product(range(size), repeat=count)))
+    """Truth vectors of ``count`` variables over a carrier of ``size``: variable i
+    runs through the carrier in blocks of ``size**(count-1-i)`` equal values,
+    repeated ``size**i`` times, with no valuation built."""
+    return tuple(tuple(chain.from_iterable(repeat(v, size ** (count - 1 - i)) for v in range(size)))
+                 * size**i for i in range(count))
 
 
 def _program_steps(
@@ -198,14 +218,23 @@ def _program_steps(
 def truth_vectors(
     formulas: Iterable[Formula], variables: Sequence[str], algebra: FiniteAlgebra
 ) -> list[Vector]:
-    """Each formula's truth vector over ``variables``, bottom-up over their distinct subformulas."""
+    """Each formula's truth vector over ``variables``, bottom-up over their distinct
+    subformulas. A vector no output needs is dropped after the last step that reads it."""
     steps, outputs = _program_steps(formulas, variables)
     refuse(DEFAULT_BUDGET, "truth vectors", (len(variables) + len(steps), "vectors"),
            ((algebra.size, len(variables)), "valuations"))  # a memory bound: no caller's budget
     width = algebra.size ** len(variables)
-    vectors = list(_variable_vectors(algebra.size, len(variables)))
-    for symbol, args in steps:
+    last_read = {i: j for j, (_, args) in enumerate(steps) for i in args}
+    for i in outputs:
+        last_read.pop(i, None)
+    done: list[list[int]] = [[] for _ in steps]  # the slots each step reads for the last time
+    for i, j in last_read.items():
+        done[j].append(i)
+    vectors: list[Optional[Vector]] = list(_variable_vectors(algebra.size, len(variables)))
+    for (symbol, args), dropped in zip(steps, done):
         vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
+        for i in dropped:
+            vectors[i] = None
     return [vectors[i] for i in outputs]
 
 
@@ -298,42 +327,58 @@ def _power_size(size: int, n: int) -> int:
     return size**n
 
 
+def _next_power_table(
+    table: Union[bytes, Sequence[int]], base: Sequence[int], size: int, width: int, arity: int
+) -> Union[bytes, list[int]]:
+    """An operation's table on the power of ``size * width`` elements, from its
+    ``table`` on the power of ``width`` elements and its ``base`` table, the new
+    coordinate most significant: (d, x) ranks d·width + x. Holding the arguments
+    before the last, the last argument's block for one base element d is the old
+    table's row over the last x, shifted by the base value on the d's times width.
+    A bytes table shifts a row by ``bytes.translate``, so its values must stay
+    below 256; any other table is shifted entry by entry into a list."""
+    lanes = isinstance(table, bytes)
+    if arity == 0:
+        value = base[0] * width + table[0]
+        return bytes([value]) if lanes else [value]
+    rows = [table[i:i + width] for i in range(0, len(table), width)]
+    if lanes:  # one translate table per shift, values past the row left at 0
+        shifts = [bytes(range(v * width, (v + 1) * width)).ljust(256, b"\0") for v in range(size)]
+        shifted = [[row.translate(shift) for shift in shifts] for row in rows]
+    else:
+        shifted = [[[x + v * width for x in row] for v in range(size)] for row in rows]
+    # each tuple of the arguments before the last, in row-major order, as the rank of
+    # its base coordinates among base tuples and of its old coordinates among old ones
+    prefixes = [(0, 0)]
+    for _ in range(arity - 1):
+        prefixes = [(b * size + d, r * width + x) for b, r in prefixes
+                    for d in range(size) for x in range(width)]
+    blocks = [shifted[r][base[b * size + d]] for b, r in prefixes for d in range(size)]
+    return b"".join(blocks) if lanes else list(chain.from_iterable(blocks))
+
+
 def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
     """Direct power with coordinatewise operations and no order.
 
     Element i of the product is the tuple of base indices given by the
     row-major rank i (first coordinate most significant); constants are
-    constant tuples. Each table is built one coordinate at a time, by index
-    arithmetic: with x = (x1..xm) and d a base element, x*size + d is the
-    element (x1..xm, d) of the next power, and the operation on such
-    elements is its value on the x's times size plus its value on the d's.
+    constant tuples. Each table is built one coordinate at a time, each new
+    coordinate the most significant one (see ``_next_power_table``), so every
+    block of a new table is a shifted row of the last one. While the power has
+    at most 256 elements, a table is built as bytes, one byte per entry.
     """
     _power_size(algebra.size, n)
     size = algebra.size
     # a label with a comma or quote is quoted, so that no two tuples' labels coincide
     labels = [repr(c) if {",", "'", '"'} & set(c) else c for c in algebra.carrier]
     carrier = tuple("(" + ",".join(t) + ")" for t in product(labels, repeat=n))
+    lanes = size**n <= 256
     ops = []
     for symbol, arity in algebra.signature.connectives:
-        base = table = algebra.tables[symbol]
+        base = algebra.tables[symbol]
+        table = bytes(base) if lanes else base
         for width in (size**m for m in range(1, n)):  # table is on the width-element power
-            if arity == 0:
-                table = [table[0] * size + base[0]]
-                continue
-            # each column (arguments after the first) of the next power, as
-            # its column on the width-element power and its base column
-            columns = [(0, 0)]
-            for _ in range(arity - 1):
-                columns = [(c * width + x, b * size + d) for c, b in columns
-                           for x in range(width) for d in range(size)]
-            row, base_row = width ** (arity - 1), size ** (arity - 1)
-            grown = []
-            for x in range(width):
-                old = table[x * row:(x + 1) * row]
-                for d in range(size):
-                    new = base[d * base_row:(d + 1) * base_row]
-                    grown += [old[c] * size + new[b] for c, b in columns]
-            table = grown
+            table = _next_power_table(table, base, size, width, arity)
         ops.append((symbol, tuple(table)))
     return FiniteAlgebra(
         signature=algebra.signature,
@@ -370,10 +415,14 @@ def is_homomorphism(
     """Check the homomorphism equation for every connective and argument tuple.
 
     Returns (True, None) or (False, (symbol, argument_tuple)) with the first
-    violation in signature order / row-major argument order. Each row of
-    equations (one first argument) is checked at once against the target
-    side, which is computed coordinatewise once per image of the first
-    argument.
+    violation in signature order / row-major argument order. Each connective's
+    source table is mapped through ``mapping`` in one step and compared with the
+    target side, whose row for one first argument is computed coordinatewise
+    once per image of that argument. While both carriers have at most 256
+    elements, both sides are bytes: the source table is mapped by
+    ``bytes.translate`` and compared whole with the target's rows joined. Past
+    that, the mapped table is a list, compared row by row. The first differing
+    entry gives the witness.
     """
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
@@ -382,21 +431,31 @@ def is_homomorphism(
     if any(not (0 <= v < target.size) for v in mapping):
         raise ValueError("mapping has out-of-range values")
     n = source.size
+    lanes = n <= 256 and target.size <= 256
+    if lanes:
+        image_of = bytes(mapping).ljust(256, b"\0")
     for symbol, arity in source.signature.connectives:
         width = n ** max(arity - 1, 0)
-        mapped = [mapping[v] for v in source.tables[symbol]]
+        if lanes:
+            mapped = source.byte_tables[symbol].translate(image_of)
+        else:
+            mapped = [mapping[v] for v in source.tables[symbol]]
         later = [tuple([mapping[a] for a in column])  # mapped later arguments of a row
                  for column in _variable_vectors(n, max(arity - 1, 0))]
-        images: dict[int, list[int]] = {}  # target side of a row, by its first argument's image
-        for first in range(n if arity else 1):
-            head = mapping[first]
-            if head not in images:
-                args = [(head,) * width, *later] if arity else []
-                images[head] = list(target.op_on_vectors(symbol, args, width))
-            row, image = mapped[first * width:(first + 1) * width], images[head]
-            if row != image:
-                offset = next(i for i, (a, b) in enumerate(zip(row, image)) if a != b)
-                return False, (symbol, element_coordinates(n, arity, first * width + offset))
+        heads = mapping if arity else mapping[:1]  # each row's first argument, mapped
+        images = {}  # target side of a row, by its first argument's image
+        for head in dict.fromkeys(heads):
+            image = target.op_on_vectors(symbol, [(head,) * width, *later] if arity else [], width)
+            images[head] = bytes(image) if lanes else list(image)
+        if lanes:  # the whole table at once, its rows joined
+            blocks = [(0, mapped, b"".join(map(images.__getitem__, heads)))]
+        else:  # row by row, so no second table is built
+            blocks = ((first * width, mapped[first * width:(first + 1) * width], images[head])
+                      for first, head in enumerate(heads))
+        for start, block, image in blocks:
+            if block != image:
+                offset = next(i for i, (a, b) in enumerate(zip(block, image)) if a != b)
+                return False, (symbol, element_coordinates(n, arity, start + offset))
     return True, None
 
 
@@ -599,7 +658,9 @@ def enumerate_homomorphisms(
     for (arity, commutative), pairs in groups.items():
         if commutative:
             rows = list(combinations_with_replacement(range(n), 2))
-            pairs = [(image, [table[a * n + b] for a, b in rows]) for image, table in pairs]
+            pairs = [(image, list(chain.from_iterable(table[a * n + a:(a + 1) * n]
+                                                      for a in range(n))))
+                     for image, table in pairs]  # row a from column a: each a <= b once
         else:
             rows = list(product(range(n), repeat=arity))
         runs.append(chain.from_iterable(zip(*(zip(repeat(image), rows, values)

@@ -11,13 +11,15 @@ from aggcheck.agenda import (
 )
 from aggcheck.algebra import (
     FiniteAlgebra,
+    all_valuations,
     builtin_boolean2,
     builtin_distributive_lattice,
     builtin_mv_chain,
+    evaluate,
     product_algebra,
 )
 from aggcheck.semantics import Matrix, interderivable
-from aggcheck.syntax import Var, parse_formula, variables_of
+from aggcheck.syntax import Var, formula_sort_key, parse_formula, variables_of
 from test_vectors import formulas
 
 _B2, _MV3 = builtin_boolean2(), builtin_mv_chain(3)
@@ -135,6 +137,22 @@ class TestStrictlyContingent:
     def test_agenda_report(self, or_agenda):
         names = {str(x) for x in strictly_contingent_formulas(or_agenda)}
         assert len(names) == 3  # all three formulas hit both truth values
+
+    @pytest.mark.parametrize("logic", sorted(LOGICS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_agenda_report_matches_brute_force(self, logic, data):
+        # the matrix's own algebra reads the images counted with the equivalent
+        # variables; "boolean2-values-in-b4" evaluates in another algebra
+        matrix, algebra = LOGICS[logic]
+        drawn = data.draw(st.lists(formulas(matrix.algebra, ["x1", "x2"], 5), max_size=3))
+        agenda = agenda_over(dict.fromkeys(drawn), matrix, algebra)
+        values = agenda.algebra
+        expected = tuple(
+            f for f in sorted(agenda.formulas, key=formula_sort_key)
+            if len({evaluate(f, v, values) for v in all_valuations(variables_of(f), values)})
+            == values.size)
+        assert strictly_contingent_formulas(agenda) == expected
 
 
 class TestPseudoRichImpliesContingent:

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 from itertools import product
@@ -103,6 +104,20 @@ class TestBuiltins:
     def test_unbounded_poset_rejected(self):
         with pytest.raises(ValueError):
             builtin_distributive_lattice(["a", "b"], [])
+
+
+@pytest.mark.parametrize("size", [1, 2, 255, 256, 257, 300])
+def test_table_entries_must_lie_in_the_carrier(size):
+    # up to 256 elements the check packs each table into bytes; past that it scans
+    signature = Signature((("u", 1),))
+    carrier = tuple(map(str, range(size)))
+    for top in (size - 1, 0):
+        FiniteAlgebra(signature, carrier, (("u", (top,) * size),))
+    for bad in (-1, size, 255, 256, 10**6):
+        if 0 <= bad < size:
+            continue
+        with pytest.raises(ValueError, match="table for 'u' has out-of-range entries"):
+            FiniteAlgebra(signature, carrier, (("u", (0,) * (size - 1) + (bad,)),))
 
 
 class TestEvaluate:
@@ -248,6 +263,55 @@ def test_is_homomorphism_reports_the_first_violation(algebra, n, data):
     for mapping in (projection, near_miss, random_map):
         expected = first_violation(mapping, power, algebra)
         assert is_homomorphism(tuple(mapping), power, algebra) == expected
+
+
+def _seven_element_algebra():
+    """A fixed random algebra on 7 elements with a constant, a unary and a binary
+    connective: its cube has 343 elements, past one byte per element."""
+    rng = random.Random(7)
+    arities = {"c": 0, "u": 1, "b": 2}
+    return FiniteAlgebra(
+        signature=Signature(tuple(arities.items())),
+        carrier=tuple("0123456"),
+        ops=tuple((s, tuple(rng.randrange(7) for _ in range(7**a))) for s, a in arities.items()),
+    )
+
+
+# the power's two row forms: bytes up to 256 elements (mv4^4 has exactly 256), lists past it
+ROW_FORMS = {"lists at 7^3": (_seven_element_algebra(), 3), "bytes at 4^4": (builtin_mv_chain(4), 4)}
+
+
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+def test_power_tables_equal_their_definition_in_both_row_forms(form):
+    algebra, n = ROW_FORMS[form]
+    assert product_algebra(algebra, n).tables == power_by_definition(algebra, n)
+
+
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+def test_is_homomorphism_reports_the_first_violation_in_both_row_forms(form):
+    algebra, n = ROW_FORMS[form]
+    power = product_algebra(algebra, n)
+    rng = random.Random(form)
+    projection = [coords[-1] for coords in product(range(algebra.size), repeat=n)]
+    near_miss = list(projection)
+    changed = rng.randrange(power.size)
+    near_miss[changed] = (near_miss[changed] + 1) % algebra.size
+    random_map = [rng.randrange(algebra.size) for _ in range(power.size)]
+    for mapping in (projection, near_miss, random_map):
+        expected = first_violation(mapping, power, algebra)
+        assert is_homomorphism(tuple(mapping), power, algebra) == expected
+    assert first_violation(projection, power, algebra) == (True, None)
+
+
+def test_is_homomorphism_into_a_target_past_256_elements():
+    algebra = _seven_element_algebra()
+    power = product_algebra(algebra, 3)
+    diagonal = [product_element_index(7, (d,) * 3) for d in range(7)]
+    near_miss = list(diagonal)
+    near_miss[4] = product_element_index(7, (4, 4, 5))
+    for mapping in (diagonal, near_miss):
+        assert is_homomorphism(mapping, algebra, power) == first_violation(mapping, algebra, power)
+    assert is_homomorphism(diagonal, algebra, power) == (True, None)
 
 
 class TestHomomorphisms:

@@ -73,16 +73,38 @@ class TestCheckAgenda:
 
         def spy(formula, owner):
             calls.append(print_formula(formula))
-            return equivalent_variable(formula, owner)
+            return decide(formula, owner)
 
-        equivalent_variable = agenda_layer.equivalent_variable
-        monkeypatch.setattr(agenda_layer, "equivalent_variable", spy)
+        decide = agenda_layer._variable_and_image_size  # each formula's one decision
+        monkeypatch.setattr(agenda_layer, "_variable_and_image_size", spy)
         out = tmp_path / "report.json"
         assert main(["check-agenda", "--logic", "boolean2", "--agenda", bool_agenda_file,
                      "--out", str(out)]) == 0
         assert sorted(calls) == ["(not x1)", "(or x1 x2)", "x1", "x2"]
         assert json.loads(out.read_text())["equivalent_variable"] == {
             "(not x1)": None, "(or x1 x2)": None, "x1": "x1", "x2": "x2"}
+
+    @pytest.mark.parametrize("logic", ["boolean2", "mv3-degree"])
+    def test_builds_one_truth_vector_program_per_formula(self, logic, tmp_path, monkeypatch):
+        # the equivalent variable and strict contingency are read off one vector
+        programs = []
+
+        def spy(formulas, variables):
+            formulas = list(formulas)
+            programs.append([print_formula(f) for f in formulas])
+            return program_steps(formulas, variables)
+
+        program_steps = algebra._program_steps
+        monkeypatch.setattr(algebra, "_program_steps", spy)
+        join, meet = {"boolean2": ("or", "and"), "mv3-degree": ("oplus", "odot")}[logic]
+        texts = ["x1", "(not x1)", f"({join} x1 x2)", f"({meet} x2 (not x2))"]
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": texts}, path)
+        out = tmp_path / "report.json"
+        assert main(["check-agenda", "--logic", logic, "--agenda", str(path),
+                     "--out", str(out)]) == 0
+        assert sorted(program[0] for program in programs) == sorted(texts)
+        assert json.loads(out.read_text())["strictly_contingent"] == sorted(texts[:3])
 
     @pytest.mark.parametrize("logic", ["boolean2", "boolean2-degree", "mv3", "mv3-degree"])
     def test_never_consults_entailment(self, logic, tmp_path, monkeypatch):

@@ -103,6 +103,62 @@ def test_truth_vectors_match_evaluate(data):
     ]
 
 
+def chain_formula(names, symbol="or"):
+    """(symbol ... (symbol x1 x2) ... xk) over the given variables."""
+    formula = Var(names[0])
+    for name in names[1:]:
+        formula = App(symbol, (formula, Var(name)))
+    return formula
+
+
+@pytest.fixture
+def live_vectors(monkeypatch):
+    """How many computed vectors were alive as each connective was applied."""
+    live, counts = set(), []
+
+    class Tracked(tuple):
+        def __del__(self):
+            live.discard(id(self))
+
+    op_on_vectors = algebra.FiniteAlgebra.op_on_vectors
+
+    def spy(self, symbol, args, width):
+        counts.append(len(live))
+        vector = Tracked(op_on_vectors(self, symbol, args, width))
+        live.add(id(vector))
+        return vector
+
+    monkeypatch.setattr(algebra.FiniteAlgebra, "op_on_vectors", spy)
+    return counts
+
+
+def test_intermediate_vectors_are_dropped_after_their_last_read(live_vectors):
+    names = [f"x{i}" for i in range(1, 9)]
+    f = chain_formula(names)
+    assert truth_vectors([f], names, builtin_boolean2()) == [
+        brute_vector(f, names, builtin_boolean2())]
+    # each link reads only the one before it, the one vector still alive
+    assert live_vectors == [0] + [1] * 6
+
+
+def test_a_formula_given_twice_gets_its_vector_twice():
+    b = builtin_boolean2()
+    names = ["x1", "x2", "x3"]
+    f, g = chain_formula(names), chain_formula(names, "and")
+    assert truth_vectors([f, g, f], names, b) == [
+        brute_vector(h, names, b) for h in (f, g, f)]
+    assert truth_vectors([App("not", (f,)), f, f], names, b)[1:] == [brute_vector(f, names, b)] * 2
+
+
+def test_an_output_read_by_a_later_step_keeps_its_vector():
+    b = builtin_boolean2()
+    names = ["x1", "x2", "x3"]
+    sub = chain_formula(names[:2])
+    f = App("and", (App("not", (sub,)), App("or", (sub, Var("x3")))))
+    for outputs in ([sub, f], [f, sub], [sub, f, sub]):
+        assert truth_vectors(outputs, names, b) == [brute_vector(h, names, b) for h in outputs]
+
+
 def test_unbound_variable():
     with pytest.raises(EvaluationError):
         truth_vectors([Var("y")], ["x"], builtin_boolean2())
