@@ -7,6 +7,7 @@ together with its ambient logic (a matrix) and truth-value algebra.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import eq
 from typing import Optional
 
 from .algebra import FiniteAlgebra, truth_vector, truth_vectors
@@ -101,8 +102,8 @@ def _variable_and_image_size(formula: Formula, agenda: Agenda) -> tuple[Optional
     vector, *others = truth_vectors([formula, *map(Var, names)], names, matrix.algebra)
     image_size = len(set(vector))
     pattern = matrix.pattern(vector)
-    for name, other in zip(names, others):
-        if matrix.pattern(other) == pattern:
+    for name, other in zip(names, others):  # up to the first valuation they differ at
+        if all(map(eq, pattern, map(matrix.holding.__getitem__, other))):
             return name, image_size
     if len(set(matrix.holding)) == 1:  # only a variable-free formula gets here then
         return _fresh_variable(agenda.signature), image_size

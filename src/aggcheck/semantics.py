@@ -15,7 +15,7 @@ patterns (``Matrix.holding``), and the brute-force loops ``entails`` and
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, refuse, truth_vectors
@@ -123,8 +123,12 @@ def check_selfextensionality(
     never yield a violation, so the search runs over distinct truth vectors
     grouped by holding pattern, swapping one argument position at a time
     (one-position swaps compose to arbitrary componentwise-equivalent
-    argument tuples). Failure is conclusive; success means no counterexample
-    at this depth.
+    argument tuples), each class's first member against each later member.
+    Holding alike is an equivalence, so where two later members break the
+    congruence, one of them breaks it with the first member at the same
+    arguments. That pair comes earlier in the all-pairs order, so comparing
+    every pair would find the same first witness. Failure is conclusive;
+    success means no counterexample at this depth.
     """
     algebra = matrix.algebra
     names = sorted(variables)
@@ -138,9 +142,7 @@ def check_selfextensionality(
     for vec in vectors:
         classes.setdefault(matrix.pattern(vec), []).append(vec)
 
-    pairs = [pair for members in classes.values() for pair in combinations(members, 2)]
-    if not pairs:
-        return True, None
+    pairs = [(first, w) for first, *later in classes.values() for w in later]
 
     for symbol, arity in algebra.signature.connectives:
         if arity == 0:

@@ -9,6 +9,7 @@ from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
 from aggcheck.syntax import MAX_FORMULA_DEPTH, print_formula
+from test_golden import DOUBLED_BOOLEAN
 
 
 @pytest.fixture
@@ -105,6 +106,27 @@ class TestCheckAgenda:
                      "--out", str(out)]) == 0
         assert sorted(program[0] for program in programs) == sorted(texts)
         assert json.loads(out.read_text())["strictly_contingent"] == sorted(texts[:3])
+
+    def test_takes_one_holding_pattern_per_formula(self, tmp_path, monkeypatch):
+        # each own variable is compared with the formula's pattern lazily
+        patterns = []
+
+        def spy(matrix, vector):
+            patterns.append(len(vector))
+            return pattern(matrix, vector)
+
+        pattern = semantics.Matrix.pattern
+        monkeypatch.setattr(semantics.Matrix, "pattern", spy)
+        texts = ["(or x1 x2)", "(and x1 (not x2))", "(or x1 (or x2 x3))", "(not (not x3))"]
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": texts}, path)
+        out = tmp_path / "report.json"
+        assert main(["check-agenda", "--logic", "boolean2", "--agenda", str(path),
+                     "--out", str(out)]) == 0
+        assert sorted(patterns) == [2, 4, 4, 8]
+        assert json.loads(out.read_text())["equivalent_variable"] == {
+            "(and x1 (not x2))": None, "(not (not x3))": "x3", "(or x1 (or x2 x3))": None,
+            "(or x1 x2)": None}
 
     @pytest.mark.parametrize("logic", ["boolean2", "boolean2-degree", "mv3", "mv3-degree"])
     def test_never_consults_entailment(self, logic, tmp_path, monkeypatch):
@@ -358,6 +380,20 @@ class TestCheckSelfext:
     def test_luk_degree_passes(self):
         assert main(["check-selfext", "--logic", "mv3-degree", "--variables", "1",
                      "--depth", "2"]) == 0
+
+    def test_congruence_check_charges_pairs_with_each_class_first(self, tmp_path, capsys):
+        # 102 vectors in 14 classes give 88 pairs; all pairs of a class were 774,
+        # which charged 'or' 157896 units and refused at this budget
+        path = tmp_path / "doubled.json"
+        dump_json(DOUBLED_BOOLEAN, path)
+        argv = ["check-selfext", "--logic", str(path), "--variables", "2", "--depth", "2"]
+        assert main([*argv, "--budget", "20000"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--budget", "17951"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: congruence check of 'or': 88 vector pairs x 2 positions x "
+            "102 other arguments = 17952 exceed the limit of 17951\n"
+        )
 
     def test_closure_is_refused_at_the_given_budget(self, capsys):
         # passes at the default budget, after some 30 s

@@ -59,6 +59,29 @@ def _diamond_matrix() -> dict:
     }
 
 
+# {0, a, b} with a and b designated: 0 -> 0, a, b -> 1 is a strict homomorphism
+# onto boolean2, so the logic is classical, but the matrix is not reduced
+DOUBLED_BOOLEAN = {
+    "algebra": {
+        "name": "doubled-boolean",
+        "signature": {"connectives": [
+            {"name": "not", "arity": 1}, {"name": "or", "arity": 2},
+            {"name": "and", "arity": 2}, {"name": "bot", "arity": 0},
+            {"name": "top", "arity": 0},
+        ]},
+        "carrier": ["0", "a", "b"],
+        "ops": {
+            "not": [1, 0, 0],
+            "or": [[0, 2, 1], [2, 1, 2], [1, 2, 1]],
+            "and": [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+            "bot": [0],
+            "top": [1],
+        },
+    },
+    "designated": [1, 2],
+}
+
+
 def _criterion(n: int, value) -> dict:
     tuples = [[i >> (n - 1 - v) & 1 for v in range(n)] for i in range(1 << n)]
     return {"electorate": n, "values": [value(t) for t in tuples]}
@@ -70,6 +93,7 @@ INPUTS = {
     "agenda_mv.json": {"formulas": ["x1", "x2", "(oplus x1 x2)"]},
     "agenda_diamond.json": {"formulas": ["x1", "x2", "(or x1 x2)"]},
     "diamond.json": _diamond_matrix(),
+    "doubled.json": DOUBLED_BOOLEAN,
     "majority3.json": _criterion(3, lambda t: int(2 * sum(t) > 3)),
     "projection3.json": _criterion(3, lambda t: t[1]),
     "constant2.json": _criterion(2, lambda t: 1),
@@ -146,6 +170,9 @@ def _cases() -> dict[str, list[str]]:
             "--depth", "2"],
         "check-selfext-diamond-v2-d2": [
             "check-selfext", "--logic", "diamond.json", "--variables", "2",
+            "--depth", "2"],
+        "check-selfext-doubled-v2-d2": [
+            "check-selfext", "--logic", "doubled.json", "--variables", "2",
             "--depth", "2"],
         "check-agenda-not-an-agenda": [
             "check-agenda", "--logic", "boolean2", "--agenda", "diamond.json"],

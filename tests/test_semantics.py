@@ -1,12 +1,26 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggcheck.algebra import FiniteAlgebra, builtin_mv_chain, closure_vectors
-from aggcheck.semantics import Matrix, check_selfextensionality, entails, interderivable
-from aggcheck.syntax import Var, bounded_closure, parse_formula
+from aggcheck import semantics
+from aggcheck.algebra import (
+    DEFAULT_BUDGET,
+    FiniteAlgebra,
+    builtin_mv_chain,
+    closure_vectors,
+    refuse,
+)
+from aggcheck.errors import BudgetExceededError
+from aggcheck.semantics import (
+    CongruenceWitness,
+    Matrix,
+    check_selfextensionality,
+    entails,
+    interderivable,
+)
+from aggcheck.syntax import App, Signature, Var, bounded_closure, parse_formula
 
 
 def f(text, matrix):
@@ -96,6 +110,24 @@ class TestInterderivable:
                     assert (a, c) in equiv
 
 
+@st.composite
+def small_matrices(draw):
+    """A random filter matrix on 2-4 elements with a unary and a binary connective,
+    and maybe a constant and a ternary one; one or two variables; depth 1 or 2."""
+    size = draw(st.integers(2, 4))
+    connectives = [("u", 1), ("b", 2)]
+    connectives += draw(st.sampled_from([[], [("c", 0)]]))
+    connectives += draw(st.sampled_from([[], [("t", 3)]]))
+    ops = tuple(
+        (symbol, tuple(draw(st.lists(st.integers(0, size - 1),
+                                     min_size=size**arity, max_size=size**arity))))
+        for symbol, arity in connectives)
+    algebra = FiniteAlgebra(Signature(tuple(connectives)), tuple(map(str, range(size))), ops)
+    designated = draw(st.frozensets(st.integers(0, size - 1), min_size=1))
+    variables = draw(st.sampled_from([["x1"], ["x1", "x2"]]))
+    return Matrix(algebra, designated), variables, draw(st.integers(1, 2))
+
+
 class TestSelfextensionality:
     def test_classical_no_counterexample(self, classical):
         ok, witness = check_selfextensionality(classical, ["x1", "x2"], 2)
@@ -129,7 +161,7 @@ class TestSelfextensionality:
         assert ok and witness is None
 
     @pytest.mark.parametrize("variables, depth", [(["x1"], 1), (["x1"], 2), (["x1", "x2"], 1)])
-    def test_unreduced_classical_matrix_passes(self, variables, depth):
+    def test_unreduced_classical_matrix_passes(self, variables, depth, monkeypatch):
         # Ł2 x Ł3 with the filter {1} x Ł3: a formula holds iff its Ł2 coordinate
         # is 1, so the logic is classical, yet interderivable formulas may differ
         # in the Ł3 coordinate and the holding classes are not singletons
@@ -145,7 +177,85 @@ class TestSelfextensionality:
         vectors = closure_vectors(map(Var, variables), variables, algebra, depth)
         classes = Counter(tuple(v in matrix.designated for v in vector) for vector in vectors)
         assert max(classes.values()) >= 2
+
+        # each class's first member is compared with each later one, at every
+        # position and every tuple of other arguments: two results per comparison
+        calls = []
+
+        def closure_then_count(*args, **kwargs):
+            closure = closure_vectors(*args, **kwargs)
+            calls.append(0)
+            return closure
+
+        def counted(self, *args):
+            if calls:
+                calls[0] += 1
+            return op_on_vectors(self, *args)
+
+        op_on_vectors = FiniteAlgebra.op_on_vectors
+        monkeypatch.setattr(semantics, "closure_vectors", closure_then_count)
+        monkeypatch.setattr(FiniteAlgebra, "op_on_vectors", counted)
         assert check_selfextensionality(matrix, variables, depth) == (True, None)
+        per_pair = sum(arity * len(vectors) ** (arity - 1)
+                       for _, arity in algebra.signature.connectives if arity)
+        assert calls == [2 * (len(vectors) - len(classes)) * per_pair]
+
+    def test_first_witness_can_pair_the_first_member_with_the_third(self):
+        # constants a, b, c hold alike, u(a) and u(b) hold alike but u(c) does
+        # not: (a, b) passes, so the first witness is (a, c), ahead of (b, c)
+        signature = Signature((("u", 1), ("a", 0), ("b", 0), ("c", 0)))
+        algebra = FiniteAlgebra(signature, ("0", "1", "2", "3"),
+                                (("u", (0, 1, 1, 0)), ("a", (1,)), ("b", (2,)), ("c", (3,))))
+        matrix = Matrix(algebra, frozenset({1, 2, 3}))
+        expected = (False, CongruenceWitness("u", (App("a", ()),), (App("c", ()),)))
+        assert all_pairs_selfextensionality(matrix, ["x1"], 1) == expected
+        assert check_selfextensionality(matrix, ["x1"], 1) == expected
+
+    @given(small_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_first_member_comparison_matches_all_pairs(self, drawn):
+        matrix, variables, depth = drawn
+        budget = 20_000
+        try:
+            expected = all_pairs_selfextensionality(matrix, variables, depth, budget)
+        except BudgetExceededError:
+            expected = None
+        try:
+            actual = check_selfextensionality(matrix, variables, depth, budget)
+        except BudgetExceededError:
+            assert expected is None  # it charges no more than all pairs
+        else:
+            assert expected is None or actual == expected
+
+
+def all_pairs_selfextensionality(matrix, variables, depth, budget=DEFAULT_BUDGET):
+    """The reference: ``check_selfextensionality`` comparing every pair of a class."""
+    algebra = matrix.algebra
+    names = sorted(variables)
+    n_valuations = algebra.size ** len(names)
+    rep = closure_vectors(map(Var, variables), names, algebra, depth,
+                          key=lambda text: (len(text), text), budget=budget)
+    vectors = list(rep)
+    classes = {}
+    for vec in vectors:
+        classes.setdefault(matrix.pattern(vec), []).append(vec)
+    pairs = [pair for members in classes.values() for pair in combinations(members, 2)]
+    for symbol, arity in algebra.signature.connectives:
+        if arity == 0:
+            continue
+        refuse(budget, f"congruence check of {symbol!r}", (len(pairs), "vector pairs"),
+               (arity, "positions"), ((len(vectors), arity - 1), "other arguments"))
+        for u, w in pairs:
+            for position in range(arity):
+                for others in product(vectors, repeat=arity - 1):
+                    args_u = others[:position] + (u,) + others[position:]
+                    args_w = others[:position] + (w,) + others[position:]
+                    res_u = algebra.op_on_vectors(symbol, args_u, n_valuations)
+                    res_w = algebra.op_on_vectors(symbol, args_w, n_valuations)
+                    if matrix.pattern(res_u) != matrix.pattern(res_w):
+                        return False, CongruenceWitness(
+                            symbol, tuple(rep[a] for a in args_u), tuple(rep[a] for a in args_w))
+    return True, None
 
 
 @st.composite
