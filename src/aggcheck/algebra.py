@@ -195,7 +195,7 @@ def _program_steps(
         return node.name if isinstance(node, Var) else id(node)
 
     slots: dict = {name: i for i, name in enumerate(variables)}
-    steps: list[tuple[str, tuple[int, ...]]] = []
+    steps: dict[tuple[str, tuple[int, ...]], int] = {}  # step -> slot: equal ones share it
     for formula in formulas:
         stack = [formula]
         while stack:  # iterative post-order, so deep formulas need no recursion
@@ -210,9 +210,9 @@ def _program_steps(
                     stack.extend(pending)
                 else:
                     stack.pop()
-                    slots[id(node)] = len(variables) + len(steps)
-                    steps.append((node.symbol, tuple(slots[slot_key(a)] for a in node.args)))
-    return steps, [slots[slot_key(f)] for f in formulas]
+                    step = (node.symbol, tuple(slots[slot_key(a)] for a in node.args))
+                    slots[id(node)] = steps.setdefault(step, len(variables) + len(steps))
+    return list(steps), [slots[slot_key(f)] for f in formulas]
 
 
 def truth_vectors(
@@ -517,10 +517,11 @@ def _lex_comparisons(perm: Sequence[int], slots: int) -> tuple[list[tuple[int, i
 
 
 def _close_under(
-    tables: Iterable[tuple[int, ...]], symmetries: Sequence[Sequence[int]]
+    tables: Iterable[tuple[int, ...]], symmetries: Sequence[Sequence[int]], stage: str
 ) -> list[tuple[int, ...]]:
     """``tables`` closed under ``t -> t∘perm`` (``t[perm[i]]`` at slot i) for each of
-    the permutations (none the identity), without repeats, in lexicographic order."""
+    the permutations (none the identity), without repeats, in lexicographic order;
+    refused, naming ``stage``, before it keeps more than ``MAX_CONSTRAINTS`` entries."""
     seen = dict.fromkeys(tables)
     queue = list(seen)
     images = [itemgetter(*perm) for perm in symmetries]
@@ -528,6 +529,7 @@ def _close_under(
         for image in images:
             permuted = image(table)
             if permuted not in seen:
+                refuse(MAX_CONSTRAINTS, stage, (len(queue) + 1, "tables"), (len(table), "entries"))
                 seen[permuted] = None
                 queue.append(permuted)
     return sorted(seen)
@@ -552,6 +554,8 @@ def search_tables(
     the constraint's ``result`` if greater. Entering a node (giving a slot a value)
     charges one work unit plus one per constraint whose last slot it is; past
     ``budget`` the search stops with a ``BudgetExceededError`` naming ``stage``.
+    It stops the same way before the tables it keeps (found, and their images
+    under ``symmetries``) would hold more than ``MAX_CONSTRAINTS`` entries.
 
     ``symmetries`` are slot permutations that map solutions to solutions: with
     t, ``t∘perm`` (``t[perm[i]]`` at slot i) is one. The search then keeps lex-leaders
@@ -619,10 +623,11 @@ def search_tables(
                 break
         else:
             if k + 1 == slots:
+                refuse(MAX_CONSTRAINTS, stage, (len(found) + 1, "tables"), (slots, "entries"))
                 found.append(tuple(t))
             else:
                 k += 1
-    return _close_under(found, perms) if perms else found
+    return _close_under(found, perms, stage) if perms else found
 
 
 def _commutative(table: Sequence[int], size: int, arity: int) -> bool:

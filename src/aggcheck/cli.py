@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import __version__
 from .agenda import pseudo_richness, strictly_contingent_formulas
-from .aggregation import aggregator_from_criterion, criterion_from_aggregator
+from .aggregation import aggregator_from_criterion, criterion_from_aggregator, witness_attitudes
 from .algebra import (
     DEFAULT_BUDGET,
     DecisionCriterion,
@@ -98,6 +98,7 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     algebra = agenda.algebra
     n = args.electorate
     refuse_power_past_the_caps(algebra, n)  # every cap refuses before either route searches
+    witness_attitudes(agenda)  # so does an agenda the round trip has no witness for
     qualifying = qualifying_criteria(agenda, n, args.depth, args.budget)
     qual_tables = sorted(c.values for c in qualifying)
     hom_tables = sorted(h.mapping for h in power_homomorphisms(algebra, n, args.budget))

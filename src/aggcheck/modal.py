@@ -300,21 +300,12 @@ def small_model_bound(formulas: Iterable[Formula]) -> int:
     """
     formulas = tuple(formulas)
     names = variables_of(*formulas)
-    steps, _ = _program_steps(formulas, names)
-    classes: dict = {}  # (connective, argument classes) -> class: equal subformulas share one
-    slot_class = list(range(len(names)))  # a program slot's class; a variable is its own
+    steps, _ = _program_steps(formulas, names)  # one step per distinct subformula
     slot_depth = [0] * len(names)  # a program slot's modal depth
-    boxes = 0
     for symbol, args in steps:
-        structure = (symbol, *[slot_class[a] for a in args])
-        boxed = symbol == "box"
-        if structure not in classes:
-            classes[structure] = len(names) + len(classes)
-            boxes += boxed
-        slot_class.append(classes[structure])
-        slot_depth.append(max([slot_depth[a] for a in args], default=0) + boxed)
-    depth = max(slot_depth, default=0)
-    return sum(boxes ** i for i in range(depth + 1))
+        slot_depth.append(max([slot_depth[a] for a in args], default=0) + (symbol == "box"))
+    boxes = sum(symbol == "box" for symbol, _ in steps)
+    return sum(boxes ** i for i in range(max(slot_depth, default=0) + 1))
 
 
 @frozen

@@ -19,7 +19,7 @@ from aggcheck.algebra import (
     product_algebra,
 )
 from aggcheck.semantics import Matrix, interderivable
-from aggcheck.syntax import Var, formula_sort_key, parse_formula, variables_of
+from aggcheck.syntax import App, Signature, Var, formula_sort_key, parse_formula, variables_of
 from test_vectors import formulas
 
 _B2, _MV3 = builtin_boolean2(), builtin_mv_chain(3)
@@ -66,6 +66,12 @@ class TestEquivalentVariable:
         everything = Matrix(boolean2, frozenset({0, 1}))
         ag = agenda_over([f("bot", everything)], everything)
         assert equivalent_variable(f("bot", everything), ag) == "x_fresh"
+
+    def test_the_fresh_variable_steps_past_a_constant_of_its_name(self):
+        algebra = FiniteAlgebra(Signature((("x_fresh", 0),)), ("0", "1"), (("x_fresh", (0,)),))
+        everything = Matrix(algebra, frozenset({0, 1}))
+        constant = App("x_fresh")
+        assert equivalent_variable(constant, agenda_over([constant], everything)) == "x_fresh1"
 
     @pytest.mark.parametrize("logic", sorted(LOGICS))
     @given(data=st.data())

@@ -258,15 +258,9 @@ class TestVerifyBijection:
         assert report["roundtrip_failures"] == [{"criterion": [0, 1], "extracted": [1, 0]}]
         assert report["same_tables"] and not report["pass"]
 
-    @pytest.mark.parametrize("logic, formulas, electorate", [
-        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 9),  # census constraints
-        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 11),  # homomorphism equations
-        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 14),  # power size
-        ("mv3-degree", ["x1", "x2", "(oplus x1 x2)"], 6),  # census constraints
-    ])
-    def test_refusals_come_before_either_route_searches(
-        self, logic, formulas, electorate, tmp_path, monkeypatch
-    ):
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The search steps of either route that ran: each fails the command."""
         searched = []
 
         def spy(name):
@@ -278,11 +272,48 @@ class TestVerifyBijection:
         for module, name in ((algebra, "shared_power"), (algebra, "search_tables"),
                              (census, "search_tables"), (census, "_voter_ranks")):
             monkeypatch.setattr(module, name, spy(name))
+        return searched
+
+    @pytest.mark.parametrize("logic, formulas, electorate", [
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 9),  # census constraints
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 11),  # homomorphism equations
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 14),  # power size
+        ("mv3-degree", ["x1", "x2", "(oplus x1 x2)"], 6),  # census constraints
+    ])
+    def test_refusals_come_before_either_route_searches(
+        self, logic, formulas, electorate, searched, tmp_path
+    ):
         path = tmp_path / "agenda.json"
         dump_json({"formulas": formulas}, path)
         assert main(["verify-bijection", "--logic", logic, "--agenda", str(path),
                      "--electorate", str(electorate)]) == 3
         assert searched == []
+
+    @pytest.mark.parametrize("logic, formulas, electorate, error", [
+        ("boolean2", ["(or x1 x2)"], 9, "agenda is not even 1-pseudo-rich"),
+        ("mv3", ["(odot x1 x1)", "x2"], 2, "pseudo-rich witness does not track its variable; "
+                                           "is the matrix a selfextensional presentation?"),
+    ])
+    def test_the_round_trip_witness_is_built_before_either_route_searches(
+        self, logic, formulas, electorate, error, searched, tmp_path, capsys
+    ):
+        path = tmp_path / "agenda.json"
+        dump_json({"formulas": formulas}, path)
+        assert main(["verify-bijection", "--logic", logic, "--agenda", str(path),
+                     "--electorate", str(electorate)]) == 2
+        assert capsys.readouterr().err == f"input error: {error}\n"
+        assert searched == []
+
+    def test_the_census_is_refused_before_its_tables_outgrow_the_cap(self, tmp_path, capsys):
+        # x1 alone is 1-pseudo-rich and below arity 2, so 2^(2^5 - 1) criteria
+        # qualify at 6 voters: far too many tables to keep, even as lex-leaders
+        path = tmp_path / "x1.json"
+        dump_json({"formulas": ["x1"]}, path)
+        assert main(["verify-bijection", "--logic", "boolean2", "--agenda", str(path),
+                     "--electorate", "6"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: census table search: 31251 tables x 64 entries = 2000064 "
+            "exceed the limit of 2000000\n")
 
     def test_byte_stable_reports(self, bool_agenda_file, tmp_path):
         out1 = tmp_path / "r1.json"

@@ -90,6 +90,7 @@ def _criterion(n: int, value) -> dict:
 INPUTS = {
     "agenda_boolean.json": {"formulas": ["x1", "x2", "(or x1 x2)", "(not x1)"]},
     "agenda_or.json": {"formulas": ["(or x1 x2)"]},
+    "agenda_x1.json": {"formulas": ["x1"]},
     "agenda_mv.json": {"formulas": ["x1", "x2", "(oplus x1 x2)"]},
     "agenda_diamond.json": {"formulas": ["x1", "x2", "(or x1 x2)"]},
     "diamond.json": _diamond_matrix(),
@@ -97,6 +98,7 @@ INPUTS = {
     "majority3.json": _criterion(3, lambda t: int(2 * sum(t) > 3)),
     "projection3.json": _criterion(3, lambda t: t[1]),
     "constant2.json": _criterion(2, lambda t: 1),
+    "oligarchy3.json": _criterion(3, lambda t: t[0] & t[1]),
 }
 
 LOGICS = {"boolean2": "agenda_boolean.json", "mv3": "agenda_mv.json",
@@ -141,6 +143,9 @@ def _cases() -> dict[str, list[str]]:
         "verify-bijection-boolean2-not-pseudo-rich": [
             "verify-bijection", "--logic", "boolean2", "--agenda", "agenda_or.json",
             "--electorate", "2"],
+        "verify-bijection-boolean2-x1-n3": [  # 1-pseudo-rich, below arity 2: a warning
+            "verify-bijection", "--logic", "boolean2", "--agenda", "agenda_x1.json",
+            "--electorate", "3"],
         "enumerate-homs-boolean2-n4": [
             "enumerate-homs", "--logic", "boolean2", "--electorate", "4"],
         "enumerate-homs-mv3-n3-budget": [
@@ -154,6 +159,8 @@ def _cases() -> dict[str, list[str]]:
             "projection3.json"],
         "classify-dictators-boolean2-constant": [
             "classify-dictators", "--criterion", "constant2.json"],
+        "classify-dictators-boolean2-oligarchy": [
+            "classify-dictators", "--criterion", "oligarchy3.json"],
         "check-subjunctive-k1": ["check-subjunctive", "--frame-bound", "1"],
         "check-subjunctive-k2": ["check-subjunctive", "--frame-bound", "2"],
         "check-subjunctive-k3": ["check-subjunctive", "--frame-bound", "3"],

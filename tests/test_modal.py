@@ -2,8 +2,9 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aggcheck.algebra import element_coordinates, evaluate
+from aggcheck.algebra import _program_steps, element_coordinates, evaluate
 from aggcheck.errors import BudgetExceededError
 
 from aggcheck.modal import (
@@ -23,7 +24,7 @@ from aggcheck.modal import (
     _sliced_program,
     _variable_worlds,
 )
-from aggcheck.syntax import App, Var, parse_formula
+from aggcheck.syntax import App, Var, parse_formula, print_formula, variables_of
 
 
 def mf(text):
@@ -212,7 +213,46 @@ def random_modal_formula(rng, depth):
     return App(symbol, tuple(random_modal_formula(rng, depth - 1) for _ in range(arity)))
 
 
+def reference_small_model_bound(formulas):
+    """small_model_bound with a structure table of its own, which makes equal
+    subformulas share one class however the program numbers them."""
+    formulas = tuple(formulas)
+    names = variables_of(*formulas)
+    steps, _ = _program_steps(formulas, names)
+    classes = {}  # (connective, argument classes) -> class: equal subformulas share one
+    slot_class = list(range(len(names)))  # a program slot's class; a variable is its own
+    slot_depth = [0] * len(names)  # a program slot's modal depth
+    boxes = 0
+    for symbol, args in steps:
+        structure = (symbol, *[slot_class[a] for a in args])
+        boxed = symbol == "box"
+        if structure not in classes:
+            classes[structure] = len(names) + len(classes)
+            boxes += boxed
+        slot_class.append(classes[structure])
+        slot_depth.append(max([slot_depth[a] for a in args], default=0) + boxed)
+    depth = max(slot_depth, default=0)
+    return sum(boxes ** i for i in range(depth + 1))
+
+
+modal_formulas = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), App("top"), App("bot")]),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(["not", "box"]), children).map(
+            lambda drawn: App(drawn[0], drawn[1:])),
+        st.tuples(st.sampled_from(["or", "and"]), children, children).map(
+            lambda drawn: App(drawn[0], drawn[1:]))),
+    max_leaves=10)
+
+
 class TestSmallModelBound:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(modal_formulas, max_size=4))
+    def test_matches_the_structure_table_on_reparsed_sets(self, formulas):
+        # parsed from text, equal subformulas are separate objects
+        reparsed = [mf(print_formula(f)) for f in formulas]
+        assert small_model_bound(reparsed) == reference_small_model_bound(reparsed)
+
     @pytest.mark.parametrize("texts, bound", [
         ([], 1),
         (["p", "(not (or p q))"], 1),  # no box: one world decides it

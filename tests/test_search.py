@@ -153,6 +153,27 @@ def test_budget_of_a_symmetric_search_charges_its_pruned_nodes(search):
         search_tables(slots, size, constraints, work - 1, symmetries=perms)
 
 
+ADJACENT_SWAPS = [[1, 0, 2], [0, 2, 1]]  # of three slots
+
+
+@pytest.mark.parametrize("limit, symmetries, refusal", [
+    (23, [], "8 tables x 3 entries = 24 exceed the limit of 23"),
+    (11, ADJACENT_SWAPS, "4 tables x 3 entries = 12 exceed the limit of 11"),  # the lex-leaders
+    (20, ADJACENT_SWAPS, "7 tables x 3 entries = 21 exceed the limit of 20"),  # their closure
+])
+def test_the_tables_kept_are_refused_past_the_constraint_cap(
+    limit, symmetries, refusal, monkeypatch
+):
+    # every table of three binary slots solves no constraints; the lex-leaders
+    # under the swaps are the 4 sorted ones, and the closure brings back all 8
+    everything = list(product(range(2), repeat=3))
+    monkeypatch.setattr(algebra_module, "MAX_CONSTRAINTS", 24)
+    assert search_tables(3, 2, [], 10**8, stage="s", symmetries=symmetries) == everything
+    monkeypatch.setattr(algebra_module, "MAX_CONSTRAINTS", limit)
+    with pytest.raises(BudgetExceededError, match=f"^s: {refusal}$"):
+        search_tables(3, 2, [], 10**8, stage="s", symmetries=symmetries)
+
+
 @settings(max_examples=200, deadline=None)
 @given(searches())
 def test_runs_of_constraints_on_one_args_object_change_nothing(search):

@@ -92,7 +92,8 @@ def census_symmetry_negating_every_voter(monkeypatch):
 def orbit_expansion_skipping_a_generator(monkeypatch):
     """The shared search closes its tables under all but the last symmetry, in both routes."""
     close = algebra._close_under
-    monkeypatch.setattr(algebra, "_close_under", lambda tables, perms: close(tables, perms[:-1]))
+    monkeypatch.setattr(algebra, "_close_under",
+                        lambda tables, perms, stage: close(tables, perms[:-1], stage))
 
 
 # plants that move both routes alike: the count both then report, and the

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from aggcheck import algebra
 from aggcheck.algebra import (
+    _program_steps,
     all_valuations,
     builtin_boolean2,
     builtin_distributive_lattice,
@@ -23,7 +24,8 @@ from aggcheck.modal import (
     reflexive_frames,
     subjunctive_implication,
 )
-from aggcheck.syntax import App, Var, bounded_closure, print_formula, variables_of
+from aggcheck.syntax import (App, Var, bounded_closure, parse_formula, print_formula,
+                             variables_of)
 
 ALGEBRAS = {
     "boolean2": builtin_boolean2(),
@@ -101,6 +103,46 @@ def test_truth_vectors_match_evaluate(data):
     assert truth_vectors(fs, names, algebra) == [
         brute_vector(f, names, algebra) for f in fs
     ]
+
+
+def compound_subformulas(formulas):
+    """The distinct compound subformulas, by brute force: a set of formulas."""
+    seen, stack = set(), list(formulas)
+    while stack:
+        formula = stack.pop()
+        if isinstance(formula, App) and formula not in seen:
+            seen.add(formula)
+            stack.extend(formula.args)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_program_has_one_step_per_distinct_compound_subformula(data):
+    algebra = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+    names = ["x1", "x2"]
+    fs = data.draw(st.lists(formulas(algebra, names, 12), max_size=4))
+    # parsed from text, equal subformulas are separate objects
+    for drawn in (fs, [parse_formula(print_formula(f), algebra.signature) for f in fs]):
+        steps, outputs = _program_steps(drawn, names)
+        assert len(steps) == len(set(steps)) == len(compound_subformulas(drawn))
+        assert all(a < len(names) + i for i, (_, args) in enumerate(steps) for a in args)
+        assert [outputs[fs.index(f)] for f in fs] == outputs  # equal formulas share a slot
+
+
+def test_equal_subformulas_built_apart_are_evaluated_once(monkeypatch):
+    applied = []
+    op_on_vectors = algebra.FiniteAlgebra.op_on_vectors
+
+    def spy(self, symbol, args, width):
+        applied.append(symbol)
+        return op_on_vectors(self, symbol, args, width)
+
+    monkeypatch.setattr(algebra.FiniteAlgebra, "op_on_vectors", spy)
+    b, names = builtin_boolean2(), ["x1", "x2"]
+    f = parse_formula("(and (or x1 x2) (not (or x1 x2)))", b.signature)
+    assert truth_vectors([f], names, b) == [brute_vector(f, names, b)]
+    assert applied == ["or", "not", "and"]
 
 
 def chain_formula(names, symbol="or"):
