@@ -14,7 +14,7 @@ from contextlib import contextmanager, suppress
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, EvaluationError
 from .record import frozen
@@ -248,18 +248,17 @@ def closure_vectors(
     variables: Sequence[str],
     algebra: FiniteAlgebra,
     depth: int,
-    key: Callable[[str], object] = lambda text: text,
     budget: int = DEFAULT_BUDGET,
 ) -> dict[Vector, Formula]:
     """The distinct truth vectors of ``bounded_closure(formulas, signature,
-    depth)``, each with its least formula under ``key`` of the printed form.
+    depth)``, each with its shortest formula, ties broken by printed text.
 
     Each layer applies the connectives to the previous layer's
-    representatives only. That loses no representative, because for both
-    orders used here (printed text, and length then text) replacing an
-    argument by a smaller one with the same vector gives a smaller formula.
-    ``budget`` caps vector entries computed per layer, the seeds' included.
-    The result is ordered by representative.
+    representatives only. That loses no representative, because replacing
+    an argument by a smaller one with the same vector gives a smaller
+    formula. A layer that changes nothing would repeat itself, so the
+    closure stops there. ``budget`` caps vector entries computed per layer,
+    the seeds' included. The result is ordered by representative.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -268,27 +267,31 @@ def closure_vectors(
     valuations = ((algebra.size, len(variables)), "valuations")  # each formula's vector entries
     refuse(budget, "closure seed", (len(seeds), "formulas"), valuations)
     width = algebra.size ** len(variables)
-    best: dict[Vector, tuple[object, str, Formula]] = {}
+    best: dict[Vector, tuple[tuple[int, str], Formula]] = {}
     for formula, vector in zip(seeds, truth_vectors(seeds, variables, algebra)):
         text = print_formula(formula)
-        rank = key(text)
+        rank = (len(text), text)
         if vector not in best or rank < best[vector][0]:
-            best[vector] = (rank, text, formula)
+            best[vector] = (rank, formula)
     for _ in range(depth):
-        layer = [(vector, text, formula) for vector, (_, text, formula) in best.items()]
+        layer = [(vector, text, formula) for vector, ((_, text), formula) in best.items()]
         count = sum(len(layer) ** a for _, a in signature.connectives if a)
         refuse(budget, "closure layer", (count, "formulas"), valuations)
+        changed = False
         for symbol, arity in signature.connectives:
             if arity == 0:
                 continue
             for combo in product(layer, repeat=arity):
                 vector = algebra.op_on_vectors(symbol, [c[0] for c in combo], width)
                 text = f"({symbol} {' '.join(c[1] for c in combo)})"
-                rank = key(text)
+                rank = (len(text), text)
                 if vector not in best or rank < best[vector][0]:
-                    best[vector] = (rank, text, App(symbol, tuple(c[2] for c in combo)))
+                    best[vector] = (rank, App(symbol, tuple(c[2] for c in combo)))
+                    changed = True
+        if not changed:
+            break
     ranked = sorted(best.items(), key=lambda item: item[1][0])
-    return {vector: formula for vector, (_, _, formula) in ranked}
+    return {vector: formula for vector, (_, formula) in ranked}
 
 
 def _power_over(base: int, exponent: int, limit: int) -> Optional[str]:

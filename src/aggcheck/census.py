@@ -53,8 +53,8 @@ def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) 
 def _fragment_and_vectors(
     agenda: Agenda, depth: int, budget: int
 ) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The agenda formulas plus the least formula (in ``formula_sort_key``
-    order) of each distinct truth vector of the agenda's bounded closure at
+    """The agenda formulas plus the least formula (shortest, then by printed
+    text) of each distinct truth vector of the agenda's bounded closure at
     ``depth``, sorted, with their truth vectors over the agenda variables and
     each rational attitude's values on them (its extension), in
     ``_rational_table`` order: the key of the shared rank table ``_voter_ranks``.

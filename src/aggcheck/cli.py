@@ -143,6 +143,7 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
         f"qualifying aggregators (independent census): {len(qual_tables)}",
         f"round trips: {'pass' if not roundtrip_failures else 'FAIL'}",
         f"bijection: {'verified' if passed else 'FAILED'}",
+        *(f"warning: {w}" for w in warnings),
     ]
     return _emit(report, args, lines)
 

@@ -134,8 +134,7 @@ def check_selfextensionality(
     names = sorted(variables)
     n_valuations = algebra.size ** len(names)
     # least formula per distinct truth vector, shortest first, then by text
-    rep = closure_vectors(map(Var, variables), names, algebra, depth,
-                          key=lambda text: (len(text), text), budget=budget)
+    rep = closure_vectors(map(Var, variables), names, algebra, depth, budget=budget)
     vectors = list(rep)
 
     classes: dict[tuple, list[tuple[int, ...]]] = {}

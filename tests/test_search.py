@@ -20,6 +20,7 @@ from aggcheck.aggregation import (
     projection_criterion,
 )
 from aggcheck.algebra import (
+    DEFAULT_BUDGET,
     builtin_distributive_lattice,
     element_coordinates,
     enumerate_homomorphisms,
@@ -31,7 +32,7 @@ from aggcheck.algebra import (
 from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import Matrix
-from aggcheck.syntax import parse_formula
+from aggcheck.syntax import parse_formula, print_formula
 
 
 @st.composite
@@ -371,6 +372,21 @@ def test_census_of_a_24_formula_agenda(classical):
     assert len(a.formulas) == 24
     census = [c.values for c in qualifying_criteria(a, 2)]
     assert census == [projection_criterion(classical.algebra, 2, v).values for v in (0, 1)]
+
+
+def test_census_fragment_holds_the_shortest_formula_of_each_vector(bool_agenda):
+    fragment, _, _ = census_module._fragment_and_vectors(bool_agenda, 1, DEFAULT_BUDGET)
+    assert [print_formula(f) for f in fragment] == [
+        "(and (not x1) x2)", "(and x1 x2)", "(not (or x1 x2))", "(not x1)", "(not x2)",
+        "(or (not x1) x2)", "(or x1 x2)", "bot", "top", "x1", "x2"]
+
+
+def test_census_fragment_stops_growing_at_its_fixpoint(bool_agenda):
+    at_three = census_module._fragment_and_vectors(bool_agenda, 3, DEFAULT_BUDGET)
+    at_twelve = census_module._fragment_and_vectors(bool_agenda, 12, DEFAULT_BUDGET)
+    assert at_twelve == at_three
+    assert len(at_twelve[0]) == 16
+    assert max(len(print_formula(f)) for f in at_twelve[0]) <= 34
 
 
 def test_census_keeps_the_profile_budget(bool_agenda):

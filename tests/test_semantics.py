@@ -233,8 +233,7 @@ def all_pairs_selfextensionality(matrix, variables, depth, budget=DEFAULT_BUDGET
     algebra = matrix.algebra
     names = sorted(variables)
     n_valuations = algebra.size ** len(names)
-    rep = closure_vectors(map(Var, variables), names, algebra, depth,
-                          key=lambda text: (len(text), text), budget=budget)
+    rep = closure_vectors(map(Var, variables), names, algebra, depth, budget=budget)
     vectors = list(rep)
     classes = {}
     for vec in vectors:

@@ -35,11 +35,6 @@ ALGEBRAS = {
     ),
 }
 
-ORDERS = {
-    "text": lambda text: text,
-    "length-then-text": lambda text: (len(text), text),
-}
-
 
 def formulas(algebra, names, max_leaves):
     sig = algebra.signature
@@ -78,19 +73,40 @@ def brute_vector(formula, variables, algebra):
     return tuple(evaluate(formula, v, algebra) for v in all_valuations(variables, algebra))
 
 
+def shortlex(formula):
+    """Shortest first, then by printed text: the order of closure representatives."""
+    text = print_formula(formula)
+    return len(text), text
+
+
 @settings(max_examples=60, deadline=None)
-@given(closure_inputs(), st.sampled_from(sorted(ORDERS)))
-def test_closure_representatives_match_brute_force(inputs, order):
+@given(closure_inputs())
+def test_closure_representatives_match_brute_force(inputs):
     algebra, variables, seeds, depth = inputs
-    key = ORDERS[order]
     expected = {}
-    for f in sorted(
-        bounded_closure(seeds, algebra.signature, depth),
-        key=lambda f: key(print_formula(f)),
-    ):
+    for f in sorted(bounded_closure(seeds, algebra.signature, depth), key=shortlex):
         expected.setdefault(brute_vector(f, variables, algebra), f)
-    layer = closure_vectors(seeds, variables, algebra, depth, key=key)
+    layer = closure_vectors(seeds, variables, algebra, depth)
     assert list(layer.items()) == list(expected.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_inputs())
+def test_deeper_closures_never_lengthen_and_stay_at_a_fixpoint(inputs):
+    algebra, variables, seeds, _ = inputs
+    closures = []
+    for depth in range(7):
+        try:
+            closures.append(closure_vectors(seeds, variables, algebra, depth, budget=20_000))
+        except BudgetExceededError:
+            break
+    for shallow, deep in zip(closures, closures[1:]):
+        assert all(len(print_formula(deep[v])) <= len(print_formula(f))
+                   for v, f in shallow.items())
+    fixed = next((i for i in range(1, len(closures)) if closures[i] == closures[i - 1]), None)
+    if fixed is not None:
+        assert len(closures) == 7  # no later depth is refused
+        assert all(closure == closures[fixed] for closure in closures[fixed:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,6 +227,23 @@ def test_deep_formula_needs_no_recursion():
     for _ in range(5000):
         f = App("not", (f,))
     assert truth_vectors([f], ["x"], builtin_boolean2()) == [(0, 1)]
+
+
+def test_closure_stops_at_its_fixpoint(monkeypatch):
+    applied = []
+    op_on_vectors = algebra.FiniteAlgebra.op_on_vectors
+
+    def spy(self, symbol, args, width):
+        applied.append(symbol)
+        return op_on_vectors(self, symbol, args, width)
+
+    monkeypatch.setattr(algebra.FiniteAlgebra, "op_on_vectors", spy)
+    counts = []
+    for depth in (3, 12):
+        applied.clear()
+        closure_vectors([Var("x1")], ["x1"], builtin_boolean2(), depth)
+        counts.append(len(applied))
+    assert counts[0] == counts[1] > 0
 
 
 def test_closure_budget_counts_one_layer():
