@@ -19,18 +19,15 @@ from .aggregation import (
     criterion_from_aggregator,
     enumerate_rational_attitudes,
     enumerate_rational_profiles,
-    is_rational_attitude,
     majority_criterion,
     projection_criterion,
     rational_attitude_with_values,
-    rational_profile_with_values,
 )
 from .algebra import (
     AlgebraHomomorphism,
     DecisionCriterion,
     FiniteAlgebra,
     builtin_boolean2,
-    builtin_distributive_lattice,
     builtin_mv_chain,
     enumerate_homomorphisms,
     evaluate,
@@ -59,7 +56,14 @@ from .modal import (
     material_implication,
     subjunctive_implication,
 )
-from .semantics import Matrix, check_selfextensionality, entails, interderivable
+from .oracles import (
+    all_valuations,
+    entails,
+    interderivable,
+    is_rational_attitude,
+    reflexive_frames,
+)
+from .semantics import Matrix, check_selfextensionality
 from .syntax import (
     App,
     Formula,

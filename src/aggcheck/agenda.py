@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import eq
-from typing import Optional
+from typing import Collection, Optional
 
 from .algebra import FiniteAlgebra, truth_vector, truth_vectors
 from .record import frozen
@@ -78,9 +78,12 @@ def agenda_over(
     )
 
 
-def _fresh_variable(sig: Signature) -> str:
+def _fresh_variable(agenda: Agenda, used: Collection[str] = ()) -> str:
+    """The first of x_fresh, x_fresh1, ... that is neither a connective, an agenda
+    variable nor in ``used``."""
+    taken = {*agenda.variables, *used}
     k = 0
-    while (name := f"x_fresh{k or ''}") in sig:
+    while (name := f"x_fresh{k or ''}") in agenda.signature or name in taken:
         k += 1
     return name
 
@@ -106,7 +109,7 @@ def _variable_and_image_size(formula: Formula, agenda: Agenda) -> tuple[Optional
         if all(map(eq, pattern, map(matrix.holding.__getitem__, other))):
             return name, image_size
     if len(set(matrix.holding)) == 1:  # only a variable-free formula gets here then
-        return _fresh_variable(agenda.signature), image_size
+        return _fresh_variable(agenda), image_size
     return None, image_size
 
 
@@ -114,13 +117,20 @@ def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...
     """Largest n such that the agenda is n-pseudo-rich, with witnesses.
 
     Greedy selection in lexicographic formula order is maximal because each
-    formula is equivalent to at most one variable unless every value holds
-    alike (``Matrix.holding`` takes one value).
+    formula is equivalent to at most one variable, its own equivalent_variable,
+    unless every value holds alike (``Matrix.holding`` takes one value). Then
+    every formula is equivalent to every variable, so each takes its first
+    unused own variable, else a fresh one, and the level is the agenda's size.
     """
     witnesses: list[tuple[Formula, str]] = []
     used: set[str] = set()
+    alike = len(set(agenda.matrix.holding)) == 1
     for f in sorted(agenda.formulas, key=formula_sort_key):
-        name = agenda.equivalent_variables[f]
+        if alike:
+            own = [v for v in variables_of(f) if v not in used]
+            name = own[0] if own else _fresh_variable(agenda, used)
+        else:
+            name = agenda.equivalent_variables[f]
         if name is not None and name not in used:
             used.add(name)
             witnesses.append((f, name))

@@ -29,7 +29,6 @@ from .algebra import (
     DEFAULT_BUDGET,
     DecisionCriterion,
     FiniteAlgebra,
-    all_valuations,
     element_coordinates,
     evaluate,
     product_element_index,
@@ -67,9 +66,6 @@ class AttitudeFunction:
         if any(not (0 <= v < size) for v in self.values):
             raise ValueError("attitude values outside the carrier")
 
-    def value(self, formula: Formula) -> int:
-        return self.values[self.agenda.index[formula]]
-
 
 @frozen
 class Profile:
@@ -91,10 +87,6 @@ class Profile:
     @property
     def electorate(self) -> int:
         return len(self.attitudes)
-
-    def value_tuple(self, formula: Formula) -> tuple[int, ...]:
-        i = self.agenda.index[formula]
-        return tuple(a.values[i] for a in self.attitudes)
 
 
 def projection_criterion(algebra: FiniteAlgebra, electorate: int, voter: int) -> DecisionCriterion:
@@ -121,22 +113,6 @@ def majority_criterion(algebra: FiniteAlgebra, electorate: int) -> DecisionCrite
 # ---------------------------------------------------------------------------
 # Rationality
 # ---------------------------------------------------------------------------
-
-
-def is_rational_attitude(
-    attitude: AttitudeFunction,
-) -> tuple[bool, Optional[dict[str, int]]]:
-    """An attitude is rational iff some valuation of the agenda's variables
-    reproduces it on every agenda formula. Returns the lexicographically
-    least witnessing valuation."""
-    agenda = attitude.agenda
-    for valuation in all_valuations(agenda.variables, agenda.algebra):
-        if all(
-            evaluate(f, valuation, agenda.algebra) == attitude.values[i]
-            for i, f in enumerate(agenda.formulas)
-        ):
-            return True, dict(valuation)
-    return False, None
 
 
 def enumerate_rational_attitudes(agenda: Agenda) -> tuple[AttitudeFunction, ...]:
@@ -225,21 +201,6 @@ def _tracking_variables(agenda: Agenda, witnesses: Sequence[tuple[Formula, str]]
         )
 
 
-def rational_profile_with_values(
-    agenda: Agenda, electorate: int, target_tuples: Sequence[Sequence[int]]
-) -> tuple[tuple[Formula, ...], Profile]:
-    """Componentwise version: target_tuples[j] prescribes, voter by voter,
-    the value of the j-th witness formula."""
-    if electorate < 1:
-        raise ValueError("electorate must be >= 1")
-    for t in target_tuples:
-        if len(t) != electorate:
-            raise ValueError("each target tuple needs one entry per voter")
-    rows = [[t[voter] for t in target_tuples] for voter in range(electorate)]
-    deltas, attitudes = _attitudes_with_values(agenda, len(target_tuples), rows)
-    return deltas, Profile(tuple(attitudes))
-
-
 # ---------------------------------------------------------------------------
 # Aggregators
 # ---------------------------------------------------------------------------
@@ -267,13 +228,6 @@ class CriterionAggregator:
         # one voter tuple per agenda position
         columns = zip(*(a.values for a in profile.attitudes))
         return AttitudeFunction(self.agenda, tuple(map(self.criterion, columns)))
-
-    def in_domain(self, profile: Profile) -> bool:
-        rational = dict(_rational_table(self.agenda))
-        return all(a.values in rational for a in profile.attitudes)
-
-    def domain_profiles(self) -> tuple[Profile, ...]:
-        return enumerate_rational_profiles(self.agenda, self.electorate)
 
 
 @frozen
@@ -304,12 +258,6 @@ class ExtensionalAggregator:
             return self._lookup[profile]
         except KeyError:
             raise ValueError("profile outside the aggregator's domain") from None
-
-    def in_domain(self, profile: Profile) -> bool:
-        return profile in self._lookup
-
-    def domain_profiles(self) -> tuple[Profile, ...]:
-        return tuple(p for p, _ in self.table)
 
 
 Aggregator = Union[CriterionAggregator, ExtensionalAggregator]

@@ -142,11 +142,6 @@ class FiniteAlgebra:
             raise ValueError(f"{symbol!r} is not a constant")
         return self.tables[symbol][0]
 
-    def leq(self, a: int, b: int) -> bool:
-        if self.order is None:
-            raise ValueError(f"algebra {self.name or self.carrier} has no order")
-        return (a, b) in self.order
-
     def label(self, index: int) -> str:
         return self.carrier[index]
 
@@ -161,15 +156,9 @@ def evaluate(formula: Formula, valuation: Valuation, algebra: FiniteAlgebra) -> 
     return algebra.op(formula.symbol, [evaluate(a, valuation, algebra) for a in formula.args])
 
 
-def all_valuations(variables: Sequence[str], algebra: FiniteAlgebra):
-    """All assignments of carrier indices to the given variables, in
-    lexicographic order of the value tuples (variables as given)."""
-    for values in product(range(algebra.size), repeat=len(variables)):
-        yield dict(zip(variables, values))
-
-
 # A truth vector is a formula's value at every valuation of a fixed variable
-# list, in all_valuations order.
+# list, the valuations in lexicographic order of their value tuples (the order
+# of oracles.all_valuations).
 Vector = tuple[int, ...]
 
 
@@ -775,71 +764,4 @@ def builtin_mv_chain(k: int) -> FiniteAlgebra:
         ),
         order=frozenset((i, j) for i in range(k) for j in range(k) if i <= j),
         name=f"lukasiewicz{k}",
-    )
-
-
-LATTICE_SIGNATURE = Signature((("and", 2), ("or", 2), ("bot", 0), ("top", 0)))
-
-
-def builtin_distributive_lattice(
-    labels: Sequence[str], leq_pairs: Iterable[tuple[int, int]]
-) -> FiniteAlgebra:
-    """A bounded distributive lattice from a poset presentation.
-
-    ``leq_pairs`` may be any generating relation; its reflexive-transitive
-    closure must be a partial order in which every pair has a meet and a
-    join, meets distribute over joins, and a least and greatest element
-    exist (exposed as the constants bot/top).
-    """
-    n = len(labels)
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for a, b in leq_pairs:
-        leq[a][b] = True
-    for m in range(n):  # transitive closure
-        for a in range(n):
-            if leq[a][m]:
-                for b in range(n):
-                    if leq[m][b]:
-                        leq[a][b] = True
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise ValueError("order not antisymmetric")
-
-    def bound(a: int, b: int, below: list[list[bool]], name: str) -> int:
-        """The greatest common lower bound of a and b under ``below``."""
-        common = [c for c in range(n) if below[c][a] and below[c][b]]
-        best = [c for c in common if all(below[d][c] for d in common)]
-        if len(best) != 1:
-            raise ValueError(f"no {name} for {labels[a]!r}, {labels[b]!r}")
-        return best[0]
-
-    geq = [list(column) for column in zip(*leq)]
-    meets = tuple(bound(a, b, leq, "meet") for a in range(n) for b in range(n))
-    joins = tuple(bound(a, b, geq, "join") for a in range(n) for b in range(n))
-    bottoms = [c for c in range(n) if all(leq[c][d] for d in range(n))]
-    tops = [c for c in range(n) if all(leq[d][c] for d in range(n))]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise ValueError("lattice must be bounded (unique bot and top)")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = meets[a * n + joins[b * n + c]]
-                rhs = joins[meets[a * n + b] * n + meets[a * n + c]]
-                if lhs != rhs:
-                    raise ValueError(
-                        "lattice not distributive: fails at "
-                        f"({labels[a]}, {labels[b]}, {labels[c]})"
-                    )
-    return FiniteAlgebra(
-        signature=LATTICE_SIGNATURE,
-        carrier=tuple(labels),
-        ops=(
-            ("and", meets),
-            ("or", joins),
-            ("bot", (bottoms[0],)),
-            ("top", (tops[0],)),
-        ),
-        order=frozenset((a, b) for a in range(n) for b in range(n) if leq[a][b]),
-        name="bounded-distributive-lattice",
     )

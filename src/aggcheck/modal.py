@@ -13,7 +13,8 @@ world, bit i set where it holds under valuation i), charging that work before
 each world count. It runs up to 5 worlds; 6 (2^30 labelled frames) are
 refused. The subjunctive checks search only up to min(K, K₀), where K₀ is
 small_model_bound of the formula set (at most 2 for every set they check),
-so any frame bound K runs, at the cost of bound 2.
+so any frame bound K runs, at the cost of bound 2. The tests check the search
+against every labelled reflexive frame, listed by ``oracles.reflexive_frames``.
 """
 
 from __future__ import annotations
@@ -122,13 +123,6 @@ def _frame_from_mask(worlds: int, mask: int) -> KripkeFrame:
     return KripkeFrame(worlds, frozenset([(w, w) for w in range(worlds)] + pairs))
 
 
-def reflexive_frames(worlds: int) -> list[KripkeFrame]:
-    """All reflexive frames on the given world count, in a fixed order:
-    subsets of the off-diagonal pairs by binary counting over the pairs in
-    lexicographic order."""
-    return [_frame_from_mask(worlds, mask) for mask in range(1 << worlds * (worlds - 1))]
-
-
 # Labelled reflexive frames the orbit pass marks, one byte each: 2^20 on 5 worlds.
 MAX_FRAMES = 1 << 20
 
@@ -137,7 +131,7 @@ MAX_FRAMES = 1 << 20
 def _frame_classes(worlds: int) -> tuple[int, ...]:
     """The least mask of each isomorphism class of reflexive frames on the
     given world count, ascending: the frames a search up to isomorphism
-    visits, in reflexive_frames order.
+    visits, in ``oracles.reflexive_frames`` order (ascending masks).
 
     The masks are walked in order; an unmarked mask is the least of its
     orbit under the world permutations, and all its images are marked.
@@ -185,7 +179,7 @@ def _class_successors(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ..
 @lru_cache(maxsize=None)
 def _variable_worlds(worlds: int, count: int) -> tuple[tuple[int, ...], ...]:
     """Per variable and world, the valuations (bit i: the i-th in
-    all_valuations order over the frame algebra) whose value for the
+    ``oracles.all_valuations`` order over the frame algebra) whose value for the
     variable contains the world."""
     return tuple(
         tuple(int("".join("01"[value >> w & 1] for value in reversed(vector)), 2)
@@ -213,7 +207,7 @@ def _sliced_program(
     """Compile formulas for truth at a world: running the program on a
     world count and each world's successors gives each formula's value as
     one int per world, bit i set where it is true under the i-th valuation
-    of ``variables`` in all_valuations order over the frame algebra."""
+    of ``variables`` in ``oracles.all_valuations`` order over the frame algebra."""
     steps, outputs = _program_steps(formulas, variables)
     steps = [(_SLICED[symbol], args) for symbol, args in steps]
 

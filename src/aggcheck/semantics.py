@@ -8,19 +8,19 @@ conclusion).
 Every verdict quantifies over all valuations of the occurring variables, so it
 is exact on the fragment it inspects: failures are conclusive, successes are
 "no counterexample within the bound". Interderivability is decided by holding
-patterns (``Matrix.holding``), and the brute-force loops ``entails`` and
-``interderivable`` are kept only as the oracles that decision is tested against.
+patterns (``Matrix.holding``). The brute-force loops ``entails`` and
+``interderivable``, which that decision is tested against, live in ``oracles``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, refuse, truth_vectors
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, refuse
 from .record import frozen
-from .syntax import App, Formula, Var, variables_of
+from .syntax import App, Formula, Var
 from .syntax import bounded_closure  # noqa: F401 (traced binding)
 
 
@@ -61,30 +61,6 @@ class Matrix:
             return f"{self.algebra.name or 'algebra'}/degree-preserving"
         labels = sorted(self.algebra.label(d) for d in self.designated)
         return f"{self.algebra.name or 'algebra'}/designated {labels}"
-
-
-def entails(
-    matrix: Matrix, premises: Iterable[Formula], conclusion: Formula
-) -> bool:
-    """Semantic consequence over the matrix, quantifying over valuations of
-    the variables that occur in the premises or the conclusion."""
-    premises = tuple(premises)
-    names = variables_of(*premises, conclusion)
-    algebra = matrix.algebra
-    *vectors, conclusion_vector = truth_vectors((*premises, conclusion), names, algebra)
-    for w, c in enumerate(conclusion_vector):
-        values = [vec[w] for vec in vectors]
-        if matrix.designated is None:
-            for a in range(algebra.size):
-                if all(algebra.leq(a, v) for v in values) and not algebra.leq(a, c):
-                    return False
-        elif all(v in matrix.designated for v in values) and c not in matrix.designated:
-            return False
-    return True
-
-
-def interderivable(matrix: Matrix, left: Formula, right: Formula) -> bool:
-    return entails(matrix, [left], right) and entails(matrix, [right], left)
 
 
 # ---------------------------------------------------------------------------

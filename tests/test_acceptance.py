@@ -15,14 +15,11 @@ from aggcheck.aggregation import (
     check_systematicity,
     criterion_from_aggregator,
     enumerate_rational_profiles,
-    is_rational_attitude,
     majority_criterion,
     rational_attitude_with_values,
-    rational_profile_with_values,
 )
 from aggcheck.algebra import (
     builtin_boolean2,
-    builtin_distributive_lattice,
     builtin_mv_chain,
     enumerate_homomorphisms,
     is_homomorphism,
@@ -38,12 +35,10 @@ from aggcheck.modal import (
     certify_implication_bottom,
     check_subjunctive_conditions,
 )
-from aggcheck.semantics import (
-    Matrix,
-    check_selfextensionality,
-    interderivable,
-)
+from aggcheck.oracles import interderivable, is_rational_attitude
+from aggcheck.semantics import Matrix, check_selfextensionality
 from aggcheck.syntax import parse_formula
+from builders import builtin_distributive_lattice, rational_profile_with_values, value_tuple
 
 
 def report(name, ok, elapsed, detail=""):
@@ -280,14 +275,14 @@ def test_criterion_7_witness_constructions():
         for _ in range(50):
             targets = [rng.randrange(size), rng.randrange(size)]
             deltas, attitude = rational_attitude_with_values(agenda, targets)
-            ok &= [attitude.value(d) for d in deltas] == targets
+            ok &= [attitude.values[agenda.index[d]] for d in deltas] == targets
             ok &= is_rational_attitude(attitude)[0]
 
             tuples = [
                 tuple(rng.randrange(size) for _ in range(2)) for _ in range(2)
             ]
             deltas, profile = rational_profile_with_values(agenda, 2, tuples)
-            ok &= [profile.value_tuple(d) for d in deltas] == tuples
+            ok &= [value_tuple(profile, d) for d in deltas] == tuples
             ok &= all(is_rational_attitude(a)[0] for a in profile.attitudes)
     elapsed = time.time() - start
     report("criterion 7: prescribed-value witnesses", ok, elapsed,
@@ -309,7 +304,7 @@ def test_criterion_8_majority_dilemma():
     # the witness output really is the pointwise majority of the profile
     maj = majority_criterion(agenda.algebra, 3)
     ok &= output.values == tuple(
-        maj(profile.value_tuple(f)) for f in agenda.formulas
+        maj(value_tuple(profile, f)) for f in agenda.formulas
     )
     elapsed = time.time() - start
     detail = "witness: " + ", ".join(

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,15 +13,15 @@ from aggcheck.agenda import (
 )
 from aggcheck.algebra import (
     FiniteAlgebra,
-    all_valuations,
     builtin_boolean2,
-    builtin_distributive_lattice,
     builtin_mv_chain,
     evaluate,
     product_algebra,
 )
-from aggcheck.semantics import Matrix, interderivable
+from aggcheck.oracles import all_valuations, interderivable
+from aggcheck.semantics import Matrix
 from aggcheck.syntax import App, Signature, Var, formula_sort_key, parse_formula, variables_of
+from builders import builtin_distributive_lattice
 from test_vectors import formulas
 
 _B2, _MV3 = builtin_boolean2(), builtin_mv_chain(3)
@@ -82,7 +84,7 @@ class TestEquivalentVariable:
         formula = data.draw(formulas(matrix.algebra, ["x1", "x2", "x3"], 6))  # constants too
         agenda = agenda_over([formula], matrix, algebra)
         own = variables_of(formula)
-        candidates = [*own, _fresh_variable(agenda.signature)]  # own names are x1..x3
+        candidates = [*own, _fresh_variable(agenda)]  # own names are x1..x3
         expected = next(
             (name for name in candidates if interderivable(matrix, formula, Var(name))), None)
         assert equivalent_variable(formula, agenda) == expected
@@ -121,6 +123,44 @@ class TestPseudoRichness:
         # same variable: level stays 1 in filter mode too
         level, _ = pseudo_richness(ag)
         assert level == 1
+
+    def test_every_value_holding_alike_matches_every_formula(self, boolean2):
+        # each formula holds as every variable does: (or x1 x2) takes x1, so top
+        # and x1 take fresh names and the level is the agenda's size
+        everything = Matrix(boolean2, frozenset({0, 1}))
+        ag = agenda_over([f(t, everything) for t in ("x1", "top", "(or x1 x2)")], everything)
+        assert pseudo_richness(ag) == (3, (
+            (f("(or x1 x2)", everything), "x1"), (f("top", everything), "x_fresh"),
+            (f("x1", everything), "x_fresh1")))
+
+    def test_a_fresh_variable_is_no_agenda_variable(self, boolean2):
+        everything = Matrix(boolean2, frozenset({0, 1}))
+        ag = agenda_over([f(t, everything) for t in ("x_fresh", "top")], everything)
+        assert pseudo_richness(ag) == (2, (
+            (f("top", everything), "x_fresh1"), (f("x_fresh", everything), "x_fresh")))
+        assert equivalent_variable(f("top", everything), ag) == "x_fresh1"
+
+    @pytest.mark.parametrize("logic", sorted(LOGICS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_level_is_the_largest_matching_by_brute_force(self, logic, data):
+        # the oracle: every way to match formulas to distinct variables, their own
+        # or fresh ones, each interderivable with its formula
+        matrix, algebra = LOGICS[logic]
+        drawn = data.draw(st.lists(formulas(matrix.algebra, ["x1", "x2"], 4), max_size=4))
+        agenda = agenda_over(dict.fromkeys(drawn), matrix, algebra)
+        fresh = [f"y{i}" for i in range(len(agenda))]  # drawn formulas hold x1, x2 only
+        options = [[None, *(name for name in (*variables_of(g), *fresh)
+                            if interderivable(matrix, g, Var(name)))] for g in agenda.formulas]
+
+        def matched(choice):
+            names = [name for name in choice if name]
+            return len(names) if len(names) == len(set(names)) else 0
+
+        level, witnesses = pseudo_richness(agenda)
+        assert level == max(map(matched, product(*options))) == len(witnesses)
+        assert len({name for _, name in witnesses}) == level
+        assert all(interderivable(matrix, g, Var(name)) for g, name in witnesses)
 
 
 class TestStrictlyContingent:

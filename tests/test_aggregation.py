@@ -19,24 +19,23 @@ from aggcheck.aggregation import (
     criterion_from_aggregator,
     enumerate_rational_attitudes,
     enumerate_rational_profiles,
-    is_rational_attitude,
     majority_criterion,
     projection_criterion,
     rational_attitude_with_values,
-    rational_profile_with_values,
     witness_attitudes,
 )
 from aggcheck.agenda import agenda_over
 from aggcheck.algebra import (
-    builtin_distributive_lattice,
     is_homomorphism,
     power_homomorphisms,
     product_algebra,
 )
 from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
+from aggcheck.oracles import is_rational_attitude
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula
+from builders import builtin_distributive_lattice, rational_profile_with_values, value_tuple
 
 
 def f(text, matrix):
@@ -101,20 +100,20 @@ class TestRationality:
 class TestWitnessConstructions:
     def test_prescribed_values_boolean(self, or_agenda):
         deltas, a = rational_attitude_with_values(or_agenda, [1, 0])
-        assert [a.value(d) for d in deltas] == [1, 0]
-        assert a.value(f("(or x1 x2)", or_agenda.matrix)) == 1
+        assert [a.values[or_agenda.index[d]] for d in deltas] == [1, 0]
+        assert a.values[or_agenda.index[f("(or x1 x2)", or_agenda.matrix)]] == 1
         assert is_rational_attitude(a)[0]
 
     def test_all_zero(self, or_agenda):
         deltas, a = rational_attitude_with_values(or_agenda, [0, 0])
-        assert a.value(f("(or x1 x2)", or_agenda.matrix)) == 0
+        assert a.values[or_agenda.index[f("(or x1 x2)", or_agenda.matrix)]] == 0
 
     def test_half_through_double_negation(self, luk3_degree):
         ag = agenda_over(
             [f("(not (not x1))", luk3_degree), f("x2", luk3_degree)], luk3_degree
         )
         deltas, a = rational_attitude_with_values(ag, [1, 0])  # 1 is the 1/2 index
-        assert a.value(deltas[0]) == 1
+        assert a.values[ag.index[deltas[0]]] == 1
 
     def test_overrich_request_rejected(self, or_agenda):
         with pytest.raises(ValueError, match="pseudo-rich"):
@@ -122,7 +121,7 @@ class TestWitnessConstructions:
 
     def test_profile_componentwise(self, or_agenda):
         deltas, profile = rational_profile_with_values(or_agenda, 2, [(1, 0)])
-        assert profile.value_tuple(deltas[0]) == (1, 0)
+        assert value_tuple(profile, deltas[0]) == (1, 0)
         assert all(is_rational_attitude(a)[0] for a in profile.attitudes)
 
     def test_profile_single_voter_reduces(self, or_agenda):
@@ -133,8 +132,8 @@ class TestWitnessConstructions:
     def test_profile_three_voters(self, or_agenda):
         targets = [(1, 0, 0), (0, 1, 0)]
         deltas, profile = rational_profile_with_values(or_agenda, 3, targets)
-        assert profile.value_tuple(deltas[0]) == (1, 0, 0)
-        assert profile.value_tuple(deltas[1]) == (0, 1, 0)
+        assert value_tuple(profile, deltas[0]) == (1, 0, 0)
+        assert value_tuple(profile, deltas[1]) == (0, 1, 0)
 
 
     @pytest.mark.parametrize("logic,texts", [
@@ -219,7 +218,7 @@ class TestCheckRationalUniversal:
         assert all(is_rational_attitude(a)[0] for a in profile.attitudes)
         assert not is_rational_attitude(output)[0]
         assert output.values == tuple(
-            majority_criterion(or_agenda.algebra, 3)(profile.value_tuple(formula))
+            majority_criterion(or_agenda.algebra, 3)(value_tuple(profile, formula))
             for formula in or_agenda.formulas
         )
 
@@ -356,7 +355,7 @@ class TestCharacterization:
             projection_criterion(mv_agenda.algebra, 2, 0), mv_agenda
         )
         deltas, profile = rational_profile_with_values(mv_agenda, 2, [(1, 2)])
-        assert agg.apply(profile).value(deltas[0]) == 1  # index of 1/2
+        assert agg.apply(profile).values[mv_agenda.index[deltas[0]]] == 1  # index of 1/2
 
     def test_extraction_equals_the_systematicity_criterion(self, or_agenda):
         # uniqueness of the decision criterion: the table read off the witness

@@ -11,7 +11,6 @@ from aggcheck.algebra import (
     AlgebraHomomorphism,
     FiniteAlgebra,
     builtin_boolean2,
-    builtin_distributive_lattice,
     builtin_mv_chain,
     element_coordinates,
     enumerate_homomorphisms,
@@ -26,6 +25,7 @@ from aggcheck.errors import BudgetExceededError, EvaluationError
 from aggcheck.fileio import load_matrix
 from aggcheck.modal import KripkeFrame, bao_from_frame
 from aggcheck.syntax import Signature, parse_formula
+from builders import builtin_distributive_lattice
 
 # Łukasiewicz 3-chain tables written out by hand from the defining clauses
 # (indices 0 -> 0, 1 -> 1/2, 2 -> 1), used as an independent oracle.
@@ -525,7 +525,7 @@ class TestLatticeLaws:
         self.lattice_laws_hold(boolean2)
 
     def test_frame_algebras(self):
-        from aggcheck.modal import reflexive_frames
+        from aggcheck.oracles import reflexive_frames
 
         for n in (1, 2):
             for frame in reflexive_frames(n):

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from aggcheck import agenda as agenda_layer
-from aggcheck import algebra, census, cli, semantics
+from aggcheck import algebra, census, cli, oracles, semantics
 from aggcheck.aggregation import DecisionCriterion
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json
@@ -134,7 +134,7 @@ class TestCheckAgenda:
         def forbidden(*args, **kwargs):
             raise AssertionError("check-agenda called entails")
 
-        entails = semantics.entails
+        entails = oracles.entails
         for name, module in list(sys.modules.items()):
             if name.partition(".")[0] == "aggcheck" and getattr(module, "entails", 0) is entails:
                 monkeypatch.setattr(module, "entails", forbidden)

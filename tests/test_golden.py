@@ -13,6 +13,7 @@ To regenerate after an intended change of output:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -29,7 +30,7 @@ from aggcheck.aggregation import (
     majority_criterion,
     projection_criterion,
 )
-from aggcheck.cli import main
+from aggcheck.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 REPORT = "report.json"
@@ -82,6 +83,20 @@ DOUBLED_BOOLEAN = {
 }
 
 
+# boolean2's tables with both values designated: every value holds alike, so every
+# formula is interderivable with every variable
+BOOLEAN_ALL_DESIGNATED = {
+    "algebra": {
+        "name": "boolean2-all-designated",
+        "signature": DOUBLED_BOOLEAN["algebra"]["signature"],
+        "carrier": ["0", "1"],
+        "ops": {"not": [1, 0], "or": [[0, 1], [1, 1]], "and": [[0, 0], [0, 1]],
+                "bot": [0], "top": [1]},
+    },
+    "designated": [0, 1],
+}
+
+
 def _criterion(n: int, value) -> dict:
     tuples = [[i >> (n - 1 - v) & 1 for v in range(n)] for i in range(1 << n)]
     return {"electorate": n, "values": [value(t) for t in tuples]}
@@ -93,8 +108,11 @@ INPUTS = {
     "agenda_x1.json": {"formulas": ["x1"]},
     "agenda_mv.json": {"formulas": ["x1", "x2", "(oplus x1 x2)"]},
     "agenda_diamond.json": {"formulas": ["x1", "x2", "(or x1 x2)"]},
+    "agenda_top.json": {"formulas": ["x1", "top", "(or x1 x2)"]},
+    "agenda_unclosed.json": {"formulas": ["x1", "(or x1"]},
     "diamond.json": _diamond_matrix(),
     "doubled.json": DOUBLED_BOOLEAN,
+    "all_designated.json": BOOLEAN_ALL_DESIGNATED,
     "majority3.json": _criterion(3, lambda t: int(2 * sum(t) > 3)),
     "projection3.json": _criterion(3, lambda t: t[1]),
     "constant2.json": _criterion(2, lambda t: 1),
@@ -183,6 +201,10 @@ def _cases() -> dict[str, list[str]]:
             "--depth", "2"],
         "check-agenda-not-an-agenda": [
             "check-agenda", "--logic", "boolean2", "--agenda", "diamond.json"],
+        "check-agenda-all-designated": [  # every value holds alike: level 3
+            "check-agenda", "--logic", "all_designated.json", "--agenda", "agenda_top.json"],
+        "check-agenda-unclosed-formula": [  # a formula syntax error: exit 2
+            "check-agenda", "--logic", "boolean2", "--agenda", "agenda_unclosed.json"],
     })
     return {name: argv + ["--out", REPORT] for name, argv in cases.items()}
 
@@ -230,6 +252,12 @@ def test_golden(name, tmp_path):
     assert actual["stdout"] == expected["stdout"]
     assert actual["stderr"] == expected["stderr"]
     assert actual["report"] == expected["report"]
+
+
+def test_every_command_has_a_case():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands) == {argv[0] for argv in CASES.values()}
 
 
 def test_exit_code_agrees_with_pass():

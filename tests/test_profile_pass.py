@@ -2,12 +2,15 @@
 plain per-profile loops kept here as the reference.
 
 The references restate the definitions directly: every rational profile is
-enumerated, every domain profile is aggregated by ``apply``, rationality is
-decided by ``is_rational_attitude`` and closure values by ``evaluate`` at the
-least witnessing valuation. Random aggregators are criterion-induced (any
-table, not only homomorphisms) or extensional (any subset of the rational
-profiles plus some irrational ones, in any order, with outputs that may be
-perturbed).
+enumerated from ``all_valuations`` and ``evaluate``, every domain profile is
+aggregated by ``apply``, domain membership is decided here (a criterion
+aggregator's domain is the rational profiles, by ``is_rational_attitude``; an
+extensional one's is its table), rationality is decided by
+``is_rational_attitude`` and closure values by ``evaluate`` at the least
+witnessing valuation. None of them reads a table the pass itself reads.
+Random aggregators are criterion-induced (any table, not only homomorphisms)
+or extensional (any subset of the rational profiles plus some irrational
+ones, in any order, with outputs that may be perturbed).
 """
 
 from collections import Counter
@@ -33,12 +36,12 @@ from aggcheck.aggregation import (
     check_systematicity,
     criterion_from_aggregator,
     enumerate_rational_profiles,
-    is_rational_attitude,
     majority_criterion,
     projection_criterion,
     witness_attitudes,
 )
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain, closure_vectors, evaluate
+from aggcheck.oracles import all_valuations, is_rational_attitude
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import formula_sort_key, parse_formula
 
@@ -61,11 +64,34 @@ LEVELS = [INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC]
 # ---------------------------------------------------------------------------
 
 
+def rational_profiles(agenda, n):
+    """Every rational profile, voter 0 most significant, each voter's attitudes
+    in order of their least witnessing valuation."""
+    attitudes = {}
+    for valuation in all_valuations(agenda.variables, agenda.algebra):
+        values = tuple(evaluate(f, valuation, agenda.algebra) for f in agenda.formulas)
+        attitudes.setdefault(values, AttitudeFunction(agenda, values))
+    return [Profile(combo) for combo in product(attitudes.values(), repeat=n)]
+
+
+def domain(aggregator):
+    """The profiles the aggregator is defined on, in the order it reads them."""
+    if isinstance(aggregator, ExtensionalAggregator):
+        return [profile for profile, _ in aggregator.table]
+    return rational_profiles(aggregator.agenda, aggregator.electorate)
+
+
+def in_domain(aggregator, profile):
+    if isinstance(aggregator, ExtensionalAggregator):
+        return any(profile == row for row, _ in aggregator.table)
+    return all(is_rational_attitude(a)[0] for a in profile.attitudes)
+
+
 def reference_rational_universal(aggregator):
     universal = rational = True
     missing = witness = None
-    for profile in enumerate_rational_profiles(aggregator.agenda, aggregator.electorate):
-        if not aggregator.in_domain(profile):
+    for profile in rational_profiles(aggregator.agenda, aggregator.electorate):
+        if not in_domain(aggregator, profile):
             if universal:
                 universal, missing = False, profile
             continue
@@ -93,7 +119,7 @@ def reference_systematicity(aggregator, level, depth):
         return None
 
     first = {}
-    for p_num, profile in enumerate(aggregator.domain_profiles()):
+    for p_num, profile in enumerate(domain(aggregator)):
         output = aggregator.apply(profile)
         voters = [extended(a) for a in profile.attitudes]
         out = extended(output)

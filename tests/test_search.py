@@ -21,7 +21,6 @@ from aggcheck.aggregation import (
 )
 from aggcheck.algebra import (
     DEFAULT_BUDGET,
-    builtin_distributive_lattice,
     element_coordinates,
     enumerate_homomorphisms,
     power_homomorphisms,
@@ -33,6 +32,7 @@ from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula, print_formula
+from builders import builtin_distributive_lattice
 
 
 @st.composite

@@ -13,13 +13,8 @@ from aggcheck.algebra import (
     refuse,
 )
 from aggcheck.errors import BudgetExceededError
-from aggcheck.semantics import (
-    CongruenceWitness,
-    Matrix,
-    check_selfextensionality,
-    entails,
-    interderivable,
-)
+from aggcheck.oracles import entails, interderivable
+from aggcheck.semantics import CongruenceWitness, Matrix, check_selfextensionality
 from aggcheck.syntax import App, Signature, Var, bounded_closure, parse_formula
 
 

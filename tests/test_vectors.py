@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from aggcheck import algebra
 from aggcheck.algebra import (
     _program_steps,
-    all_valuations,
     builtin_boolean2,
-    builtin_distributive_lattice,
     builtin_mv_chain,
     closure_vectors,
     evaluate,
@@ -21,11 +19,12 @@ from aggcheck.modal import (
     bao_from_frame,
     is_consistent,
     material_implication,
-    reflexive_frames,
     subjunctive_implication,
 )
+from aggcheck.oracles import all_valuations, reflexive_frames
 from aggcheck.syntax import (App, Var, bounded_closure, parse_formula, print_formula,
                              variables_of)
+from builders import builtin_distributive_lattice
 
 ALGEBRAS = {
     "boolean2": builtin_boolean2(),
