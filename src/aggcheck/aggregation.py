@@ -473,15 +473,12 @@ def criterion_from_aggregator(
     """Extract the total decision criterion of a rational, universal,
     strongly systematic aggregator, and verify it is a homomorphism.
 
-    Every voter tuple is attained on a single witness formula (see
-    ``witness_attitudes``). The preconditions are verified, not assumed; the
-    final homomorphism assertion failing signals a non-qualifying aggregator
-    (or a bug) and raises.
+    The criterion is the one pass's strong-systematicity ledger, read in
+    row-major voter-tuple order; a rational profile must attain each tuple.
+    The preconditions are verified, not assumed; the final homomorphism
+    assertion failing signals a non-qualifying aggregator (or a bug) and raises.
     """
-    agenda = aggregator.agenda
-    algebra = agenda.algebra
-    n = aggregator.electorate
-
+    algebra, n = aggregator.agenda.algebra, aggregator.electorate
     report, strong = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, depth)
     if not report.both:
         raise NotQualifyingError("aggregator is not universal+rational: "
@@ -489,13 +486,11 @@ def criterion_from_aggregator(
     if not strong.holds:
         raise NotQualifyingError(f"aggregator is not strongly systematic: {strong.conflict}")
 
-    witness, attitude_for = witness_attitudes(agenda)
-    position = agenda.index[witness]
-    values = [
-        aggregator.apply(Profile(tuple(attitude_for[b] for b in coords))).values[position]
-        for coords in product(range(algebra.size), repeat=n)
-    ]
-    criterion = DecisionCriterion(algebra, n, tuple(values))
+    values = tuple(map(strong.criterion.get, product(range(algebra.size), repeat=n)))
+    if None in values:
+        unattained = element_coordinates(algebra.size, n, values.index(None))
+        raise NotQualifyingError(f"no rational profile attains the voter tuple {unattained}")
+    criterion = DecisionCriterion(algebra, n, values)
     violation = criterion.homomorphism_violation()
     if violation:
         symbol, args = violation

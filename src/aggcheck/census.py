@@ -4,11 +4,11 @@ bijection check.
 A decision criterion qualifies when its induced aggregator is rational,
 universal and strongly systematic. The census finds every such criterion by a
 table search under constraints read off the rational profiles alone. It never
-consults the homomorphism equation: this module imports nothing of the
-homomorphism route (``is_homomorphism``, ``product_algebra``, ``shared_power``,
-``enumerate_homomorphisms``), and a test checks that it does not. The rational
-attitudes, the closure fragment and the rational profiles' rank table are
-built here and shared with the aggregator checks in ``aggregation``.
+consults the homomorphism equation: this module names nothing of the route
+in ``algebra`` (``is_homomorphism``, ``shared_power``, ``homomorphism_violation``
+...), and tests check that a census calls none of it. The rational attitudes,
+the closure fragment and the rational profiles' rank table are built here and
+shared with the aggregator checks in ``aggregation``.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     algebra = agenda.algebra
     n = args.electorate
     refuse_power_past_the_caps(algebra, n)  # every cap refuses before either route searches
-    witness_attitudes(agenda)  # so does an agenda the round trip has no witness for
+    witness_attitudes(agenda)  # so does an agenda outside the theorem's hypotheses
     qualifying = qualifying_criteria(agenda, n, args.depth, args.budget)
     qual_tables = sorted(c.values for c in qualifying)
     hom_tables = sorted(h.mapping for h in power_homomorphisms(algebra, n, args.budget))

@@ -19,6 +19,7 @@ from typing import Any, Union
 
 from .agenda import Agenda
 from .algebra import DecisionCriterion, FiniteAlgebra, builtin_boolean2, builtin_mv_chain
+from .errors import FormulaSyntaxError
 from .semantics import Matrix
 from .syntax import Signature, parse_formula
 
@@ -153,9 +154,13 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
         ref = Path(path).parent / _expect(obj["signature_ref"], str, "agenda signature_ref")
         if signature_from_obj(_read(ref)) != sig:
             raise ValueError(f"agenda signature_ref {ref} does not match the logic's signature")
-    formulas = tuple(parse_formula(_expect(text, str, "agenda formula"), sig)
-                     for text in _expect(obj.get("formulas"), list, "agenda formulas"))
-    return Agenda(formulas, matrix, matrix.algebra)
+    formulas = []
+    for text in _expect(obj.get("formulas"), list, "agenda formulas"):
+        try:
+            formulas.append(parse_formula(_expect(text, str, "agenda formula"), sig))
+        except FormulaSyntaxError as exc:  # name the formula, as _element_index names a value
+            raise ValueError(f"agenda formula {json.dumps(text)}: {exc}") from exc
+    return Agenda(tuple(formulas), matrix, matrix.algebra)
 
 
 def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:

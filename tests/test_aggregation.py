@@ -31,7 +31,7 @@ from aggcheck.algebra import (
     product_algebra,
 )
 from aggcheck.census import qualifying_criteria
-from aggcheck.errors import BudgetExceededError
+from aggcheck.errors import BudgetExceededError, NotQualifyingError
 from aggcheck.oracles import is_rational_attitude
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula
@@ -357,9 +357,22 @@ class TestCharacterization:
         deltas, profile = rational_profile_with_values(mv_agenda, 2, [(1, 2)])
         assert agg.apply(profile).values[mv_agenda.index[deltas[0]]] == 1  # index of 1/2
 
+    def test_extraction_needs_every_tuple_attained_not_pseudo_richness(self, classical):
+        # (or x1 x2) has no witness, yet its closure attains every voter tuple;
+        # top attains (0, 0) through (not top) and (1, 1) alone
+        def extract(text):
+            agenda = agenda_over([f(text, classical)], classical)
+            projection = projection_criterion(agenda.algebra, 2, 0)
+            return criterion_from_aggregator(aggregator_from_criterion(projection, agenda))
+
+        assert extract("(or x1 x2)").values == (0, 0, 1, 1)
+        with pytest.raises(NotQualifyingError,
+                           match=r"^no rational profile attains the voter tuple \(0, 1\)$"):
+            extract("top")
+
     def test_extraction_equals_the_systematicity_criterion(self, or_agenda):
-        # uniqueness of the decision criterion: the table read off the witness
-        # is the one map every fragment formula factors through
+        # uniqueness of the decision criterion: the extracted table is the one
+        # map every fragment formula factors through
         for voter in range(2):
             criterion = projection_criterion(or_agenda.algebra, 2, voter)
             agg = aggregator_from_criterion(criterion, or_agenda)

@@ -578,13 +578,17 @@ MISSHAPEN_INPUTS = [
                  id="missing-formulas"),
     pytest.param("--agenda", {"signature_ref": 5, "formulas": ["x1"]},
                  "agenda signature_ref must be a string, got 5", id="signature-ref-not-a-string"),
-    pytest.param("--agenda", {"formulas": [""]}, "unexpected end of input (at position 0)",
+    pytest.param("--agenda", {"formulas": [""]},
+                 'agenda formula "": unexpected end of input (at position 0)',
                  id="empty-formula"),
-    pytest.param("--agenda", {"formulas": [")"]}, "unexpected ')' (at position 0)",
+    pytest.param("--agenda", {"formulas": [")"]},
+                 'agenda formula ")": unexpected \')\' (at position 0)',
                  id="formula-closing-paren"),
-    pytest.param("--agenda", {"formulas": ["(("]}, "expected connective symbol (at position 1)",
+    pytest.param("--agenda", {"formulas": ["(("]},
+                 'agenda formula "((": expected connective symbol (at position 1)',
                  id="formula-no-connective"),
-    pytest.param("--agenda", {"formulas": ["1x"]}, "invalid variable name '1x' (at position 0)",
+    pytest.param("--agenda", {"formulas": ["1x"]},
+                 'agenda formula "1x": invalid variable name \'1x\' (at position 0)',
                  id="formula-bad-variable"),
     pytest.param("--criterion", [1], "criterion must be an object, got a list",
                  id="criterion-list"),
@@ -721,11 +725,13 @@ class TestErrorPaths:
                 f"input error: {path}: Expecting property name enclosed in double quotes: "
                 "line 1 column 2 (char 1)\n")
 
-    def test_bad_formula(self, tmp_path):
+    def test_bad_formula(self, tmp_path, capsys):
         path = tmp_path / "agenda.json"
-        dump_json({"formulas": ["(xor x1 x2)"]}, path)
+        dump_json({"formulas": ["x1", "(xor x1 x2)"]}, path)
         assert main(["check-agenda", "--logic", "boolean2",
                      "--agenda", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: agenda formula \"(xor x1 x2)\": unknown symbol 'xor' (at position 1)\n")
 
     def test_unknown_builtin(self, tmp_path):
         path = tmp_path / "agenda.json"

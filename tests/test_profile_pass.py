@@ -13,11 +13,12 @@ or extensional (any subset of the rational profiles plus some irrational
 ones, in any order, with outputs that may be perturbed).
 """
 
+import json
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aggcheck.aggregation
@@ -41,6 +42,8 @@ from aggcheck.aggregation import (
     witness_attitudes,
 )
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain, closure_vectors, evaluate
+from aggcheck.cli import main
+from aggcheck.errors import NotQualifyingError
 from aggcheck.oracles import all_valuations, is_rational_attitude
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import formula_sort_key, parse_formula
@@ -159,6 +162,18 @@ def reference_extraction_error(aggregator, depth):
     return None
 
 
+def reference_witness_criterion(aggregator):
+    """The criterion read through witness profiles: for each voter tuple in
+    row-major order, the output at the witness formula on the profile whose
+    voters take the witness attitudes for that tuple's values."""
+    agenda = aggregator.agenda
+    witness, attitude_for = witness_attitudes(agenda)
+    position = agenda.index[witness]
+    return tuple(
+        aggregator.apply(Profile(tuple(attitude_for[b] for b in coords))).values[position]
+        for coords in product(range(agenda.algebra.size), repeat=aggregator.electorate))
+
+
 # ---------------------------------------------------------------------------
 # Random aggregators
 # ---------------------------------------------------------------------------
@@ -252,8 +267,27 @@ def test_extraction_errors_equal_the_reference(aggregator, depth):
         assert expected is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(aggregators(), st.integers(1, 2))
+def test_extracted_criterion_equals_the_witness_profile_read(aggregator, depth):
+    """Past the preconditions, the ledger read gives the witness-profile
+    read's table, or the homomorphism refusal that table earns."""
+    assume(reference_extraction_error(aggregator, depth) is None)
+    reference = DecisionCriterion(aggregator.agenda.algebra, aggregator.electorate,
+                                  reference_witness_criterion(aggregator))
+    violation = reference.homomorphism_violation()
+    try:
+        extracted = criterion_from_aggregator(aggregator, depth=depth)
+    except NotQualifyingError as error:
+        assert violation is not None
+        assert str(error).startswith("extracted criterion is not a homomorphism (fails at "
+                                     f"{violation[0]} on {violation[1]})")
+    else:
+        assert violation is None and extracted == reference
+
+
 # ---------------------------------------------------------------------------
-# Each profile is aggregated once
+# No profile is aggregated and no witness built
 # ---------------------------------------------------------------------------
 
 
@@ -272,16 +306,31 @@ def applied(monkeypatch):
 
 
 @pytest.mark.parametrize("agenda, n", [(BOOLEAN, 3), (MV_DEGREE, 2)])
-def test_round_trip_aggregates_each_profile_once(agenda, n, applied):
-    """The checks read the outputs off the criterion; only the |B|^N witness
-    profiles of the extraction are aggregated, each once."""
-    aggregator = aggregator_from_criterion(projection_criterion(agenda.algebra, n, 0), agenda)
-    criterion_from_aggregator(aggregator, depth=2)
-    _, attitude_for = witness_attitudes(agenda)
-    witnesses = Counter(Profile(tuple(attitude_for[b] for b in coords))
-                        for coords in product(range(agenda.algebra.size), repeat=n))
-    assert applied == witnesses
-    assert sum(applied.values()) == agenda.algebra.size**n
+def test_round_trip_aggregates_no_profile(agenda, n, applied, monkeypatch):
+    """The checks read the outputs off the criterion and the extraction reads
+    the ledger, so no profile is aggregated and no witness attitude built."""
+    witnessed = []
+    for name in ("witness_attitudes", "_attitudes_with_values"):
+        monkeypatch.setattr(aggcheck.aggregation, name,
+                            lambda *args, name=name: witnessed.append(name))
+    projection = projection_criterion(agenda.algebra, n, 0)
+    aggregator = aggregator_from_criterion(projection, agenda)
+    assert criterion_from_aggregator(aggregator, depth=2) == projection
+    assert not applied and not witnessed
+
+
+def test_verify_bijection_builds_no_profile(applied, tmp_path, monkeypatch, capsys):
+    """A passing ``verify-bijection`` on the README agenda at N=3 closes its
+    three round trips without building a profile."""
+    built = []
+    post_init = Profile.__post_init__
+    monkeypatch.setattr(Profile, "__post_init__", lambda self: built.append(self) or post_init(self))
+    path = tmp_path / "agenda.json"
+    path.write_text(json.dumps({"formulas": ["x1", "x2", "(or x1 x2)", "(not x1)"]}))
+    assert main(["verify-bijection", "--logic", "boolean2", "--agenda", str(path),
+                 "--electorate", "3"]) == 0
+    assert "round trips: pass\n" in capsys.readouterr().out
+    assert not built and not applied
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

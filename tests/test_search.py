@@ -277,14 +277,21 @@ def test_census_equals_the_definition(logic, texts, n, depth, request):
     assert census == definition_census(a, n, depth)
 
 
-def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agenda):
+# the homomorphism route, as defined in ``algebra``: the census may call none of it
+HOMOMORPHISM_ROUTE = ("is_homomorphism", "product_algebra", "shared_power",
+                      "enumerate_homomorphisms", "power_homomorphisms",
+                      "refuse_power_past_the_caps", "_coordinate_swaps")
+
+
+def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agenda, mv_agenda):
     def forbidden(*args, **kwargs):
         raise AssertionError("the census used the homomorphism route")
 
-    for name in ("is_homomorphism", "product_algebra", "shared_power",
-                 "enumerate_homomorphisms"):
-        monkeypatch.setattr(census_module, name, forbidden, raising=False)
-    connective_tables = [id(t) for t in bool_agenda.algebra.tables.values()]
+    for module in (algebra_module, census_module):
+        for name in HOMOMORPHISM_ROUTE:
+            monkeypatch.setattr(module, name, forbidden, raising=module is algebra_module)
+    monkeypatch.setattr(DecisionCriterion, "homomorphism_violation", forbidden)
+    monkeypatch.setattr(algebra_module.AlgebraHomomorphism, "__post_init__", forbidden)
     seen = []
 
     def spy(slots, size, constraints, budget, stage, symmetries=()):
@@ -293,19 +300,28 @@ def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agend
         return search_tables(slots, size, constraints, budget, stage, symmetries=symmetries)
 
     monkeypatch.setattr(census_module, "search_tables", spy)
-    census = [c.values for c in qualifying_criteria(bool_agenda, 2, depth=2)]
-    assert census == [projection_criterion(bool_agenda.algebra, 2, v).values for v in (0, 1)]
-    assert seen and not set(seen) & set(connective_tables)
+    for agenda in (bool_agenda, mv_agenda):
+        seen.clear()
+        connective_tables = [id(t) for t in agenda.algebra.tables.values()]
+        census = [c.values for c in qualifying_criteria(agenda, 2, depth=2)]
+        assert census == [projection_criterion(agenda.algebra, 2, v).values for v in (0, 1)]
+        assert seen and not set(seen) & set(connective_tables)
 
 
 def test_census_imports_nothing_of_the_homomorphism_route():
     tree = ast.parse(Path(census_module.__file__).read_text())
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert not imported & {"is_homomorphism", "product_algebra", "shared_power",
-                           "enumerate_homomorphisms", "_coordinate_swaps"}
-    assert "aggregation" not in modules
+    nodes = list(ast.walk(tree))
+    imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {alias.name for node in imports for alias in node.names}
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    route = {*HOMOMORPHISM_ROUTE, "homomorphism_violation", "AlgebraHomomorphism"}
+    assert not (imported | named | attributes) & route
+    assert "*" not in imported  # a star import would bring the route in unnamed
+    # nor a module object to reach the route through
+    assert not {name for name in imported if name.rpartition(".")[2] in ("algebra", "aggregation")}
+    assert not {m for m in modules if m and m.rpartition(".")[2] == "aggregation"}
 
 
 def test_census_leaves_the_garbage_collector_as_it_found_it(bool_agenda):

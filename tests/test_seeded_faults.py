@@ -6,17 +6,19 @@ disagree, so the run exits 1 and the report field that route feeds moves:
 ``homs`` (the homomorphism search), ``aggregators`` (the census) or
 ``roundtrips`` (the extraction). A fault in machinery both routes share can
 move both alike and pass the cross-check, so its case shows instead that a
-named brute-force test fails on the faulty function.
+named brute-force test fails on the faulty function. A last case hands every
+round trip an aggregator that fails its preconditions.
 """
 
 import json
 from collections import defaultdict
-from itertools import count
+from itertools import count, product
 
 import pytest
 
 import test_search
-from aggcheck import aggregation, algebra, census
+from aggcheck import aggregation, algebra, census, cli
+from aggcheck.aggregation import CriterionAggregator, majority_criterion
 from aggcheck.algebra import FiniteAlgebra, product_algebra
 from aggcheck.cli import main
 
@@ -55,15 +57,11 @@ def census_accepting_an_irrational_output(monkeypatch):
     monkeypatch.setattr(census, "defaultdict", table)
 
 
-def extraction_off_the_witness(monkeypatch):
-    """The extraction reads the last agenda formula other than the witness."""
-    witness_attitudes = aggregation.witness_attitudes
-
-    def misread(agenda):
-        witness, attitudes = witness_attitudes(agenda)
-        return [f for f in agenda.formulas if f != witness][-1], attitudes
-
-    monkeypatch.setattr(aggregation, "witness_attitudes", misread)
+def extraction_with_voters_reversed(monkeypatch):
+    """The extraction reads the ledger at each voter tuple reversed (on this
+    path ``product`` in ``aggregation`` serves that read alone)."""
+    monkeypatch.setattr(aggregation, "product", lambda values, repeat: (
+        coords[::-1] for coords in product(values, repeat=repeat)))
 
 
 def search_stopping_after_one_table(monkeypatch):
@@ -117,7 +115,7 @@ def verify(logic, n, tmp_path):
     (wrong_power_entry, "boolean2", 2, "homs"),
     (census_without_closure, "mv3", 2, "aggregators"),
     (census_accepting_an_irrational_output, "boolean2", 2, "aggregators"),
-    (extraction_off_the_witness, "boolean2", 2, "roundtrips"),
+    (extraction_with_voters_reversed, "boolean2", 2, "roundtrips"),
     (search_stopping_after_one_table, "boolean2", 3, None),
     (census_symmetry_negating_every_voter, "boolean2", 2, "aggregators"),
     (orbit_expansion_skipping_a_generator, "boolean2", 3, None),
@@ -136,3 +134,21 @@ def test_a_planted_fault_is_caught(plant, logic, n, field, tmp_path, monkeypatch
         assert code == 0 and faulty["homs"] == faulty["aggregators"] == count
         with pytest.raises(AssertionError):
             brute_force_test()
+
+
+def test_a_round_trip_failing_its_preconditions_fails_the_run(tmp_path, monkeypatch, capsys):
+    """Each round trip gets majority's aggregator, which is universal but
+    aggregates some rational profile irrationally: every extraction refuses
+    at its precondition, after building its irrational witness profile once."""
+    monkeypatch.setattr(cli, "aggregator_from_criterion", lambda criterion, agenda: (
+        CriterionAggregator(majority_criterion(agenda.algebra, criterion.electorate), agenda)))
+    built = []
+    rational_profile = aggregation._rational_profile
+    monkeypatch.setattr(aggregation, "_rational_profile",
+                        lambda *args: built.append(args) or rational_profile(*args))
+    code, report = verify("boolean2", 3, tmp_path)
+    capsys.readouterr()
+    assert code == 1 and report["roundtrips"] == "fail"
+    assert [failure["extracted"] for failure in report["roundtrip_failures"]] == [
+        "aggregator is not universal+rational: universal=True rational=False"] * report["homs"]
+    assert len(built) == report["homs"] == 3
