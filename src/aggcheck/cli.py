@@ -38,7 +38,6 @@ EXIT_INTERNAL_ERROR = 4
 
 # each count option's least value, checked before any file is read
 COUNT_MINIMUMS = {"budget": 0, "variables": 0, "depth": 0, "electorate": 1, "frame_bound": 1}
-BUDGET_HELP = "work units any stage may charge (default 10^8)"
 
 
 def _tool_stamp(args: argparse.Namespace) -> dict:
@@ -272,7 +271,50 @@ def cmd_enumerate_homs(args: argparse.Namespace) -> int:
     return _emit(report, args, lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+LOGIC = _option("--logic", required=True, help="matrix JSON file or builtin name")
+OUT = _option("--out", help="write the JSON report here")
+AGENDA = _option("--agenda", required=True)
+ELECTORATE = _option("--electorate", type=int, required=True)
+BUDGET = _option("--budget", type=int, default=DEFAULT_BUDGET,
+                 help="work units any stage may charge (default 10^8)")
+
+# each subcommand's help, handler and options, in the order --help lists them
+COMMANDS = {
+    "check-agenda": ("pseudo-richness and contingency report", cmd_check_agenda,
+                     (LOGIC, OUT, AGENDA)),
+    "verify-bijection": (
+        "aggregators <-> homomorphisms, both directions, exhaustively", cmd_verify_bijection,
+        (LOGIC, OUT, AGENDA, ELECTORATE,
+         _option("--depth", type=int, default=1,
+                 help="closure depth for the strong-systematicity census"),
+         BUDGET)),
+    "classify-dictators": (
+        "homomorphism / ultrafilter / dictator classification of a criterion",
+        cmd_classify_dictators,
+        (OUT, _option("--logic", default="boolean2", help="two-element matrix (default boolean2)"),
+         _option("--criterion", required=True))),
+    "check-subjunctive": ("consistency conditions for the boxed reading of implication",
+                          cmd_check_subjunctive,
+                          (OUT, _option("--frame-bound", type=int, default=3))),
+    "check-selfext": ("bounded congruence-property search", cmd_check_selfext,
+                      (LOGIC, OUT, _option("--variables", type=int, default=2),
+                       _option("--depth", type=int, default=2), BUDGET)),
+    "enumerate-homs": ("all homomorphisms B^N -> B", cmd_enumerate_homs,
+                       (LOGIC, OUT, ELECTORATE, BUDGET)),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and options for ``command`` alone.
+
+    The top-level options take no value, so argparse's first positional is
+    argv's first token that does not start with "-"; no other subcommand
+    ever parses, and its options would only cost time.
+    """
     parser = argparse.ArgumentParser(
         prog="aggcheck",
         description=(
@@ -283,65 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, logic=True):
-        if logic:
-            p.add_argument("--logic", required=True, help="matrix JSON file or builtin name")
-        p.add_argument("--out", help="write the JSON report here")
-
-    p = sub.add_parser("check-agenda", help="pseudo-richness and contingency report")
-    common(p)
-    p.add_argument("--agenda", required=True)
-    p.set_defaults(func=cmd_check_agenda)
-
-    p = sub.add_parser(
-        "verify-bijection",
-        help="aggregators <-> homomorphisms, both directions, exhaustively",
-    )
-    common(p)
-    p.add_argument("--agenda", required=True)
-    p.add_argument("--electorate", type=int, required=True)
-    p.add_argument("--depth", type=int, default=1,
-                   help="closure depth for the strong-systematicity census")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
-    p.set_defaults(func=cmd_verify_bijection)
-
-    p = sub.add_parser(
-        "classify-dictators",
-        help="homomorphism / ultrafilter / dictator classification of a criterion",
-    )
-    common(p, logic=False)
-    p.add_argument("--logic", default="boolean2", help="two-element matrix (default boolean2)")
-    p.add_argument("--criterion", required=True)
-    p.set_defaults(func=cmd_classify_dictators)
-
-    p = sub.add_parser(
-        "check-subjunctive",
-        help="consistency conditions for the boxed reading of implication",
-    )
-    common(p, logic=False)
-    p.add_argument("--frame-bound", type=int, default=3)
-    p.set_defaults(func=cmd_check_subjunctive)
-
-    p = sub.add_parser("check-selfext", help="bounded congruence-property search")
-    common(p)
-    p.add_argument("--variables", type=int, default=2)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
-    p.set_defaults(func=cmd_check_selfext)
-
-    p = sub.add_parser("enumerate-homs", help="all homomorphisms B^N -> B")
-    common(p)
-    p.add_argument("--electorate", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
-    p.set_defaults(func=cmd_enumerate_homs)
-
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag, kwargs in options if name == command else ():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         for name, least in COUNT_MINIMUMS.items():
             if getattr(args, name, least) < least:

@@ -159,7 +159,10 @@ def load_agenda(path: PathLike, matrix: Matrix) -> Agenda:
         try:
             formulas.append(parse_formula(_expect(text, str, "agenda formula"), sig))
         except FormulaSyntaxError as exc:  # name the formula, as _element_index names a value
-            raise ValueError(f"agenda formula {json.dumps(text)}: {exc}") from exc
+            quoted = json.dumps(text)  # a long one by its start and length, on one short line
+            if len(quoted) > 80:
+                quoted = f"{quoted[:60]}... ({len(text)} characters)"
+            raise ValueError(f"agenda formula {quoted}: {exc}") from exc
     return Agenda(tuple(formulas), matrix, matrix.algebra)
 
 

@@ -105,7 +105,14 @@ def check_selfextensionality(
     arguments. That pair comes earlier in the all-pairs order, so comparing
     every pair would find the same first witness. Failure is conclusive;
     success means no counterexample at this depth.
+
+    Where holding tells every value apart (degree mode, or a filter that
+    designates one of two values), distinct vectors hold differently, so
+    every class has one member, no pair is left to swap, and the answer is
+    True at every depth without building the closure.
     """
+    if len(set(matrix.holding)) == len(matrix.holding):
+        return True, None
     algebra = matrix.algebra
     names = sorted(variables)
     n_valuations = algebra.size ** len(names)

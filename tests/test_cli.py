@@ -1,8 +1,10 @@
+import argparse
 import json
 import sys
 
 import pytest
 
+from aggcheck import __version__
 from aggcheck import agenda as agenda_layer
 from aggcheck import algebra, census, cli, oracles, semantics
 from aggcheck.aggregation import DecisionCriterion
@@ -427,13 +429,20 @@ class TestCheckSelfext:
         )
 
     def test_closure_is_refused_at_the_given_budget(self, capsys):
-        # passes at the default budget, after some 30 s
-        assert main(["check-selfext", "--logic", "mv3-degree", "--variables", "2",
+        # fits the default budget, and fails with a witness after some 20 s
+        assert main(["check-selfext", "--logic", "mv3", "--variables", "2",
                      "--depth", "4", "--budget", "10000000"]) == 3
         assert capsys.readouterr().err == (
             "budget exceeded: closure layer: 5722864 formulas x 9 valuations = 51505776 "
             "exceed the limit of 10000000\n"
         )
+
+    @pytest.mark.parametrize("logic, variables, depth", [("boolean2", 12, 2),
+                                                         ("mv3-degree", 2, 4)])
+    def test_injective_holding_passes_past_the_closure_budget(self, logic, variables, depth):
+        # holding tells every value apart, so no closure is built
+        assert main(["check-selfext", "--logic", logic, "--variables", str(variables),
+                     "--depth", str(depth)]) == 0
 
     def test_seed_layer_is_charged(self, capsys):
         # 16 variables and 2 constants, 2^16 valuations each
@@ -746,6 +755,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "nested deeper than" in err
         assert "Traceback" not in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200  # the formula's start only
+
+    @pytest.mark.parametrize("length", [78, 79])
+    def test_long_formula_is_named_by_its_start(self, tmp_path, capsys, length):
+        # quoted, 78 characters take 80; 79 take 81 and are cut to 60 and a length
+        text = "(xor x" + "1" * (length - 7) + ")"
+        dump_json({"formulas": [text]}, tmp_path / "agenda.json")
+        assert main(["check-agenda", "--logic", "boolean2",
+                     "--agenda", str(tmp_path / "agenda.json")]) == 2
+        named = json.dumps(text) if length == 78 else f'"{text[:59]}... (79 characters)'
+        assert capsys.readouterr().err == (
+            f"input error: agenda formula {named}: unknown symbol 'xor' (at position 1)\n")
 
     def test_deepest_formula_is_checked(self, tmp_path):
         path = tmp_path / "agenda.json"
@@ -921,3 +942,101 @@ class TestErrorPaths:
     def test_frame_bound_below_one_names_the_option(self, bound, capsys):
         assert main(["check-subjunctive", "--frame-bound", bound]) == 2
         assert capsys.readouterr().err == "input error: --frame-bound must be >= 1\n"
+
+
+def reference_parser():
+    """Every subcommand with every option: the parser ``main``'s texts must match."""
+    parser = argparse.ArgumentParser(
+        prog="aggcheck",
+        description=(
+            "Finite-model checks for judgment aggregation over algebraic "
+            "logics. --logic accepts a matrix JSON file or a builtin name "
+            "(boolean2, mv3, ..., with optional -degree suffix)."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    budget_help = "work units any stage may charge (default 10^8)"
+
+    def common(p, logic=True):
+        if logic:
+            p.add_argument("--logic", required=True, help="matrix JSON file or builtin name")
+        p.add_argument("--out", help="write the JSON report here")
+
+    p = sub.add_parser("check-agenda", help="pseudo-richness and contingency report")
+    common(p)
+    p.add_argument("--agenda", required=True)
+
+    p = sub.add_parser("verify-bijection",
+                       help="aggregators <-> homomorphisms, both directions, exhaustively")
+    common(p)
+    p.add_argument("--agenda", required=True)
+    p.add_argument("--electorate", type=int, required=True)
+    p.add_argument("--depth", type=int, default=1,
+                   help="closure depth for the strong-systematicity census")
+    p.add_argument("--budget", type=int, default=10**8, help=budget_help)
+
+    p = sub.add_parser("classify-dictators",
+                       help="homomorphism / ultrafilter / dictator classification of a criterion")
+    common(p, logic=False)
+    p.add_argument("--logic", default="boolean2", help="two-element matrix (default boolean2)")
+    p.add_argument("--criterion", required=True)
+
+    p = sub.add_parser("check-subjunctive",
+                       help="consistency conditions for the boxed reading of implication")
+    common(p, logic=False)
+    p.add_argument("--frame-bound", type=int, default=3)
+
+    p = sub.add_parser("check-selfext", help="bounded congruence-property search")
+    common(p)
+    p.add_argument("--variables", type=int, default=2)
+    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--budget", type=int, default=10**8, help=budget_help)
+
+    p = sub.add_parser("enumerate-homs", help="all homomorphisms B^N -> B")
+    common(p)
+    p.add_argument("--electorate", type=int, required=True)
+    p.add_argument("--budget", type=int, default=10**8, help=budget_help)
+    return parser
+
+
+# each subcommand's required options, and a count option if it has one
+SUBCOMMAND_ARGS = {
+    "check-agenda": (["--logic", "boolean2", "--agenda", "a.json"], None),
+    "verify-bijection": (["--logic", "boolean2", "--agenda", "a.json", "--electorate", "2"],
+                         "--electorate"),
+    "classify-dictators": (["--criterion", "c.json"], None),
+    "check-subjunctive": ([], "--frame-bound"),
+    "check-selfext": (["--logic", "boolean2"], "--variables"),
+    "enumerate-homs": (["--logic", "boolean2", "--electorate", "2"], "--budget"),
+}
+
+
+def parser_argvs():
+    yield from ([], ["--help"], ["--version"], ["bogus"], ["--", "check-agenda"],
+                ["-1", "check-agenda"], ["-h", "check-agenda"])
+    for command, (required, count) in SUBCOMMAND_ARGS.items():
+        yield from ([command, "--help"], [command], [command, "--bogus"],
+                    [command, *required, "--out"], [command, *required])
+        if count:
+            yield [command, *required, count, "two"]
+
+
+class TestParserTexts:
+    @pytest.mark.parametrize("argv", parser_argvs(), ids=lambda argv: " ".join(argv) or "none")
+    def test_texts_match_a_parser_with_every_option(self, argv, monkeypatch, capsys):
+        # a parse that succeeds exits with its namespace, so no check runs
+        monkeypatch.setenv("COLUMNS", "80")
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def parsed(parser, args=None, namespace=None):
+            namespace = vars(parse_args(parser, args, namespace))
+            sys.exit({k: v for k, v in namespace.items() if k != "func"})
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parsed)
+        outcomes = []
+        for parse in (main, reference_parser().parse_args):
+            with pytest.raises(SystemExit) as exited:
+                parse(list(argv))
+            outcomes.append((exited.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]

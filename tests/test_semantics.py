@@ -13,9 +13,12 @@ from aggcheck.algebra import (
     refuse,
 )
 from aggcheck.errors import BudgetExceededError
+from aggcheck.fileio import load_matrix, matrix_from_obj
 from aggcheck.oracles import entails, interderivable
 from aggcheck.semantics import CongruenceWitness, Matrix, check_selfextensionality
 from aggcheck.syntax import App, Signature, Var, bounded_closure, parse_formula
+from builders import builtin_distributive_lattice
+from test_golden import DOUBLED_BOOLEAN, _diamond_matrix
 
 
 def f(text, matrix):
@@ -123,6 +126,17 @@ def small_matrices(draw):
     return Matrix(algebra, designated), variables, draw(st.integers(1, 2))
 
 
+@st.composite
+def chain_products(draw):
+    """A degree-mode matrix on the product of two chains, a distributive lattice."""
+    elements = list(product(range(draw(st.integers(1, 3))), range(draw(st.integers(2, 3)))))
+    algebra = builtin_distributive_lattice(
+        [f"{i}{j}" for i, j in elements],
+        [(x, y) for x, (i, j) in enumerate(elements) for y, (k, m) in enumerate(elements)
+         if i <= k and j <= m])
+    return Matrix(algebra)
+
+
 class TestSelfextensionality:
     def test_classical_no_counterexample(self, classical):
         ok, witness = check_selfextensionality(classical, ["x1", "x2"], 2)
@@ -221,6 +235,50 @@ class TestSelfextensionality:
             assert expected is None  # it charges no more than all pairs
         else:
             assert expected is None or actual == expected
+
+    @pytest.mark.parametrize("logic", ["boolean2", "boolean2-degree", "mv3-degree"])
+    def test_injective_holding_builds_no_closure(self, logic):
+        assert closures_built(load_matrix(logic), ["x1", "x2", "x3"], 50) == ((True, None), 0)
+
+    @pytest.mark.parametrize("matrix", [load_matrix("mv3"), matrix_from_obj(_diamond_matrix()),
+                                        matrix_from_obj(DOUBLED_BOOLEAN)],
+                             ids=["mv3", "diamond", "doubled-boolean"])
+    def test_repeated_holding_builds_the_closure(self, matrix):
+        assert closures_built(matrix, ["x1"], 1)[1] == 1
+
+    @pytest.mark.parametrize("logic, variables, depth", [("boolean2", 2, 2),
+                                                         ("boolean2-degree", 2, 1),
+                                                         ("mv3-degree", 1, 2)])
+    def test_injective_holding_tells_closure_vectors_apart(self, logic, variables, depth):
+        matrix = load_matrix(logic)
+        assert no_two_interderivable(matrix, [f"x{i + 1}" for i in range(variables)], depth)
+
+    @given(chain_products())
+    @settings(max_examples=20, deadline=None)
+    def test_drawn_degree_lattice_builds_no_closure(self, matrix):
+        assert closures_built(matrix, ["x1", "x2"], 50) == ((True, None), 0)
+        assert no_two_interderivable(matrix, ["x1"], 1)
+
+
+def closures_built(matrix, variables, depth):
+    """``check_selfextensionality``'s answer, and how many closures it built."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return closure_vectors(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "closure_vectors", spy)
+        answer = check_selfextensionality(matrix, variables, depth)
+    return answer, len(calls)
+
+
+def no_two_interderivable(matrix, variables, depth):
+    """Brute force: no two formulas with distinct closure vectors are interderivable."""
+    formulas = closure_vectors(map(Var, variables), variables, matrix.algebra, depth).values()
+    return not any(interderivable(matrix, left, right)
+                   for left, right in combinations(formulas, 2))
 
 
 def all_pairs_selfextensionality(matrix, variables, depth, budget=DEFAULT_BUDGET):
