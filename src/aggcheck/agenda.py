@@ -54,14 +54,8 @@ class Agenda:
     @cached_property
     def variables_and_image_sizes(self) -> dict[Formula, tuple[Optional[str], int]]:
         """Each formula's equivalent_variable and the count of distinct values it
-        takes in the matrix's algebra, in agenda order, from one truth-vector
-        program per formula."""
+        takes in the truth-value algebra, in agenda order, decided once."""
         return {f: _variable_and_image_size(f, self) for f in self.formulas}
-
-    @cached_property
-    def equivalent_variables(self) -> dict[Formula, Optional[str]]:
-        """Each formula's equivalent_variable, in agenda order, decided once."""
-        return {f: name for f, (name, _) in self.variables_and_image_sizes.items()}
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -99,11 +93,13 @@ def equivalent_variable(formula: Formula, agenda: Agenda) -> Optional[str]:
 
 def _variable_and_image_size(formula: Formula, agenda: Agenda) -> tuple[Optional[str], int]:
     """The formula's equivalent_variable, and how many distinct values its truth
-    vector over its own variables takes in the matrix's algebra."""
+    vector over its own variables takes in the agenda's truth-value algebra. The
+    matrix's vector is counted when the two algebras are one; else one is built."""
     matrix = agenda.matrix
     names = variables_of(formula)
     vector, *others = truth_vectors([formula, *map(Var, names)], names, matrix.algebra)
-    image_size = len(set(vector))
+    image_size = len(set(vector if agenda.algebra == matrix.algebra
+                         else truth_vector(formula, names, agenda.algebra)))
     pattern = matrix.pattern(vector)
     for name, other in zip(names, others):  # up to the first valuation they differ at
         if all(map(eq, pattern, map(matrix.holding.__getitem__, other))):
@@ -130,7 +126,7 @@ def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...
             own = [v for v in variables_of(f) if v not in used]
             name = own[0] if own else _fresh_variable(agenda, used)
         else:
-            name = agenda.equivalent_variables[f]
+            name = agenda.variables_and_image_sizes[f][0]
         if name is not None and name not in used:
             used.add(name)
             witnesses.append((f, name))
@@ -144,10 +140,7 @@ def is_strictly_contingent(formula: Formula, algebra: FiniteAlgebra) -> bool:
 
 def strictly_contingent_formulas(agenda: Agenda) -> tuple[Formula, ...]:
     """The agenda's strictly contingent formulas in its truth-value algebra, in
-    formula order."""
-    algebra = agenda.algebra
-    ordered = sorted(agenda.formulas, key=formula_sort_key)
-    if algebra == agenda.matrix.algebra:  # each image was counted with its equivalent variable
-        sizes = agenda.variables_and_image_sizes
-        return tuple(f for f in ordered if sizes[f][1] == algebra.size)
-    return tuple(f for f in ordered if is_strictly_contingent(f, algebra))
+    formula order, read off the image sizes counted with the equivalent variables."""
+    sizes = agenda.variables_and_image_sizes
+    return tuple(f for f in sorted(agenda.formulas, key=formula_sort_key)
+                 if sizes[f][1] == agenda.algebra.size)

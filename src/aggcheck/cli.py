@@ -9,6 +9,7 @@ stdout. Exit codes: 0 all checks pass, 1 a check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -26,7 +27,7 @@ from .census import qualifying_criteria
 from .errors import AggcheckError, BudgetExceededError, NotQualifyingError
 from .fileio import dump_json, load_agenda, load_criterion, load_matrix
 from .impossibility import classify_dictator, decisive_coalitions, is_ultrafilter
-from .modal import check_subjunctive_conditions
+from .modal import CERTIFIED_WORLDS, check_subjunctive_conditions
 from .semantics import check_selfextensionality
 from .syntax import print_formula
 
@@ -65,7 +66,7 @@ def cmd_check_agenda(args: argparse.Namespace) -> int:
     agenda = load_agenda(args.agenda, matrix)
     level, witnesses = pseudo_richness(agenda)
     contingent = strictly_contingent_formulas(agenda)
-    per_formula = {print_formula(f): v for f, v in agenda.equivalent_variables.items()}
+    per_formula = {print_formula(f): v for f, (v, _) in agenda.variables_and_image_sizes.items()}
     warnings = []
     if level < agenda.signature.max_arity:
         warnings.append(
@@ -208,8 +209,8 @@ def cmd_check_subjunctive(args: argparse.Namespace) -> int:
         f"boxed implication: condition a {'pass' if result.a_holds else 'FAIL'}, "
         f"condition b {'pass' if result.b_holds else 'FAIL'} (bound {args.frame_bound})",
         f"material implication fails condition b: {result.material_b_fails}",
-        f"meet with the refuting pair is bottom in every frame algebra <= 3 worlds: "
-        f"{result.bottom_certified}",
+        f"meet with the refuting pair is bottom in every frame algebra <= {CERTIFIED_WORLDS} "
+        f"worlds: {result.bottom_certified}",
     ]
     if result.insufficient_bound:
         lines.append("warning: frame bound too small to exhibit condition b")
@@ -341,6 +342,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         for name, least in COUNT_MINIMUMS.items():
             if getattr(args, name, least) < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
+        if args.out and os.path.isdir(args.out):  # refused before the check runs, not after
+            raise ValueError(f"--out {args.out} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out {args.out} is in a directory that does not exist")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -125,13 +125,16 @@ def _frame_from_mask(worlds: int, mask: int) -> KripkeFrame:
 
 # Labelled reflexive frames the orbit pass marks, one byte each: 2^20 on 5 worlds.
 MAX_FRAMES = 1 << 20
+# The world count up to which certify_implication_bottom checks every frame algebra.
+CERTIFIED_WORLDS = 3
 
 
 @lru_cache(maxsize=None)
-def _frame_classes(worlds: int) -> tuple[int, ...]:
+def _frame_classes(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """The least mask of each isomorphism class of reflexive frames on the
-    given world count, ascending: the frames a search up to isomorphism
-    visits, in ``oracles.reflexive_frames`` order (ascending masks).
+    given world count, ascending, with every world's successors (itself
+    included): the frames a search up to isomorphism visits, in
+    ``oracles.reflexive_frames`` order (ascending masks).
 
     The masks are walked in order; an unmarked mask is the least of its
     orbit under the world permutations, and all its images are marked.
@@ -161,18 +164,10 @@ def _frame_classes(worlds: int) -> tuple[int, ...]:
         for image in images:
             seen[image] = 1
         mask = seen.find(0, mask + 1)
-    return tuple(classes)
-
-
-@lru_cache(maxsize=None)
-def _class_successors(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """Each class representative's mask with every world's successors
-    (itself included), in _frame_classes order."""
-    off = _off_diagonal(worlds)
     return tuple(
         (mask, tuple((w, *[b for i, (a, b) in enumerate(off) if a == w and mask >> i & 1])
                      for w in range(worlds)))
-        for mask in _frame_classes(worlds)
+        for mask in classes
     )
 
 
@@ -254,7 +249,7 @@ def is_consistent(
            ((2, max_worlds * (max_worlds - 1)), f"reflexive frames on {max_worlds} worlds"))
     program = _sliced_program(formulas, names)
     for n in range(1, max_worlds + 1):
-        classes = _class_successors(n)
+        classes = _frame_classes(n)
         # charged before any value is built: per class, n ints of 2^(n * variables) bits
         refuse(DEFAULT_BUDGET, "consistency search", (len(classes), "frame classes"),
                (n, "worlds"), ((2, max(n * len(names) - 6, 0)), "words"))
@@ -323,15 +318,16 @@ class SubjunctiveReport:
         return not all(self.material_b.values())
 
 
-def certify_implication_bottom(max_worlds: int) -> bool:
-    """In every frame algebra up to the bound, the meet of box(not p or q),
-    p and not q is bottom, pointwise over all element pairs. One frame per
-    isomorphism class is enough, as isomorphic frames have isomorphic
-    algebras; each is built and evaluated by its tables, not bit-sliced."""
+def certify_implication_bottom() -> bool:
+    """In every frame algebra up to CERTIFIED_WORLDS worlds, the meet of
+    box(not p or q), p and not q is bottom, pointwise over all element pairs.
+    One frame per isomorphism class is enough, as isomorphic frames have
+    isomorphic algebras; each is built and evaluated by its tables, not
+    bit-sliced."""
     p, q = Var("p"), Var("q")
     meet = App("and", (App("and", (subjunctive_implication(p, q), p)), App("not", (q,))))
     algebras = (bao_from_frame(_frame_from_mask(n, mask))
-                for n in range(1, max_worlds + 1) for mask in _frame_classes(n))
+                for n in range(1, CERTIFIED_WORLDS + 1) for mask, _ in _frame_classes(n))
     return all(set(truth_vector(meet, ["p", "q"], a)) == {a.constant("bot")} for a in algebras)
 
 
@@ -375,6 +371,6 @@ def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
         condition_a=condition_a,
         condition_b=condition_b,
         material_b=material_b,
-        bottom_certified=certify_implication_bottom(3),
+        bottom_certified=certify_implication_bottom(),
         insufficient_bound=max_worlds < 2 and not all(condition_b.values()),
     )

@@ -164,7 +164,7 @@ def test_criterion_4_subjunctive_conditions():
         and result.b_holds
         and result.material_b_fails
         and result.bottom_certified
-        and certify_implication_bottom(3)
+        and certify_implication_bottom()
         and len(result.condition_a) == 4
         and len(result.condition_b) == 4
     )

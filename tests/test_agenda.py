@@ -1,8 +1,10 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggcheck import agenda as agenda_layer
 from aggcheck.agenda import (
     _fresh_variable,
     agenda_over,
@@ -199,6 +201,27 @@ class TestStrictlyContingent:
             if len({evaluate(f, v, values) for v in all_valuations(variables_of(f), values)})
             == values.size)
         assert strictly_contingent_formulas(agenda) == expected
+
+    def test_a_foreign_value_algebra_evaluates_each_formula_once_per_algebra(self, monkeypatch):
+        matrix, values = LOGICS["boolean2-values-in-b4"]
+        ag = agenda_over([f(t, matrix) for t in ("x1", "x2", "(or x1 x2)", "(not x1)")],
+                         matrix, values)
+        calls = []
+
+        def spy(original):
+            def counting(formulas, variables, algebra):
+                first = formulas[0] if isinstance(formulas, list) else formulas
+                calls.append((first, algebra.size))
+                return original(formulas, variables, algebra)
+            return counting
+
+        for name in ("truth_vectors", "truth_vector"):
+            monkeypatch.setattr(agenda_layer, name, spy(getattr(agenda_layer, name)))
+        for _ in range(2):
+            assert pseudo_richness(ag)[0] == 2
+            assert strictly_contingent_formulas(ag) == tuple(
+                sorted(ag.formulas, key=formula_sort_key))
+        assert Counter(calls) == Counter((g, size) for g in ag.formulas for size in (2, 4))
 
 
 class TestPseudoRichImpliesContingent:

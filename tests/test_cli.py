@@ -943,6 +943,25 @@ class TestErrorPaths:
         assert main(["check-subjunctive", "--frame-bound", bound]) == 2
         assert capsys.readouterr().err == "input error: --frame-bound must be >= 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-bijection", "--logic", "boolean2", "--agenda", "unread.json", "--electorate", "2"],
+        ["check-subjunctive", "--frame-bound", "2"],
+    ])
+    @pytest.mark.parametrize("where, message", [
+        ("missing/report.json", "is in a directory that does not exist"),
+        (".", "is a directory"),
+    ])
+    def test_unwritable_out_is_refused_before_the_check(self, argv, where, message, tmp_path,
+                                                        monkeypatch, capsys):
+        entered = []
+        monkeypatch.setattr(cli, "load_matrix", lambda *a: entered.append("load_matrix"))
+        monkeypatch.setattr(cli, "check_subjunctive_conditions",
+                            lambda *a: entered.append("check_subjunctive_conditions"))
+        out = str(tmp_path / where)
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"input error: --out {out} {message}\n")
+        assert entered == []
+
 
 def reference_parser():
     """Every subcommand with every option: the parser ``main``'s texts must match."""
