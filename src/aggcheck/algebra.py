@@ -96,6 +96,8 @@ class FiniteAlgebra:
         if extra:
             raise ValueError(f"tables for unknown connectives: {sorted(extra)}")
         if (order := self.order) is not None:
+            if not all(0 <= x < n for pair in order for x in pair):
+                raise ValueError("order has out-of-range entries")
             for a in range(n):
                 if (a, a) not in order:
                     raise ValueError("order not reflexive")

@@ -342,6 +342,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for name, least in COUNT_MINIMUMS.items():
             if getattr(args, name, least) < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
+        if args.out == "":
+            raise ValueError("--out is empty")
         if args.out and os.path.isdir(args.out):  # refused before the check runs, not after
             raise ValueError(f"--out {args.out} is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):

@@ -137,32 +137,20 @@ def _frame_classes(worlds: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]]
     ``oracles.reflexive_frames`` order (ascending masks).
 
     The masks are walked in order; an unmarked mask is the least of its
-    orbit under the world permutations, and all its images are marked.
+    orbit under the world permutations, and all its images are marked, each
+    the sum of the bits that the permutation moves the mask's set pairs to.
     """
     off = _off_diagonal(worlds)
     bit = {pair: i for i, pair in enumerate(off)}
-    perms = list(permutations(range(worlds)))
-    # per 8-bit chunk of a mask: each chunk value's image under every permutation
-    chunks = []
-    for low in range(0, len(off), 8):
-        moved = [
-            tuple(1 << bit[pi[a], pi[b]] for pi in perms) for a, b in off[low:low + 8]
-        ]
-        table = [(0,) * len(perms)]
-        for value in range(1, 1 << len(moved)):
-            lowest = (value & -value).bit_length() - 1
-            table.append(tuple(map(or_, table[value & value - 1], moved[lowest])))
-        chunks.append((low, table))
+    moves = [[1 << bit[pi[a], pi[b]] for a, b in off] for pi in permutations(range(worlds))]
     seen = bytearray(1 << len(off))
     classes = []
     mask = 0
     while mask >= 0:
         classes.append(mask)
-        images = (0,) * len(perms)
-        for low, table in chunks:
-            images = map(or_, images, table[mask >> low & 255])
-        for image in images:
-            seen[image] = 1
+        pairs = [i for i in range(len(off)) if mask >> i & 1]
+        for moved in moves:
+            seen[sum(map(moved.__getitem__, pairs))] = 1
         mask = seen.find(0, mask + 1)
     return tuple(
         (mask, tuple((w, *[b for i, (a, b) in enumerate(off) if a == w and mask >> i & 1])

@@ -522,6 +522,10 @@ MALFORMED_MATRICES = [
     pytest.param(lambda a: a["order"].append(5),
                  "order must be a list of [a, b] pairs",
                  id="order-entry-not-a-pair"),
+    pytest.param(lambda a: a["order"].append([5, 7]),
+                 "order has out-of-range entries", id="order-pair-past-the-carrier"),
+    pytest.param(lambda a: a["order"].append([-1, -1]),
+                 "order has out-of-range entries", id="negative-order-pair"),
 ]
 
 
@@ -943,23 +947,36 @@ class TestErrorPaths:
         assert main(["check-subjunctive", "--frame-bound", bound]) == 2
         assert capsys.readouterr().err == "input error: --frame-bound must be >= 1\n"
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """The loader and check entered during the test, spied on."""
+        entered = []
+        monkeypatch.setattr(cli, "load_matrix", lambda *a: entered.append("load_matrix"))
+        monkeypatch.setattr(cli, "check_subjunctive_conditions",
+                            lambda *a: entered.append("check_subjunctive_conditions"))
+        return entered
+
+    OUT_ARGVS = pytest.mark.parametrize("argv", [
         ["verify-bijection", "--logic", "boolean2", "--agenda", "unread.json", "--electorate", "2"],
         ["check-subjunctive", "--frame-bound", "2"],
     ])
+
+    @OUT_ARGVS
     @pytest.mark.parametrize("where, message", [
         ("missing/report.json", "is in a directory that does not exist"),
         (".", "is a directory"),
     ])
     def test_unwritable_out_is_refused_before_the_check(self, argv, where, message, tmp_path,
-                                                        monkeypatch, capsys):
-        entered = []
-        monkeypatch.setattr(cli, "load_matrix", lambda *a: entered.append("load_matrix"))
-        monkeypatch.setattr(cli, "check_subjunctive_conditions",
-                            lambda *a: entered.append("check_subjunctive_conditions"))
+                                                        entered, capsys):
         out = str(tmp_path / where)
         assert main([*argv, "--out", out]) == 2
         assert capsys.readouterr() == ("", f"input error: --out {out} {message}\n")
+        assert entered == []
+
+    @OUT_ARGVS
+    def test_empty_out_is_refused_before_the_check(self, argv, entered, capsys):
+        assert main([*argv, "--out", ""]) == 2
+        assert capsys.readouterr() == ("", "input error: --out is empty\n")
         assert entered == []
 
 

@@ -331,6 +331,16 @@ class TestFrameClasses:
         expected = tuple(m for m, least in enumerate(minima) if least == m)
         assert tuple(mask for mask, _ in _frame_classes(worlds)) == expected
 
+    def test_sampled_representatives_are_orbit_minima_at_five_worlds(self):
+        # every 16th of the 9,608 classes; checking all of them takes about 3 s
+        off = mask_pairs(5)
+        bit = {pair: i for i, pair in enumerate(off)}
+        perms = list(permutations(range(5)))
+        for mask, _ in _frame_classes(5)[::16]:
+            relation = [pair for i, pair in enumerate(off) if mask >> i & 1]
+            for pi in perms:
+                assert sum(1 << bit[pi[a], pi[b]] for a, b in relation) >= mask
+
     @pytest.mark.parametrize("worlds", [1, 2, 3, 4, 5])
     def test_class_successors_read_the_mask_pairs(self, worlds):
         off = mask_pairs(worlds)

@@ -165,6 +165,8 @@ def test_formulas_equal_by_structure_and_hash_as_field_tuples():
     (lambda: Matrix(B2, frozenset()), "filter mode needs a nonempty designated set"),
     (lambda: Matrix(FiniteAlgebra(B2.signature, B2.carrier, B2.ops)),
      "degree mode requires an algebra with a lattice order"),
+    (lambda: FiniteAlgebra(B2.signature, B2.carrier, B2.ops, B2.order | {(5, 7)}),
+     "order has out-of-range entries"),
     (lambda: KripkeFrame(1, frozenset({(0, 1)})), "relation mentions unknown worlds"),
     (lambda: DecisionCriterion(B2, 0, (0,)), "criterion electorate must be >= 1, got 0"),
     (lambda: AttitudeFunction(AGENDA, (1,)), "attitude must be total on the agenda"),
