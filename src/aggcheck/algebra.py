@@ -14,7 +14,7 @@ from contextlib import contextmanager, suppress
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, product, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, EvaluationError
 from .record import frozen
@@ -98,15 +98,17 @@ class FiniteAlgebra:
         if (order := self.order) is not None:
             if not all(0 <= x < n for pair in order for x in pair):
                 raise ValueError("order has out-of-range entries")
-            for a in range(n):
-                if (a, a) not in order:
-                    raise ValueError("order not reflexive")
+            up = [0] * n  # bit b of up[a] set where a <= b
             for a, b in order:
-                if (b, a) in order and a != b:
+                up[a] |= 1 << b
+            for a in range(n):
+                if not up[a] >> a & 1:
+                    raise ValueError("order not reflexive")
+            for a, b in order:  # b <= c must give a <= c: up[b] within up[a]
+                if up[b] >> a & 1 and a != b:
                     raise ValueError("order not antisymmetric")
-                for c in range(n):
-                    if (b, c) in order and (a, c) not in order:
-                        raise ValueError("order not transitive")
+                if up[b] & ~up[a]:
+                    raise ValueError("order not transitive")
 
     @cached_property
     def size(self) -> int:
@@ -206,27 +208,40 @@ def _program_steps(
     return list(steps), [slots[slot_key(f)] for f in formulas]
 
 
-def truth_vectors(
-    formulas: Iterable[Formula], variables: Sequence[str], algebra: FiniteAlgebra
-) -> list[Vector]:
-    """Each formula's truth vector over ``variables``, bottom-up over their distinct
-    subformulas. A vector no output needs is dropped after the last step that reads it."""
+def _vector_program(
+    formulas: Iterable[Formula], variables: Sequence[str]
+) -> Callable[[FiniteAlgebra], list[Vector]]:
+    """Compile formulas once: running the program on an algebra gives each formula's
+    truth vector over ``variables``, bottom-up over their distinct subformulas. A
+    vector no output needs is dropped after the last step that reads it."""
     steps, outputs = _program_steps(formulas, variables)
-    refuse(DEFAULT_BUDGET, "truth vectors", (len(variables) + len(steps), "vectors"),
-           ((algebra.size, len(variables)), "valuations"))  # a memory bound: no caller's budget
-    width = algebra.size ** len(variables)
+    count = len(variables)
     last_read = {i: j for j, (_, args) in enumerate(steps) for i in args}
     for i in outputs:
         last_read.pop(i, None)
     done: list[list[int]] = [[] for _ in steps]  # the slots each step reads for the last time
     for i, j in last_read.items():
         done[j].append(i)
-    vectors: list[Optional[Vector]] = list(_variable_vectors(algebra.size, len(variables)))
-    for (symbol, args), dropped in zip(steps, done):
-        vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
-        for i in dropped:
-            vectors[i] = None
-    return [vectors[i] for i in outputs]
+
+    def run(algebra: FiniteAlgebra) -> list[Vector]:
+        refuse(DEFAULT_BUDGET, "truth vectors", (count + len(steps), "vectors"),
+               ((algebra.size, count), "valuations"))  # a memory bound: no caller's budget
+        width = algebra.size ** count
+        vectors: list[Optional[Vector]] = list(_variable_vectors(algebra.size, count))
+        for (symbol, args), dropped in zip(steps, done):
+            vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
+            for i in dropped:
+                vectors[i] = None
+        return [vectors[i] for i in outputs]
+
+    return run
+
+
+def truth_vectors(
+    formulas: Iterable[Formula], variables: Sequence[str], algebra: FiniteAlgebra
+) -> list[Vector]:
+    """Each formula's truth vector over ``variables``: their program, compiled and run."""
+    return _vector_program(formulas, variables)(algebra)
 
 
 def truth_vector(formula: Formula, variables: Sequence[str], algebra: FiniteAlgebra) -> Vector:
@@ -624,9 +639,10 @@ def search_tables(
     return _close_under(found, perms, stage) if perms else found
 
 
-def _commutative(table: Sequence[int], size: int, arity: int) -> bool:
+def _commutative(table: Union[bytes, Sequence[int]], size: int, arity: int) -> bool:
     """Whether a connective's table on ``size`` elements is binary and gives the
-    arguments (a, b) and (b, a) one value: row a equals column a, for every a."""
+    arguments (a, b) and (b, a) one value: row a equals column a, for every a.
+    A bytes table compares its slices as bytes, faster than a tuple's."""
     return arity == 2 and all(table[a::size] == table[a * size:(a + 1) * size]
                               for a in range(size))
 
@@ -647,24 +663,27 @@ def enumerate_homomorphisms(
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     n = source.size
-    # (arity, commutative in both) -> the (target, source) tables of its connectives
-    groups: dict[tuple[int, bool], list[tuple]] = {}
-    for symbol, arity in source.signature.connectives:
-        image, table = target.tables[symbol], source.tables[symbol]
-        commutative = _commutative(image, target.size, arity) and _commutative(table, n, arity)
-        groups.setdefault((arity, commutative), []).append((image, table))
-    runs = []  # each argument tuple's equations together, one per connective of its group
-    for (arity, commutative), pairs in groups.items():
-        if commutative:
-            rows = list(combinations_with_replacement(range(n), 2))
-            pairs = [(image, list(chain.from_iterable(table[a * n + a:(a + 1) * n]
-                                                      for a in range(n))))
-                     for image, table in pairs]  # row a from column a: each a <= b once
-        else:
-            rows = list(product(range(n), repeat=arity))
-        runs.append(chain.from_iterable(zip(*(zip(repeat(image), rows, values)
-                                              for image, values in pairs))))
-    with paused_collector():
+    # the tables _commutative reads: bytes while the algebra has them, as they compare faster
+    target_rows, source_rows = (a.byte_tables or a.tables for a in (target, source))
+    with paused_collector():  # the argument rows are many tuples that make no cycle
+        # (arity, commutative in both) -> the (target, source) tables of its connectives
+        groups: dict[tuple[int, bool], list[tuple]] = {}
+        for symbol, arity in source.signature.connectives:
+            commutative = (_commutative(target_rows[symbol], target.size, arity)
+                           and _commutative(source_rows[symbol], n, arity))
+            groups.setdefault((arity, commutative), []).append(
+                (target.tables[symbol], source.tables[symbol]))
+        runs = []  # each argument tuple's equations together, one per connective of its group
+        for (arity, commutative), pairs in groups.items():
+            if commutative:
+                rows = list(combinations_with_replacement(range(n), 2))
+                pairs = [(image, list(chain.from_iterable(table[a * n + a:(a + 1) * n]
+                                                          for a in range(n))))
+                         for image, table in pairs]  # row a from column a: each a <= b once
+            else:
+                rows = list(product(range(n), repeat=arity))
+            runs.append(chain.from_iterable(zip(*(zip(repeat(image), rows, values)
+                                                  for image, values in pairs))))
         found = search_tables(n, target.size, chain.from_iterable(runs), budget,
                               stage="homomorphism search", symmetries=symmetries)
     return [AlgebraHomomorphism(source, target, mapping) for mapping in found]

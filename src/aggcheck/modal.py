@@ -15,6 +15,10 @@ refused. The subjunctive checks search only up to min(K, K₀), where K₀ is
 small_model_bound of the formula set (at most 2 for every set they check),
 so any frame bound K runs, at the cost of bound 2. The tests check the search
 against every labelled reflexive frame, listed by ``oracles.reflexive_frames``.
+
+Per world count, the frame classes and what every frame algebra on those
+worlds shares (the subset labels, the Boolean tables and the subset order)
+are built once; a frame algebra adds only its box table.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _program_steps, _variable_vectors,
-                      element_coordinates, refuse, truth_vector)
+                      _vector_program, element_coordinates, refuse)
 from .record import frozen
 from .syntax import App, Formula, Signature, Var, variables_of
 
@@ -51,13 +55,37 @@ class KripkeFrame:
         return all((w, w) in self.relation for w in range(self.worlds))
 
 
+@lru_cache(maxsize=None)
+def _powerset_parts(
+    worlds: int
+) -> tuple[tuple[str, ...], tuple[tuple[str, tuple[int, ...]], ...], frozenset[tuple[int, int]]]:
+    """What every frame algebra on the given world count shares: the subset
+    labels of its carrier, the tables of not, or, and, bot and top, and the
+    subset order."""
+    size = 1 << worlds
+    full = size - 1
+    labels = tuple("{" + ",".join(str(w) for w in range(worlds) if a >> w & 1) + "}"
+                   for a in range(size))
+    boolean = (
+        ("not", tuple(full ^ a for a in range(size))),
+        ("or", tuple(a | b for a in range(size) for b in range(size))),
+        ("and", tuple(a & b for a in range(size) for b in range(size))),
+        ("bot", (0,)),
+        ("top", (full,)),
+    )
+    order = frozenset((a, b) for a in range(size) for b in range(size) if a & ~b == 0)
+    return labels, boolean, order
+
+
 def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
     """The powerset algebra of a reflexive frame with box as the
     all-successors operator.
 
-    Carrier element i is the subset of worlds with bitmask i. The result is
-    verified at construction to satisfy box(top)=top, box meet-distributivity
-    and box(a) <= a (the last is where reflexivity enters).
+    Carrier element i is the subset of worlds with bitmask i. Only the box
+    table is the frame's own; the labels, the Boolean tables and the order
+    are built once per world count. The result is verified at construction
+    to satisfy box(top)=top, box meet-distributivity and box(a) <= a (the
+    last is where reflexivity enters).
     """
     if not frame.is_reflexive:
         raise ValueError("frame must be reflexive")
@@ -67,28 +95,15 @@ def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
     for a, b in frame.relation:
         succ[a] |= 1 << b
     full = size - 1
-
-    def box(a: int) -> int:
-        return sum(1 << w for w in range(n) if succ[w] & ~a == 0)
-
-    def subset_label(mask: int) -> str:
-        return "{" + ",".join(str(w) for w in range(n) if mask >> w & 1) + "}"
-
+    boxt = tuple(sum(1 << w for w in range(n) if succ[w] & ~a == 0) for a in range(size))
+    labels, boolean, order = _powerset_parts(n)
     algebra = FiniteAlgebra(
         signature=MODAL_SIGNATURE,
-        carrier=tuple(subset_label(a) for a in range(size)),
-        ops=(
-            ("not", tuple(full ^ a for a in range(size))),
-            ("or", tuple(a | b for a in range(size) for b in range(size))),
-            ("and", tuple(a & b for a in range(size) for b in range(size))),
-            ("bot", (0,)),
-            ("top", (full,)),
-            ("box", tuple(box(a) for a in range(size))),
-        ),
-        order=frozenset((a, b) for a in range(size) for b in range(size) if a & ~b == 0),
+        carrier=labels,
+        ops=(*boolean, ("box", boxt)),
+        order=order,
         name=f"frame-algebra-{n}w",
     )
-    boxt = algebra.tables["box"]
     if boxt[full] != full:
         raise AssertionError("box(top) != top")
     for a in range(size):
@@ -184,19 +199,30 @@ _SLICED = {
 }
 
 
+# A formula set's variables and its program (``_program_steps``).
+Compiled = tuple[tuple[str, ...], list[tuple[str, tuple[int, ...]]], list[int]]
+
+
+def _compile_set(formulas: Iterable[Formula]) -> Compiled:
+    """The formula set as is_consistent and small_model_bound both read it."""
+    formulas = tuple(formulas)
+    names = variables_of(*formulas)
+    return (names, *_program_steps(formulas, names))
+
+
 def _sliced_program(
-    formulas: Iterable[Formula], variables: Sequence[str]
+    steps: Sequence[tuple[str, tuple[int, ...]]], outputs: Sequence[int], count: int
 ) -> Callable[[int, tuple[tuple[int, ...], ...]], list[tuple[int, ...]]]:
-    """Compile formulas for truth at a world: running the program on a
-    world count and each world's successors gives each formula's value as
-    one int per world, bit i set where it is true under the i-th valuation
-    of ``variables`` in ``oracles.all_valuations`` order over the frame algebra."""
-    steps, outputs = _program_steps(formulas, variables)
+    """A program over ``count`` variables (``_program_steps``), for truth at a
+    world: running it on a world count and each world's successors gives each
+    output's value as one int per world, bit i set where it is true under the
+    i-th valuation of the variables in ``oracles.all_valuations`` order over
+    the frame algebra."""
     steps = [(_SLICED[symbol], args) for symbol, args in steps]
 
     def run(worlds: int, succ: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-        full = (1 << (1 << worlds * len(variables))) - 1
-        values = list(_variable_worlds(worlds, len(variables)))
+        full = (1 << (1 << worlds * count)) - 1
+        values = list(_variable_worlds(worlds, count))
         for connective, args in steps:
             values.append(connective(full, succ, *[values[i] for i in args]))
         return [values[i] for i in outputs]
@@ -229,13 +255,17 @@ def is_consistent(
     is the oracle small_model_bound is checked against, and refuses
     6 worlds or more (MAX_FRAMES).
     """
+    return _search(_compile_set(formulas), max_worlds)
+
+
+def _search(compiled: Compiled, max_worlds: int) -> tuple[bool, Optional[ConsistencyWitness]]:
+    """is_consistent on a compiled formula set."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
-    formulas = tuple(formulas)
-    names = variables_of(*formulas)
+    names, steps, outputs = compiled
     refuse(MAX_FRAMES, "consistency search",
            ((2, max_worlds * (max_worlds - 1)), f"reflexive frames on {max_worlds} worlds"))
-    program = _sliced_program(formulas, names)
+    program = _sliced_program(steps, outputs, len(names))
     for n in range(1, max_worlds + 1):
         classes = _frame_classes(n)
         # charged before any value is built: per class, n ints of 2^(n * variables) bits
@@ -275,9 +305,12 @@ def small_model_bound(formulas: Iterable[Formula]) -> int:
     Boxes nested inside other boxes count in b: a root can need witnesses
     for them through its own loop.
     """
-    formulas = tuple(formulas)
-    names = variables_of(*formulas)
-    steps, _ = _program_steps(formulas, names)  # one step per distinct subformula
+    return _model_bound(_compile_set(formulas))
+
+
+def _model_bound(compiled: Compiled) -> int:
+    """small_model_bound of a compiled formula set."""
+    names, steps, _ = compiled  # one step per distinct subformula
     slot_depth = [0] * len(names)  # a program slot's modal depth
     for symbol, args in steps:
         slot_depth.append(max([slot_depth[a] for a in args], default=0) + (symbol == "box"))
@@ -311,12 +344,13 @@ def certify_implication_bottom() -> bool:
     box(not p or q), p and not q is bottom, pointwise over all element pairs.
     One frame per isomorphism class is enough, as isomorphic frames have
     isomorphic algebras; each is built and evaluated by its tables, not
-    bit-sliced."""
+    bit-sliced, the meet compiled once and run on every algebra."""
     p, q = Var("p"), Var("q")
     meet = App("and", (App("and", (subjunctive_implication(p, q), p)), App("not", (q,))))
+    program = _vector_program([meet], ["p", "q"])
     algebras = (bao_from_frame(_frame_from_mask(n, mask))
                 for n in range(1, CERTIFIED_WORLDS + 1) for mask, _ in _frame_classes(n))
-    return all(set(truth_vector(meet, ["p", "q"], a)) == {a.constant("bot")} for a in algebras)
+    return all(set(program(a)[0]) == {a.constant("bot")} for a in algebras)
 
 
 def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
@@ -342,8 +376,8 @@ def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:
     mat = material_implication(p, q)
 
     def consistent(formula: Formula, label: str) -> bool:
-        formulas = [formula, *sides[label]]
-        return is_consistent(formulas, min(max_worlds, small_model_bound(formulas)))[0]
+        compiled = _compile_set((formula, *sides[label]))  # once, for the bound and the search
+        return _search(compiled, min(max_worlds, _model_bound(compiled)))[0]
 
     condition_a = {"inconsistent with p,not q": not consistent(subj, "p,not q")}
     for label in ("p,q", "not p,q", "not p,not q"):

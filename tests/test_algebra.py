@@ -120,6 +120,53 @@ def test_table_entries_must_lie_in_the_carrier(size):
             FiniteAlgebra(signature, carrier, (("u", (0,) * (size - 1) + (bad,)),))
 
 
+def triple_loop_order_error(order, n):
+    """The message of the first order law broken, by the pair-and-element scan the
+    up-set masks replace: reflexivity first, then pair by pair in the relation's
+    iteration order, antisymmetry before transitivity; None for a partial order."""
+    for a in range(n):
+        if (a, a) not in order:
+            return "order not reflexive"
+    for a, b in order:
+        if (b, a) in order and a != b:
+            return "order not antisymmetric"
+        for c in range(n):
+            if (b, c) in order and (a, c) not in order:
+                return "order not transitive"
+    return None
+
+
+@st.composite
+def relations(draw):
+    n = draw(st.integers(1, 5))
+    pairs = list(product(range(n), repeat=2))
+    if draw(st.booleans()):  # a preorder's chance is slim among arbitrary relations
+        base = draw(st.sets(st.sampled_from(pairs)))
+        rank = [draw(st.integers(0, n - 1)) for _ in range(n)]
+        base |= {(a, b) for a, b in pairs if rank[a] < rank[b] or a == b}
+    else:
+        base = draw(st.sets(st.sampled_from(pairs)))
+    return n, frozenset(base)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(relations())
+def test_order_is_accepted_exactly_when_partial_with_the_scans_message(relation):
+    n, order = relation
+    is_partial = (all((a, a) in order for a in range(n))
+                  and not any((b, a) in order for a, b in order if a != b)
+                  and all((a, d) in order for a, b in order for c, d in order if b == c))
+    expected = triple_loop_order_error(order, n)
+    assert (expected is None) == is_partial
+    carrier = tuple(map(str, range(n)))
+    if expected is None:
+        assert FiniteAlgebra(Signature(()), carrier, (), order).order is order
+    else:
+        with pytest.raises(ValueError) as rejected:
+            FiniteAlgebra(Signature(()), carrier, (), order)
+        assert str(rejected.value) == expected
+
+
 class TestEvaluate:
     def test_boolean_or(self, boolean2):
         f = parse_formula("(or x1 x2)", boolean2.signature)

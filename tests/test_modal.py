@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggcheck.algebra import _program_steps, element_coordinates, evaluate
+from aggcheck.algebra import FiniteAlgebra, _program_steps, element_coordinates, evaluate
 from aggcheck.errors import BudgetExceededError
 
 from aggcheck.modal import (
@@ -352,7 +352,7 @@ class TestFrameClasses:
         assert _frame_classes(worlds) == tuple(expected)
 
     def test_sliced_box_matches_frame_algebra(self):
-        box = _sliced_program([mf("(box p)")], ["p"])
+        box = _sliced_program(*_program_steps([mf("(box p)")], ["p"]), 1)
         for worlds in (1, 2, 3, 4):
             for mask, succ in _frame_classes(worlds):
                 table = bao_from_frame(_frame_from_mask(worlds, mask)).tables["box"]
@@ -391,6 +391,28 @@ class TestBottomCertification:
         monkeypatch.setattr(modal, "bao_from_frame", counting)
         assert certify_implication_bottom()
         assert len(built) == 1 + 3 + 16  # not the 1 + 4 + 64 labelled frames
+
+    @pytest.mark.parametrize("faulty", [0, 7, 15])
+    def test_one_class_with_a_constant_top_box_is_caught(self, monkeypatch, faulty):
+        # box constant top makes the meet p and not q: top at p = top, q = bot
+        from aggcheck import modal
+
+        three_worlds = []
+
+        def planted(frame):
+            algebra = bao_from_frame(frame)
+            if frame.worlds == 3:
+                three_worlds.append(frame)
+                if len(three_worlds) - 1 == faulty:
+                    ops = tuple((symbol, (algebra.size - 1,) * algebra.size if symbol == "box"
+                                 else table) for symbol, table in algebra.ops)
+                    return FiniteAlgebra(algebra.signature, algebra.carrier, ops,
+                                         algebra.order, algebra.name)
+            return algebra
+
+        monkeypatch.setattr(modal, "bao_from_frame", planted)
+        assert not certify_implication_bottom()
+        assert len(three_worlds) == faulty + 1  # the classes before it all passed
 
 
 class TestConditions:

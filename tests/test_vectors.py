@@ -12,6 +12,7 @@ from aggcheck.algebra import (
     builtin_mv_chain,
     closure_vectors,
     evaluate,
+    truth_vector,
     truth_vectors,
 )
 from aggcheck.errors import BudgetExceededError, EvaluationError
@@ -118,6 +119,23 @@ def test_truth_vectors_match_evaluate(data):
     assert truth_vectors(fs, names, algebra) == [
         brute_vector(f, names, algebra) for f in fs
     ]
+
+
+def test_one_compiled_program_runs_on_algebra_after_algebra():
+    # each run must take its width and variable vectors from the algebra it is given;
+    # mv3 shares no connective with the others, so it runs the program of variables
+    # alone, and the one with lattice connectives and constants runs on the rest
+    frame_algebra = bao_from_frame(reflexive_frames(3)[5])
+    runs = [(["x2", "x1", "x2"], ["boolean2", "mv3", "diamond", "frame"]),
+            (["(or x1 top)", "(and x2 (or x1 bot))", "bot", "x2"],
+             ["boolean2", "diamond", "frame"])]
+    for texts, names in runs:
+        fs = [parse_formula(text, frame_algebra.signature) for text in texts]
+        program = algebra._vector_program(fs, ["x1", "x2"])
+        for name in names:
+            target = ALGEBRAS.get(name, frame_algebra)
+            assert program(target) == [truth_vector(f, ["x1", "x2"], target) for f in fs]
+            assert program(target) == [brute_vector(f, ["x1", "x2"], target) for f in fs]
 
 
 def compound_subformulas(formulas):
