@@ -37,6 +37,7 @@ from .algebra import (
 )
 from .census import (
     _fragment_and_vectors,
+    _gather,
     _rational_table,
     _refuse_profiles_past_the_cap,
     _voter_ranks,
@@ -309,6 +310,18 @@ def _ranked_rows(aggregator, extension, positions, size):
         yield number, attained, output.values
 
 
+def _extends_everywhere(table, ranks, extensions) -> bool:
+    """Whether the criterion ``table`` gives each rational profile, over the
+    fragment, a row of outputs that is some rational attitude's extension.
+
+    If so, that attitude is the row's agenda part, the profile's output, so
+    every output is rational with the row as its extension, and every strong
+    systematicity constraint holds: it sets the criterion's own value at a
+    rank. One C-level pass over the rank table's columns decides it.
+    """
+    return set(extensions).issuperset(zip(*[_gather(table, column) for column in ranks.columns]))
+
+
 def _one_pass(
     aggregator: Aggregator,
     budget: int,
@@ -326,7 +339,10 @@ def _one_pass(
     closure layers, then the systematicity budget. A rational profile's
     voters' tuple ranks come from a table shared by every pass over the same
     profiles and fragment; a criterion aggregator's outputs are read off
-    that table. Each row carries its rational profile's number, and a
+    that table. At the strong level a criterion aggregator is first checked
+    on the whole table at once (``_extends_everywhere``); only when that
+    check fails are the rows read one by one, so every witness and conflict
+    is the loop's. Each row carries its rational profile's number, and a
     profile is built from its number only to report an irrational witness or
     a missing profile.
 
@@ -350,11 +366,16 @@ def _one_pass(
         refuse(budget, "systematicity check", (domain, "profiles"), (len(fragment), "formulas"))
     extension = dict(zip(rational, extensions))  # each rational attitude's fragment values
     positions = [agenda.index.get(formula) for formula in fragment]
-    if induced:  # its output at an agenda formula: the criterion at that formula's rank
-        table = aggregator.criterion.values
+    if induced:  # its output at a fragment formula: the criterion at that formula's rank
+        table, ranks = aggregator.criterion.values, _voter_ranks(size, n, extensions)
+        if level == STRONGLY_SYSTEMATIC and _extends_everywhere(table, ranks, extensions):
+            ledger = {element_coordinates(size, n, key): table[key]  # as the loop would set it
+                      for key in ranks.first_occurrences}
+            return (RationalityReport(True, True, None, None) if rationality else None,
+                    SystematicityResult(True, level, depth, ledger, None))
         columns = [fragment.index(formula) for formula in agenda.formulas]
         rows = ((number, attained, tuple([table[attained[c]] for c in columns]))
-                for number, attained in enumerate(_voter_ranks(size, n, extensions)))
+                for number, attained in enumerate(zip(*ranks.columns)))
     else:
         rows = _ranked_rows(aggregator, extension, positions, size)
 

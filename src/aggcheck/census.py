@@ -14,9 +14,9 @@ shared with the aggregator checks in ``aggregation``.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
-from itertools import product
-from operator import add
+from functools import cached_property, lru_cache
+from itertools import chain, count, product, repeat
+from operator import itemgetter
 
 from .agenda import Agenda
 from .algebra import (
@@ -30,6 +30,7 @@ from .algebra import (
     search_tables,
     truth_vectors,
 )
+from .record import frozen
 from .syntax import Formula, formula_sort_key
 
 
@@ -73,18 +74,46 @@ def _fragment_and_vectors(
                                     for _, w in _rational_table(agenda))
 
 
+@frozen
+class RankTable:
+    """The rank table of the rational profiles: for each fragment formula, one
+    column holding each profile's rank in B^N of its voters' tuple at that
+    formula, the profiles in product order (voter 0 most significant)."""
+
+    columns: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def first_occurrences(self) -> tuple[int, ...]:
+        """The ranks the table holds, in the order they first occur when it is
+        read profile by profile, each profile in fragment order."""
+        return tuple(dict.fromkeys(chain.from_iterable(zip(*self.columns))))
+
+
 @lru_cache(maxsize=4)
-def _voter_ranks(
-    size: int, electorate: int, extensions: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """For each profile of the attitudes whose fragment values are
-    ``extensions``, in product order (voter 0 most significant), the rank in
-    B^N of the voters' tuple at each fragment formula."""
-    ranks = [(0,) * len(extensions[0])]
-    for _ in range(electorate):
-        shifted = [tuple([r * size for r in prefix]) for prefix in ranks]
-        ranks = [tuple(map(add, prefix, ext)) for prefix in shifted for ext in extensions]
-    return tuple(ranks)
+def _voter_ranks(size: int, electorate: int, extensions: tuple[tuple[int, ...], ...]) -> RankTable:
+    """The rank table of the profiles of the attitudes whose fragment values
+    are ``extensions``."""
+    return RankTable(tuple(tuple(_rank_column(values, size, electorate))
+                           for values in zip(*extensions)))
+
+
+def _rank_column(values: tuple[int, ...], size: int, electorate: int) -> list[int]:
+    """Each profile's voters' tuple rank at a formula the attitudes take
+    ``values`` on, in product order. A profile of the first voters followed
+    by one of the last ``half`` has the first's rank times ``size**half``
+    plus the last's, so each profile costs one addition."""
+    if electorate < 2:
+        return list(values) if electorate else [0]
+    half = electorate // 2
+    last = _rank_column(values, size, half)
+    first = [rank * size**half for rank in _rank_column(values, size, electorate - half)]
+    return [high + low for high in first for low in last]
+
+
+def _gather(table, keys) -> tuple:
+    """``table[key]`` for each key, in order, at C speed (an ``itemgetter`` of
+    one key returns the bare value, not a 1-tuple)."""
+    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
 
 
 def qualifying_criteria(
@@ -133,18 +162,22 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
            ((len(rational), electorate), "profiles"), (len(first_column), "vectors"))
     tables = [defaultdict(lambda: -1, {product_element_index(size, values): vec[w]  # -1: irrational
                                        for values, w in rational}) for vec in first_column]
-    agenda_columns = [fragment.index(formula) for formula in agenda.formulas]
-    slot: dict[int, int] = {}  # voter tuple -> search slot, by first appearance
-    constraints = []
+    ranks = _voter_ranks(size, electorate, extensions).columns  # the round trips' table
+    # the output attitude is the criterion at each agenda formula's voter tuple
+    agenda_ranks = [ranks[fragment.index(formula)] for formula in agenda.formulas]
+    result_ranks = [ranks[c] for c in first_column.values()]
+    # search slots by first appearance: a profile's agenda tuples, then its results;
+    # tuples no profile attains come last
+    order = dict.fromkeys(chain.from_iterable(zip(*agenda_ranks, *result_ranks)))
+    order.update(dict.fromkeys(range(size**electorate)))
+    slot = dict(zip(order, count()))
+    slot_of = [slot[voters] for voters in range(size**electorate)]
     with paused_collector():  # each constraint holds a dict, so stays tracked
-        for ranks in _voter_ranks(size, electorate, extensions):  # the round trips' table
-            # the output attitude is the criterion at each agenda formula's voter tuple
-            args = tuple(slot.setdefault(ranks[c], len(slot)) for c in agenda_columns)
-            for c, table in zip(first_column.values(), tables):
-                constraints.append((table, args, slot.setdefault(ranks[c], len(slot))))
-    for voters in range(size**electorate):  # tuples no profile attains
-        slot.setdefault(voters, len(slot))
-    return constraints, [slot[voters] for voters in range(size**electorate)]
+        args = list(zip(*[_gather(slot_of, column) for column in agenda_ranks]))
+        per_vector = [zip(repeat(table), args, _gather(slot_of, column))
+                      for table, column in zip(tables, result_ranks)]
+        constraints = list(chain.from_iterable(zip(*per_vector)))  # profile by profile
+    return constraints, slot_of
 
 
 def _voter_swaps(size: int, electorate: int, slot_of: list[int]) -> list[list[int]]:

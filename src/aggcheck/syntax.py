@@ -15,7 +15,8 @@ from .errors import FormulaSyntaxError
 from .record import frozen
 
 VARNAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
-_TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
+_SYMBOL_RE = re.compile(r"[^()\s]+")  # a token other than a parenthesis
+_TOKEN_RE = re.compile(r"\(|\)|" + _SYMBOL_RE.pattern)
 
 # Deeper nesting is rejected at parse time: printing, hashing and evaluating
 # formulas recurse once per level, far below Python's recursion limit here.
@@ -34,6 +35,9 @@ class Signature:
     def __post_init__(self):
         seen = set()
         for name, arity in self.connectives:
+            if not _SYMBOL_RE.fullmatch(name):  # else printed formulas would not parse back
+                raise ValueError(f"connective name {name!r} must be one formula token: "
+                                 "not empty, with no whitespace or parentheses")
             if name in seen:
                 raise ValueError(f"duplicate connective symbol {name!r}")
             if arity < 0:

@@ -517,6 +517,15 @@ MALFORMED_MATRICES = [
                  "signature connective name must be a string, got 5", id="name-not-a-string"),
     pytest.param(lambda a: a["signature"]["connectives"][0].pop("name"),
                  "signature connective name must be a string, got null", id="missing-name"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].update(name="("),
+                 "connective name '(' must be one formula token: not empty, with no whitespace "
+                 "or parentheses", id="parenthesis-name"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].update(name="n t"),
+                 "connective name 'n t' must be one formula token: not empty, with no whitespace "
+                 "or parentheses", id="two-token-name"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].update(name=""),
+                 "connective name '' must be one formula token: not empty, with no whitespace "
+                 "or parentheses", id="empty-name"),
     pytest.param(lambda a: a["order"].append([None, 1]),
                  "order pair entry must be an integer, got null", id="null-order-entry"),
     pytest.param(lambda a: a["order"].append(5),

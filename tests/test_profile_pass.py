@@ -15,6 +15,7 @@ ones, in any order, with outputs that may be perturbed).
 
 import json
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -32,6 +33,7 @@ from aggcheck.aggregation import (
     DecisionCriterion,
     ExtensionalAggregator,
     Profile,
+    _one_pass,
     aggregator_from_criterion,
     check_rational_universal,
     check_systematicity,
@@ -41,12 +43,22 @@ from aggcheck.aggregation import (
     projection_criterion,
     witness_attitudes,
 )
-from aggcheck.algebra import builtin_boolean2, builtin_mv_chain, closure_vectors, evaluate
+from aggcheck.algebra import (
+    DEFAULT_BUDGET,
+    FiniteAlgebra,
+    builtin_boolean2,
+    builtin_mv_chain,
+    closure_vectors,
+    evaluate,
+    power_homomorphisms,
+)
+from aggcheck.census import _fragment_and_vectors
 from aggcheck.cli import main
 from aggcheck.errors import NotQualifyingError
 from aggcheck.oracles import all_valuations, is_rational_attitude
 from aggcheck.semantics import Matrix
-from aggcheck.syntax import formula_sort_key, parse_formula
+from aggcheck.syntax import Signature, formula_sort_key, parse_formula
+from builders import builtin_distributive_lattice
 
 
 def _agenda(matrix, texts):
@@ -57,6 +69,7 @@ BOOLEAN = _agenda(Matrix(builtin_boolean2(), frozenset({1})),
                   ["x1", "x2", "(or x1 x2)", "(not x1)"])
 MV_FILTER = _agenda(Matrix(builtin_mv_chain(3), frozenset({2})), ["x1", "x2", "(oplus x1 x2)"])
 MV_DEGREE = _agenda(Matrix(builtin_mv_chain(3)), ["x1", "x2", "(oplus x1 x2)"])
+BOOLEAN_TOP = _agenda(Matrix(builtin_boolean2(), frozenset({1})), ["top"])
 SETTINGS = [(BOOLEAN, n) for n in (1, 2, 3)] + [(a, n) for a in (MV_FILTER, MV_DEGREE)
                                                 for n in (1, 2)]
 LEVELS = [INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC]
@@ -284,6 +297,94 @@ def test_extracted_criterion_equals_the_witness_profile_read(aggregator, depth):
                                      f"{violation[0]} on {violation[1]})")
     else:
         assert violation is None and extracted == reference
+
+
+# ---------------------------------------------------------------------------
+# The whole-table check of a criterion aggregator equals the per-profile loop
+# ---------------------------------------------------------------------------
+
+DIAMOND = _agenda(Matrix(builtin_distributive_lattice(
+    ["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)]), frozenset({3})),
+    ["x1", "x2", "(or x1 x2)"])
+TABLE_SETTINGS = [(a, n) for a in (BOOLEAN, MV_FILTER, MV_DEGREE, DIAMOND) for n in (1, 2, 3)]
+
+
+@lru_cache(maxsize=None)
+def homomorphism_tables(algebra, n):
+    return [h.mapping for h in power_homomorphisms(algebra, n)]
+
+
+@st.composite
+def round_trip_criteria(draw):
+    """A projection's or a homomorphism's criterion aggregator, and whether
+    one entry of its criterion was flipped to another value."""
+    agenda, n = draw(st.sampled_from(TABLE_SETTINGS))
+    algebra = agenda.algebra
+    if draw(st.booleans()):
+        values = projection_criterion(algebra, n, draw(st.integers(0, n - 1))).values
+    else:
+        values = draw(st.sampled_from(homomorphism_tables(algebra, n)))
+    flipped = draw(st.booleans())
+    if flipped:
+        at = draw(st.integers(0, len(values) - 1))
+        value = draw(st.sampled_from([v for v in range(algebra.size) if v != values[at]]))
+        values = (*values[:at], value, *values[at + 1:])
+    return CriterionAggregator(DecisionCriterion(algebra, n, values), agenda), flipped
+
+
+def fast_and_exact(aggregator, depth, rationality, monkeypatch):
+    """The strong pass as it runs; the pass with its whole-table check
+    failed, so that every profile goes through the loop; and whether the
+    check itself held."""
+    fast = _one_pass(aggregator, DEFAULT_BUDGET, STRONGLY_SYSTEMATIC, depth, rationality)
+    checks = []
+    extends_everywhere = aggcheck.aggregation._extends_everywhere
+    with monkeypatch.context() as patch:
+        patch.setattr(aggcheck.aggregation, "_extends_everywhere",
+                      lambda *args: checks.append(extends_everywhere(*args)) or False)
+        exact = _one_pass(aggregator, DEFAULT_BUDGET, STRONGLY_SYSTEMATIC, depth, rationality)
+    return fast, exact, checks == [True]
+
+
+def assert_same_pass(fast, exact):
+    assert fast == exact
+    if fast[1].holds:  # the ledger keeps its first-occurrence order
+        assert list(fast[1].criterion.items()) == list(exact[1].criterion.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(round_trip_criteria(), st.integers(1, 2), st.booleans())
+def test_whole_table_check_returns_what_the_loop_returns(drawn, depth, rationality):
+    aggregator, flipped = drawn
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fast, exact, extends = fast_and_exact(aggregator, depth, rationality, monkeypatch)
+    assert_same_pass(fast, exact)
+    if not flipped:  # a homomorphism's aggregator passes on the whole table
+        assert extends and fast[1].holds
+
+
+def one_connective_agenda(connective, arity, table, texts):
+    algebra = FiniteAlgebra(Signature(((connective, arity),)), ("0", "1"), ((connective, table),))
+    return _agenda(Matrix(algebra, frozenset({1})), texts)
+
+
+# itemgetter with one key returns the bare value, not a 1-tuple
+@pytest.mark.parametrize("agenda, columns, attitudes", [
+    (one_connective_agenda("id", 1, (0, 1), ["x1"]), 1, 2),  # one fragment formula
+    (BOOLEAN_TOP, 2, 1),  # one rational profile
+    (one_connective_agenda("c", 0, (1,), ["c"]), 1, 1),  # both
+])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_whole_table_check_on_one_column_or_one_profile(agenda, columns, attitudes, n,
+                                                        monkeypatch):
+    fragment, _, extensions = _fragment_and_vectors(agenda, 2, DEFAULT_BUDGET)
+    assert (len(fragment), len(extensions)) == (columns, attitudes)
+    for values in [projection_criterion(agenda.algebra, n, 0).values,
+                   *homomorphism_tables(agenda.algebra, n)]:
+        aggregator = CriterionAggregator(DecisionCriterion(agenda.algebra, n, values), agenda)
+        fast, exact, extends = fast_and_exact(aggregator, 2, True, monkeypatch)
+        assert_same_pass(fast, exact)
+        assert extends and fast[0].both and fast[1].holds
 
 
 # ---------------------------------------------------------------------------

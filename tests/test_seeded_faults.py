@@ -6,8 +6,10 @@ disagree, so the run exits 1 and the report field that route feeds moves:
 ``homs`` (the homomorphism search), ``aggregators`` (the census) or
 ``roundtrips`` (the extraction). A fault in machinery both routes share can
 move both alike and pass the cross-check, so its case shows instead that a
-named brute-force test fails on the faulty function. A last case hands every
-round trip an aggregator that fails its preconditions.
+named brute-force test fails on the faulty function. Two last cases hand every
+round trip an aggregator that fails its preconditions: majority's, and the
+homomorphism's own with one criterion entry flipped, which only the pass's
+per-profile fallback can report.
 """
 
 import json
@@ -19,7 +21,7 @@ import pytest
 import test_search
 from aggcheck import aggregation, algebra, census, cli
 from aggcheck.aggregation import CriterionAggregator, majority_criterion
-from aggcheck.algebra import FiniteAlgebra, product_algebra
+from aggcheck.algebra import DecisionCriterion, FiniteAlgebra, product_algebra
 from aggcheck.cli import main
 
 AGENDAS = {"boolean2": ["x1", "x2", "(or x1 x2)", "(not x1)"],
@@ -152,3 +154,33 @@ def test_a_round_trip_failing_its_preconditions_fails_the_run(tmp_path, monkeypa
     assert [failure["extracted"] for failure in report["roundtrip_failures"]] == [
         "aggregator is not universal+rational: universal=True rational=False"] * report["homs"]
     assert len(built) == report["homs"] == 3
+
+
+def test_a_round_trip_with_one_flipped_criterion_entry_is_caught_by_the_loop(
+    tmp_path, monkeypatch, capsys
+):
+    """Each round trip gets its homomorphism's criterion with the entry at voter
+    tuple (0, 1) flipped. The whole-table check of the pass fails on every trip,
+    and the per-profile loop it falls back to reports the irrational output."""
+    checks = []
+    extends_everywhere = aggregation._extends_everywhere
+    monkeypatch.setattr(aggregation, "_extends_everywhere",
+                        lambda *args: checks.append(extends_everywhere(*args)) or checks[-1])
+    code, clean = verify("boolean2", 2, tmp_path)
+    assert code == 0 and checks == [True, True]
+
+    def flipped(criterion, agenda):
+        values = list(criterion.values)
+        values[1] = 1 - values[1]
+        return CriterionAggregator(DecisionCriterion(agenda.algebra, 2, tuple(values)), agenda)
+
+    monkeypatch.setattr(cli, "aggregator_from_criterion", flipped)
+    checks.clear()
+    code, faulty = verify("boolean2", 2, tmp_path)
+    capsys.readouterr()
+    assert code == 1 and not faulty["pass"] and checks == [False, False]
+    assert faulty["roundtrips"] == "fail" and faulty["homs"] == faulty["aggregators"] == 2
+    assert faulty["roundtrip_failures"] == [
+        {"criterion": table, "extracted": "aggregator is not universal+rational: "
+                                          "universal=True rational=False"}
+        for table in ([0, 0, 1, 1], [0, 1, 0, 1])]

@@ -49,6 +49,20 @@ class TestSignature:
     def test_constants(self):
         assert BOOL_SIG.constants == ("bot", "top")
 
+    @pytest.mark.parametrize("name", ["(", ")", "n t", "", " not", "not\n", "a(b"])
+    def test_a_name_the_parser_cannot_read_back_is_refused(self, name):
+        with pytest.raises(ValueError) as refused:
+            Signature((("not", 1), (name, 0)))
+        assert str(refused.value) == (f"connective name {name!r} must be one formula token: "
+                                      "not empty, with no whitespace or parentheses")
+
+    @pytest.mark.parametrize("name", ["->", "<->", "~", "x_1", "oplus", "0", "é"])
+    def test_every_one_token_name_reads_back(self, name):
+        sig = Signature(((name, 2), ("c", 0)))
+        f = parse_formula(f"({name} c x1)", sig)
+        assert f == App(name, (App("c", ()), Var("x1")))
+        assert parse_formula(print_formula(f), sig) == f
+
 
 class TestParse:
     def test_nested(self):
