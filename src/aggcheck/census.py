@@ -132,10 +132,15 @@ def qualifying_criteria(
     equation is never consulted, so this census is an independent route to
     the same class. The search runs up to the voter swaps (``_voter_swaps``).
     """
-    constraints, slot_of = _census_constraints(agenda, electorate, depth, budget)
     size = agenda.algebra.size
-    found = search_tables(len(slot_of), size, constraints, budget, stage="census table search",
-                          symmetries=_voter_swaps(size, electorate, slot_of))
+    # the constraints are many tuples that make no cycle, and they are freed before the
+    # collector runs again, so no collection walks them
+    with paused_collector():
+        constraints, slot_of = _census_constraints(agenda, electorate, depth, budget)
+        found = search_tables(len(slot_of), size, constraints, budget,
+                              stage="census table search",
+                              symmetries=_voter_swaps(size, electorate, slot_of))
+        del constraints
     return [
         DecisionCriterion(agenda.algebra, electorate, values)
         for values in sorted(tuple(t[slot] for slot in slot_of) for t in found)
@@ -172,12 +177,10 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     order.update(dict.fromkeys(range(size**electorate)))
     slot = dict(zip(order, count()))
     slot_of = [slot[voters] for voters in range(size**electorate)]
-    with paused_collector():  # each constraint holds a dict, so stays tracked
-        args = list(zip(*[_gather(slot_of, column) for column in agenda_ranks]))
-        per_vector = [zip(repeat(table), args, _gather(slot_of, column))
-                      for table, column in zip(tables, result_ranks)]
-        constraints = list(chain.from_iterable(zip(*per_vector)))  # profile by profile
-    return constraints, slot_of
+    args = list(zip(*[_gather(slot_of, column) for column in agenda_ranks]))
+    per_vector = [zip(repeat(table), args, _gather(slot_of, column))
+                  for table, column in zip(tables, result_ranks)]
+    return list(chain.from_iterable(zip(*per_vector))), slot_of  # profile by profile
 
 
 def _voter_swaps(size: int, electorate: int, slot_of: list[int]) -> list[list[int]]:
