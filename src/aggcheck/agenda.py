@@ -1,7 +1,8 @@
 """Agendas and their structural properties.
 
 An agenda is the finite set of formulas individuals hold attitudes on,
-together with its ambient logic (a matrix) and truth-value algebra.
+together with its ambient logic (a matrix) and truth-value algebra. Its
+rational attitudes are decided once per agenda (``Agenda.rational``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ class Agenda:
         """Each formula's equivalent_variable and the count of distinct values it
         takes in the truth-value algebra, in agenda order, decided once."""
         return {f: _variable_and_image_size(f, self) for f in self.formulas}
+
+    @cached_property
+    def rational(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Distinct rational attitude value-tuples with the index (into valuation
+        order) of their least witnessing valuation."""
+        vectors = truth_vectors(self.formulas, self.variables, self.algebra)
+        rows: dict[tuple[int, ...], int] = {}
+        for w in range(self.algebra.size ** len(self.variables)):
+            rows.setdefault(tuple(vec[w] for vec in vectors), w)
+        return tuple(rows.items())
 
     def __len__(self) -> int:
         return len(self.formulas)

@@ -36,9 +36,8 @@ from .algebra import (
     truth_vectors,
 )
 from .census import (
-    _fragment_and_vectors,
+    _fragment_and_extensions,
     _gather,
-    _rational_table,
     _refuse_profiles_past_the_cap,
     _voter_ranks,
 )
@@ -119,9 +118,7 @@ def majority_criterion(algebra: FiniteAlgebra, electorate: int) -> DecisionCrite
 def enumerate_rational_attitudes(agenda: Agenda) -> tuple[AttitudeFunction, ...]:
     """All distinct rational attitude functions, in order of their least
     witnessing valuation."""
-    return tuple(
-        AttitudeFunction(agenda, values) for values, _ in _rational_table(agenda)
-    )
+    return tuple(AttitudeFunction(agenda, values) for values, _ in agenda.rational)
 
 
 def enumerate_rational_profiles(
@@ -356,10 +353,10 @@ def _one_pass(
     induced = isinstance(aggregator, CriterionAggregator)  # its domain: the rational profiles
     if rationality or induced:
         _refuse_profiles_past_the_cap(agenda, n, budget)
-    rational = tuple(values for values, _ in _rational_table(agenda))
+    rational = tuple(values for values, _ in agenda.rational)
     domain = len(rational) ** n if induced else len(aggregator.table)
     if level == STRONGLY_SYSTEMATIC:
-        fragment, _, extensions = _fragment_and_vectors(agenda, depth, budget)
+        fragment, extensions = _fragment_and_extensions(agenda, depth, budget)
     else:  # on the agenda, a rational attitude is its own extension
         fragment, extensions = agenda.formulas, rational
     if level is not None:

@@ -6,9 +6,10 @@ universal and strongly systematic. The census finds every such criterion by a
 table search under constraints read off the rational profiles alone. It never
 consults the homomorphism equation: this module names nothing of the route
 in ``algebra`` (``is_homomorphism``, ``shared_power``, ``homomorphism_violation``
-...), and tests check that a census calls none of it. The rational attitudes,
-the closure fragment and the rational profiles' rank table are built here and
-shared with the aggregator checks in ``aggregation``.
+...), and tests check that a census calls none of it. The closure fragment
+and the rational profiles' rank table are built here and shared with the
+aggregator checks in ``aggregation``; the rational attitudes are the agenda's
+(``Agenda.rational``). The census keeps no table of its own.
 """
 
 from __future__ import annotations
@@ -28,57 +29,48 @@ from .algebra import (
     product_element_index,
     refuse,
     search_tables,
-    truth_vectors,
 )
 from .record import frozen
 from .syntax import Formula, formula_sort_key
 
 
-@lru_cache(maxsize=4)
-def _rational_table(agenda: Agenda) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Distinct rational attitude value-tuples with the index (into valuation
-    order) of their least witnessing valuation."""
-    vectors = truth_vectors(agenda.formulas, agenda.variables, agenda.algebra)
-    rows: dict[tuple[int, ...], int] = {}
-    for w in range(agenda.algebra.size ** len(agenda.variables)):
-        rows.setdefault(tuple(vec[w] for vec in vectors), w)
-    return tuple(rows.items())
-
-
 def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) -> None:
     refuse(min(budget, MAX_CONSTRAINTS), "profile enumeration",  # unbuilt: about 200 bytes each
-           ((len(_rational_table(agenda)), electorate), "rational profiles"))
+           ((len(agenda.rational), electorate), "rational profiles"))
 
 
 @lru_cache(maxsize=4)
-def _fragment_and_vectors(
+def _fragment_and_extensions(
     agenda: Agenda, depth: int, budget: int
-) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]:
     """The agenda formulas plus the least formula (shortest, then by printed
     text) of each distinct truth vector of the agenda's bounded closure at
-    ``depth``, sorted, with their truth vectors over the agenda variables and
-    each rational attitude's values on them (its extension), in
-    ``_rational_table`` order: the key of the shared rank table ``_voter_ranks``.
+    ``depth``, sorted, and each rational attitude's values on them (its
+    extension), in ``Agenda.rational`` order: the key of the rank table.
 
     A closure formula sharing its vector with an earlier one can only repeat
     that formula's constraints, so the census and the aggregator checks skip
-    it. ``budget`` caps the vector entries of each closure layer.
+    it. A fragment formula is a term over the agenda formulas and constants,
+    so its value depends only on the attitude: two have equal truth vectors
+    exactly when their extension columns are equal. ``budget`` caps the
+    vector entries of each closure layer.
     """
-    variables, algebra = agenda.variables, agenda.algebra
-    closure = closure_vectors(agenda.formulas, variables, algebra, depth, budget=budget)
+    closure = closure_vectors(agenda.formulas, agenda.variables, agenda.algebra, depth, budget)
     vector_of = {formula: vector for vector, formula in closure.items()}
-    vector_of.update(zip(agenda.formulas, truth_vectors(agenda.formulas, variables, algebra)))
-    fragment = tuple(sorted(vector_of, key=formula_sort_key))
-    vectors = tuple(vector_of[f] for f in fragment)
-    return fragment, vectors, tuple(tuple(vec[w] for vec in vectors)
-                                    for _, w in _rational_table(agenda))
+    fragment = tuple(sorted({*vector_of, *agenda.formulas}, key=formula_sort_key))
+    # an agenda formula's value is the attitude's own; another's, its vector's at the witness
+    sources = [(agenda.index.get(f), vector_of.get(f)) for f in fragment]
+    return fragment, tuple(tuple(vector[w] if i is None else values[i] for i, vector in sources)
+                           for values, w in agenda.rational)
 
 
 @frozen
 class RankTable:
     """The rank table of the rational profiles: for each fragment formula, one
     column holding each profile's rank in B^N of its voters' tuple at that
-    formula, the profiles in product order (voter 0 most significant)."""
+    formula, the profiles in product order (voter 0 most significant). The
+    census numbers its search slots, and a round trip reads its ledger, in
+    ``first_occurrences`` order."""
 
     columns: tuple[tuple[int, ...], ...]
 
@@ -133,14 +125,13 @@ def qualifying_criteria(
     the same class. The search runs up to the voter swaps (``_voter_swaps``).
     """
     size = agenda.algebra.size
-    # the constraints are many tuples that make no cycle, and they are freed before the
-    # collector runs again, so no collection walks them
+    # the constraints are many tuples that make no cycle, streamed into the search and
+    # freed before the collector runs again, so no collection walks them
     with paused_collector():
         constraints, slot_of = _census_constraints(agenda, electorate, depth, budget)
         found = search_tables(len(slot_of), size, constraints, budget,
                               stage="census table search",
                               symmetries=_voter_swaps(size, electorate, slot_of))
-        del constraints
     return [
         DecisionCriterion(agenda.algebra, electorate, values)
         for values in sorted(tuple(t[slot] for slot in slot_of) for t in found)
@@ -148,39 +139,37 @@ def qualifying_criteria(
 
 
 def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int):
-    """Per rational profile and distinct closure vector v: the criterion at
-    the voters' tuple on v equals v at the least valuation witnessing the
-    output attitude, so that attitude must be rational (v ranges over the
-    agenda formulas' vectors too).
+    """Per rational profile and distinct fragment column v: the criterion at
+    the voters' tuple on v equals v at the output attitude, so that attitude
+    must be rational (v ranges over the agenda formulas' columns too).
 
-    The search slots are the voter tuples numbered in the order they first
-    appear in this stream, so a profile's tuples get nearby slots and its
-    constraints are checked early in the search's index order. Returns the
-    constraints and the slot of each voter tuple, in row-major order.
+    The search slots are the voter tuples in the rank table's
+    ``first_occurrences`` order, so a profile's tuples get nearby slots and
+    its constraints are checked early in the search's index order; tuples no
+    profile attains come last. Returns the constraints, as a stream profile
+    by profile, and the slot of each voter tuple, in row-major order.
     """
     size = agenda.algebra.size
-    rational = _rational_table(agenda)
     _refuse_profiles_past_the_cap(agenda, electorate, budget)
-    fragment, fragment_vectors, extensions = _fragment_and_vectors(agenda, depth, budget)
-    first_column = {vec: fragment_vectors.index(vec) for vec in dict.fromkeys(fragment_vectors)}
+    fragment, extensions = _fragment_and_extensions(agenda, depth, budget)
+    columns = list(zip(*extensions))
+    first_column = {column: columns.index(column) for column in dict.fromkeys(columns)}
     refuse(min(budget, MAX_CONSTRAINTS), "census constraints",
-           ((len(rational), electorate), "profiles"), (len(first_column), "vectors"))
-    tables = [defaultdict(lambda: -1, {product_element_index(size, values): vec[w]  # -1: irrational
-                                       for values, w in rational}) for vec in first_column]
-    ranks = _voter_ranks(size, electorate, extensions).columns  # the round trips' table
+           ((len(agenda.rational), electorate), "profiles"), (len(first_column), "vectors"))
+    attitudes = [product_element_index(size, values) for values, _ in agenda.rational]
+    # each column's value at each rational attitude's rank; -1 at an irrational one
+    tables = [defaultdict(lambda: -1, zip(attitudes, column)) for column in first_column]
+    ranks = _voter_ranks(size, electorate, extensions)  # the round trips' table
     # the output attitude is the criterion at each agenda formula's voter tuple
-    agenda_ranks = [ranks[fragment.index(formula)] for formula in agenda.formulas]
-    result_ranks = [ranks[c] for c in first_column.values()]
-    # search slots by first appearance: a profile's agenda tuples, then its results;
-    # tuples no profile attains come last
-    order = dict.fromkeys(chain.from_iterable(zip(*agenda_ranks, *result_ranks)))
-    order.update(dict.fromkeys(range(size**electorate)))
+    agenda_ranks = [ranks.columns[fragment.index(formula)] for formula in agenda.formulas]
+    result_ranks = [ranks.columns[c] for c in first_column.values()]
+    order = dict.fromkeys(chain(ranks.first_occurrences, range(size**electorate)))
     slot = dict(zip(order, count()))
     slot_of = [slot[voters] for voters in range(size**electorate)]
     args = list(zip(*[_gather(slot_of, column) for column in agenda_ranks]))
     per_vector = [zip(repeat(table), args, _gather(slot_of, column))
                   for table, column in zip(tables, result_ranks)]
-    return list(chain.from_iterable(zip(*per_vector))), slot_of  # profile by profile
+    return chain.from_iterable(zip(*per_vector)), slot_of
 
 
 def _voter_swaps(size: int, electorate: int, slot_of: list[int]) -> list[list[int]]:

@@ -93,6 +93,8 @@ def algebra_from_obj(obj: dict) -> FiniteAlgebra:
         (name, _table_from_rows(tables.get(name), arity, name))
         for name, arity in sig.connectives
     )
+    # a table for a connective outside the signature goes unread: FiniteAlgebra refuses its name
+    ops += tuple((name, ()) for name in tables if name not in sig.arities)
     order = None
     if "order" in obj:
         pairs = obj["order"]
@@ -113,7 +115,11 @@ def algebra_from_obj(obj: dict) -> FiniteAlgebra:
 
 def matrix_from_obj(obj: dict) -> Matrix:
     algebra = algebra_from_obj(_expect(obj, dict, "matrix").get("algebra"))
-    if obj.get("mode") == "degree":
+    if "mode" in obj:
+        if _expect(obj["mode"], str, "matrix mode") != "degree":
+            raise ValueError(f'matrix mode must be "degree", got {json.dumps(obj["mode"])}')
+        if "designated" in obj:
+            raise ValueError("matrix designated values must be absent in degree mode")
         return Matrix(algebra)
     designated = frozenset(_element_index(algebra, d, "matrix designated value")
                            for d in _expect(obj.get("designated"), list, "matrix designated values"))

@@ -535,6 +535,10 @@ MALFORMED_MATRICES = [
                  "order has out-of-range entries", id="order-pair-past-the-carrier"),
     pytest.param(lambda a: a["order"].append([-1, -1]),
                  "order has out-of-range entries", id="negative-order-pair"),
+    pytest.param(lambda a: a["signature"]["connectives"][0].update(arity=-1),
+                 "negative arity for 'not'", id="negative-arity"),
+    pytest.param(lambda a: a["ops"].update({"and": [[0, 0], [0, 1]]}),
+                 "tables for unknown connectives: ['and']", id="table-outside-the-signature"),
 ]
 
 
@@ -587,6 +591,11 @@ MISSHAPEN_MATRICES = [
         "ops": {"not": [2, 1, 0]},
         "order": [[0, 0], [1, 1], [2, 2], [0, 1], [1, 2]],
     }), "order not transitive", id="order-not-transitive"),
+    pytest.param(replaced("mode", value="degrees"), 'matrix mode must be "degree", got "degrees"',
+                 id="mode-typo"),
+    pytest.param(lambda obj: {**obj, "mode": "degree", "designated": [0]},
+                 "matrix designated values must be absent in degree mode",
+                 id="designated-in-degree-mode"),
 ]
 
 MISSHAPEN_INPUTS = [
@@ -606,6 +615,9 @@ MISSHAPEN_INPUTS = [
     pytest.param("--agenda", {"formulas": [")"]},
                  'agenda formula ")": unexpected \')\' (at position 0)',
                  id="formula-closing-paren"),
+    pytest.param("--agenda", {"formulas": ["("]},
+                 'agenda formula "(": unexpected end of input (at position 1)',
+                 id="formula-open-paren"),
     pytest.param("--agenda", {"formulas": ["(("]},
                  'agenda formula "((": expected connective symbol (at position 1)',
                  id="formula-no-connective"),

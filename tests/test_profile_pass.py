@@ -52,7 +52,7 @@ from aggcheck.algebra import (
     evaluate,
     power_homomorphisms,
 )
-from aggcheck.census import _fragment_and_vectors
+from aggcheck.census import _fragment_and_extensions
 from aggcheck.cli import main
 from aggcheck.errors import NotQualifyingError
 from aggcheck.oracles import all_valuations, is_rational_attitude
@@ -377,7 +377,7 @@ def one_connective_agenda(connective, arity, table, texts):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_whole_table_check_on_one_column_or_one_profile(agenda, columns, attitudes, n,
                                                         monkeypatch):
-    fragment, _, extensions = _fragment_and_vectors(agenda, 2, DEFAULT_BUDGET)
+    fragment, extensions = _fragment_and_extensions(agenda, 2, DEFAULT_BUDGET)
     assert (len(fragment), len(extensions)) == (columns, attitudes)
     for values in [projection_criterion(agenda.algebra, n, 0).values,
                    *homomorphism_tables(agenda.algebra, n)]:

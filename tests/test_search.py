@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from aggcheck import aggregation as aggregation_module
 from aggcheck import algebra as algebra_module
 from aggcheck import census as census_module
 from aggcheck.agenda import agenda_over
@@ -21,17 +22,22 @@ from aggcheck.aggregation import (
 )
 from aggcheck.algebra import (
     DEFAULT_BUDGET,
+    FiniteAlgebra,
     element_coordinates,
     enumerate_homomorphisms,
+    evaluate,
     power_homomorphisms,
     product_element_index,
     search_tables,
     shared_power,
+    truth_vectors,
 )
 from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError
+from aggcheck.fileio import load_matrix
+from aggcheck.oracles import all_valuations
 from aggcheck.semantics import Matrix
-from aggcheck.syntax import parse_formula, print_formula
+from aggcheck.syntax import App, Signature, Var, parse_formula, print_formula
 from builders import builtin_distributive_lattice
 
 
@@ -391,18 +397,69 @@ def test_census_of_a_24_formula_agenda(classical):
 
 
 def test_census_fragment_holds_the_shortest_formula_of_each_vector(bool_agenda):
-    fragment, _, _ = census_module._fragment_and_vectors(bool_agenda, 1, DEFAULT_BUDGET)
+    fragment, _ = census_module._fragment_and_extensions(bool_agenda, 1, DEFAULT_BUDGET)
     assert [print_formula(f) for f in fragment] == [
         "(and (not x1) x2)", "(and x1 x2)", "(not (or x1 x2))", "(not x1)", "(not x2)",
         "(or (not x1) x2)", "(or x1 x2)", "bot", "top", "x1", "x2"]
 
 
 def test_census_fragment_stops_growing_at_its_fixpoint(bool_agenda):
-    at_three = census_module._fragment_and_vectors(bool_agenda, 3, DEFAULT_BUDGET)
-    at_twelve = census_module._fragment_and_vectors(bool_agenda, 12, DEFAULT_BUDGET)
+    at_three = census_module._fragment_and_extensions(bool_agenda, 3, DEFAULT_BUDGET)
+    at_twelve = census_module._fragment_and_extensions(bool_agenda, 12, DEFAULT_BUDGET)
     assert at_twelve == at_three
     assert len(at_twelve[0]) == 16
     assert max(len(print_formula(f)) for f in at_twelve[0]) <= 34
+
+
+@st.composite
+def terms(draw, signature, depth):
+    """A formula of depth at most ``depth`` over x1, x2 and the constants."""
+    leaves = [Var("x1"), Var("x2"), *(App(c, ()) for c in signature.constants)]
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(leaves))
+    symbol, arity = draw(st.sampled_from([c for c in signature.connectives if c[1]]))
+    return App(symbol, tuple(draw(terms(signature, depth - 1)) for _ in range(arity)))
+
+
+@st.composite
+def closure_agendas(draw):
+    """1-3 distinct agenda formulas of depth at most 2 over x1 and x2 in
+    boolean2, mv3, mv3-degree or the diamond, and a closure depth of 1-2."""
+    logic = draw(st.sampled_from(["boolean2", "mv3", "mv3-degree", "diamond"]))
+    matrix = diamond_matrix() if logic == "diamond" else load_matrix(logic)
+    formulas = draw(st.lists(terms(matrix.algebra.signature, 2), min_size=1, max_size=3,
+                             unique=True))
+    return agenda_over(formulas, matrix), draw(st.integers(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_agendas())
+def test_census_extensions_stand_for_the_fragment_vectors(case):
+    agenda, depth = case
+    fragment, extensions = census_module._fragment_and_extensions(agenda, depth, DEFAULT_BUDGET)
+    # equal truth vectors exactly where the extension columns are equal
+    vectors = truth_vectors(fragment, agenda.variables, agenda.algebra)
+    columns = list(zip(*extensions))
+    assert len(set(vectors)) == len(set(columns)) == len(set(zip(vectors, columns)))
+    # each row: the fragment's values at its attitude's least witness, by brute force
+    rows = {}
+    for valuation in all_valuations(agenda.variables, agenda.algebra):
+        attitude = tuple(evaluate(f, valuation, agenda.algebra) for f in agenda.formulas)
+        if attitude not in rows:
+            rows[attitude] = tuple(evaluate(f, valuation, agenda.algebra) for f in fragment)
+    assert tuple(rows) == tuple(values for values, _ in agenda.rational)
+    assert tuple(rows.values()) == extensions
+
+
+def test_an_empty_fragment_keeps_the_one_rational_attitude():
+    negation = Signature((("not", 1),))
+    matrix = Matrix(FiniteAlgebra(negation, ("0", "1"), (("not", (1, 0)),)), frozenset({1}))
+    empty = agenda_over([], matrix)
+    assert empty.rational == (((), 0),)
+    assert census_module._fragment_and_extensions(empty, 1, DEFAULT_BUDGET) == ((), ((),))
+    aggregator = CriterionAggregator(projection_criterion(matrix.algebra, 2, 0), empty)
+    report, strong = aggregation_module._one_pass(aggregator, DEFAULT_BUDGET, STRONGLY_SYSTEMATIC)
+    assert report.both and strong.holds  # the empty attitude stays rational
 
 
 def test_census_keeps_the_profile_budget(bool_agenda):
@@ -439,21 +496,25 @@ def test_census_refuses_before_the_rank_table_is_built(bool_agenda, monkeypatch)
 
 def reference_census_constraints(agenda, electorate, depth, budget):
     """The census constraints built one rational profile at a time, ranking
-    each voters' tuple on its own, with slots numbered by first appearance."""
+    each voters' tuple on its own, with slots numbered by first appearance
+    of each profile's voters' tuples, in fragment order."""
     size = agenda.algebra.size
-    rational = census_module._rational_table(agenda)
-    vectors = tuple(dict.fromkeys(census_module._fragment_and_vectors(agenda, depth, budget)[1]))
+    rational = agenda.rational
+    fragment = census_module._fragment_and_extensions(agenda, depth, budget)[0]
+    fragment_vectors = truth_vectors(fragment, agenda.variables, agenda.algebra)
+    vectors = tuple(dict.fromkeys(fragment_vectors))
     tables = [{product_element_index(size, values): vec[w] for values, w in rational}
               for vec in vectors]
     slot = {}
     constraints = []
     for combo in product(rational, repeat=electorate):
         ws = [w for _, w in combo]
-        args = tuple(slot.setdefault(product_element_index(size, col), len(slot))
-                     for col in zip(*(v for v, _ in combo)))
+        for vec in fragment_vectors:
+            slot.setdefault(product_element_index(size, [vec[w] for w in ws]), len(slot))
+        args = tuple(slot[product_element_index(size, col)] for col in zip(*(v for v, _ in combo)))
         for vec, table in zip(vectors, tables):
             result = product_element_index(size, [vec[w] for w in ws])
-            constraints.append((table, args, slot.setdefault(result, len(slot))))
+            constraints.append((table, args, slot[result]))
     for voters in range(size**electorate):
         slot.setdefault(voters, len(slot))
     return constraints, [slot[voters] for voters in range(size**electorate)]
@@ -475,7 +536,7 @@ def test_census_constraints_equal_the_per_profile_reference(logic, texts, n, dep
     matrix = diamond_matrix() if logic == "diamond" else request.getfixturevalue(logic)
     a = agenda(matrix, texts)
     constraints, slots = census_module._census_constraints(a, n, depth, 10**8)
-    assert (constraints, slots) == reference_census_constraints(a, n, depth, 10**8)
+    assert (list(constraints), slots) == reference_census_constraints(a, n, depth, 10**8)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -498,6 +559,7 @@ def test_census_finds_the_same_tables_with_and_without_voter_swaps(logic, texts,
     a, size = agenda(matrix, texts), matrix.algebra.size
     try:
         constraints, slot_of = census_module._census_constraints(a, n, 1, 10**8)
+        constraints = list(constraints)
     except BudgetExceededError:
         return  # refused before either search, so both refuse alike
     swaps = census_module._voter_swaps(size, n, slot_of)
