@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from itertools import count, product
-from operator import itemgetter
+from itertools import count, product, repeat
 from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
@@ -371,8 +370,10 @@ def _one_pass(
             return (RationalityReport(True, True, None, None) if rationality else None,
                     SystematicityResult(True, level, depth, ledger, None))
         columns = [fragment.index(formula) for formula in agenda.formulas]
+        # each profile's ranks; with no fragment formulas, an empty row per profile
+        ranked = zip(*ranks.columns) if ranks.columns else repeat((), domain)
         rows = ((number, attained, tuple([table[attained[c]] for c in columns]))
-                for number, attained in enumerate(zip(*ranks.columns)))
+                for number, attained in enumerate(ranked))
     else:
         rows = _ranked_rows(aggregator, extension, positions, size)
 
@@ -393,7 +394,7 @@ def _one_pass(
             continue
         # closure values need every attitude rational, else the agenda part only
         if number is not None and closure is not None:
-            if not independent and itemgetter(*attained)(value_of) == closure:
+            if not independent and _gather(value_of, attained) == closure:
                 continue  # a row held at its ranks adds nothing
             nums, values = range(len(fragment)), closure
         else:

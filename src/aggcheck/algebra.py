@@ -25,16 +25,17 @@ Valuation = Mapping[str, int]
 
 DEFAULT_BUDGET = 10**8  # the one default limit every budgeted stage compares its count with
 MAX_POWER_SIZE = 10_000  # most elements of a power that product_algebra builds
-# Most constraints a table search is handed: each costs about 128 bytes once
-# bucketed, so the cap bounds the search's memory as the budget bounds its time.
+# Most constraints a table search is handed: each costs about 25 bytes once bucketed
+# (three list entries; tests/test_search.py measures it), so the cap bounds the
+# search's memory as the budget bounds its time.
 MAX_CONSTRAINTS = 2_000_000
 
 
 @contextmanager
 def paused_collector():
     """Pause the cyclic garbage collector for the block, then leave it as it was.
-    A search's constraints are tuples that stay tracked and make no cycle, so full
-    collections as they pile up would free nothing."""
+    A search's argument tuples stay tracked and make no cycle, so full collections
+    as they pile up would free nothing."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -59,15 +60,16 @@ def _within(table: Sequence[int], n: int) -> bool:
 class FiniteAlgebra:
     """A total algebra over a signature, given by flat row-major tables.
 
-    ``ops`` pairs each connective with a tuple of length ``len(carrier)**arity``;
-    the entry for arguments (a1,...,am) sits at row-major position
-    a1*n^(m-1) + ... + am. ``order`` optionally carries a partial order on
-    carrier indices (needed for degree-mode semantics).
+    ``ops`` pairs each connective with a tuple of length ``len(carrier)**arity``
+    (bytes, one byte per entry, in a power of at most 256 elements); the entry
+    for arguments (a1,...,am) sits at row-major position a1*n^(m-1) + ... + am.
+    ``order`` optionally carries a partial order on carrier indices (needed for
+    degree-mode semantics).
     """
 
     signature: Signature
     carrier: tuple[str, ...]
-    ops: tuple[tuple[str, tuple[int, ...]], ...]
+    ops: tuple[tuple[str, Union[tuple[int, ...], bytes]], ...]
     order: Optional[frozenset[tuple[int, int]]] = None
     name: str = ""
 
@@ -115,7 +117,7 @@ class FiniteAlgebra:
         return len(self.carrier)
 
     @cached_property
-    def tables(self) -> dict[str, tuple[int, ...]]:
+    def tables(self) -> dict[str, Union[tuple[int, ...], bytes]]:
         return dict(self.ops)
 
     @cached_property
@@ -374,7 +376,7 @@ def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
     constant tuples. Each table is built one coordinate at a time, each new
     coordinate the most significant one (see ``_next_power_table``), so every
     block of a new table is a shifted row of the last one. While the power has
-    at most 256 elements, a table is built as bytes, one byte per entry.
+    at most 256 elements, a table is built and kept as bytes, one byte per entry.
     """
     _power_size(algebra.size, n)
     size = algebra.size
@@ -388,7 +390,7 @@ def product_algebra(algebra: FiniteAlgebra, n: int) -> FiniteAlgebra:
         table = bytes(base) if lanes else base
         for width in (size**m for m in range(1, n)):  # table is on the width-element power
             table = _next_power_table(table, base, size, width, arity)
-        ops.append((symbol, tuple(table)))
+        ops.append((symbol, table if lanes else tuple(table)))
     return FiniteAlgebra(
         signature=algebra.signature,
         carrier=carrier,
@@ -560,7 +562,9 @@ def search_tables(
     each constraint is checked once its last slot is assigned, a run on one
     ``args`` object sharing one index. That last slot is found once per run of
     constraints sharing one ``args`` object, too: ``args``'s largest slot, or
-    the constraint's ``result`` if greater. Entering a node (giving a slot a value)
+    the constraint's ``result`` if greater. The constraint is kept in that slot's
+    bucket, flat: as three consecutive entries of the bucket's list, with no tuple
+    of its own. Entering a node (giving a slot a value)
     charges one work unit plus one per constraint whose last slot it is; past
     ``budget`` the search stops with a ``BudgetExceededError`` naming ``stage``.
     It stops the same way before the tables it keeps (found, and their images
@@ -573,7 +577,7 @@ def search_tables(
     under the permutations at the end. The least table of each orbit is a
     lex-leader, so the list is the one the plain search finds.
     """
-    by_last: list[list[tuple]] = [[] for _ in range(slots)]
+    by_last: list[list] = [[] for _ in range(slots)]  # three entries per constraint
     shared, top = None, -1  # the args of the run being bucketed, and its largest slot
     for constraint in constraints:
         _, args, result = constraint
@@ -582,8 +586,8 @@ def search_tables(
             for a in args:
                 if a > top:
                     top = a
-        by_last[result if result > top else top].append(constraint)
-    cost = [1 + len(bucket) for bucket in by_last]
+        by_last[result if result > top else top].extend(constraint)
+    cost = [1 + len(bucket) // 3 for bucket in by_last]
     units = 0
     perms = [tuple(perm) for perm in symmetries]
     if any(sorted(perm) != list(range(slots)) for perm in perms):
@@ -623,7 +627,8 @@ def search_tables(
         if not leader:
             continue
         shared = None  # the args whose index was worked out last, at this node
-        for table, args, result in by_last[k]:
+        constraint = iter(by_last[k])
+        for table, args, result in zip(constraint, constraint, constraint):
             if args is not shared:
                 shared, index = args, 0
                 for a in args:
@@ -677,9 +682,9 @@ def enumerate_homomorphisms(
         for (arity, commutative), pairs in groups.items():
             if commutative:
                 rows = list(combinations_with_replacement(range(n), 2))
-                pairs = [(image, list(chain.from_iterable(table[a * n + a:(a + 1) * n]
-                                                          for a in range(n))))
-                         for image, table in pairs]  # row a from column a: each a <= b once
+                upper = [slice(a * n + a, (a + 1) * n) for a in range(n)]  # row a from column a
+                pairs = [(image, chain.from_iterable(map(table.__getitem__, upper)))
+                         for image, table in pairs]  # each a <= b once, streamed
             else:
                 rows = list(product(range(n), repeat=arity))
             runs.append(chain.from_iterable(zip(*(zip(repeat(image), rows, values)

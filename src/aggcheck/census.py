@@ -125,8 +125,8 @@ def qualifying_criteria(
     the same class. The search runs up to the voter swaps (``_voter_swaps``).
     """
     size = agenda.algebra.size
-    # the constraints are many tuples that make no cycle, streamed into the search and
-    # freed before the collector runs again, so no collection walks them
+    # the constraints' argument tuples are many and make no cycle; they are built, read
+    # by the search and freed before the collector runs again, so no collection walks them
     with paused_collector():
         constraints, slot_of = _census_constraints(agenda, electorate, depth, budget)
         found = search_tables(len(slot_of), size, constraints, budget,

@@ -183,6 +183,5 @@ def load_criterion(path: PathLike, algebra: FiniteAlgebra) -> DecisionCriterion:
 
 
 def dump_json(obj: dict, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # one write, not one per chunk
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

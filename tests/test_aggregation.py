@@ -26,6 +26,7 @@ from aggcheck.aggregation import (
 )
 from aggcheck.agenda import agenda_over
 from aggcheck.algebra import (
+    FiniteAlgebra,
     is_homomorphism,
     power_homomorphisms,
     product_algebra,
@@ -34,7 +35,7 @@ from aggcheck.census import qualifying_criteria
 from aggcheck.errors import BudgetExceededError, NotQualifyingError
 from aggcheck.oracles import is_rational_attitude
 from aggcheck.semantics import Matrix
-from aggcheck.syntax import parse_formula
+from aggcheck.syntax import Signature, parse_formula
 from builders import builtin_distributive_lattice, rational_profile_with_values, value_tuple
 
 
@@ -226,6 +227,16 @@ class TestCheckRationalUniversal:
         agg = ExtensionalAggregator(or_agenda, 2, ())
         report = check_rational_universal(agg)
         assert not report.universal and report.missing_profile is not None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_an_agenda_of_no_formulas_has_one_empty_row_per_profile(self, n):
+        negation = Signature((("not", 1),))
+        matrix = Matrix(FiniteAlgebra(negation, ("0", "1"), (("not", (1, 0)),)), frozenset({1}))
+        agg = CriterionAggregator(projection_criterion(matrix.algebra, n, 0), agenda_over([], matrix))
+        assert check_rational_universal(agg) == aggregation.RationalityReport(True, True, None, None)
+        for level in (INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC):
+            result = check_systematicity(agg, level)
+            assert result.holds and result.criterion == {}
 
 
 class TestSystematicity:

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import tracemalloc
 from itertools import permutations, product
 from pathlib import Path
 
@@ -228,6 +229,26 @@ def test_interrupted_runs_and_equal_args_objects_change_nothing(search):
         with pytest.raises(BudgetExceededError, match=f"^table search: {work} work units "
                                                       f"exceed the limit of {work - 1}$"):
             search_tables(slots, size, constraints, work - 1, symmetries=symmetries)
+
+
+def test_the_search_keeps_at_most_32_bytes_per_constraint():
+    """A stream of 120,000 constraints, in runs of 20,000 on one args object each,
+    measured with tracemalloc while the search holds them: it keeps each one in
+    about three list entries (24 bytes), not as a tuple of its own (about 72)."""
+    conjunction = (0, 0, 0, 1)  # t[4] is the conjunction of every pair of slots 0..3
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    count = 20_000 * len(pairs)
+    stream = ((conjunction, args, 4) for args in pairs for _ in range(20_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = search_tables(5, 2, stream, DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [(0, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0),
+                     (1, 0, 0, 0, 0), (1, 1, 1, 1, 1)]
+    assert (peak - before) / count <= 32
 
 
 @pytest.mark.parametrize("n, work", [(7, 42_112), (8, 166_144)])
