@@ -8,10 +8,10 @@ stdout. Exit codes: 0 all checks pass, 1 a check failed, 2 input error,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .agenda import pseudo_richness, strictly_contingent_formulas
@@ -31,6 +31,9 @@ from .modal import CERTIFIED_WORLDS, check_subjunctive_conditions
 from .semantics import check_selfextensionality
 from .syntax import print_formula
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -41,7 +44,7 @@ EXIT_INTERNAL_ERROR = 4
 COUNT_MINIMUMS = {"budget": 0, "variables": 0, "depth": 0, "electorate": 1, "frame_bound": 1}
 
 
-def _tool_stamp(args: argparse.Namespace) -> dict:
+def _tool_stamp(args: SimpleNamespace) -> dict:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -50,7 +53,7 @@ def _tool_stamp(args: argparse.Namespace) -> dict:
     return {"tool": {"name": "aggcheck", "version": __version__}, "config": config}
 
 
-def _emit(report: dict, args: argparse.Namespace, summary_lines: list[str]) -> int:
+def _emit(report: dict, args: SimpleNamespace, summary_lines: list[str]) -> int:
     """Stamp, print and write the report; its ``pass`` field picks the exit code."""
     report.update(_tool_stamp(args), command=args.command)
     for line in summary_lines:
@@ -61,7 +64,7 @@ def _emit(report: dict, args: argparse.Namespace, summary_lines: list[str]) -> i
     return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
 
 
-def cmd_check_agenda(args: argparse.Namespace) -> int:
+def cmd_check_agenda(args: SimpleNamespace) -> int:
     matrix = load_matrix(args.logic)
     agenda = load_agenda(args.agenda, matrix)
     level, witnesses = pseudo_richness(agenda)
@@ -92,7 +95,7 @@ def cmd_check_agenda(args: argparse.Namespace) -> int:
     return _emit(report, args, lines)
 
 
-def cmd_verify_bijection(args: argparse.Namespace) -> int:
+def cmd_verify_bijection(args: SimpleNamespace) -> int:
     matrix = load_matrix(args.logic)
     agenda = load_agenda(args.agenda, matrix)
     algebra = agenda.algebra
@@ -148,7 +151,7 @@ def cmd_verify_bijection(args: argparse.Namespace) -> int:
     return _emit(report, args, lines)
 
 
-def cmd_classify_dictators(args: argparse.Namespace) -> int:
+def cmd_classify_dictators(args: SimpleNamespace) -> int:
     matrix = load_matrix(args.logic)
     algebra = matrix.algebra
     if algebra.size != 2:
@@ -186,7 +189,7 @@ def cmd_classify_dictators(args: argparse.Namespace) -> int:
     return _emit(report, args, lines)
 
 
-def cmd_check_subjunctive(args: argparse.Namespace) -> int:
+def cmd_check_subjunctive(args: SimpleNamespace) -> int:
     result = check_subjunctive_conditions(args.frame_bound)
     passed = (
         result.a_holds
@@ -217,7 +220,7 @@ def cmd_check_subjunctive(args: argparse.Namespace) -> int:
     return _emit(report, args, lines)
 
 
-def cmd_check_selfext(args: argparse.Namespace) -> int:
+def cmd_check_selfext(args: SimpleNamespace) -> int:
     matrix = load_matrix(args.logic)
     # the closure's seed layer, a formula per variable and per constant, refused from its counts
     seeds = args.variables + len(matrix.algebra.signature.constants)
@@ -256,7 +259,7 @@ def cmd_check_selfext(args: argparse.Namespace) -> int:
     return _emit(report, args, lines)
 
 
-def cmd_enumerate_homs(args: argparse.Namespace) -> int:
+def cmd_enumerate_homs(args: SimpleNamespace) -> int:
     matrix = load_matrix(args.logic)
     algebra = matrix.algebra
     homs = power_homomorphisms(algebra, args.electorate, args.budget)
@@ -309,13 +312,48 @@ COMMANDS = {
 }
 
 
+def read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace of a plain line ``COMMAND (--flag value)...``, else None.
+
+    A line is plain when each flag is its command's, spelled in full and
+    given once, no value starts with "-", every required option is there
+    and every typed value converts. Argparse reads such a line to these same
+    values; any other line is left to ``build_parser``.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2 or any(value.startswith("-") for value in given.values()):
+        return None
+    values = {"command": argv[0], "func": func}
+    for flag, kwargs in options:
+        value = given.pop(flag, None)
+        if value is None:
+            if kwargs.get("required"):
+                return None
+            value = kwargs.get("default")
+        elif "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    return None if given else SimpleNamespace(**values)
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """Every subcommand with its help, and options for ``command`` alone.
 
-    The top-level options take no value, so argparse's first positional is
-    argv's first token that does not start with "-"; no other subcommand
-    ever parses, and its options would only cost time.
+    This parser reads every line ``read_plain`` leaves: help, --version,
+    --flag=value, abbreviations, "--" and malformed lines. Its texts and
+    exit code 2 are the CLI's. The top-level options take no value, so
+    argparse's first positional is argv's first token that does not start
+    with "-"; no other subcommand ever parses, and its options would only
+    cost time. argparse is imported here, so a plain line never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="aggcheck",
         description=(
@@ -336,8 +374,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = next((token for token in argv if not token.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = read_plain(argv)
+    if args is None:
+        command = next((token for token in argv if not token.startswith("-")), None)
+        args = SimpleNamespace(**vars(build_parser(command).parse_args(argv)))
     try:
         for name, least in COUNT_MINIMUMS.items():
             if getattr(args, name, least) < least:

@@ -3,6 +3,7 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggcheck import __version__
 from aggcheck import agenda as agenda_layer
@@ -1079,6 +1080,37 @@ def parser_argvs():
             yield [command, *required, count, "two"]
 
 
+FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag, _ in options})
+# every proper prefix of a flag; within one command no two flags share a
+# first letter, so each abbreviation is unique there or names no flag
+ABBREVIATIONS = sorted({flag[:n] for flag in [*FLAGS, "--help", "--version"]
+                        for n in range(3, len(flag))})
+VALUES = ["boolean2", "a.json", "", "-", "-1", "-x", "--x", "--", "7", "0", "+7", " 7 ", "1_000",
+          "\u0663", "\uff17", "seven", "7.0", "9" * 5001]
+WORDS = [*cli.COMMANDS, *FLAGS, *ABBREVIATIONS, "-h", "--help", "--version", "--", "bogus"]
+NOISE = st.one_of(
+    st.sampled_from(WORDS + VALUES),
+    st.builds(lambda flag, value: f"{flag}={value}",
+              st.sampled_from(FLAGS + ABBREVIATIONS), st.sampled_from(VALUES)),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command's options in any order, each kept with odds 3:1, among stray tokens."""
+    head = draw(st.one_of(st.sampled_from(list(cli.COMMANDS)), st.sampled_from(WORDS)))
+    own = [flag for flag, _ in cli.COMMANDS[head][2]] if head in cli.COMMANDS else FLAGS
+    # half the values are plain ones, so about one line in ten reads as plain
+    value = st.one_of(st.sampled_from(VALUES), st.sampled_from(["a.json", "7", "+7", "\u0663"]))
+    items = [[flag, draw(value)] for flag in draw(st.permutations(own)) if draw(st.integers(0, 3))]
+    own_abbreviations = [flag[:n] for flag in own for n in range(3, len(flag))]
+    stray = st.one_of(NOISE.map(lambda token: [token]),
+                      st.tuples(st.sampled_from(WORDS + own_abbreviations), value).map(list))
+    for item in draw(st.lists(stray, max_size=2)) if draw(st.booleans()) else ():
+        items.insert(draw(st.integers(0, len(items))), item)
+    return [head, *(token for item in items for token in item)]
+
+
 class TestParserTexts:
     @pytest.mark.parametrize("argv", parser_argvs(), ids=lambda argv: " ".join(argv) or "none")
     def test_texts_match_a_parser_with_every_option(self, argv, monkeypatch, capsys):
@@ -1090,10 +1122,35 @@ class TestParserTexts:
             namespace = vars(parse_args(parser, args, namespace))
             sys.exit({k: v for k, v in namespace.items() if k != "func"})
 
+        read_plain = cli.read_plain
+
+        def read(argv):
+            args = read_plain(argv)
+            if args is not None:
+                sys.exit({k: v for k, v in vars(args).items() if k != "func"})
+
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parsed)
+        monkeypatch.setattr(cli, "read_plain", read)
         outcomes = []
         for parse in (main, reference_parser().parse_args):
             with pytest.raises(SystemExit) as exited:
                 parse(list(argv))
             outcomes.append((exited.value.code, *capsys.readouterr()))
         assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=argvs())
+    def test_a_plain_line_reads_as_argparse_reads_it(self, argv):
+        args = cli.read_plain(argv)
+        if args is not None:
+            namespace = vars(args)
+            assert namespace.pop("func") is cli.COMMANDS[argv[0]][1]
+            assert namespace == vars(reference_parser().parse_args(argv))
+
+    def test_an_abbreviation_falls_back_to_argparse(self, tmp_path, capsys):
+        out, reports = tmp_path / "homs.json", []
+        for flag in ("--elec", "--electorate"):
+            assert main(["enumerate-homs", "--logic", "boolean2", flag, "2", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert cli.read_plain(["enumerate-homs", "--logic", "boolean2", "--elec", "2"]) is None
+        assert reports[0] == reports[1]

@@ -1,11 +1,13 @@
 """Every record class behaves as a frozen value type, and importing the CLI
-loads none of the modules that generated record code would need.
+loads none of the modules that generated record code would need, nor
+argparse, which only help and lines that are not plain load.
 
 Each record is built from one example per class; the expected behaviour is
 written out here (a hash is the hash of the tuple of fields, the repr lists
 the fields by name) rather than taken from the record module.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -188,9 +190,28 @@ def test_cached_properties_are_computed_once():
     assert hash(algebra) == hash(fields_of(algebra))  # the cache is no field
 
 
-def test_importing_the_cli_loads_no_code_generation_modules():
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import aggcheck.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
+ARGUMENT_PARSING = {"argparse", "gettext", "locale"}
+
+
+def modules_after(*lines):
+    """The modules loaded in a fresh ``python -S`` once aggcheck.cli is imported and lines run."""
+    code = "\n".join(["import sys", "sys.path.insert(0, sys.argv[1])", "import aggcheck.cli",
+                      *lines, "print(sorted(sys.modules))"])
     done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    assert not modules_after() & {"dataclasses", "inspect", "fractions", *ARGUMENT_PARSING}
+
+
+@pytest.mark.parametrize("argv", [["enumerate-homs", "--logic", "boolean2", "--electorate", "2"],
+                                  ["check-subjunctive", "--frame-bound", "2"]])
+def test_a_plain_line_loads_no_argument_parser(argv):
+    assert not modules_after(f"assert aggcheck.cli.main({argv!r}) == 0") & ARGUMENT_PARSING
+
+
+def test_help_still_goes_through_argparse():
+    assert "argparse" in modules_after("try:", "    aggcheck.cli.main(['--help'])",
+                                       "except SystemExit:", "    pass")
