@@ -33,7 +33,6 @@ from .algebra import (
     evaluate,
     is_homomorphism,
     product_algebra,
-    truth_vector,
 )
 from .census import qualifying_criteria
 from .errors import (
@@ -52,14 +51,15 @@ from .modal import (
     KripkeFrame,
     bao_from_frame,
     check_subjunctive_conditions,
-    is_consistent,
     material_implication,
+    small_model_bound,
     subjunctive_implication,
 )
 from .oracles import (
     all_valuations,
     entails,
     interderivable,
+    is_consistent,
     is_rational_attitude,
     reflexive_frames,
 )

@@ -11,7 +11,7 @@ from functools import cached_property
 from operator import eq
 from typing import Collection, Optional
 
-from .algebra import FiniteAlgebra, truth_vector, truth_vectors
+from .algebra import FiniteAlgebra, truth_vectors
 from .record import frozen
 from .semantics import Matrix
 from .syntax import (
@@ -110,7 +110,7 @@ def _variable_and_image_size(formula: Formula, agenda: Agenda) -> tuple[Optional
     names = variables_of(formula)
     vector, *others = truth_vectors([formula, *map(Var, names)], names, matrix.algebra)
     image_size = len(set(vector if agenda.algebra == matrix.algebra
-                         else truth_vector(formula, names, agenda.algebra)))
+                         else truth_vectors([formula], names, agenda.algebra)[0]))
     pattern = matrix.pattern(vector)
     for name, other in zip(names, others):  # up to the first valuation they differ at
         if all(map(eq, pattern, map(matrix.holding.__getitem__, other))):
@@ -146,7 +146,7 @@ def pseudo_richness(agenda: Agenda) -> tuple[int, tuple[tuple[Formula, str], ...
 
 def is_strictly_contingent(formula: Formula, algebra: FiniteAlgebra) -> bool:
     """True iff the formula's evaluation image covers the whole carrier."""
-    return len(set(truth_vector(formula, variables_of(formula), algebra))) == algebra.size
+    return len(set(truth_vectors([formula], variables_of(formula), algebra)[0])) == algebra.size
 
 
 def strictly_contingent_formulas(agenda: Agenda) -> tuple[Formula, ...]:

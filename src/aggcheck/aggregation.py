@@ -523,10 +523,9 @@ def aggregator_from_criterion(
 ) -> CriterionAggregator:
     """Lift a homomorphism voter-power -> values to the induced aggregator on
     all rational profiles. Rejects non-homomorphic criteria."""
-    if criterion.algebra != agenda.algebra:
-        raise ValueError("criterion and agenda use different algebras")
+    aggregator = CriterionAggregator(criterion, agenda)  # refuses different algebras first
     violation = criterion.homomorphism_violation()
     if violation:
         symbol, args = violation
         raise ValueError(f"criterion is not a homomorphism (fails at {symbol} on {args})")
-    return CriterionAggregator(criterion, agenda)
+    return aggregator

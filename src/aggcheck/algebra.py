@@ -120,12 +120,6 @@ class FiniteAlgebra:
     def tables(self) -> dict[str, Union[tuple[int, ...], bytes]]:
         return dict(self.ops)
 
-    @cached_property
-    def byte_tables(self) -> Optional[dict[str, bytes]]:
-        """Each table as bytes, one byte per entry, while the carrier has at most
-        256 elements; None past that."""
-        return {symbol: bytes(table) for symbol, table in self.ops} if self.size <= 256 else None
-
     def op_on_vectors(
         self, symbol: str, args: Sequence[tuple[int, ...]], width: int
     ) -> tuple[int, ...]:
@@ -244,11 +238,6 @@ def truth_vectors(
 ) -> list[Vector]:
     """Each formula's truth vector over ``variables``: their program, compiled and run."""
     return _vector_program(formulas, variables)(algebra)
-
-
-def truth_vector(formula: Formula, variables: Sequence[str], algebra: FiniteAlgebra) -> Vector:
-    """Formula value at every valuation of ``variables``, in valuation order."""
-    return truth_vectors([formula], variables, algebra)[0]
 
 
 def closure_vectors(
@@ -448,7 +437,7 @@ def is_homomorphism(
     for symbol, arity in source.signature.connectives:
         width = n ** max(arity - 1, 0)
         if lanes:
-            mapped = source.byte_tables[symbol].translate(image_of)
+            mapped = bytes(source.tables[symbol]).translate(image_of)
         else:
             mapped = [mapping[v] for v in source.tables[symbol]]
         later = [tuple([mapping[a] for a in column])  # mapped later arguments of a row
@@ -668,14 +657,12 @@ def enumerate_homomorphisms(
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     n = source.size
-    # the tables _commutative reads: bytes while the algebra has them, as they compare faster
-    target_rows, source_rows = (a.byte_tables or a.tables for a in (target, source))
     with paused_collector():  # the argument rows are many tuples that make no cycle
         # (arity, commutative in both) -> the (target, source) tables of its connectives
         groups: dict[tuple[int, bool], list[tuple]] = {}
         for symbol, arity in source.signature.connectives:
-            commutative = (_commutative(target_rows[symbol], target.size, arity)
-                           and _commutative(source_rows[symbol], n, arity))
+            commutative = (_commutative(target.tables[symbol], target.size, arity)
+                           and _commutative(source.tables[symbol], n, arity))
             groups.setdefault((arity, commutative), []).append(
                 (target.tables[symbol], source.tables[symbol]))
         runs = []  # each argument tuple's equations together, one per connective of its group

@@ -13,8 +13,8 @@ world, bit i set where it holds under valuation i), charging that work before
 each world count. It runs up to 5 worlds; 6 (2^30 labelled frames) are
 refused. The subjunctive checks search only up to min(K, K₀), where K₀ is
 small_model_bound of the formula set (at most 2 for every set they check),
-so any frame bound K runs, at the cost of bound 2. The tests check the search
-against every labelled reflexive frame, listed by ``oracles.reflexive_frames``.
+so any frame bound K runs, at the cost of bound 2. Uncut, the search is the
+oracle ``oracles.is_consistent``, checked against every labelled frame.
 
 Per world count, the frame classes and what every frame algebra on those
 worlds shares (the subset labels, the Boolean tables and the subset order)
@@ -204,7 +204,7 @@ Compiled = tuple[tuple[str, ...], list[tuple[str, tuple[int, ...]]], list[int]]
 
 
 def _compile_set(formulas: Iterable[Formula]) -> Compiled:
-    """The formula set as is_consistent and small_model_bound both read it."""
+    """The formula set as _search and small_model_bound both read it."""
     formulas = tuple(formulas)
     names = variables_of(*formulas)
     return (names, *_program_steps(formulas, names))
@@ -237,29 +237,8 @@ class ConsistencyWitness:
     world: int
 
 
-def is_consistent(
-    formulas: Iterable[Formula], max_worlds: int
-) -> tuple[bool, Optional[ConsistencyWitness]]:
-    """Is there a reflexive frame with at most max_worlds worlds, a valuation
-    and a world making every formula true there?
-
-    Search is deterministic: frames by size then relation order, valuations
-    in lexicographic order over sorted variables, worlds ascending; the first
-    witness is returned. A False verdict means "no model within the bound".
-
-    Only the least frame of each isomorphism class is visited. That finds
-    the same first witness: isomorphic frames satisfy the same formulas, so
-    the first frame with a model is the least of its class.
-
-    The search is exhaustive up to max_worlds, with no small-model cut: it
-    is the oracle small_model_bound is checked against, and refuses
-    6 worlds or more (MAX_FRAMES).
-    """
-    return _search(_compile_set(formulas), max_worlds)
-
-
 def _search(compiled: Compiled, max_worlds: int) -> tuple[bool, Optional[ConsistencyWitness]]:
-    """is_consistent on a compiled formula set."""
+    """``oracles.is_consistent`` on a compiled formula set."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     names, steps, outputs = compiled
@@ -299,7 +278,7 @@ def small_model_bound(formulas: Iterable[Formula]) -> int:
     child where its body fails; stop at depth d. Every node at depth i keeps
     the truth of each subformula of modal depth at most d - i, so the
     formulas still hold at the root, and the kept tree has at most b
-    children per node. As is_consistent scans world counts upwards, its
+    children per node. As the search scans world counts upwards, its
     verdict and first witness at bound K and at min(K, K₀) agree.
 
     Boxes nested inside other boxes count in b: a root can need witnesses

@@ -1,7 +1,11 @@
-"""Brute-force oracles: the definitions restated as loops over valuations.
+"""Brute-force oracles: the definitions restated as loops over valuations
+and frames.
 
 The tests check the fast kernels against these. No command calls them, and no
-other module of the package imports this one. ``syntax.bounded_closure`` is an
+other module of the package imports this one. ``is_consistent`` is no loop of
+its own: it runs the modal search to the given bound, with no small-model cut,
+and the tests check it against the frames ``reflexive_frames`` lists and
+``modal.small_model_bound`` against it. ``syntax.bounded_closure`` is an
 oracle too, but stays in ``syntax``: the benchmark harness (``perfbench``)
 traces it there and at every module that binds it.
 """
@@ -13,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .aggregation import AttitudeFunction
 from .algebra import FiniteAlgebra, evaluate, truth_vectors
-from .modal import KripkeFrame, _frame_from_mask
+from .modal import ConsistencyWitness, KripkeFrame, _compile_set, _frame_from_mask, _search
 from .semantics import Matrix
 from .syntax import Formula, variables_of
 
@@ -70,3 +74,24 @@ def reflexive_frames(worlds: int) -> list[KripkeFrame]:
     subsets of the off-diagonal pairs by binary counting over the pairs in
     lexicographic order."""
     return [_frame_from_mask(worlds, mask) for mask in range(1 << worlds * (worlds - 1))]
+
+
+def is_consistent(
+    formulas: Iterable[Formula], max_worlds: int
+) -> tuple[bool, Optional[ConsistencyWitness]]:
+    """Is there a reflexive frame with at most max_worlds worlds, a valuation
+    and a world making every formula true there?
+
+    Search is deterministic: frames by size then relation order, valuations
+    in lexicographic order over sorted variables, worlds ascending; the first
+    witness is returned. A False verdict means "no model within the bound".
+
+    Only the least frame of each isomorphism class is visited. That finds
+    the same first witness: isomorphic frames satisfy the same formulas, so
+    the first frame with a model is the least of its class.
+
+    The search is exhaustive up to max_worlds, with no small-model cut: it
+    is the oracle small_model_bound is checked against, and refuses
+    6 worlds or more (MAX_FRAMES).
+    """
+    return _search(_compile_set(formulas), max_worlds)

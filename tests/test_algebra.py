@@ -19,7 +19,7 @@ from aggcheck.algebra import (
     product_algebra,
     product_element_index,
     refuse,
-    truth_vector,
+    truth_vectors,
 )
 from aggcheck.errors import BudgetExceededError, EvaluationError
 from aggcheck.fileio import load_matrix
@@ -187,7 +187,7 @@ class TestEvaluate:
 
     def test_truth_vector(self, boolean2):
         f = parse_formula("(or x1 (not x1))", boolean2.signature)
-        assert truth_vector(f, ["x1"], boolean2) == (1, 1)
+        assert truth_vectors([f], ["x1"], boolean2) == [(1, 1)]
 
 
 class TestProduct:

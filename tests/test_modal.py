@@ -13,7 +13,6 @@ from aggcheck.modal import (
     bao_from_frame,
     certify_implication_bottom,
     check_subjunctive_conditions,
-    is_consistent,
     material_implication,
     small_model_bound,
     subjunctive_implication,
@@ -22,7 +21,7 @@ from aggcheck.modal import (
     _sliced_program,
     _variable_worlds,
 )
-from aggcheck.oracles import reflexive_frames
+from aggcheck.oracles import is_consistent, reflexive_frames
 from aggcheck.syntax import App, Var, parse_formula, print_formula, variables_of
 
 

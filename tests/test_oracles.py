@@ -1,11 +1,13 @@
 """The brute-force oracles stay apart from every command.
 
-``aggcheck.oracles`` restates the definitions as loops over valuations, and the
-tests check the kernels against it; ``syntax.bounded_closure`` is one more such
-oracle, kept in ``syntax`` where the benchmark harness traces it. No module of
-the package but ``__init__.py`` imports ``oracles``, and no command calls an
-oracle: with every binding of each one patched to raise, one golden case per
-command still reproduces its golden bytes.
+``aggcheck.oracles`` restates the definitions as loops over valuations and
+frames, and holds the modal consistency search without its small-model cut
+(``is_consistent``); the tests check the kernels against it.
+``syntax.bounded_closure`` is one more such oracle, kept in ``syntax`` where
+the benchmark harness traces it. No module of the package but ``__init__.py``
+imports ``oracles``, and no command calls an oracle: with every binding of
+each one patched to raise, one golden case per command still reproduces its
+golden bytes.
 """
 
 import ast
@@ -68,7 +70,8 @@ def test_no_core_module_imports_the_oracles(path):
 
 def test_the_package_reexports_every_oracle():
     assert set(ORACLES) == {"all_valuations", "is_rational_attitude", "entails",
-                            "interderivable", "reflexive_frames", "bounded_closure"}
+                            "interderivable", "reflexive_frames", "is_consistent",
+                            "bounded_closure"}
     assert all(getattr(aggcheck, name) is fn for name, fn in ORACLES.items())
 
 

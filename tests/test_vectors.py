@@ -12,17 +12,15 @@ from aggcheck.algebra import (
     builtin_mv_chain,
     closure_vectors,
     evaluate,
-    truth_vector,
     truth_vectors,
 )
 from aggcheck.errors import BudgetExceededError, EvaluationError
 from aggcheck.modal import (
     bao_from_frame,
-    is_consistent,
     material_implication,
     subjunctive_implication,
 )
-from aggcheck.oracles import all_valuations, reflexive_frames
+from aggcheck.oracles import all_valuations, is_consistent, reflexive_frames
 from aggcheck.syntax import (App, Var, bounded_closure, parse_formula, print_formula,
                              variables_of)
 from builders import builtin_distributive_lattice
@@ -134,7 +132,7 @@ def test_one_compiled_program_runs_on_algebra_after_algebra():
         program = algebra._vector_program(fs, ["x1", "x2"])
         for name in names:
             target = ALGEBRAS.get(name, frame_algebra)
-            assert program(target) == [truth_vector(f, ["x1", "x2"], target) for f in fs]
+            assert program(target) == [truth_vectors([f], ["x1", "x2"], target)[0] for f in fs]
             assert program(target) == [brute_vector(f, ["x1", "x2"], target) for f in fs]
 
 
