@@ -76,7 +76,7 @@ class Profile:
         if not self.attitudes:
             raise ValueError("empty profile")
         agenda = self.attitudes[0].agenda
-        if any(a.agenda is not agenda and a.agenda != agenda for a in self.attitudes):
+        if any(a.agenda != agenda for a in self.attitudes):
             raise ValueError("attitudes must share one agenda")
 
     @property
@@ -360,8 +360,6 @@ def _one_pass(
         fragment, extensions = agenda.formulas, rational
     if level is not None:
         refuse(budget, "systematicity check", (domain, "profiles"), (len(fragment), "formulas"))
-    extension = dict(zip(rational, extensions))  # each rational attitude's fragment values
-    positions = [agenda.index.get(formula) for formula in fragment]
     if induced:  # its output at a fragment formula: the criterion at that formula's rank
         table, ranks = aggregator.criterion.values, _voter_ranks(size, n, extensions)
         if level == STRONGLY_SYSTEMATIC and _extends_everywhere(table, ranks, extensions):
@@ -369,6 +367,9 @@ def _one_pass(
                       for key in ranks.first_occurrences}
             return (RationalityReport(True, True, None, None) if rationality else None,
                     SystematicityResult(True, level, depth, ledger, None))
+    extension = dict(zip(rational, extensions))  # each rational attitude's fragment values
+    positions = [agenda.index.get(formula) for formula in fragment]
+    if induced:
         columns = [fragment.index(formula) for formula in agenda.formulas]
         # each profile's ranks; with no fragment formulas, an empty row per profile
         ranked = zip(*ranks.columns) if ranks.columns else repeat((), domain)

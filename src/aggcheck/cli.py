@@ -342,15 +342,13 @@ def read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
     return None if given else SimpleNamespace(**values)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """Every subcommand with its help, and options for ``command`` alone.
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with its help and options.
 
     This parser reads every line ``read_plain`` leaves: help, --version,
     --flag=value, abbreviations, "--" and malformed lines. Its texts and
-    exit code 2 are the CLI's. The top-level options take no value, so
-    argparse's first positional is argv's first token that does not start
-    with "-"; no other subcommand ever parses, and its options would only
-    cost time. argparse is imported here, so a plain line never loads it.
+    exit code 2 are the CLI's. argparse is imported here, so a plain line
+    never loads it.
     """
     import argparse
 
@@ -367,7 +365,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     for name, (help_text, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        for flag, kwargs in options if name == command else ():
+        for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -376,8 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = read_plain(argv)
     if args is None:
-        command = next((token for token in argv if not token.startswith("-")), None)
-        args = SimpleNamespace(**vars(build_parser(command).parse_args(argv)))
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
         for name, least in COUNT_MINIMUMS.items():
             if getattr(args, name, least) < least:

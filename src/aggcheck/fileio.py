@@ -5,8 +5,9 @@ Operation tables are stored row-major: arity 0 as a one-element list, arity
 m >= 1 as one row per first argument, each row the flat table over the
 remaining arguments (a flat list is read the same way). Table entries,
 arities and order pairs are integer indices; designated values and criterion
-values may be given as indices or labels. Every value read is checked for
-its shape, so a malformed file is an input error that names what was wrong.
+values may be given as indices or labels; an algebra's optional name is a
+string. Every value read is checked for its shape, so a malformed file is an
+input error that names what was wrong.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def algebra_from_obj(obj: dict) -> FiniteAlgebra:
         carrier=carrier,
         ops=ops,
         order=order,
-        name=str(obj.get("name", "")),
+        name=_expect(obj.get("name", ""), str, "algebra name"),
     )
 
 

@@ -7,7 +7,8 @@ record is built by position or keyword; a class attribute named like a field
 is its default. The fields are set before ``__post_init__``, if the class has
 one, runs. Assignment and deletion raise AttributeError. Two records are equal
 when they are of one class with equal fields, and a record's hash is the hash
-of the tuple of its fields. A method the class body defines itself is kept.
+of the tuple of its fields. ``frozen`` sets all six methods over any the class
+defines, so no record, formulas included, defines its own.
 """
 
 from operator import attrgetter
@@ -59,7 +60,6 @@ def frozen(cls):
         raise AttributeError(f"cannot delete field {name!r}")
 
     for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
-        if cls.__dict__.get(method.__name__) is None:  # __eq__ alone sets __hash__ = None
-            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-            setattr(cls, method.__name__, method)
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     return cls

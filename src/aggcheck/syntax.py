@@ -66,43 +66,15 @@ class Signature:
             raise KeyError(f"unknown connective {symbol!r}") from None
 
 
-# Var and App are built, hashed and compared in bulk, so they spell out the
-# methods frozen would otherwise generate.
-_set_field = object.__setattr__
-
-
 @frozen
 class Var:
     name: str
-
-    def __init__(self, name: str):
-        _set_field(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
 
 
 @frozen
 class App:
     symbol: str
     args: tuple["Formula", ...] = ()
-
-    def __init__(self, symbol: str, args: tuple["Formula", ...] = ()):
-        _set_field(self, "symbol", symbol)
-        _set_field(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.symbol == other.symbol and self.args == other.args
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.symbol, self.args))
 
 
 Formula = Union[Var, App]

@@ -568,6 +568,8 @@ MISSHAPEN_MATRICES = [
                  "carrier labels must be distinct", id="duplicate-carrier-labels"),
     pytest.param(replaced("algebra", "carrier", value=["0", 0]),
                  "carrier labels must be distinct", id="label-equal-to-an-integer-label"),
+    pytest.param(replaced("algebra", "name", value=None),
+                 "algebra name must be a string, got null", id="null-algebra-name"),
     pytest.param(replaced("algebra", "ops", value=[[1, 0], [0], [0, 0, 0, 1]]),
                  "algebra ops must be an object, got a list", id="ops-as-a-list"),
     pytest.param(replaced("designated", value=None),

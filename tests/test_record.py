@@ -2,7 +2,8 @@
 loads none of the modules that generated record code would need, nor
 argparse, which only help and lines that are not plain load.
 
-Each record is built from one example per class; the expected behaviour is
+Each record is built from one example per class, and the classes are those a
+scan of the package source finds under ``@frozen``. The expected behaviour is
 written out here (a hash is the hash of the tuple of fields, the repr lists
 the fields by name) rather than taken from the record module.
 """
@@ -24,6 +25,7 @@ from aggcheck.aggregation import (
     SystematicityResult,
 )
 from aggcheck.algebra import AlgebraHomomorphism, DecisionCriterion, FiniteAlgebra, builtin_boolean2
+from aggcheck.census import RankTable
 from aggcheck.impossibility import UltrafilterCheck, UltrafilterView
 from aggcheck.modal import ConsistencyWitness, KripkeFrame, SubjunctiveReport
 from aggcheck.semantics import CongruenceWitness, Matrix
@@ -62,6 +64,7 @@ EXAMPLES = {
     KripkeFrame: (1, frozenset({(0, 0)})),
     ConsistencyWitness: (FRAME, {"x1": 1}, 0),
     SubjunctiveReport: ({"a": True}, {"b": True}, {"b": False}, True, False),
+    RankTable: (((0, 1), (1, 0)),),
 }
 CLASSES = list(EXAMPLES)
 # records with a dict field cannot be hashed, as with any other dict
@@ -80,8 +83,19 @@ def fields_of(record):
     return tuple(getattr(record, name) for name in names_of(type(record)))
 
 
+def frozen_classes_in_source():
+    """(module, class name) of each class of the package that ``@frozen`` decorates."""
+    found = set()
+    for path in sorted((SRC / "aggcheck").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "frozen" for d in node.decorator_list):
+                found.add((f"aggcheck.{path.stem}", node.name))
+    return found
+
+
 def test_every_record_class_has_an_example_with_one_value_per_field():
-    assert len(CLASSES) == 20
+    assert {(cls.__module__, cls.__qualname__) for cls in CLASSES} == frozen_classes_in_source()
     for cls, values in EXAMPLES.items():
         assert len(names_of(cls)) == len(values), cls.__name__
 
@@ -131,6 +145,11 @@ class TestEveryRecord:
             with pytest.raises(AttributeError):
                 attempt()
         assert fields_of(record) == EXAMPLES[cls]
+
+    def test_record_methods_are_frozens_own(self, cls):
+        names = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
+        assert {name: vars(cls)[name].__module__ for name in names} == dict.fromkeys(
+            names, "aggcheck.record")
 
     def test_repr_names_each_field(self, cls):
         record = example(cls)
