@@ -6,19 +6,18 @@ accessible worlds rather than the actual one. Consistency of finite formula
 sets is decided by bounded search over reflexive frames, with truth at a
 world as the satisfaction notion (local consequence).
 
-The search, and the certificate in the frames' algebras, visit one frame per
-isomorphism class (1, 3, 16, 218 and 9,608 classes on 1 to 5 worlds). The
-search evaluates every valuation at once (a formula's value is one int per
-world, bit i set where it holds under valuation i), charging that work before
-each world count. It runs up to 5 worlds; 6 (2^30 labelled frames) are
-refused. The subjunctive checks search only up to min(K, K₀), where K₀ is
-small_model_bound of the formula set (at most 2 for every set they check),
-so any frame bound K runs, at the cost of bound 2. Uncut, the search is the
-oracle ``oracles.is_consistent``, checked against every labelled frame.
-
-Per world count, the frame classes and what every frame algebra on those
-worlds shares (the subset labels, the Boolean tables and the subset order)
-are built once; a frame algebra adds only its box table.
+The search visits one frame per isomorphism class (1, 3, 16, 218 and 9,608
+classes on 1 to 5 worlds). It evaluates every valuation at once (a formula's
+value is one int per world, bit i set where it holds under valuation i),
+charging that work before each world count. It runs up to 5 worlds; 6 (2^30
+labelled frames) are refused. The subjunctive checks search only up to
+min(K, K₀), where K₀ is small_model_bound of the formula set (at most 2 for
+every set they check), so any frame bound K runs, at the cost of bound 2.
+Uncut, the search is the oracle ``oracles.is_consistent``, checked against
+every labelled frame. Uncut to CERTIFIED_WORLDS, it is also the certificate
+that the boxed implication's refuting meet is bottom in every frame algebra,
+where a formula's value is the set of worlds where it holds; no command
+builds a frame algebra (``bao_from_frame``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, _program_steps, _variable_vectors,
-                      _vector_program, element_coordinates, refuse)
+                      element_coordinates, refuse)
 from .record import frozen
 from .syntax import App, Formula, Signature, Var, variables_of
 
@@ -55,37 +54,13 @@ class KripkeFrame:
         return all((w, w) in self.relation for w in range(self.worlds))
 
 
-@lru_cache(maxsize=None)
-def _powerset_parts(
-    worlds: int
-) -> tuple[tuple[str, ...], tuple[tuple[str, tuple[int, ...]], ...], frozenset[tuple[int, int]]]:
-    """What every frame algebra on the given world count shares: the subset
-    labels of its carrier, the tables of not, or, and, bot and top, and the
-    subset order."""
-    size = 1 << worlds
-    full = size - 1
-    labels = tuple("{" + ",".join(str(w) for w in range(worlds) if a >> w & 1) + "}"
-                   for a in range(size))
-    boolean = (
-        ("not", tuple(full ^ a for a in range(size))),
-        ("or", tuple(a | b for a in range(size) for b in range(size))),
-        ("and", tuple(a & b for a in range(size) for b in range(size))),
-        ("bot", (0,)),
-        ("top", (full,)),
-    )
-    order = frozenset((a, b) for a in range(size) for b in range(size) if a & ~b == 0)
-    return labels, boolean, order
-
-
 def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
     """The powerset algebra of a reflexive frame with box as the
     all-successors operator.
 
-    Carrier element i is the subset of worlds with bitmask i. Only the box
-    table is the frame's own; the labels, the Boolean tables and the order
-    are built once per world count. The result is verified at construction
-    to satisfy box(top)=top, box meet-distributivity and box(a) <= a (the
-    last is where reflexivity enters).
+    Carrier element i is the subset of worlds with bitmask i. The result is
+    verified at construction to satisfy box(top)=top, box meet-distributivity
+    and box(a) <= a (the last is where reflexivity enters).
     """
     if not frame.is_reflexive:
         raise ValueError("frame must be reflexive")
@@ -96,12 +71,19 @@ def bao_from_frame(frame: KripkeFrame) -> FiniteAlgebra:
         succ[a] |= 1 << b
     full = size - 1
     boxt = tuple(sum(1 << w for w in range(n) if succ[w] & ~a == 0) for a in range(size))
-    labels, boolean, order = _powerset_parts(n)
     algebra = FiniteAlgebra(
         signature=MODAL_SIGNATURE,
-        carrier=labels,
-        ops=(*boolean, ("box", boxt)),
-        order=order,
+        carrier=tuple("{" + ",".join(str(w) for w in range(n) if a >> w & 1) + "}"
+                      for a in range(size)),
+        ops=(
+            ("not", tuple(full ^ a for a in range(size))),
+            ("or", tuple(a | b for a in range(size) for b in range(size))),
+            ("and", tuple(a & b for a in range(size) for b in range(size))),
+            ("bot", (0,)),
+            ("top", (full,)),
+            ("box", boxt),
+        ),
+        order=frozenset((a, b) for a in range(size) for b in range(size) if a & ~b == 0),
         name=f"frame-algebra-{n}w",
     )
     if boxt[full] != full:
@@ -140,7 +122,7 @@ def _frame_from_mask(worlds: int, mask: int) -> KripkeFrame:
 
 # Labelled reflexive frames the orbit pass marks, one byte each: 2^20 on 5 worlds.
 MAX_FRAMES = 1 << 20
-# The world count up to which certify_implication_bottom checks every frame algebra.
+# The world count up to which certify_implication_bottom searches every frame class.
 CERTIFIED_WORLDS = 3
 
 
@@ -321,15 +303,15 @@ class SubjunctiveReport:
 def certify_implication_bottom() -> bool:
     """In every frame algebra up to CERTIFIED_WORLDS worlds, the meet of
     box(not p or q), p and not q is bottom, pointwise over all element pairs.
-    One frame per isomorphism class is enough, as isomorphic frames have
-    isomorphic algebras; each is built and evaluated by its tables, not
-    bit-sliced, the meet compiled once and run on every algebra."""
+
+    In a frame's algebra a formula's value under a valuation is the set of
+    worlds where it holds (Jónsson and Tarski), so the meet is bottom in
+    every algebra iff it holds at no world of any frame: the consistency
+    search, uncut, over one frame per isomorphism class (isomorphic frames
+    have isomorphic algebras), finds no model of it."""
     p, q = Var("p"), Var("q")
     meet = App("and", (App("and", (subjunctive_implication(p, q), p)), App("not", (q,))))
-    program = _vector_program([meet], ["p", "q"])
-    algebras = (bao_from_frame(_frame_from_mask(n, mask))
-                for n in range(1, CERTIFIED_WORLDS + 1) for mask, _ in _frame_classes(n))
-    return all(set(program(a)[0]) == {a.constant("bot")} for a in algebras)
+    return not _search(_compile_set([meet]), CERTIFIED_WORLDS)[0]
 
 
 def check_subjunctive_conditions(max_worlds: int = 3) -> SubjunctiveReport:

@@ -5,9 +5,11 @@ The tests check the fast kernels against these. No command calls them, and no
 other module of the package imports this one. ``is_consistent`` is no loop of
 its own: it runs the modal search to the given bound, with no small-model cut,
 and the tests check it against the frames ``reflexive_frames`` lists and
-``modal.small_model_bound`` against it. ``syntax.bounded_closure`` is an
-oracle too, but stays in ``syntax``: the benchmark harness (``perfbench``)
-traces it there and at every module that binds it.
+``modal.small_model_bound`` against it. ``modal.certify_implication_bottom``
+runs the same uncut search; the tests check it against ``evaluate`` in every
+labelled frame algebra (``modal.bao_from_frame``). ``syntax.bounded_closure``
+is an oracle too, but stays in ``syntax``: the benchmark harness
+(``perfbench``) traces it there and at every module that binds it.
 """
 
 from __future__ import annotations

@@ -97,6 +97,20 @@ BOOLEAN_ALL_DESIGNATED = {
 }
 
 
+# (u x1) is interderivable with x1 under filter {0}, but u is not the identity, so
+# the algebra is not in Alg S: the agenda is 2-pseudo-rich, yet verify-bijection's
+# gate refuses it (the census would find 36 tables against 3 homomorphisms at N=2)
+U3 = {
+    "algebra": {
+        "name": "U3",
+        "signature": {"connectives": [{"name": "u", "arity": 1}, {"name": "b", "arity": 2}]},
+        "carrier": ["0", "1", "2"],
+        "ops": {"u": [0, 1, 1], "b": [[2, 2, 1], [2, 1, 1], [1, 2, 2]]},
+    },
+    "designated": [0],
+}
+
+
 def _criterion(n: int, value) -> dict:
     tuples = [[i >> (n - 1 - v) & 1 for v in range(n)] for i in range(1 << n)]
     return {"electorate": n, "values": [value(t) for t in tuples]}
@@ -110,9 +124,11 @@ INPUTS = {
     "agenda_diamond.json": {"formulas": ["x1", "x2", "(or x1 x2)"]},
     "agenda_top.json": {"formulas": ["x1", "top", "(or x1 x2)"]},
     "agenda_unclosed.json": {"formulas": ["x1", "(or x1"]},
+    "agenda_u3.json": {"formulas": ["(u x1)", "(u x2)"]},
     "diamond.json": _diamond_matrix(),
     "doubled.json": DOUBLED_BOOLEAN,
     "all_designated.json": BOOLEAN_ALL_DESIGNATED,
+    "u3.json": U3,
     "majority3.json": _criterion(3, lambda t: int(2 * sum(t) > 3)),
     "projection3.json": _criterion(3, lambda t: t[1]),
     "constant2.json": _criterion(2, lambda t: 1),
@@ -205,6 +221,11 @@ def _cases() -> dict[str, list[str]]:
             "check-agenda", "--logic", "all_designated.json", "--agenda", "agenda_top.json"],
         "check-agenda-unclosed-formula": [  # a formula syntax error: exit 2
             "check-agenda", "--logic", "boolean2", "--agenda", "agenda_unclosed.json"],
+        "check-agenda-u3": [  # level 2, though the witnesses do not track their variables
+            "check-agenda", "--logic", "u3.json", "--agenda", "agenda_u3.json"],
+        "verify-bijection-u3-n2": [  # the gate refuses: exit 2, no report
+            "verify-bijection", "--logic", "u3.json", "--agenda", "agenda_u3.json",
+            "--electorate", "2"],
     })
     return {name: argv + ["--out", REPORT] for name, argv in cases.items()}
 

@@ -4,10 +4,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggcheck.algebra import FiniteAlgebra, _program_steps, element_coordinates, evaluate
+from aggcheck.algebra import (FiniteAlgebra, _program_steps, element_coordinates, evaluate,
+                              truth_vectors)
 from aggcheck.errors import BudgetExceededError
 
 from aggcheck.modal import (
+    CERTIFIED_WORLDS,
     KripkeFrame,
     MODAL_SIGNATURE,
     bao_from_frame,
@@ -27,6 +29,10 @@ from aggcheck.syntax import App, Var, parse_formula, print_formula, variables_of
 
 def mf(text):
     return parse_formula(text, MODAL_SIGNATURE)
+
+
+# box(not p or q), p and not q: bottom in every reflexive frame's algebra
+MEET = mf("(and (and (box (or (not p) q)) p) (not q))")
 
 
 class TestBaoFromFrame:
@@ -369,49 +375,75 @@ class TestBottomCertification:
     @pytest.mark.parametrize("worlds", [1, 2, 3])
     def test_every_labelled_frame_algebra_by_brute_force(self, worlds):
         # the reference the class representatives stand for: all 1 + 4 + 64 labelled frames
-        p, q = Var("p"), Var("q")
-        meet = App("and", (App("and", (subjunctive_implication(p, q), p)), App("not", (q,))))
         for frame in reflexive_frames(worlds):
             algebra = bao_from_frame(frame)
             bottom = algebra.constant("bot")
             for a in range(algebra.size):
                 for b in range(algebra.size):
-                    assert evaluate(meet, {"p": a, "q": b}, algebra) == bottom
+                    assert evaluate(MEET, {"p": a, "q": b}, algebra) == bottom
 
-    def test_one_frame_algebra_per_class(self, monkeypatch):
+    def test_no_frame_algebra_built_and_every_class_searched(self, monkeypatch):
         from aggcheck import modal
 
-        built = []
+        built, searched = [], []
+        monkeypatch.setattr(FiniteAlgebra, "__post_init__",
+                            lambda algebra: built.append(algebra.name))
+        original = modal._sliced_program
 
-        def counting(frame):
-            built.append(frame)
-            return bao_from_frame(frame)
+        def counting(*args):
+            run = original(*args)
+            return lambda worlds, succ: searched.append(worlds) or run(worlds, succ)
 
-        monkeypatch.setattr(modal, "bao_from_frame", counting)
+        monkeypatch.setattr(modal, "_sliced_program", counting)
         assert certify_implication_bottom()
-        assert len(built) == 1 + 3 + 16  # not the 1 + 4 + 64 labelled frames
+        assert [searched.count(n) for n in (1, 2, 3)] == [1, 3, 16]  # not 1 + 4 + 64 frames
+        for bound in (1, 2, 3):
+            check_subjunctive_conditions(bound)
+        assert built == []
 
     @pytest.mark.parametrize("faulty", [0, 7, 15])
-    def test_one_class_with_a_constant_top_box_is_caught(self, monkeypatch, faulty):
-        # box constant top makes the meet p and not q: top at p = top, q = bot
+    def test_one_class_that_loses_a_loop_is_caught(self, monkeypatch, faulty):
+        # world 0 sees only world 1: the meet holds there with p, not q at
+        # world 0 and not p at world 1
         from aggcheck import modal
 
-        three_worlds = []
+        original = modal._frame_classes
 
-        def planted(frame):
-            algebra = bao_from_frame(frame)
-            if frame.worlds == 3:
-                three_worlds.append(frame)
-                if len(three_worlds) - 1 == faulty:
-                    ops = tuple((symbol, (algebra.size - 1,) * algebra.size if symbol == "box"
-                                 else table) for symbol, table in algebra.ops)
-                    return FiniteAlgebra(algebra.signature, algebra.carrier, ops,
-                                         algebra.order, algebra.name)
-            return algebra
+        def planted(worlds):
+            classes = original(worlds)
+            if worlds != 3:
+                return classes
+            mask, succ = classes[faulty]
+            return (*classes[:faulty], (mask, ((1,), *succ[1:])), *classes[faulty + 1:])
 
-        monkeypatch.setattr(modal, "bao_from_frame", planted)
+        monkeypatch.setattr(modal, "_frame_classes", planted)
         assert not certify_implication_bottom()
-        assert len(three_worlds) == faulty + 1  # the classes before it all passed
+        ok, witness = modal._search(modal._compile_set([MEET]), CERTIFIED_WORLDS)
+        # the classes before it all passed
+        assert ok and witness.frame == _frame_from_mask(3, original(3)[faulty][0])
+        assert witness.world == 0
+
+
+class TestCertificateEngines:
+    """The certificate's bit-sliced search against the table evaluation in
+    each frame algebra up to CERTIFIED_WORLDS worlds."""
+
+    @pytest.mark.parametrize("formula, bottom", [(mf("(and (box p) (not q))"), False),
+                                                 (MEET, True)], ids=["box-p-not-q", "meet"])
+    def test_sliced_program_matches_the_tables(self, formula, bottom):
+        program = _sliced_program(*_program_steps([formula], ["p", "q"]), 2)
+        values = set()
+        for worlds in range(1, CERTIFIED_WORLDS + 1):
+            for mask, succ in _frame_classes(worlds):
+                algebra = bao_from_frame(_frame_from_mask(worlds, mask))
+                (tables,) = truth_vectors([formula], ["p", "q"], algebra)
+                (sliced,) = program(worlds, succ)
+                # valuation i sets (p, q) to element_coordinates(size, 2, i); its
+                # table value is the set of worlds whose bit i is set
+                assert tables == tuple(sum(1 << w for w in range(worlds) if sliced[w] >> i & 1)
+                                       for i in range(len(tables)))
+                values.update(tables)
+        assert (values == {0}) == bottom
 
 
 class TestConditions:

@@ -65,6 +65,9 @@ KEPT = {
     "aggregation.check_rational_universal": "check_rational_universal",
     "aggregation.check_systematicity": "check_systematicity",
     "algebra.DecisionCriterion.__call__": "CriterionAggregator.apply",
+    "algebra.FiniteAlgebra.constant": "FiniteAlgebra.constant",
+    "modal.bao_from_frame": "bao_from_frame",
+    "modal.KripkeFrame.is_reflexive": "bao_from_frame",
     "modal.small_model_bound": "small_model_bound",
     "oracles.all_valuations": ORACLE,
     "oracles.is_rational_attitude": ORACLE,
