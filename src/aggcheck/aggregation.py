@@ -18,9 +18,8 @@ directions are implemented and checked exhaustively at desk scale:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import cached_property
-from itertools import count, product, repeat
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
@@ -30,7 +29,6 @@ from .algebra import (
     FiniteAlgebra,
     element_coordinates,
     evaluate,
-    product_element_index,
     refuse,
     truth_vectors,
 )
@@ -124,20 +122,15 @@ def enumerate_rational_profiles(
     agenda: Agenda, electorate: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[Profile, ...]:
     """All rational profiles, voter 0's attitude most significant. The checks
-    below build none: they number the rational profiles and read a criterion
-    aggregator's outputs off their rank table."""
+    below walk them one at a time (``_rational_profiles``) and keep none."""
     _refuse_profiles_past_the_cap(agenda, electorate, budget)
-    attitudes = enumerate_rational_attitudes(agenda)
-    return tuple(Profile(combo) for combo in product(attitudes, repeat=electorate))
+    return tuple(_rational_profiles(agenda, electorate))
 
 
-def _rational_profile(agenda: Agenda, electorate: int, number: int) -> Profile:
-    """The rational profile at ``number`` in enumerate_rational_profiles
-    order: voter i's attitude is the number's i-th base-|rational| digit,
-    voter 0 most significant."""
-    attitudes = enumerate_rational_attitudes(agenda)
-    coords = element_coordinates(len(attitudes), electorate, number)
-    return Profile(tuple(attitudes[i] for i in coords))
+def _rational_profiles(agenda: Agenda, electorate: int):
+    """The rational profiles in enumerate_rational_profiles order, built one
+    at a time."""
+    return map(Profile, product(enumerate_rational_attitudes(agenda), repeat=electorate))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +254,7 @@ Aggregator = Union[CriterionAggregator, ExtensionalAggregator]
 
 
 # ---------------------------------------------------------------------------
-# Property checks: one pass over the aggregator's domain
+# Property checks: the definitions, one domain profile at a time
 # ---------------------------------------------------------------------------
 
 
@@ -286,26 +279,6 @@ class SystematicityResult:
     conflict: Optional[str]
 
 
-def _ranked_rows(aggregator, extension, positions, size):
-    """(its profile's number among the rational profiles, its voters' tuple
-    rank at each fragment formula, output values) for each row of an
-    extensional aggregator's table. A profile with an irrational voter has
-    no number and no rank at closure formulas (None)."""
-    number_of = {values: i for i, values in enumerate(extension)}
-    for profile, output in aggregator.table:
-        voters = [a.values for a in profile.attitudes]
-        extended = [extension.get(values) for values in voters]
-        if None in extended:
-            number, attained = None, [
-                None if pos is None else product_element_index(size, [v[pos] for v in voters])
-                for pos in positions
-            ]
-        else:
-            number = product_element_index(len(extension), [number_of[v] for v in voters])
-            attained = [product_element_index(size, col) for col in zip(*extended)]
-        yield number, attained, output.values
-
-
 def _extends_everywhere(table, ranks, extensions) -> bool:
     """Whether the criterion ``table`` gives each rational profile, over the
     fragment, a row of outputs that is some rational attitude's extension.
@@ -318,122 +291,22 @@ def _extends_everywhere(table, ranks, extensions) -> bool:
     return set(extensions).issuperset(zip(*[_gather(table, column) for column in ranks.columns]))
 
 
-def _one_pass(
-    aggregator: Aggregator,
-    budget: int,
-    level: Optional[str] = None,
-    depth: int = 1,
-    rationality: bool = True,
-) -> tuple[Optional[RationalityReport], Optional[SystematicityResult]]:
-    """Read the aggregator's output on each profile of its domain once, in
-    domain order, and feed it to every check asked for: universality and
-    rationality over the rational profiles (``rationality``), and
-    systematicity at ``level`` over the whole domain (None skips it).
-
-    Every refusal comes before the first output is read: the
-    rational-profile cap (for a criterion aggregator, its domain's), the
-    closure layers, then the systematicity budget. A rational profile's
-    voters' tuple ranks come from a table shared by every pass over the same
-    profiles and fragment; a criterion aggregator's outputs are read off
-    that table. At the strong level a criterion aggregator is first checked
-    on the whole table at once (``_extends_everywhere``); only when that
-    check fails are the rows read one by one, so every witness and conflict
-    is the loop's. Each row carries its rational profile's number, and a
-    profile is built from its number only to report an irrational witness or
-    a missing profile.
-
-    The systematicity constraints met so far are one ledger: ``value_of``
-    maps a voters' tuple rank (paired with the fragment number at the
-    independent level) to its output value, None if unset, and ``origin``
-    maps it to the profile and fragment number where it first occurs.
-    """
+def _systematicity_fragment(aggregator: Aggregator, level: str, depth: int, budget: int):
+    """The formulas a check at ``level`` reads and each rational attitude's
+    values on them, in ``Agenda.rational`` order, after the refusals: the
+    rational-profile cap for a criterion aggregator (its domain), the closure
+    layers at the strong level, then the systematicity budget."""
     agenda, n = aggregator.agenda, aggregator.electorate
-    size = agenda.algebra.size
-    induced = isinstance(aggregator, CriterionAggregator)  # its domain: the rational profiles
-    if rationality or induced:
+    induced = isinstance(aggregator, CriterionAggregator)
+    if induced:
         _refuse_profiles_past_the_cap(agenda, n, budget)
-    rational = tuple(values for values, _ in agenda.rational)
-    domain = len(rational) ** n if induced else len(aggregator.table)
     if level == STRONGLY_SYSTEMATIC:
         fragment, extensions = _fragment_and_extensions(agenda, depth, budget)
     else:  # on the agenda, a rational attitude is its own extension
-        fragment, extensions = agenda.formulas, rational
-    if level is not None:
-        refuse(budget, "systematicity check", (domain, "profiles"), (len(fragment), "formulas"))
-    if induced:  # its output at a fragment formula: the criterion at that formula's rank
-        table, ranks = aggregator.criterion.values, _voter_ranks(size, n, extensions)
-        if level == STRONGLY_SYSTEMATIC and _extends_everywhere(table, ranks, extensions):
-            ledger = {element_coordinates(size, n, key): table[key]  # as the loop would set it
-                      for key in ranks.first_occurrences}
-            return (RationalityReport(True, True, None, None) if rationality else None,
-                    SystematicityResult(True, level, depth, ledger, None))
-    extension = dict(zip(rational, extensions))  # each rational attitude's fragment values
-    positions = [agenda.index.get(formula) for formula in fragment]
-    if induced:
-        columns = [fragment.index(formula) for formula in agenda.formulas]
-        # each profile's ranks; with no fragment formulas, an empty row per profile
-        ranked = zip(*ranks.columns) if ranks.columns else repeat((), domain)
-        rows = ((number, attained, tuple([table[attained[c]] for c in columns]))
-                for number, attained in enumerate(ranked))
-    else:
-        rows = _ranked_rows(aggregator, extension, positions, size)
-
-    agenda_nums = [f_num for f_num, pos in enumerate(positions) if pos is not None]
-    independent = level == INDEPENDENT
-    value_of = defaultdict(lambda: None)
-    origin = {}
-    conflict = None
-    rational_rows = 0
-    irrational = None  # (number, output): the least rational profile aggregated irrationally
-    for p_num, (number, attained, output) in enumerate(rows):
-        closure = extension.get(output)
-        if number is not None:
-            rational_rows += 1
-            if closure is None and (irrational is None or number < irrational[0]):
-                irrational = (number, output)
-        if level is None or conflict:
-            continue
-        # closure values need every attitude rational, else the agenda part only
-        if number is not None and closure is not None:
-            if not independent and _gather(value_of, attained) == closure:
-                continue  # a row held at its ranks adds nothing
-            nums, values = range(len(fragment)), closure
-        else:
-            nums, values = agenda_nums, [output[positions[f_num]] for f_num in agenda_nums]
-        for f_num, value in zip(nums, values):
-            key = (attained[f_num], f_num) if independent else attained[f_num]
-            prior = value_of[key]
-            if prior is None:
-                value_of[key], origin[key] = value, (p_num, f_num)
-            elif prior != value:
-                first_profile, first_num = origin[key]
-                conflict = (
-                    f"tuple {element_coordinates(size, n, attained[f_num])}: value {prior} "
-                    f"from profile {first_profile} at {formula_sort_key(fragment[first_num])} "
-                    f"vs value {value} from profile {p_num} at "
-                    f"{formula_sort_key(fragment[f_num])}"
-                )
-                break
-        if conflict and not rationality:
-            break
-
-    report = strong = None
-    if rationality:
-        universal = rational_rows == len(rational) ** n  # an explicit table repeats no profile
-        missing = None
-        if not universal:  # only an explicit table misses one: its least absent number
-            numbers = {row[0] for row in _ranked_rows(aggregator, extension, positions, size)}
-            missing = _rational_profile(agenda, n, next(i for i in count() if i not in numbers))
-        witness = None if irrational is None else (
-            _rational_profile(agenda, n, irrational[0]), AttitudeFunction(agenda, irrational[1]))
-        report = RationalityReport(universal, irrational is None, missing, witness)
-    if conflict:
-        strong = SystematicityResult(False, level, depth, None, conflict)
-    elif level is not None:  # the constraints as a criterion, in first-occurrence order
-        strong = SystematicityResult(True, level, depth, {
-            (element_coordinates(size, n, key[0]), fragment[key[1]]) if independent
-            else element_coordinates(size, n, key): value_of[key] for key in origin}, None)
-    return report, strong
+        fragment, extensions = agenda.formulas, tuple(values for values, _ in agenda.rational)
+    domain = len(agenda.rational) ** n if induced else len(aggregator.table)
+    refuse(budget, "systematicity check", (domain, "profiles"), (len(fragment), "formulas"))
+    return fragment, extensions
 
 
 def check_rational_universal(
@@ -443,7 +316,20 @@ def check_rational_universal(
     every output on a rational domain profile is itself rational. Exhaustive
     over the rational profiles of the agenda; the missing profile and the
     irrational witness are the first in rational-profile order."""
-    return _one_pass(aggregator, budget)[0]
+    agenda, n = aggregator.agenda, aggregator.electorate
+    _refuse_profiles_past_the_cap(agenda, n, budget)
+    rational = dict(agenda.rational)
+    # an explicit table's output, None off its domain; a criterion aggregator's domain is all
+    output_of = (aggregator._lookup.get if isinstance(aggregator, ExtensionalAggregator)
+                 else aggregator.apply)
+    missing = witness = None
+    for profile in _rational_profiles(agenda, n):
+        output = output_of(profile)
+        if output is None:
+            missing = missing or profile
+        elif witness is None and output.values not in rational:
+            witness = profile, output
+    return RationalityReport(missing is None, witness is None, missing, witness)
 
 
 def check_systematicity(
@@ -468,7 +354,36 @@ def check_systematicity(
     """
     if level not in (INDEPENDENT, SYSTEMATIC, STRONGLY_SYSTEMATIC):
         raise ValueError(f"unknown level {level!r}")
-    return _one_pass(aggregator, budget, level, depth, rationality=False)[1]
+    fragment, extensions = _systematicity_fragment(aggregator, level, depth, budget)
+    agenda = aggregator.agenda
+    extension = dict(zip((values for values, _ in agenda.rational), extensions))
+    # the agenda formulas' fragment numbers and their positions in an attitude, in fragment order
+    agenda_nums = [f_num for f_num, formula in enumerate(fragment) if formula in agenda.index]
+    agenda_part = [agenda.index[fragment[f_num]] for f_num in agenda_nums]
+    independent = level == INDEPENDENT
+    # the domain's (profile, output) pairs in order: an explicit table's rows, or else
+    # each rational profile with its output
+    domain = aggregator.table if isinstance(aggregator, ExtensionalAggregator) else (
+        (profile, aggregator.apply(profile))
+        for profile in _rational_profiles(agenda, aggregator.electorate))
+    ledger = {}  # voters' tuple (with the fragment number if independent) -> where first set
+    for p_num, (profile, output) in enumerate(domain):
+        attitudes = [a.values for a in (*profile.attitudes, output)]
+        rows, nums = [extension.get(values) for values in attitudes], range(len(fragment))
+        if None in rows:  # closure values need every attitude rational, else the agenda part
+            rows, nums = [_gather(values, agenda_part) for values in attitudes], agenda_nums
+        for f_num, column in zip(nums, zip(*rows)):
+            voters, value = column[:-1], column[-1]
+            prior, first_profile, first_num = ledger.setdefault(
+                (voters, f_num) if independent else voters, (value, p_num, f_num))
+            if prior != value:
+                return SystematicityResult(False, level, depth, None, (
+                    f"tuple {voters}: value {prior} from profile {first_profile} at "
+                    f"{formula_sort_key(fragment[first_num])} vs value {value} from profile "
+                    f"{p_num} at {formula_sort_key(fragment[f_num])}"))
+    return SystematicityResult(True, level, depth, {
+        (key[0], fragment[key[1]]) if independent else key: value
+        for key, (value, _, _) in ledger.items()}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +408,38 @@ def criterion_from_aggregator(
     """Extract the total decision criterion of a rational, universal,
     strongly systematic aggregator, and verify it is a homomorphism.
 
-    The criterion is the one pass's strong-systematicity ledger, read in
-    row-major voter-tuple order; a rational profile must attain each tuple.
-    The preconditions are verified, not assumed; the final homomorphism
+    The criterion is the strong-systematicity ledger, read in row-major
+    voter-tuple order; a rational profile must attain each tuple. Every
+    refusal comes first: the rational-profile cap, the closure layers, then
+    the systematicity budget. A criterion aggregator is checked on its whole
+    rank table at once (``_extends_everywhere``), and its ledger is then the
+    criterion at the table's ranks in first-occurrence order; an explicit
+    table, or a criterion failing that check, is checked profile by profile
+    (``check_rational_universal``, ``check_systematicity``). The
+    preconditions are verified, not assumed; the final homomorphism
     assertion failing signals a non-qualifying aggregator (or a bug) and raises.
     """
-    algebra, n = aggregator.agenda.algebra, aggregator.electorate
-    report, strong = _one_pass(aggregator, budget, STRONGLY_SYSTEMATIC, depth)
-    if not report.both:
-        raise NotQualifyingError("aggregator is not universal+rational: "
-                                 f"universal={report.universal} rational={report.rational}")
-    if not strong.holds:
-        raise NotQualifyingError(f"aggregator is not strongly systematic: {strong.conflict}")
+    agenda, n = aggregator.agenda, aggregator.electorate
+    algebra = agenda.algebra
+    _refuse_profiles_past_the_cap(agenda, n, budget)
+    _, extensions = _systematicity_fragment(aggregator, STRONGLY_SYSTEMATIC, depth, budget)
+    ledger = None
+    if isinstance(aggregator, CriterionAggregator):
+        table, ranks = aggregator.criterion.values, _voter_ranks(algebra.size, n, extensions)
+        if _extends_everywhere(table, ranks, extensions):
+            ledger = {element_coordinates(algebra.size, n, key): table[key]
+                      for key in ranks.first_occurrences}
+    if ledger is None:
+        report = check_rational_universal(aggregator, budget)
+        if not report.both:
+            raise NotQualifyingError("aggregator is not universal+rational: "
+                                     f"universal={report.universal} rational={report.rational}")
+        strong = check_systematicity(aggregator, STRONGLY_SYSTEMATIC, depth, budget)
+        if not strong.holds:
+            raise NotQualifyingError(f"aggregator is not strongly systematic: {strong.conflict}")
+        ledger = strong.criterion
 
-    values = tuple(map(strong.criterion.get, product(range(algebra.size), repeat=n)))
+    values = tuple(map(ledger.get, product(range(algebra.size), repeat=n)))
     if None in values:
         unattained = element_coordinates(algebra.size, n, values.index(None))
         raise NotQualifyingError(f"no rational profile attains the voter tuple {unattained}")

@@ -8,8 +8,8 @@ consults the homomorphism equation: this module names nothing of the route
 in ``algebra`` (``is_homomorphism``, ``shared_power``, ``homomorphism_violation``
 ...), and tests check that a census calls none of it. The closure fragment
 and the rational profiles' rank table are built here and shared with the
-aggregator checks in ``aggregation``; the rational attitudes are the agenda's
-(``Agenda.rational``). The census keeps no table of its own.
+round trips' whole-table check in ``aggregation``; the rational attitudes are
+the agenda's (``Agenda.rational``). The census keeps no table of its own.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""The one pass behind the rationality and systematicity checks, against
-plain per-profile loops kept here as the reference.
+"""The rationality and systematicity checks and the extraction's whole-table
+check, against plain per-profile loops kept here as the reference.
 
 The references restate the definitions directly: every rational profile is
 enumerated from ``all_valuations`` and ``evaluate``, every domain profile is
@@ -7,13 +7,14 @@ aggregated by ``apply``, domain membership is decided here (a criterion
 aggregator's domain is the rational profiles, by ``is_rational_attitude``; an
 extensional one's is its table), rationality is decided by
 ``is_rational_attitude`` and closure values by ``evaluate`` at the least
-witnessing valuation. None of them reads a table the pass itself reads.
+witnessing valuation. None of them reads a table the checks themselves read.
 Random aggregators are criterion-induced (any table, not only homomorphisms)
 or extensional (any subset of the rational profiles plus some irrational
 ones, in any order, with outputs that may be perturbed).
 """
 
 import json
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -33,7 +34,6 @@ from aggcheck.aggregation import (
     DecisionCriterion,
     ExtensionalAggregator,
     Profile,
-    _one_pass,
     aggregator_from_criterion,
     check_rational_universal,
     check_systematicity,
@@ -54,7 +54,7 @@ from aggcheck.algebra import (
 )
 from aggcheck.census import _fragment_and_extensions
 from aggcheck.cli import main
-from aggcheck.errors import NotQualifyingError
+from aggcheck.errors import BudgetExceededError, NotQualifyingError
 from aggcheck.oracles import all_valuations, is_rational_attitude
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import Signature, formula_sort_key, parse_formula
@@ -244,7 +244,7 @@ def aggregators(draw):
 
 
 # ---------------------------------------------------------------------------
-# The pass equals the references
+# The checks equal the references
 # ---------------------------------------------------------------------------
 
 
@@ -332,35 +332,37 @@ def round_trip_criteria(draw):
     return CriterionAggregator(DecisionCriterion(algebra, n, values), agenda), flipped
 
 
-def fast_and_exact(aggregator, depth, rationality, monkeypatch):
-    """The strong pass as it runs; the pass with its whole-table check
-    failed, so that every profile goes through the loop; and whether the
+def extraction(aggregator, depth):
+    """``criterion_from_aggregator``'s outcome: its criterion, or its refusal text."""
+    try:
+        return criterion_from_aggregator(aggregator, depth=depth)
+    except NotQualifyingError as error:
+        return str(error)
+
+
+def fast_and_exact(aggregator, depth, monkeypatch):
+    """The extraction as it runs; the extraction with its whole-table check
+    failed, so that it falls back to the per-profile checks; and whether the
     check itself held."""
-    fast = _one_pass(aggregator, DEFAULT_BUDGET, STRONGLY_SYSTEMATIC, depth, rationality)
+    fast = extraction(aggregator, depth)
     checks = []
     extends_everywhere = aggcheck.aggregation._extends_everywhere
     with monkeypatch.context() as patch:
         patch.setattr(aggcheck.aggregation, "_extends_everywhere",
                       lambda *args: checks.append(extends_everywhere(*args)) or False)
-        exact = _one_pass(aggregator, DEFAULT_BUDGET, STRONGLY_SYSTEMATIC, depth, rationality)
+        exact = extraction(aggregator, depth)
     return fast, exact, checks == [True]
 
 
-def assert_same_pass(fast, exact):
-    assert fast == exact
-    if fast[1].holds:  # the ledger keeps its first-occurrence order
-        assert list(fast[1].criterion.items()) == list(exact[1].criterion.items())
-
-
 @settings(max_examples=80, deadline=None)
-@given(round_trip_criteria(), st.integers(1, 2), st.booleans())
-def test_whole_table_check_returns_what_the_loop_returns(drawn, depth, rationality):
+@given(round_trip_criteria(), st.integers(1, 2))
+def test_whole_table_check_returns_what_the_loop_returns(drawn, depth):
     aggregator, flipped = drawn
     with pytest.MonkeyPatch.context() as monkeypatch:
-        fast, exact, extends = fast_and_exact(aggregator, depth, rationality, monkeypatch)
-    assert_same_pass(fast, exact)
+        fast, exact, extends = fast_and_exact(aggregator, depth, monkeypatch)
+    assert fast == exact
     if not flipped:  # a homomorphism's aggregator passes on the whole table
-        assert extends and fast[1].holds
+        assert extends and fast == aggregator.criterion
 
 
 def one_connective_agenda(connective, arity, table, texts):
@@ -382,9 +384,10 @@ def test_whole_table_check_on_one_column_or_one_profile(agenda, columns, attitud
     for values in [projection_criterion(agenda.algebra, n, 0).values,
                    *homomorphism_tables(agenda.algebra, n)]:
         aggregator = CriterionAggregator(DecisionCriterion(agenda.algebra, n, values), agenda)
-        fast, exact, extends = fast_and_exact(aggregator, 2, True, monkeypatch)
-        assert_same_pass(fast, exact)
-        assert extends and fast[0].both and fast[1].holds
+        fast, exact, extends = fast_and_exact(aggregator, 2, monkeypatch)
+        assert fast == exact and extends
+        assert check_rational_universal(aggregator).both
+        assert check_systematicity(aggregator, STRONGLY_SYSTEMATIC, 2).holds
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +438,10 @@ def test_verify_bijection_builds_no_profile(applied, tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_irrational_witness_is_built_from_its_number(n, monkeypatch):
+def test_irrational_witness_is_the_first_in_enumeration_order(n, monkeypatch):
     """Majority on the boolean agenda: the reported witness is the first
-    rational profile aggregated irrationally, built without enumerating the
-    rational profiles."""
+    rational profile aggregated irrationally, found without the enumerated
+    tuple of the rational profiles."""
     aggregator = CriterionAggregator(majority_criterion(BOOLEAN.algebra, n), BOOLEAN)
     expected = next(
         (p for p in enumerate_rational_profiles(BOOLEAN, n)
@@ -455,10 +458,10 @@ def test_irrational_witness_is_built_from_its_number(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n, left_out", [(1, 0), (2, 5), (3, -1)])
-def test_missing_profile_is_built_from_its_number(n, left_out, monkeypatch):
+def test_missing_profile_is_the_first_in_enumeration_order(n, left_out, monkeypatch):
     """An explicit table of every rational profile but one, in reverse order:
-    the reported missing profile is the reference's, built without
-    enumerating the rational profiles."""
+    the reported missing profile is the reference's, found without the
+    enumerated tuple of the rational profiles."""
     induced = CriterionAggregator(projection_criterion(BOOLEAN.algebra, n, 0), BOOLEAN)
     rational = enumerate_rational_profiles(BOOLEAN, n)
     table = tuple((p, induced.apply(p)) for p in reversed(rational) if p != rational[left_out])
@@ -471,3 +474,52 @@ def test_missing_profile_is_built_from_its_number(n, left_out, monkeypatch):
     report = check_rational_universal(aggregator)
     assert not report.universal and report.missing_profile == expected
     assert not called
+
+
+# ---------------------------------------------------------------------------
+# A failing extraction refuses before it reads a profile; the checks stream
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget, error, message", [
+    (10, BudgetExceededError, "profile enumeration: 64 rational profiles exceed the limit of 10"),
+    (300, BudgetExceededError,
+     "closure layer: 78 formulas x 4 valuations = 312 exceed the limit of 300"),
+    (600, BudgetExceededError,
+     "systematicity check: 64 profiles x 11 formulas = 704 exceed the limit of 600"),
+    (1000, NotQualifyingError,
+     "aggregator is not universal+rational: universal=True rational=False"),
+])
+def test_a_failing_extraction_refuses_before_it_reads_a_profile(budget, error, message, applied):
+    """Majority at N=3 fails its preconditions; every budget refusal comes
+    before the first profile is aggregated, in the order the docstring names."""
+    aggregator = CriterionAggregator(majority_criterion(BOOLEAN.algebra, 3), BOOLEAN)
+    with pytest.raises(error) as refused:
+        criterion_from_aggregator(aggregator, budget=budget)
+    assert str(refused.value) == message
+    if error is BudgetExceededError:
+        assert not applied
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("criterion", [
+    majority_criterion, lambda algebra, n: projection_criterion(algebra, n, 0)])
+def test_the_checks_stream_their_profiles(criterion):
+    """Past their caches, the two checks hold one profile at a time, far less
+    than the enumerated rational profiles."""
+    aggregator = CriterionAggregator(criterion(BOOLEAN.algebra, 6), BOOLEAN)
+
+    def checks():
+        check_rational_universal(aggregator)
+        check_systematicity(aggregator, STRONGLY_SYSTEMATIC)
+
+    checks()  # warms the agenda's and the fragment's caches
+    assert peak_bytes(checks) < peak_bytes(lambda: enumerate_rational_profiles(BOOLEAN, 6)) / 8

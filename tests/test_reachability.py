@@ -55,13 +55,13 @@ KEPT = {
     "aggregation.majority_criterion": "majority_criterion",
     "aggregation.enumerate_rational_attitudes": "enumerate_rational_attitudes",
     "aggregation.enumerate_rational_profiles": "enumerate_rational_profiles",
-    "aggregation._rational_profile": "check_rational_universal",  # its witnesses
+    "aggregation._rational_profiles": "enumerate_rational_profiles",
     "aggregation.rational_attitude_with_values": "rational_attitude_with_values",
     "aggregation.CriterionAggregator.apply": "CriterionAggregator.apply",
     "aggregation.ExtensionalAggregator.__post_init__": "ExtensionalAggregator",
     "aggregation.ExtensionalAggregator._lookup": "ExtensionalAggregator",
     "aggregation.ExtensionalAggregator.apply": "ExtensionalAggregator",
-    "aggregation._ranked_rows": "ExtensionalAggregator",  # its table's rows
+    "aggregation.RationalityReport.both": "check_rational_universal",
     "aggregation.check_rational_universal": "check_rational_universal",
     "aggregation.check_systematicity": "check_systematicity",
     "algebra.DecisionCriterion.__call__": "CriterionAggregator.apply",

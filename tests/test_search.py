@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aggcheck import aggregation as aggregation_module
 from aggcheck import algebra as algebra_module
 from aggcheck import census as census_module
 from aggcheck.agenda import agenda_over
@@ -479,8 +478,8 @@ def test_an_empty_fragment_keeps_the_one_rational_attitude():
     assert empty.rational == (((), 0),)
     assert census_module._fragment_and_extensions(empty, 1, DEFAULT_BUDGET) == ((), ((),))
     aggregator = CriterionAggregator(projection_criterion(matrix.algebra, 2, 0), empty)
-    report, strong = aggregation_module._one_pass(aggregator, DEFAULT_BUDGET, STRONGLY_SYSTEMATIC)
-    assert report.both and strong.holds  # the empty attitude stays rational
+    assert check_rational_universal(aggregator).both  # the empty attitude stays rational
+    assert check_systematicity(aggregator, STRONGLY_SYSTEMATIC).holds
 
 
 def test_census_keeps_the_profile_budget(bool_agenda):

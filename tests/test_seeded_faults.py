@@ -8,8 +8,8 @@ disagree, so the run exits 1 and the report field that route feeds moves:
 move both alike and pass the cross-check, so its case shows instead that a
 named brute-force test fails on the faulty function. Two last cases hand every
 round trip an aggregator that fails its preconditions: majority's, and the
-homomorphism's own with one criterion entry flipped, which only the pass's
-per-profile fallback can report.
+homomorphism's own with one criterion entry flipped, which only the
+extraction's per-profile fallback can report.
 """
 
 import json
@@ -140,20 +140,22 @@ def test_a_planted_fault_is_caught(plant, logic, n, field, tmp_path, monkeypatch
 
 def test_a_round_trip_failing_its_preconditions_fails_the_run(tmp_path, monkeypatch, capsys):
     """Each round trip gets majority's aggregator, which is universal but
-    aggregates some rational profile irrationally: every extraction refuses
-    at its precondition, after building its irrational witness profile once."""
+    aggregates some rational profile irrationally: every extraction falls
+    back to the per-profile checks once and refuses at its precondition,
+    before it checks systematicity."""
     monkeypatch.setattr(cli, "aggregator_from_criterion", lambda criterion, agenda: (
         CriterionAggregator(majority_criterion(agenda.algebra, criterion.electorate), agenda)))
-    built = []
-    rational_profile = aggregation._rational_profile
-    monkeypatch.setattr(aggregation, "_rational_profile",
-                        lambda *args: built.append(args) or rational_profile(*args))
+    called = []
+    for name in ("check_rational_universal", "check_systematicity"):
+        check = getattr(aggregation, name)
+        monkeypatch.setattr(aggregation, name, lambda *args, name=name, check=check: (
+            called.append(name) or check(*args)))
     code, report = verify("boolean2", 3, tmp_path)
     capsys.readouterr()
     assert code == 1 and report["roundtrips"] == "fail"
     assert [failure["extracted"] for failure in report["roundtrip_failures"]] == [
         "aggregator is not universal+rational: universal=True rational=False"] * report["homs"]
-    assert len(built) == report["homs"] == 3
+    assert called == ["check_rational_universal"] * report["homs"] and report["homs"] == 3
 
 
 def test_a_round_trip_with_one_flipped_criterion_entry_is_caught_by_the_loop(
