@@ -25,10 +25,13 @@ Valuation = Mapping[str, int]
 
 DEFAULT_BUDGET = 10**8  # the one default limit every budgeted stage compares its count with
 MAX_POWER_SIZE = 10_000  # most elements of a power that product_algebra builds
-# Most constraints a table search is handed: each costs about 25 bytes once bucketed
+# Most homomorphism equations a table search is handed, table entries it keeps and
+# rational profiles a check walks: an equation costs about 25 bytes once bucketed
 # (three list entries; tests/test_search.py measures it), so the cap bounds the
 # search's memory as the budget bounds its time.
 MAX_CONSTRAINTS = 2_000_000
+# Most bytes a stage that states its bytes per unit may build (the census's constraints).
+MAX_BYTES = 256 * 2**20
 
 
 @contextmanager

@@ -9,7 +9,10 @@ in ``algebra`` (``is_homomorphism``, ``shared_power``, ``homomorphism_violation`
 ...), and tests check that a census calls none of it. The closure fragment
 and the rational profiles' rank table are built here and shared with the
 round trips' whole-table check in ``aggregation``; the rational attitudes are
-the agenda's (``Agenda.rational``). The census keeps no table of its own.
+the agenda's (``Agenda.rational``). The census keeps no table of its own. Its
+constraints are refused by their count against the budget and by their bytes
+(``BYTES_PER_CONSTRAINT`` each) against ``MAX_BYTES``, before the rank table
+is built.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from operator import itemgetter
 from .agenda import Agenda
 from .algebra import (
     DEFAULT_BUDGET,
+    MAX_BYTES,
     MAX_CONSTRAINTS,
     DecisionCriterion,
     closure_vectors,
@@ -33,9 +37,18 @@ from .algebra import (
 from .record import frozen
 from .syntax import Formula, formula_sort_key
 
+# What the census holds per constraint while its search runs: its share of the rank
+# table (an 8-byte entry per fragment formula and profile), of the profiles' argument
+# tuples (one of about 96 bytes per profile) and of the slot columns (8 bytes), and
+# the search's buckets (about 25 bytes). tracemalloc reads 49 at boolean2 N=6 to 9 on
+# the README agenda; tests/test_search.py pins it at N=8.
+BYTES_PER_CONSTRAINT = 50
+
 
 def _refuse_profiles_past_the_cap(agenda: Agenda, electorate: int, budget: int) -> None:
-    refuse(min(budget, MAX_CONSTRAINTS), "profile enumeration",  # unbuilt: about 200 bytes each
+    # a count of what no caller builds here: enumerate_rational_profiles holds every
+    # profile (about 200 bytes each), the checks build one at a time and the census none
+    refuse(min(budget, MAX_CONSTRAINTS), "profile enumeration",
            ((len(agenda.rational), electorate), "rational profiles"))
 
 
@@ -68,11 +81,19 @@ def _fragment_and_extensions(
 class RankTable:
     """The rank table of the rational profiles: for each fragment formula, one
     column holding each profile's rank in B^N of its voters' tuple at that
-    formula, the profiles in product order (voter 0 most significant). The
-    census numbers its search slots, and a round trip reads its ledger, in
-    ``first_occurrences`` order."""
+    formula, the profiles in product order (voter 0 most significant). Equal
+    ranks are one shared int object. The census numbers its search slots, and
+    a round trip reads its ledger, in ``first_occurrences`` order.
+
+    A profile is its first ``N - N//2`` voters' profile followed by its last
+    ``N//2`` voters' one, and its rank is the first part's rank times
+    ``width`` (``size**(N//2)``) plus the last part's. ``first`` and ``last``
+    hold the two parts' columns, the round trips' product form of the table."""
 
     columns: tuple[tuple[int, ...], ...]
+    first: tuple[tuple[int, ...], ...]
+    last: tuple[tuple[int, ...], ...]
+    width: int
 
     @cached_property
     def first_occurrences(self) -> tuple[int, ...]:
@@ -84,9 +105,20 @@ class RankTable:
 @lru_cache(maxsize=4)
 def _voter_ranks(size: int, electorate: int, extensions: tuple[tuple[int, ...], ...]) -> RankTable:
     """The rank table of the profiles of the attitudes whose fragment values
-    are ``extensions``."""
-    return RankTable(tuple(tuple(_rank_column(values, size, electorate))
-                           for values in zip(*extensions)))
+    are ``extensions``. Its entries are read out of one ``range`` list, so the
+    table holds at most ``size**electorate`` int objects, not one per entry:
+    the ranks ``b·width`` to ``(b+1)·width - 1`` are that list's block ``b``,
+    and a column is, for each first part, its block read at the last parts."""
+    half = electorate // 2
+    first, last = ([tuple(_rank_column(values, size, n)) for values in zip(*extensions)]
+                   for n in (electorate - half, half))
+    width, shared = size**half, list(range(size**electorate))
+    blocks = [shared[b:b + width] for b in range(0, len(shared), width)]
+    columns = []
+    for highs, lows in zip(first, last):
+        rows = [_gather(block, lows) for block in blocks]  # the ranks after each first part
+        columns.append(tuple(chain.from_iterable(_gather(rows, highs))))
+    return RankTable(tuple(columns), tuple(first), tuple(last), width)
 
 
 def _rank_column(values: tuple[int, ...], size: int, electorate: int) -> list[int]:
@@ -154,8 +186,9 @@ def _census_constraints(agenda: Agenda, electorate: int, depth: int, budget: int
     fragment, extensions = _fragment_and_extensions(agenda, depth, budget)
     columns = list(zip(*extensions))
     first_column = {column: columns.index(column) for column in dict.fromkeys(columns)}
-    refuse(min(budget, MAX_CONSTRAINTS), "census constraints",
-           ((len(agenda.rational), electorate), "profiles"), (len(first_column), "vectors"))
+    counts = ((len(agenda.rational), electorate), "profiles"), (len(first_column), "vectors")
+    refuse(budget, "census constraints", *counts)
+    refuse(MAX_BYTES, "census constraints", *counts, (BYTES_PER_CONSTRAINT, "bytes"))
     attitudes = [product_element_index(size, values) for values, _ in agenda.rational]
     # each column's value at each rational attitude's rank; -1 at an irrational one
     tables = [defaultdict(lambda: -1, zip(attitudes, column)) for column in first_column]

@@ -278,7 +278,7 @@ class TestVerifyBijection:
         return searched
 
     @pytest.mark.parametrize("logic, formulas, electorate", [
-        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 9),  # census constraints
+        ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 10),  # census constraints
         ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 11),  # homomorphism equations
         ("boolean2", ["x1", "x2", "(or x1 x2)", "(not x1)"], 14),  # power size
         ("mv3-degree", ["x1", "x2", "(oplus x1 x2)"], 6),  # census constraints

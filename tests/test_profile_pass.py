@@ -34,6 +34,7 @@ from aggcheck.aggregation import (
     DecisionCriterion,
     ExtensionalAggregator,
     Profile,
+    _extends_everywhere,
     aggregator_from_criterion,
     check_rational_universal,
     check_systematicity,
@@ -52,7 +53,7 @@ from aggcheck.algebra import (
     evaluate,
     power_homomorphisms,
 )
-from aggcheck.census import _fragment_and_extensions
+from aggcheck.census import _fragment_and_extensions, _gather, _voter_ranks
 from aggcheck.cli import main
 from aggcheck.errors import BudgetExceededError, NotQualifyingError
 from aggcheck.oracles import all_valuations, is_rational_attitude
@@ -388,6 +389,91 @@ def test_whole_table_check_on_one_column_or_one_profile(agenda, columns, attitud
         assert fast == exact and extends
         assert check_rational_universal(aggregator).both
         assert check_systematicity(aggregator, STRONGLY_SYSTEMATIC, 2).holds
+
+
+# ---------------------------------------------------------------------------
+# The whole-table check's product form equals its definition
+# ---------------------------------------------------------------------------
+
+
+def reference_extends_everywhere(table, ranks, extensions):
+    """The whole-table check by its definition: each column of the rank table
+    read through the criterion, and every profile's row of outputs one of the
+    rational attitudes' extensions."""
+    return set(extensions).issuperset(zip(*(_gather(table, c) for c in ranks.columns)))
+
+
+def assert_product_form(ranks, attitudes):
+    """Each rank of the table is its first part's rank times ``width`` plus its
+    last part's, the profiles in product order with the first part leading."""
+    for column, highs, lows in zip(ranks.columns, ranks.first, ranks.last, strict=True):
+        assert len(highs) * len(lows) == len(column) == attitudes
+        assert all(low < ranks.width for low in lows)
+        assert column == tuple(high * ranks.width + low for high in highs for low in lows)
+
+
+@st.composite
+def whole_tables(draw):
+    """A criterion table at N=1-4 over boolean2, mv3 or the diamond: a
+    homomorphism's, the same with one entry flipped or with one block of the
+    product form copied over another, or any table."""
+    agenda, n = draw(st.sampled_from(
+        [(a, n) for a in (BOOLEAN, MV_FILTER, MV_DEGREE, DIAMOND) for n in (1, 2, 3, 4)]))
+    size = agenda.algebra.size
+    kind = draw(st.sampled_from(["homomorphism", "flipped", "copied block", "any"]))
+    if kind == "any":
+        return agenda, n, tuple(draw(st.lists(st.integers(0, size - 1), min_size=size**n,
+                                              max_size=size**n)))
+    values = list(draw(st.sampled_from(homomorphism_tables(agenda.algebra, n))))
+    if kind == "flipped":
+        at = draw(st.integers(0, len(values) - 1))
+        values[at] = draw(st.sampled_from([v for v in range(size) if v != values[at]]))
+    elif kind == "copied block":
+        width = size ** (n // 2)
+        source, target = (draw(st.integers(0, len(values) // width - 1)) for _ in range(2))
+        values[target * width:(target + 1) * width] = values[source * width:(source + 1) * width]
+    return agenda, n, tuple(values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(whole_tables())
+def test_product_form_check_equals_its_definition(drawn):
+    agenda, n, table = drawn
+    _, extensions = _fragment_and_extensions(agenda, 1, DEFAULT_BUDGET)
+    ranks = _voter_ranks(agenda.algebra.size, n, extensions)
+    assert_product_form(ranks, len(extensions) ** n)
+    assert _extends_everywhere(table, ranks, extensions) == reference_extends_everywhere(
+        table, ranks, extensions)
+    if table in homomorphism_tables(agenda.algebra, n):
+        assert _extends_everywhere(table, ranks, extensions)
+
+
+def no_formula_agenda():
+    negation = Signature((("not", 1),))
+    return agenda_over([], Matrix(FiniteAlgebra(negation, ("0", "1"), (("not", (1, 0)),)),
+                                  frozenset({1})))
+
+
+# itemgetter with one key returns the bare value, not a 1-tuple
+@pytest.mark.parametrize("agenda, columns, attitudes", [
+    (one_connective_agenda("id", 1, (0, 1), ["x1"]), 1, 2),  # one fragment formula
+    (BOOLEAN_TOP, 2, 1),  # one rational attitude
+    (one_connective_agenda("c", 0, (1,), ["c"]), 1, 1),  # both
+    (no_formula_agenda(), 0, 1),  # no formula, so no column
+])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_form_check_on_every_table_of_the_edge_agendas(agenda, columns, attitudes, n):
+    fragment, extensions = _fragment_and_extensions(agenda, 2, DEFAULT_BUDGET)
+    assert (len(fragment), len(extensions)) == (columns, attitudes)
+    ranks = _voter_ranks(2, n, extensions)
+    assert_product_form(ranks, attitudes**n)
+    verdicts = Counter()
+    for table in product(range(2), repeat=2**n):
+        verdict = _extends_everywhere(table, ranks, extensions)
+        assert verdict == reference_extends_everywhere(table, ranks, extensions)
+        verdicts[verdict] += 1
+    # some table fails unless every row of values is some attitude's extension
+    assert verdicts[True] and (verdicts[False] or attitudes == 2**columns)
 
 
 # ---------------------------------------------------------------------------

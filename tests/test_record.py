@@ -64,7 +64,7 @@ EXAMPLES = {
     KripkeFrame: (1, frozenset({(0, 0)})),
     ConsistencyWitness: (FRAME, {"x1": 1}, 0),
     SubjunctiveReport: ({"a": True}, {"b": True}, {"b": False}, True, False),
-    RankTable: (((0, 1), (1, 0)),),
+    RankTable: (((0, 1), (1, 0)), ((0, 1), (1, 0)), ((0,), (0,)), 1),
 }
 CLASSES = list(EXAMPLES)
 # records with a dict field cannot be hashed, as with any other dict

@@ -250,6 +250,36 @@ def test_the_search_keeps_at_most_32_bytes_per_constraint():
     assert (peak - before) / count <= 32
 
 
+def test_the_census_keeps_at_most_its_stated_bytes_per_constraint(bool_agenda):
+    """The census at boolean2 N=8 on the README agenda, its rank table built
+    afresh, measured with tracemalloc: its peak over its 65,536 profiles x 11
+    vectors is within the bytes per constraint its byte cap charges."""
+    _, extensions = census_module._fragment_and_extensions(bool_agenda, 1, DEFAULT_BUDGET)
+    constraints = len(bool_agenda.rational) ** 8 * len(set(zip(*extensions)))
+    census_module._voter_ranks.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = qualifying_criteria(bool_agenda, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        census_module._voter_ranks.cache_clear()
+    assert len(found) == 8 and constraints == 720_896
+    assert (peak - before) / constraints <= census_module.BYTES_PER_CONSTRAINT
+
+
+def test_the_rank_table_holds_one_int_object_per_rank():
+    """mv3 at N=6 on the agenda x1: 729 profiles, ranks up to 728, and each
+    rank one int object however many entries hold it."""
+    agenda = agenda_over([Var("x1")], load_matrix("mv3"))
+    _, extensions = census_module._fragment_and_extensions(agenda, 1, DEFAULT_BUDGET)
+    ranks = census_module._voter_ranks(3, 6, extensions)
+    entries = [rank for column in ranks.columns for rank in column]
+    assert len(entries) > 3**6 == len(ranks.columns[0]) and max(entries) == 728
+    assert len(set(map(id, entries))) <= 3**6
+
+
 @pytest.mark.parametrize("n, work", [(7, 42_112), (8, 166_144)])
 def test_power_homomorphism_search_charges_its_pinned_work(boolean2, n, work):
     projections = sorted(tuple(element_coordinates(2, n, r)[i] for r in range(2**n))
@@ -490,8 +520,8 @@ def test_census_keeps_the_profile_budget(bool_agenda):
 @pytest.mark.parametrize("n, budget, message", [
     (1, 2**8, "closure layer: 78 formulas x 4 valuations = 312 exceed the limit of 256"),
     (3, 2**9, "census constraints: 64 profiles x 11 vectors = 704 exceed the limit of 512"),
-    (10, 10**8, "census constraints: 1048576 profiles x 11 vectors = 11534336 "
-                "exceed the limit of 2000000"),
+    (10, 10**8, "census constraints: 1048576 profiles x 11 vectors x 50 bytes = 576716800 "
+                "exceed the limit of 268435456"),
     (2, 400, "census table search: 473 work units exceed the limit of 400"),
 ])
 def test_census_refusals_name_the_stage_the_count_and_the_limit(bool_agenda, n, budget, message):
@@ -506,7 +536,8 @@ def test_census_refuses_before_the_rank_table_is_built(bool_agenda, monkeypatch)
 
     monkeypatch.setattr(census_module, "_voter_ranks", forbidden)
     for n, budget, message in [
-        (10, 10**8, "1048576 profiles x 11 vectors = 11534336 exceed the limit of 2000000"),
+        (10, 10**8, "1048576 profiles x 11 vectors x 50 bytes = 576716800 "
+                    "exceed the limit of 268435456"),
         (3, 2**9, "64 profiles x 11 vectors = 704 exceed the limit of 512"),
     ]:
         with pytest.raises(BudgetExceededError) as refused:
