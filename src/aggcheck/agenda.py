@@ -63,9 +63,11 @@ class Agenda:
         """Distinct rational attitude value-tuples with the index (into valuation
         order) of their least witnessing valuation."""
         vectors = truth_vectors(self.formulas, self.variables, self.algebra)
+        if not vectors:  # no formulas, no variables: one valuation, one empty row
+            return (((), 0),)
         rows: dict[tuple[int, ...], int] = {}
-        for w in range(self.algebra.size ** len(self.variables)):
-            rows.setdefault(tuple(vec[w] for vec in vectors), w)
+        for w, row in enumerate(zip(*vectors)):
+            rows.setdefault(row, w)
         return tuple(rows.items())
 
     def __len__(self) -> int:

@@ -123,15 +123,25 @@ class FiniteAlgebra:
     def tables(self) -> dict[str, Union[tuple[int, ...], bytes]]:
         return dict(self.ops)
 
-    def op_on_vectors(
-        self, symbol: str, args: Sequence[tuple[int, ...]], width: int
-    ) -> tuple[int, ...]:
-        """The connective's table applied coordinatewise to argument vectors."""
+    @cached_property
+    def _lookups(self) -> dict[str, bytes]:
+        """Each table of at most 256 entries over at most 256 elements, padded to
+        256 bytes for ``bytes.translate``."""
+        if self.size > 256:
+            return {}
+        return {symbol: bytes(table).ljust(256, b"\0")
+                for symbol, table in self.ops if len(table) <= 256}
+
+    def op_on_vectors(self, symbol: str, args: Sequence[Vector], width: int) -> Vector:
+        """The connective's table applied coordinatewise to argument vectors of
+        ``width`` lanes: on bytes, while the table has at most 256 entries, one
+        ``bytes.translate`` of the arguments' lane indices (``_lane_indices``)."""
+        index = _lane_indices(args, self.size, width)
+        if (lookup := self._lookups.get(symbol)) is not None:
+            return index.translate(lookup)
         table = self.tables[symbol]
-        index = args[0] if args else (0,) * width
-        for arg in args[1:]:  # row-major table index, coordinatewise
-            index = [i * self.size + a for i, a in zip(index, arg)]
-        return tuple([table[i] for i in index])
+        values = [table[i] for i in index]
+        return bytes(values) if self.size <= 256 else tuple(values)
 
     def op(self, symbol: str, args: Sequence[int]) -> int:
         table = self.tables[symbol]
@@ -161,8 +171,33 @@ def evaluate(formula: Formula, valuation: Valuation, algebra: FiniteAlgebra) -> 
 
 # A truth vector is a formula's value at every valuation of a fixed variable
 # list, the valuations in lexicographic order of their value tuples (the order
-# of oracles.all_valuations).
-Vector = tuple[int, ...]
+# of oracles.all_valuations). Over at most 256 elements it is bytes, one lane
+# (byte) per valuation; past that, a tuple of ints. An algebra's vectors all
+# take one form, so no dict keyed by vectors mixes the two.
+Vector = Union[bytes, tuple[int, ...]]
+
+
+def _lane_indices(args: Sequence[Vector], base: int, width: int) -> Union[bytes, list[int]]:
+    """Each lane's row-major index of its values in ``args`` (digits in ``base``),
+    for no arguments 0. As bytes while the args are and every index is below
+    256: by Horner's rule on the vectors read as little-endian ints, whose lanes
+    cannot carry then. Else a list, lane by lane."""
+    if not args:
+        return bytes(width)
+    if base ** len(args) <= 256 and isinstance(args[0], bytes):
+        index = int.from_bytes(args[0], "little")
+        for arg in args[1:]:
+            index = index * base + int.from_bytes(arg, "little")
+        return index.to_bytes(width, "little") if len(args) > 1 else args[0]
+    index = list(args[0])
+    for arg in args[1:]:
+        index = [i * base + a for i, a in zip(index, arg)]
+    return index
+
+
+def _join(size: int) -> Callable[[Iterable[Vector]], Vector]:
+    """How vectors over ``size`` elements are laid end to end, keeping their form."""
+    return b"".join if size <= 256 else lambda vectors: tuple(chain.from_iterable(vectors))
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +205,9 @@ def _variable_vectors(size: int, count: int) -> tuple[Vector, ...]:
     """Truth vectors of ``count`` variables over a carrier of ``size``: variable i
     runs through the carrier in blocks of ``size**(count-1-i)`` equal values,
     repeated ``size**i`` times, with no valuation built."""
-    return tuple(tuple(chain.from_iterable(repeat(v, size ** (count - 1 - i)) for v in range(size)))
-                 * size**i for i in range(count))
+    join, form = _join(size), bytes if size <= 256 else tuple
+    return tuple(join(form((v,)) * size ** (count - 1 - i) for v in range(size)) * size**i
+                 for i in range(count))
 
 
 def _program_steps(
@@ -257,8 +293,12 @@ def closure_vectors(
     representatives only. That loses no representative, because replacing
     an argument by a smaller one with the same vector gives a smaller
     formula. A layer that changes nothing would repeat itself, so the
-    closure stops there. ``budget`` caps vector entries computed per layer,
-    the seeds' included. The result is ordered by representative.
+    closure stops there. A layer is computed one first argument at a time,
+    in one ``op_on_vectors`` over the vectors of all its partners (the tuples
+    of the other arguments) laid end to end, and a candidate's printed
+    length, the first's plus its partners', is compared before its text is
+    built. ``budget`` caps vector entries computed per layer, the seeds'
+    included. The result is ordered by representative.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -267,31 +307,41 @@ def closure_vectors(
     valuations = ((algebra.size, len(variables)), "valuations")  # each formula's vector entries
     refuse(budget, "closure seed", (len(seeds), "formulas"), valuations)
     width = algebra.size ** len(variables)
-    best: dict[Vector, tuple[tuple[int, str], Formula]] = {}
+    best: dict[Vector, tuple[int, str, Formula]] = {}  # printed length, text, formula
     for formula, vector in zip(seeds, truth_vectors(seeds, variables, algebra)):
         text = print_formula(formula)
-        rank = (len(text), text)
-        if vector not in best or rank < best[vector][0]:
-            best[vector] = (rank, formula)
+        if vector not in best or (len(text), text) < best[vector][:2]:
+            best[vector] = (len(text), text, formula)
+    join = _join(algebra.size)
     for _ in range(depth):
-        layer = [(vector, text, formula) for vector, ((_, text), formula) in best.items()]
+        layer = list(best.items())
         count = sum(len(layer) ** a for _, a in signature.connectives if a)
         refuse(budget, "closure layer", (count, "formulas"), valuations)
         changed = False
         for symbol, arity in signature.connectives:
             if arity == 0:
                 continue
-            for combo in product(layer, repeat=arity):
-                vector = algebra.op_on_vectors(symbol, [c[0] for c in combo], width)
-                text = f"({symbol} {' '.join(c[1] for c in combo)})"
-                rank = (len(text), text)
-                if vector not in best or rank < best[vector][0]:
-                    best[vector] = (rank, App(symbol, tuple(c[2] for c in combo)))
-                    changed = True
+            partners = list(product(layer, repeat=arity - 1))
+            columns = [join([p[j][0] for p in partners]) for j in range(arity - 1)]
+            tails = ["".join(f" {text}" for _, (_, text, _) in p) for p in partners]
+            for first, (length, text, formula) in layer:
+                row = algebra.op_on_vectors(symbol, [first * len(partners), *columns],
+                                            len(partners) * width)
+                length += len(symbol) + 3  # a candidate's printed length, less its tail's
+                for start, partner, tail in zip(range(0, len(row), width), partners, tails):
+                    vector = row[start:start + width]
+                    held = best.get(vector)
+                    if held is not None and length + len(tail) > held[0]:
+                        continue
+                    candidate = f"({symbol} {text}{tail})"
+                    if held is None or (len(candidate), candidate) < held[:2]:
+                        best[vector] = (len(candidate), candidate,
+                                        App(symbol, (formula, *(f for _, (_, _, f) in partner))))
+                        changed = True
         if not changed:
             break
-    ranked = sorted(best.items(), key=lambda item: item[1][0])
-    return {vector: formula for vector, (_, formula) in ranked}
+    ranked = sorted(best.items(), key=lambda item: item[1][:2])
+    return {vector: formula for vector, (_, _, formula) in ranked}
 
 
 def _power_over(base: int, exponent: int, limit: int) -> Optional[str]:
@@ -420,37 +470,45 @@ def is_homomorphism(
     Returns (True, None) or (False, (symbol, argument_tuple)) with the first
     violation in signature order / row-major argument order. Each connective's
     source table is mapped through ``mapping`` in one step and compared with the
-    target side, whose row for one first argument is computed coordinatewise
-    once per image of that argument. While both carriers have at most 256
-    elements, both sides are bytes: the source table is mapped by
-    ``bytes.translate`` and compared whole with the target's rows joined. Past
-    that, the mapped table is a list, compared row by row. The first differing
-    entry gives the witness.
+    target side, one row per first argument. A row's later arguments, mapped,
+    are read once per connective as lane indices into a row of the target's
+    table (the partner vector), and the row for a first argument is the
+    partner vector looked up in the target's row for that argument's image:
+    one ``bytes.translate`` while a target row has at most 256 entries. While
+    the target has at most 256 elements, both sides are bytes and compared
+    whole, the rows joined. Past that, they are lists, compared row by row. The
+    first differing entry gives the witness.
     """
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     if len(mapping) != source.size:
         raise ValueError("mapping must be total on the source carrier")
-    if any(not (0 <= v < target.size) for v in mapping):
+    if not _within(mapping, target.size):
         raise ValueError("mapping has out-of-range values")
-    n = source.size
-    lanes = n <= 256 and target.size <= 256
-    if lanes:
-        image_of = bytes(mapping).ljust(256, b"\0")
+    n, size = source.size, target.size
+    form = bytes if size <= 256 else list  # of the mapped tables and the target's rows
+    image_of = bytes(mapping).ljust(256, b"\0") if form is bytes and n <= 256 else None
     for symbol, arity in source.signature.connectives:
         width = n ** max(arity - 1, 0)
-        if lanes:
-            mapped = bytes(source.tables[symbol]).translate(image_of)
+        table = source.tables[symbol]
+        if image_of is not None:
+            mapped = bytes(table).translate(image_of)
         else:
-            mapped = [mapping[v] for v in source.tables[symbol]]
-        later = [tuple([mapping[a] for a in column])  # mapped later arguments of a row
+            mapped = form(map(mapping.__getitem__, table))
+        later = [form(map(mapping.__getitem__, column))
                  for column in _variable_vectors(n, max(arity - 1, 0))]
-        heads = mapping if arity else mapping[:1]  # each row's first argument, mapped
+        partner = _lane_indices(later, size, width)  # into a row of the target's table
+        span = size ** max(arity - 1, 0)
+        rows = target.tables[symbol]
+        heads = mapping if arity else (0,)  # each row's first argument, mapped; a constant: one row
         images = {}  # target side of a row, by its first argument's image
         for head in dict.fromkeys(heads):
-            image = target.op_on_vectors(symbol, [(head,) * width, *later] if arity else [], width)
-            images[head] = bytes(image) if lanes else list(image)
-        if lanes:  # the whole table at once, its rows joined
+            row = rows[head * span:(head + 1) * span]
+            if form is bytes and isinstance(partner, bytes):
+                images[head] = partner.translate(bytes(row).ljust(256, b"\0"))
+            else:
+                images[head] = form(map(row.__getitem__, partner))
+        if form is bytes:  # the whole table at once, its rows joined
             blocks = [(0, mapped, b"".join(map(images.__getitem__, heads)))]
         else:  # row by row, so no second table is built
             blocks = ((first * width, mapped[first * width:(first + 1) * width], images[head])

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, closure_vectors, refuse
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, Vector, closure_vectors, refuse
 from .record import frozen
 from .syntax import App, Formula, Var
 from .syntax import bounded_closure  # noqa: F401 (traced binding)
@@ -52,8 +52,16 @@ class Matrix:
             return tuple(range(self.algebra.size))
         return tuple(int(b in self.designated) for b in range(self.algebra.size))
 
-    def pattern(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """A truth vector's holding pattern: what holding records at each valuation."""
+    @cached_property
+    def _holding_lookup(self) -> bytes:
+        """``holding`` as a ``bytes.translate`` table, for vectors over at most 256 elements."""
+        return bytes(self.holding).ljust(256, b"\0") if self.algebra.size <= 256 else b""
+
+    def pattern(self, vector: Vector) -> Vector:
+        """A truth vector's holding pattern: what holding records at each
+        valuation, in the vector's form (one ``bytes.translate`` on bytes)."""
+        if isinstance(vector, bytes):
+            return vector.translate(self._holding_lookup)
         return tuple(map(self.holding.__getitem__, vector))
 
     def describe(self) -> str:
@@ -103,8 +111,10 @@ def check_selfextensionality(
     Holding alike is an equivalence, so where two later members break the
     congruence, one of them breaks it with the first member at the same
     arguments. That pair comes earlier in the all-pairs order, so comparing
-    every pair would find the same first witness. Failure is conclusive;
-    success means no counterexample at this depth.
+    every pair would find the same first witness. The first member's
+    pattern is worked out once per position and tuple of other arguments,
+    and kept for its later members. Failure is conclusive; success means no
+    counterexample at this depth.
 
     Where holding tells every value apart (degree mode, or a filter that
     designates one of two values), distinct vectors hold differently, so
@@ -120,29 +130,33 @@ def check_selfextensionality(
     rep = closure_vectors(map(Var, variables), names, algebra, depth, budget=budget)
     vectors = list(rep)
 
-    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    classes: dict[Vector, list[Vector]] = {}
     for vec in vectors:
         classes.setdefault(matrix.pattern(vec), []).append(vec)
-
-    pairs = [(first, w) for first, *later in classes.values() for w in later]
+    pairs = len(vectors) - len(classes)  # each class's first member with each later one
 
     for symbol, arity in algebra.signature.connectives:
         if arity == 0:
             continue
-        refuse(budget, f"congruence check of {symbol!r}", (len(pairs), "vector pairs"),
+        refuse(budget, f"congruence check of {symbol!r}", (pairs, "vector pairs"),
                (arity, "positions"), ((len(vectors), arity - 1), "other arguments"))
-        for u, w in pairs:
-            for position in range(arity):
-                for others in product(vectors, repeat=arity - 1):
-                    args_u = others[:position] + (u,) + others[position:]
-                    args_w = others[:position] + (w,) + others[position:]
-                    res_u = algebra.op_on_vectors(symbol, args_u, n_valuations)
-                    res_w = algebra.op_on_vectors(symbol, args_w, n_valuations)
-                    if matrix.pattern(res_u) != matrix.pattern(res_w):
-                        witness = CongruenceWitness(
-                            connective=symbol,
-                            left_args=tuple(rep[a] for a in args_u),
-                            right_args=tuple(rep[a] for a in args_w),
-                        )
-                        return False, witness
+        for first, *later in classes.values():
+            held = {}  # the first member's patterns, by position and other arguments
+            for w in later:
+                for position in range(arity):
+                    for j, others in enumerate(product(vectors, repeat=arity - 1)):
+                        args_u = others[:position] + (first,) + others[position:]
+                        key = position, j
+                        if key not in held:
+                            res_u = algebra.op_on_vectors(symbol, args_u, n_valuations)
+                            held[key] = matrix.pattern(res_u)
+                        args_w = others[:position] + (w,) + others[position:]
+                        res_w = algebra.op_on_vectors(symbol, args_w, n_valuations)
+                        if held[key] != matrix.pattern(res_w):
+                            witness = CongruenceWitness(
+                                connective=symbol,
+                                left_args=tuple(rep[a] for a in args_u),
+                                right_args=tuple(rep[a] for a in args_w),
+                            )
+                            return False, witness
     return True, None

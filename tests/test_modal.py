@@ -440,8 +440,9 @@ class TestCertificateEngines:
                 (sliced,) = program(worlds, succ)
                 # valuation i sets (p, q) to element_coordinates(size, 2, i); its
                 # table value is the set of worlds whose bit i is set
-                assert tables == tuple(sum(1 << w for w in range(worlds) if sliced[w] >> i & 1)
-                                       for i in range(len(tables)))
+                assert tuple(tables) == tuple(
+                    sum(1 << w for w in range(worlds) if sliced[w] >> i & 1)
+                    for i in range(len(tables)))
                 values.update(tables)
         assert (values == {0}) == bottom
 

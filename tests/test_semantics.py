@@ -188,26 +188,21 @@ class TestSelfextensionality:
         assert max(classes.values()) >= 2
 
         # each class's first member is compared with each later one, at every
-        # position and every tuple of other arguments: two results per comparison
-        calls = []
-
-        def closure_then_count(*args, **kwargs):
-            closure = closure_vectors(*args, **kwargs)
-            calls.append(0)
-            return closure
-
-        def counted(self, *args):
-            if calls:
-                calls[0] += 1
-            return op_on_vectors(self, *args)
-
-        op_on_vectors = FiniteAlgebra.op_on_vectors
-        monkeypatch.setattr(semantics, "closure_vectors", closure_then_count)
-        monkeypatch.setattr(FiniteAlgebra, "op_on_vectors", counted)
-        assert check_selfextensionality(matrix, variables, depth) == (True, None)
+        # position and every tuple of other arguments: one result per comparison,
+        # and the first member's once per class, position and other arguments
+        answer, calls = loop_applications(matrix, variables, depth, monkeypatch)
+        assert answer == (True, None)
         per_pair = sum(arity * len(vectors) ** (arity - 1)
                        for _, arity in algebra.signature.connectives if arity)
-        assert calls == [2 * (len(vectors) - len(classes)) * per_pair]
+        shared = sum(count > 1 for count in classes.values())
+        assert calls == (len(vectors) - len(classes) + shared) * per_pair
+
+    def test_a_first_members_result_is_computed_once(self, monkeypatch):
+        # 12 of the 14 classes have a later member: 35,992 later-member results and
+        # 12 x (1 + 2*102 + 2*102) = 4,908 first-member ones, against 71,984 when
+        # the first member's result was computed again for every later member
+        matrix = matrix_from_obj(DOUBLED_BOOLEAN)
+        assert loop_applications(matrix, ["x1", "x2"], 2, monkeypatch) == ((True, None), 40_900)
 
     def test_first_witness_can_pair_the_first_member_with_the_third(self):
         # constants a, b, c hold alike, u(a) and u(b) hold alike but u(c) does
@@ -258,6 +253,28 @@ class TestSelfextensionality:
     def test_drawn_degree_lattice_builds_no_closure(self, matrix):
         assert closures_built(matrix, ["x1", "x2"], 50) == ((True, None), 0)
         assert no_two_interderivable(matrix, ["x1"], 1)
+
+
+def loop_applications(matrix, variables, depth, monkeypatch):
+    """``check_selfextensionality``'s answer, and the connective applications its
+    congruence loop makes once the closure is built."""
+    calls = []
+
+    def closure_then_count(*args, **kwargs):
+        closure = closure_vectors(*args, **kwargs)
+        calls.append(0)
+        return closure
+
+    def counted(self, *args):
+        if calls:
+            calls[0] += 1
+        return op_on_vectors(self, *args)
+
+    op_on_vectors = FiniteAlgebra.op_on_vectors
+    monkeypatch.setattr(semantics, "closure_vectors", closure_then_count)
+    monkeypatch.setattr(FiniteAlgebra, "op_on_vectors", counted)
+    answer = check_selfextensionality(matrix, variables, depth)
+    return answer, calls[0]
 
 
 def closures_built(matrix, variables, depth):
