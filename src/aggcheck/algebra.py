@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import gc
 import math
+import struct
 import sys
 from contextlib import contextmanager, suppress
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, product, repeat
+from itertools import chain, combinations_with_replacement, compress, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -702,11 +703,115 @@ def _commutative(table: Union[bytes, Sequence[int]], size: int, arity: int) -> b
                               for a in range(size))
 
 
+def _de_morgan_pairs(algebra: FiniteAlgebra) -> tuple[tuple[str, str, str], ...]:
+    """Each connective f with arguments that is not an involution, as ``(u, f, g)`` with
+    the first unary involution u and connective g in signature order for which
+    f(x̄) = u(g(u x̄)), that is, g(x̄) = u(f(u x̄)): decided on truth vectors, a
+    connective's conjugate u(f(u x̄)) looked up among the tables. A constant has one
+    equation, so pairing it would save one check per node at one slot."""
+    size, connectives = algebra.size, algebra.signature.connectives
+    form = bytes if size <= 256 else tuple
+    by_table = {(arity, form(algebra.tables[g])): g for g, arity in reversed(connectives)}
+    identity = _variable_vectors(size, 1)[0]
+    involutions = [u for u, arity in connectives if arity == 1 and algebra.op_on_vectors(
+        u, [form(algebra.tables[u])], size) == identity]
+    images: dict[tuple[str, int], list[Vector]] = {}  # (u, arity) -> u x̄
+    pairs = []
+    for f, arity in connectives:
+        width = size**arity
+        for u in () if f in involutions or not arity else involutions:
+            if (u, arity) not in images:
+                images[u, arity] = [algebra.op_on_vectors(u, [x], width)
+                                    for x in _variable_vectors(size, arity)]
+            conjugate = algebra.op_on_vectors(f, images[u, arity], width)
+            g = by_table.get((arity, algebra.op_on_vectors(u, [conjugate], width)))
+            if g is not None:
+                pairs.append((u, f, g))
+                break
+    return tuple(pairs)
+
+
+def _lanes(entries: Union[bytes, Sequence[int]], lane: int) -> bytes:
+    """Entries as the bytes of little-endian lanes of ``lane`` (2 or 4) bytes, one entry
+    a lane: bytes spread out with zeros, ints packed by ``struct``."""
+    if isinstance(entries, bytes):
+        lanes = bytearray(lane * len(entries))
+        lanes[::lane] = entries
+        return bytes(lanes)
+    return struct.pack(f"<{len(entries)}{'H' if lane == 2 else 'I'}", *entries)
+
+
+def _lane_max(a: int, b: int, flags: int, bits: int) -> int:
+    """Lane by lane, the larger of a and b, whose lanes of ``bits + 1`` bits hold values
+    below ``2**bits``; ``flags`` has the top bit of each lane set. In ``(a | flags) - b``
+    no lane borrows from the next, and the top bit stays set exactly where a >= b."""
+    at_least = ((a | flags) - b) & flags
+    return b ^ ((a ^ b) & ((at_least >> bits) * ((1 << bits) - 1)))
+
+
+def _handed_equations(
+    source: FiniteAlgebra,
+    dualities: Sequence[tuple[str, str, str]],
+    arity: int,
+    upper: Optional[list[slice]],
+) -> dict[str, bytes]:
+    """For f of each pair (u, f, g), a connective of ``arity``, one byte per argument
+    tuple x̄ of f's equations, in row-major order (given ``upper``, the slices of a
+    binary table's rows from the diagonal on: a <= b only): 0 where the equation is
+    implied, else 1. Its last slot is max(x̄, f(x̄)), its dual's (g's equation at u x̄)
+    max(u x̄, u f(x̄)), and it is implied where the dual's is strictly earlier.
+
+    Both are computed in lanes of one int per vector, for the connectives of one u laid
+    end to end: 16-bit lanes, whose top bit no power needs (``MAX_POWER_SIZE`` is below
+    2^15), or 32-bit past 2^15 elements. The largest of x̄, and of u x̄, is worked out
+    once over the tuples and repeated for each connective."""
+    n = source.size
+    lane = 2 if n <= 2**15 else 4
+    bits = 8 * lane - 1
+    form, join = (bytes if n <= 256 else tuple), _join(n)
+    symbols_of: dict[str, list[str]] = {}
+    for u, f, _ in dualities:
+        symbols_of.setdefault(u, []).append(f)
+    handed = {}
+    for u, symbols in symbols_of.items():
+        tables = [form(source.tables[f]) for f in symbols]
+        if upper:
+            tables = [join(map(table.__getitem__, upper)) for table in tables]
+        rows, copies, results = len(tables[0]), len(tables), join(tables)
+        top = (1 << bits).to_bytes(lane, "little")
+        row_flags = int.from_bytes(top * rows, "little")
+        flags = int.from_bytes(top * len(results), "little")
+        images = source.op_on_vectors(u, [results], len(results))
+        last = [int.from_bytes(_lanes(results, lane), "little"),  # f(x̄), then u f(x̄)
+                int.from_bytes(_lanes(images, lane), "little")]
+        for k, values in enumerate((range(n), source.tables[u]) if arity else ()):
+            cells = _lanes(form(values), lane)  # x, or u x, for each element x
+            if upper:
+                columns = [b"".join(cells[a * lane:(a + 1) * lane] * (n - a) for a in range(n)),
+                           b"".join(cells[a * lane:] for a in range(n))]
+            else:
+                columns = [b"".join(cells[c * lane:(c + 1) * lane] * n ** (arity - 1 - i)
+                                    for c in range(n)) * n**i for i in range(arity)]
+            largest = int.from_bytes(columns[0], "little")
+            for column in columns[1:]:
+                largest = _lane_max(largest, int.from_bytes(column, "little"), row_flags, bits)
+            repeated = largest
+            for i in range(1, copies):
+                repeated |= largest << 8 * lane * rows * i
+            last[k] = _lane_max(last[k], repeated, flags, bits)
+        own, dual = last
+        kept = ((((dual | flags) - own) & flags) >> bits).to_bytes(len(results) * lane, "little")
+        handed.update((f, kept[i * rows * lane:(i + 1) * rows * lane:lane])
+                      for i, f in enumerate(symbols))
+    return handed
+
+
 def enumerate_homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
     budget: int = DEFAULT_BUDGET,
     symmetries: Iterable[Sequence[int]] = (),
+    dualities: Iterable[tuple[str, str, str]] = (),
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms source -> target, in lexicographic table order: the table
     search over the source operations' equations, argument tuple by argument tuple.
@@ -714,29 +819,49 @@ def enumerate_homomorphisms(
     and (b, a) (one result slot, one target entry), so only a <= b is handed on.
     ``symmetries`` are automorphisms of ``source`` (as tables of its elements' images),
     which map homomorphisms to homomorphisms; the search keeps one table per orbit
-    and expands the orbits, and every table found is re-checked."""
+    and expands the orbits, and every table found is re-checked.
+
+    ``dualities`` are De Morgan pairs ``(u, f, g)`` of connectives: in both algebras u
+    is a unary involution and f(x̄) = u(g(u x̄)), and no pair's f is any pair's u. A map
+    that meets u's equations at each argument and at g(u x̄), and g's at u x̄, then
+    meets f's at x̄. So f's equation at x̄ is not handed on when its dual, g's at u x̄,
+    has a strictly earlier last slot (the largest of its slots): every equation it
+    follows from is checked at or before its own last slot, and the search enters the
+    same nodes."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
-    n = source.size
+    n, dualities = source.size, tuple(dualities)
+    # (arity, commutative in both) -> its connectives
+    groups: dict[tuple[int, bool], list[str]] = {}
+    for symbol, arity in source.signature.connectives:
+        commutative = (_commutative(target.tables[symbol], target.size, arity)
+                       and _commutative(source.tables[symbol], n, arity))
+        groups.setdefault((arity, commutative), []).append(symbol)
+    upper = [slice(a * n + a, (a + 1) * n) for a in range(n)]  # row a from column a
+    handed: dict[str, bytes] = {}  # worked out before any argument rows are built
+    for (arity, commutative), symbols in groups.items():
+        if paired := [pair for pair in dualities if pair[1] in symbols]:
+            handed.update(_handed_equations(source, paired, arity, upper if commutative else None))
     with paused_collector():  # the argument rows are many tuples that make no cycle
-        # (arity, commutative in both) -> the (target, source) tables of its connectives
-        groups: dict[tuple[int, bool], list[tuple]] = {}
-        for symbol, arity in source.signature.connectives:
-            commutative = (_commutative(target.tables[symbol], target.size, arity)
-                           and _commutative(source.tables[symbol], n, arity))
-            groups.setdefault((arity, commutative), []).append(
-                (target.tables[symbol], source.tables[symbol]))
         runs = []  # each argument tuple's equations together, one per connective of its group
-        for (arity, commutative), pairs in groups.items():
+        for (arity, commutative), symbols in groups.items():
             if commutative:
                 rows = list(combinations_with_replacement(range(n), 2))
-                upper = [slice(a * n + a, (a + 1) * n) for a in range(n)]  # row a from column a
-                pairs = [(image, chain.from_iterable(map(table.__getitem__, upper)))
-                         for image, table in pairs]  # each a <= b once, streamed
+                values = [chain.from_iterable(map(source.tables[symbol].__getitem__, upper))
+                          for symbol in symbols]  # each a <= b once, streamed
             else:
                 rows = list(product(range(n), repeat=arity))
-            runs.append(chain.from_iterable(zip(*(zip(repeat(image), rows, values)
-                                                  for image, values in pairs))))
+                values = [source.tables[symbol] for symbol in symbols]
+            equations = chain.from_iterable(zip(*(
+                zip(repeat(target.tables[symbol]), rows, column)
+                for symbol, column in zip(symbols, values))))
+            if handed.keys() & symbols:
+                selected = bytearray(b"\1") * (len(rows) * len(symbols))
+                for j, symbol in enumerate(symbols):
+                    if symbol in handed:
+                        selected[j::len(symbols)] = handed[symbol]
+                equations = compress(equations, selected)
+            runs.append(equations)
         found = search_tables(n, target.size, chain.from_iterable(runs), budget,
                               stage="homomorphism search", symmetries=symmetries)
     return [AlgebraHomomorphism(source, target, mapping) for mapping in found]
@@ -771,10 +896,12 @@ def power_homomorphisms(
     algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms algebra^n -> algebra, refused unbuilt past the caps, searched
-    up to the coordinate swaps of algebra^n."""
+    up to the coordinate swaps of algebra^n, with the algebra's De Morgan pairs: an
+    identity of the algebra holds in each of its direct powers."""
     refuse_power_past_the_caps(algebra, n)
     return enumerate_homomorphisms(shared_power(algebra, n), algebra, budget,
-                                   symmetries=_coordinate_swaps(algebra.size, n))
+                                   symmetries=_coordinate_swaps(algebra.size, n),
+                                   dualities=_de_morgan_pairs(algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +16,7 @@ from aggcheck.algebra import (
     enumerate_homomorphisms,
     evaluate,
     is_homomorphism,
+    power_homomorphisms,
     product_algebra,
     product_element_index,
     refuse,
@@ -476,6 +477,13 @@ def binary_algebras(draw):
          binary_algebra([0, 1], [1, 1, 1, 1], [1, 0, 1, 1]))
 def test_homomorphisms_equal_a_filter_of_every_map(source, target):
     """Every map that meets each equation at every argument tuple, commutative or not."""
+    assert [h.mapping for h in enumerate_homomorphisms(source, target)] == every_homomorphism(
+        source, target)
+
+
+def every_homomorphism(source, target):
+    """The maps source -> target that meet each equation at every argument tuple, one
+    map and one equation at a time."""
     brute = []
     for mapping in product(range(target.size), repeat=source.size):
         holds = True
@@ -490,7 +498,42 @@ def test_homomorphisms_equal_a_filter_of_every_map(source, target):
                     holds = False
         if holds:
             brute.append(mapping)
-    assert [h.mapping for h in enumerate_homomorphisms(source, target)] == brute
+    return brute
+
+
+PAIRED_SIGNATURE = Signature((("u", 1), ("f", 2), ("g", 2), ("c", 0), ("d", 0)))
+
+
+@st.composite
+def paired_algebras(draw):
+    """A 2- or 3-element algebra with an involution u and a De Morgan pair built in: g
+    and the constant d are drawn, then f := u∘g∘u and c := u(d)."""
+    size = draw(st.integers(2, 3))
+    u = draw(st.sampled_from([p for p in permutations(range(size))
+                              if all(p[p[x]] == x for x in range(size))]))
+    g = draw(binary_tables(size))
+    f = [u[g[u[a] * size + u[b]]] for a in range(size) for b in range(size)]
+    d = draw(st.integers(0, size - 1))
+    return FiniteAlgebra(PAIRED_SIGNATURE, tuple("abc"[:size]), (
+        ("u", tuple(u)), ("f", tuple(f)), ("g", tuple(g)), ("c", (u[d],)), ("d", (d,))))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(paired_algebras(), paired_algebras(), st.integers(1, 2))
+def test_the_search_with_de_morgan_pairs_finds_what_it_finds_without(algebra, target, n):
+    """With the pairs the identities make true, the search finds the same tables as
+    without them and as a filter of every map: from a power of the algebra (its second
+    power when it has two elements) into another such algebra, and into itself, where
+    ``power_homomorphisms`` finds the pairs on its own."""
+    power = n if algebra.size == 2 else 1
+    source = product_algebra(algebra, power)
+    pairs = [("u", "f", "g"), ("u", "g", "f"), ("u", "c", "d"), ("u", "d", "c")]
+    for image in (target, algebra):
+        brute = every_homomorphism(source, image)
+        for dualities in (pairs, ()):
+            found = enumerate_homomorphisms(source, image, dualities=dualities)
+            assert [h.mapping for h in found] == brute
+    assert [h.mapping for h in power_homomorphisms(algebra, power)] == brute
 
 
 @st.composite

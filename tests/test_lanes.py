@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from aggcheck.algebra import (
     FiniteAlgebra,
+    _lane_max,
+    _lanes,
     builtin_mv_chain,
     closure_vectors,
     evaluate,
@@ -190,3 +192,19 @@ def test_a_carrier_past_256_elements_keeps_tuple_vectors(tmp_path):
         by_pattern.setdefault(tuple(v == 0 for v in values), set()).add(values)
     assert all(len(vectors) == 1 for vectors in by_pattern.values())
     assert (report["selfextensional"], report["pass"]) == (True, True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4]), st.data())
+def test_a_lane_max_is_the_larger_entry_in_every_lane(lane, data):
+    """``_lanes`` and ``_lane_max`` against ``max`` entry by entry, at both lane widths:
+    16-bit lanes hold entries below 2^15 and 32-bit ones entries below 2^31, the top
+    bit left for the flag; bytes spread into 16-bit lanes as their ints do."""
+    bits = 8 * lane - 1
+    a = data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=40))
+    b = data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=len(a), max_size=len(a)))
+    flags = int.from_bytes((1 << bits).to_bytes(lane, "little") * len(a), "little")
+    larger = _lane_max(*(int.from_bytes(_lanes(x, lane), "little") for x in (a, b)), flags, bits)
+    assert larger.to_bytes(lane * len(a), "little") == _lanes(list(map(max, a, b)), lane)
+    low = [x % 256 for x in a]
+    assert _lanes(bytes(low), 2) == _lanes(low, 2)

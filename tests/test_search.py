@@ -3,7 +3,7 @@
 import ast
 import gc
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -280,7 +280,7 @@ def test_the_rank_table_holds_one_int_object_per_rank():
     assert len(set(map(id, entries))) <= 3**6
 
 
-@pytest.mark.parametrize("n, work", [(7, 42_112), (8, 166_144)])
+@pytest.mark.parametrize("n, work", [(7, 25_598), (8, 100_350)])
 def test_power_homomorphism_search_charges_its_pinned_work(boolean2, n, work):
     projections = sorted(tuple(element_coordinates(2, n, r)[i] for r in range(2**n))
                          for i in range(n))
@@ -336,7 +336,8 @@ def test_census_equals_the_definition(logic, texts, n, depth, request):
 # the homomorphism route, as defined in ``algebra``: the census may call none of it
 HOMOMORPHISM_ROUTE = ("is_homomorphism", "product_algebra", "shared_power",
                       "enumerate_homomorphisms", "power_homomorphisms",
-                      "refuse_power_past_the_caps", "_coordinate_swaps")
+                      "refuse_power_past_the_caps", "_coordinate_swaps", "_de_morgan_pairs",
+                      "_handed_equations")
 
 
 def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agenda, mv_agenda):
@@ -422,11 +423,94 @@ def test_homomorphism_search_leaves_the_garbage_collector_as_it_found_it(boolean
     assert [collecting for collecting, _ in calls] == [False] * 3  # paused while searching
 
 
+def pairs_by_definition(algebra):
+    """Each connective f with arguments that is not an involution, mapped to (u, g): the
+    first unary involution u and connective g in signature order with f(x̄) = u(g(u x̄)),
+    checked at every argument tuple one at a time. Constants stay unpaired."""
+    size, connectives = algebra.size, algebra.signature.connectives
+    involutions = [u for u, arity in connectives if arity == 1
+                   and all(algebra.op(u, [algebra.op(u, [x])]) == x for x in range(size))]
+
+    def conjugate(u, g, xs):  # u(g(u x̄))
+        return algebra.op(u, [algebra.op(g, [algebra.op(u, [x]) for x in xs])])
+
+    pairs = {}
+    for f, arity in connectives:
+        for u in [] if f in involutions or not arity else involutions:
+            tuples = list(product(range(size), repeat=arity))
+            g = next((g for g, a in connectives if a == arity
+                      and all(algebra.op(f, xs) == conjugate(u, g, xs) for xs in tuples)), None)
+            if g is not None:
+                pairs[f] = (u, g)
+                break
+    return pairs
+
+
+def test_the_pairs_by_definition_are_the_de_morgan_dualities(boolean2, luk3):
+    assert pairs_by_definition(boolean2) == {"or": ("not", "and"), "and": ("not", "or")}
+    assert pairs_by_definition(luk3) == {"oplus": ("not", "odot"), "odot": ("not", "oplus")}
+    assert pairs_by_definition(diamond_matrix().algebra) == {}
+
+
+class Equations:
+    """The homomorphism equations of algebra^n -> algebra, one per argument tuple, or
+    per a <= b for a binary connective commutative in the algebra, recomputed from the
+    power's tables: each with its last slot (the largest of its arguments and result)
+    and, for a connective f of a pair (u, g), its dual, g's equation at u x̄."""
+
+    def __init__(self, algebra, n):
+        self.algebra, self.power, self.size = algebra, shared_power(algebra, n), algebra.size**n
+        self.pairs = pairs_by_definition(algebra)
+        elements = list(product(range(algebra.size), repeat=2))
+        self.commutative = {
+            symbol for symbol, arity in algebra.signature.connectives if arity == 2
+            and all(algebra.op(symbol, [a, b]) == algebra.op(symbol, [b, a]) for a, b in elements)}
+
+    def rows(self, symbol, arity):
+        if symbol in self.commutative:
+            return combinations_with_replacement(range(self.size), 2)
+        return product(range(self.size), repeat=arity)
+
+    def index(self, args):
+        index = 0
+        for a in args:
+            index = index * self.size + a
+        return index
+
+    def result(self, symbol, args):
+        return self.power.tables[symbol][self.index(args)]
+
+    def last(self, symbol, args):
+        return max(*args, self.result(symbol, args)) if args else self.result(symbol, args)
+
+    def dual(self, symbol, args):
+        """The dual's connective and argument tuple, as it is handed (sorted if commutative)."""
+        u, g = self.pairs[symbol]
+        images = tuple(self.power.tables[u][a] for a in args)
+        return g, tuple(sorted(images)) if g in self.commutative else images
+
+    def unpaired_count(self):
+        size = self.size
+        return sum(size * (size + 1) // 2 if symbol in self.commutative else size**arity
+                   for symbol, arity in self.algebra.signature.connectives)
+
+    def paired_count(self):
+        """The equations whose dual's last slot is not strictly earlier than their own."""
+        return sum(symbol not in self.pairs
+                   or not self.last(*self.dual(symbol, args)) < self.last(symbol, args)
+                   for symbol, arity in self.algebra.signature.connectives
+                   for args in self.rows(symbol, arity))
+
+
 @pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4)]
                          + [(logic, n) for logic in ("luk3", "diamond") for n in (1, 2, 3)])
 def test_the_equation_cap_counts_the_equations_the_search_is_handed(logic, n, monkeypatch,
                                                                      request):
+    """The cap counts every equation before pairing, an upper bound on those handed, in
+    the same refusal text. The diamond has no involution and is handed all of them;
+    boolean2 and Ł3 are handed those whose dual does not come strictly earlier."""
     algebra = diamond_matrix().algebra if logic == "diamond" else request.getfixturevalue(logic)
+    equations = Equations(algebra, n)
     calls = spy_on_the_homomorphism_search(monkeypatch)
     power_homomorphisms(algebra, n)
     monkeypatch.setattr(algebra_module, "MAX_CONSTRAINTS", 0)  # the cap's count, in its refusal
@@ -434,7 +518,64 @@ def test_the_equation_cap_counts_the_equations_the_search_is_handed(logic, n, mo
         power_homomorphisms(algebra, n)
     [(_, handed)] = calls
     assert str(refused.value) == (f"homomorphism search of {algebra.name}^{n}: "
-                                  f"{handed} equations exceed the limit of 0")
+                                  f"{equations.unpaired_count()} equations exceed the limit of 0")
+    if logic == "diamond":
+        assert handed == equations.unpaired_count()
+    else:
+        assert handed == equations.paired_count() < equations.unpaired_count()
+
+
+def handed_to_the_search(algebra, n, monkeypatch):
+    """Per connective, a bytearray over its argument tuples' row-major indices in
+    algebra^n, 1 where power_homomorphisms hands the search its equation there; the
+    spy records each equation once and runs no search."""
+    size = algebra.size**n
+    symbol_of = {id(table): symbol for symbol, table in algebra.tables.items()}
+    assert len(symbol_of) == len(algebra.tables)
+    handed = {symbol: bytearray(size**arity) for symbol, arity in algebra.signature.connectives}
+
+    def spy(slots, size_, constraints, budget, stage, symmetries=()):
+        for table, args, _ in constraints:
+            index = 0
+            for a in args:
+                index = index * size + a
+            record = handed[symbol_of[id(table)]]
+            assert not record[index]
+            record[index] = 1
+        return []
+
+    monkeypatch.setattr(algebra_module, "search_tables", spy)
+    assert power_homomorphisms(algebra, n) == []
+    return handed
+
+
+@pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4)]
+                         + [("mv3", n) for n in (1, 2, 3, 6)] + [("mv4", n) for n in (1, 2)])
+def test_an_equation_is_left_out_exactly_where_its_dual_comes_strictly_earlier(logic, n,
+                                                                              monkeypatch):
+    """Against the definition, on every equation (mv3 at N=6 has 729 elements, past the
+    byte lanes): a left-out equation's dual is handed, with a strictly earlier last slot,
+    and u's equations at its arguments and result are handed at or before its own last
+    slot, so the search checks all it follows from by then; no handed equation has a
+    dual that comes strictly earlier; and every other connective's equations are handed."""
+    algebra = load_matrix(logic).algebra
+    equations = Equations(algebra, n)
+    handed = handed_to_the_search(algebra, n, monkeypatch)
+    left_out = 0
+    for symbol, arity in algebra.signature.connectives:
+        if symbol not in equations.pairs:
+            continue  # all handed: the count below
+        u, _ = equations.pairs[symbol]
+        for args in equations.rows(symbol, arity):
+            own, (g, dual) = equations.last(symbol, args), equations.dual(symbol, args)
+            if handed[symbol][equations.index(args)]:
+                assert not equations.last(g, dual) < own
+                continue
+            left_out += 1
+            assert handed[g][equations.index(dual)] and equations.last(g, dual) < own
+            for y in (*args, equations.result(symbol, args)):
+                assert handed[u][y] and equations.last(u, (y,)) <= own
+    assert 0 < left_out == equations.unpaired_count() - sum(map(sum, handed.values()))
 
 
 def test_census_of_a_24_formula_agenda(classical):

@@ -186,3 +186,51 @@ def test_a_round_trip_with_one_flipped_criterion_entry_is_caught_by_the_loop(
         {"criterion": table, "extracted": "aggregator is not universal+rational: "
                                           "universal=True rational=False"}
         for table in ([0, 0, 1, 1], [0, 1, 0, 1])]
+
+
+# boolean2 with a second unary connective k, the constant map to 0: no involution
+K_BOOLEAN = {"algebra": {"name": "k-boolean", "signature": {"connectives": [
+    {"name": "not", "arity": 1}, {"name": "k", "arity": 1}, {"name": "or", "arity": 2},
+    {"name": "and", "arity": 2}, {"name": "bot", "arity": 0}, {"name": "top", "arity": 0}]},
+    "carrier": ["0", "1"], "ops": {"not": [1, 0], "k": [0, 0], "or": [[0, 1], [1, 1]],
+                                   "and": [[0, 0], [0, 1]], "bot": [0], "top": [1]}},
+    "designated": [1]}
+
+PLANTED_PAIRS = {
+    # or(x̄) = not(or(not x̄)) fails, but which equations are handed reads only u and f
+    "boolean2": (("not", "or", "or"), ("not", "and", "or"), ("not", "bot", "top"),
+                 ("not", "top", "bot")),
+    # k is no involution: most equations of or and and are left out
+    "k-boolean": (("k", "or", "and"), ("k", "and", "or")),
+}
+
+
+@pytest.mark.parametrize("logic", list(PLANTED_PAIRS))
+def test_a_planted_pair_never_yields_a_wrong_count(logic, tmp_path, monkeypatch, capsys):
+    """A pair whose identity fails can only leave equations out, so the search finds
+    every homomorphism and perhaps tables that are none, which each table's re-check
+    (``AlgebraHomomorphism``) refuses as an input error. Neither command may exit 0 or
+    1 with a count other than the electorate's, the projections."""
+    monkeypatch.setattr(algebra, "_de_morgan_pairs", lambda base: PLANTED_PAIRS[logic])
+    option = logic
+    if logic == "k-boolean":
+        option = str(tmp_path / "k.json")
+        (tmp_path / "k.json").write_text(json.dumps(K_BOOLEAN))
+    agenda, out = tmp_path / "agenda.json", tmp_path / "report.json"
+    agenda.write_text(json.dumps({"formulas": AGENDAS["boolean2"]}))
+    codes = []
+    for n in (1, 2, 3):
+        for argv, field in ((["enumerate-homs"], "count"),
+                            (["verify-bijection", "--agenda", str(agenda)], "homs")):
+            out.unlink(missing_ok=True)
+            code = main([*argv, "--logic", option, "--electorate", str(n), "--out", str(out)])
+            errors = capsys.readouterr().err
+            if code in (0, 1):
+                assert json.loads(out.read_text())[field] == n
+            else:
+                assert code == 2 and "not a homomorphism" in errors
+            codes.append(code)
+    if logic == "k-boolean":  # the plant bites, and the re-check catches it
+        assert 2 in codes
+    else:
+        assert set(codes) == {0}
