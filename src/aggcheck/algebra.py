@@ -470,14 +470,11 @@ def is_homomorphism(
 
     Returns (True, None) or (False, (symbol, argument_tuple)) with the first
     violation in signature order / row-major argument order. Each connective's
-    source table is mapped through ``mapping`` in one step and compared with the
-    target side, one row per first argument. A row's later arguments, mapped,
-    are read once per connective as lane indices into a row of the target's
-    table (the partner vector), and the row for a first argument is the
-    partner vector looked up in the target's row for that argument's image:
-    one ``bytes.translate`` while a target row has at most 256 entries. While
-    the target has at most 256 elements, both sides are bytes and compared
-    whole, the rows joined. Past that, they are lists, compared row by row. The
+    source table is mapped through ``mapping`` in one step and compared whole with
+    the target side, built one row per first argument: the later arguments'
+    columns, mapped, with the first argument's image in every lane, through
+    ``target.op_on_vectors``, once per distinct image. Both sides take the
+    target's vector form, bytes up to 256 elements and tuples past that. The
     first differing entry gives the witness.
     """
     if source.signature != target.signature:
@@ -487,7 +484,7 @@ def is_homomorphism(
     if not _within(mapping, target.size):
         raise ValueError("mapping has out-of-range values")
     n, size = source.size, target.size
-    form = bytes if size <= 256 else list  # of the mapped tables and the target's rows
+    form, join = (bytes if size <= 256 else tuple), _join(size)
     image_of = bytes(mapping).ljust(256, b"\0") if form is bytes and n <= 256 else None
     for symbol, arity in source.signature.connectives:
         width = n ** max(arity - 1, 0)
@@ -498,26 +495,13 @@ def is_homomorphism(
             mapped = form(map(mapping.__getitem__, table))
         later = [form(map(mapping.__getitem__, column))
                  for column in _variable_vectors(n, max(arity - 1, 0))]
-        partner = _lane_indices(later, size, width)  # into a row of the target's table
-        span = size ** max(arity - 1, 0)
-        rows = target.tables[symbol]
         heads = mapping if arity else (0,)  # each row's first argument, mapped; a constant: one row
-        images = {}  # target side of a row, by its first argument's image
-        for head in dict.fromkeys(heads):
-            row = rows[head * span:(head + 1) * span]
-            if form is bytes and isinstance(partner, bytes):
-                images[head] = partner.translate(bytes(row).ljust(256, b"\0"))
-            else:
-                images[head] = form(map(row.__getitem__, partner))
-        if form is bytes:  # the whole table at once, its rows joined
-            blocks = [(0, mapped, b"".join(map(images.__getitem__, heads)))]
-        else:  # row by row, so no second table is built
-            blocks = ((first * width, mapped[first * width:(first + 1) * width], images[head])
-                      for first, head in enumerate(heads))
-        for start, block, image in blocks:
-            if block != image:
-                offset = next(i for i, (a, b) in enumerate(zip(block, image)) if a != b)
-                return False, (symbol, element_coordinates(n, arity, start + offset))
+        rows = {head: target.op_on_vectors(symbol, [form((head,)) * width, *later][:arity], width)
+                for head in dict.fromkeys(heads)}  # a constant's row has no arguments
+        expected = join(map(rows.__getitem__, heads))
+        if mapped != expected:
+            offset = next(i for i, (a, b) in enumerate(zip(mapped, expected)) if a != b)
+            return False, (symbol, element_coordinates(n, arity, offset))
     return True, None
 
 
@@ -706,25 +690,19 @@ def _commutative(table: Union[bytes, Sequence[int]], size: int, arity: int) -> b
 def _de_morgan_pairs(algebra: FiniteAlgebra) -> tuple[tuple[str, str, str], ...]:
     """Each connective f with arguments that is not an involution, as ``(u, f, g)`` with
     the first unary involution u and connective g in signature order for which
-    f(x̄) = u(g(u x̄)), that is, g(x̄) = u(f(u x̄)): decided on truth vectors, a
-    connective's conjugate u(f(u x̄)) looked up among the tables. A constant has one
+    f(x̄) = u(g(u x̄)). Both are decided from their definitions, by ``op`` on the
+    algebra's elements: u is an involution when u(u x) = x at every element x, and g
+    is f's dual when the identity holds at every argument tuple x̄. A constant has one
     equation, so pairing it would save one check per node at one slot."""
-    size, connectives = algebra.size, algebra.signature.connectives
-    form = bytes if size <= 256 else tuple
-    by_table = {(arity, form(algebra.tables[g])): g for g, arity in reversed(connectives)}
-    identity = _variable_vectors(size, 1)[0]
-    involutions = [u for u, arity in connectives if arity == 1 and algebra.op_on_vectors(
-        u, [form(algebra.tables[u])], size) == identity]
-    images: dict[tuple[str, int], list[Vector]] = {}  # (u, arity) -> u x̄
+    op, elements, connectives = algebra.op, range(algebra.size), algebra.signature.connectives
+    involutions = [u for u, arity in connectives
+                   if arity == 1 and all(op(u, [op(u, [x])]) == x for x in elements)]
     pairs = []
     for f, arity in connectives:
-        width = size**arity
+        tuples = list(product(elements, repeat=arity))
         for u in () if f in involutions or not arity else involutions:
-            if (u, arity) not in images:
-                images[u, arity] = [algebra.op_on_vectors(u, [x], width)
-                                    for x in _variable_vectors(size, arity)]
-            conjugate = algebra.op_on_vectors(f, images[u, arity], width)
-            g = by_table.get((arity, algebra.op_on_vectors(u, [conjugate], width)))
+            g = next((g for g, a in connectives if a == arity and all(
+                op(f, xs) == op(u, [op(g, [op(u, [x]) for x in xs])]) for xs in tuples)), None)
             if g is not None:
                 pairs.append((u, f, g))
                 break
@@ -752,58 +730,60 @@ def _lane_max(a: int, b: int, flags: int, bits: int) -> int:
 def _handed_equations(
     source: FiniteAlgebra,
     dualities: Sequence[tuple[str, str, str]],
+    symbols: Sequence[str],
     arity: int,
     upper: Optional[list[slice]],
-) -> dict[str, bytes]:
-    """For f of each pair (u, f, g), a connective of ``arity``, one byte per argument
-    tuple x̄ of f's equations, in row-major order (given ``upper``, the slices of a
-    binary table's rows from the diagonal on: a <= b only): 0 where the equation is
-    implied, else 1. Its last slot is max(x̄, f(x̄)), its dual's (g's equation at u x̄)
-    max(u x̄, u f(x̄)), and it is implied where the dual's is strictly earlier.
+) -> Optional[bytearray]:
+    """For a group of connectives ``symbols`` of ``arity``, one byte per equation in the
+    order the search is handed them, argument tuple by argument tuple (given ``upper``,
+    the slices of a binary table's rows from the diagonal on: a <= b only) and one per
+    connective at each: 0 where the equation is implied, else 1; None when no pair's f
+    is in the group. For f of a pair (u, f, g), its equation at x̄ has the last slot
+    max(x̄, f(x̄)), its dual (g's equation at u x̄) max(u x̄, u f(x̄)), and it is implied
+    where the dual's is strictly earlier.
 
-    Both are computed in lanes of one int per vector, for the connectives of one u laid
-    end to end: 16-bit lanes, whose top bit no power needs (``MAX_POWER_SIZE`` is below
-    2^15), or 32-bit past 2^15 elements. The largest of x̄, and of u x̄, is worked out
-    once over the tuples and repeated for each connective."""
+    One pass per pair, in lanes of one int per vector: 16-bit lanes, whose top bit no
+    power needs (``MAX_POWER_SIZE`` is below 2^15), or 32-bit past 2^15 elements. The
+    largest of x̄ is worked out once, and the largest of u x̄ once per u."""
+    paired = [(symbols.index(f), u) for u, f, _ in dualities if f in symbols]
+    if not paired:
+        return None
     n = source.size
     lane = 2 if n <= 2**15 else 4
-    bits = 8 * lane - 1
-    form, join = (bytes if n <= 256 else tuple), _join(n)
-    symbols_of: dict[str, list[str]] = {}
-    for u, f, _ in dualities:
-        symbols_of.setdefault(u, []).append(f)
-    handed = {}
-    for u, symbols in symbols_of.items():
-        tables = [form(source.tables[f]) for f in symbols]
+    bits, form = 8 * lane - 1, bytes if n <= 256 else tuple
+    rows = n * (n + 1) // 2 if upper else n**arity
+    flags = int.from_bytes((1 << bits).to_bytes(lane, "little") * rows, "little")
+
+    def lanes(entries: Union[bytes, Sequence[int]]) -> int:
+        return int.from_bytes(_lanes(entries, lane), "little")
+
+    def largest(values: Sequence[int]) -> int:
+        """At each argument tuple x̄, the largest of ``values`` at x̄'s entries."""
+        cells = _lanes(form(values), lane)
         if upper:
-            tables = [join(map(table.__getitem__, upper)) for table in tables]
-        rows, copies, results = len(tables[0]), len(tables), join(tables)
-        top = (1 << bits).to_bytes(lane, "little")
-        row_flags = int.from_bytes(top * rows, "little")
-        flags = int.from_bytes(top * len(results), "little")
-        images = source.op_on_vectors(u, [results], len(results))
-        last = [int.from_bytes(_lanes(results, lane), "little"),  # f(x̄), then u f(x̄)
-                int.from_bytes(_lanes(images, lane), "little")]
-        for k, values in enumerate((range(n), source.tables[u]) if arity else ()):
-            cells = _lanes(form(values), lane)  # x, or u x, for each element x
-            if upper:
-                columns = [b"".join(cells[a * lane:(a + 1) * lane] * (n - a) for a in range(n)),
-                           b"".join(cells[a * lane:] for a in range(n))]
-            else:
-                columns = [b"".join(cells[c * lane:(c + 1) * lane] * n ** (arity - 1 - i)
-                                    for c in range(n)) * n**i for i in range(arity)]
-            largest = int.from_bytes(columns[0], "little")
-            for column in columns[1:]:
-                largest = _lane_max(largest, int.from_bytes(column, "little"), row_flags, bits)
-            repeated = largest
-            for i in range(1, copies):
-                repeated |= largest << 8 * lane * rows * i
-            last[k] = _lane_max(last[k], repeated, flags, bits)
-        own, dual = last
-        kept = ((((dual | flags) - own) & flags) >> bits).to_bytes(len(results) * lane, "little")
-        handed.update((f, kept[i * rows * lane:(i + 1) * rows * lane:lane])
-                      for i, f in enumerate(symbols))
-    return handed
+            columns = [b"".join(cells[a * lane:(a + 1) * lane] * (n - a) for a in range(n)),
+                       b"".join(cells[a * lane:] for a in range(n))]
+        else:
+            columns = [b"".join(cells[c * lane:(c + 1) * lane] * n ** (arity - 1 - i)
+                                for c in range(n)) * n**i for i in range(arity)]
+        last = 0
+        for column in columns:
+            last = _lane_max(last, int.from_bytes(column, "little"), flags, bits)
+        return last
+
+    of_arguments = largest(range(n))
+    of_images = {u: largest(source.tables[u]) for u in dict.fromkeys(u for _, u in paired)}
+    mask = bytearray(b"\1") * (rows * len(symbols))
+    for j, u in paired:
+        results = form(source.tables[symbols[j]])
+        if upper:
+            results = _join(n)(map(results.__getitem__, upper))
+        own = _lane_max(lanes(results), of_arguments, flags, bits)
+        dual = _lane_max(lanes(source.op_on_vectors(u, [results], rows)), of_images[u],
+                         flags, bits)
+        kept = (((dual | flags) - own) & flags) >> bits  # 1 where dual >= own, lane by lane
+        mask[j::len(symbols)] = kept.to_bytes(rows * lane, "little")[::lane]
+    return mask
 
 
 def enumerate_homomorphisms(
@@ -827,7 +807,8 @@ def enumerate_homomorphisms(
     meets f's at x̄. So f's equation at x̄ is not handed on when its dual, g's at u x̄,
     has a strictly earlier last slot (the largest of its slots): every equation it
     follows from is checked at or before its own last slot, and the search enters the
-    same nodes."""
+    same nodes. Each group's mask of handed equations (``_handed_equations``) is
+    worked out before its argument rows are built."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     n, dualities = source.size, tuple(dualities)
@@ -838,13 +819,11 @@ def enumerate_homomorphisms(
                        and _commutative(source.tables[symbol], n, arity))
         groups.setdefault((arity, commutative), []).append(symbol)
     upper = [slice(a * n + a, (a + 1) * n) for a in range(n)]  # row a from column a
-    handed: dict[str, bytes] = {}  # worked out before any argument rows are built
-    for (arity, commutative), symbols in groups.items():
-        if paired := [pair for pair in dualities if pair[1] in symbols]:
-            handed.update(_handed_equations(source, paired, arity, upper if commutative else None))
     with paused_collector():  # the argument rows are many tuples that make no cycle
         runs = []  # each argument tuple's equations together, one per connective of its group
         for (arity, commutative), symbols in groups.items():
+            selected = _handed_equations(source, dualities, symbols, arity,
+                                         upper if commutative else None)
             if commutative:
                 rows = list(combinations_with_replacement(range(n), 2))
                 values = [chain.from_iterable(map(source.tables[symbol].__getitem__, upper))
@@ -855,13 +834,7 @@ def enumerate_homomorphisms(
             equations = chain.from_iterable(zip(*(
                 zip(repeat(target.tables[symbol]), rows, column)
                 for symbol, column in zip(symbols, values))))
-            if handed.keys() & symbols:
-                selected = bytearray(b"\1") * (len(rows) * len(symbols))
-                for j, symbol in enumerate(symbols):
-                    if symbol in handed:
-                        selected[j::len(symbols)] = handed[symbol]
-                equations = compress(equations, selected)
-            runs.append(equations)
+            runs.append(equations if selected is None else compress(equations, selected))
         found = search_tables(n, target.size, chain.from_iterable(runs), budget,
                               stage="homomorphism search", symmetries=symmetries)
     return [AlgebraHomomorphism(source, target, mapping) for mapping in found]

@@ -549,8 +549,16 @@ def handed_to_the_search(algebra, n, monkeypatch):
     return handed
 
 
+# a 3-element chain whose pairs have two involutions: not pairs or with and, and s (which
+# swaps 0 and 1) pairs Ł3's oplus with its conjugate splus = s∘oplus∘s; all four commute,
+# so one mask holds the equations of both involutions
+TWO_INVOLUTIONS = str(Path(__file__).with_name("two_involutions.json"))
+
+
 @pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4)]
-                         + [("mv3", n) for n in (1, 2, 3, 6)] + [("mv4", n) for n in (1, 2)])
+                         + [("mv3", n) for n in (1, 2, 3, 6)] + [("mv4", n) for n in (1, 2)]
+                         + [pytest.param(TWO_INVOLUTIONS, n, id=f"two-involutions-{n}")
+                            for n in (1, 2, 3)])
 def test_an_equation_is_left_out_exactly_where_its_dual_comes_strictly_earlier(logic, n,
                                                                               monkeypatch):
     """Against the definition, on every equation (mv3 at N=6 has 729 elements, past the
@@ -576,6 +584,24 @@ def test_an_equation_is_left_out_exactly_where_its_dual_comes_strictly_earlier(l
             for y in (*args, equations.result(symbol, args)):
                 assert handed[u][y] and equations.last(u, (y,)) <= own
     assert 0 < left_out == equations.unpaired_count() - sum(map(sum, handed.values()))
+
+
+# boolean2 with iff before and: not(iff(not x̄)) is or(x̄) at every argument tuple but the
+# last, (1, 1), so or's dual is and, not iff
+IFF_BOOLEAN = FiniteAlgebra(
+    Signature((("not", 1), ("or", 2), ("iff", 2), ("and", 2))), ("0", "1"),
+    (("not", (1, 0)), ("or", (0, 1, 1, 1)), ("iff", (1, 0, 0, 1)), ("and", (0, 0, 0, 1))))
+
+
+@pytest.mark.parametrize("logic", ["boolean2", "mv3", "mv4", "diamond", "iff-boolean",
+                                   pytest.param(TWO_INVOLUTIONS, id="two-involutions")])
+def test_the_de_morgan_pairs_are_the_pairs_by_definition(logic):
+    algebra = {"diamond": diamond_matrix().algebra, "iff-boolean": IFF_BOOLEAN}.get(logic)
+    algebra = algebra or load_matrix(logic).algebra
+    expected = tuple((u, f, g) for f, (u, g) in pairs_by_definition(algebra).items())
+    assert algebra_module._de_morgan_pairs(algebra) == expected
+    if algebra is IFF_BOOLEAN:
+        assert expected[0] == ("not", "or", "and")
 
 
 def test_census_of_a_24_formula_agenda(classical):
