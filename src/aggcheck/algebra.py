@@ -709,14 +709,14 @@ def _de_morgan_pairs(algebra: FiniteAlgebra) -> tuple[tuple[str, str, str], ...]
     return tuple(pairs)
 
 
-def _lanes(entries: Union[bytes, Sequence[int]], lane: int) -> bytes:
-    """Entries as the bytes of little-endian lanes of ``lane`` (2 or 4) bytes, one entry
-    a lane: bytes spread out with zeros, ints packed by ``struct``."""
+def _lanes(entries: Union[bytes, Sequence[int]]) -> bytes:
+    """Entries as the bytes of little-endian 16-bit lanes, one entry a lane: bytes spread
+    out with zeros, ints packed by ``struct``."""
     if isinstance(entries, bytes):
-        lanes = bytearray(lane * len(entries))
-        lanes[::lane] = entries
+        lanes = bytearray(2 * len(entries))
+        lanes[::2] = entries
         return bytes(lanes)
-    return struct.pack(f"<{len(entries)}{'H' if lane == 2 else 'I'}", *entries)
+    return struct.pack(f"<{len(entries)}H", *entries)
 
 
 def _lane_max(a: int, b: int, flags: int, bits: int) -> int:
@@ -737,34 +737,33 @@ def _handed_equations(
     """For a group of connectives ``symbols`` of ``arity``, one byte per equation in the
     order the search is handed them, argument tuple by argument tuple (given ``upper``,
     the slices of a binary table's rows from the diagonal on: a <= b only) and one per
-    connective at each: 0 where the equation is implied, else 1; None when no pair's f
-    is in the group. For f of a pair (u, f, g), its equation at x̄ has the last slot
-    max(x̄, f(x̄)), its dual (g's equation at u x̄) max(u x̄, u f(x̄)), and it is implied
-    where the dual's is strictly earlier.
+    connective at each: 0 where the equation is implied, else 1; None, and every
+    equation handed, when no pair's f is in the group or the source has more than 2^15
+    elements (no power has: ``MAX_POWER_SIZE`` is below). For f of a pair (u, f, g), its
+    equation at x̄ has the last slot max(x̄, f(x̄)), its dual (g's equation at u x̄)
+    max(u x̄, u f(x̄)), and it is implied where the dual's is strictly earlier.
 
-    One pass per pair, in lanes of one int per vector: 16-bit lanes, whose top bit no
-    power needs (``MAX_POWER_SIZE`` is below 2^15), or 32-bit past 2^15 elements. The
-    largest of x̄ is worked out once, and the largest of u x̄ once per u."""
+    One pass per pair, in 16-bit lanes of one int per vector, the top bit of each a
+    flag. The largest of x̄ is worked out once, and the largest of u x̄ once per u."""
     paired = [(symbols.index(f), u) for u, f, _ in dualities if f in symbols]
-    if not paired:
-        return None
     n = source.size
-    lane = 2 if n <= 2**15 else 4
-    bits, form = 8 * lane - 1, bytes if n <= 256 else tuple
+    if not paired or n > 2**15:
+        return None
+    bits, form = 15, bytes if n <= 256 else tuple
     rows = n * (n + 1) // 2 if upper else n**arity
-    flags = int.from_bytes((1 << bits).to_bytes(lane, "little") * rows, "little")
+    flags = int.from_bytes((1 << bits).to_bytes(2, "little") * rows, "little")
 
     def lanes(entries: Union[bytes, Sequence[int]]) -> int:
-        return int.from_bytes(_lanes(entries, lane), "little")
+        return int.from_bytes(_lanes(entries), "little")
 
     def largest(values: Sequence[int]) -> int:
         """At each argument tuple x̄, the largest of ``values`` at x̄'s entries."""
-        cells = _lanes(form(values), lane)
+        cells = _lanes(form(values))
         if upper:
-            columns = [b"".join(cells[a * lane:(a + 1) * lane] * (n - a) for a in range(n)),
-                       b"".join(cells[a * lane:] for a in range(n))]
+            columns = [b"".join(cells[2 * a:2 * a + 2] * (n - a) for a in range(n)),
+                       b"".join(cells[2 * a:] for a in range(n))]
         else:
-            columns = [b"".join(cells[c * lane:(c + 1) * lane] * n ** (arity - 1 - i)
+            columns = [b"".join(cells[2 * c:2 * c + 2] * n ** (arity - 1 - i)
                                 for c in range(n)) * n**i for i in range(arity)]
         last = 0
         for column in columns:
@@ -782,7 +781,7 @@ def _handed_equations(
         dual = _lane_max(lanes(source.op_on_vectors(u, [results], rows)), of_images[u],
                          flags, bits)
         kept = (((dual | flags) - own) & flags) >> bits  # 1 where dual >= own, lane by lane
-        mask[j::len(symbols)] = kept.to_bytes(rows * lane, "little")[::lane]
+        mask[j::len(symbols)] = kept.to_bytes(2 * rows, "little")[::2]
     return mask
 
 

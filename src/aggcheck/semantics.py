@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from operator import ne
 from typing import Optional, Sequence
 
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, Vector, closure_vectors, refuse
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, Vector, _join, closure_vectors, refuse
 from .record import frozen
 from .syntax import App, Formula, Var
 from .syntax import bounded_closure  # noqa: F401 (traced binding)
@@ -111,10 +112,12 @@ def check_selfextensionality(
     Holding alike is an equivalence, so where two later members break the
     congruence, one of them breaks it with the first member at the same
     arguments. That pair comes earlier in the all-pairs order, so comparing
-    every pair would find the same first witness. The first member's
-    pattern is worked out once per position and tuple of other arguments,
-    and kept for its later members. Failure is conclusive; success means no
-    counterexample at this depth.
+    every pair would find the same first witness. A member's row at a
+    position, its pattern at every tuple of other arguments in product
+    order, is one ``op_on_vectors`` (as in a closure layer); the first
+    member's rows are kept for the class, and the first lane where a later
+    member's row differs names the witness's other arguments. Failure is
+    conclusive; success means no counterexample at this depth.
 
     Where holding tells every value apart (degree mode, or a filter that
     designates one of two values), distinct vectors hold differently, so
@@ -134,29 +137,25 @@ def check_selfextensionality(
     for vec in vectors:
         classes.setdefault(matrix.pattern(vec), []).append(vec)
     pairs = len(vectors) - len(classes)  # each class's first member with each later one
-
-    for symbol, arity in algebra.signature.connectives:
-        if arity == 0:
-            continue
+    shared = [members for members in classes.values() if len(members) > 1]
+    # the connectives with arguments, while some class has a pair (else no rows are built)
+    for symbol, arity in [(c, a) for c, a in algebra.signature.connectives if a and shared]:
         refuse(budget, f"congruence check of {symbol!r}", (pairs, "vector pairs"),
                (arity, "positions"), ((len(vectors), arity - 1), "other arguments"))
-        for first, *later in classes.values():
-            held = {}  # the first member's patterns, by position and other arguments
-            for w in later:
-                for position in range(arity):
-                    for j, others in enumerate(product(vectors, repeat=arity - 1)):
-                        args_u = others[:position] + (first,) + others[position:]
-                        key = position, j
-                        if key not in held:
-                            res_u = algebra.op_on_vectors(symbol, args_u, n_valuations)
-                            held[key] = matrix.pattern(res_u)
-                        args_w = others[:position] + (w,) + others[position:]
-                        res_w = algebra.op_on_vectors(symbol, args_w, n_valuations)
-                        if held[key] != matrix.pattern(res_w):
-                            witness = CongruenceWitness(
-                                connective=symbol,
-                                left_args=tuple(rep[a] for a in args_u),
-                                right_args=tuple(rep[a] for a in args_w),
-                            )
-                            return False, witness
+        partners = list(product(vectors, repeat=arity - 1))
+        columns = [_join(algebra.size)([p[j] for p in partners]) for j in range(arity - 1)]
+
+        def row(member: Vector, position: int) -> Vector:  # its pattern, partner by partner
+            args = [*columns[:position], member * len(partners), *columns[position:]]
+            return matrix.pattern(algebra.op_on_vectors(symbol, args, len(partners) * n_valuations))
+
+        for first, *later in shared:
+            held = [row(first, position) for position in range(arity)]
+            for w, position in product(later, range(arity)):
+                if (pattern := row(w, position)) != held[position]:
+                    lane = list(map(ne, pattern, held[position])).index(True)
+                    others = partners[lane // n_valuations]
+                    left, right = ((*others[:position], v, *others[position:]) for v in (first, w))
+                    return False, CongruenceWitness(symbol, tuple(rep[a] for a in left),
+                                                    tuple(rep[a] for a in right))
     return True, None

@@ -1,7 +1,7 @@
 """Byte-lane truth vectors against brute force: random algebras on 2-7 elements
 whose tables fall on both sides of 256 entries (a ternary table on 7 elements
-has 343 entries, a binary one of lukasiewicz17 289), and a carrier of 257
-elements, where vectors stay tuples."""
+has 343 entries, a binary one of lukasiewicz17 289), and carriers of 257
+elements, where vectors stay tuples, run through the agenda and congruence checks."""
 
 import json
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from aggcheck.algebra import (
     FiniteAlgebra,
+    _handed_equations,
     _lane_max,
     _lanes,
     builtin_mv_chain,
@@ -21,9 +22,10 @@ from aggcheck.algebra import (
 from aggcheck.cli import main
 from aggcheck.fileio import dump_json, load_matrix
 from aggcheck.oracles import all_valuations
-from aggcheck.semantics import Matrix
+from aggcheck.semantics import CongruenceWitness, Matrix, check_selfextensionality
 from aggcheck.syntax import App, Signature, Var, bounded_closure, print_formula, variables_of
 from test_algebra import first_violation
+from test_semantics import all_pairs_selfextensionality
 from test_vectors import formulas
 
 MV17 = builtin_mv_chain(17)
@@ -194,17 +196,60 @@ def test_a_carrier_past_256_elements_keeps_tuple_vectors(tmp_path):
     assert (report["selfextensional"], report["pass"]) == (True, True)
 
 
+# on 257 elements with constants a = 5 and b = 6 and the filter {7}: a and b hold alike
+# (never), and m(x, y) is 7 where x is 9 and y is 6, else 0. So m(a, y) and m(b, y) hold
+# alike at every y, while m(x1, a) and m(x1, b) differ at x1 = 9: the first witness is
+# at the second position, at the third partner (x1, after a and b), in its tenth lane
+PAIRED_CONSTANTS_257 = {
+    "algebra": {
+        "name": "constants257",
+        "signature": {"connectives": [{"name": "a", "arity": 0}, {"name": "b", "arity": 0},
+                                      {"name": "m", "arity": 2}]},
+        "carrier": [str(v) for v in range(257)],
+        "ops": {"a": [5], "b": [6],
+                "m": [[7 if (x, y) == (9, 6) else 0 for y in range(257)] for x in range(257)]},
+    },
+    "designated": [7],
+}
+
+
+def test_a_carrier_past_256_elements_finds_the_first_witness_of_all_pairs(tmp_path):
+    logic = tmp_path / "constants257.json"
+    dump_json(PAIRED_CONSTANTS_257, logic)
+    matrix = load_matrix(str(logic))
+    x1, a, b = Var("x1"), App("a", ()), App("b", ())
+    expected = (False, CongruenceWitness("m", (x1, a), (x1, b)))
+    assert all_pairs_selfextensionality(matrix, ["x1"], 1) == expected
+    assert check_selfextensionality(matrix, ["x1"], 1) == expected
+    (vector,) = truth_vectors([x1], ["x1"], matrix.algebra)
+    assert type(vector) is tuple
+    assert main(["check-selfext", "--logic", str(logic), "--variables", "1", "--depth", "1",
+                 "--out", str(tmp_path / "report.json")]) == 1
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([2, 4]), st.data())
-def test_a_lane_max_is_the_larger_entry_in_every_lane(lane, data):
-    """``_lanes`` and ``_lane_max`` against ``max`` entry by entry, at both lane widths:
-    16-bit lanes hold entries below 2^15 and 32-bit ones entries below 2^31, the top
-    bit left for the flag; bytes spread into 16-bit lanes as their ints do."""
-    bits = 8 * lane - 1
-    a = data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=40))
-    b = data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=len(a), max_size=len(a)))
-    flags = int.from_bytes((1 << bits).to_bytes(lane, "little") * len(a), "little")
-    larger = _lane_max(*(int.from_bytes(_lanes(x, lane), "little") for x in (a, b)), flags, bits)
-    assert larger.to_bytes(lane * len(a), "little") == _lanes(list(map(max, a, b)), lane)
+@given(st.data())
+def test_a_lane_max_is_the_larger_entry_in_every_lane(data):
+    """``_lanes`` and ``_lane_max`` against ``max`` entry by entry: 16-bit lanes hold
+    entries below 2^15, the top bit left for the flag; bytes spread into lanes as their
+    ints do."""
+    a = data.draw(st.lists(st.integers(0, 2**15 - 1), min_size=1, max_size=40))
+    b = data.draw(st.lists(st.integers(0, 2**15 - 1), min_size=len(a), max_size=len(a)))
+    flags = int.from_bytes((1 << 15).to_bytes(2, "little") * len(a), "little")
+    larger = _lane_max(*(int.from_bytes(_lanes(x), "little") for x in (a, b)), flags, 15)
+    assert larger.to_bytes(2 * len(a), "little") == _lanes(list(map(max, a, b)))
     low = [x % 256 for x in a]
-    assert _lanes(bytes(low), 2) == _lanes(low, 2)
+    assert _lanes(bytes(low)) == _lanes(low)
+
+
+def test_a_source_past_2_to_the_15_elements_hands_every_equation():
+    """Past 2^15 elements an element does not fit a 16-bit lane below its flag, so no
+    mask is built; at 2^15 one is."""
+    signature = Signature((("u", 1), ("f", 1), ("g", 1)))
+    pairs = [("u", "f", "g")]
+    for size, masked in ((2**15, True), (2**15 + 1, False)):
+        identity = tuple(range(size))
+        source = FiniteAlgebra(signature, tuple(map(str, identity)),
+                               (("u", identity), ("f", identity), ("g", identity)))
+        mask = _handed_equations(source, pairs, ["f", "g"], 1, None)
+        assert (mask is not None) == masked

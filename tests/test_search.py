@@ -39,6 +39,7 @@ from aggcheck.oracles import all_valuations
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import App, Signature, Var, parse_formula, print_formula
 from builders import builtin_distributive_lattice
+from test_algebra import every_homomorphism
 
 
 @st.composite
@@ -593,10 +594,36 @@ IFF_BOOLEAN = FiniteAlgebra(
     (("not", (1, 0)), ("or", (0, 1, 1, 1)), ("iff", (1, 0, 0, 1)), ("and", (0, 0, 0, 1))))
 
 
+# the 3-element chain with not, s (which swaps 0 and 1), max and min as or and and, and
+# their conjugates h = s∘max∘s and k = s∘min∘s: s pairs h with or and k with and, and not
+# pairs or with and, so the pairs chain, and a left-out equation's dual may be left out too
+CHAINED_PAIRS = FiniteAlgebra(
+    Signature((("not", 1), ("s", 1), ("or", 2), ("and", 2), ("h", 2), ("k", 2))), ("0", "1", "2"),
+    (("not", (2, 1, 0)), ("s", (1, 0, 2)),
+     ("or", (0, 1, 2, 1, 1, 2, 2, 2, 2)), ("and", (0, 0, 0, 0, 1, 1, 0, 1, 2)),
+     ("h", (0, 0, 2, 0, 1, 2, 2, 2, 2)), ("k", (0, 1, 0, 1, 1, 1, 0, 1, 2))))
+
+
+def test_chained_de_morgan_pairs_find_every_homomorphism_of_the_square(monkeypatch):
+    """Each left-out equation follows from equations with strictly earlier last slots,
+    handed or not, so the search finds what a filter of all 3^9 maps finds."""
+    equations = Equations(CHAINED_PAIRS, 2)
+    handed = handed_to_the_search(CHAINED_PAIRS, 2, monkeypatch)
+    monkeypatch.undo()
+    assert any(not handed[g][equations.index(dual)]
+               for symbol in ("h", "k") for args in equations.rows(symbol, 2)
+               if not handed[symbol][equations.index(args)]
+               for g, dual in [equations.dual(symbol, args)])
+    found = [h.mapping for h in power_homomorphisms(CHAINED_PAIRS, 2)]
+    assert found == every_homomorphism(shared_power(CHAINED_PAIRS, 2), CHAINED_PAIRS)
+
+
 @pytest.mark.parametrize("logic", ["boolean2", "mv3", "mv4", "diamond", "iff-boolean",
+                                   "chained-pairs",
                                    pytest.param(TWO_INVOLUTIONS, id="two-involutions")])
 def test_the_de_morgan_pairs_are_the_pairs_by_definition(logic):
-    algebra = {"diamond": diamond_matrix().algebra, "iff-boolean": IFF_BOOLEAN}.get(logic)
+    algebra = {"diamond": diamond_matrix().algebra, "iff-boolean": IFF_BOOLEAN,
+               "chained-pairs": CHAINED_PAIRS}.get(logic)
     algebra = algebra or load_matrix(logic).algebra
     expected = tuple((u, f, g) for f, (u, g) in pairs_by_definition(algebra).items())
     assert algebra_module._de_morgan_pairs(algebra) == expected

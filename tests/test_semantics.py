@@ -188,21 +188,21 @@ class TestSelfextensionality:
         assert max(classes.values()) >= 2
 
         # each class's first member is compared with each later one, at every
-        # position and every tuple of other arguments: one result per comparison,
-        # and the first member's once per class, position and other arguments
+        # position, over every tuple of other arguments at once: one application
+        # per member of a class with a later member, per connective and position
         answer, calls = loop_applications(matrix, variables, depth, monkeypatch)
         assert answer == (True, None)
-        per_pair = sum(arity * len(vectors) ** (arity - 1)
-                       for _, arity in algebra.signature.connectives if arity)
+        positions = sum(arity for _, arity in algebra.signature.connectives)
         shared = sum(count > 1 for count in classes.values())
-        assert calls == (len(vectors) - len(classes) + shared) * per_pair
+        assert calls == (len(vectors) - len(classes) + shared) * positions
 
     def test_a_first_members_result_is_computed_once(self, monkeypatch):
-        # 12 of the 14 classes have a later member: 35,992 later-member results and
-        # 12 x (1 + 2*102 + 2*102) = 4,908 first-member ones, against 71,984 when
-        # the first member's result was computed again for every later member
+        # 12 of the 14 classes have a later member: 88 later members and 12 first
+        # ones, each applied once per connective and position (1 + 2 + 2), where one
+        # application per tuple of other arguments made 40,900, and 71,984 when the
+        # first member's result was computed again for every later member
         matrix = matrix_from_obj(DOUBLED_BOOLEAN)
-        assert loop_applications(matrix, ["x1", "x2"], 2, monkeypatch) == ((True, None), 40_900)
+        assert loop_applications(matrix, ["x1", "x2"], 2, monkeypatch) == ((True, None), 500)
 
     def test_first_witness_can_pair_the_first_member_with_the_third(self):
         # constants a, b, c hold alike, u(a) and u(b) hold alike but u(c) does
