@@ -19,7 +19,7 @@ directions are implemented and checked exhaustively at desk scale:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Optional, Sequence, Union
 
 from .agenda import Agenda, pseudo_richness
@@ -27,6 +27,8 @@ from .algebra import (
     DEFAULT_BUDGET,
     DecisionCriterion,
     FiniteAlgebra,
+    _gather,
+    _within,
     element_coordinates,
     evaluate,
     refuse,
@@ -34,7 +36,6 @@ from .algebra import (
 )
 from .census import (
     _fragment_and_extensions,
-    _gather,
     _refuse_profiles_past_the_cap,
     _voter_ranks,
 )
@@ -59,8 +60,7 @@ class AttitudeFunction:
     def __post_init__(self):
         if len(self.values) != len(self.agenda.formulas):
             raise ValueError("attitude must be total on the agenda")
-        size = self.agenda.algebra.size
-        if any(not (0 <= v < size) for v in self.values):
+        if not _within(self.values, self.agenda.algebra.size):
             raise ValueError("attitude values outside the carrier")
 
 
@@ -162,8 +162,7 @@ def _attitudes_with_values(
     level, witnesses = pseudo_richness(agenda)
     if level < m:
         raise ValueError(f"agenda is only {level}-pseudo-rich, need {m}")
-    size = agenda.algebra.size
-    if any(not (0 <= t < size) for targets in target_rows for t in targets):
+    if not _within(list(chain.from_iterable(target_rows)), agenda.algebra.size):
         raise ValueError("targets outside the carrier")
     chosen = witnesses[:m]
     _tracking_variables(agenda, chosen)

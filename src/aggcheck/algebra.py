@@ -15,7 +15,7 @@ from contextlib import contextmanager, suppress
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, compress, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, EvaluationError
 from .record import frozen
@@ -49,15 +49,21 @@ def paused_collector():
             gc.enable()
 
 
-def _within(table: Sequence[int], n: int) -> bool:
+def _within(table: Collection[int], n: int) -> bool:
     """Whether every entry of the table is in range(n): for n <= 256, by packing it
     into bytes (entries 0..255 only) and deleting every byte below n."""
     if n > 256:
-        return min(table) >= 0 and max(table) < n
+        return min(table, default=0) >= 0 and max(table, default=0) < n
     try:
         return not bytes(table).translate(None, bytes(range(n)))
     except ValueError:
         return False
+
+
+def _gather(table, keys) -> tuple:
+    """``table[key]`` for each key, in order, at C speed (an ``itemgetter`` of
+    one key returns the bare value, not a 1-tuple)."""
+    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
 
 
 @frozen
@@ -102,7 +108,7 @@ class FiniteAlgebra:
         if extra:
             raise ValueError(f"tables for unknown connectives: {sorted(extra)}")
         if (order := self.order) is not None:
-            if not all(0 <= x < n for pair in order for x in pair):
+            if not _within(list(chain.from_iterable(order)), n):
                 raise ValueError("order has out-of-range entries")
             up = [0] * n  # bit b of up[a] set where a <= b
             for a, b in order:
@@ -136,13 +142,13 @@ class FiniteAlgebra:
     def op_on_vectors(self, symbol: str, args: Sequence[Vector], width: int) -> Vector:
         """The connective's table applied coordinatewise to argument vectors of
         ``width`` lanes: on bytes, while the table has at most 256 entries, one
-        ``bytes.translate`` of the arguments' lane indices (``_lane_indices``)."""
+        ``bytes.translate`` of the arguments' lane indices (``_lane_indices``), else
+        one ``_gather`` of the table at them."""
         index = _lane_indices(args, self.size, width)
         if (lookup := self._lookups.get(symbol)) is not None:
             return index.translate(lookup)
-        table = self.tables[symbol]
-        values = [table[i] for i in index]
-        return bytes(values) if self.size <= 256 else tuple(values)
+        values = _gather(self.tables[symbol], index)
+        return bytes(values) if self.size <= 256 else values
 
     def op(self, symbol: str, args: Sequence[int]) -> int:
         table = self.tables[symbol]
@@ -244,40 +250,29 @@ def _program_steps(
     return list(steps), [slots[slot_key(f)] for f in formulas]
 
 
-def _vector_program(
-    formulas: Iterable[Formula], variables: Sequence[str]
-) -> Callable[[FiniteAlgebra], list[Vector]]:
-    """Compile formulas once: running the program on an algebra gives each formula's
-    truth vector over ``variables``, bottom-up over their distinct subformulas. A
-    vector no output needs is dropped after the last step that reads it."""
+def truth_vectors(
+    formulas: Iterable[Formula], variables: Sequence[str], algebra: FiniteAlgebra
+) -> list[Vector]:
+    """Each formula's truth vector over ``variables``, bottom-up over their distinct
+    subformulas (``_program_steps``). A vector no output needs is dropped after the
+    last step that reads it."""
     steps, outputs = _program_steps(formulas, variables)
     count = len(variables)
+    refuse(DEFAULT_BUDGET, "truth vectors", (count + len(steps), "vectors"),
+           ((algebra.size, count), "valuations"))  # a memory bound: no caller's budget
     last_read = {i: j for j, (_, args) in enumerate(steps) for i in args}
     for i in outputs:
         last_read.pop(i, None)
     done: list[list[int]] = [[] for _ in steps]  # the slots each step reads for the last time
     for i, j in last_read.items():
         done[j].append(i)
-
-    def run(algebra: FiniteAlgebra) -> list[Vector]:
-        refuse(DEFAULT_BUDGET, "truth vectors", (count + len(steps), "vectors"),
-               ((algebra.size, count), "valuations"))  # a memory bound: no caller's budget
-        width = algebra.size ** count
-        vectors: list[Optional[Vector]] = list(_variable_vectors(algebra.size, count))
-        for (symbol, args), dropped in zip(steps, done):
-            vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
-            for i in dropped:
-                vectors[i] = None
-        return [vectors[i] for i in outputs]
-
-    return run
-
-
-def truth_vectors(
-    formulas: Iterable[Formula], variables: Sequence[str], algebra: FiniteAlgebra
-) -> list[Vector]:
-    """Each formula's truth vector over ``variables``: their program, compiled and run."""
-    return _vector_program(formulas, variables)(algebra)
+    width = algebra.size ** count
+    vectors: list[Optional[Vector]] = list(_variable_vectors(algebra.size, count))
+    for (symbol, args), dropped in zip(steps, done):
+        vectors.append(algebra.op_on_vectors(symbol, [vectors[i] for i in args], width))
+        for i in dropped:
+            vectors[i] = None
+    return [vectors[i] for i in outputs]
 
 
 def closure_vectors(
@@ -486,15 +481,14 @@ def is_homomorphism(
     n, size = source.size, target.size
     form, join = (bytes if size <= 256 else tuple), _join(size)
     image_of = bytes(mapping).ljust(256, b"\0") if form is bytes and n <= 256 else None
+
+    def image(keys: Union[bytes, Sequence[int]]) -> Vector:  # the keys' images, in the form
+        return bytes(keys).translate(image_of) if image_of else form(_gather(mapping, keys))
+
     for symbol, arity in source.signature.connectives:
         width = n ** max(arity - 1, 0)
-        table = source.tables[symbol]
-        if image_of is not None:
-            mapped = bytes(table).translate(image_of)
-        else:
-            mapped = form(map(mapping.__getitem__, table))
-        later = [form(map(mapping.__getitem__, column))
-                 for column in _variable_vectors(n, max(arity - 1, 0))]
+        mapped = image(source.tables[symbol])
+        later = [image(column) for column in _variable_vectors(n, max(arity - 1, 0))]
         heads = mapping if arity else (0,)  # each row's first argument, mapped; a constant: one row
         rows = {head: target.op_on_vectors(symbol, [form((head,)) * width, *later][:arity], width)
                 for head in dict.fromkeys(heads)}  # a constant's row has no arguments
@@ -538,7 +532,7 @@ class DecisionCriterion:
             raise ValueError(f"criterion electorate must be >= 1, got {n}")
         if _power_over(size, n, count) or count != size**n:  # no size**n past count
             raise ValueError(f"criterion table needs {size}^{n} entries, got {count}")
-        if any(not (0 <= v < self.algebra.size) for v in self.values):
+        if not _within(self.values, size):
             raise ValueError("criterion values outside the carrier")
 
     def __call__(self, coords: Sequence[int]) -> int:
@@ -776,7 +770,7 @@ def _handed_equations(
     for j, u in paired:
         results = form(source.tables[symbols[j]])
         if upper:
-            results = _join(n)(map(results.__getitem__, upper))
+            results = _join(n)(_gather(results, upper))
         own = _lane_max(lanes(results), of_arguments, flags, bits)
         dual = _lane_max(lanes(source.op_on_vectors(u, [results], rows)), of_images[u],
                          flags, bits)
@@ -825,8 +819,8 @@ def enumerate_homomorphisms(
                                          upper if commutative else None)
             if commutative:
                 rows = list(combinations_with_replacement(range(n), 2))
-                values = [chain.from_iterable(map(source.tables[symbol].__getitem__, upper))
-                          for symbol in symbols]  # each a <= b once, streamed
+                values = [chain.from_iterable(_gather(source.tables[symbol], upper))
+                          for symbol in symbols]  # each a <= b once
             else:
                 rows = list(product(range(n), repeat=arity))
                 values = [source.tables[symbol] for symbol in symbols]

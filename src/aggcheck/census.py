@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property, lru_cache
 from itertools import chain, count, product, repeat
-from operator import itemgetter
 
 from .agenda import Agenda
 from .algebra import (
@@ -28,6 +27,7 @@ from .algebra import (
     MAX_BYTES,
     MAX_CONSTRAINTS,
     DecisionCriterion,
+    _gather,
     closure_vectors,
     paused_collector,
     product_element_index,
@@ -134,12 +134,6 @@ def _rank_column(values: tuple[int, ...], size: int, electorate: int) -> list[in
     return [high + low for high in first for low in last]
 
 
-def _gather(table, keys) -> tuple:
-    """``table[key]`` for each key, in order, at C speed (an ``itemgetter`` of
-    one key returns the bare value, not a 1-tuple)."""
-    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
-
-
 def qualifying_criteria(
     agenda: Agenda,
     electorate: int,
@@ -166,7 +160,7 @@ def qualifying_criteria(
                               symmetries=_voter_swaps(size, electorate, slot_of))
     return [
         DecisionCriterion(agenda.algebra, electorate, values)
-        for values in sorted(tuple(t[slot] for slot in slot_of) for t in found)
+        for values in sorted(_gather(t, slot_of) for t in found)
     ]
 
 

@@ -2,7 +2,9 @@
 and frames.
 
 The tests check the fast kernels against these. No command calls them, and no
-other module of the package imports this one. ``is_consistent`` is no loop of
+other module of the package imports this one. ``entails`` and ``interderivable``
+evaluate each formula at each valuation with ``evaluate``, and so share no code
+with the truth-vector layer they check. ``is_consistent`` is no loop of
 its own: it runs the modal search to the given bound, with no small-model cut,
 and the tests check it against the frames ``reflexive_frames`` lists and
 ``modal.small_model_bound`` against it. ``modal.certify_implication_bottom``
@@ -18,7 +20,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .aggregation import AttitudeFunction
-from .algebra import FiniteAlgebra, evaluate, truth_vectors
+from .algebra import FiniteAlgebra, evaluate
 from .modal import ConsistencyWitness, KripkeFrame, _compile_set, _frame_from_mask, _search
 from .semantics import Matrix
 from .syntax import Formula, variables_of
@@ -51,13 +53,13 @@ def entails(
     matrix: Matrix, premises: Iterable[Formula], conclusion: Formula
 ) -> bool:
     """Semantic consequence over the matrix, quantifying over valuations of
-    the variables that occur in the premises or the conclusion."""
+    the variables that occur in the premises or the conclusion, each formula
+    evaluated at each valuation by ``evaluate``."""
     premises = tuple(premises)
-    names = variables_of(*premises, conclusion)
     algebra = matrix.algebra
-    *vectors, conclusion_vector = truth_vectors((*premises, conclusion), names, algebra)
-    for w, c in enumerate(conclusion_vector):
-        values = [vec[w] for vec in vectors]
+    for valuation in all_valuations(variables_of(*premises, conclusion), algebra):
+        values = [evaluate(p, valuation, algebra) for p in premises]
+        c = evaluate(conclusion, valuation, algebra)
         if matrix.designated is None:
             for a in range(algebra.size):
                 if all((a, v) in algebra.order for v in values) and (a, c) not in algebra.order:

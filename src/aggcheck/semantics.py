@@ -19,7 +19,8 @@ from itertools import product
 from operator import ne
 from typing import Optional, Sequence
 
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, Vector, _join, closure_vectors, refuse
+from .algebra import (DEFAULT_BUDGET, FiniteAlgebra, Vector, _gather, _join, _within,
+                      closure_vectors, refuse)
 from .record import frozen
 from .syntax import App, Formula, Var
 from .syntax import bounded_closure  # noqa: F401 (traced binding)
@@ -41,7 +42,7 @@ class Matrix:
                 raise ValueError("degree mode requires an algebra with a lattice order")
         elif not self.designated:
             raise ValueError("filter mode needs a nonempty designated set")
-        elif any(not (0 <= d < self.algebra.size) for d in self.designated):
+        elif not _within(self.designated, self.algebra.size):
             raise ValueError("designated values outside the carrier")
 
     @cached_property
@@ -63,7 +64,7 @@ class Matrix:
         valuation, in the vector's form (one ``bytes.translate`` on bytes)."""
         if isinstance(vector, bytes):
             return vector.translate(self._holding_lookup)
-        return tuple(map(self.holding.__getitem__, vector))
+        return _gather(self.holding, vector)
 
     def describe(self) -> str:
         if self.designated is None:

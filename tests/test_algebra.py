@@ -363,6 +363,19 @@ def test_is_homomorphism_reports_the_first_violation_in_both_row_forms(form):
     assert first_violation(projection, power, algebra) == (True, None)
 
 
+def test_is_homomorphism_maps_a_source_past_256_elements_through_its_table():
+    # a projection B^9 -> B changed at x and at its complement (not x): not still
+    # holds, or fails, and the first violation is the brute-force scan's
+    boolean2 = builtin_boolean2()
+    power = product_algebra(boolean2, 9)
+    mapping = [coords[0] for coords in product((0, 1), repeat=9)]
+    for x in (5, 511 - 5):  # not x, coordinatewise
+        mapping[x] = 1 - mapping[x]
+    expected = first_violation(mapping, power, boolean2)
+    assert expected[0] is False and expected[1][0] == "or"
+    assert is_homomorphism(mapping, power, boolean2) == expected
+
+
 def test_is_homomorphism_into_a_target_past_256_elements():
     algebra = _seven_element_algebra()
     power = product_algebra(algebra, 3)

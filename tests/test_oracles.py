@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import aggcheck
-from aggcheck import oracles, syntax
-from test_golden import CASES, GOLDEN, run_case
+from aggcheck import algebra, oracles, syntax
+from aggcheck.fileio import load_matrix, matrix_from_obj
+from aggcheck.syntax import parse_formula
+from test_golden import CASES, GOLDEN, _diamond_matrix, run_case
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "aggcheck"
 CORE = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
@@ -112,3 +114,41 @@ def test_commands_never_call_an_oracle(command, forbidden_oracles, tmp_path):
     name = COMMAND_CASES[command]
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert run_case(CASES[name], tmp_path) == expected
+
+
+# Per matrix, (premises, conclusion, entailed) and (left, right, interderivable),
+# each verdict worked out by hand from the matrix's tables.
+VERDICTS = {
+    "boolean2": ([(["x1", "(or (not x1) x2)"], "x2", True), (["x1"], "x2", False)],
+                 [("x1", "(not (not x1))", True), ("x1", "(or x1 x2)", False)]),
+    "mv3": ([(["x1", "(impl x1 x2)"], "x2", True), ([], "(oplus x1 (not x1))", True),
+             (["(oplus x1 x2)"], "x1", False)],
+            [("x1", "(odot x1 x1)", True), ("x1", "(not x1)", False)]),
+    "mv3-degree": ([(["(odot x1 x2)"], "x1", True), (["x1"], "(odot x1 x1)", False)],
+                   [("x1", "(not (not x1))", True), ("x1", "(odot x1 x1)", False)]),
+    "diamond": ([(["(and x1 x2)"], "x1", True), (["x1", "x2"], "(and x1 x2)", True),
+                 (["(or x1 x2)"], "x1", False)],
+                [("(or x1 x2)", "(or x2 x1)", True), ("x1", "(and x1 x2)", False)]),
+}
+
+
+@pytest.mark.parametrize("logic", sorted(VERDICTS))
+def test_entails_runs_without_the_truth_vector_layer(logic, monkeypatch):
+    # the oracle is what the vector layer is checked against, so it runs none of it
+    matrix = matrix_from_obj(_diamond_matrix()) if logic == "diamond" else load_matrix(logic)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle ran the truth-vector layer")
+
+    monkeypatch.setattr(algebra, "truth_vectors", forbidden)
+    monkeypatch.setattr(algebra, "_program_steps", forbidden)
+    monkeypatch.setattr(algebra.FiniteAlgebra, "op_on_vectors", forbidden)
+
+    def parse(text):
+        return parse_formula(text, matrix.algebra.signature)
+
+    entailments, equivalences = VERDICTS[logic]
+    for premises, conclusion, entailed in entailments:
+        assert oracles.entails(matrix, map(parse, premises), parse(conclusion)) is entailed
+    for left, right, equivalent in equivalences:
+        assert oracles.interderivable(matrix, parse(left), parse(right)) is equivalent

@@ -215,6 +215,24 @@ class TestSelfextensionality:
         assert all_pairs_selfextensionality(matrix, ["x1"], 1) == expected
         assert check_selfextensionality(matrix, ["x1"], 1) == expected
 
+    def test_first_witness_takes_each_member_at_every_position_in_turn(self):
+        # constants a, b, c hold alike; b breaks the congruence only at position 1
+        # (f(x1, a) holds at x1 = 0, f(x1, b) nowhere) and c only at position 0
+        # (f(c, x1) holds at x1 = 0, f(a, x1) nowhere): the first witness is b's at
+        # position 1, ahead of c's at position 0
+        signature = Signature((("f", 2), ("a", 0), ("b", 0), ("c", 0)))
+        f = (0, 1, 0, 0,
+             0, 0, 0, 0,
+             0, 0, 0, 0,
+             1, 0, 0, 0)
+        algebra = FiniteAlgebra(signature, ("0", "1", "2", "3"),
+                                (("f", f), ("a", (1,)), ("b", (2,)), ("c", (3,))))
+        matrix = Matrix(algebra, frozenset({1, 2, 3}))
+        a, b = App("a", ()), App("b", ())
+        expected = (False, CongruenceWitness("f", (Var("x1"), a), (Var("x1"), b)))
+        assert all_pairs_selfextensionality(matrix, ["x1"], 1) == expected
+        assert check_selfextensionality(matrix, ["x1"], 1) == expected
+
     @given(small_matrices())
     @settings(max_examples=100, deadline=None)
     def test_first_member_comparison_matches_all_pairs(self, drawn):

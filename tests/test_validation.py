@@ -53,6 +53,8 @@ CASES = {
         ValueError, "algebra signature differs from the agenda's"),
     "attitude value outside the carrier": (
         lambda: AttitudeFunction(X1, (2,)), ValueError, "attitude values outside the carrier"),
+    "attitude value below the carrier": (
+        lambda: AttitudeFunction(X1, (-1,)), ValueError, "attitude values outside the carrier"),
     "profile over two agendas": (
         lambda: Profile((LOW, AttitudeFunction(OTHER, (0,)))),
         ValueError, "attitudes must share one agenda"),
@@ -63,6 +65,12 @@ CASES = {
         lambda: majority_criterion(L3, 3), ValueError, "majority needs a two-element carrier"),
     "prescribed value outside the carrier": (
         lambda: rational_attitude_with_values(X1, [2]), ValueError, "targets outside the carrier"),
+    "prescribed value below the carrier": (
+        lambda: rational_attitude_with_values(X1, [-1]), ValueError, "targets outside the carrier"),
+    "criterion value outside the carrier": (
+        lambda: DecisionCriterion(B2, 1, (0, 2)), ValueError, "criterion values outside the carrier"),
+    "criterion value below the carrier": (
+        lambda: DecisionCriterion(B2, 1, (-1, 1)), ValueError, "criterion values outside the carrier"),
     "criterion over another algebra, checked before the homomorphism": (
         lambda: aggregator_from_criterion(NOT_A_HOMOMORPHISM, X1),
         ValueError, "criterion and agenda use different algebras"),
@@ -102,6 +110,16 @@ CASES = {
         ValueError, "missing table for connective 'not'"),
     "a unary connective as a constant": (
         lambda: B2.constant("not"), ValueError, "'not' is not a constant"),
+    "order pair outside the carrier": (
+        lambda: FiniteAlgebra(SIG, B2.carrier, B2.ops, B2.order | {(0, 2)}),
+        ValueError, "order has out-of-range entries"),
+    "order pair below the carrier": (
+        lambda: FiniteAlgebra(SIG, B2.carrier, B2.ops, B2.order | {(-1, 0)}),
+        ValueError, "order has out-of-range entries"),
+    "designated value outside the carrier": (
+        lambda: Matrix(B2, frozenset({1, 2})), ValueError, "designated values outside the carrier"),
+    "designated value below the carrier": (
+        lambda: Matrix(B2, frozenset({-1})), ValueError, "designated values outside the carrier"),
     "closure at depth -1": (
         lambda: closure_vectors([Var("x1")], ["x1"], B2, -1),
         ValueError, "depth must be nonnegative"),
