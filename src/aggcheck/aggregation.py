@@ -35,6 +35,7 @@ from .algebra import (
     truth_vectors,
 )
 from .census import (
+    _extends_everywhere,
     _fragment_and_extensions,
     _refuse_profiles_past_the_cap,
     _voter_ranks,
@@ -276,32 +277,6 @@ class SystematicityResult:
     depth: int
     criterion: Optional[dict[tuple[int, ...], int]]
     conflict: Optional[str]
-
-
-def _extends_everywhere(table, ranks, extensions) -> bool:
-    """Whether the criterion ``table`` gives each rational profile, over the
-    fragment, a row of outputs that is some rational attitude's extension.
-
-    If so, that attitude is the row's agenda part, the profile's output, so
-    every output is rational with the row as its extension, and every strong
-    systematicity constraint holds: it sets the criterion's own value at a
-    rank. The check runs on the rank table's product form: a profile's rank
-    at a formula is its first part's rank ``b`` times ``width`` plus its last
-    part's, so the outputs over every last part, at that formula, are the last
-    parts' ranks read in the block ``table[b·width:(b+1)·width]``. The rows
-    of a first part hence depend only on the contents of the blocks it picks
-    at each formula, and each distinct tuple of block contents is checked
-    once, against every last part, at C speed.
-    """
-    width, allowed = ranks.width, set(extensions)
-    blocks = {}  # each distinct block's contents -> its number
-    block_of = [blocks.setdefault(table[b:b + width], len(blocks))
-                for b in range(0, len(table), width)]
-    contents = list(blocks)
-    picks = dict.fromkeys(zip(*[_gather(block_of, column) for column in ranks.first]))
-    return all(allowed.issuperset(zip(*[_gather(contents[block], column)
-                                        for block, column in zip(pick, ranks.last)]))
-               for pick in picks)
 
 
 def _systematicity_fragment(aggregator: Aggregator, level: str, depth: int, budget: int):

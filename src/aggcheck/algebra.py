@@ -151,11 +151,7 @@ class FiniteAlgebra:
         return bytes(values) if self.size <= 256 else values
 
     def op(self, symbol: str, args: Sequence[int]) -> int:
-        table = self.tables[symbol]
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return table[idx]
+        return self.tables[symbol][product_element_index(self.size, args)]
 
     def constant(self, symbol: str) -> int:
         if self.signature.arity(symbol) != 0:

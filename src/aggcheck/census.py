@@ -6,13 +6,13 @@ universal and strongly systematic. The census finds every such criterion by a
 table search under constraints read off the rational profiles alone. It never
 consults the homomorphism equation: this module names nothing of the route
 in ``algebra`` (``is_homomorphism``, ``shared_power``, ``homomorphism_violation``
-...), and tests check that a census calls none of it. The closure fragment
-and the rational profiles' rank table are built here and shared with the
-round trips' whole-table check in ``aggregation``; the rational attitudes are
-the agenda's (``Agenda.rational``). The census keeps no table of its own. Its
-constraints are refused by their count against the budget and by their bytes
-(``BYTES_PER_CONSTRAINT`` each) against ``MAX_BYTES``, before the rank table
-is built.
+...), and tests check that a census calls none of it. The closure fragment,
+the rational profiles' rank table and the round trips' whole-table check on
+it (``_extends_everywhere``) live here, and ``aggregation`` imports them; the
+rational attitudes are the agenda's (``Agenda.rational``). The census keeps
+no table of its own. Its constraints are refused by their count against the
+budget and by their bytes (``BYTES_PER_CONSTRAINT`` each) against
+``MAX_BYTES``, before the rank table is built.
 """
 
 from __future__ import annotations
@@ -80,15 +80,15 @@ def _fragment_and_extensions(
 @frozen
 class RankTable:
     """The rank table of the rational profiles: for each fragment formula, one
-    column holding each profile's rank in B^N of its voters' tuple at that
+    column holding each profile's rank in A^N of its voters' tuple at that
     formula, the profiles in product order (voter 0 most significant). Equal
     ranks are one shared int object. The census numbers its search slots, and
     a round trip reads its ledger, in ``first_occurrences`` order.
 
-    A profile is its first ``N - N//2`` voters' profile followed by its last
-    ``N//2`` voters' one, and its rank is the first part's rank times
-    ``width`` (``size**(N//2)``) plus the last part's. ``first`` and ``last``
-    hold the two parts' columns, the round trips' product form of the table."""
+    ``first`` and ``last`` hold the table's product form, read by
+    ``_extends_everywhere``: a profile is its first ``N - N//2`` voters'
+    profile followed by its last ``N//2`` voters' one, and its rank is the
+    first part's rank times ``width`` (``size**(N//2)``) plus the last part's."""
 
     columns: tuple[tuple[int, ...], ...]
     first: tuple[tuple[int, ...], ...]
@@ -102,6 +102,31 @@ class RankTable:
         return tuple(dict.fromkeys(chain.from_iterable(zip(*self.columns))))
 
 
+def _extends_everywhere(table, ranks, extensions) -> bool:
+    """Whether the criterion ``table`` gives each rational profile, over the
+    fragment, a row of outputs that is some rational attitude's extension.
+
+    If so, that attitude is the row's agenda part, the profile's output, so
+    every output is rational with the row as its extension, and every strong
+    systematicity constraint holds: it sets the criterion's own value at a
+    rank. The check runs on the rank table's product form: the outputs of a
+    first part of rank ``b`` over every last part, at a formula, are the last
+    parts' ranks read in the block ``table[b·width:(b+1)·width]``. The rows
+    of a first part hence depend only on the contents of the blocks it picks
+    at each formula, and each distinct tuple of block contents is checked
+    once, against every last part, at C speed.
+    """
+    width, allowed = ranks.width, set(extensions)
+    blocks = {}  # each distinct block's contents -> its number
+    block_of = [blocks.setdefault(table[b:b + width], len(blocks))
+                for b in range(0, len(table), width)]
+    contents = list(blocks)
+    picks = dict.fromkeys(zip(*[_gather(block_of, column) for column in ranks.first]))
+    return all(allowed.issuperset(zip(*[_gather(contents[block], column)
+                                        for block, column in zip(pick, ranks.last)]))
+               for pick in picks)
+
+
 @lru_cache(maxsize=4)
 def _voter_ranks(size: int, electorate: int, extensions: tuple[tuple[int, ...], ...]) -> RankTable:
     """The rank table of the profiles of the attitudes whose fragment values
@@ -110,7 +135,8 @@ def _voter_ranks(size: int, electorate: int, extensions: tuple[tuple[int, ...], 
     the ranks ``b·width`` to ``(b+1)·width - 1`` are that list's block ``b``,
     and a column is, for each first part, its block read at the last parts."""
     half = electorate // 2
-    first, last = ([tuple(_rank_column(values, size, n)) for values in zip(*extensions)]
+    first, last = ([tuple(product_element_index(size, voters)
+                          for voters in product(values, repeat=n)) for values in zip(*extensions)]
                    for n in (electorate - half, half))
     width, shared = size**half, list(range(size**electorate))
     blocks = [shared[b:b + width] for b in range(0, len(shared), width)]
@@ -119,19 +145,6 @@ def _voter_ranks(size: int, electorate: int, extensions: tuple[tuple[int, ...], 
         rows = [_gather(block, lows) for block in blocks]  # the ranks after each first part
         columns.append(tuple(chain.from_iterable(_gather(rows, highs))))
     return RankTable(tuple(columns), tuple(first), tuple(last), width)
-
-
-def _rank_column(values: tuple[int, ...], size: int, electorate: int) -> list[int]:
-    """Each profile's voters' tuple rank at a formula the attitudes take
-    ``values`` on, in product order. A profile of the first voters followed
-    by one of the last ``half`` has the first's rank times ``size**half``
-    plus the last's, so each profile costs one addition."""
-    if electorate < 2:
-        return list(values) if electorate else [0]
-    half = electorate // 2
-    last = _rank_column(values, size, half)
-    first = [rank * size**half for rank in _rank_column(values, size, electorate - half)]
-    return [high + low for high in first for low in last]
 
 
 def qualifying_criteria(
@@ -205,12 +218,11 @@ def _voter_swaps(size: int, electorate: int, slot_of: list[int]) -> list[list[in
     and each voters' tuple to the tuple with entries i and i+1 swapped, so it
     maps the census's constraints, and its solutions, onto themselves; the
     permutation sends each tuple's slot to its swapped tuple's slot."""
-    rank = {voters: r for r, voters in enumerate(product(range(size), repeat=electorate))}
     swaps = []
     for i in range(electorate - 1):
         perm = [0] * len(slot_of)
-        for voters, r in rank.items():
+        for r, voters in enumerate(product(range(size), repeat=electorate)):
             swapped = (*voters[:i], voters[i + 1], voters[i], *voters[i + 2:])
-            perm[slot_of[r]] = slot_of[rank[swapped]]
+            perm[slot_of[r]] = slot_of[product_element_index(size, swapped)]
         swaps.append(perm)
     return swaps

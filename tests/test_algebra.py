@@ -107,6 +107,22 @@ class TestBuiltins:
             builtin_distributive_lattice(["a", "b"], [])
 
 
+# t(0, 1, 1) = 0 but t(1, 1, 0) = 1: no argument order reads the table the same way
+TERNARY_TABLE = tuple((a + 2 * b * c + c) % 3 for a, b, c in product(range(3), repeat=3))
+
+
+@pytest.mark.parametrize("algebra, symbol, table", [
+    (builtin_mv_chain(3), "impl", L3_IMPL),
+    (FiniteAlgebra(Signature((("t", 3),)), ("0", "1", "2"), (("t", TERNARY_TABLE),)), "t",
+     TERNARY_TABLE),
+], ids=["L3-impl", "ternary"])
+def test_op_reads_the_table_at_its_arguments_in_product_order(algebra, symbol, table):
+    tuples = list(product(range(algebra.size), repeat=algebra.signature.arity(symbol)))
+    assert any(table[tuples.index(args[::-1])] != value for args, value in zip(tuples, table))
+    for i, args in enumerate(tuples):
+        assert algebra.op(symbol, args) == algebra.op(symbol, list(args)) == table[i]
+
+
 @pytest.mark.parametrize("size", [1, 2, 255, 256, 257, 300])
 def test_table_entries_must_lie_in_the_carrier(size):
     # up to 256 elements the check packs each table into bytes; past that it scans
