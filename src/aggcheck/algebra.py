@@ -13,7 +13,7 @@ import struct
 import sys
 from contextlib import contextmanager, suppress
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, compress, product, repeat
+from itertools import chain, combinations_with_replacement, compress, cycle, product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
@@ -717,9 +717,66 @@ def _lane_max(a: int, b: int, flags: int, bits: int) -> int:
     return b ^ ((a ^ b) & ((at_least >> bits) * ((1 << bits) - 1)))
 
 
+def _definitions(algebra: FiniteAlgebra) -> tuple[tuple[str, str, str], ...]:
+    """Each binary connective f, as ``(u, f, g)``, with the first unary u and binary g
+    before f in signature order for which f(x, y) = g(u x, y) at every x and y, decided
+    row by row: each row x of f's table is row u(x) of g's."""
+    n, connectives = algebra.size, algebra.signature.connectives
+    form = bytes if n <= 256 else tuple
+    rows = {f: tuple(form(algebra.tables[f][x * n:(x + 1) * n]) for x in range(n))
+            for f, arity in connectives if arity == 2}
+    unary = [u for u, arity in connectives if arity == 1]
+    definitions = []
+    for position, (f, arity) in enumerate(connectives):
+        for u in unary if arity == 2 else ():
+            g = next((g for g, a in connectives[:position]
+                      if a == 2 and rows[f] == _gather(rows[g], algebra.tables[u])), None)
+            if g is not None:
+                definitions.append((u, f, g))
+                break
+    return tuple(definitions)
+
+
+def _monoids(algebra: FiniteAlgebra) -> tuple[str, ...]:
+    """Each binary connective f that is commutative and associative with unit 0, decided
+    from the definitions: f(0, y) = y, f(x, y) = f(y, x) and f(f(x, y), z) = f(x, f(y, z))
+    at every x, y, z, the last row by row: with x fixed, the rows of f(x, y) laid end to
+    end against row x read at each f(y, z)."""
+    n = algebra.size
+    form, join = (bytes, b"".join) if n <= 256 else (tuple, _join(n))
+    monoids = []
+    for f, arity in algebra.signature.connectives:
+        table = form(algebra.tables[f])
+        if not (_commutative(table, n, arity) and table[:n] == form(range(n))):
+            continue
+        rows = [table[x * n:(x + 1) * n] for x in range(n)]
+        if all(join(_gather(rows, row)) == (table.translate(row.ljust(256, b"\0"))
+                                            if form is bytes else _gather(row, table))
+               for row in rows):
+            monoids.append(f)
+    return tuple(monoids)
+
+
+def _last_coordinate_split(base: int, n: int) -> tuple[list[int], bytes]:
+    """For each element r of the power of ``n`` elements over ``base`` elements, ranked
+    as ``product_algebra`` ranks them: r with its last nonzero coordinate set to 0, and
+    1 where r has at least two nonzero coordinates, else 0. By rank arithmetic, one
+    coordinate at a time: with r = q·base + d (d its last coordinate), that element is
+    q·base if d is nonzero, else q's times base."""
+    rest, nonzero = [0], [0]  # the element of no coordinates; nonzero ones counted up to 2
+    while len(rest) < n:
+        rest = [x for q, v in enumerate(rest) for x in (v * base, *[q * base] * (base - 1))]
+        nonzero = [x for c in nonzero for x in (c, *[min(c + 1, 2)] * (base - 1))]
+    if len(rest) != n:
+        raise ValueError("monoids need the source to be a direct power of the target")
+    return rest, bytes(c >> 1 for c in nonzero)
+
+
 def _handed_equations(
     source: FiniteAlgebra,
-    dualities: Sequence[tuple[str, str, str]],
+    base: int,
+    identities: tuple[Sequence[tuple[str, str, str]], Sequence[tuple[str, str, str]],
+                      Sequence[str]],
     symbols: Sequence[str],
     arity: int,
     upper: Optional[list[slice]],
@@ -728,16 +785,26 @@ def _handed_equations(
     order the search is handed them, argument tuple by argument tuple (given ``upper``,
     the slices of a binary table's rows from the diagonal on: a <= b only) and one per
     connective at each: 0 where the equation is implied, else 1; None, and every
-    equation handed, when no pair's f is in the group or the source has more than 2^15
-    elements (no power has: ``MAX_POWER_SIZE`` is below). For f of a pair (u, f, g), its
-    equation at x̄ has the last slot max(x̄, f(x̄)), its dual (g's equation at u x̄)
-    max(u x̄, u f(x̄)), and it is implied where the dual's is strictly earlier.
+    equation handed, when no identity's f is in the group or the source has more than
+    2^15 elements (no power has: ``MAX_POWER_SIZE`` is below). ``identities`` are the
+    dualities, definitions and monoids of ``enumerate_homomorphisms``; the source's
+    elements split by coordinates over ``base`` elements for a monoid. Each equation of
+    f at x̄ has the last slot max(x̄, f(x̄)), and it is implied where
+      - f is a dual pair's (u, f, g) and its dual, g's equation at u x̄, has the
+        strictly earlier last slot max(u x̄, u f(x̄));
+      - f is a definition's (u, f, g) and u x <= max(x, y, f(x, y)), for x̄ = (x, y);
+      - f is a monoid, x̄ = (a, b) has a <= b, each with two or more nonzero
+        coordinates, and f(v, a) <= max(b, f(a, b)), its last slot, v being b with its
+        last nonzero coordinate set to 0.
 
-    One pass per pair, in 16-bit lanes of one int per vector, the top bit of each a
+    Each rule is a few passes over 16-bit lanes of one int per vector, the top bit of each a
     flag. The largest of x̄ is worked out once, and the largest of u x̄ once per u."""
+    dualities, definitions, monoids = identities
     paired = [(symbols.index(f), u) for u, f, _ in dualities if f in symbols]
+    defined = [(symbols.index(f), u) for u, f, _ in definitions if f in symbols and arity == 2]
+    monoid = [symbols.index(f) for f in monoids if f in symbols and upper is not None]
     n = source.size
-    if not paired or n > 2**15:
+    if not (paired or defined or monoid) or n > 2**15:
         return None
     bits, form = 15, bytes if n <= 256 else tuple
     rows = n * (n + 1) // 2 if upper else n**arity
@@ -746,8 +813,12 @@ def _handed_equations(
     def lanes(entries: Union[bytes, Sequence[int]]) -> int:
         return int.from_bytes(_lanes(entries), "little")
 
-    def largest(values: Sequence[int]) -> int:
-        """At each argument tuple x̄, the largest of ``values`` at x̄'s entries."""
+    def at_least(a: int, b: int) -> int:
+        """The flag of each lane where a >= b."""
+        return ((a | flags) - b) & flags
+
+    def columns(values: Sequence[int]) -> list[int]:
+        """Each argument's column: at each argument tuple x̄, ``values`` at x̄'s entry."""
         cells = _lanes(form(values))
         if upper:
             columns = [b"".join(cells[2 * a:2 * a + 2] * (n - a) for a in range(n)),
@@ -755,24 +826,64 @@ def _handed_equations(
         else:
             columns = [b"".join(cells[2 * c:2 * c + 2] * n ** (arity - 1 - i)
                                 for c in range(n)) * n**i for i in range(arity)]
+        return [int.from_bytes(column, "little") for column in columns]
+
+    def largest(columns: Iterable[int]) -> int:
+        """At each argument tuple x̄, the largest of the columns' entries."""
         last = 0
         for column in columns:
-            last = _lane_max(last, int.from_bytes(column, "little"), flags, bits)
+            last = _lane_max(last, column, flags, bits)
         return last
 
-    of_arguments = largest(range(n))
-    of_images = {u: largest(source.tables[u]) for u in dict.fromkeys(u for _, u in paired)}
+    of_arguments = largest(columns(range(n)))
+    of_images = {u: largest(columns(source.tables[u]))
+                 for u in dict.fromkeys(u for _, u in paired)}
+    firsts = {u: columns(source.tables[u])[0] for u in dict.fromkeys(u for _, u in defined)}
+    if monoid:
+        rest, many = _last_coordinate_split(base, n)
+        shifts = bytes(rest) if form is bytes else rest
+        eligible = columns(many)  # 1 where a, or b, has two or more nonzero coordinates
+        eligible = (eligible[0] & eligible[1]) << bits
     mask = bytearray(b"\1") * (rows * len(symbols))
-    for j, u in paired:
-        results = form(source.tables[symbols[j]])
-        if upper:
-            results = _join(n)(_gather(results, upper))
+    for j, symbol in enumerate(symbols):
+        table = form(source.tables[symbol])
+        results = _join(n)(_gather(table, upper)) if upper else table
         own = _lane_max(lanes(results), of_arguments, flags, bits)
-        dual = _lane_max(lanes(source.op_on_vectors(u, [results], rows)), of_images[u],
-                         flags, bits)
-        kept = (((dual | flags) - own) & flags) >> bits  # 1 where dual >= own, lane by lane
-        mask[j::len(symbols)] = kept.to_bytes(2 * rows, "little")[::2]
+        handed = flags  # the flag of each lane whose equation is handed
+        for u in (u for i, u in paired if i == j):
+            dual = _lane_max(lanes(source.op_on_vectors(u, [results], rows)), of_images[u],
+                             flags, bits)
+            handed &= at_least(dual, own)
+        for u in (u for i, u in defined if i == j):
+            handed &= flags ^ at_least(own, firsts[u])
+        if j in monoid:  # f(v, a), which is f(a, v): row a of the table at each b's v
+            rows_at = [table[a * n:(a + 1) * n] for a in range(n)]
+            at_rest = (b"".join(shifts[a:].translate(row.ljust(256, b"\0"))
+                                for a, row in enumerate(rows_at)) if form is bytes else
+                       tuple(chain.from_iterable(_gather(row, shifts[a:])
+                                                 for a, row in enumerate(rows_at))))
+            handed &= flags ^ (eligible & at_least(own, lanes(at_rest)))
+        if handed != flags:
+            mask[j::len(symbols)] = (handed >> bits).to_bytes(2 * rows, "little")[::2]
     return mask
+
+
+def _rows_handing_some(selected: bytearray, k: int) -> tuple[bytes, bytes]:
+    """For a mask of ``k`` bytes per argument row (``_handed_equations``), 1 for each row
+    with a handed equation, else 0, and the mask without the rows that hand none. By int
+    arithmetic on the whole mask: a row's first byte ORs in its later ones, and a row
+    that hands none has 2 added to each of its bytes, which are then deleted."""
+    length = len(selected)
+    mask = int.from_bytes(selected, "little")
+    spread = mask
+    for i in range(1, k):
+        spread |= mask >> 8 * i
+    some = spread.to_bytes(length, "little")[::k]
+    each = bytearray(length)  # some, each byte k times
+    for i in range(k):
+        each[i::k] = some
+    marked = mask + 2 * (int.from_bytes(b"\1" * length, "little") - int.from_bytes(each, "little"))
+    return some, marked.to_bytes(length, "little").translate(None, b"\2\3")
 
 
 def enumerate_homomorphisms(
@@ -781,6 +892,8 @@ def enumerate_homomorphisms(
     budget: int = DEFAULT_BUDGET,
     symmetries: Iterable[Sequence[int]] = (),
     dualities: Iterable[tuple[str, str, str]] = (),
+    definitions: Iterable[tuple[str, str, str]] = (),
+    monoids: Iterable[str] = (),
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms source -> target, in lexicographic table order: the table
     search over the source operations' equations, argument tuple by argument tuple.
@@ -790,17 +903,33 @@ def enumerate_homomorphisms(
     which map homomorphisms to homomorphisms; the search keeps one table per orbit
     and expands the orbits, and every table found is re-checked.
 
-    ``dualities`` are De Morgan pairs ``(u, f, g)`` of connectives: in both algebras u
-    is a unary involution and f(x̄) = u(g(u x̄)), and no pair's f is any pair's u. A map
-    that meets u's equations at each argument and at g(u x̄), and g's at u x̄, then
-    meets f's at x̄. So f's equation at x̄ is not handed on when its dual, g's at u x̄,
-    has a strictly earlier last slot (the largest of its slots): every equation it
-    follows from is checked at or before its own last slot, and the search enters the
-    same nodes. Each group's mask of handed equations (``_handed_equations``) is
-    worked out before its argument rows are built."""
+    Three kinds of identity, each true in both algebras, leave out equations they
+    imply. An equation is left out only where each one it follows from has a last
+    slot (its largest slot) no later than its own, and each of those is handed or left
+    out in turn, along a chain that ends: at a strictly earlier last slot (a pair's
+    dual), an earlier connective (a definition's g), or fewer nonzero coordinates or
+    an argument with one (a monoid's). So all it follows from is checked by the time
+    it would have been, and the search enters the same nodes. Each group's mask
+    (``_handed_equations``) is worked out before its argument rows are built; no
+    triple is built for a left-out equation, and no tuple for a row that hands none.
+
+    ``dualities`` are De Morgan pairs ``(u, f, g)``: u is a unary involution,
+    f(x̄) = u(g(u x̄)), and no pair's f is any pair's u. f's equation at x̄ follows from
+    g's at u x̄ (its dual) and u's at each argument and at g(u x̄).
+
+    ``definitions`` are ``(u, f, g)`` with f(x, y) = g(u x, y), u unary and g binary
+    and before f in signature order. f's equation at (x, y) follows from u's at x and
+    g's at (u x, y).
+
+    ``monoids`` are binary connectives commutative and associative with unit 0; the
+    source must then be a direct power of the target, ranked as ``product_algebra``
+    ranks it. With g the last nonzero coordinate of b alone and v the rest of b,
+    b = f(g, v), so f's equation at a <= b follows from its equations at (v, a),
+    (g, f(v, a)) and (g, v)."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
-    n, dualities = source.size, tuple(dualities)
+    n = source.size
+    identities = (tuple(dualities), tuple(definitions), tuple(monoids))
     # (arity, commutative in both) -> its connectives
     groups: dict[tuple[int, bool], list[str]] = {}
     for symbol, arity in source.signature.connectives:
@@ -811,19 +940,26 @@ def enumerate_homomorphisms(
     with paused_collector():  # the argument rows are many tuples that make no cycle
         runs = []  # each argument tuple's equations together, one per connective of its group
         for (arity, commutative), symbols in groups.items():
-            selected = _handed_equations(source, dualities, symbols, arity,
+            selected = _handed_equations(source, target.size, identities, symbols, arity,
                                          upper if commutative else None)
             if commutative:
-                rows = list(combinations_with_replacement(range(n), 2))
+                rows = combinations_with_replacement(range(n), 2)
                 values = [chain.from_iterable(_gather(source.tables[symbol], upper))
                           for symbol in symbols]  # each a <= b once
             else:
-                rows = list(product(range(n), repeat=arity))
+                rows = product(range(n), repeat=arity)
                 values = [source.tables[symbol] for symbol in symbols]
-            equations = chain.from_iterable(zip(*(
-                zip(repeat(target.tables[symbol]), rows, column)
-                for symbol, column in zip(symbols, values))))
-            runs.append(equations if selected is None else compress(equations, selected))
+            if selected is not None:  # no tuple is built for a row that hands nothing
+                some, selected = _rows_handing_some(selected, len(symbols))
+                rows, values = compress(rows, some), [compress(v, some) for v in values]
+            rows = list(rows)
+            # one stream each of the equations' target tables, argument tuples and results
+            streams = (cycle([target.tables[symbol] for symbol in symbols]),
+                       chain.from_iterable(zip(*[rows] * len(symbols))),
+                       chain.from_iterable(zip(*values)))
+            if selected is not None:
+                streams = tuple(compress(stream, selected) for stream in streams)
+            runs.append(zip(*streams))
         found = search_tables(n, target.size, chain.from_iterable(runs), budget,
                               stage="homomorphism search", symmetries=symmetries)
     return [AlgebraHomomorphism(source, target, mapping) for mapping in found]
@@ -831,9 +967,10 @@ def enumerate_homomorphisms(
 
 def refuse_power_past_the_caps(algebra: FiniteAlgebra, n: int) -> None:
     """Refuse algebra^n unbuilt when it is too large, or has more homomorphism
-    equations than ``MAX_CONSTRAINTS``: those ``enumerate_homomorphisms`` hands the
-    search, one per unordered argument pair of a commutative binary connective (a
-    connective of the power is commutative exactly when the base's is)."""
+    equations than ``MAX_CONSTRAINTS``: those ``enumerate_homomorphisms`` streams
+    before any identity leaves one out (an upper bound on those it hands the search),
+    one per unordered argument pair of a commutative binary connective (a connective
+    of the power is commutative exactly when the base's is)."""
     power = _power_size(algebra.size, n)
     equations = sum(
         power * (power + 1) // 2 if _commutative(algebra.tables[symbol], algebra.size, arity)
@@ -858,12 +995,15 @@ def power_homomorphisms(
     algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms algebra^n -> algebra, refused unbuilt past the caps, searched
-    up to the coordinate swaps of algebra^n, with the algebra's De Morgan pairs: an
-    identity of the algebra holds in each of its direct powers."""
+    up to the coordinate swaps of algebra^n, with the algebra's De Morgan pairs,
+    definitions and monoids (a monoid needs two coordinates): an identity of the
+    algebra holds in each of its direct powers."""
     refuse_power_past_the_caps(algebra, n)
     return enumerate_homomorphisms(shared_power(algebra, n), algebra, budget,
                                    symmetries=_coordinate_swaps(algebra.size, n),
-                                   dualities=_de_morgan_pairs(algebra))
+                                   dualities=_de_morgan_pairs(algebra),
+                                   definitions=_definitions(algebra),
+                                   monoids=_monoids(algebra) if n > 1 else ())
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,28 @@ def value_tuple(profile: Profile, formula: Formula) -> tuple[int, ...]:
     """The voters' values at one agenda formula, voter 0 first."""
     i = profile.agenda.index[formula]
     return tuple(a.values[i] for a in profile.attitudes)
+
+
+def _chain_algebra(name, signature, carrier, ops):
+    """A chain on indices 0 < 1 < ... with binary tables given as functions of (x, y)."""
+    n = len(carrier)
+    tables = tuple((symbol, tuple(op(x) for x in range(n)) if arity == 1 else
+                    tuple(op(x, y) for x in range(n) for y in range(n)) if arity == 2 else (op(),))
+                   for (symbol, arity), op in zip(signature.connectives, ops))
+    return FiniteAlgebra(signature, carrier, tables,
+                         order=frozenset((a, b) for a in range(n) for b in range(a, n)), name=name)
+
+
+def goedel3() -> FiniteAlgebra:
+    """G3, the Gödel chain 0 < h < 1: min, max, x -> y = 1 where x <= y else y, and 0."""
+    signature = Signature((("and", 2), ("or", 2), ("impl", 2), ("bot", 0)))
+    return _chain_algebra("G3", signature, ("0", "h", "1"), (
+        min, max, lambda x, y: 2 if x <= y else y, lambda: 0))
+
+
+def sugihara3() -> FiniteAlgebra:
+    """RM3, the Sugihara chain -1 < 0 < 1: x -> -x, min, max, and x -> y = max(-x, y)
+    where x <= y, else min(-x, y)."""
+    signature = Signature((("not", 1), ("and", 2), ("or", 2), ("impl", 2)))
+    return _chain_algebra("RM3", signature, ("-1", "0", "1"), (
+        lambda x: 2 - x, min, max, lambda x, y: max(2 - x, y) if x <= y else min(2 - x, y)))

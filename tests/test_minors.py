@@ -7,9 +7,9 @@ every table t at N and every map s: [N] -> [M], the minor
 y -> t(y_s(1), ..., y_s(N)) is a table at M, on either route (Szegedy and Xu,
 "Impossibility theorems and the universal algebraic toolkit", arXiv:1506.01315).
 The check relates one electorate to another, so it guards the code that changes
-with N: the rank table's split, the voter and coordinate swaps and the power's
-tables. Minors are computed here from ``itertools.product`` order (voter 0 most
-significant) alone.
+with N: the rank table's split, the voter and coordinate swaps, the power's
+tables and the monoid rule's split of each element of the power. Minors are
+computed here from ``itertools.product`` order (voter 0 most significant) alone.
 """
 
 from functools import lru_cache
@@ -22,11 +22,12 @@ from aggcheck.algebra import builtin_boolean2, builtin_mv_chain, power_homomorph
 from aggcheck.census import qualifying_criteria
 from aggcheck.fileio import load_matrix
 from aggcheck.syntax import parse_formula
-from builders import builtin_distributive_lattice
+from builders import builtin_distributive_lattice, goedel3
 
 README = ("x1", "x2", "(or x1 x2)", "(not x1)")
 MV = ("x1", "x2", "(oplus x1 x2)")
 DIAMOND = builtin_distributive_lattice(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+G3 = goedel3()
 
 
 @lru_cache(maxsize=None)
@@ -59,6 +60,8 @@ CASES = [
     ("census-mv3-degree", 3, lambda n: census_tables("mv3-degree", MV, n), 3),
     ("homs-boolean2", 2, lambda n: hom_tables(builtin_boolean2(), n), 4),
     ("homs-mv3", 3, lambda n: hom_tables(builtin_mv_chain(3), n), 3),
+    ("homs-mv4", 4, lambda n: hom_tables(builtin_mv_chain(4), n), 3),
+    ("homs-g3", 3, lambda n: hom_tables(G3, n), 3),
     ("homs-diamond", 4, lambda n: hom_tables(DIAMOND, n), 3),
 ]
 

@@ -38,7 +38,7 @@ from aggcheck.fileio import load_matrix
 from aggcheck.oracles import all_valuations
 from aggcheck.semantics import Matrix
 from aggcheck.syntax import App, Signature, Var, parse_formula, print_formula
-from builders import builtin_distributive_lattice
+from builders import builtin_distributive_lattice, goedel3, sugihara3
 from test_algebra import every_homomorphism
 
 
@@ -281,7 +281,7 @@ def test_the_rank_table_holds_one_int_object_per_rank():
     assert len(set(map(id, entries))) <= 3**6
 
 
-@pytest.mark.parametrize("n, work", [(7, 25_598), (8, 100_350)])
+@pytest.mark.parametrize("n, work", [(7, 16_950), (8, 62_040)])
 def test_power_homomorphism_search_charges_its_pinned_work(boolean2, n, work):
     projections = sorted(tuple(element_coordinates(2, n, r)[i] for r in range(2**n))
                          for i in range(n))
@@ -338,7 +338,8 @@ def test_census_equals_the_definition(logic, texts, n, depth, request):
 HOMOMORPHISM_ROUTE = ("is_homomorphism", "product_algebra", "shared_power",
                       "enumerate_homomorphisms", "power_homomorphisms",
                       "refuse_power_past_the_caps", "_coordinate_swaps", "_de_morgan_pairs",
-                      "_handed_equations")
+                      "_definitions", "_monoids", "_last_coordinate_split", "_handed_equations",
+                      "_rows_handing_some")
 
 
 def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agenda, mv_agenda):
@@ -453,19 +454,56 @@ def test_the_pairs_by_definition_are_the_de_morgan_dualities(boolean2, luk3):
     assert pairs_by_definition(diamond_matrix().algebra) == {}
 
 
+def definitions_by_definition(algebra):
+    """Each binary connective f mapped to (u, g): the first unary u and binary g before f
+    in signature order with f(x, y) = g(u x, y), checked at every x and y one at a time."""
+    size, connectives = algebra.size, algebra.signature.connectives
+    unary = [u for u, arity in connectives if arity == 1]
+    definitions = {}
+    for position, (f, arity) in enumerate(connectives):
+        for u in unary if arity == 2 else []:
+            g = next((g for g, a in connectives[:position] if a == 2 and all(
+                algebra.op(f, [x, y]) == algebra.op(g, [algebra.op(u, [x]), y])
+                for x, y in product(range(size), repeat=2))), None)
+            if g is not None:
+                definitions[f] = (u, g)
+                break
+    return definitions
+
+
+def monoids_by_definition(algebra):
+    """The binary connectives commutative and associative with unit 0, in signature
+    order, each identity checked at every argument tuple one at a time."""
+    elements = range(algebra.size)
+
+    def is_monoid(f):
+        def op(x, y):
+            return algebra.op(f, [x, y])
+        return (all(op(0, x) == x for x in elements)
+                and all(op(x, y) == op(y, x) for x, y in product(elements, repeat=2))
+                and all(op(op(x, y), z) == op(x, op(y, z))
+                        for x, y, z in product(elements, repeat=3)))
+
+    return [f for f, arity in algebra.signature.connectives if arity == 2 and is_monoid(f)]
+
+
 class Equations:
     """The homomorphism equations of algebra^n -> algebra, one per argument tuple, or
     per a <= b for a binary connective commutative in the algebra, recomputed from the
     power's tables: each with its last slot (the largest of its arguments and result)
-    and, for a connective f of a pair (u, g), its dual, g's equation at u x̄."""
+    and, where one of three rules leaves it out, the equations it follows from."""
 
     def __init__(self, algebra, n):
         self.algebra, self.power, self.size = algebra, shared_power(algebra, n), algebra.size**n
         self.pairs = pairs_by_definition(algebra)
+        self.definitions = definitions_by_definition(algebra)
+        self.monoids = monoids_by_definition(algebra)
         elements = list(product(range(algebra.size), repeat=2))
         self.commutative = {
             symbol for symbol, arity in algebra.signature.connectives if arity == 2
             and all(algebra.op(symbol, [a, b]) == algebra.op(symbol, [b, a]) for a, b in elements)}
+        self.coordinates = list(product(range(algebra.size), repeat=n))  # of each element
+        self.rank = {coordinates: r for r, coordinates in enumerate(self.coordinates)}
 
     def rows(self, symbol, arity):
         if symbol in self.commutative:
@@ -484,21 +522,58 @@ class Equations:
     def last(self, symbol, args):
         return max(*args, self.result(symbol, args)) if args else self.result(symbol, args)
 
+    def handed_as(self, symbol, args):
+        """The equation as it is handed: its arguments sorted if the connective commutes."""
+        return symbol, tuple(sorted(args)) if symbol in self.commutative else tuple(args)
+
+    def image(self, u, a):
+        return self.result(u, (a,))
+
     def dual(self, symbol, args):
-        """The dual's connective and argument tuple, as it is handed (sorted if commutative)."""
+        """The dual of a De Morgan pair's f: g's equation at u x̄, as it is handed."""
         u, g = self.pairs[symbol]
-        images = tuple(self.power.tables[u][a] for a in args)
-        return g, tuple(sorted(images)) if g in self.commutative else images
+        return self.handed_as(g, [self.image(u, a) for a in args])
+
+    def split(self, b):
+        """b's last nonzero coordinate alone, and b with that coordinate 0."""
+        coordinates = self.coordinates[b]
+        i = max(i for i, c in enumerate(coordinates) if c)
+        alone = tuple(c if j == i else 0 for j, c in enumerate(coordinates))
+        rest = tuple(0 if j == i else c for j, c in enumerate(coordinates))
+        return self.rank[alone], self.rank[rest]
+
+    def nonzero(self, a):
+        return sum(map(bool, self.coordinates[a]))
+
+    def supports(self, symbol, args):
+        """None where the equation is handed; else the equations it follows from, by the
+        first rule that leaves it out (De Morgan pair, definition, monoid), each as handed."""
+        own = self.last(symbol, args)
+        if symbol in self.pairs and self.last(*self.dual(symbol, args)) < own:
+            u, _ = self.pairs[symbol]
+            return [self.dual(symbol, args),
+                    *((u, (y,)) for y in (*args, self.result(symbol, args)))]
+        if symbol in self.definitions:
+            (u, g), (x, y) = self.definitions[symbol], args
+            if self.image(u, x) <= own:
+                return [(u, (x,)), self.handed_as(g, (self.image(u, x), y))]
+        if symbol in self.monoids and min(map(self.nonzero, args)) >= 2:
+            (a, b), at = args, lambda *pair: self.result(symbol, pair)
+            alone, rest = self.split(b)
+            if at(rest, a) <= max(b, at(a, b)):
+                return [self.handed_as(symbol, (rest, a)),
+                        self.handed_as(symbol, (alone, at(rest, a))),
+                        self.handed_as(symbol, (alone, rest))]
+        return None
 
     def unpaired_count(self):
         size = self.size
         return sum(size * (size + 1) // 2 if symbol in self.commutative else size**arity
                    for symbol, arity in self.algebra.signature.connectives)
 
-    def paired_count(self):
-        """The equations whose dual's last slot is not strictly earlier than their own."""
-        return sum(symbol not in self.pairs
-                   or not self.last(*self.dual(symbol, args)) < self.last(symbol, args)
+    def handed_count(self):
+        """The equations no rule leaves out."""
+        return sum(self.supports(symbol, args) is None
                    for symbol, arity in self.algebra.signature.connectives
                    for args in self.rows(symbol, arity))
 
@@ -507,9 +582,10 @@ class Equations:
                          + [(logic, n) for logic in ("luk3", "diamond") for n in (1, 2, 3)])
 def test_the_equation_cap_counts_the_equations_the_search_is_handed(logic, n, monkeypatch,
                                                                      request):
-    """The cap counts every equation before pairing, an upper bound on those handed, in
-    the same refusal text. The diamond has no involution and is handed all of them;
-    boolean2 and Ł3 are handed those whose dual does not come strictly earlier."""
+    """The cap counts every equation before any rule leaves one out, an upper bound on
+    those handed, in the same refusal text. The search is handed those no rule leaves
+    out: boolean2's and the diamond's `or` is a monoid, Ł3's `oplus` too, its `impl` is
+    defined by `oplus` and `not`, and boolean2 and Ł3 have De Morgan pairs."""
     algebra = diamond_matrix().algebra if logic == "diamond" else request.getfixturevalue(logic)
     equations = Equations(algebra, n)
     calls = spy_on_the_homomorphism_search(monkeypatch)
@@ -520,13 +596,12 @@ def test_the_equation_cap_counts_the_equations_the_search_is_handed(logic, n, mo
     [(_, handed)] = calls
     assert str(refused.value) == (f"homomorphism search of {algebra.name}^{n}: "
                                   f"{equations.unpaired_count()} equations exceed the limit of 0")
-    if logic == "diamond":
-        assert handed == equations.unpaired_count()
-    else:
-        assert handed == equations.paired_count() < equations.unpaired_count()
+    assert handed == equations.handed_count() <= equations.unpaired_count()
+    if (logic, n) != ("diamond", 1):  # the diamond's only rule needs two coordinates
+        assert handed < equations.unpaired_count()
 
 
-def handed_to_the_search(algebra, n, monkeypatch):
+def handed_to_the_search(algebra, n):
     """Per connective, a bytearray over its argument tuples' row-major indices in
     algebra^n, 1 where power_homomorphisms hands the search its equation there; the
     spy records each equation once and runs no search."""
@@ -545,8 +620,9 @@ def handed_to_the_search(algebra, n, monkeypatch):
             record[index] = 1
         return []
 
-    monkeypatch.setattr(algebra_module, "search_tables", spy)
-    assert power_homomorphisms(algebra, n) == []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "search_tables", spy)
+        assert power_homomorphisms(algebra, n) == []
     return handed
 
 
@@ -556,35 +632,50 @@ def handed_to_the_search(algebra, n, monkeypatch):
 TWO_INVOLUTIONS = str(Path(__file__).with_name("two_involutions.json"))
 
 
+def assert_left_out_by_the_rules(algebra, n):
+    """Against the definitions, on every equation: an equation is left out exactly where
+    a rule implies it; each equation it follows from is handed, or left out with a last
+    slot no later than its own, so the search checks all it follows from by then; and
+    the chains of left-out equations end in handed ones, with no cycle."""
+    equations = Equations(algebra, n)
+    handed = handed_to_the_search(algebra, n)
+    follows_from = {}  # each left-out equation: the left-out equations it follows from
+    for symbol, arity in algebra.signature.connectives:
+        for args in equations.rows(symbol, arity):
+            supports = equations.supports(symbol, args)
+            assert handed[symbol][equations.index(args)] == (supports is None), (symbol, args)
+            if supports is not None:
+                own = equations.last(symbol, args)
+                assert all(equations.last(*support) <= own for support in supports)
+                follows_from[symbol, args] = [
+                    (g, xs) for g, xs in supports if not handed[g][equations.index(xs)]]
+    assert 0 < len(follows_from) == equations.unpaired_count() - sum(map(sum, handed.values()))
+    done = set()  # no cycle: a depth-first walk never meets an equation on its own path
+    for start in follows_from:
+        path, stack = set(), [(start, iter(follows_from[start]))]
+        path.add(start)
+        while stack:
+            equation, pending = stack[-1]
+            after = next((e for e in pending if e not in done), None)
+            if after is None:
+                stack.pop()
+                path.discard(equation)
+                done.add(equation)
+            else:
+                assert after not in path, (equation, after)
+                path.add(after)
+                stack.append((after, iter(follows_from[after])))
+    return equations
+
+
 @pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4)]
-                         + [("mv3", n) for n in (1, 2, 3, 6)] + [("mv4", n) for n in (1, 2)]
+                         + [("mv3", n) for n in (1, 2, 3)] + [("mv4", n) for n in (1, 2)]
+                         + [("mv17", 2)]
                          + [pytest.param(TWO_INVOLUTIONS, n, id=f"two-involutions-{n}")
                             for n in (1, 2, 3)])
-def test_an_equation_is_left_out_exactly_where_its_dual_comes_strictly_earlier(logic, n,
-                                                                              monkeypatch):
-    """Against the definition, on every equation (mv3 at N=6 has 729 elements, past the
-    byte lanes): a left-out equation's dual is handed, with a strictly earlier last slot,
-    and u's equations at its arguments and result are handed at or before its own last
-    slot, so the search checks all it follows from by then; no handed equation has a
-    dual that comes strictly earlier; and every other connective's equations are handed."""
-    algebra = load_matrix(logic).algebra
-    equations = Equations(algebra, n)
-    handed = handed_to_the_search(algebra, n, monkeypatch)
-    left_out = 0
-    for symbol, arity in algebra.signature.connectives:
-        if symbol not in equations.pairs:
-            continue  # all handed: the count below
-        u, _ = equations.pairs[symbol]
-        for args in equations.rows(symbol, arity):
-            own, (g, dual) = equations.last(symbol, args), equations.dual(symbol, args)
-            if handed[symbol][equations.index(args)]:
-                assert not equations.last(g, dual) < own
-                continue
-            left_out += 1
-            assert handed[g][equations.index(dual)] and equations.last(g, dual) < own
-            for y in (*args, equations.result(symbol, args)):
-                assert handed[u][y] and equations.last(u, (y,)) <= own
-    assert 0 < left_out == equations.unpaired_count() - sum(map(sum, handed.values()))
+def test_an_equation_is_left_out_exactly_where_a_rule_implies_it(logic, n):
+    """Ł17's square has 289 elements, past the byte lanes."""
+    assert_left_out_by_the_rules(load_matrix(logic).algebra, n)
 
 
 # boolean2 with iff before and: not(iff(not x̄)) is or(x̄) at every argument tuple but the
@@ -604,12 +695,11 @@ CHAINED_PAIRS = FiniteAlgebra(
      ("h", (0, 0, 2, 0, 1, 2, 2, 2, 2)), ("k", (0, 1, 0, 1, 1, 1, 0, 1, 2))))
 
 
-def test_chained_de_morgan_pairs_find_every_homomorphism_of_the_square(monkeypatch):
+def test_chained_de_morgan_pairs_find_every_homomorphism_of_the_square():
     """Each left-out equation follows from equations with strictly earlier last slots,
     handed or not, so the search finds what a filter of all 3^9 maps finds."""
     equations = Equations(CHAINED_PAIRS, 2)
-    handed = handed_to_the_search(CHAINED_PAIRS, 2, monkeypatch)
-    monkeypatch.undo()
+    handed = handed_to_the_search(CHAINED_PAIRS, 2)
     assert any(not handed[g][equations.index(dual)]
                for symbol in ("h", "k") for args in equations.rows(symbol, 2)
                if not handed[symbol][equations.index(args)]
@@ -629,6 +719,121 @@ def test_the_de_morgan_pairs_are_the_pairs_by_definition(logic):
     assert algebra_module._de_morgan_pairs(algebra) == expected
     if algebra is IFF_BOOLEAN:
         assert expected[0] == ("not", "or", "and")
+
+
+# Z3 with neg x = -x, add and f(x, y) = add(neg x, y) = y - x: add is a commutative
+# monoid with unit 0 that is not monotone, so both slot conditions fail somewhere
+Z3 = FiniteAlgebra(
+    Signature((("neg", 1), ("add", 2), ("f", 2))), ("0", "1", "2"),
+    (("neg", (0, 2, 1)), ("add", tuple((x + y) % 3 for x in range(3) for y in range(3))),
+     ("f", tuple((y - x) % 3 for x in range(3) for y in range(3)))), name="Z3")
+
+RULE_ALGEBRAS = {"diamond": lambda: diamond_matrix().algebra, "iff-boolean": lambda: IFF_BOOLEAN,
+                 "chained-pairs": lambda: CHAINED_PAIRS, "z3": lambda: Z3, "g3": goedel3,
+                 "rm3": sugihara3}
+
+
+@pytest.mark.parametrize("logic", ["boolean2", "mv3", "mv4", "diamond", "iff-boolean",
+                                   "chained-pairs", "z3", "g3", "rm3",
+                                   pytest.param(TWO_INVOLUTIONS, id="two-involutions")])
+def test_the_definitions_and_monoids_are_those_by_definition(logic):
+    algebra = RULE_ALGEBRAS[logic]() if logic in RULE_ALGEBRAS else load_matrix(logic).algebra
+    expected = tuple((u, f, g) for f, (u, g) in definitions_by_definition(algebra).items())
+    assert algebra_module._definitions(algebra) == expected
+    assert algebra_module._monoids(algebra) == tuple(monoids_by_definition(algebra))
+    known = {"boolean2": ((), ("or",)), "mv3": ((("not", "impl", "oplus"),), ("oplus",)),
+             "diamond": ((), ("or",)), "z3": ((("neg", "f", "add"),), ("add",)),
+             "g3": ((), ("or",)), "rm3": ((), ("or",))}
+    if logic in known:
+        assert (expected, algebra_module._monoids(algebra)) == known[logic]
+
+
+def test_the_slot_conditions_fail_on_z3():
+    """At Z3's square, neg x comes after some equation of f's last slot, and f(v, a) after
+    max(b, add(a, b)) at some a <= b with two nonzero coordinates each: both rules then
+    hand the equation on, and the mask follows them."""
+    equations = Equations(Z3, 2)
+    late_images = [(x, y) for x, y in equations.rows("f", 2)
+                   if equations.image("neg", x) > equations.last("f", (x, y))]
+    def add(a, b):
+        return equations.result("add", (a, b))
+
+    late_rests = [(a, b) for a, b in equations.rows("add", 2)
+                  if min(equations.nonzero(a), equations.nonzero(b)) >= 2
+                  and add(equations.split(b)[1], a) > max(b, add(a, b))]
+    assert late_images and late_rests
+
+
+def test_z3_hands_the_search_what_the_rules_leave():
+    for n in (1, 2):
+        assert_left_out_by_the_rules(Z3, n)
+
+
+def test_a_monoid_needs_the_source_to_be_a_power_of_the_target(boolean2):
+    """A monoid's rule splits the source's elements into coordinates over the target."""
+    with pytest.raises(ValueError, match="direct power of the target"):
+        enumerate_homomorphisms(shared_power(boolean2, 2), shared_power(boolean2, 3),
+                                monoids=("or",))
+
+
+class NodeCount:
+    """A budget no search exceeds, which counts the nodes the search enters: it compares
+    its work units with the budget (``units > budget``) once at every node it enters."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def __lt__(self, units):
+        self.nodes += 1
+        return False
+
+
+def search_with_and_without_the_rules(algebra, n):
+    """``power_homomorphisms(algebra, n)``'s tables, nodes entered and equations handed,
+    with every rule, and with the De Morgan pairs alone, through a spy on the search."""
+    runs = []
+    for rules in (True, False):
+        calls = []
+
+        def spy(slots, size, constraints, budget, stage, symmetries=()):
+            constraints, count = list(constraints), NodeCount()
+            found = search_tables(slots, size, constraints, count, stage, symmetries=symmetries)
+            calls.append((count.nodes, len(constraints)))
+            return found
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra_module, "search_tables", spy)
+            if not rules:
+                patch.setattr(algebra_module, "_definitions", lambda algebra: ())
+                patch.setattr(algebra_module, "_monoids", lambda algebra: ())
+            tables = [h.mapping for h in power_homomorphisms(algebra, n)]
+        [(nodes, handed)] = calls
+        runs.append((tables, nodes, handed))
+    return runs
+
+
+@pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4, 5)]
+                         + [(logic, n) for logic in ("mv3", "mv4", "diamond") for n in (1, 2, 3)]
+                         + [("z3", n) for n in (1, 2)])
+def test_the_rules_leave_the_nodes_entered_as_they_were(logic, n):
+    """Handing fewer equations can only let the search enter more nodes, so the same
+    count means the same nodes, and the same tables are found."""
+    algebra = RULE_ALGEBRAS[logic]() if logic in RULE_ALGEBRAS else load_matrix(logic).algebra
+    (tables, nodes, handed), (plain_tables, plain_nodes, plain_handed) = (
+        search_with_and_without_the_rules(algebra, n))
+    assert tables == plain_tables and 0 < nodes == plain_nodes
+    # a monoid's rule needs two nonzero coordinates, and boolean2's square has one
+    # element with them, whose equations the De Morgan pairs leave out already
+    if (logic, n) in (("boolean2", 1), ("boolean2", 2), ("diamond", 1)):
+        assert handed == plain_handed
+    else:
+        assert handed < plain_handed
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_z3_finds_every_homomorphism_of_its_powers(n):
+    found = [h.mapping for h in power_homomorphisms(Z3, n)]
+    assert found == every_homomorphism(shared_power(Z3, n), Z3)
 
 
 def test_census_of_a_24_formula_agenda(classical):

@@ -234,3 +234,49 @@ def test_a_planted_pair_never_yields_a_wrong_count(logic, tmp_path, monkeypatch,
         assert 2 in codes
     else:
         assert set(codes) == {0}
+
+
+def monoid_rule_without_its_slot_condition(monkeypatch):
+    """A monoid's equation at a <= b is left out wherever a and b each have two nonzero
+    coordinates: the split gives every element the rest 0, and f(0, a) = a <= b."""
+    split = algebra._last_coordinate_split
+    monkeypatch.setattr(algebra, "_last_coordinate_split",
+                        lambda base, n: ([0] * n, split(base, n)[1]))
+
+
+def definitions_by_a_later_connective(monkeypatch):
+    """A definition f(x, y) = g(u x, y) may take any other g, before f or after it:
+    Ł3's oplus is then defined by impl, and impl by oplus."""
+    def definitions(base):
+        n, connectives = base.size, base.signature.connectives
+        rows = {f: tuple(tuple(base.tables[f][x * n:(x + 1) * n]) for x in range(n))
+                for f, arity in connectives if arity == 2}
+        return tuple((u, f, g) for f in rows for u, arity in connectives if arity == 1
+                     for g in rows if g != f and rows[f] == tuple(
+                         rows[g][base.tables[u][x]] for x in range(n)))
+
+    monkeypatch.setattr(algebra, "_definitions", definitions)
+
+
+# each plant, and the tier-1 tests that fail on it, with their arguments
+RULE_FAULTS = {
+    monoid_rule_without_its_slot_condition: [
+        (test_search.test_z3_hands_the_search_what_the_rules_leave, ())],
+    definitions_by_a_later_connective: [
+        (test_search.test_the_definitions_and_monoids_are_those_by_definition, ("mv3",)),
+        (test_search.test_an_equation_is_left_out_exactly_where_a_rule_implies_it, ("mv3", 2))],
+}
+
+
+@pytest.mark.parametrize("plant", list(RULE_FAULTS), ids=lambda plant: plant.__name__)
+def test_a_planted_rule_is_caught(plant, monkeypatch):
+    """A rule that leaves out equations it may not. On Z3, Ł3 and Ł4 at N <= 3 the
+    other equations still pin every table, so the search enters the same nodes and
+    finds the same tables; the tests that check the mask against the rules'
+    definitions fail."""
+    for test, args in RULE_FAULTS[plant]:
+        test(*args)
+    plant(monkeypatch)
+    for test, args in RULE_FAULTS[plant]:
+        with pytest.raises(AssertionError):
+            test(*args)
