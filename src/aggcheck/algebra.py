@@ -13,7 +13,7 @@ import struct
 import sys
 from contextlib import contextmanager, suppress
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, compress, cycle, product
+from itertools import chain, combinations_with_replacement, compress, cycle, islice, product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
@@ -677,26 +677,45 @@ def _commutative(table: Union[bytes, Sequence[int]], size: int, arity: int) -> b
                               for a in range(size))
 
 
-def _de_morgan_pairs(algebra: FiniteAlgebra) -> tuple[tuple[str, str, str], ...]:
-    """Each connective f with arguments that is not an involution, as ``(u, f, g)`` with
-    the first unary involution u and connective g in signature order for which
-    f(x̄) = u(g(u x̄)). Both are decided from their definitions, by ``op`` on the
-    algebra's elements: u is an involution when u(u x) = x at every element x, and g
-    is f's dual when the identity holds at every argument tuple x̄. A constant has one
-    equation, so pairing it would save one check per node at one slot."""
-    op, elements, connectives = algebra.op, range(algebra.size), algebra.signature.connectives
-    involutions = [u for u, arity in connectives
-                   if arity == 1 and all(op(u, [op(u, [x])]) == x for x in elements)]
-    pairs = []
-    for f, arity in connectives:
-        tuples = list(product(elements, repeat=arity))
-        for u in () if f in involutions or not arity else involutions:
-            g = next((g for g, a in connectives if a == arity and all(
-                op(f, xs) == op(u, [op(g, [op(u, [x]) for x in xs])]) for xs in tuples)), None)
-            if g is not None:
-                pairs.append((u, f, g))
-                break
-    return tuple(pairs)
+# an algebra's De Morgan pairs (u, f, g), definitions (u, f, g) and monoids f
+Identities = tuple[Sequence[tuple[str, str, str]], Sequence[tuple[str, str, str]], Sequence[str]]
+
+
+def _identities(algebra: FiniteAlgebra, n: int) -> Identities:
+    """The identities of ``algebra`` that ``enumerate_homomorphisms`` reads from its
+    ``n``-th power, as its ``identities``: each decided from its definition, by ``op``
+    at every argument tuple.
+      - The De Morgan pairs: each connective f with arguments that is not an involution,
+        as ``(u, f, g)`` with the first unary involution u (u(u x) = x) and connective g
+        in signature order for which f(x̄) = u(g(u x̄)). A constant has one equation, so
+        pairing it would save one check per node at one slot.
+      - The definitions: each binary f, as ``(u, f, g)``, with the first unary u and
+        binary g before f in signature order for which f(x, y) = g(u x, y).
+      - The monoids, from n = 2 on (a monoid's rule needs two coordinates): each binary
+        f with f(0, y) = y, f(x, y) = f(y, x) and f(f(x, y), z) = f(x, f(y, z))."""
+    op, connectives = algebra.op, algebra.signature.connectives
+
+    def holds(identity: Callable[..., bool], arity: int) -> bool:
+        return all(identity(*xs) for xs in product(range(algebra.size), repeat=arity))
+
+    unary = [u for u, arity in connectives if arity == 1]
+    involutions = [u for u in unary if holds(lambda x: op(u, [op(u, [x])]) == x, 1)]
+    pairs, definitions = [], []
+    for position, (f, arity) in enumerate(connectives):
+        duals = ((u, f, g) for u in (() if f in involutions or not arity else involutions)
+                 for g, a in connectives if a == arity and holds(
+                     lambda *xs: op(f, xs) == op(u, [op(g, [op(u, [x]) for x in xs])]), arity))
+        defined = ((u, f, g) for u in (unary if arity == 2 else ())
+                   for g, a in connectives[:position] if a == 2
+                   and holds(lambda x, y: op(f, [x, y]) == op(g, [op(u, [x]), y]), 2))
+        pairs += islice(duals, 1)  # the first (u, g) that holds, if any
+        definitions += islice(defined, 1)
+    monoids = tuple(f for f, arity in connectives if n > 1 and arity == 2
+                    and holds(lambda y: op(f, [0, y]) == y, 1)
+                    and holds(lambda x, y: op(f, [x, y]) == op(f, [y, x]), 2)
+                    and holds(lambda x, y, z: op(f, [op(f, [x, y]), z])
+                              == op(f, [x, op(f, [y, z])]), 3))
+    return tuple(pairs), tuple(definitions), monoids
 
 
 def _lanes(entries: Union[bytes, Sequence[int]]) -> bytes:
@@ -717,46 +736,6 @@ def _lane_max(a: int, b: int, flags: int, bits: int) -> int:
     return b ^ ((a ^ b) & ((at_least >> bits) * ((1 << bits) - 1)))
 
 
-def _definitions(algebra: FiniteAlgebra) -> tuple[tuple[str, str, str], ...]:
-    """Each binary connective f, as ``(u, f, g)``, with the first unary u and binary g
-    before f in signature order for which f(x, y) = g(u x, y) at every x and y, decided
-    row by row: each row x of f's table is row u(x) of g's."""
-    n, connectives = algebra.size, algebra.signature.connectives
-    form = bytes if n <= 256 else tuple
-    rows = {f: tuple(form(algebra.tables[f][x * n:(x + 1) * n]) for x in range(n))
-            for f, arity in connectives if arity == 2}
-    unary = [u for u, arity in connectives if arity == 1]
-    definitions = []
-    for position, (f, arity) in enumerate(connectives):
-        for u in unary if arity == 2 else ():
-            g = next((g for g, a in connectives[:position]
-                      if a == 2 and rows[f] == _gather(rows[g], algebra.tables[u])), None)
-            if g is not None:
-                definitions.append((u, f, g))
-                break
-    return tuple(definitions)
-
-
-def _monoids(algebra: FiniteAlgebra) -> tuple[str, ...]:
-    """Each binary connective f that is commutative and associative with unit 0, decided
-    from the definitions: f(0, y) = y, f(x, y) = f(y, x) and f(f(x, y), z) = f(x, f(y, z))
-    at every x, y, z, the last row by row: with x fixed, the rows of f(x, y) laid end to
-    end against row x read at each f(y, z)."""
-    n = algebra.size
-    form, join = (bytes, b"".join) if n <= 256 else (tuple, _join(n))
-    monoids = []
-    for f, arity in algebra.signature.connectives:
-        table = form(algebra.tables[f])
-        if not (_commutative(table, n, arity) and table[:n] == form(range(n))):
-            continue
-        rows = [table[x * n:(x + 1) * n] for x in range(n)]
-        if all(join(_gather(rows, row)) == (table.translate(row.ljust(256, b"\0"))
-                                            if form is bytes else _gather(row, table))
-               for row in rows):
-            monoids.append(f)
-    return tuple(monoids)
-
-
 def _last_coordinate_split(base: int, n: int) -> tuple[list[int], bytes]:
     """For each element r of the power of ``n`` elements over ``base`` elements, ranked
     as ``product_algebra`` ranks them: r with its last nonzero coordinate set to 0, and
@@ -775,8 +754,7 @@ def _last_coordinate_split(base: int, n: int) -> tuple[list[int], bytes]:
 def _handed_equations(
     source: FiniteAlgebra,
     base: int,
-    identities: tuple[Sequence[tuple[str, str, str]], Sequence[tuple[str, str, str]],
-                      Sequence[str]],
+    identities: Identities,
     symbols: Sequence[str],
     arity: int,
     upper: Optional[list[slice]],
@@ -787,7 +765,7 @@ def _handed_equations(
     connective at each: 0 where the equation is implied, else 1; None, and every
     equation handed, when no identity's f is in the group or the source has more than
     2^15 elements (no power has: ``MAX_POWER_SIZE`` is below). ``identities`` are the
-    dualities, definitions and monoids of ``enumerate_homomorphisms``; the source's
+    pairs, definitions and monoids of ``enumerate_homomorphisms``; the source's
     elements split by coordinates over ``base`` elements for a monoid. Each equation of
     f at x̄ has the last slot max(x̄, f(x̄)), and it is implied where
       - f is a dual pair's (u, f, g) and its dual, g's equation at u x̄, has the
@@ -891,9 +869,7 @@ def enumerate_homomorphisms(
     target: FiniteAlgebra,
     budget: int = DEFAULT_BUDGET,
     symmetries: Iterable[Sequence[int]] = (),
-    dualities: Iterable[tuple[str, str, str]] = (),
-    definitions: Iterable[tuple[str, str, str]] = (),
-    monoids: Iterable[str] = (),
+    identities: Identities = ((), (), ()),
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms source -> target, in lexicographic table order: the table
     search over the source operations' equations, argument tuple by argument tuple.
@@ -913,23 +889,22 @@ def enumerate_homomorphisms(
     (``_handed_equations``) is worked out before its argument rows are built; no
     triple is built for a left-out equation, and no tuple for a row that hands none.
 
-    ``dualities`` are De Morgan pairs ``(u, f, g)``: u is a unary involution,
-    f(x̄) = u(g(u x̄)), and no pair's f is any pair's u. f's equation at x̄ follows from
-    g's at u x̄ (its dual) and u's at each argument and at g(u x̄).
-
-    ``definitions`` are ``(u, f, g)`` with f(x, y) = g(u x, y), u unary and g binary
-    and before f in signature order. f's equation at (x, y) follows from u's at x and
-    g's at (u x, y).
-
-    ``monoids`` are binary connectives commutative and associative with unit 0; the
-    source must then be a direct power of the target, ranked as ``product_algebra``
-    ranks it. With g the last nonzero coordinate of b alone and v the rest of b,
-    b = f(g, v), so f's equation at a <= b follows from its equations at (v, a),
-    (g, f(v, a)) and (g, v)."""
+    ``identities`` are the three kinds, as ``_identities`` finds them on the target
+    (``power_homomorphisms`` passes them):
+      - De Morgan pairs ``(u, f, g)``: u is a unary involution, f(x̄) = u(g(u x̄)), and
+        no pair's f is any pair's u. f's equation at x̄ follows from g's at u x̄ (its
+        dual) and u's at each argument and at g(u x̄).
+      - Definitions ``(u, f, g)`` with f(x, y) = g(u x, y), u unary and g binary and
+        before f in signature order. f's equation at (x, y) follows from u's at x and
+        g's at (u x, y).
+      - Monoids: binary connectives commutative and associative with unit 0; the source
+        must then be a direct power of the target, ranked as ``product_algebra`` ranks
+        it. With g the last nonzero coordinate of b alone and v the rest of b,
+        b = f(g, v), so f's equation at a <= b follows from its equations at (v, a),
+        (g, f(v, a)) and (g, v)."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     n = source.size
-    identities = (tuple(dualities), tuple(definitions), tuple(monoids))
     # (arity, commutative in both) -> its connectives
     groups: dict[tuple[int, bool], list[str]] = {}
     for symbol, arity in source.signature.connectives:
@@ -995,15 +970,12 @@ def power_homomorphisms(
     algebra: FiniteAlgebra, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms algebra^n -> algebra, refused unbuilt past the caps, searched
-    up to the coordinate swaps of algebra^n, with the algebra's De Morgan pairs,
-    definitions and monoids (a monoid needs two coordinates): an identity of the
-    algebra holds in each of its direct powers."""
+    up to the coordinate swaps of algebra^n, with the algebra's identities
+    (``_identities``): an identity of the algebra holds in each of its direct powers."""
     refuse_power_past_the_caps(algebra, n)
     return enumerate_homomorphisms(shared_power(algebra, n), algebra, budget,
                                    symmetries=_coordinate_swaps(algebra.size, n),
-                                   dualities=_de_morgan_pairs(algebra),
-                                   definitions=_definitions(algebra),
-                                   monoids=_monoids(algebra) if n > 1 else ())
+                                   identities=_identities(algebra, n))
 
 
 # ---------------------------------------------------------------------------

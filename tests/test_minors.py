@@ -21,6 +21,7 @@ from aggcheck.agenda import agenda_over
 from aggcheck.algebra import builtin_boolean2, builtin_mv_chain, power_homomorphisms
 from aggcheck.census import qualifying_criteria
 from aggcheck.fileio import load_matrix
+from aggcheck.semantics import Matrix
 from aggcheck.syntax import parse_formula
 from builders import builtin_distributive_lattice, goedel3
 
@@ -28,11 +29,13 @@ README = ("x1", "x2", "(or x1 x2)", "(not x1)")
 MV = ("x1", "x2", "(oplus x1 x2)")
 DIAMOND = builtin_distributive_lattice(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
 G3 = goedel3()
+G3_IMPL = ("x1", "x2", "(impl x1 x2)")
+MATRICES = {"g3": Matrix(G3, frozenset({2}))}  # G3 with the filter {1}
 
 
 @lru_cache(maxsize=None)
 def agenda(logic, texts):
-    matrix = load_matrix(logic)
+    matrix = MATRICES.get(logic) or load_matrix(logic)
     return agenda_over([parse_formula(t, matrix.algebra.signature) for t in texts], matrix)
 
 
@@ -58,6 +61,7 @@ CASES = [
     ("census-boolean2-x1", 2, lambda n: census_tables("boolean2", ("x1",), n), 3),
     ("census-mv3", 3, lambda n: census_tables("mv3", MV, n), 3),
     ("census-mv3-degree", 3, lambda n: census_tables("mv3-degree", MV, n), 3),
+    ("census-g3", 3, lambda n: census_tables("g3", G3_IMPL, n), 3),
     ("homs-boolean2", 2, lambda n: hom_tables(builtin_boolean2(), n), 4),
     ("homs-mv3", 3, lambda n: hom_tables(builtin_mv_chain(3), n), 3),
     ("homs-mv4", 4, lambda n: hom_tables(builtin_mv_chain(4), n), 3),

@@ -337,9 +337,8 @@ def test_census_equals_the_definition(logic, texts, n, depth, request):
 # the homomorphism route, as defined in ``algebra``: the census may call none of it
 HOMOMORPHISM_ROUTE = ("is_homomorphism", "product_algebra", "shared_power",
                       "enumerate_homomorphisms", "power_homomorphisms",
-                      "refuse_power_past_the_caps", "_coordinate_swaps", "_de_morgan_pairs",
-                      "_definitions", "_monoids", "_last_coordinate_split", "_handed_equations",
-                      "_rows_handing_some")
+                      "refuse_power_past_the_caps", "_coordinate_swaps", "_identities",
+                      "_last_coordinate_split", "_handed_equations", "_rows_handing_some")
 
 
 def test_census_never_consults_the_homomorphism_equation(monkeypatch, bool_agenda, mv_agenda):
@@ -716,9 +715,25 @@ def test_the_de_morgan_pairs_are_the_pairs_by_definition(logic):
                "chained-pairs": CHAINED_PAIRS}.get(logic)
     algebra = algebra or load_matrix(logic).algebra
     expected = tuple((u, f, g) for f, (u, g) in pairs_by_definition(algebra).items())
-    assert algebra_module._de_morgan_pairs(algebra) == expected
+    for n in (1, 2):
+        assert algebra_module._identities(algebra, n)[0] == expected
     if algebra is IFF_BOOLEAN:
         assert expected[0] == ("not", "or", "and")
+
+
+# perfbench/test_perfbench.py::test_installer_patches_every_binding_site_and_restores
+# counts the FiniteAlgebra.op calls of `enumerate-homs boolean2 --electorate 2` and needs one
+def test_the_homomorphism_route_calls_op(boolean2, monkeypatch):
+    """``_identities`` decides the identities through ``FiniteAlgebra.op``."""
+    calls, op = [], FiniteAlgebra.op
+
+    def counted(self, symbol, args):
+        calls.append(symbol)
+        return op(self, symbol, args)
+
+    monkeypatch.setattr(FiniteAlgebra, "op", counted)
+    power_homomorphisms(boolean2, 2)
+    assert calls
 
 
 # Z3 with neg x = -x, add and f(x, y) = add(neg x, y) = y - x: add is a commutative
@@ -739,13 +754,14 @@ RULE_ALGEBRAS = {"diamond": lambda: diamond_matrix().algebra, "iff-boolean": lam
 def test_the_definitions_and_monoids_are_those_by_definition(logic):
     algebra = RULE_ALGEBRAS[logic]() if logic in RULE_ALGEBRAS else load_matrix(logic).algebra
     expected = tuple((u, f, g) for f, (u, g) in definitions_by_definition(algebra).items())
-    assert algebra_module._definitions(algebra) == expected
-    assert algebra_module._monoids(algebra) == tuple(monoids_by_definition(algebra))
+    monoids = tuple(monoids_by_definition(algebra))
+    assert algebra_module._identities(algebra, 2)[1:] == (expected, monoids)
+    assert algebra_module._identities(algebra, 1)[1:] == (expected, ())  # no monoid at N = 1
     known = {"boolean2": ((), ("or",)), "mv3": ((("not", "impl", "oplus"),), ("oplus",)),
              "diamond": ((), ("or",)), "z3": ((("neg", "f", "add"),), ("add",)),
              "g3": ((), ("or",)), "rm3": ((), ("or",))}
     if logic in known:
-        assert (expected, algebra_module._monoids(algebra)) == known[logic]
+        assert (expected, monoids) == known[logic]
 
 
 def test_the_slot_conditions_fail_on_z3():
@@ -773,7 +789,7 @@ def test_a_monoid_needs_the_source_to_be_a_power_of_the_target(boolean2):
     """A monoid's rule splits the source's elements into coordinates over the target."""
     with pytest.raises(ValueError, match="direct power of the target"):
         enumerate_homomorphisms(shared_power(boolean2, 2), shared_power(boolean2, 3),
-                                monoids=("or",))
+                                identities=((), (), ("or",)))
 
 
 class NodeCount:
@@ -804,8 +820,9 @@ def search_with_and_without_the_rules(algebra, n):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algebra_module, "search_tables", spy)
             if not rules:
-                patch.setattr(algebra_module, "_definitions", lambda algebra: ())
-                patch.setattr(algebra_module, "_monoids", lambda algebra: ())
+                identities = algebra_module._identities
+                patch.setattr(algebra_module, "_identities",
+                              lambda algebra, n: (identities(algebra, n)[0], (), ()))
             tables = [h.mapping for h in power_homomorphisms(algebra, n)]
         [(nodes, handed)] = calls
         runs.append((tables, nodes, handed))

@@ -211,7 +211,9 @@ def test_a_planted_pair_never_yields_a_wrong_count(logic, tmp_path, monkeypatch,
     every homomorphism and perhaps tables that are none, which each table's re-check
     (``AlgebraHomomorphism``) refuses as an input error. Neither command may exit 0 or
     1 with a count other than the electorate's, the projections."""
-    monkeypatch.setattr(algebra, "_de_morgan_pairs", lambda base: PLANTED_PAIRS[logic])
+    identities = algebra._identities
+    monkeypatch.setattr(algebra, "_identities",
+                        lambda base, n: (PLANTED_PAIRS[logic], *identities(base, n)[1:]))
     option = logic
     if logic == "k-boolean":
         option = str(tmp_path / "k.json")
@@ -247,15 +249,19 @@ def monoid_rule_without_its_slot_condition(monkeypatch):
 def definitions_by_a_later_connective(monkeypatch):
     """A definition f(x, y) = g(u x, y) may take any other g, before f or after it:
     Ł3's oplus is then defined by impl, and impl by oplus."""
-    def definitions(base):
+    identities = algebra._identities
+
+    def definitions(base, power):
         n, connectives = base.size, base.signature.connectives
         rows = {f: tuple(tuple(base.tables[f][x * n:(x + 1) * n]) for x in range(n))
                 for f, arity in connectives if arity == 2}
-        return tuple((u, f, g) for f in rows for u, arity in connectives if arity == 1
-                     for g in rows if g != f and rows[f] == tuple(
-                         rows[g][base.tables[u][x]] for x in range(n)))
+        later = tuple((u, f, g) for f in rows for u, arity in connectives if arity == 1
+                      for g in rows if g != f and rows[f] == tuple(
+                          rows[g][base.tables[u][x]] for x in range(n)))
+        pairs, _, monoids = identities(base, power)
+        return pairs, later, monoids
 
-    monkeypatch.setattr(algebra, "_definitions", definitions)
+    monkeypatch.setattr(algebra, "_identities", definitions)
 
 
 # each plant, and the tier-1 tests that fail on it, with their arguments
