@@ -677,8 +677,10 @@ def _commutative(table: Union[bytes, Sequence[int]], size: int, arity: int) -> b
                               for a in range(size))
 
 
-# an algebra's De Morgan pairs (u, f, g), definitions (u, f, g) and monoids f
-Identities = tuple[Sequence[tuple[str, str, str]], Sequence[tuple[str, str, str]], Sequence[str]]
+# an algebra's De Morgan pairs (u, f, g), definitions (u, f, g), monoids f and
+# distributive pairs (f, g)
+Identities = tuple[Sequence[tuple[str, str, str]], Sequence[tuple[str, str, str]],
+                   Sequence[str], Sequence[tuple[str, str]]]
 
 
 def _identities(algebra: FiniteAlgebra, n: int) -> Identities:
@@ -692,11 +694,17 @@ def _identities(algebra: FiniteAlgebra, n: int) -> Identities:
       - The definitions: each binary f, as ``(u, f, g)``, with the first unary u and
         binary g before f in signature order for which f(x, y) = g(u x, y).
       - The monoids, from n = 2 on (a monoid's rule needs two coordinates): each binary
-        f with f(0, y) = y, f(x, y) = f(y, x) and f(f(x, y), z) = f(x, f(y, z))."""
+        f with f(0, y) = y, f(x, y) = f(y, x) and f(f(x, y), z) = f(x, f(y, z)).
+      - The distributive pairs: each binary commutative f that is neither a monoid nor
+        a definition's f, as ``(f, g)`` with the first monoid g that is no definition's
+        f for which f(x, g(y, z)) = g(f(x, y), f(x, z))."""
     op, connectives = algebra.op, algebra.signature.connectives
 
     def holds(identity: Callable[..., bool], arity: int) -> bool:
         return all(identity(*xs) for xs in product(range(algebra.size), repeat=arity))
+
+    def commutes(f: str) -> bool:
+        return holds(lambda x, y: op(f, [x, y]) == op(f, [y, x]), 2)
 
     unary = [u for u, arity in connectives if arity == 1]
     involutions = [u for u in unary if holds(lambda x: op(u, [op(u, [x])]) == x, 1)]
@@ -711,11 +719,17 @@ def _identities(algebra: FiniteAlgebra, n: int) -> Identities:
         pairs += islice(duals, 1)  # the first (u, g) that holds, if any
         definitions += islice(defined, 1)
     monoids = tuple(f for f, arity in connectives if n > 1 and arity == 2
-                    and holds(lambda y: op(f, [0, y]) == y, 1)
-                    and holds(lambda x, y: op(f, [x, y]) == op(f, [y, x]), 2)
+                    and holds(lambda y: op(f, [0, y]) == y, 1) and commutes(f)
                     and holds(lambda x, y, z: op(f, [op(f, [x, y]), z])
                               == op(f, [x, op(f, [y, z])]), 3))
-    return tuple(pairs), tuple(definitions), monoids
+    defined_fs = [f for _, f, _ in definitions]
+    distributive = []
+    for f, arity in connectives:
+        if monoids and arity == 2 and f not in monoids and f not in defined_fs and commutes(f):
+            distributive += islice(((f, g) for g in monoids if g not in defined_fs and holds(
+                lambda x, y, z: op(f, [x, op(g, [y, z])])
+                == op(g, [op(f, [x, y]), op(f, [x, z])]), 3)), 1)
+    return tuple(pairs), tuple(definitions), monoids, tuple(distributive)
 
 
 def _lanes(entries: Union[bytes, Sequence[int]]) -> bytes:
@@ -765,24 +779,30 @@ def _handed_equations(
     connective at each: 0 where the equation is implied, else 1; None, and every
     equation handed, when no identity's f is in the group or the source has more than
     2^15 elements (no power has: ``MAX_POWER_SIZE`` is below). ``identities`` are the
-    pairs, definitions and monoids of ``enumerate_homomorphisms``; the source's
-    elements split by coordinates over ``base`` elements for a monoid. Each equation of
-    f at x̄ has the last slot max(x̄, f(x̄)), and it is implied where
+    pairs, definitions, monoids and distributive pairs of ``enumerate_homomorphisms``;
+    the source's elements split by coordinates over ``base`` elements for a monoid or a
+    distributive pair. Each equation of f at x̄ has the last slot max(x̄, f(x̄)), and it
+    is implied where
       - f is a dual pair's (u, f, g) and its dual, g's equation at u x̄, has the
         strictly earlier last slot max(u x̄, u f(x̄));
       - f is a definition's (u, f, g) and u x <= max(x, y, f(x, y)), for x̄ = (x, y);
       - f is a monoid, x̄ = (a, b) has a <= b, each with two or more nonzero
         coordinates, and f(v, a) <= max(b, f(a, b)), its last slot, v being b with its
-        last nonzero coordinate set to 0.
+        last nonzero coordinate set to 0;
+      - f is a distributive pair's (f, g), x̄ = (a, b) has a <= b, b has two or more
+        nonzero coordinates, and f(a, e) and f(a, v) are <= max(b, f(a, b)), e being
+        b's last nonzero coordinate alone (b - v, by rank).
 
     Each rule is a few passes over 16-bit lanes of one int per vector, the top bit of each a
     flag. The largest of x̄ is worked out once, and the largest of u x̄ once per u."""
-    dualities, definitions, monoids = identities
+    dualities, definitions, monoids, distributive = identities
     paired = [(symbols.index(f), u) for u, f, _ in dualities if f in symbols]
     defined = [(symbols.index(f), u) for u, f, _ in definitions if f in symbols and arity == 2]
     monoid = [symbols.index(f) for f in monoids if f in symbols and upper is not None]
+    distributes = [symbols.index(f) for f, _ in distributive
+                   if f in symbols and upper is not None]
     n = source.size
-    if not (paired or defined or monoid) or n > 2**15:
+    if not (paired or defined or monoid or distributes) or n > 2**15:
         return None
     bits, form = 15, bytes if n <= 256 else tuple
     rows = n * (n + 1) // 2 if upper else n**arity
@@ -806,6 +826,14 @@ def _handed_equations(
                                 for c in range(n)) * n**i for i in range(arity)]
         return [int.from_bytes(column, "little") for column in columns]
 
+    def row_at(table: Union[bytes, Sequence[int]], points: Union[bytes, Sequence[int]]) -> int:
+        """At each a <= b, row a of the table at b's point: f(a, points[b])."""
+        rows_at = [table[a * n:(a + 1) * n] for a in range(n)]
+        return lanes(b"".join(points[a:].translate(row.ljust(256, b"\0"))
+                              for a, row in enumerate(rows_at)) if form is bytes else
+                     tuple(chain.from_iterable(_gather(row, points[a:])
+                                               for a, row in enumerate(rows_at))))
+
     def largest(columns: Iterable[int]) -> int:
         """At each argument tuple x̄, the largest of the columns' entries."""
         last = 0
@@ -817,11 +845,11 @@ def _handed_equations(
     of_images = {u: largest(columns(source.tables[u]))
                  for u in dict.fromkeys(u for _, u in paired)}
     firsts = {u: columns(source.tables[u])[0] for u in dict.fromkeys(u for _, u in defined)}
-    if monoid:
+    if monoid or distributes:  # b = g(e, v): v is b's rest and e its last coordinate
         rest, many = _last_coordinate_split(base, n)
-        shifts = bytes(rest) if form is bytes else rest
-        eligible = columns(many)  # 1 where a, or b, has two or more nonzero coordinates
-        eligible = (eligible[0] & eligible[1]) << bits
+        rest, alone = form(rest), form(b - v for b, v in enumerate(rest))
+        many = columns(many)  # 1 where a, or b, has two or more nonzero coordinates
+        many_b, many_both = many[1] << bits, (many[0] & many[1]) << bits
     mask = bytearray(b"\1") * (rows * len(symbols))
     for j, symbol in enumerate(symbols):
         table = form(source.tables[symbol])
@@ -834,13 +862,11 @@ def _handed_equations(
             handed &= at_least(dual, own)
         for u in (u for i, u in defined if i == j):
             handed &= flags ^ at_least(own, firsts[u])
-        if j in monoid:  # f(v, a), which is f(a, v): row a of the table at each b's v
-            rows_at = [table[a * n:(a + 1) * n] for a in range(n)]
-            at_rest = (b"".join(shifts[a:].translate(row.ljust(256, b"\0"))
-                                for a, row in enumerate(rows_at)) if form is bytes else
-                       tuple(chain.from_iterable(_gather(row, shifts[a:])
-                                                 for a, row in enumerate(rows_at))))
-            handed &= flags ^ (eligible & at_least(own, lanes(at_rest)))
+        if j in monoid:  # f(v, a), which is f(a, v)
+            handed &= flags ^ (many_both & at_least(own, row_at(table, rest)))
+        if j in distributes:  # f(a, e) and f(a, v)
+            handed &= flags ^ (many_b & at_least(own, row_at(table, alone))
+                               & at_least(own, row_at(table, rest)))
         if handed != flags:
             mask[j::len(symbols)] = (handed >> bits).to_bytes(2 * rows, "little")[::2]
     return mask
@@ -869,7 +895,7 @@ def enumerate_homomorphisms(
     target: FiniteAlgebra,
     budget: int = DEFAULT_BUDGET,
     symmetries: Iterable[Sequence[int]] = (),
-    identities: Identities = ((), (), ()),
+    identities: Identities = ((), (), (), ()),
 ) -> list[AlgebraHomomorphism]:
     """All homomorphisms source -> target, in lexicographic table order: the table
     search over the source operations' equations, argument tuple by argument tuple.
@@ -879,17 +905,20 @@ def enumerate_homomorphisms(
     which map homomorphisms to homomorphisms; the search keeps one table per orbit
     and expands the orbits, and every table found is re-checked.
 
-    Three kinds of identity, each true in both algebras, leave out equations they
+    Four kinds of identity, each true in both algebras, leave out equations they
     imply. An equation is left out only where each one it follows from has a last
     slot (its largest slot) no later than its own, and each of those is handed or left
     out in turn, along a chain that ends: at a strictly earlier last slot (a pair's
     dual), an earlier connective (a definition's g), or fewer nonzero coordinates or
-    an argument with one (a monoid's). So all it follows from is checked by the time
+    an argument with one (a monoid's, and a distributive f's own equations). A
+    distributive f's other edge goes to g's equations, and g's own rules never return
+    to f except through a pair's strictly earlier slot: g is a monoid, whose rule stays
+    at g, and no definition's f. So all an equation follows from is checked by the time
     it would have been, and the search enters the same nodes. Each group's mask
     (``_handed_equations``) is worked out before its argument rows are built; no
     triple is built for a left-out equation, and no tuple for a row that hands none.
 
-    ``identities`` are the three kinds, as ``_identities`` finds them on the target
+    ``identities`` are the four kinds, as ``_identities`` finds them on the target
     (``power_homomorphisms`` passes them):
       - De Morgan pairs ``(u, f, g)``: u is a unary involution, f(x̄) = u(g(u x̄)), and
         no pair's f is any pair's u. f's equation at x̄ follows from g's at u x̄ (its
@@ -899,9 +928,13 @@ def enumerate_homomorphisms(
         g's at (u x, y).
       - Monoids: binary connectives commutative and associative with unit 0; the source
         must then be a direct power of the target, ranked as ``product_algebra`` ranks
-        it. With g the last nonzero coordinate of b alone and v the rest of b,
-        b = f(g, v), so f's equation at a <= b follows from its equations at (v, a),
-        (g, f(v, a)) and (g, v)."""
+        it. With e the last nonzero coordinate of b alone and v the rest of b,
+        b = f(e, v), so f's equation at a <= b follows from its equations at (v, a),
+        (e, f(v, a)) and (e, v).
+      - Distributive pairs ``(f, g)``: f is commutative and no monoid, g is a monoid,
+        f(x, g(y, z)) = g(f(x, y), f(x, z)), and neither is a definition's f. As
+        b = g(e, v), f(a, b) = g(f(a, e), f(a, v)), so f's equation at a <= b follows
+        from g's at (e, v) and at (f(a, e), f(a, v)), and f's at (a, e) and (a, v)."""
     if source.signature != target.signature:
         raise ValueError("source and target must share a signature")
     n = source.size

@@ -560,7 +560,7 @@ def test_the_search_with_de_morgan_pairs_finds_what_it_finds_without(algebra, ta
     for image in (target, algebra):
         brute = every_homomorphism(source, image)
         for dualities in (pairs, ()):
-            found = enumerate_homomorphisms(source, image, identities=(dualities, (), ()))
+            found = enumerate_homomorphisms(source, image, identities=(dualities, (), (), ()))
             assert [h.mapping for h in found] == brute
     assert [h.mapping for h in power_homomorphisms(algebra, power)] == brute
 

@@ -251,5 +251,5 @@ def test_a_source_past_2_to_the_15_elements_hands_every_equation():
         identity = tuple(range(size))
         source = FiniteAlgebra(signature, tuple(map(str, identity)),
                                (("u", identity), ("f", identity), ("g", identity)))
-        mask = _handed_equations(source, size, (pairs, (), ()), ["f", "g"], 1, None)
+        mask = _handed_equations(source, size, (pairs, (), (), ()), ["f", "g"], 1, None)
         assert (mask is not None) == masked

@@ -281,7 +281,7 @@ def test_the_rank_table_holds_one_int_object_per_rank():
     assert len(set(map(id, entries))) <= 3**6
 
 
-@pytest.mark.parametrize("n, work", [(7, 16_950), (8, 62_040)])
+@pytest.mark.parametrize("n, work", [(7, 3_576), (8, 7_966)])
 def test_power_homomorphism_search_charges_its_pinned_work(boolean2, n, work):
     projections = sorted(tuple(element_coordinates(2, n, r)[i] for r in range(2**n))
                          for i in range(n))
@@ -486,17 +486,42 @@ def monoids_by_definition(algebra):
     return [f for f, arity in algebra.signature.connectives if arity == 2 and is_monoid(f)]
 
 
+def distributive_by_definition(algebra):
+    """Each binary connective f commutative in the algebra that is neither a monoid nor
+    a definition's f, mapped to the first monoid g that is no definition's f with
+    f(x, g(y, z)) = g(f(x, y), f(x, z)), checked at every x, y and z one at a time."""
+    elements, monoids = range(algebra.size), monoids_by_definition(algebra)
+    defined = definitions_by_definition(algebra)
+
+    def op(f, x, y):
+        return algebra.op(f, [x, y])
+
+    def distributes(f, g):
+        return all(op(f, x, op(g, y, z)) == op(g, op(f, x, y), op(f, x, z))
+                   for x, y, z in product(elements, repeat=3))
+
+    laws = {}
+    for f, arity in algebra.signature.connectives:
+        if (arity == 2 and f not in monoids and f not in defined
+                and all(op(f, x, y) == op(f, y, x) for x, y in product(elements, repeat=2))):
+            g = next((g for g in monoids if g not in defined and distributes(f, g)), None)
+            if g is not None:
+                laws[f] = g
+    return laws
+
+
 class Equations:
     """The homomorphism equations of algebra^n -> algebra, one per argument tuple, or
     per a <= b for a binary connective commutative in the algebra, recomputed from the
     power's tables: each with its last slot (the largest of its arguments and result)
-    and, where one of three rules leaves it out, the equations it follows from."""
+    and, where one of four rules leaves it out, the equations it follows from."""
 
     def __init__(self, algebra, n):
         self.algebra, self.power, self.size = algebra, shared_power(algebra, n), algebra.size**n
         self.pairs = pairs_by_definition(algebra)
         self.definitions = definitions_by_definition(algebra)
         self.monoids = monoids_by_definition(algebra)
+        self.distributive = distributive_by_definition(algebra)
         elements = list(product(range(algebra.size), repeat=2))
         self.commutative = {
             symbol for symbol, arity in algebra.signature.connectives if arity == 2
@@ -546,7 +571,8 @@ class Equations:
 
     def supports(self, symbol, args):
         """None where the equation is handed; else the equations it follows from, by the
-        first rule that leaves it out (De Morgan pair, definition, monoid), each as handed."""
+        first rule that leaves it out (De Morgan pair, definition, monoid, distributive
+        pair), each as handed."""
         own = self.last(symbol, args)
         if symbol in self.pairs and self.last(*self.dual(symbol, args)) < own:
             u, _ = self.pairs[symbol]
@@ -563,6 +589,14 @@ class Equations:
                 return [self.handed_as(symbol, (rest, a)),
                         self.handed_as(symbol, (alone, at(rest, a))),
                         self.handed_as(symbol, (alone, rest))]
+        if symbol in self.distributive and self.nonzero(args[1]) >= 2:
+            # f(a, b) = f(a, g(e, v)) = g(f(a, e), f(a, v))
+            (a, b), g = args, self.distributive[symbol]
+            alone, rest = self.split(b)
+            at_alone, at_rest = self.result(symbol, (a, alone)), self.result(symbol, (a, rest))
+            if max(at_alone, at_rest) <= own:
+                return [self.handed_as(g, (alone, rest)), self.handed_as(g, (at_alone, at_rest)),
+                        self.handed_as(symbol, (a, alone)), self.handed_as(symbol, (a, rest))]
         return None
 
     def unpaired_count(self):
@@ -583,8 +617,9 @@ def test_the_equation_cap_counts_the_equations_the_search_is_handed(logic, n, mo
                                                                      request):
     """The cap counts every equation before any rule leaves one out, an upper bound on
     those handed, in the same refusal text. The search is handed those no rule leaves
-    out: boolean2's and the diamond's `or` is a monoid, Ł3's `oplus` too, its `impl` is
-    defined by `oplus` and `not`, and boolean2 and Ł3 have De Morgan pairs."""
+    out: boolean2's and the diamond's `or` is a monoid over which their `and`
+    distributes, Ł3's `oplus` is a monoid too, its `impl` is defined by `oplus` and
+    `not`, and boolean2 and Ł3 have De Morgan pairs."""
     algebra = diamond_matrix().algebra if logic == "diamond" else request.getfixturevalue(logic)
     equations = Equations(algebra, n)
     calls = spy_on_the_homomorphism_search(monkeypatch)
@@ -669,12 +704,15 @@ def assert_left_out_by_the_rules(algebra, n):
 
 @pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4)]
                          + [("mv3", n) for n in (1, 2, 3)] + [("mv4", n) for n in (1, 2)]
-                         + [("mv17", 2)]
+                         + [("mv17", 2), ("chain17", 2)]
                          + [pytest.param(TWO_INVOLUTIONS, n, id=f"two-involutions-{n}")
-                            for n in (1, 2, 3)])
+                            for n in (1, 2, 3)]
+                         + [(logic, n) for logic in ("diamond", "g3", "rm3", "shuffled-chain")
+                            for n in (2, 3)])
 def test_an_equation_is_left_out_exactly_where_a_rule_implies_it(logic, n):
-    """Ł17's square has 289 elements, past the byte lanes."""
-    assert_left_out_by_the_rules(load_matrix(logic).algebra, n)
+    """Ł17's and the 17-element chain's squares have 289 elements, past the byte lanes."""
+    algebra = RULE_ALGEBRAS[logic]() if logic in RULE_ALGEBRAS else load_matrix(logic).algebra
+    assert_left_out_by_the_rules(algebra, n)
 
 
 # boolean2 with iff before and: not(iff(not x̄)) is or(x̄) at every argument tuple but the
@@ -743,9 +781,33 @@ Z3 = FiniteAlgebra(
     (("neg", (0, 2, 1)), ("add", tuple((x + y) % 3 for x in range(3) for y in range(3))),
      ("f", tuple((y - x) % 3 for x in range(3) for y in range(3)))), name="Z3")
 
+
+def _shuffled_chain():
+    """The chain 0 < h < 1 listed as 0, 1, h, with and, or and up(x, y) = x ∨ y ∨ h. Both
+    and and up distribute over the monoid or, but the ranks do not follow the order,
+    and up(x, 0) is not 0, so both of up's slot conditions fail somewhere."""
+    rank = (0, 2, 1)  # of each element in the order
+
+    def join(x, y):
+        return x if rank[x] >= rank[y] else y
+
+    def meet(x, y):
+        return x if rank[x] <= rank[y] else y
+
+    pairs = list(product(range(3), repeat=2))
+    return FiniteAlgebra(
+        Signature((("and", 2), ("or", 2), ("up", 2))), ("0", "1", "h"),
+        (("and", tuple(meet(x, y) for x, y in pairs)), ("or", tuple(join(x, y) for x, y in pairs)),
+         ("up", tuple(join(join(x, y), 2) for x, y in pairs))), name="shuffled-chain")
+
+
+SHUFFLED_CHAIN = _shuffled_chain()
+
 RULE_ALGEBRAS = {"diamond": lambda: diamond_matrix().algebra, "iff-boolean": lambda: IFF_BOOLEAN,
                  "chained-pairs": lambda: CHAINED_PAIRS, "z3": lambda: Z3, "g3": goedel3,
-                 "rm3": sugihara3}
+                 "rm3": sugihara3, "shuffled-chain": lambda: SHUFFLED_CHAIN,
+                 "chain17": lambda: builtin_distributive_lattice(
+                     [str(i) for i in range(17)], [(i, i + 1) for i in range(16)])}
 
 
 @pytest.mark.parametrize("logic", ["boolean2", "mv3", "mv4", "diamond", "iff-boolean",
@@ -755,13 +817,40 @@ def test_the_definitions_and_monoids_are_those_by_definition(logic):
     algebra = RULE_ALGEBRAS[logic]() if logic in RULE_ALGEBRAS else load_matrix(logic).algebra
     expected = tuple((u, f, g) for f, (u, g) in definitions_by_definition(algebra).items())
     monoids = tuple(monoids_by_definition(algebra))
-    assert algebra_module._identities(algebra, 2)[1:] == (expected, monoids)
-    assert algebra_module._identities(algebra, 1)[1:] == (expected, ())  # no monoid at N = 1
+    assert algebra_module._identities(algebra, 2)[1:3] == (expected, monoids)
+    assert algebra_module._identities(algebra, 1)[1:3] == (expected, ())  # no monoid at N = 1
     known = {"boolean2": ((), ("or",)), "mv3": ((("not", "impl", "oplus"),), ("oplus",)),
              "diamond": ((), ("or",)), "z3": ((("neg", "f", "add"),), ("add",)),
              "g3": ((), ("or",)), "rm3": ((), ("or",))}
     if logic in known:
         assert (expected, monoids) == known[logic]
+
+
+@pytest.mark.parametrize("logic", ["boolean2", "mv3", "mv4", "diamond", "iff-boolean",
+                                   "chained-pairs", "z3", "g3", "rm3", "shuffled-chain",
+                                   pytest.param(TWO_INVOLUTIONS, id="two-involutions")])
+def test_the_distributive_pairs_are_those_by_definition(logic):
+    """G3's and RM3's `impl` distributes over `or` too, but it does not commute, so its
+    equations are handed at a <= b and at b <= a and no pair lists it."""
+    algebra = RULE_ALGEBRAS[logic]() if logic in RULE_ALGEBRAS else load_matrix(logic).algebra
+    expected = tuple(distributive_by_definition(algebra).items())
+    assert algebra_module._identities(algebra, 2)[3] == expected
+    assert algebra_module._identities(algebra, 1)[3] == ()  # no monoid at N = 1
+    known = {"boolean2": (("and", "or"),), "mv3": (), "diamond": (("and", "or"),), "z3": (),
+             "g3": (("and", "or"),), "rm3": (("and", "or"),),
+             "shuffled-chain": (("and", "or"), ("up", "or"))}
+    if logic in known:
+        assert expected == known[logic]
+    if logic in ("g3", "rm3"):
+        def impl(x, y):
+            return algebra.op("impl", [x, y])
+
+        def join(x, y):
+            return algebra.op("or", [x, y])
+
+        elements = range(algebra.size)
+        assert all(impl(x, join(y, z)) == join(impl(x, y), impl(x, z))
+                   for x, y, z in product(elements, repeat=3))
 
 
 def test_the_slot_conditions_fail_on_z3():
@@ -780,6 +869,21 @@ def test_the_slot_conditions_fail_on_z3():
     assert late_images and late_rests
 
 
+def test_the_distributive_slot_conditions_fail_on_the_shuffled_chain():
+    """At the shuffled chain's square, up(a, e) comes after max(b, up(a, b)) at some
+    a <= b, b with two nonzero coordinates, where up(a, v) does not, and up(a, v) at
+    some where up(a, e) does not: the rule then hands the equation on, and the mask
+    follows it."""
+    equations = Equations(SHUFFLED_CHAIN, 2)
+    late = set()
+    for a, b in equations.rows("up", 2):
+        if equations.nonzero(b) >= 2:
+            points = equations.split(b)  # e, then v
+            late.add(tuple(equations.result("up", (a, point)) > equations.last("up", (a, b))
+                           for point in points))
+    assert {(True, False), (False, True)} <= late
+
+
 def test_z3_hands_the_search_what_the_rules_leave():
     for n in (1, 2):
         assert_left_out_by_the_rules(Z3, n)
@@ -789,7 +893,7 @@ def test_a_monoid_needs_the_source_to_be_a_power_of_the_target(boolean2):
     """A monoid's rule splits the source's elements into coordinates over the target."""
     with pytest.raises(ValueError, match="direct power of the target"):
         enumerate_homomorphisms(shared_power(boolean2, 2), shared_power(boolean2, 3),
-                                identities=((), (), ("or",)))
+                                identities=((), (), ("or",), ()))
 
 
 class NodeCount:
@@ -822,7 +926,7 @@ def search_with_and_without_the_rules(algebra, n):
             if not rules:
                 identities = algebra_module._identities
                 patch.setattr(algebra_module, "_identities",
-                              lambda algebra, n: (identities(algebra, n)[0], (), ()))
+                              lambda algebra, n: (identities(algebra, n)[0], (), (), ()))
             tables = [h.mapping for h in power_homomorphisms(algebra, n)]
         [(nodes, handed)] = calls
         runs.append((tables, nodes, handed))
@@ -831,7 +935,9 @@ def search_with_and_without_the_rules(algebra, n):
 
 @pytest.mark.parametrize("logic, n", [("boolean2", n) for n in (1, 2, 3, 4, 5)]
                          + [(logic, n) for logic in ("mv3", "mv4", "diamond") for n in (1, 2, 3)]
-                         + [("z3", n) for n in (1, 2)])
+                         + [("z3", n) for n in (1, 2)]
+                         + [(logic, n) for logic in ("g3", "rm3") for n in (1, 2, 3)]
+                         + [("shuffled-chain", n) for n in (2, 3)])
 def test_the_rules_leave_the_nodes_entered_as_they_were(logic, n):
     """Handing fewer equations can only let the search enter more nodes, so the same
     count means the same nodes, and the same tables are found."""
@@ -839,9 +945,9 @@ def test_the_rules_leave_the_nodes_entered_as_they_were(logic, n):
     (tables, nodes, handed), (plain_tables, plain_nodes, plain_handed) = (
         search_with_and_without_the_rules(algebra, n))
     assert tables == plain_tables and 0 < nodes == plain_nodes
-    # a monoid's rule needs two nonzero coordinates, and boolean2's square has one
-    # element with them, whose equations the De Morgan pairs leave out already
-    if (logic, n) in (("boolean2", 1), ("boolean2", 2), ("diamond", 1)):
+    # a monoid's and a distributive pair's rules need two nonzero coordinates, and these
+    # algebras have no definition
+    if (logic, n) in (("boolean2", 1), ("diamond", 1), ("g3", 1), ("rm3", 1)):
         assert handed == plain_handed
     else:
         assert handed < plain_handed
@@ -1040,22 +1146,27 @@ def test_census_finds_the_same_tables_with_and_without_voter_swaps(logic, texts,
     assert symmetric == search_tables(len(slot_of), size, constraints, 10**8)
 
 
-# past this many work units a homomorphism search counts as refused (the diamond's
-# fifth power, whose symmetric search takes seconds); the plain search enters every
-# node the symmetric one does, so it must refuse too
+# the symmetric search's work bound: the diamond's fifth power, the largest case, takes
+# 959,108 work units with the swaps and 8,089,424 without them
 HOMS_WORK = 5 * 10**6
 
 
 @pytest.mark.parametrize("logic", ["classical", "luk3_filter", "diamond"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_homomorphisms_are_the_same_with_and_without_coordinate_swaps(logic, n, request):
+    """Both searches run on the one equation stream ``power_homomorphisms`` hands its
+    search, caught by a spy that runs no search, so no table is re-checked."""
     matrix = diamond_matrix() if logic == "diamond" else request.getfixturevalue(logic)
-    algebra = matrix.algebra
-    try:
-        symmetric = [h.mapping for h in power_homomorphisms(algebra, n, budget=HOMS_WORK)]
-    except BudgetExceededError:
-        with pytest.raises(BudgetExceededError):
-            enumerate_homomorphisms(shared_power(algebra, n), algebra, budget=HOMS_WORK)
-        return
-    plain = [h.mapping for h in enumerate_homomorphisms(shared_power(algebra, n), algebra)]
-    assert symmetric == plain
+    calls = []
+
+    def spy(slots, size, constraints, budget, stage, symmetries=()):
+        calls.append((slots, size, list(constraints), list(symmetries)))
+        return []
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "search_tables", spy)
+        power_homomorphisms(matrix.algebra, n)
+    [(slots, size, constraints, swaps)] = calls
+    assert len(swaps) == n - 1
+    symmetric = search_tables(slots, size, constraints, HOMS_WORK, symmetries=swaps)
+    assert symmetric == search_tables(slots, size, constraints, 10**8)

@@ -23,6 +23,7 @@ from aggcheck import aggregation, algebra, census, cli
 from aggcheck.aggregation import CriterionAggregator, majority_criterion
 from aggcheck.algebra import DecisionCriterion, FiniteAlgebra, product_algebra
 from aggcheck.cli import main
+from aggcheck.fileio import load_matrix
 
 AGENDAS = {"boolean2": ["x1", "x2", "(or x1 x2)", "(not x1)"],
            "mv3": ["x1", "x2", "(oplus x1 x2)"]}
@@ -238,6 +239,41 @@ def test_a_planted_pair_never_yields_a_wrong_count(logic, tmp_path, monkeypatch,
         assert set(codes) == {0}
 
 
+# the pentagon lattice N5, 0 < a < c < 1 and 0 < b < 1: `or` is a monoid, and `and`
+# does not distribute over it, as c ∧ (a ∨ b) = c but (c ∧ a) ∨ (c ∧ b) = a
+N5 = {"algebra": {"name": "N5", "signature": {"connectives": [
+    {"name": "and", "arity": 2}, {"name": "or", "arity": 2}]}, "carrier": ["0", "a", "b", "c", "1"],
+    "ops": {"and": [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 0, 2], [0, 1, 0, 3, 3], [0, 1, 2, 3, 4]],
+            "or": [[0, 1, 2, 3, 4], [1, 1, 4, 3, 4], [2, 4, 2, 4, 4], [3, 3, 4, 3, 4], [4, 4, 4, 4, 4]]}},
+    "designated": [4]}
+
+
+def test_a_planted_distributive_pair_never_yields_a_wrong_count(tmp_path, monkeypatch, capsys):
+    """A distributive pair (and, or) planted on N5, where the law fails, leaves out
+    equations that do not follow from the others. ``enumerate-homs`` may then only exit
+    0 or 1 with the count it finds without the plant, or 2 on a table's re-check."""
+    logic = tmp_path / "n5.json"
+    logic.write_text(json.dumps(N5))
+    out = tmp_path / "report.json"
+    pentagon = load_matrix(str(logic)).algebra
+    assert algebra._identities(pentagon, 2)[2:] == (("or",), ())
+    handed = sum(map(sum, test_search.handed_to_the_search(pentagon, 2).values()))
+    counts = [len(algebra.power_homomorphisms(pentagon, n)) for n in (1, 2, 3)]
+    identities = algebra._identities
+    monkeypatch.setattr(algebra, "_identities",
+                        lambda base, n: (*identities(base, n)[:3], (("and", "or"),)))
+    assert sum(map(sum, test_search.handed_to_the_search(pentagon, 2).values())) < handed
+    for n, count in zip((1, 2, 3), counts):
+        out.unlink(missing_ok=True)
+        code = main(["enumerate-homs", "--logic", str(logic), "--electorate", str(n),
+                     "--out", str(out)])
+        errors = capsys.readouterr().err
+        if code in (0, 1):
+            assert json.loads(out.read_text())["count"] == count
+        else:
+            assert code == 2 and "not a homomorphism" in errors
+
+
 def monoid_rule_without_its_slot_condition(monkeypatch):
     """A monoid's equation at a <= b is left out wherever a and b each have two nonzero
     coordinates: the split gives every element the rest 0, and f(0, a) = a <= b."""
@@ -258,8 +294,8 @@ def definitions_by_a_later_connective(monkeypatch):
         later = tuple((u, f, g) for f in rows for u, arity in connectives if arity == 1
                       for g in rows if g != f and rows[f] == tuple(
                           rows[g][base.tables[u][x]] for x in range(n)))
-        pairs, _, monoids = identities(base, power)
-        return pairs, later, monoids
+        pairs, _, monoids, distributive = identities(base, power)
+        return pairs, later, monoids, distributive
 
     monkeypatch.setattr(algebra, "_identities", definitions)
 
